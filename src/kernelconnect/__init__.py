@@ -16,7 +16,6 @@ from .numerics import (
     matrix_from_csv_text,
     matrix_to_csv_text,
     parse_complex,
-    pinv_threshold,
     read_matrix_csv,
     write_matrix_csv,
 )

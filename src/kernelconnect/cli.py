@@ -15,7 +15,13 @@ import sys
 import numpy as np
 
 from . import verify
-from .connections import Curve, Section, make_evaluator, parallel_transport
+from .connections import (
+    Curve,
+    Section,
+    covariant_derivative_direct,
+    make_evaluator,
+    parallel_transport,
+)
 from .cpmaps import (
     cp_covariant_derivative,
     cp_kernel,
@@ -24,7 +30,6 @@ from .cpmaps import (
     stinespring_dilate,
     verify_dilation,
 )
-from .connections import covariant_derivative_direct
 from .grassmann import universal_kernel
 from .kernels import (
     Kernel,
@@ -229,6 +234,8 @@ def _cmd_connect_covderiv(args) -> int:
 
 
 def _cmd_connect_transport(args) -> int:
+    if args.steps < 1:
+        raise UsageError(f"--steps must be >= 1, got {args.steps}")
     k = parse_kernel_spec(args.kernel)
     start = _parse_vector(args.start)
     end = _parse_vector(args.end)
@@ -236,10 +243,10 @@ def _cmd_connect_transport(args) -> int:
     curve = Curve(gamma=lambda t: (1.0 - t) * start + t * end,
                   velocity=lambda t: end - start)
     reference = parallel_transport(k, curve, v0, steps=8 * args.steps)
-    ladder = sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})
-    table = [(n, float(np.linalg.norm(parallel_transport(k, curve, v0, steps=n)
-                                      - reference))) for n in ladder]
-    final = parallel_transport(k, curve, v0, steps=args.steps)
+    ladder = {n: parallel_transport(k, curve, v0, steps=n)
+              for n in sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})}
+    table = [(n, float(np.linalg.norm(v - reference))) for n, v in ladder.items()]
+    final = ladder[args.steps]
     if args.format == "csv":
         lines = [",".join(format_complex(z) for z in final)]
         lines += [f"{n},{err:.17g}" for n, err in table]
@@ -254,6 +261,10 @@ def _cmd_connect_transport(args) -> int:
 
 
 def _cmd_grassmann_verify(args) -> int:
+    if args.n < 2:
+        raise UsageError(f"--n must be >= 2, got {args.n}")
+    if not 1 <= args.k <= args.n - 1:
+        raise UsageError(f"--k must be between 1 and n-1 = {args.n - 1}, got {args.k}")
     rep = verify.grassmann_agreement(args.n, args.k, probes=args.probes, seed=args.seed)
     worst = max(rep.values())
     out = dict(rep)
@@ -327,8 +338,7 @@ def _cmd_cp_covderiv(args) -> int:
 def _cmd_verify(args) -> int:
     modules = None if not args.target or "all" in args.target else args.target
     try:
-        report = verify.run_suite(seed=args.seed, modules=modules,
-                                  flip_disk_sign=args.flip_disk_sign)
+        report = verify.run_suite(seed=args.seed, modules=modules)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     _emit_json(report, args.output)
@@ -434,8 +444,6 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
                      help=f"'all' or module names: {', '.join(verify.MODULE_NAMES)}")
     ver.add_argument("--seed", type=int, default=42)
     ver.add_argument("--output", default=None)
-    ver.add_argument("--flip-disk-sign", action="store_true",
-                     help=argparse.SUPPRESS)  # negative-control hook for tests
     ver.set_defaults(fn=_cmd_verify)
 
     return parser

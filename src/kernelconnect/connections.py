@@ -21,7 +21,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .kernels import BundleMorphism, Kernel
-from .numerics import DEFAULT_STEP, NumericsError, directional_derivative, hermitian_solve
+from .numerics import (
+    DEFAULT_STEP,
+    NumericsError,
+    directional_derivative,
+    five_point_weights,
+    hermitian_solve,
+)
 from .rkhs import SampledRKHS, embed, evaluate_element, project_fiber, RKHSElement
 
 __all__ = [
@@ -137,20 +143,16 @@ def covariant_derivative_sampled(r: SampledRKHS, sigma: Section, s, x,
     """
     k = r.kernel
     gamma = k.domain.curve(s, x)
-    offsets = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
-    weights = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    coeffs = np.zeros(len(r.points) * r.fiber_dim, dtype=complex)
-    for t, w in zip(offsets, weights):
-        if w == 0.0:
-            continue
+
+    def generator(t: float) -> np.ndarray:
         pt = gamma(t)
         try:
-            gen = embed(r, pt, sigma.value(pt))
+            return embed(r, pt, sigma.value(pt)).coefficients
         except KeyError as exc:
             raise NumericsError(
                 f"stencil point gamma({t:g}) is missing from the sample") from exc
-        coeffs += w * gen.coefficients
-    deriv_element = RKHSElement(r, coeffs)
+
+    deriv_element = RKHSElement(r, directional_derivative(generator, h=h))
     projected = project_fiber(r, s, deriv_element)
     return hermitian_solve(k(s, s), evaluate_element(projected, s))
 
@@ -171,7 +173,7 @@ def make_evaluator(k: Kernel, backend: str = "direct",
 
         def fn(sigma, s, x):
             gamma = k.domain.curve(s, x)
-            pts = [gamma(t) for t in (-2.0 * h, -h, 0.0, h, 2.0 * h)]
+            pts = [gamma(t) for t in five_point_weights(h)[0]]
             r = build_rkhs(k, pts)
             return covariant_derivative_sampled(r, sigma, pts[2], x, h=h)
     else:

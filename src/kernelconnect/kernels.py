@@ -33,7 +33,6 @@ __all__ = [
     "VectorDomain",
     "UnitaryDomain",
     "Kernel",
-    "eval_kernel",
     "make_bergman_disk",
     "make_bergman_halfplane",
     "make_fock",
@@ -192,14 +191,10 @@ class Kernel:
         return directional_derivative(lambda eps: self(s, gamma(eps)), h=h)
 
 
-def eval_kernel(k: Kernel, s, t) -> np.ndarray:
-    return k(s, t)
-
-
 def make_bergman_disk(nu: float) -> Kernel:
     """Weighted Bergman kernel (1 - conj(t) s)^(-nu) on the unit disk; nu=1 is Hardy."""
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
+    if not (np.isfinite(nu) and nu >= 1):
+        raise ValueError(f"nu must be finite and >= 1, got {nu}")
     domain = VectorDomain(1, name="unit disk", guard=_disk_guard)
 
     def ev(s, t):
@@ -216,8 +211,8 @@ def make_bergman_disk(nu: float) -> Kernel:
 
 def make_bergman_halfplane(nu: float) -> Kernel:
     """Weighted Bergman kernel (1/4)(2i)^nu (z - conj(w))^(-nu) on the upper half-plane."""
-    if nu < 1:
-        raise ValueError(f"nu must be >= 1, got {nu}")
+    if not (np.isfinite(nu) and nu >= 1):
+        raise ValueError(f"nu must be finite and >= 1, got {nu}")
     domain = VectorDomain(1, name="upper half-plane", guard=_halfplane_guard)
     c = 0.25 * (2.0j) ** nu
 

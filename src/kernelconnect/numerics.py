@@ -17,7 +17,6 @@ __all__ = [
     "DEFAULT_STEP",
     "approx_equal",
     "hermitian_eigh",
-    "pinv_threshold",
     "hermitian_solve",
     "directional_derivative",
     "five_point_weights",
@@ -71,24 +70,6 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from exc
     return values, vectors
-
-
-def pinv_threshold(m, tau: float = 1e-10) -> np.ndarray:
-    """Pseudo-inverse of a Hermitian PSD matrix with a relative eigenvalue cut.
-
-    Eigenvalues below tau * lambda_max are inverted to zero.  A negative
-    eigenvalue beyond -tau * lambda_max signals a non-PSD input and raises.
-    """
-    values, vectors = hermitian_eigh(m)
-    lam_max = max(values[-1], 0.0) if values.size else 0.0
-    cut = tau * max(lam_max, 1.0) if lam_max == 0.0 else tau * lam_max
-    if values.size and values[0] < -cut:
-        raise NumericsError(
-            f"matrix is not PSD: min eigenvalue {values[0]:.3e} "
-            f"below -{cut:.3e}"
-        )
-    inv = np.where(values > cut, 1.0 / np.where(values > cut, values, 1.0), 0.0)
-    return (vectors * inv) @ vectors.conj().T
 
 
 def hermitian_solve(m, rhs, min_sigma: float = 1e-10) -> np.ndarray:

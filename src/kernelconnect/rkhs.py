@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Kernel, gram_matrix, points_equal, positivity_certificate
-from .numerics import NumericsError, hermitian_solve, pinv_threshold
+from .numerics import NumericsError, hermitian_solve
 
 __all__ = [
     "SampledRKHS",
@@ -35,8 +35,6 @@ class SampledRKHS:
     kernel: Kernel
     points: tuple
     gram: np.ndarray
-    gram_pinv: np.ndarray
-    ridge: float = 0.0
 
     @property
     def fiber_dim(self) -> int:
@@ -67,8 +65,7 @@ class RKHSElement:
         object.__setattr__(self, "coefficients", c)
 
 
-def build_rkhs(k: Kernel, points: Sequence, ridge: float = 0.0,
-               pinv_tau: float = 1e-10, psd_tol: float = 1e-9) -> SampledRKHS:
+def build_rkhs(k: Kernel, points: Sequence, psd_tol: float = 1e-9) -> SampledRKHS:
     """Assemble the Gram matrix on distinct sample points and certify positivity."""
     pts = tuple(points)
     for i in range(len(pts)):
@@ -81,9 +78,7 @@ def build_rkhs(k: Kernel, points: Sequence, ridge: float = 0.0,
         raise NumericsError(
             f"Gram matrix is not PSD (min eigenvalue {lam_min:.3e}); "
             "the input does not behave like a kernel on this sample")
-    regularized = gram + ridge * np.eye(gram.shape[0])
-    return SampledRKHS(kernel=k, points=pts, gram=gram,
-                       gram_pinv=pinv_threshold(regularized, tau=pinv_tau), ridge=ridge)
+    return SampledRKHS(kernel=k, points=pts, gram=gram)
 
 
 def embed(r: SampledRKHS, s, v) -> RKHSElement:

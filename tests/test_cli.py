@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from kernelconnect import verify
 from kernelconnect.cli import main, parse_kernel_spec
+from kernelconnect.kernels import Kernel, make_bergman_disk
 from kernelconnect.numerics import matrix_from_csv_text, write_matrix_csv
 from kernelconnect.cpmaps import random_unital_cpmap
 
@@ -40,6 +42,14 @@ def test_malformed_complex_literal_exits_2(capsys):
                            "--kernel", "bergman-disk:nu=2", "--point", "zap")
     assert code == 2
     assert "complex literal" in err
+
+
+@pytest.mark.parametrize("spec", ["bergman-disk:nu=nan", "bergman-disk:nu=inf",
+                                  "bergman-halfplane:nu=nan", "bergman-halfplane:nu=inf"])
+def test_non_finite_nu_exits_2(capsys, spec):
+    code, out, err = run_cli(capsys, "kernel", "eval", "--kernel", spec, "--point", "0.5+0.5i")
+    assert code == 2 and out == ""
+    assert "nu must be finite" in err
 
 
 def test_kernel_eval_json(capsys):
@@ -90,6 +100,26 @@ def test_connect_transport_csv_table(capsys):
     assert errs == sorted(errs, reverse=True)
 
 
+def test_connect_transport_zero_steps_exits_2(capsys):
+    code, _, err = run_cli(capsys, "connect", "transport", "--kernel", "bergman-disk:nu=1",
+                           "--start", "0", "--end", "0.5", "--steps", "0")
+    assert code == 2
+    assert "--steps must be >= 1" in err
+
+
+def test_grassmann_verify_n_below_2_exits_2(capsys):
+    code, _, err = run_cli(capsys, "grassmann", "verify", "--n", "1", "--k", "1")
+    assert code == 2
+    assert "--n must be >= 2" in err
+
+
+@pytest.mark.parametrize("k", ["0", "4"])
+def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
+    code, _, err = run_cli(capsys, "grassmann", "verify", "--n", "4", "--k", k)
+    assert code == 2
+    assert "--k must be between 1 and n-1" in err
+
+
 def test_grassmann_verify(capsys):
     code, out, _ = run_cli(capsys, "grassmann", "verify", "--n", "4", "--k", "2",
                            "--probes", "3")
@@ -127,8 +157,14 @@ def test_verify_unknown_module_exits_2(capsys):
     assert "unknown modules" in err
 
 
-def test_verify_negative_control_names_failing_check(capsys):
-    code, out, _ = run_cli(capsys, "verify", "connections", "--flip-disk-sign")
+def test_verify_negative_control_names_failing_check(capsys, monkeypatch):
+    def flipped_disk(nu):
+        k = make_bergman_disk(nu)
+        return Kernel(k.fiber_dim, k.domain, k.eval, lambda s, t, x: -k.d2(s, t, x),
+                      name=k.name + "[flipped]")
+
+    monkeypatch.setattr(verify, "make_bergman_disk", flipped_disk)
+    code, out, _ = run_cli(capsys, "verify", "connections")
     assert code == 1
     rep = json.loads(out)
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]

@@ -11,7 +11,6 @@ from kernelconnect.numerics import (
     matrix_from_csv_text,
     matrix_to_csv_text,
     parse_complex,
-    pinv_threshold,
 )
 
 
@@ -63,19 +62,6 @@ def test_hermitian_eigh_reconstructs():
     values, vectors = hermitian_eigh(m)
     assert np.all(np.diff(values) >= 0)
     assert np.linalg.norm(vectors @ np.diag(values) @ vectors.conj().T - m) < 1e-12
-
-
-def test_pinv_threshold_on_rank_deficient():
-    # projector onto span{e1}: pseudo-inverse equals the projector itself
-    m = np.diag([1.0, 0.0]).astype(complex)
-    p = pinv_threshold(m)
-    assert np.linalg.norm(m @ p @ m - m) < 1e-14
-    assert np.linalg.norm(p - m) < 1e-14
-
-
-def test_pinv_threshold_rejects_negative_eigenvalue():
-    with pytest.raises(NumericsError):
-        pinv_threshold(np.diag([1.0, -0.5]).astype(complex))
 
 
 def test_hermitian_solve_and_singular_error():
