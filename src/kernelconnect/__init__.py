@@ -30,6 +30,7 @@ from .kernels import (
     make_bergman_disk,
     make_bergman_halfplane,
     make_fock,
+    make_group_kernel,
     make_rank_one_kernel,
     positivity_certificate,
     pull_back_kernel,

@@ -32,6 +32,7 @@ from .cpmaps import (
 )
 from .grassmann import universal_kernel
 from .kernels import (
+    DomainError,
     Kernel,
     gram_matrix,
     make_bergman_disk,
@@ -121,8 +122,21 @@ def _parse_vector(text: str) -> np.ndarray:
         raise UsageError(str(exc)) from exc
 
 
-def _parse_points(text: str) -> list:
-    return [_parse_vector(part) for part in text.split(";") if part.strip()]
+def _parse_point(k: Kernel, text: str, base=None) -> np.ndarray:
+    """Parse a point of k's domain, or a direction there when a base point is given."""
+    v = _parse_vector(text)
+    try:
+        if base is None:
+            k.domain.check_point(v)
+        else:
+            k.domain.check_tangent(base, v)
+    except DomainError as exc:
+        raise UsageError(str(exc)) from exc
+    return v
+
+
+def _parse_points(k: Kernel, text: str) -> list:
+    return [_parse_point(k, part) for part in text.split(";") if part.strip()]
 
 
 def _vector_json(v) -> list:
@@ -170,8 +184,8 @@ def _global_tol() -> float:
 
 def _cmd_kernel_eval(args) -> int:
     k = parse_kernel_spec(args.kernel)
-    s = _parse_vector(args.point)
-    t = _parse_vector(args.point2) if args.point2 else s
+    s = _parse_point(k, args.point)
+    t = _parse_point(k, args.point2) if args.point2 else s
     value = k(s, t)
     if args.format == "csv":
         _emit(matrix_to_csv_text(value), args.output)
@@ -182,7 +196,7 @@ def _cmd_kernel_eval(args) -> int:
 
 def _cmd_kernel_gram(args) -> int:
     k = parse_kernel_spec(args.kernel)
-    pts = _parse_points(args.points)
+    pts = _parse_points(k, args.points)
     gram = gram_matrix(k, pts)
     is_psd, min_eig = positivity_certificate(gram, tol=args.tol)
     if args.format == "csv":
@@ -196,7 +210,7 @@ def _cmd_kernel_gram(args) -> int:
 
 def _cmd_rkhs_gram(args) -> int:
     k = parse_kernel_spec(args.kernel)
-    r = build_rkhs(k, _parse_points(args.points))
+    r = build_rkhs(k, _parse_points(k, args.points))
     if args.format == "json":
         _emit_json({"kernel": k.name, "gram": _matrix_json(r.gram)}, args.output)
     else:
@@ -206,7 +220,7 @@ def _cmd_rkhs_gram(args) -> int:
 
 def _cmd_rkhs_universality(args) -> int:
     k = parse_kernel_spec(args.kernel)
-    r = build_rkhs(k, _parse_points(args.points))
+    r = build_rkhs(k, _parse_points(k, args.points))
     _, min_eig = positivity_certificate(r.gram, tol=args.tol)
     residual = universality_residual(r)
     _emit_json({"residual": residual, "min_eig": min_eig,
@@ -216,8 +230,8 @@ def _cmd_rkhs_universality(args) -> int:
 
 def _cmd_connect_covderiv(args) -> int:
     k = parse_kernel_spec(args.kernel)
-    s = _parse_vector(args.point)
-    x = _parse_vector(args.direction)
+    s = _parse_point(k, args.point)
+    x = _parse_point(k, args.direction, base=s)
     sigma = _builtin_section(args.section, k)
     values = {name: make_evaluator(k, name)(sigma, s, x)
               for name in ("closed-form", "direct", "sampled")}
@@ -237,9 +251,11 @@ def _cmd_connect_transport(args) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     k = parse_kernel_spec(args.kernel)
-    start = _parse_vector(args.start)
-    end = _parse_vector(args.end)
+    start = _parse_point(k, args.start)
+    end = _parse_point(k, args.end)
     v0 = _parse_vector(args.vector) if args.vector else np.ones(k.fiber_dim, dtype=complex)
+    if v0.shape != (k.fiber_dim,):
+        raise UsageError(f"--vector must have {k.fiber_dim} entries, got {v0.size}")
     curve = Curve(gamma=lambda t: (1.0 - t) * start + t * end,
                   velocity=lambda t: end - start)
     reference = parallel_transport(k, curve, v0, steps=8 * args.steps)
@@ -256,8 +272,9 @@ def _cmd_connect_transport(args) -> int:
             "vector": _vector_json(final),
             "steps": args.steps,
             "convergence": [{"steps": n, "error": err} for n, err in table],
+            "tolerance": args.tol,
         }, args.output)
-    return 0
+    return 0 if dict(table)[args.steps] < args.tol else 1
 
 
 def _cmd_grassmann_verify(args) -> int:
@@ -265,6 +282,8 @@ def _cmd_grassmann_verify(args) -> int:
         raise UsageError(f"--n must be >= 2, got {args.n}")
     if not 1 <= args.k <= args.n - 1:
         raise UsageError(f"--k must be between 1 and n-1 = {args.n - 1}, got {args.k}")
+    if args.probes < 1:
+        raise UsageError(f"--probes must be >= 1, got {args.probes}")
     rep = verify.grassmann_agreement(args.n, args.k, probes=args.probes, seed=args.seed)
     worst = max(rep.values())
     out = dict(rep)
@@ -337,10 +356,10 @@ def _cmd_cp_covderiv(args) -> int:
 
 def _cmd_verify(args) -> int:
     modules = None if not args.target or "all" in args.target else args.target
-    try:
-        report = verify.run_suite(seed=args.seed, modules=modules)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    unknown = set(modules or ()) - set(verify.MODULE_NAMES)
+    if unknown:
+        raise UsageError(f"unknown modules: {sorted(unknown)}; choose from {verify.MODULE_NAMES}")
+    report = verify.run_suite(seed=args.seed, modules=modules)
     _emit_json(report, args.output)
     return 0 if report["passed"] else 1
 
@@ -349,11 +368,14 @@ def _cmd_verify(args) -> int:
 # Argument parser
 
 
-def _add_common(p, tol_default: float) -> None:
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_common(p, tol_default: float | None, formats: bool = True) -> None:
+    """--output always; --format when the command has a CSV form; --tol when it has a verdict."""
+    if formats:
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--output", default=None, help="write to this path instead of stdout")
-    p.add_argument("--tol", type=float, default=tol_default,
-                   help="residual tolerance for the pass/fail verdict")
+    if tol_default is not None:
+        p.add_argument("--tol", type=float, default=tol_default,
+                       help="residual tolerance for the pass/fail verdict")
 
 
 def build_parser(tol_default: float) -> argparse.ArgumentParser:
@@ -369,7 +391,7 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     kev.add_argument("--kernel", required=True)
     kev.add_argument("--point", required=True, help="comma-separated a+bi literals")
     kev.add_argument("--point2", default=None, help="second point (defaults to --point)")
-    _add_common(kev, tol_default)
+    _add_common(kev, None)
     kev.set_defaults(fn=_cmd_kernel_eval)
     kgr = ksub.add_parser("gram", help="block Gram matrix with PSD certificate")
     kgr.add_argument("--kernel", required=True)
@@ -383,12 +405,12 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     rgr = rsub.add_parser("gram", help="emit the sampled Gram matrix")
     rgr.add_argument("--kernel", required=True)
     rgr.add_argument("--points", required=True)
-    _add_common(rgr, tol_default)
+    _add_common(rgr, None)
     rgr.set_defaults(fn=_cmd_rkhs_gram, format="csv")
     run = rsub.add_parser("universality", help="fiber-projection reproduction residual")
     run.add_argument("--kernel", required=True)
     run.add_argument("--points", required=True)
-    _add_common(run, tol_default)
+    _add_common(run, tol_default, formats=False)
     run.set_defaults(fn=_cmd_rkhs_universality)
 
     connect = sub.add_parser("connect", help="covariant derivatives and transport")
@@ -398,7 +420,7 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     ccd.add_argument("--point", required=True)
     ccd.add_argument("--direction", required=True)
     ccd.add_argument("--section", default="constant", help="constant | linear")
-    _add_common(ccd, 1e-6)
+    _add_common(ccd, 1e-6, formats=False)
     ccd.set_defaults(fn=_cmd_connect_covderiv)
     ctr = csub.add_parser("transport", help="parallel transport along a segment")
     ctr.add_argument("--kernel", required=True)
@@ -406,7 +428,7 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     ctr.add_argument("--end", required=True)
     ctr.add_argument("--vector", default=None, help="initial fiber vector (default: ones)")
     ctr.add_argument("--steps", type=int, default=256)
-    _add_common(ctr, tol_default)
+    _add_common(ctr, 1e-6)
     ctr.set_defaults(fn=_cmd_connect_transport)
 
     grass = sub.add_parser("grassmann", help="projector-manifold connection suites")
@@ -416,7 +438,7 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     gve.add_argument("--k", type=int, default=2)
     gve.add_argument("--probes", type=int, default=20)
     gve.add_argument("--seed", type=int, default=42)
-    _add_common(gve, 1e-6)
+    _add_common(gve, 1e-6, formats=False)
     gve.set_defaults(fn=_cmd_grassmann_verify)
 
     cp = sub.add_parser("cp", help="completely positive maps and dilations")
@@ -430,20 +452,20 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     pke.add_argument("--choi", required=True)
     pke.add_argument("--n", type=int, default=None)
     pke.add_argument("--seed", type=int, default=42)
-    _add_common(pke, tol_default)
+    _add_common(pke, None)
     pke.set_defaults(fn=_cmd_cp_kernel)
     pcd = psub.add_parser("covderiv", help="CP connection formula vs generic pipeline")
     pcd.add_argument("--choi", required=True)
     pcd.add_argument("--n", type=int, default=None)
     pcd.add_argument("--seed", type=int, default=42)
-    _add_common(pcd, 1e-6)
+    _add_common(pcd, 1e-6, formats=False)
     pcd.set_defaults(fn=_cmd_cp_covderiv)
 
     ver = sub.add_parser("verify", help="run the cross-validation suites")
     ver.add_argument("target", nargs="*", default=[],
                      help=f"'all' or module names: {', '.join(verify.MODULE_NAMES)}")
     ver.add_argument("--seed", type=int, default=42)
-    ver.add_argument("--output", default=None)
+    _add_common(ver, None, formats=False)
     ver.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -191,17 +191,19 @@ def parallel_transport(k: Kernel, curve: Curve, v0, steps: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     v = np.atleast_1d(np.asarray(v0, dtype=complex))
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        alpha = connection_form(k, curve.gamma(t), h=h)
-        return -(alpha(curve.velocity_at(t, h=h)) @ y)
+    def form(t: float) -> np.ndarray:
+        return connection_form(k, curve.gamma(t), h=h)(curve.velocity_at(t, h=h))
 
     dt = 1.0 / steps
     t = 0.0
+    a_end = form(t)
     for _ in range(steps):
-        k1 = rhs(t, v)
-        k2 = rhs(t + 0.5 * dt, v + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, v + 0.5 * dt * k2)
-        k4 = rhs(t + dt, v + dt * k3)
+        # stages 2 and 3 share t + dt/2; stage 4's t + dt is the next step's stage 1
+        a_start, a_mid, a_end = a_end, form(t + 0.5 * dt), form(t + dt)
+        k1 = -(a_start @ v)
+        k2 = -(a_mid @ (v + 0.5 * dt * k1))
+        k3 = -(a_mid @ (v + 0.5 * dt * k2))
+        k4 = -(a_end @ (v + dt * k3))
         v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
     return v

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .kernels import BundleMorphism, Kernel, UnitaryDomain, pull_back_kernel
+from .kernels import BundleMorphism, Kernel, make_group_kernel, pull_back_kernel
 from .numerics import DEFAULT_STEP, NumericsError, directional_derivative, hermitian_eigh
 from .grassmann import HermitianProjector, fiber_basis
 
@@ -191,20 +191,8 @@ def verify_dilation(psi: CPMap, triple: StinespringTriple) -> float:
 def cp_kernel(psi: CPMap) -> Kernel:
     """The group-indexed kernel (s, t) -> Psi(s^-1 t) on U(n); kappa(u,u) = I."""
     psi.require_unital()
-    domain = UnitaryDomain(psi.input_dim)
-
-    def ev(s, t):
-        sm = np.asarray(s, dtype=complex)
-        tm = np.asarray(t, dtype=complex)
-        return psi.apply(sm.conj().T @ tm)
-
-    def d2(s, t, a):
-        sm = np.asarray(s, dtype=complex)
-        tm = np.asarray(t, dtype=complex)
-        am = np.asarray(a, dtype=complex)
-        return psi.apply(sm.conj().T @ tm @ am)
-
-    return Kernel(psi.output_dim, domain, ev, d2, name=f"cp:n={psi.input_dim}")
+    return make_group_kernel(psi.input_dim, psi.output_dim, psi.apply,
+                             name=f"cp:n={psi.input_dim}")
 
 
 def lambda_kernel(psi: CPMap, triple: StinespringTriple) -> tuple[Kernel, HermitianProjector]:
@@ -217,21 +205,9 @@ def lambda_kernel(psi: CPMap, triple: StinespringTriple) -> tuple[Kernel, Hermit
     v = triple.v
     s0 = HermitianProjector(v @ v.conj().T, triple.output_dim)
     b = fiber_basis(s0)
-    domain = UnitaryDomain(psi.input_dim)
-
-    def ev(s, t):
-        sm = np.asarray(s, dtype=complex)
-        tm = np.asarray(t, dtype=complex)
-        return b.conj().T @ triple.lam(sm.conj().T @ tm) @ b
-
-    def d2(s, t, a):
-        sm = np.asarray(s, dtype=complex)
-        tm = np.asarray(t, dtype=complex)
-        am = np.asarray(a, dtype=complex)
-        return b.conj().T @ triple.lam(sm.conj().T @ tm @ am) @ b
-
-    return Kernel(triple.output_dim, domain, ev, d2,
-                  name=f"lambda0:n={psi.input_dim},r={triple.r}"), s0
+    return make_group_kernel(psi.input_dim, triple.output_dim,
+                             lambda x: b.conj().T @ triple.lam(x) @ b,
+                             name=f"lambda0:n={psi.input_dim},r={triple.r}"), s0
 
 
 def cp_classifying_morphism(psi: CPMap, triple: StinespringTriple) -> BundleMorphism:

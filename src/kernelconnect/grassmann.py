@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.linalg
 
-from .kernels import Domain, DomainError, Kernel, UnitaryDomain
+from .kernels import Domain, DomainError, Kernel, make_group_kernel
 from .numerics import DEFAULT_STEP, directional_derivative
 
 __all__ = [
@@ -334,20 +334,8 @@ def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:
     deterministic basis of Ran P; kappa(u, u) is the identity.
     """
     b = fiber_basis(point)
-    domain = UnitaryDomain(n)
-
-    def ev(u, v):
-        um = np.asarray(u, dtype=complex)
-        vm = np.asarray(v, dtype=complex)
-        return b.conj().T @ (um.conj().T @ vm) @ b
-
-    def d2(u, v, a):
-        um = np.asarray(u, dtype=complex)
-        vm = np.asarray(v, dtype=complex)
-        am = np.asarray(a, dtype=complex)
-        return b.conj().T @ (um.conj().T @ vm @ am) @ b
-
-    return Kernel(point.rank, domain, ev, d2, name=f"homogeneous:n={n},k={point.rank}")
+    return make_group_kernel(n, point.rank, lambda x: b.conj().T @ x @ b,
+                             name=f"homogeneous:n={n},k={point.rank}")
 
 
 def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],

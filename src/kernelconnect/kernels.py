@@ -33,6 +33,7 @@ __all__ = [
     "VectorDomain",
     "UnitaryDomain",
     "Kernel",
+    "make_group_kernel",
     "make_bergman_disk",
     "make_bergman_halfplane",
     "make_fock",
@@ -175,10 +176,21 @@ class Kernel:
     name: str = "kernel"
 
     def __call__(self, s, t) -> np.ndarray:
-        self.domain.check_point(s)
-        self.domain.check_point(t)
-        out = np.asarray(self.eval(s, t), dtype=complex)
-        return out.reshape(self.fiber_dim, self.fiber_dim)
+        return self.block((s,), (t,))
+
+    def block(self, ss: Sequence, ts: Sequence) -> np.ndarray:
+        """The len(ss)*M x len(ts)*M matrix whose block (l, j) is kappa(ss[l], ts[j]).
+
+        Each point is checked against the domain once, not once per pair.
+        """
+        for p in ss if ts is ss else (*ss, *ts):
+            self.domain.check_point(p)
+        m = self.fiber_dim
+        out = np.empty((len(ss), m, len(ts), m), dtype=complex)
+        for l, s in enumerate(ss):
+            for j, t in enumerate(ts):
+                out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
+        return out.reshape(len(ss) * m, len(ts) * m)
 
     def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:
         """Directional derivative of kappa(s, .) at t in direction x."""
@@ -256,6 +268,20 @@ def make_fock(beta) -> Kernel:
     return Kernel(1, domain, ev, d2, name=f"fock:dim={dim}")
 
 
+def make_group_kernel(n: int, fiber_dim: int, compress: Callable[[np.ndarray], np.ndarray],
+                      name: str) -> Kernel:
+    """Group-indexed kernel kappa(u, v) = compress(u* v) on the unitary group U(n).
+
+    compress must be linear, so that d2 along v exp(t a) is compress(u* v a).
+    """
+
+    def uv(u, v):
+        return np.asarray(u, dtype=complex).conj().T @ np.asarray(v, dtype=complex)
+
+    return Kernel(fiber_dim, UnitaryDomain(n), lambda u, v: compress(uv(u, v)),
+                  lambda u, v, a: compress(uv(u, v) @ np.asarray(a, dtype=complex)), name=name)
+
+
 def make_rank_one_kernel(a: Callable[[object], np.ndarray], fiber_dim: int, domain: Domain,
                          name: str = "rank-one") -> Kernel:
     """Degenerate operator kernel kappa(s,t) = a(s) a(t)* with values of rank one."""
@@ -272,13 +298,7 @@ def gram_matrix(k: Kernel, points: Sequence) -> np.ndarray:
     """NM x NM block Gram matrix, block (l, j) = kappa(t_l, t_j)."""
     if len(points) < 1:
         raise ValueError("need at least one point")
-    m = k.fiber_dim
-    n = len(points)
-    g = np.zeros((n * m, n * m), dtype=complex)
-    for l in range(n):
-        for j in range(n):
-            g[l * m:(l + 1) * m, j * m:(j + 1) * m] = k(points[l], points[j])
-    return g
+    return k.block(points, points)
 
 
 def positivity_certificate(g, tol: float = 1e-9) -> tuple[bool, float]:
@@ -366,10 +386,9 @@ def admissibility_report(k: Kernel, points: Sequence) -> dict:
         values, _ = hermitian_eigh(block)
         embed_bound = min(embed_bound, float(values[0]))
 
-    sym_res = 0.0
-    for s in points:
-        for t in points:
-            sym_res = max(sym_res, float(np.linalg.norm(k(s, t).conj().T - k(t, s))))
+    # block (i, j) of G* - G is kappa(t_j, t_i)* - kappa(t_i, t_j)
+    sym = (gram.conj().T - gram).reshape(len(points), m, len(points), m)
+    sym_res = float(np.max(np.linalg.norm(sym, axis=(1, 3))))
 
     return {
         "min_sigma": min_sigma,

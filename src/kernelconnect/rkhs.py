@@ -99,12 +99,7 @@ def inner(r: SampledRKHS, f: RKHSElement, g: RKHSElement) -> complex:
 
 def evaluate_element(f: RKHSElement, s) -> np.ndarray:
     """Pointwise value f(s) = sum_i kappa(s, t_i) c_i; s need not be sampled."""
-    r = f.space
-    m = r.fiber_dim
-    out = np.zeros(m, dtype=complex)
-    for i, t in enumerate(r.points):
-        out += r.kernel(s, t) @ f.coefficients[r.block(i)]
-    return out
+    return f.space.kernel.block((s,), f.space.points) @ f.coefficients
 
 
 def project_fiber(r: SampledRKHS, s, f: RKHSElement) -> RKHSElement:
@@ -128,18 +123,14 @@ def universality_residual(r: SampledRKHS) -> float:
     """Sampled check that projecting generators onto fibers reproduces the kernel.
 
     Maximum over sample pairs (s, t) and fiber basis vectors (v, w) of
-    |(kappa(s,t) v | w) - <P_{fiber(s)} khat(t,v), khat(s,w)>|.
+    |(kappa(s,t) v | w) - <P_{fiber(s)} khat(t,v), khat(s,w)>|.  Column (t, v) of
+    kappa(s, .) is khat(t,v)(s); its fiber projection has coefficients
+    kappa(s,s)^(-1) kappa(s,t) v, and pairing with khat(s,w) takes row w of G[s,s].
     """
-    m = r.fiber_dim
+    k = r.kernel
     res = 0.0
-    for si, s in enumerate(r.points):
-        for t in r.points:
-            kst = r.kernel(s, t)
-            for v in range(m):
-                gen = embed(r, t, np.eye(m)[v])
-                proj = project_fiber(r, s, gen)
-                for w in range(m):
-                    lhs = kst[w, v]
-                    rhs = inner(r, proj, embed(r, s, np.eye(m)[w]))
-                    res = max(res, abs(lhs - rhs))
+    for i, s in enumerate(r.points):
+        row = k.block((s,), r.points)
+        proj = hermitian_solve(k(s, s), row)
+        res = max(res, float(np.max(np.abs(row - r.gram[r.block(i), r.block(i)] @ proj))))
     return res

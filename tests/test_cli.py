@@ -5,7 +5,7 @@ import pytest
 
 from kernelconnect import verify
 from kernelconnect.cli import main, parse_kernel_spec
-from kernelconnect.kernels import Kernel, make_bergman_disk
+from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk
 from kernelconnect.numerics import matrix_from_csv_text, write_matrix_csv
 from kernelconnect.cpmaps import random_unital_cpmap
 
@@ -120,6 +120,58 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
     assert "--k must be between 1 and n-1" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "1.5"], "unit circle"),
+    (["kernel", "eval", "--kernel", "fock:dim=2", "--point", "0"], "expected dimension 2"),
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "0",
+      "--point2", "2"], "unit circle"),
+    (["kernel", "gram", "--kernel", "bergman-halfplane:nu=1", "--points", "1i;-1i"],
+     "must be positive"),
+    (["rkhs", "universality", "--kernel", "fock:dim=2", "--points", "0,0;1"],
+     "expected dimension 2"),
+    (["connect", "covderiv", "--kernel", "fock:dim=2", "--point", "0,0",
+      "--direction", "1"], "tangent dimension"),
+    (["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0",
+      "--end", "1.5"], "unit circle"),
+    (["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0",
+      "--end", "0.5", "--vector", "1,1"], "--vector must have 1 entries"),
+    (["grassmann", "verify", "--probes", "0"], "--probes must be >= 1"),
+])
+def test_bad_input_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "0.5", "--tol", "1"],
+    ["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5",
+     "--direction", "1", "--format", "csv"],
+])
+def test_dropped_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_connect_transport_exits_1_when_its_own_table_shows_it_wrong(capsys):
+    code, out, _ = run_cli(capsys, "connect", "transport", "--kernel", "bergman-disk:nu=1",
+                           "--start", "0", "--end", "0.99999", "--steps", "4")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["tolerance"] == 1e-6
+    assert rep["convergence"][-1]["error"] >= rep["tolerance"]
+
+
+def test_connect_transport_readme_example_passes(capsys):
+    code, out, _ = run_cli(capsys, "connect", "transport", "--kernel", "bergman-disk:nu=1",
+                           "--start", "0", "--end", "0.5", "--steps", "256")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["convergence"][-1]["error"] < rep["tolerance"] == 1e-6
+
+
 def test_grassmann_verify(capsys):
     code, out, _ = run_cli(capsys, "grassmann", "verify", "--n", "4", "--k", "2",
                            "--probes", "3")
@@ -169,6 +221,17 @@ def test_verify_negative_control_names_failing_check(capsys, monkeypatch):
     rep = json.loads(out)
     failing = [c["name"] for c in rep["checks"] if not c["passed"]]
     assert any("bergman-disk" in name for name in failing)
+
+
+def test_verify_check_that_raises_exits_1(capsys, monkeypatch):
+    def zero_fock(beta):
+        dim = np.asarray(beta).shape[0]
+        return Kernel(1, VectorDomain(dim), lambda s, t: np.zeros((1, 1)), name="zero")
+
+    monkeypatch.setattr(verify, "make_fock", zero_fock)
+    code, out, err = run_cli(capsys, "verify", "connections")
+    assert code == 1 and out == ""
+    assert "singular" in err
 
 
 def test_verify_report_is_deterministic(capsys):

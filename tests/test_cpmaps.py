@@ -15,6 +15,7 @@ from kernelconnect.cpmaps import (
     stinespring_dilate,
     verify_dilation,
 )
+from kernelconnect.grassmann import fiber_basis
 from kernelconnect.numerics import NumericsError
 
 
@@ -116,6 +117,22 @@ def test_cp_kernel_identity_on_diagonal():
     k = cp_kernel(psi)
     u = random_unitary(3, seed=11)
     assert np.linalg.norm(k(u, u) - np.eye(psi.output_dim)) < 1e-12
+
+
+def test_cp_and_lambda_kernels_keep_their_explicit_formula_bits():
+    psi = _example_map(seed=12)
+    triple = stinespring_dilate(psi)
+    k_lam, s0 = lambda_kernel(psi, triple)
+    b = fiber_basis(s0)
+    k = cp_kernel(psi)
+    u, v = random_unitary(3, seed=13), random_unitary(3, seed=14)
+    a = random_unitary(3, seed=15)
+    a = a - a.conj().T
+    assert np.array_equal(k(u, v), psi.apply(u.conj().T @ v))
+    assert np.array_equal(k.d2_eval(u, v, a), psi.apply(u.conj().T @ v @ a))
+    assert np.array_equal(k_lam(u, v), b.conj().T @ triple.lam(u.conj().T @ v) @ b)
+    assert np.array_equal(k_lam.d2_eval(u, v, a),
+                          b.conj().T @ triple.lam(u.conj().T @ v @ a) @ b)
 
 
 def test_random_unitary_deterministic_and_unitary():

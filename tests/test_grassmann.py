@@ -180,6 +180,17 @@ def test_homogeneous_formula_matches_generic_pipeline():
         assert np.linalg.norm(b.conj().T @ formula - generic) < 1e-6
 
 
+def test_homogeneous_kernel_keeps_its_explicit_formula_bits():
+    n = 3
+    p = coordinate_projector(n, 1)
+    hk = homogeneous_kernel(n, p)
+    b = fiber_basis(p)
+    u, v = random_unitary(n, seed=17), random_unitary(n, seed=18)
+    a = random_grass_tangent(p, np.random.default_rng(19)).generator
+    assert np.array_equal(hk(u, v), b.conj().T @ (u.conj().T @ v) @ b)
+    assert np.array_equal(hk.d2_eval(u, v, a), b.conj().T @ (u.conj().T @ v @ a) @ b)
+
+
 def test_homogeneous_equivariance_spot_check():
     n = 3
     p = coordinate_projector(n, 1)

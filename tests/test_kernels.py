@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelconnect.kernels import (
     BundleMorphism,
@@ -137,3 +138,37 @@ def test_pullback_rescales_by_fiber_map():
     pulled = pull_back_kernel(theta, k, fiber_dim=1, domain=k.domain)
     s, t = np.array([0.2]), np.array([0.1 + 0.3j])
     assert np.linalg.norm(pulled(s, t) - 4.0 * k(s, t)) < 1e-14
+
+
+_SCALAR = {
+    "disk": make_bergman_disk(2),
+    "halfplane": make_bergman_halfplane(1),
+    "fock": make_fock(np.eye(2)),
+}
+
+_IN_DOMAIN = {
+    "disk": st.builds(lambda r, th: np.array([r * np.exp(1j * th)]),
+                      st.floats(0.0, 0.95), st.floats(0.0, 2.0 * np.pi)),
+    "halfplane": st.builds(lambda x, y: np.array([complex(x, y)]),
+                           st.floats(-2.0, 2.0), st.floats(0.05, 3.0)),
+    "fock": st.builds(lambda a, b, c, d: np.array([complex(a, b), complex(c, d)]),
+                      *[st.floats(-1.5, 1.5)] * 4),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SCALAR))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_scalar_kernels_hermitian_psd_and_block_matches_pairs(family, data):
+    k = _SCALAR[family]
+    ss = data.draw(st.lists(_IN_DOMAIN[family], min_size=1, max_size=5))
+    ts = data.draw(st.lists(_IN_DOMAIN[family], min_size=1, max_size=5))
+    block = k.block(ss, ts)
+    assert block.shape == (len(ss), len(ts))
+    for l, s in enumerate(ss):
+        for j, t in enumerate(ts):
+            kst = k(s, t)
+            assert np.array_equal(block[l:l + 1, j:j + 1], kst)
+            assert np.array_equal(kst, k.eval(s, t))
+            assert abs(kst[0, 0].conjugate() - k(t, s)[0, 0]) <= 1e-12 * max(1.0, abs(kst[0, 0]))
+    assert positivity_certificate(gram_matrix(k, ss))[0]

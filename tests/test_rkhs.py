@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from kernelconnect.cpmaps import random_unitary
+from kernelconnect.grassmann import HermitianProjector, coordinate_projector, universal_kernel
 from kernelconnect.kernels import VectorDomain, make_bergman_disk, make_fock, make_rank_one_kernel
 from kernelconnect.numerics import NumericsError
 from kernelconnect.rkhs import (
@@ -71,6 +73,37 @@ def test_universality_residual_small_for_builtins():
     rng = np.random.default_rng(4)
     pts = [0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(5)]
     assert universality_residual(build_rkhs(k, pts)) < 1e-10
+
+
+def _universality_by_definition(r):
+    """max over (s, t, v, w) of |(kappa(s,t) v | w) - <P_s khat(t,v), khat(s,w)>|, term by term."""
+    m = r.fiber_dim
+    res = 0.0
+    for s in r.points:
+        for t in r.points:
+            kst = r.kernel(s, t)
+            for v in range(m):
+                proj = project_fiber(r, s, embed(r, t, np.eye(m)[v]))
+                for w in range(m):
+                    res = max(res, abs(kst[w, v] - inner(r, proj, embed(r, s, np.eye(m)[w]))))
+    return res
+
+
+def test_universality_residual_matches_its_definition():
+    rng = np.random.default_rng(6)
+    base = coordinate_projector(4, 2)
+    grass_pts = [base] + [
+        HermitianProjector(u @ base.p @ u.conj().T, 2)
+        for u in (random_unitary(4, seed=60 + i) for i in range(3))]
+    spaces = [
+        _disk_space(),
+        build_rkhs(make_fock(np.eye(2)),
+                   [0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+                    for _ in range(4)]),
+        build_rkhs(universal_kernel(4, 2), grass_pts),
+    ]
+    for r in spaces:
+        assert abs(universality_residual(r) - _universality_by_definition(r)) <= 1e-14
 
 
 def test_duplicate_points_rejected():
