@@ -471,11 +471,27 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value may be a negative complex literal such as -0.4+0.3i
+_LITERAL_OPTIONS = ("--point", "--point2", "--points", "--direction", "--start", "--end",
+                    "--vector")
+
+
+def _join_literal_values(argv) -> list:
+    """Rewrite `--end -0.4+0.3i` as `--end=-0.4+0.3i`, which argparse reads as a value."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _LITERAL_OPTIONS and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     try:
         tol_default = _global_tol()
         parser = build_parser(tol_default)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_literal_values(sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,13 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .kernels import BundleMorphism, Kernel
-from .numerics import (
-    DEFAULT_STEP,
-    NumericsError,
-    directional_derivative,
-    five_point_weights,
-    hermitian_solve,
-)
+from .numerics import DEFAULT_STEP, NumericsError, five_point_weights, hermitian_solve
 from .rkhs import SampledRKHS, embed, evaluate_element, project_fiber, RKHSElement
 
 __all__ = [
@@ -64,16 +58,10 @@ class Section:
 
 @dataclass(frozen=True)
 class Curve:
-    """A path in the base domain with an optional analytic velocity."""
+    """A path in the base domain with its analytic velocity."""
 
     gamma: Callable[[float], object]
-    velocity: Optional[Callable[[float], object]] = None
-
-    def velocity_at(self, t: float, h: float = DEFAULT_STEP):
-        if self.velocity is not None:
-            return self.velocity(t)
-        return directional_derivative(
-            lambda eps: np.atleast_1d(np.asarray(self.gamma(t + eps), dtype=complex)), h=h)
+    velocity: Callable[[float], object]
 
 
 @dataclass(frozen=True)
@@ -86,13 +74,6 @@ class ConnectionEvaluator:
 
     def __call__(self, sigma: Section, s, x) -> np.ndarray:
         return self.evaluate(sigma, s, x)
-
-
-def _section_derivative(k: Kernel, sigma: Section, s, x, h: float) -> np.ndarray:
-    if sigma.dF is not None:
-        return np.atleast_1d(np.asarray(sigma.dF(s, x), dtype=complex))
-    gamma = k.domain.curve(s, x)
-    return directional_derivative(lambda t: sigma.value(gamma(t)), h=h)
 
 
 def connection_form(k: Kernel, s, h: float = DEFAULT_STEP) -> Callable[[object], np.ndarray]:
@@ -113,7 +94,9 @@ def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
                                      h: float = DEFAULT_STEP) -> np.ndarray:
     """d(sigma)(X) + alpha(X) sigma(s) on the trivialized bundle."""
     alpha = connection_form(k, s, h=h)
-    return _section_derivative(k, sigma, s, x, h) + alpha(x) @ sigma.value(s)
+    dsigma = (k.domain.derivative(s, x, sigma.value, h) if sigma.dF is None
+              else np.atleast_1d(np.asarray(sigma.dF(s, x), dtype=complex)))
+    return dsigma + alpha(x) @ sigma.value(s)
 
 
 def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
@@ -125,10 +108,8 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
     manifolds).  Projecting the derivative onto the fiber and evaluating at s
     collapses to exactly this expression by the reproducing property.
     """
-    k.domain.check_tangent(s, x)
-    gamma = k.domain.curve(s, x)
     kss = k(s, s)
-    deriv = directional_derivative(lambda t: k(s, gamma(t)) @ sigma.value(gamma(t)), h=h)
+    deriv = k.domain.derivative(s, x, lambda p: k(s, p) @ sigma.value(p), h)
     return hermitian_solve(kss, deriv)
 
 
@@ -142,17 +123,14 @@ def covariant_derivative_sampled(r: SampledRKHS, sigma: Section, s, x,
     evaluates at s and applies kappa(s,s)^(-1).
     """
     k = r.kernel
-    gamma = k.domain.curve(s, x)
 
-    def generator(t: float) -> np.ndarray:
-        pt = gamma(t)
+    def generator(pt) -> np.ndarray:
         try:
             return embed(r, pt, sigma.value(pt)).coefficients
         except KeyError as exc:
-            raise NumericsError(
-                f"stencil point gamma({t:g}) is missing from the sample") from exc
+            raise NumericsError("a stencil point is missing from the sample") from exc
 
-    deriv_element = RKHSElement(r, directional_derivative(generator, h=h))
+    deriv_element = RKHSElement(r, k.domain.derivative(s, x, generator, h))
     projected = project_fiber(r, s, deriv_element)
     return hermitian_solve(k(s, s), evaluate_element(projected, s))
 
@@ -181,8 +159,7 @@ def make_evaluator(k: Kernel, backend: str = "direct",
     return ConnectionEvaluator(backend=backend, kernel=k, evaluate=fn)
 
 
-def parallel_transport(k: Kernel, curve: Curve, v0, steps: int,
-                       h: float = DEFAULT_STEP) -> np.ndarray:
+def parallel_transport(k: Kernel, curve: Curve, v0, steps: int) -> np.ndarray:
     """Transport v0 along the curve by integrating v' = -alpha_gamma(t)(gamma'(t)) v.
 
     Classical 4th-order one-step integration with fixed step 1/steps.
@@ -192,7 +169,7 @@ def parallel_transport(k: Kernel, curve: Curve, v0, steps: int,
     v = np.atleast_1d(np.asarray(v0, dtype=complex))
 
     def form(t: float) -> np.ndarray:
-        return connection_form(k, curve.gamma(t), h=h)(curve.velocity_at(t, h=h))
+        return connection_form(k, curve.gamma(t))(curve.velocity(t))
 
     dt = 1.0 / steps
     t = 0.0
@@ -217,8 +194,7 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
     scaled = Section(F=lambda s: complex(f(s)) * sigma.value(s))
     res = 0.0
     for s, x in probes:
-        gamma = k.domain.curve(s, x)
-        df = complex(directional_derivative(lambda t: np.array([f(gamma(t))]), h=h)[0])
+        df = complex(k.domain.derivative(s, x, f, h))
         lhs = nabla(scaled, s, x)
         rhs = df * sigma.value(s) + complex(f(s)) * nabla(sigma, s, x)
         res = max(res, float(np.linalg.norm(lhs - rhs)))
@@ -227,8 +203,8 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
 
 def gauge_pullback_connection(theta: BundleMorphism,
                               alpha_target: Callable[[object, object], np.ndarray],
-                              source_domain, fiber_dim: int,
-                              h: float = DEFAULT_STEP) -> Callable[[object, object], np.ndarray]:
+                              source_domain,
+                              fiber_dim: int) -> Callable[[object, object], np.ndarray]:
     """Pull a connection-form field back along an invertible bundle morphism:
 
         alpha(s, X) = delta_s^(-1) alpha~(zeta(s), Tzeta X) delta_s
@@ -245,8 +221,7 @@ def gauge_pullback_connection(theta: BundleMorphism,
         if abs(np.linalg.det(ds)) < 1e-12:
             raise NumericsError("fiber map is singular; cannot pull back the connection")
         ds_inv = np.linalg.inv(ds)
-        gamma = source_domain.curve(s, x)
-        ddelta = directional_derivative(lambda t: theta.fiber_map(gamma(t), fiber_dim), h=h)
+        ddelta = source_domain.derivative(s, x, lambda p: theta.fiber_map(p, fiber_dim))
         core = np.atleast_2d(np.asarray(
             alpha_target(theta.zeta(s), theta.tangent(s, x)), dtype=complex))
         return ds_inv @ core @ ds + ds_inv @ ddelta
@@ -256,12 +231,11 @@ def gauge_pullback_connection(theta: BundleMorphism,
 
 def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
                           nabla_target: ConnectionEvaluator, sigma: Section,
-                          sigma_target: Section, probes: Sequence[tuple],
-                          compat_tol: float = 1e-10) -> float:
+                          sigma_target: Section, probes: Sequence[tuple]) -> float:
     """Residual of delta . nabla(sigma) = nabla~(sigma~) . Tzeta over probes.
 
     Requires the sections to be compatible (delta . sigma = sigma~ . zeta)
-    within compat_tol on the probe points first.
+    within 1e-10 on the probe points first.
     """
     if theta.tangent is None:
         raise ValueError("bundle morphism must provide a base-tangent map")
@@ -269,7 +243,7 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
     for s, _ in probes:
         ds = theta.fiber_map(s, m)
         compat = np.linalg.norm(ds @ sigma.value(s) - sigma_target.value(theta.zeta(s)))
-        if compat > compat_tol:
+        if compat > 1e-10:
             raise ValueError(
                 f"sections are not morphism-compatible: residual {compat:.3e} at a probe")
     res = 0.0
@@ -281,23 +255,21 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
     return res
 
 
-def validate_section(k: Kernel, sigma: Section, probes: Sequence[tuple],
-                     tol: float = 1e-5, h: float = DEFAULT_STEP) -> float:
+def validate_section(k: Kernel, sigma: Section, probes: Sequence[tuple]) -> float:
     """Check a user-supplied analytic differential against the stencil.
 
-    A mismatch beyond tol is a hard error: it signals a wrong dF, which would
+    A mismatch beyond 1e-5 is a hard error: it signals a wrong dF, which would
     silently poison the closed-form backend.
     """
     if sigma.dF is None:
         return 0.0
     res = 0.0
     for s, x in probes:
-        gamma = k.domain.curve(s, x)
-        numeric = directional_derivative(lambda t: sigma.value(gamma(t)), h=h)
+        numeric = k.domain.derivative(s, x, sigma.value)
         analytic = np.atleast_1d(np.asarray(sigma.dF(s, x), dtype=complex))
         res = max(res, float(np.linalg.norm(numeric - analytic)))
-    if res > tol:
+    if res > 1e-5:
         raise ValueError(
             f"analytic section differential disagrees with numeric differentiation "
-            f"(residual {res:.3e} > {tol:g})")
+            f"(residual {res:.3e} > 1e-05)")
     return res

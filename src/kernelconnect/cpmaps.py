@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.linalg
 
-from .kernels import BundleMorphism, Kernel, make_group_kernel, pull_back_kernel
-from .numerics import DEFAULT_STEP, NumericsError, directional_derivative, hermitian_eigh
+from .kernels import BundleMorphism, Kernel, UnitaryDomain, make_group_kernel, pull_back_kernel
+from .numerics import NumericsError, hermitian_eigh
 from .grassmann import HermitianProjector, fiber_basis
 
 __all__ = [
@@ -89,9 +88,9 @@ class CPMap:
             acc += k @ k.conj().T
         return float(np.linalg.norm(acc - np.eye(self.output_dim)))
 
-    def require_unital(self, tol: float = 1e-8) -> None:
+    def require_unital(self) -> None:
         res = self.unitality_residual()
-        if res > tol:
+        if res > 1e-8:
             raise NumericsError(
                 f"map is not unital (||sum K K* - I|| = {res:.3e}); "
                 "non-unital inputs are rejected, not normalized")
@@ -135,17 +134,16 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> CPMap:
                  kraus=kraus_from_choi(choi, n, m))
 
 
-def kraus_from_choi(choi, input_dim: int, output_dim: int,
-                    tau: float = CHOI_RANK_TAU) -> tuple:
+def kraus_from_choi(choi, input_dim: int, output_dim: int) -> tuple:
     """Extract Kraus operators from the Choi spectrum above a relative cut.
 
-    Eigenvalues in (-tau*lam_max, tau*lam_max) are treated as zero; anything
-    more negative signals a non-CP input.
+    Eigenvalues in (-tau*lam_max, tau*lam_max), tau = CHOI_RANK_TAU, are
+    treated as zero; anything more negative signals a non-CP input.
     """
     c = np.asarray(choi, dtype=complex)
     values, vectors = hermitian_eigh(c)
     lam_max = max(float(values[-1]), 0.0) if values.size else 0.0
-    cut = tau * max(lam_max, 1.0)
+    cut = CHOI_RANK_TAU * max(lam_max, 1.0)
     if values.size and values[0] < -cut:
         raise NumericsError(
             f"Choi matrix is not PSD (min eigenvalue {values[0]:.3e}); map is not CP")
@@ -240,14 +238,13 @@ def pullback_identity_residual(psi: CPMap, triple: StinespringTriple,
 
 
 def cp_covariant_derivative(psi: CPMap, sigma: Callable[[np.ndarray], np.ndarray],
-                            u, a, h: float = DEFAULT_STEP) -> np.ndarray:
+                            u, a) -> np.ndarray:
     """d(sigma) along u e^{ta} plus Psi(a) sigma(u), for anti-Hermitian a."""
     um = np.asarray(u, dtype=complex)
     am = np.asarray(a, dtype=complex)
     if np.linalg.norm(am + am.conj().T) > 1e-10:
         raise NumericsError("direction must be anti-Hermitian")
-    dsigma = directional_derivative(
-        lambda t: np.asarray(sigma(um @ scipy.linalg.expm(t * am)), dtype=complex), h=h)
+    dsigma = UnitaryDomain(psi.input_dim).derivative(um, am, sigma)
     return dsigma + psi.apply(am) @ np.asarray(sigma(um), dtype=complex)
 
 

@@ -60,13 +60,13 @@ def _as_point(s) -> np.ndarray:
     return a
 
 
-def points_equal(s, t, tol: float = 1e-12) -> bool:
+def points_equal(s, t) -> bool:
     # structured points (e.g. projectors) compare through their matrix payload
     a = np.asarray(getattr(s, "p", s), dtype=complex)
     b = np.asarray(getattr(t, "p", t), dtype=complex)
     if a.shape != b.shape:
         return False
-    return bool(np.max(np.abs(a - b), initial=0.0) <= tol)
+    return bool(np.max(np.abs(a - b), initial=0.0) <= 1e-12)
 
 
 class Domain:
@@ -81,6 +81,16 @@ class Domain:
     def curve(self, s, x) -> Callable[[float], object]:
         """A curve gamma with gamma(0) = s and velocity x at t = 0."""
         raise NotImplementedError
+
+    def derivative(self, s, x, f: Callable[[object], np.ndarray],
+                   h: float = DEFAULT_STEP) -> np.ndarray:
+        """d/dt|0 f(gamma(t)) along the curve gamma with the 1-jet (s, x).
+
+        Every derivative along a tangent in this library is taken here.
+        """
+        self.check_tangent(s, x)
+        gamma = self.curve(s, x)
+        return directional_derivative(lambda t: f(gamma(t)), h)
 
 
 @dataclass(frozen=True)
@@ -134,14 +144,13 @@ class UnitaryDomain(Domain):
 
     n: int
     name: str = "U(n)"
-    unitarity_tol: float = 1e-10
 
     def check_point(self, u) -> None:
         m = np.asarray(u, dtype=complex)
         if m.shape != (self.n, self.n):
             raise DomainError(f"{self.name}: expected {self.n}x{self.n} matrix, got {m.shape}")
         res = np.linalg.norm(m.conj().T @ m - np.eye(self.n))
-        if res > self.unitarity_tol:
+        if res > 1e-10:
             raise DomainError(f"{self.name}: not unitary, ||u*u - I|| = {res:.3e}")
 
     def check_tangent(self, u, a) -> None:
@@ -165,8 +174,7 @@ class Kernel:
     `eval` returns the M x M matrix kappa(s, t).  `d2`, when present, returns
     the real-linear directional derivative of t -> kappa(s, t) in direction x
     (a conjugate-linear expression for the anti-holomorphic built-ins).
-    Kernels lacking `d2` fall back to stencil differentiation along
-    domain.curve(t, x).
+    Kernels lacking `d2` fall back to domain.derivative(t, x, ...).
     """
 
     fiber_dim: int
@@ -194,13 +202,13 @@ class Kernel:
 
     def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:
         """Directional derivative of kappa(s, .) at t in direction x."""
-        self.domain.check_point(s)
+        for p in (s,) if t is s else (s, t):
+            self.domain.check_point(p)
+        if self.d2 is None:
+            return self.domain.derivative(t, x, lambda p: self(s, p), h)
         self.domain.check_tangent(t, x)
-        if self.d2 is not None:
-            out = np.asarray(self.d2(s, t, x), dtype=complex)
-            return out.reshape(self.fiber_dim, self.fiber_dim)
-        gamma = self.domain.curve(t, x)
-        return directional_derivative(lambda eps: self(s, gamma(eps)), h=h)
+        out = np.asarray(self.d2(s, t, x), dtype=complex)
+        return out.reshape(self.fiber_dim, self.fiber_dim)
 
 
 def make_bergman_disk(nu: float) -> Kernel:
@@ -218,13 +226,14 @@ def make_bergman_disk(nu: float) -> Kernel:
         w = complex(np.asarray(x).flat[0])
         return np.array([[nu * s0 * np.conj(w) * (1.0 - np.conj(t0) * s0) ** (-nu - 1)]])
 
-    return Kernel(1, domain, ev, d2, name=f"bergman-disk:nu={nu:g}")
+    return Kernel(1, domain, ev, d2, name=f"bergman-disk:nu={float(nu)!r}".removesuffix(".0"))
 
 
 def make_bergman_halfplane(nu: float) -> Kernel:
     """Weighted Bergman kernel (1/4)(2i)^nu (z - conj(w))^(-nu) on the upper half-plane."""
-    if not (np.isfinite(nu) and nu >= 1):
-        raise ValueError(f"nu must be finite and >= 1, got {nu}")
+    # |(2i)^nu| = 2^nu overflows a float from nu = 1024 on
+    if not (np.isfinite(nu) and 1 <= nu < 1024):
+        raise ValueError(f"nu must be finite and in [1, 1024), got {nu}")
     domain = VectorDomain(1, name="upper half-plane", guard=_halfplane_guard)
     c = 0.25 * (2.0j) ** nu
 
@@ -237,7 +246,7 @@ def make_bergman_halfplane(nu: float) -> Kernel:
         lam = complex(np.asarray(x).flat[0])
         return np.array([[c * nu * np.conj(lam) * (z0 - np.conj(w0)) ** (-nu - 1)]])
 
-    return Kernel(1, domain, ev, d2, name=f"bergman-halfplane:nu={nu:g}")
+    return Kernel(1, domain, ev, d2, name=f"bergman-halfplane:nu={float(nu)!r}".removesuffix(".0"))
 
 
 def make_fock(beta) -> Kernel:

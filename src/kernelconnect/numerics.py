@@ -29,7 +29,9 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-DEFAULT_STEP = 1e-3
+# h = 1e-4 keeps stencil truncation ~1e-12 even at |s| = 0.9 on the disk,
+# where derivatives of (1 - conj(t)s)^(-nu) grow steeply
+DEFAULT_STEP = 1e-4
 
 
 class NumericsError(ValueError):
@@ -72,11 +74,11 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def hermitian_solve(m, rhs, min_sigma: float = 1e-10) -> np.ndarray:
+def hermitian_solve(m, rhs) -> np.ndarray:
     """Solve M x = rhs for Hermitian M, failing loudly when M is singular."""
     values, vectors = hermitian_eigh(m)
     scale = max(np.max(np.abs(values)), 1.0)
-    if np.min(np.abs(values)) <= min_sigma * scale:
+    if np.min(np.abs(values)) <= 1e-10 * scale:
         raise NumericsError(
             f"matrix is singular within threshold (|lambda|_min = "
             f"{np.min(np.abs(values)):.3e})"

@@ -65,7 +65,7 @@ class RKHSElement:
         object.__setattr__(self, "coefficients", c)
 
 
-def build_rkhs(k: Kernel, points: Sequence, psd_tol: float = 1e-9) -> SampledRKHS:
+def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
     """Assemble the Gram matrix on distinct sample points and certify positivity."""
     pts = tuple(points)
     for i in range(len(pts)):
@@ -73,7 +73,7 @@ def build_rkhs(k: Kernel, points: Sequence, psd_tol: float = 1e-9) -> SampledRKH
             if points_equal(pts[i], pts[j]):
                 raise ValueError(f"duplicate sample points at indices {i} and {j}")
     gram = gram_matrix(k, pts)
-    is_psd, lam_min = positivity_certificate(gram, tol=psd_tol)
+    is_psd, lam_min = positivity_certificate(gram)
     if not is_psd:
         raise NumericsError(
             f"Gram matrix is not PSD (min eigenvalue {lam_min:.3e}); "

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelconnect import verify
 from kernelconnect.cli import main, parse_kernel_spec
@@ -28,6 +29,15 @@ def test_kernel_spec_round_trips_to_canonical_string():
     for spec in ("bergman-disk:nu=2", "bergman-halfplane:nu=1", "fock:dim=3",
                  "universal:n=4,k=2"):
         assert parse_kernel_spec(spec).name == spec
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(nu=st.floats(min_value=1.0, allow_nan=False, allow_infinity=False))
+def test_kernel_name_keeps_nu_exactly(nu):
+    families = ("bergman-disk", "bergman-halfplane") if nu < 1024 else ("bergman-disk",)
+    for family in families:
+        name = parse_kernel_spec(f"{family}:nu={nu!r}").name
+        assert float(name.partition(":nu=")[2]) == nu
 
 
 def test_unknown_kernel_spec_exits_2(capsys):
@@ -86,6 +96,28 @@ def test_connect_covderiv_reports_three_backends(capsys):
     for key in ("closed", "direct", "sampled", "max_disagreement"):
         assert key in rep
     assert rep["max_disagreement"] < 1e-6
+
+
+@pytest.mark.parametrize("point", ["0.95", "0.97", "0.99"])
+def test_connect_covderiv_agrees_near_the_unit_circle(capsys, point):
+    code, out, _ = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
+                           "--point", point, "--direction", "1")
+    assert code == 0
+    assert json.loads(out)["max_disagreement"] < 1e-6
+
+
+@pytest.mark.parametrize("argv, flag, literal", [
+    (("connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0"),
+     "--end", "-0.4+0.3i"),
+    (("connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5"),
+     "--direction", "-1-0.5i"),
+])
+def test_negative_literal_reads_as_a_value(capsys, argv, flag, literal):
+    joined = run_cli(capsys, *argv, f"{flag}={literal}")
+    split = run_cli(capsys, *argv, flag, literal)
+    assert joined[0] == 0 and split == joined
+    code, out, err = run_cli(capsys, *argv, flag, literal.replace("i", "j"))
+    assert code == 2 and out == "" and "complex literal" in err
 
 
 def test_connect_transport_csv_table(capsys):

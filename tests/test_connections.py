@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kernelconnect.connections import (
     Curve,
@@ -52,6 +53,19 @@ def test_three_backends_agree():
               for b in ("closed-form", "direct", "sampled")]
     for v in values[1:]:
         assert np.linalg.norm(v - values[0]) < 1e-9
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(nu=st.sampled_from([1, 2, 3]), r=st.floats(0.0, 0.95),
+       th=st.floats(0.0, 2.0 * np.pi), phi=st.floats(0.0, 2.0 * np.pi))
+def test_closed_form_and_direct_agree_at_default_step(nu, r, th, phi):
+    # near the unit circle the stencil must still resolve the steep kernel
+    k = make_bergman_disk(nu)
+    sigma = Section(F=lambda s: np.array([1.0 + 0.3 * complex(s[0])]))
+    s, x = np.array([r * np.exp(1j * th)]), np.array([np.exp(1j * phi)])
+    closed = covariant_derivative_closed_form(k, sigma, s, x)
+    direct = covariant_derivative_direct(k, sigma, s, x)
+    assert abs(closed[0] - direct[0]) <= 1e-8 * max(1.0, abs(closed[0]))
 
 
 def test_evaluator_rejects_unknown_backend():

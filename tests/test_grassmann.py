@@ -180,6 +180,13 @@ def test_homogeneous_formula_matches_generic_pipeline():
         assert np.linalg.norm(b.conj().T @ formula - generic) < 1e-6
 
 
+def test_homogeneous_derivative_rejects_non_anti_hermitian_direction():
+    p = coordinate_projector(3, 1)
+    phi = lambda u: p.p @ (np.asarray(u).conj().T @ np.ones(3))
+    with pytest.raises(DomainError):
+        homogeneous_covariant_derivative(phi, p, random_unitary(3, seed=21), np.eye(3))
+
+
 def test_homogeneous_kernel_keeps_its_explicit_formula_bits():
     n = 3
     p = coordinate_projector(n, 1)

@@ -69,6 +69,17 @@ def test_analytic_d2_matches_stencil(make):
         assert np.linalg.norm(analytic - stencil) < 1e-8
 
 
+def test_d2_eval_checks_its_second_point():
+    with pytest.raises(DomainError):
+        make_bergman_disk(2).d2_eval(np.array([0.1]), np.array([1.5]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("nu", [1024.0, 1e300])
+def test_halfplane_rejects_nu_whose_constant_overflows(nu):
+    with pytest.raises(ValueError, match="nu must be finite"):
+        make_bergman_halfplane(nu)
+
+
 def test_gram_matrix_is_psd_on_disk_sample():
     k = make_bergman_disk(2)
     pts = [np.array([z]) for z in (0.0, 0.5, -0.5)]

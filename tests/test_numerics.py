@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from kernelconnect.numerics import (
     NumericsError,
@@ -26,9 +27,15 @@ def test_parse_complex_literals():
         parse_complex("1+2j")
 
 
-def test_complex_format_round_trip():
-    for z in (0.0, 1.5 - 0.25j, -3.25j, 1e-17 + 1e17j, np.pi - np.e * 1j):
-        assert parse_complex(format_complex(z)) == complex(z)
+@example(z=0.0)
+@example(z=1.5 - 0.25j)
+@example(z=-3.25j)
+@example(z=1e-17 + 1e17j)
+@example(z=np.pi - np.e * 1j)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(z=st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_complex_format_round_trip(z):
+    assert parse_complex(format_complex(z)) == complex(z)
 
 
 def test_csv_matrix_round_trip():
