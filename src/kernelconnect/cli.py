@@ -110,6 +110,8 @@ def _load_cpmap(path: str, n: int | None):
         if n * n != size:
             raise UsageError(
                 f"Choi matrix of size {size} is not a perfect square; pass n= explicitly")
+    if n < 1:
+        raise UsageError(f"input dimension n must be >= 1, got {n}")
     if size % n != 0:
         raise UsageError(f"Choi size {size} is not divisible by n={n}")
     return cpmap_from_choi(choi, input_dim=n, output_dim=size // n)
@@ -492,6 +494,11 @@ def main(argv=None) -> int:
         tol_default = _global_tol()
         parser = build_parser(tol_default)
         args = parser.parse_args(_join_literal_values(sys.argv[1:] if argv is None else argv))
+        tol = getattr(args, "tol", None)
+        if tol is not None and not (np.isfinite(tol) and tol > 0):
+            raise UsageError(f"tolerance must be finite and > 0, got {tol}")
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .kernels import Domain, DomainError, Kernel, UnitaryDomain, make_group_kernel
 
@@ -155,10 +154,10 @@ class GrassDomain(Domain):
             raise DomainError("tangent is anchored at a different base point")
 
     def curve(self, s, x) -> Callable[[float], HermitianProjector]:
-        a = x.generator
+        exp_ta = UnitaryDomain(self.n).curve(np.eye(self.n), x.generator)
 
         def gamma(t: float) -> HermitianProjector:
-            u = scipy.linalg.expm(t * a)
+            u = exp_ta(t)
             return HermitianProjector(u @ s.p @ u.conj().T, s.rank)
 
         return gamma

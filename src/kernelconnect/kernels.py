@@ -14,11 +14,10 @@ are treated as real-linear directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import (
     DEFAULT_STEP,
@@ -139,7 +138,7 @@ def _halfplane_guard(a: np.ndarray) -> Optional[str]:
 class UnitaryDomain(Domain):
     """Points are n x n unitary matrices; tangents anti-Hermitian matrices.
 
-    Curves are u exp(t a).
+    Curves are u exp(t a), exponentiated through one eigendecomposition.
     """
 
     n: int
@@ -162,9 +161,10 @@ class UnitaryDomain(Domain):
             raise DomainError(f"{self.name}: tangent not anti-Hermitian, ||a + a*|| = {res:.3e}")
 
     def curve(self, u, a) -> Callable[[float], np.ndarray]:
+        # a = iH with H = -ia Hermitian, so exp(ta) = V diag(e^{itw}) V* is exact and unitary
         u0 = np.asarray(u, dtype=complex)
-        a0 = np.asarray(a, dtype=complex)
-        return lambda t: u0 @ scipy.linalg.expm(t * a0)
+        w, v = hermitian_eigh(-1j * np.asarray(a, dtype=complex))
+        return lambda t: u0 @ (v * np.exp(1j * t * w)) @ v.conj().T
 
 
 @dataclass(frozen=True)
@@ -198,6 +198,8 @@ class Kernel:
         for l, s in enumerate(ss):
             for j, t in enumerate(ts):
                 out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
+        if not np.isfinite(out).all():
+            raise NumericsError(f"{self.name}: kernel value is not finite")
         return out.reshape(len(ss) * m, len(ts) * m)
 
     def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:

@@ -7,7 +7,7 @@ global state, inputs are never mutated.
 from __future__ import annotations
 
 import re
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 

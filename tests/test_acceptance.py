@@ -158,8 +158,14 @@ def test_cli_verify_all_is_deterministic_and_green():
     assert outputs[0] == outputs[1]
 
 
-def test_import_does_not_load_scipy_integrate():
-    code = "import kernelconnect, sys; assert 'scipy.integrate' not in sys.modules"
+def test_import_and_suite_load_no_scipy():
+    code = ("import sys, kernelconnect\n"
+            "from kernelconnect import verify\n"
+            "def scipy_modules():\n"
+            "    return [m for m in sys.modules if m.partition('.')[0] == 'scipy']\n"
+            "assert not scipy_modules(), scipy_modules()\n"
+            "verify.run_suite(modules=['grassmann', 'cpmaps'])\n"
+            "assert not scipy_modules(), scipy_modules()\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=SRC_ENV)
     assert proc.returncode == 0, proc.stderr

@@ -168,11 +168,55 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
     (["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0",
       "--end", "0.5", "--vector", "1,1"], "--vector must have 1 entries"),
     (["grassmann", "verify", "--probes", "0"], "--probes must be >= 1"),
+    (["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5",
+      "--direction", "1", "--tol", "inf"], "tolerance must be finite and > 0"),
+    (["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5",
+      "--direction", "1", "--tol", "nan"], "tolerance must be finite and > 0"),
+    (["kernel", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0;0.5", "--tol", "-1"],
+     "tolerance must be finite and > 0"),
+    (["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0",
+      "--end", "0.5", "--tol", "0"], "tolerance must be finite and > 0"),
+    (["verify", "all", "--seed", "-1"], "--seed must be >= 0"),
+    (["grassmann", "verify", "--seed", "-10"], "--seed must be >= 0"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cp", "kernel", "--choi", "{choi}", "--seed", "-1"], "--seed must be >= 0"),
+    (["cp", "covderiv", "--choi", "{choi}", "--seed", "-1"], "--seed must be >= 0"),
+    (["cp", "dilate", "--choi", "{choi}", "--n", "0"], "n must be >= 1, got 0"),
+    (["cp", "dilate", "--choi", "{choi}", "--n", "-1"], "n must be >= 1, got -1"),
+    (["kernel", "eval", "--kernel", "cp:{choi},n=0", "--point", "1"], "n must be >= 1, got 0"),
+])
+def test_bad_cp_input_exits_2(capsys, choi_csv, argv, message):
+    code, out, err = run_cli(capsys, *[a.format(choi=choi_csv) for a in argv])
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-1", "0"])
+def test_env_var_tolerance_must_be_finite_and_positive(capsys, monkeypatch, raw):
+    monkeypatch.setenv("KERNEL_CONNECT_TOL", raw)
+    code, out, err = run_cli(capsys, "kernel", "gram", "--kernel", "bergman-disk:nu=2",
+                             "--points", "0;0.5")
+    assert code == 2 and out == ""
+    assert "tolerance must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("spec, point", [
+    ("bergman-disk:nu=1e300", "0.5"),
+    ("bergman-halfplane:nu=200", "0.001i"),
+    ("fock:dim=1", "30"),
+])
+def test_non_finite_kernel_value_exits_1(capsys, spec, point):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "kernel", "eval", "--kernel", spec, "--point", point)
+    assert code == 1 and out == ""
+    assert "kernel value is not finite" in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
+
+from kernelconnect.cpmaps import random_unitary
 
 from kernelconnect.kernels import (
     BundleMorphism,
     DomainError,
+    UnitaryDomain,
     VectorDomain,
     admissibility_report,
     gram_matrix,
@@ -15,6 +19,7 @@ from kernelconnect.kernels import (
     positivity_certificate,
     pull_back_kernel,
 )
+from kernelconnect.numerics import NumericsError
 
 
 def _probe_pairs(kernel, count, seed):
@@ -183,3 +188,27 @@ def test_scalar_kernels_hermitian_psd_and_block_matches_pairs(family, data):
             assert np.array_equal(kst, k.eval(s, t))
             assert abs(kst[0, 0].conjugate() - k(t, s)[0, 0]) <= 1e-12 * max(1.0, abs(kst[0, 0]))
     assert positivity_certificate(gram_matrix(k, ss))[0]
+
+
+@pytest.mark.parametrize("kernel, s", [
+    (make_bergman_disk(1e300), [0.5]),
+    (make_bergman_halfplane(200), [0.001j]),
+    (make_fock(np.eye(1)), [30]),
+])
+def test_non_finite_kernel_value_raises(kernel, s):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="kernel value is not finite"):
+            kernel(s, s)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), t=st.floats(-1.0, 1.0))
+def test_unitary_curve_matches_expm_and_stays_unitary(n, seed, t):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = 0.5 * (g - g.conj().T)
+    u = random_unitary(n, seed=seed)
+    got = UnitaryDomain(n).curve(u, a)(t)
+    # scipy's Pade exponential is the independent reference here only
+    assert np.max(np.abs(got - u @ scipy.linalg.expm(t * a))) <= 1e-13
+    assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-13
