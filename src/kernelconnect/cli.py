@@ -170,7 +170,7 @@ def _builtin_section(name: str, k: Kernel) -> Section:
     raise UsageError(f"unknown section {name!r}; use constant | linear")
 
 
-def _global_tol() -> float:
+def _env_tol() -> float:
     raw = os.environ.get("KERNEL_CONNECT_TOL")
     if raw is None:
         return DEFAULT_TOL
@@ -370,7 +370,7 @@ def _cmd_verify(args) -> int:
 # Argument parser
 
 
-def _add_common(p, tol_default: float | None, formats: bool = True) -> None:
+def _add_common(p, tol_default, formats: bool = True) -> None:
     """--output always; --format when the command has a CSV form; --tol when it has a verdict."""
     if formats:
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -380,7 +380,7 @@ def _add_common(p, tol_default: float | None, formats: bool = True) -> None:
                        help="residual tolerance for the pass/fail verdict")
 
 
-def build_parser(tol_default: float) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kernelconnect",
         description="Connections and covariant derivatives induced by "
@@ -399,7 +399,7 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     kgr.add_argument("--kernel", required=True)
     kgr.add_argument("--points", required=True,
                      help="semicolon-separated points, each comma-separated a+bi")
-    _add_common(kgr, tol_default)
+    _add_common(kgr, _env_tol)
     kgr.set_defaults(fn=_cmd_kernel_gram)
 
     rkhs = sub.add_parser("rkhs", help="finite-sample Hilbert space diagnostics")
@@ -412,7 +412,7 @@ def build_parser(tol_default: float) -> argparse.ArgumentParser:
     run = rsub.add_parser("universality", help="fiber-projection reproduction residual")
     run.add_argument("--kernel", required=True)
     run.add_argument("--points", required=True)
-    _add_common(run, tol_default, formats=False)
+    _add_common(run, _env_tol, formats=False)
     run.set_defaults(fn=_cmd_rkhs_universality)
 
     connect = sub.add_parser("connect", help="covariant derivatives and transport")
@@ -491,9 +491,10 @@ def _join_literal_values(argv) -> list:
 
 def main(argv=None) -> int:
     try:
-        tol_default = _global_tol()
-        parser = build_parser(tol_default)
-        args = parser.parse_args(_join_literal_values(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(
+            _join_literal_values(sys.argv[1:] if argv is None else argv))
+        if callable(getattr(args, "tol", None)):  # a default read only where it is used
+            args.tol = args.tol()
         tol = getattr(args, "tol", None)
         if tol is not None and not (np.isfinite(tol) and tol > 0):
             raise UsageError(f"tolerance must be finite and > 0, got {tol}")

@@ -52,7 +52,8 @@ class HermitianProjector:
     rank: int
 
     def __post_init__(self):
-        m = np.asarray(self.p, dtype=complex)
+        m = np.array(self.p, dtype=complex)  # a read-only copy: fiber_basis caches on it
+        m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"projector must be square, got shape {m.shape}")
         if np.linalg.norm(m - m.conj().T) > 1e-10:
@@ -116,8 +117,12 @@ def fiber_basis(point: HermitianProjector) -> np.ndarray:
     Eigenvectors of p with eigenvalue 1, ascending order, each column's
     largest-modulus entry rotated to be real positive.  Reproducible, but not
     a continuous function of the projector (the eigenspace is degenerate), so
-    only gauge-covariant combinations of bases are meaningful.
+    only gauge-covariant combinations of bases are meaningful.  Computed once
+    per projector object; the array returned is read-only.
     """
+    cached = point.__dict__.get("_fiber_basis")
+    if cached is not None:
+        return cached
     values, vectors = np.linalg.eigh(0.5 * (point.p + point.p.conj().T))
     cols = vectors[:, values > 0.5]
     if cols.shape[1] != point.rank:
@@ -129,6 +134,8 @@ def fiber_basis(point: HermitianProjector) -> np.ndarray:
         idx = int(np.argmax(np.abs(col)))
         phase = col[idx] / abs(col[idx])
         fixed[:, j] = col / phase
+    fixed.flags.writeable = False
+    object.__setattr__(point, "_fiber_basis", fixed)  # beside the frozen fields
     return fixed
 
 

@@ -42,7 +42,6 @@ __all__ = [
     "BundleMorphism",
     "pull_back_kernel",
     "admissibility_report",
-    "points_equal",
 ]
 
 DISK_BOUNDARY_GUARD = 1.0 - 1e-6
@@ -57,15 +56,6 @@ def _as_point(s) -> np.ndarray:
     if a.ndim != 1:
         raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape}")
     return a
-
-
-def points_equal(s, t) -> bool:
-    # structured points (e.g. projectors) compare through their matrix payload
-    a = np.asarray(getattr(s, "p", s), dtype=complex)
-    b = np.asarray(getattr(t, "p", t), dtype=complex)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b), initial=0.0) <= 1e-12)
 
 
 class Domain:
@@ -98,18 +88,37 @@ class VectorDomain(Domain):
 
     dim: int
     name: str = "C^d"
-    guard: Optional[Callable[[np.ndarray], Optional[str]]] = None
+    # maps an (N, d) stack to (i, reason) for its first point outside the domain, or None
+    guard: Optional[Callable[[np.ndarray], Optional[tuple[int, str]]]] = None
 
     def check_point(self, s) -> None:
-        a = _as_point(s)
-        if a.shape[0] != self.dim:
-            raise DomainError(f"{self.name}: expected dimension {self.dim}, got {a.shape[0]}")
-        if not np.all(np.isfinite(a)):
-            raise DomainError(f"{self.name}: non-finite point")
-        if self.guard is not None:
-            msg = self.guard(a)
-            if msg:
-                raise DomainError(f"{self.name}: {msg}")
+        self.stack((s,))
+
+    def stack(self, points: Sequence) -> np.ndarray:
+        """The points as one checked (N, d) complex array; a scalar is a point of C^1."""
+        try:
+            a = np.array(points, dtype=complex)
+        except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
+            a = [_as_point(p) for p in points]
+            bad = [i for i, p in enumerate(a) if p.shape != (self.dim,)]
+            if bad:
+                raise DomainError(f"{self.name}: expected dimension {self.dim}, got "
+                                  f"{a[bad[0]].shape[0]} (point {bad[0]} of {len(a)})")
+            a = np.array(a)
+        if a.ndim == 1:  # scalar points, or no points at all
+            a = a.reshape(-1, 1 if len(a) else self.dim)
+        if a.ndim != 2:
+            raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape[1:]}")
+        if a.shape[1] != self.dim:
+            bad = 0, f"expected dimension {self.dim}, got {a.shape[1]}"
+        elif not np.isfinite(a).all():
+            bad = int(np.argmin(np.isfinite(a).all(axis=1))), "non-finite point"
+        else:
+            bad = self.guard(a) if self.guard is not None and len(a) else None
+        if bad is not None:
+            at = f" (point {bad[0]} of {len(a)})" if len(a) > 1 else ""
+            raise DomainError(f"{self.name}: {bad[1]}{at}")
+        return a
 
     def check_tangent(self, s, x) -> None:
         a = _as_point(x)
@@ -122,16 +131,18 @@ class VectorDomain(Domain):
         return lambda t: s0 + t * x0
 
 
-def _disk_guard(a: np.ndarray) -> Optional[str]:
-    if abs(a[0]) >= DISK_BOUNDARY_GUARD:
-        return f"|s| = {abs(a[0]):.8f} is too close to the unit circle"
-    return None
+def _disk_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
+    r = np.abs(a[:, 0])
+    i = int(np.argmax(r >= DISK_BOUNDARY_GUARD))  # 0 when every point is inside
+    if r[i] >= DISK_BOUNDARY_GUARD:
+        return i, f"|s| = {r[i]:.8f} is too close to the unit circle"
 
 
-def _halfplane_guard(a: np.ndarray) -> Optional[str]:
-    if a[0].imag <= 0:
-        return f"Im z = {a[0].imag:.3e} must be positive"
-    return None
+def _halfplane_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
+    im = a[:, 0].imag
+    i = int(np.argmax(im <= 0))  # 0 when every point is inside
+    if im[i] <= 0:
+        return i, f"Im z = {im[i]:.3e} must be positive"
 
 
 @dataclass(frozen=True)
@@ -175,6 +186,9 @@ class Kernel:
     the real-linear directional derivative of t -> kappa(s, t) in direction x
     (a conjugate-linear expression for the anti-holomorphic built-ins).
     Kernels lacking `d2` fall back to domain.derivative(t, x, ...).
+    `batch`, when present, maps the (L, d) and (J, d) point stacks of a
+    VectorDomain to the (L, J) array of a scalar kernel's values.  Every entry
+    must depend on its own two points alone, bit for bit, whatever L and J are.
     """
 
     fiber_dim: int
@@ -182,35 +196,60 @@ class Kernel:
     eval: Callable[[object, object], np.ndarray]
     d2: Optional[Callable[[object, object, object], np.ndarray]] = None
     name: str = "kernel"
+    batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, s, t) -> np.ndarray:
-        return self.block((s,), (t,))
+        ss = (s,)
+        return self.block(ss, ss if t is s else (t,))
 
     def block(self, ss: Sequence, ts: Sequence) -> np.ndarray:
         """The len(ss)*M x len(ts)*M matrix whose block (l, j) is kappa(ss[l], ts[j]).
 
         Each point is checked against the domain once, not once per pair.
         """
-        for p in ss if ts is ss else (*ss, *ts):
-            self.domain.check_point(p)
-        m = self.fiber_dim
-        out = np.empty((len(ss), m, len(ts), m), dtype=complex)
-        for l, s in enumerate(ss):
-            for j, t in enumerate(ts):
-                out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
+        if self.batch is not None:
+            s_stack = self.domain.stack(ss)
+            out = self.batch(s_stack, s_stack if ts is ss else self.domain.stack(ts))
+        else:
+            for p in ss if ts is ss else (*ss, *ts):
+                self.domain.check_point(p)
+            m = self.fiber_dim
+            out = np.empty((len(ss), m, len(ts), m), dtype=complex)
+            for l, s in enumerate(ss):
+                for j, t in enumerate(ts):
+                    out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
+            out = out.reshape(len(ss) * m, len(ts) * m)
         if not np.isfinite(out).all():
             raise NumericsError(f"{self.name}: kernel value is not finite")
-        return out.reshape(len(ss) * m, len(ts) * m)
+        return out
 
     def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:
         """Directional derivative of kappa(s, .) at t in direction x."""
         for p in (s,) if t is s else (s, t):
             self.domain.check_point(p)
-        if self.d2 is None:
+        if self.d2 is None:  # block checks every value the stencil reads
             return self.domain.derivative(t, x, lambda p: self(s, p), h)
         self.domain.check_tangent(t, x)
         out = np.asarray(self.d2(s, t, x), dtype=complex)
+        if not np.isfinite(out).all():
+            raise NumericsError(f"{self.name}: kernel derivative is not finite")
         return out.reshape(self.fiber_dim, self.fiber_dim)
+
+
+def _polar(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:  # mag e^{i phase}, part by part
+    out = np.empty(mag.shape, dtype=complex)
+    np.multiply(mag, np.cos(phase), out=out.real)
+    np.multiply(mag, np.sin(phase), out=out.imag)
+    return out
+
+
+# Batch formulas use real elementwise arithmetic and sum coordinates along the
+# last axis of a fresh array.  numpy's complex multiply and BLAS round differently
+# with the shape; these do not, so every entry of a block has the bits of its 1 x 1.
+
+def _scalar_kernel(domain: VectorDomain, batch, d2, name: str) -> Kernel:
+    ev = lambda s, t: batch(_as_point(s)[None], _as_point(t)[None])  # noqa: E731
+    return Kernel(1, domain, ev, d2, name=name, batch=batch)
 
 
 def make_bergman_disk(nu: float) -> Kernel:
@@ -219,16 +258,19 @@ def make_bergman_disk(nu: float) -> Kernel:
         raise ValueError(f"nu must be finite and >= 1, got {nu}")
     domain = VectorDomain(1, name="unit disk", guard=_disk_guard)
 
-    def ev(s, t):
-        s0, t0 = complex(np.asarray(s).flat[0]), complex(np.asarray(t).flat[0])
-        return np.array([[(1.0 - np.conj(t0) * s0) ** (-nu)]])
+    def batch(s, t):
+        # b = 1 - s conj(t) = (1 - (sr tr + si ti)) + i (sr ti - si tr); b^-nu in polar form
+        sr, si, tr, ti = s.real, s.imag, t.real.T, t.imag.T
+        br = 1.0 - (sr * tr + si * ti)
+        bi = sr * ti - si * tr
+        return _polar((br * br + bi * bi) ** (-0.5 * nu), -nu * np.arctan2(bi, br))
 
     def d2(s, t, x):
         s0, t0 = complex(np.asarray(s).flat[0]), complex(np.asarray(t).flat[0])
         w = complex(np.asarray(x).flat[0])
         return np.array([[nu * s0 * np.conj(w) * (1.0 - np.conj(t0) * s0) ** (-nu - 1)]])
 
-    return Kernel(1, domain, ev, d2, name=f"bergman-disk:nu={float(nu)!r}".removesuffix(".0"))
+    return _scalar_kernel(domain, batch, d2, f"bergman-disk:nu={float(nu)!r}".removesuffix(".0"))
 
 
 def make_bergman_halfplane(nu: float) -> Kernel:
@@ -239,16 +281,19 @@ def make_bergman_halfplane(nu: float) -> Kernel:
     domain = VectorDomain(1, name="upper half-plane", guard=_halfplane_guard)
     c = 0.25 * (2.0j) ** nu
 
-    def ev(z, w):
-        z0, w0 = complex(np.asarray(z).flat[0]), complex(np.asarray(w).flat[0])
-        return np.array([[c * (z0 - np.conj(w0)) ** (-nu)]])
+    def batch(z, w):
+        # kappa = (2i/b)^nu / 4 with b = z - conj(w), Im b > 0; arg(2i/b) = atan2(Re b, Im b)
+        br = z.real - w.real.T
+        bi = z.imag + w.imag.T
+        return _polar(0.25 * (4.0 / (br * br + bi * bi)) ** (0.5 * nu), nu * np.arctan2(br, bi))
 
     def d2(z, w, x):
         z0, w0 = complex(np.asarray(z).flat[0]), complex(np.asarray(w).flat[0])
         lam = complex(np.asarray(x).flat[0])
         return np.array([[c * nu * np.conj(lam) * (z0 - np.conj(w0)) ** (-nu - 1)]])
 
-    return Kernel(1, domain, ev, d2, name=f"bergman-halfplane:nu={float(nu)!r}".removesuffix(".0"))
+    return _scalar_kernel(domain, batch, d2,
+                          f"bergman-halfplane:nu={float(nu)!r}".removesuffix(".0"))
 
 
 def make_fock(beta) -> Kernel:
@@ -266,17 +311,22 @@ def make_fock(beta) -> Kernel:
         raise ValueError(f"beta must be PSD, min eigenvalue {values[0]:.3e}")
     dim = b.shape[0]
     domain = VectorDomain(dim, name=f"C^{dim}")
+    b_re, b_im = b.real, b.imag
+
+    def batch(z, w):
+        # v = B conj(w), one row per point of w; then beta = sum_j z_j v_j
+        wr, wi, zr, zi = w.real[:, None], w.imag[:, None], z.real[:, None], z.imag[:, None]
+        vr, vi = (b_re * wr + b_im * wi).sum(-1), (b_im * wr - b_re * wi).sum(-1)
+        re = (zr * vr - zi * vi).sum(-1)
+        return _polar(np.exp(re), (zr * vi + zi * vr).sum(-1))
 
     def form(z, w):
         return np.dot(np.asarray(z, dtype=complex), b @ np.conj(np.asarray(w, dtype=complex)))
 
-    def ev(z, w):
-        return np.array([[np.exp(form(z, w))]])
-
     def d2(z, w, x):
         return np.array([[np.exp(form(z, w)) * form(z, x)]])
 
-    return Kernel(1, domain, ev, d2, name=f"fock:dim={dim}")
+    return _scalar_kernel(domain, batch, d2, f"fock:dim={dim}")
 
 
 def make_group_kernel(n: int, fiber_dim: int, compress: Callable[[np.ndarray], np.ndarray],

@@ -42,7 +42,7 @@ def _as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise NumericsError(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NumericsError("matrix has non-finite entries")
     return a
 
@@ -61,11 +61,13 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
 
     The input is symmetrized as (M + M*)/2 first.  Returns (values, vectors)
     with values ascending and orthonormal eigenvector columns, so that
-    M = V diag(values) V*.
+    M = V diag(values) V*.  A 1 x 1 input skips LAPACK, with LAPACK's bits.
     """
     a = _as_matrix(m)
     if a.shape[0] != a.shape[1]:
         raise NumericsError(f"matrix is not square: shape {a.shape}")
+    if a.shape[0] == 1:
+        return np.array([a[0, 0].real]), np.ones((1, 1), dtype=complex)
     h = 0.5 * (a + a.conj().T)
     try:
         values, vectors = np.linalg.eigh(h)
@@ -77,12 +79,10 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
 def hermitian_solve(m, rhs) -> np.ndarray:
     """Solve M x = rhs for Hermitian M, failing loudly when M is singular."""
     values, vectors = hermitian_eigh(m)
-    scale = max(np.max(np.abs(values)), 1.0)
-    if np.min(np.abs(values)) <= 1e-10 * scale:
+    mags = np.abs(values)
+    if mags.min() <= 1e-10 * max(mags.max(), 1.0):
         raise NumericsError(
-            f"matrix is singular within threshold (|lambda|_min = "
-            f"{np.min(np.abs(values)):.3e})"
-        )
+            f"matrix is singular within threshold (|lambda|_min = {mags.min():.3e})")
     y = vectors.conj().T @ np.asarray(rhs, dtype=complex)
     return vectors @ (y / values) if y.ndim == 1 else vectors @ (y / values[:, None])
 

@@ -11,11 +11,11 @@ provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import Kernel, gram_matrix, points_equal, positivity_certificate
+from .kernels import Kernel, gram_matrix, positivity_certificate
 from .numerics import NumericsError, hermitian_solve
 
 __all__ = [
@@ -41,10 +41,10 @@ class SampledRKHS:
         return self.kernel.fiber_dim
 
     def point_index(self, s) -> int:
-        for i, t in enumerate(self.points):
-            if points_equal(s, t):
-                return i
-        raise KeyError("point is not among the sample points; augment the sample first")
+        pair = _first_duplicate((s, *self.points))  # the sample itself has no duplicates
+        if pair is None or pair[0] != 0:
+            raise KeyError("point is not among the sample points; augment the sample first")
+        return pair[1] - 1
 
     def block(self, i: int) -> slice:
         m = self.fiber_dim
@@ -65,13 +65,23 @@ class RKHSElement:
         object.__setattr__(self, "coefficients", c)
 
 
+def _first_duplicate(pts: tuple) -> Optional[tuple[int, int]]:
+    """The first pair i < j, in row order, of points (.p of projectors) within 1e-12."""
+    try:
+        x = np.array([np.ravel(getattr(p, "p", p)) for p in pts], dtype=complex)
+    except ValueError:  # points of different sizes, which no domain accepts together
+        return None
+    close = np.abs(x[:, None, :] - x[None, :, :]).max(axis=-1, initial=0.0) <= 1e-12
+    pairs = np.argwhere(np.triu(close, 1))
+    return (int(pairs[0, 0]), int(pairs[0, 1])) if len(pairs) else None
+
+
 def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
     """Assemble the Gram matrix on distinct sample points and certify positivity."""
     pts = tuple(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if points_equal(pts[i], pts[j]):
-                raise ValueError(f"duplicate sample points at indices {i} and {j}")
+    duplicate = _first_duplicate(pts)
+    if duplicate is not None:
+        raise ValueError("duplicate sample points at indices {} and {}".format(*duplicate))
     gram = gram_matrix(k, pts)
     is_psd, lam_min = positivity_certificate(gram)
     if not is_psd:

@@ -330,3 +330,29 @@ def test_output_file(tmp_path, capsys):
                            "--point", "0,0", "--output", str(path))
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["kernel"] == "fock:dim=2"
+
+
+def test_env_tolerance_is_not_read_by_commands_without_it(capsys, monkeypatch):
+    monkeypatch.setenv("KERNEL_CONNECT_TOL", "abc")
+    code, out, _ = run_cli(capsys, "verify", "kernels")
+    assert code == 0 and json.loads(out)["passed"]
+
+
+@pytest.mark.parametrize("raw, message", [
+    ("abc", "KERNEL_CONNECT_TOL must be a float, got 'abc'"),
+    ("nan", "tolerance must be finite and > 0"),
+])
+def test_bad_env_tolerance_exits_2_where_it_is_read(capsys, monkeypatch, raw, message):
+    monkeypatch.setenv("KERNEL_CONNECT_TOL", raw)
+    code, out, err = run_cli(capsys, "kernel", "gram", "--kernel", "bergman-disk:nu=2",
+                             "--points", "0;0.5")
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_non_finite_kernel_derivative_exits_1(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_cli(capsys, "connect", "covderiv", "--kernel", "fock:dim=1",
+                                 "--point", "26.6", "--direction", "1")
+    assert code == 1 and out == ""
+    assert "fock:dim=1: kernel derivative is not finite" in err

@@ -211,3 +211,45 @@ def test_homogeneous_equivariance_spot_check():
     bad = lambda u: p.p @ np.ones(n)
     with pytest.raises(DomainError):
         homogeneous_covariant_derivative(bad, p, u, x, equivariance_probes=[w])
+
+
+def _fiber_basis_uncached(point):
+    """fiber_basis as computed on every call before it was cached per projector."""
+    values, vectors = np.linalg.eigh(0.5 * (point.p + point.p.conj().T))
+    cols = vectors[:, values > 0.5]
+    fixed = np.empty_like(cols)  # keeps the memory layout, which BLAS products see
+    for j in range(cols.shape[1]):
+        idx = int(np.argmax(np.abs(cols[:, j])))
+        fixed[:, j] = cols[:, j] / (cols[idx, j] / abs(cols[idx, j]))
+    return fixed
+
+
+def test_fiber_basis_is_computed_once_per_projector_and_read_only():
+    point = _random_point(6, 3, seed=13)
+    b = fiber_basis(point)
+    assert fiber_basis(point) is b
+    assert not b.flags.writeable and not point.p.flags.writeable
+    assert np.array_equal(b, _fiber_basis_uncached(point))
+    with pytest.raises(ValueError):
+        b[0, 0] = 0.0
+
+
+def test_universal_kernel_values_keep_their_bits_with_the_cache():
+    pts = [coordinate_projector(6, 3)] + [_random_point(6, 3, seed=30 + i) for i in range(7)]
+    q = universal_kernel(6, 3)
+    gram = q.block(pts, pts)
+    want = np.block([[_fiber_basis_uncached(s).conj().T @ _fiber_basis_uncached(t)
+                      for t in pts] for s in pts])
+    assert np.array_equal(gram, want)
+
+
+def test_grassmann_verify_output_keeps_its_bits_with_the_cache(capsys, monkeypatch):
+    from kernelconnect import grassmann
+    from kernelconnect.cli import main
+
+    argv = ["grassmann", "verify", "--n", "6", "--k", "3", "--probes", "6", "--seed", "3"]
+    assert main(argv) == 0
+    cached = capsys.readouterr().out
+    monkeypatch.setattr(grassmann, "fiber_basis", _fiber_basis_uncached)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == cached

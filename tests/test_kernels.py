@@ -212,3 +212,119 @@ def test_unitary_curve_matches_expm_and_stays_unitary(n, seed, t):
     # scipy's Pade exponential is the independent reference here only
     assert np.max(np.abs(got - u @ scipy.linalg.expm(t * a))) <= 1e-13
     assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-13
+
+
+def _random_psd_beta(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T / dim
+
+
+# nu = 1 takes numpy's reciprocal fast path for ** -1; non-integer nu and a
+# non-identity beta exercise the general power and the coordinate sums
+_BATCH_FAMILIES = (
+    [(f"disk:nu={nu}", lambda nu=nu: make_bergman_disk(nu), "disk")
+     for nu in (1, 1.5, 2, 2.5, 3)]
+    + [(f"halfplane:nu={nu}", lambda nu=nu: make_bergman_halfplane(nu), "halfplane")
+       for nu in (1, 2.5)]
+    + [(f"fock:dim={d}", d, "fock") for d in (1, 2, 3, 4)]
+)
+
+
+def _points_in(domain_kind, dim):
+    if domain_kind != "fock":
+        return _IN_DOMAIN[domain_kind]
+    return st.builds(lambda re, im: np.array(re) + 1j * np.array(im),
+                     *[st.lists(st.floats(-1.5, 1.5), min_size=dim, max_size=dim)] * 2)
+
+
+@pytest.mark.parametrize("label, make, kind", _BATCH_FAMILIES,
+                         ids=[f[0] for f in _BATCH_FAMILIES])
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_batched_block_equals_per_pair_calls_bit_for_bit(label, make, kind, data):
+    if kind == "fock":
+        k = make_fock(_random_psd_beta(make, data.draw(st.integers(0, 2**32 - 1))))
+        dim = make
+    else:
+        k, dim = make(), 1
+    ss = data.draw(st.lists(_points_in(kind, dim), min_size=1, max_size=12))
+    ts = data.draw(st.lists(_points_in(kind, dim), min_size=1, max_size=12))
+    block, gram = k.block(ss, ts), k.block(ss, ss)
+    for l, s in enumerate(ss):
+        for j, t in enumerate(ts):
+            assert np.array_equal(block[l:l + 1, j:j + 1], k(s, t))
+        for j, t in enumerate(ss):
+            assert np.array_equal(gram[l:l + 1, j:j + 1], k(s, t))
+
+
+# the per-pair formulas of the Python-scalar evaluation the array formulas replaced
+def _disk_pair(nu, s, t):
+    return (1.0 - np.conj(complex(t[0])) * complex(s[0])) ** (-nu)
+
+
+def _halfplane_pair(nu, z, w):
+    return 0.25 * (2.0j) ** nu * (complex(z[0]) - np.conj(complex(w[0]))) ** (-nu)
+
+
+@pytest.mark.parametrize("make, pair, sample", [
+    (make_bergman_disk, _disk_pair,
+     lambda rng: 0.9 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())),
+    (make_bergman_halfplane, _halfplane_pair,
+     lambda rng: rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.05, 1.5)),
+])
+@pytest.mark.parametrize("nu", [1, 1.5, 2, 2.5, 3])
+def test_gram_at_200_points_matches_the_per_pair_formula(make, pair, sample, nu):
+    rng = np.random.default_rng(200)
+    pts = [np.array([sample(rng)]) for _ in range(200)]
+    want = np.array([[pair(nu, s, t) for t in pts] for s in pts])
+    got = gram_matrix(make(nu), pts)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_fock_gram_at_200_points_matches_the_per_pair_formula(dim):
+    rng = np.random.default_rng(dim)
+    pts = [0.5 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim)) for _ in range(200)]
+    for b in (np.eye(dim), 10.0 * _random_psd_beta(dim, seed=dim)):
+        beta = np.array([[np.dot(s, b @ np.conj(t)) for t in pts] for s in pts])
+        got = gram_matrix(make_fock(b), pts)
+        rel = np.abs(got - np.exp(beta)) / np.abs(np.exp(beta))
+        if np.array_equal(b, np.eye(dim)):
+            assert np.all(rel <= 1e-15 * (1.0 + np.abs(beta)))
+        else:
+            # beta is a sum of terms that can cancel; both sides round each term
+            terms = np.array([[np.abs(s) @ np.abs(b) @ np.abs(t) for t in pts] for s in pts])
+            assert np.all(rel <= 1e-15 * (1.0 + terms))
+
+
+@pytest.mark.parametrize("kernel, pts, message", [
+    (make_bergman_disk(2), [0.1, 0.5j, -0.3, 1.2, 0.99999999],
+     r"unit disk: \|s\| = 1.20000000 is too close to the unit circle \(point 3 of 5\)"),
+    (make_bergman_halfplane(1), [1j, 2j, 0.5 - 0.1j],
+     r"upper half-plane: Im z = -1.000e-01 must be positive \(point 2 of 3\)"),
+    (make_fock(np.eye(2)), [[0, 0], [1, 1j], [np.nan, 0], [np.inf, 0]],
+     r"C\^2: non-finite point \(point 2 of 4\)"),
+    (make_fock(np.eye(2)), [[0, 0], [1, 1j, 2], [0, 1]],
+     r"C\^2: expected dimension 2, got 3 \(point 1 of 3\)"),
+])
+def test_a_stack_names_its_first_point_outside_the_domain(kernel, pts, message):
+    with pytest.raises(DomainError, match=message):
+        gram_matrix(kernel, pts)
+    with pytest.raises(DomainError, match=message):
+        kernel.block([pts[0]], pts)
+
+
+def test_non_finite_analytic_derivative_raises():
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = make_fock(np.eye(1))
+        assert np.isfinite(k([26.6], [26.6])).all()
+        with pytest.raises(NumericsError, match="fock:dim=1: kernel derivative is not finite"):
+            k.d2_eval([26.6], [26.6], [1])
+
+
+def test_block_with_no_points_on_one_side_is_empty():
+    for k, s in ((make_fock(np.eye(2)), np.zeros(2)), (make_bergman_disk(2), 0.5),
+                 (make_rank_one_kernel(lambda p: np.ones(2), 2, VectorDomain(1)), 0.5)):
+        assert k.block([s], []).shape == (k.fiber_dim, 0)
+        assert k.block([], [s]).shape == (0, k.fiber_dim)

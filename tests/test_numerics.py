@@ -83,3 +83,13 @@ def test_hermitian_solve_and_singular_error():
 def test_approx_equal():
     assert approx_equal(1.0, 1.0 + 1e-12)
     assert not approx_equal(1.0, 1.1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(re=st.floats(-1e300, 1e300), im=st.floats(-1e300, 1e300))
+def test_one_by_one_eigh_has_the_lapack_bits(re, im):
+    m = np.array([[complex(re, im)]])
+    values, vectors = hermitian_eigh(m)
+    want_values, want_vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
+    assert values.dtype == want_values.dtype and vectors.dtype == want_vectors.dtype
+    assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)

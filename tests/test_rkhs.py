@@ -131,3 +131,24 @@ def test_degenerate_kernel_fiber_projection_fails_loudly():
     f = embed(r, pts[0], np.array([1.0, 0.0]))
     with pytest.raises(NumericsError):
         project_fiber(r, pts[0], f)
+
+
+def test_duplicate_message_names_the_first_pair_of_vector_points():
+    k = make_bergman_disk(2)
+    pts = [np.array([z]) for z in (0.1, 0.2j, 0.3, 0.2j + 1e-13, 0.1, 0.3)]
+    with pytest.raises(ValueError, match="duplicate sample points at indices 0 and 4"):
+        build_rkhs(k, pts)
+    with pytest.raises(ValueError, match="duplicate sample points at indices 0 and 2"):
+        build_rkhs(k, pts[1:4] + [np.array([0.5])])
+
+
+def test_duplicate_message_names_the_first_pair_of_projector_points():
+    base = coordinate_projector(4, 2)
+    others = [HermitianProjector(u @ base.p @ u.conj().T, 2)
+              for u in (random_unitary(4, seed=70 + i) for i in range(3))]
+    pts = [others[0], base, others[1], others[2],
+           HermitianProjector(others[1].p.copy(), 2), base]
+    with pytest.raises(ValueError, match="duplicate sample points at indices 1 and 5"):
+        build_rkhs(universal_kernel(4, 2), pts)
+    with pytest.raises(ValueError, match="duplicate sample points at indices 1 and 3"):
+        build_rkhs(universal_kernel(4, 2), pts[1:5])
