@@ -17,7 +17,6 @@ from .numerics import (
     matrix_to_csv_text,
     parse_complex,
     read_matrix_csv,
-    write_matrix_csv,
 )
 from .kernels import (
     BundleMorphism,
@@ -58,7 +57,6 @@ from .connections import (
     leibniz_residual,
     make_evaluator,
     parallel_transport,
-    validate_section,
 )
 from .grassmann import (
     GrassDomain,
@@ -71,7 +69,6 @@ from .grassmann import (
     homogeneous_covariant_derivative,
     homogeneous_kernel,
     maurer_cartan,
-    phi_E_vertical,
     projector_from_basis,
     random_grass_tangent,
     reductive_axioms_residual,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -30,7 +29,6 @@ from .cpmaps import (
     stinespring_dilate,
     verify_dilation,
 )
-from .grassmann import universal_kernel
 from .kernels import (
     DomainError,
     Kernel,
@@ -54,7 +52,7 @@ __all__ = ["main", "parse_kernel_spec", "KERNEL_SPEC_GRAMMAR"]
 
 KERNEL_SPEC_GRAMMAR = (
     "kernel spec grammar: bergman-disk:nu=<real> | bergman-halfplane:nu=<real> "
-    "| fock:dim=<int> | universal:n=<int>[,k=<int>] | cp:<choi.csv>[,n=<int>]"
+    "| fock:dim=<int>"
 )
 
 
@@ -82,15 +80,6 @@ def parse_kernel_spec(spec: str) -> Kernel:
             return make_bergman_halfplane(float(_parse_fields(body)["nu"]))
         if head == "fock" and sep:
             return make_fock(np.eye(int(_parse_fields(body)["dim"])))
-        if head == "universal" and sep:
-            fields = _parse_fields(body)
-            n = int(fields["n"])
-            k = int(fields.get("k", n // 2))
-            return universal_kernel(n, k)
-        if head == "cp" and sep:
-            path, _, rest = body.partition(",")
-            n = int(_parse_fields(rest)["n"]) if rest else None
-            return cp_kernel(_load_cpmap(path, n))
     except UsageError:
         raise
     except (KeyError, ValueError) as exc:
@@ -168,16 +157,6 @@ def _builtin_section(name: str, k: Kernel) -> Section:
     if name == "linear":
         return Section(F=lambda s: (1.0 + np.sum(np.asarray(s, dtype=complex))) * ones)
     raise UsageError(f"unknown section {name!r}; use constant | linear")
-
-
-def _env_tol() -> float:
-    raw = os.environ.get("KERNEL_CONNECT_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise UsageError(f"KERNEL_CONNECT_TOL must be a float, got {raw!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +239,19 @@ def _cmd_connect_transport(args) -> int:
         raise UsageError(f"--vector must have {k.fiber_dim} entries, got {v0.size}")
     curve = Curve(gamma=lambda t: (1.0 - t) * start + t * end,
                   velocity=lambda t: end - start)
-    reference = parallel_transport(k, curve, v0, steps=8 * args.steps)
-    ladder = {n: parallel_transport(k, curve, v0, steps=n)
-              for n in sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})}
-    table = [(n, float(np.linalg.norm(v - reference))) for n, v in ladder.items()]
+    rungs = sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})
+    ladder = {n: parallel_transport(k, curve, v0, steps=n) for n in rungs}
     final = ladder[args.steps]
+    if len(rungs) == 1:  # --steps 1 has no coarser rung: measure it against 2 steps
+        own_error = float(np.linalg.norm(final - parallel_transport(k, curve, v0, steps=2)))
+    else:  # step doubling at the rate the ladder shows, at most RK4's (steps / coarse)^4
+        coarse = rungs[-2]
+        own_error = float(np.linalg.norm(final - ladder[coarse]))
+        if len(rungs) > 2 and own_error > 0:  # two rungs show no rate: keep the difference
+            seen = float(np.linalg.norm(ladder[coarse] - ladder[rungs[-3]])) / own_error
+            own_error /= max(min(seen, (args.steps / coarse) ** 4) - 1.0, 1.0)
+    table = [(n, float(np.linalg.norm(ladder[n] - final))) for n in rungs[:-1]]
+    table.append((args.steps, own_error))
     if args.format == "csv":
         lines = [",".join(format_complex(z) for z in final)]
         lines += [f"{n},{err:.17g}" for n, err in table]
@@ -399,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     kgr.add_argument("--kernel", required=True)
     kgr.add_argument("--points", required=True,
                      help="semicolon-separated points, each comma-separated a+bi")
-    _add_common(kgr, _env_tol)
+    _add_common(kgr, DEFAULT_TOL)
     kgr.set_defaults(fn=_cmd_kernel_gram)
 
     rkhs = sub.add_parser("rkhs", help="finite-sample Hilbert space diagnostics")
@@ -412,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = rsub.add_parser("universality", help="fiber-projection reproduction residual")
     run.add_argument("--kernel", required=True)
     run.add_argument("--points", required=True)
-    _add_common(run, _env_tol, formats=False)
+    _add_common(run, DEFAULT_TOL, formats=False)
     run.set_defaults(fn=_cmd_rkhs_universality)
 
     connect = sub.add_parser("connect", help="covariant derivatives and transport")
@@ -493,8 +480,6 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(
             _join_literal_values(sys.argv[1:] if argv is None else argv))
-        if callable(getattr(args, "tol", None)):  # a default read only where it is used
-            args.tol = args.tol()
         tol = getattr(args, "tol", None)
         if tol is not None and not (np.isfinite(tol) and tol > 0):
             raise UsageError(f"tolerance must be finite and > 0, got {tol}")

@@ -37,7 +37,6 @@ __all__ = [
     "leibniz_residual",
     "gauge_pullback_connection",
     "intertwining_residual",
-    "validate_section",
 ]
 
 
@@ -254,22 +253,3 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
         res = max(res, float(np.linalg.norm(lhs - rhs)))
     return res
 
-
-def validate_section(k: Kernel, sigma: Section, probes: Sequence[tuple]) -> float:
-    """Check a user-supplied analytic differential against the stencil.
-
-    A mismatch beyond 1e-5 is a hard error: it signals a wrong dF, which would
-    silently poison the closed-form backend.
-    """
-    if sigma.dF is None:
-        return 0.0
-    res = 0.0
-    for s, x in probes:
-        numeric = k.domain.derivative(s, x, sigma.value)
-        analytic = np.atleast_1d(np.asarray(sigma.dF(s, x), dtype=complex))
-        res = max(res, float(np.linalg.norm(numeric - analytic)))
-    if res > 1e-5:
-        raise ValueError(
-            f"analytic section differential disagrees with numeric differentiation "
-            f"(residual {res:.3e} > 1e-05)")
-    return res

@@ -38,7 +38,6 @@ __all__ = [
     "grass_section_coordinates",
     "universal_covariant_derivative",
     "reductive_covariant_derivative",
-    "phi_E_vertical",
     "homogeneous_kernel",
     "homogeneous_covariant_derivative",
 ]
@@ -304,23 +303,6 @@ def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
 
     deriv = UnitaryDomain(base.n).derivative(gm, xm, lambda u: f_ambient(orbit(u)))
     return deriv - generator @ np.asarray(f_ambient(orbit(gm)), dtype=complex)
-
-
-def phi_E_vertical(rs: ReductiveStructure, g, x, f, h) -> tuple[np.ndarray, np.ndarray]:
-    """Vertical normal form of the reductive connection on a tangent element.
-
-    Maps the data (direction X, fiber pair (f, h)) at g to (f, E(X) f + h);
-    horizontal directions (E(X) = 0) leave the pair unchanged.  f and h must
-    lie in the range of the projector.
-    """
-    fv = np.asarray(f, dtype=complex)
-    hv = np.asarray(h, dtype=complex)
-    p = rs.point.p
-    for name, vec in (("f", fv), ("h", hv)):
-        if np.linalg.norm(vec - p @ vec) > 1e-10:
-            raise DomainError(f"component {name} does not lie in the projector range")
-    ex = rs.expect(np.asarray(x, dtype=complex))
-    return fv, ex @ fv + hv
 
 
 def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:

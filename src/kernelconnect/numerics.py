@@ -15,14 +15,12 @@ __all__ = [
     "NumericsError",
     "DEFAULT_TOL",
     "DEFAULT_STEP",
-    "approx_equal",
     "hermitian_eigh",
     "hermitian_solve",
     "directional_derivative",
     "five_point_weights",
     "format_complex",
     "parse_complex",
-    "write_matrix_csv",
     "read_matrix_csv",
     "matrix_to_csv_text",
     "matrix_from_csv_text",
@@ -45,15 +43,6 @@ def _as_matrix(m) -> np.ndarray:
     if not np.isfinite(a).all():
         raise NumericsError("matrix has non-finite entries")
     return a
-
-
-def approx_equal(a, b, tol: float = DEFAULT_TOL, scale: float | None = None) -> bool:
-    """Mixed absolute/relative comparison: |a-b| <= max(tol, tol*scale)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if scale is None:
-        scale = max(np.max(np.abs(a), initial=0.0), np.max(np.abs(b), initial=0.0))
-    return bool(np.max(np.abs(a - b), initial=0.0) <= max(tol, tol * scale))
 
 
 def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
@@ -168,11 +157,6 @@ def matrix_from_csv_text(text: str) -> np.ndarray:
     if any(len(r) != width for r in rows):
         raise NumericsError("ragged CSV matrix")
     return np.array(rows, dtype=complex)
-
-
-def write_matrix_csv(path, m) -> None:
-    with open(path, "w") as fh:
-        fh.write(matrix_to_csv_text(m))
 
 
 def read_matrix_csv(path) -> np.ndarray:

@@ -13,7 +13,6 @@ from kernelconnect.connections import (
     leibniz_residual,
     make_evaluator,
     parallel_transport,
-    validate_section,
 )
 from kernelconnect.kernels import BundleMorphism, make_bergman_disk, make_fock
 
@@ -102,14 +101,6 @@ def test_parallel_transport_order_of_accuracy():
             for n in (32, 64, 128)]
     orders = [np.log2(errs[i] / errs[i + 1]) for i in range(2)]
     assert min(orders) > 3.7
-
-
-def test_validate_section_catches_wrong_differential():
-    k = make_bergman_disk(2)
-    bad = Section(F=lambda s: np.array([complex(s[0])]),
-                  dF=lambda s, x: np.array([2.0 * complex(x[0])]))  # off by 2
-    with pytest.raises(ValueError):
-        validate_section(k, bad, [(np.array([0.2]), np.array([1.0]))])
 
 
 def test_gauge_pullback_through_constant_rescale():

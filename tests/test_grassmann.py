@@ -15,7 +15,6 @@ from kernelconnect.grassmann import (
     homogeneous_covariant_derivative,
     homogeneous_kernel,
     maurer_cartan,
-    phi_E_vertical,
     projector_from_basis,
     random_grass_tangent,
     reductive_axioms_residual,
@@ -93,21 +92,6 @@ def test_maurer_cartan_requires_complement_direction():
     g = random_unitary(4, seed=4)
     with pytest.raises(DomainError):
         maurer_cartan(rs, g, 1j * np.eye(4))
-
-
-def test_phi_E_vertical_normal_form():
-    rs = ReductiveStructure(coordinate_projector(4, 2))
-    rng = np.random.default_rng(5)
-    f = rs.point.p @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    h = rs.point.p @ (rng.standard_normal(4) + 1j * rng.standard_normal(4))
-    # horizontal direction: pair passes through unchanged
-    a = random_grass_tangent(rs.point, rng).generator
-    f1, h1 = phi_E_vertical(rs, np.eye(4), a, f, h)
-    assert np.linalg.norm(f1 - f) < 1e-12 and np.linalg.norm(h1 - h) < 1e-12
-    # vertical direction contributes E(X) f
-    x = 1j * scipy.linalg.block_diag(np.eye(2), -np.eye(2))
-    _, h2 = phi_E_vertical(rs, np.eye(4), x, f, h)
-    assert np.linalg.norm(h2 - (x @ f + h)) < 1e-12
 
 
 def test_universal_kernel_is_identity_on_diagonal():

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from kernelconnect.numerics import (
     NumericsError,
-    approx_equal,
     directional_derivative,
     format_complex,
     hermitian_eigh,
@@ -78,11 +77,6 @@ def test_hermitian_solve_and_singular_error():
     assert np.linalg.norm(m @ x - rhs) < 1e-12
     with pytest.raises(NumericsError):
         hermitian_solve(np.zeros((2, 2), dtype=complex), rhs)
-
-
-def test_approx_equal():
-    assert approx_equal(1.0, 1.0 + 1e-12)
-    assert not approx_equal(1.0, 1.1)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
