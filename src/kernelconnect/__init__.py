@@ -9,7 +9,6 @@ from .numerics import (
     DEFAULT_STEP,
     DEFAULT_TOL,
     NumericsError,
-    directional_derivative,
     format_complex,
     hermitian_eigh,
     hermitian_solve,

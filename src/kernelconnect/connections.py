@@ -5,7 +5,7 @@
 * direct: kappa(s,s)^(-1) d/dt|0 [kappa(s, gamma(t)) sigma(gamma(t))] along a
   curve gamma with the 1-jet (s, X);
 * sampled: the same derivative realized inside a finite-sample Hilbert space
-  (embed, stencil-differentiate, project onto the fiber, evaluate, invert).
+  (stencil coefficients, project onto the fiber, evaluate, invert).
 
 That the three agree is the central cross-validation of this library.  Also
 here: parallel transport (a linear ODE integrated by the classical 4th-order
@@ -20,9 +20,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel
-from .numerics import DEFAULT_STEP, NumericsError, five_point_weights, hermitian_solve
-from .rkhs import SampledRKHS, embed, evaluate_element, project_fiber, RKHSElement
+from .kernels import BundleMorphism, Kernel, stencil_sum
+from .numerics import DEFAULT_STEP, NumericsError, hermitian_solve
+from .rkhs import RKHSElement, SampledRKHS, build_rkhs
 
 __all__ = [
     "Section",
@@ -107,31 +107,37 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
     manifolds).  Projecting the derivative onto the fiber and evaluating at s
     collapses to exactly this expression by the reproducing property.
     """
-    kss = k(s, s)
-    deriv = k.domain.derivative(s, x, lambda p: k(s, p) @ sigma.value(p), h)
-    return hermitian_solve(kss, deriv)
+    points, weights = k.domain.stencil(s, x, h)
+    m = k.fiber_dim  # one kernel block: kst[j] = kappa(s, (s, *points)[j]), each contiguous
+    kst = np.ascontiguousarray(k.block((s,), (s, *points)).reshape(m, -1, m).transpose(1, 0, 2))
+    deriv = stencil_sum(weights, [b @ sigma.value(p) for b, p in zip(kst[1:], points)])
+    return hermitian_solve(kst[0], deriv)
 
 
 def covariant_derivative_sampled(r: SampledRKHS, sigma: Section, s, x,
                                  h: float = DEFAULT_STEP) -> np.ndarray:
     """The same derivative realized literally in the sampled Hilbert space.
 
-    Embeds the generators at the stencil points gamma(0), gamma(+-h),
-    gamma(+-2h) (all of which must belong to the sample), differentiates the
-    element-valued map coefficientwise, projects onto the fiber at s,
-    evaluates at s and applies kappa(s,s)^(-1).
+    s and the stencil points p_i must belong to the sample.  The derivative
+    element has the coefficient w_i sigma(p_i) at each p_i; it is projected onto
+    the fiber at s and evaluated at s, reading kappa from the Gram matrix only.
     """
-    k = r.kernel
+    return _sampled(r, sigma, s, *r.kernel.domain.stencil(s, x, h))
 
-    def generator(pt) -> np.ndarray:
-        try:
-            return embed(r, pt, sigma.value(pt)).coefficients
-        except KeyError as exc:
-            raise NumericsError("a stencil point is missing from the sample") from exc
 
-    deriv_element = RKHSElement(r, k.domain.derivative(s, x, generator, h))
-    projected = project_fiber(r, s, deriv_element)
-    return hermitian_solve(k(s, s), evaluate_element(projected, s))
+def _sampled(r: SampledRKHS, sigma: Section, s, points, weights) -> np.ndarray:
+    try:
+        i, *at = r.indices((s, *points))
+    except KeyError as exc:
+        raise NumericsError("a stencil point is missing from the sample") from exc
+    c = np.zeros(len(r.points) * r.fiber_dim, dtype=complex)
+    for j, w, p in zip(at, weights, points):
+        c[r.block(j)] += w * sigma.value(p)
+    b = r.block(i)
+    kss, row = r.gram[b, b], r.gram[b]
+    projected = np.zeros_like(c)  # the fiber projection of the derivative element
+    projected[b] = hermitian_solve(kss, row @ RKHSElement(r, c).coefficients)
+    return hermitian_solve(kss, row @ projected)
 
 
 def make_evaluator(k: Kernel, backend: str = "direct",
@@ -146,13 +152,14 @@ def make_evaluator(k: Kernel, backend: str = "direct",
     elif backend == "direct":
         fn = lambda sigma, s, x: covariant_derivative_direct(k, sigma, s, x, h=h)
     elif backend == "sampled":
-        from .rkhs import build_rkhs
-
         def fn(sigma, s, x):
-            gamma = k.domain.curve(s, x)
-            pts = [gamma(t) for t in five_point_weights(h)[0]]
-            r = build_rkhs(k, pts)
-            return covariant_derivative_sampled(r, sigma, pts[2], x, h=h)
+            size = np.abs(x).max(initial=0.0) if isinstance(x, np.ndarray) else np.inf
+            if h > 1e-12 >= h * size:  # the sample would collapse (1e-12 rule): real-linear in x
+                k.domain.check_point(s)
+                k.domain.check_tangent(s, x)
+                return fn(sigma, s, x / size) * size if size else np.zeros(k.fiber_dim, complex)
+            points, weights = k.domain.stencil(s, x, h)
+            return _sampled(build_rkhs(k, (*points[:2], s, *points[2:])), sigma, s, points, weights)
     else:
         raise ValueError(f"unknown backend {backend!r}; use closed-form|direct|sampled")
     return ConnectionEvaluator(backend=backend, kernel=k, evaluate=fn)

@@ -19,18 +19,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import (
-    DEFAULT_STEP,
-    NumericsError,
-    directional_derivative,
-    hermitian_eigh,
-)
+from .numerics import DEFAULT_STEP, NumericsError, hermitian_eigh
 
 __all__ = [
     "DomainError",
     "Domain",
     "VectorDomain",
     "UnitaryDomain",
+    "stencil_sum",
     "Kernel",
     "make_group_kernel",
     "make_bergman_disk",
@@ -45,6 +41,7 @@ __all__ = [
 ]
 
 DISK_BOUNDARY_GUARD = 1.0 - 1e-6
+EDGE_LAYER = 0.08  # nearer the edge the stencil step shrinks; h holds up to |s| = 0.9 on the disk
 
 
 class DomainError(ValueError):
@@ -71,15 +68,30 @@ class Domain:
         """A curve gamma with gamma(0) = s and velocity x at t = 0."""
         raise NotImplementedError
 
-    def derivative(self, s, x, f: Callable[[object], np.ndarray],
-                   h: float = DEFAULT_STEP) -> np.ndarray:
-        """d/dt|0 f(gamma(t)) along the curve gamma with the 1-jet (s, x).
+    def stencil(self, s, x, h: float = DEFAULT_STEP) -> tuple[list, np.ndarray]:
+        """The library's one stencil, on the curve gamma with the 1-jet (s, x).
 
-        Every derivative along a tangent in this library is taken here.
+        Returns the points p = gamma(-2h), gamma(-h), gamma(h), gamma(2h) and the
+        weights w with d/dt|0 f(gamma(t)) = sum_i w_i f(p_i) + O(h^4).
         """
         self.check_tangent(s, x)
-        gamma = self.curve(s, x)
-        return directional_derivative(lambda t: f(gamma(t)), h)
+        if not h > 0:
+            raise NumericsError(f"step must be positive, got {h}")
+        points = list(map(self.curve(s, x), (-2.0 * h, -h, h, 2.0 * h)))
+        return points, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+
+    def derivative(self, s, x, f: Callable, h: float = DEFAULT_STEP) -> np.ndarray:
+        """d/dt|0 f(gamma(t)) along the curve gamma with the 1-jet (s, x), by `stencil`."""
+        points, weights = self.stencil(s, x, h)
+        return stencil_sum(weights, [f(p) for p in points])
+
+
+def stencil_sum(weights: np.ndarray, values: Sequence) -> np.ndarray:
+    """sum_i w_i v_i over the values at the stencil points, in stencil order."""
+    values = [np.asarray(v, dtype=complex) for v in values]
+    if not all(np.isfinite(v).all() for v in values):
+        raise NumericsError("non-finite function value at a stencil point")
+    return sum((w * v for w, v in zip(weights[1:], values[1:])), weights[0] * values[0])
 
 
 @dataclass(frozen=True)
@@ -90,6 +102,13 @@ class VectorDomain(Domain):
     name: str = "C^d"
     # maps an (N, d) stack to (i, reason) for its first point outside the domain, or None
     guard: Optional[Callable[[np.ndarray], Optional[tuple[int, str]]]] = None
+    # maps a point to its distance from the domain's edge, for a bounded domain
+    edge: Optional[Callable[[np.ndarray], float]] = None
+
+    def stencil(self, s, x, h: float = DEFAULT_STEP) -> tuple[list, np.ndarray]:
+        """Domain.stencil, with h shrunk in proportion to an edge distance d < EDGE_LAYER."""
+        d = np.inf if self.edge is None else self.edge(_as_point(s))
+        return super().stencil(s, x, h * d / EDGE_LAYER if 0 < d < EDGE_LAYER else h)
 
     def check_point(self, s) -> None:
         self.stack((s,))
@@ -143,6 +162,10 @@ def _halfplane_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
     i = int(np.argmax(im <= 0))  # 0 when every point is inside
     if im[i] <= 0:
         return i, f"Im z = {im[i]:.3e} must be positive"
+
+
+_disk_edge = lambda s: DISK_BOUNDARY_GUARD - abs(s[0])  # noqa: E731
+_halfplane_edge = lambda z: z[0].imag  # noqa: E731
 
 
 @dataclass(frozen=True)
@@ -256,7 +279,7 @@ def make_bergman_disk(nu: float) -> Kernel:
     """Weighted Bergman kernel (1 - conj(t) s)^(-nu) on the unit disk; nu=1 is Hardy."""
     if not (np.isfinite(nu) and nu >= 1):
         raise ValueError(f"nu must be finite and >= 1, got {nu}")
-    domain = VectorDomain(1, name="unit disk", guard=_disk_guard)
+    domain = VectorDomain(1, name="unit disk", guard=_disk_guard, edge=_disk_edge)
 
     def batch(s, t):
         # b = 1 - s conj(t) = (1 - (sr tr + si ti)) + i (sr ti - si tr); b^-nu in polar form
@@ -278,7 +301,8 @@ def make_bergman_halfplane(nu: float) -> Kernel:
     # |(2i)^nu| = 2^nu overflows a float from nu = 1024 on
     if not (np.isfinite(nu) and 1 <= nu < 1024):
         raise ValueError(f"nu must be finite and in [1, 1024), got {nu}")
-    domain = VectorDomain(1, name="upper half-plane", guard=_halfplane_guard)
+    domain = VectorDomain(1, name="upper half-plane", guard=_halfplane_guard,
+                          edge=_halfplane_edge)
     c = 0.25 * (2.0j) ** nu
 
     def batch(z, w):

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra and numerical differentiation helpers.
+"""Dense complex linear algebra and complex CSV helpers.
 
 All routines work on plain numpy arrays (complex128) and are pure: no
 global state, inputs are never mutated.
@@ -7,7 +7,6 @@ global state, inputs are never mutated.
 from __future__ import annotations
 
 import re
-from typing import Callable
 
 import numpy as np
 
@@ -17,8 +16,6 @@ __all__ = [
     "DEFAULT_STEP",
     "hermitian_eigh",
     "hermitian_solve",
-    "directional_derivative",
-    "five_point_weights",
     "format_complex",
     "parse_complex",
     "read_matrix_csv",
@@ -27,9 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-# h = 1e-4 keeps stencil truncation ~1e-12 even at |s| = 0.9 on the disk,
-# where derivatives of (1 - conj(t)s)^(-nu) grow steeply
-DEFAULT_STEP = 1e-4
+DEFAULT_STEP = 1e-4  # stencil truncation ~1e-12 up to |s| = 0.9 on the disk; see EDGE_LAYER
 
 
 class NumericsError(ValueError):
@@ -74,32 +69,6 @@ def hermitian_solve(m, rhs) -> np.ndarray:
             f"matrix is singular within threshold (|lambda|_min = {mags.min():.3e})")
     y = vectors.conj().T @ np.asarray(rhs, dtype=complex)
     return vectors @ (y / values) if y.ndim == 1 else vectors @ (y / values[:, None])
-
-
-def five_point_weights(h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sample offsets and weights of the 5-point central first-derivative stencil."""
-    ts = np.array([-2.0 * h, -h, 0.0, h, 2.0 * h])
-    ws = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-    return ts, ws
-
-
-def directional_derivative(f: Callable[[float], np.ndarray], h: float = DEFAULT_STEP) -> np.ndarray:
-    """Derivative at t=0 of a vector-valued map via the 5-point central stencil.
-
-    Truncation error is O(h^4) for smooth f.
-    """
-    if h <= 0:
-        raise NumericsError(f"step must be positive, got {h}")
-    ts, ws = five_point_weights(h)
-    acc = None
-    for t, w in zip(ts, ws):
-        if w == 0.0:
-            continue
-        val = np.asarray(f(t), dtype=complex)
-        if not np.all(np.isfinite(val)):
-            raise NumericsError(f"non-finite function value at t={t}")
-        acc = w * val if acc is None else acc + w * val
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,11 +40,20 @@ class SampledRKHS:
     def fiber_dim(self) -> int:
         return self.kernel.fiber_dim
 
-    def point_index(self, s) -> int:
-        pair = _first_duplicate((s, *self.points))  # the sample itself has no duplicates
-        if pair is None or pair[0] != 0:
+    def indices(self, points: Sequence) -> list[int]:
+        """The index of each point in the sample: the sample point within 1e-12 of it."""
+        n = len(points)
+        try:
+            x = _coordinates((*points, *self.points))
+            close = _close(x[:n], x[n:])
+        except ValueError:  # points of different sizes: none is in the sample
+            close = np.zeros((n, 0), dtype=bool)
+        if not close.any(axis=1).all():
             raise KeyError("point is not among the sample points; augment the sample first")
-        return pair[1] - 1
+        return close.argmax(axis=1).tolist()
+
+    def point_index(self, s) -> int:
+        return self.indices((s,))[0]
 
     def block(self, i: int) -> slice:
         m = self.fiber_dim
@@ -65,23 +74,26 @@ class RKHSElement:
         object.__setattr__(self, "coefficients", c)
 
 
-def _first_duplicate(pts: tuple) -> Optional[tuple[int, int]]:
-    """The first pair i < j, in row order, of points (.p of projectors) within 1e-12."""
-    try:
-        x = np.array([np.ravel(getattr(p, "p", p)) for p in pts], dtype=complex)
-    except ValueError:  # points of different sizes, which no domain accepts together
-        return None
-    close = np.abs(x[:, None, :] - x[None, :, :]).max(axis=-1, initial=0.0) <= 1e-12
-    pairs = np.argwhere(np.triu(close, 1))
-    return (int(pairs[0, 0]), int(pairs[0, 1])) if len(pairs) else None
+def _coordinates(pts: Sequence) -> np.ndarray:
+    """Points (.p of projectors) as rows; ValueError when their sizes differ."""
+    return np.array([np.ravel(getattr(p, "p", p)) for p in pts], dtype=complex)
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """close[i, j]: rows a[i] and b[j] are one point, equal within 1e-12 entry by entry."""
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1, initial=0.0) <= 1e-12
 
 
 def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
     """Assemble the Gram matrix on distinct sample points and certify positivity."""
     pts = tuple(points)
-    duplicate = _first_duplicate(pts)
-    if duplicate is not None:
-        raise ValueError("duplicate sample points at indices {} and {}".format(*duplicate))
+    try:
+        x = _coordinates(pts)
+        pairs = np.argwhere(np.triu(_close(x, x), 1))  # in row order
+    except ValueError:  # points of different sizes, which gram_matrix rejects
+        pairs = ()
+    if len(pairs):
+        raise ValueError("duplicate sample points at indices {} and {}".format(*pairs[0]))
     gram = gram_matrix(k, pts)
     is_psd, lam_min = positivity_certificate(gram)
     if not is_psd:
@@ -116,16 +128,14 @@ def project_fiber(r: SampledRKHS, s, f: RKHSElement) -> RKHSElement:
     """Gram-orthogonal projection of f onto the fiber span at sample point s.
 
     The reproducing property turns the fiber Gram into kappa(s,s), so the
-    projection coefficients are kappa(s,s)^(-1) f(s) in the block of s.
-    Fails when kappa(s,s) is singular within threshold.
+    projection coefficients are kappa(s,s)^(-1) f(s) in the block of s, both read
+    from the Gram matrix.  Fails when kappa(s,s) is singular within threshold.
     """
     if f.space is not r:
         raise ValueError("element belongs to a different sampled space")
-    i = r.point_index(s)
-    kss = r.kernel(s, s)
-    coeff = hermitian_solve(kss, evaluate_element(f, s))
+    b = r.block(r.point_index(s))
     c = np.zeros_like(f.coefficients)
-    c[r.block(i)] = coeff
+    c[b] = hermitian_solve(r.gram[b, b], r.gram[b] @ f.coefficients)
     return RKHSElement(r, c)
 
 
@@ -136,11 +146,11 @@ def universality_residual(r: SampledRKHS) -> float:
     |(kappa(s,t) v | w) - <P_{fiber(s)} khat(t,v), khat(s,w)>|.  Column (t, v) of
     kappa(s, .) is khat(t,v)(s); its fiber projection has coefficients
     kappa(s,s)^(-1) kappa(s,t) v, and pairing with khat(s,w) takes row w of G[s,s].
+    Every kernel value is read from the Gram matrix.
     """
-    k = r.kernel
     res = 0.0
-    for i, s in enumerate(r.points):
-        row = k.block((s,), r.points)
-        proj = hermitian_solve(k(s, s), row)
-        res = max(res, float(np.max(np.abs(row - r.gram[r.block(i), r.block(i)] @ proj))))
+    for i in range(len(r.points)):
+        b = r.block(i)
+        row, kss = r.gram[b], r.gram[b, b]
+        res = max(res, float(np.max(np.abs(row - kss @ hermitian_solve(kss, row)))))
     return res

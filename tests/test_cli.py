@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kernelconnect import verify
 from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, main, parse_kernel_spec
 from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk
-from kernelconnect.numerics import matrix_from_csv_text, matrix_to_csv_text
+from kernelconnect.numerics import matrix_from_csv_text, matrix_to_csv_text, parse_complex
 from kernelconnect.cpmaps import random_unital_cpmap
 
 
@@ -122,12 +122,37 @@ def test_connect_covderiv_reports_three_backends(capsys):
     assert rep["max_disagreement"] < 1e-6
 
 
-@pytest.mark.parametrize("point", ["0.95", "0.97", "0.99"])
+@pytest.mark.parametrize("point", ["0.95", "0.97", "0.99", "0.999"])
 def test_connect_covderiv_agrees_near_the_unit_circle(capsys, point):
     code, out, _ = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
                            "--point", point, "--direction", "1")
     assert code == 0
     assert json.loads(out)["max_disagreement"] < 1e-6
+
+
+@pytest.mark.parametrize("point", ["0.3+0.01i", "0.3+0.001i"])
+def test_connect_covderiv_agrees_near_the_real_axis(capsys, point):
+    code, out, _ = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-halfplane:nu=2",
+                           "--point", point, "--direction", "1")
+    assert code == 0
+    assert json.loads(out)["max_disagreement"] < 1e-6
+
+
+def test_connect_covderiv_near_the_circle_keeps_its_stencil_inside(capsys):
+    # the stencil step shrinks with the distance to the circle: no point leaves the disk
+    code, out, err = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
+                             "--point", "0.9999", "--direction", "1")
+    assert err == "" and json.loads(out)["max_disagreement"] < 1e-5
+
+
+@pytest.mark.parametrize("direction, value", [("0", 0.0), ("1e-9", 4e-9 / 3), ("1e-300", 0.0)])
+def test_connect_covderiv_takes_a_zero_or_tiny_direction(capsys, direction, value):
+    code, out, _ = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
+                           "--point", "0.5", "--direction", direction)
+    assert code == 0
+    rep = json.loads(out)
+    for backend in ("closed", "direct", "sampled"):
+        assert abs(parse_complex(rep[backend][0]) - value) < 1e-11
 
 
 @pytest.mark.parametrize("argv, flag, literal", [

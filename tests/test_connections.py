@@ -8,13 +8,35 @@ from kernelconnect.connections import (
     connection_form,
     covariant_derivative_closed_form,
     covariant_derivative_direct,
+    covariant_derivative_sampled,
     gauge_pullback_connection,
     intertwining_residual,
     leibniz_residual,
     make_evaluator,
     parallel_transport,
 )
-from kernelconnect.kernels import BundleMorphism, make_bergman_disk, make_fock
+from kernelconnect.cpmaps import random_unitary
+from kernelconnect.grassmann import (
+    HermitianProjector,
+    coordinate_projector,
+    random_grass_tangent,
+    universal_kernel,
+)
+from kernelconnect.kernels import (
+    BundleMorphism,
+    Kernel,
+    make_bergman_disk,
+    make_bergman_halfplane,
+    make_fock,
+)
+from kernelconnect.numerics import NumericsError, hermitian_solve
+from kernelconnect.rkhs import (
+    RKHSElement,
+    build_rkhs,
+    evaluate_element,
+    project_fiber,
+    universality_residual,
+)
 
 CONSTANT = Section(F=lambda s: np.array([1.0 + 0j]), dF=lambda s, x: np.array([0.0 + 0j]))
 
@@ -134,3 +156,139 @@ def test_closed_form_uses_analytic_differential():
     closed = covariant_derivative_closed_form(k, sigma, s, x)
     direct = covariant_derivative_direct(k, sigma, s, x, h=1e-4)
     assert np.linalg.norm(closed - direct) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# One stencil, one kernel evaluation per derivative
+
+def _bitwise_cases():
+    """(kernel, section, points, tangents) on three scalar families and one loop-fallback kernel."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for k, pts in [
+        (make_bergman_disk(1), [np.array([0.7 * np.exp(1j * a)]) for a in rng.uniform(0, 6, 4)]),
+        (make_bergman_disk(2.5), [np.array([0.85 * np.exp(1j * a)]) for a in rng.uniform(0, 6, 4)]),
+        (make_bergman_halfplane(2), [np.array([v + 0.5j]) for v in rng.uniform(-1, 1, 4)]),
+        (make_fock(np.eye(3)), [0.5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+                                for _ in range(4)]),
+    ]:
+        dim = k.domain.dim
+        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        sigma = Section(F=lambda s, a=a: np.array([1.0 + a @ np.asarray(s, dtype=complex)]))
+        xs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in pts]
+        cases.append((k, sigma, pts, xs))
+    base = coordinate_projector(4, 2)
+    pts = [HermitianProjector(u @ base.p @ u.conj().T, 2)
+           for u in (random_unitary(4, seed=80 + i) for i in range(3))]
+    w = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    sigma = Section(F=lambda p: w @ p.p[:, 0])
+    cases.append((universal_kernel(4, 2), sigma, pts, [random_grass_tangent(p, rng) for p in pts]))
+    return cases
+
+
+def _per_pair_stencil(k, s, x, h=1e-4):
+    """The stencil points and weights, restated: gamma(t) at t = -2h, -h, h, 2h."""
+    gamma = k.domain.curve(s, x)
+    points = [gamma(t) for t in (-2.0 * h, -h, h, 2.0 * h)]
+    return points, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+
+
+def test_backends_equal_their_per_pair_formulas_bit_for_bit():
+    for k, sigma, pts, xs in _bitwise_cases():
+        m = k.fiber_dim
+        for s, x in zip(pts, xs):
+            points, weights = _per_pair_stencil(k, s, x)
+            acc = None
+            for w, p in zip(weights, points):
+                term = w * (k(s, p) @ sigma.value(p))
+                acc = term if acc is None else acc + term
+            direct = hermitian_solve(k(s, s), acc)
+            assert np.array_equal(covariant_derivative_direct(k, sigma, s, x), direct), k.name
+
+            sample = (*points[:2], s, *points[2:])
+            acc = None
+            for i, w in zip((0, 1, 3, 4), weights):
+                term = np.zeros(5 * m, dtype=complex)
+                term[i * m:(i + 1) * m] = sigma.value(sample[i])
+                term = w * term
+                acc = term if acc is None else acc + term
+            row = np.hstack([k(s, t) for t in sample])
+            projected = np.zeros(5 * m, dtype=complex)
+            projected[2 * m:3 * m] = hermitian_solve(k(s, s), row @ acc)
+            sampled = hermitian_solve(k(s, s), row @ projected)
+            assert np.array_equal(make_evaluator(k, "sampled")(sigma, s, x), sampled), k.name
+            r = build_rkhs(k, sample)
+            assert np.array_equal(covariant_derivative_sampled(r, sigma, s, x), sampled), k.name
+
+
+def test_rkhs_reads_equal_their_per_pair_formulas_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for k, _, pts, _ in _bitwise_cases():
+        m = k.fiber_dim
+        r = build_rkhs(k, pts)
+        c = rng.standard_normal(len(pts) * m) + 1j * rng.standard_normal(len(pts) * m)
+        f = RKHSElement(r, c)
+        res = 0.0
+        for i, s in enumerate(pts):
+            row = np.hstack([k(s, t) for t in pts])
+            assert np.array_equal(evaluate_element(f, s), row @ c), k.name
+            want = np.zeros_like(c)
+            want[i * m:(i + 1) * m] = hermitian_solve(k(s, s), row @ c)
+            assert np.array_equal(project_fiber(r, s, f).coefficients, want), k.name
+            proj = hermitian_solve(k(s, s), row)
+            res = max(res, float(np.max(np.abs(row - r.gram[i * m:(i + 1) * m, i * m:(i + 1) * m]
+                                               @ proj))))
+        assert universality_residual(r) == res, k.name
+
+
+def _count_blocks(monkeypatch):
+    """Record the (ss, ts) point lists of every Kernel.block call."""
+    calls = []
+    block = Kernel.block
+
+    def counted(self, ss, ts):
+        calls.append((ss, ts))
+        return block(self, ss, ts)
+
+    monkeypatch.setattr(Kernel, "block", counted)
+    return calls
+
+
+def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
+    for k, sigma, pts, xs in _bitwise_cases():
+        calls = _count_blocks(monkeypatch)
+        covariant_derivative_direct(k, sigma, pts[0], xs[0])
+        assert len(calls) == 1 and len(calls[0][0]) == 1 and len(calls[0][1]) == 5, k.name
+        monkeypatch.undo()
+
+
+def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
+    for k, sigma, pts, xs in _bitwise_cases():
+        calls = _count_blocks(monkeypatch)
+        monkeypatch.setattr(Kernel, "d2_eval", None)
+        make_evaluator(k, "sampled")(sigma, pts[0], xs[0])
+        assert len(calls) == 1 and calls[0][0] is calls[0][1] and len(calls[0][0]) == 5, k.name
+        monkeypatch.undo()
+
+
+def test_sampled_backend_names_a_missing_stencil_point():
+    k = make_bergman_disk(2)
+    s, x = np.array([0.3]), np.array([1.0])
+    points, _ = _per_pair_stencil(k, s, x)
+    r = build_rkhs(k, [points[0], points[1], s, points[2]])  # gamma(2h) is missing
+    with pytest.raises(NumericsError, match="a stencil point is missing from the sample"):
+        covariant_derivative_sampled(r, CONSTANT, s, x)
+
+
+@pytest.mark.parametrize("size", [0.0, 1e-300, 1e-9, 1e-8])
+def test_sampled_backend_is_real_linear_where_its_stencil_would_collapse(size):
+    k = make_bergman_disk(2)
+    s, x = np.array([0.5 + 0.1j]), np.array([1.0 - 2.0j]) / np.sqrt(5.0)
+    sigma = Section(F=lambda p: np.array([1.0 + 0.3 * complex(p[0])]))
+    closed = covariant_derivative_closed_form(k, sigma, s, size * x)
+    sampled = make_evaluator(k, "sampled")(sigma, s, size * x)
+    assert np.linalg.norm(sampled - closed) <= 1e-12 + 1e-9 * size
+    if size == 0.0:
+        assert np.array_equal(sampled, np.zeros(1))
+        with pytest.raises(ValueError):
+            make_evaluator(k, "sampled")(sigma, np.array([1.5]), np.zeros(1))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from kernelconnect.cpmaps import random_unitary
 
 from kernelconnect.kernels import (
+    DISK_BOUNDARY_GUARD,
     BundleMorphism,
     DomainError,
     UnitaryDomain,
@@ -328,3 +329,44 @@ def test_block_with_no_points_on_one_side_is_empty():
                  (make_rank_one_kernel(lambda p: np.ones(2), 2, VectorDomain(1)), 0.5)):
         assert k.block([s], []).shape == (k.fiber_dim, 0)
         assert k.block([], [s]).shape == (0, k.fiber_dim)
+
+
+def test_stencil_derivative_matches_analytic():
+    # d/dt exp((0.3+0.2i) t) at 0 = 0.3+0.2i; 5-point stencil is O(h^4)
+    c = 0.3 + 0.2j
+    d = VectorDomain(1).derivative(np.array([0.0]), np.array([1.0]), lambda p: np.exp(c * p))
+    assert abs(d[0] - c) < 1e-12
+
+
+def test_stencil_derivative_rejects_bad_step():
+    for h in (0.0, -1e-4, float("nan")):
+        with pytest.raises(NumericsError, match="step must be positive"):
+            VectorDomain(1).stencil(np.array([0.0]), np.array([1.0]), h=h)
+
+
+def test_stencil_derivative_rejects_a_non_finite_value():
+    with pytest.raises(NumericsError, match="non-finite function value"):
+        VectorDomain(1).derivative(np.array([0.0]), np.array([1.0]),
+                                   lambda p: np.array([np.inf if p[0] > 0 else 1.0]))
+
+
+def test_stencil_is_the_five_point_rule_along_the_curve():
+    s, x, h = np.array([0.3 - 0.1j]), np.array([1.0 + 2.0j]), 1e-3
+    points, weights = VectorDomain(1).stencil(s, x, h)
+    assert np.array_equal(np.array(points), s + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * h * x)
+    assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h))
+
+
+@pytest.mark.parametrize("make, point", [  # point(d) lies at distance d from the edge
+    (lambda: make_bergman_disk(2), lambda d: DISK_BOUNDARY_GUARD - d),
+    (lambda: make_bergman_halfplane(2), lambda d: 0.3 + 1j * d),
+])
+def test_stencil_step_shrinks_only_near_the_edge(make, point):
+    domain = make().domain
+    for d, h in [(0.5, 1e-4), (0.1, 1e-4), (0.081, 1e-4), (0.04, 5e-5), (1e-4, 1.25e-7)]:
+        s = np.array([point(d)])
+        _, weights = domain.stencil(s, np.array([1.0]))
+        assert weights[0] * 12.0 * h == pytest.approx(1.0, rel=1e-9)
+        if d >= 0.08:  # EDGE_LAYER: the step is exactly the caller's
+            assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4))
+        domain.stack(domain.stencil(s, np.array([1.0]))[0])  # every point stays inside

@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from kernelconnect.numerics import (
     NumericsError,
-    directional_derivative,
     format_complex,
     hermitian_eigh,
     hermitian_solve,
@@ -47,18 +46,6 @@ def test_csv_matrix_round_trip():
 def test_csv_reader_rejects_ragged_input():
     with pytest.raises(NumericsError):
         matrix_from_csv_text("1+0i,2+0i\n3+0i\n")
-
-
-def test_stencil_derivative_matches_analytic():
-    # d/dt exp((0.3+0.2i) t) at 0 = 0.3+0.2i; 5-point stencil is O(h^4)
-    c = 0.3 + 0.2j
-    d = directional_derivative(lambda t: np.array([np.exp(c * t)]))
-    assert abs(d[0] - c) < 1e-12
-
-
-def test_stencil_derivative_rejects_bad_step():
-    with pytest.raises(NumericsError):
-        directional_derivative(lambda t: np.array([t]), h=0.0)
 
 
 def test_hermitian_eigh_reconstructs():
