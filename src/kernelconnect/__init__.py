@@ -48,6 +48,7 @@ from .connections import (
     Curve,
     Section,
     connection_form,
+    connection_forms,
     covariant_derivative_closed_form,
     covariant_derivative_direct,
     covariant_derivative_sampled,

@@ -17,6 +17,7 @@ from . import verify
 from .connections import (
     Curve,
     Section,
+    _transport,
     covariant_derivative_direct,
     make_evaluator,
     parallel_transport,
@@ -218,6 +219,7 @@ def _cmd_connect_covderiv(args) -> int:
               for name in ("closed-form", "direct", "sampled")}
     spread = max(float(np.linalg.norm(values[a] - values[b]))
                  for a in values for b in values)
+    scale = max(1.0, *(float(np.linalg.norm(v)) for v in values.values()))
     _emit_json({
         "closed": _vector_json(values["closed-form"]),
         "direct": _vector_json(values["direct"]),
@@ -225,7 +227,7 @@ def _cmd_connect_covderiv(args) -> int:
         "max_disagreement": spread,
         "tolerance": args.tol,
     }, args.output)
-    return 0 if spread < args.tol else 1
+    return 0 if spread < args.tol * scale else 1
 
 
 def _cmd_connect_transport(args) -> int:
@@ -240,8 +242,12 @@ def _cmd_connect_transport(args) -> int:
     curve = Curve(gamma=lambda t: (1.0 - t) * start + t * end,
                   velocity=lambda t: end - start)
     rungs = sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})
-    ladder = {n: parallel_transport(k, curve, v0, steps=n) for n in rungs}
-    final = ladder[args.steps]
+    ladder = {}
+    for n in rungs:  # ends: kappa(s, s) at the segment's two ends, the same on every rung
+        ladder[n], ends = _transport(k, curve, v0, steps=n)
+    final = ladder[args.steps]  # metric_drift: v* kappa(s, s) v, which exact transport keeps
+    start_norm, end_norm = (np.vdot(v, kss @ v).real for v, kss in zip((v0, final), ends))
+    drift = abs(end_norm - start_norm) / start_norm if start_norm else 0.0
     if len(rungs) == 1:  # --steps 1 has no coarser rung: measure it against 2 steps
         own_error = float(np.linalg.norm(final - parallel_transport(k, curve, v0, steps=2)))
     else:  # step doubling at the rate the ladder shows, at most RK4's (steps / coarse)^4
@@ -261,6 +267,7 @@ def _cmd_connect_transport(args) -> int:
             "vector": _vector_json(final),
             "steps": args.steps,
             "convergence": [{"steps": n, "error": err} for n, err in table],
+            "metric_drift": float(drift),
             "tolerance": args.tol,
         }, args.output)
     return 0 if dict(table)[args.steps] < args.tol else 1

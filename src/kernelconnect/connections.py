@@ -29,6 +29,7 @@ __all__ = [
     "Curve",
     "ConnectionEvaluator",
     "connection_form",
+    "connection_forms",
     "covariant_derivative_closed_form",
     "covariant_derivative_direct",
     "covariant_derivative_sampled",
@@ -79,14 +80,15 @@ def connection_form(k: Kernel, s, h: float = DEFAULT_STEP) -> Callable[[object],
     """The local connection 1-form at s: alpha(X) = kappa(s,s)^(-1) d2_kappa(s,s)(X).
 
     Real-linear in X; for scalar kernels this is d2_kappa(s,s)(X)/kappa(s,s).
-    Fails when kappa(s,s) is singular.
+    Fails when kappa(s,s) is singular.  The one-point case of `connection_forms`.
     """
-    kss = k(s, s)
+    return lambda x: connection_forms(k, (s,), (x,), h)[0]
 
-    def alpha(x) -> np.ndarray:
-        return hermitian_solve(kss, k.d2_eval(s, s, x, h=h))
 
-    return alpha
+def connection_forms(k: Kernel, points: Sequence, directions: Sequence,
+                     h: float = DEFAULT_STEP) -> np.ndarray:
+    """The (L, M, M) stack of forms alpha_{s_j}(x_j), from one diagonal jet and one solve."""
+    return hermitian_solve(*k.diagonal_jet(points, directions, h))
 
 
 def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
@@ -170,26 +172,29 @@ def parallel_transport(k: Kernel, curve: Curve, v0, steps: int) -> np.ndarray:
 
     Classical 4th-order one-step integration with fixed step 1/steps.
     """
+    return _transport(k, curve, v0, steps)[0]
+
+
+def _transport(k: Kernel, curve: Curve, v0, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """parallel_transport, and the (2, M, M) kappa(s, s) at the curve's two ends.
+
+    One diagonal jet gives the forms at the nodes t_j = j / (2 steps), one stacked
+    expression every step's propagator P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v.
+    """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     v = np.atleast_1d(np.asarray(v0, dtype=complex))
-
-    def form(t: float) -> np.ndarray:
-        return connection_form(k, curve.gamma(t))(curve.velocity(t))
-
-    dt = 1.0 / steps
-    t = 0.0
-    a_end = form(t)
-    for _ in range(steps):
-        # stages 2 and 3 share t + dt/2; stage 4's t + dt is the next step's stage 1
-        a_start, a_mid, a_end = a_end, form(t + 0.5 * dt), form(t + dt)
-        k1 = -(a_start @ v)
-        k2 = -(a_mid @ (v + 0.5 * dt * k1))
-        k3 = -(a_mid @ (v + 0.5 * dt * k2))
-        k4 = -(a_end @ (v + dt * k3))
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += dt
-    return v
+    nodes = np.arange(2 * steps + 1) / (2 * steps)
+    kss, d2 = k.diagonal_jet(list(map(curve.gamma, nodes)), list(map(curve.velocity, nodes)))
+    a = -hermitian_solve(kss, d2)
+    dt, eye = 1.0 / steps, np.eye(k.fiber_dim)
+    k1 = a[:-1:2]
+    k2 = a[1::2] @ (eye + 0.5 * dt * k1)
+    k3 = a[1::2] @ (eye + 0.5 * dt * k2)
+    k4 = a[2::2] @ (eye + dt * k3)
+    for p in eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
+        v = p @ v
+    return v, kss[::2 * steps]
 
 
 def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],

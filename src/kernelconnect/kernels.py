@@ -208,10 +208,11 @@ class Kernel:
     `eval` returns the M x M matrix kappa(s, t).  `d2`, when present, returns
     the real-linear directional derivative of t -> kappa(s, t) in direction x
     (a conjugate-linear expression for the anti-holomorphic built-ins).
-    Kernels lacking `d2` fall back to domain.derivative(t, x, ...).
-    `batch`, when present, maps the (L, d) and (J, d) point stacks of a
-    VectorDomain to the (L, J) array of a scalar kernel's values.  Every entry
-    must depend on its own two points alone, bit for bit, whatever L and J are.
+    Kernels lacking `d2` fall back to domain.stencil(t, x) over one block.
+    `batch`, when present, maps point arrays of a VectorDomain, coordinates on
+    the last axis and leading axes broadcast, to a scalar kernel's values; its
+    `d2` then maps (s, t, x) arrays the same way.  Every entry must depend on
+    its own points alone, bit for bit, whatever the shapes are.
     """
 
     fiber_dim: int
@@ -225,6 +226,11 @@ class Kernel:
         ss = (s,)
         return self.block(ss, ss if t is s else (t,))
 
+    def _finite(self, out: np.ndarray, what: str = "value") -> np.ndarray:
+        if not np.isfinite(out).all():
+            raise NumericsError(f"{self.name}: kernel {what} is not finite")
+        return out
+
     def block(self, ss: Sequence, ts: Sequence) -> np.ndarray:
         """The len(ss)*M x len(ts)*M matrix whose block (l, j) is kappa(ss[l], ts[j]).
 
@@ -232,31 +238,43 @@ class Kernel:
         """
         if self.batch is not None:
             s_stack = self.domain.stack(ss)
-            out = self.batch(s_stack, s_stack if ts is ss else self.domain.stack(ts))
-        else:
-            for p in ss if ts is ss else (*ss, *ts):
-                self.domain.check_point(p)
-            m = self.fiber_dim
-            out = np.empty((len(ss), m, len(ts), m), dtype=complex)
-            for l, s in enumerate(ss):
-                for j, t in enumerate(ts):
-                    out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
-            out = out.reshape(len(ss) * m, len(ts) * m)
-        if not np.isfinite(out).all():
-            raise NumericsError(f"{self.name}: kernel value is not finite")
-        return out
+            t_stack = s_stack if ts is ss else self.domain.stack(ts)
+            return self._finite(self.batch(s_stack[:, None], t_stack[None]))
+        for p in ss if ts is ss else (*ss, *ts):
+            self.domain.check_point(p)
+        m = self.fiber_dim
+        out = np.empty((len(ss), m, len(ts), m), dtype=complex)
+        for l, s in enumerate(ss):
+            for j, t in enumerate(ts):
+                out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
+        return self._finite(out.reshape(len(ss) * m, len(ts) * m))
 
     def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:
         """Directional derivative of kappa(s, .) at t in direction x."""
         for p in (s,) if t is s else (s, t):
             self.domain.check_point(p)
-        if self.d2 is None:  # block checks every value the stencil reads
-            return self.domain.derivative(t, x, lambda p: self(s, p), h)
+        m = self.fiber_dim
+        if self.d2 is None:  # one block holds every value the stencil reads
+            points, weights = self.domain.stencil(t, x, h)
+            return stencil_sum(weights, self.block((s,), points).reshape(m, 4, m).swapaxes(0, 1))
         self.domain.check_tangent(t, x)
-        out = np.asarray(self.d2(s, t, x), dtype=complex)
-        if not np.isfinite(out).all():
-            raise NumericsError(f"{self.name}: kernel derivative is not finite")
-        return out.reshape(self.fiber_dim, self.fiber_dim)
+        args = (s, t, x) if self.batch is None else map(_as_point, (s, t, x))  # array d2
+        return self._finite(np.asarray(self.d2(*args), dtype=complex), "derivative").reshape(m, m)
+
+    def diagonal_jet(self, points: Sequence, directions: Sequence,
+                     h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
+        """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j).
+
+        With `batch` and `d2`: one domain check, one array expression each; else a loop.
+        """
+        if self.batch is None or self.d2 is None:
+            return (np.array([self(s, s) for s in points]),
+                    np.array([self.d2_eval(s, s, x, h) for s, x in zip(points, directions)]))
+        s = self.domain.stack(points)
+        x = np.array(directions, dtype=complex).reshape(len(s), -1)
+        self.domain.check_tangent(s[0], x[0])  # every row has the dimension of the first
+        return (self._finite(self.batch(s, s)).reshape(-1, 1, 1),
+                self._finite(self.d2(s, s, x), "derivative").reshape(-1, 1, 1))
 
 
 def _polar(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:  # mag e^{i phase}, part by part
@@ -266,12 +284,19 @@ def _polar(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:  # mag e^{i phase}
     return out
 
 
-# Batch formulas use real elementwise arithmetic and sum coordinates along the
-# last axis of a fresh array.  numpy's complex multiply and BLAS round differently
-# with the shape; these do not, so every entry of a block has the bits of its 1 x 1.
+def _times(a: np.ndarray, fr, fi) -> np.ndarray:  # a (fr + i fi), part by part
+    out = np.empty(a.shape, dtype=complex)
+    np.subtract(a.real * fr, a.imag * fi, out=out.real)
+    np.add(a.real * fi, a.imag * fr, out=out.imag)
+    return out
+
+
+# Batch and d2 formulas use real elementwise arithmetic and sum coordinates along
+# the last axis of a fresh array.  numpy's complex multiply and BLAS round differently
+# with the shape; these do not, so every entry of a stack has the bits of its 1 x 1.
 
 def _scalar_kernel(domain: VectorDomain, batch, d2, name: str) -> Kernel:
-    ev = lambda s, t: batch(_as_point(s)[None], _as_point(t)[None])  # noqa: E731
+    ev = lambda s, t: batch(_as_point(s), _as_point(t)).reshape(1, 1)  # noqa: E731
     return Kernel(1, domain, ev, d2, name=name, batch=batch)
 
 
@@ -281,19 +306,19 @@ def make_bergman_disk(nu: float) -> Kernel:
         raise ValueError(f"nu must be finite and >= 1, got {nu}")
     domain = VectorDomain(1, name="unit disk", guard=_disk_guard, edge=_disk_edge)
 
-    def batch(s, t):
-        # b = 1 - s conj(t) = (1 - (sr tr + si ti)) + i (sr ti - si tr); b^-nu in polar form
-        sr, si, tr, ti = s.real, s.imag, t.real.T, t.imag.T
+    def power(s, t, p):
+        # b = 1 - s conj(t) = (1 - (sr tr + si ti)) + i (sr ti - si tr); b^-p in polar form
+        sr, si, tr, ti = s.real[..., 0], s.imag[..., 0], t.real[..., 0], t.imag[..., 0]
         br = 1.0 - (sr * tr + si * ti)
         bi = sr * ti - si * tr
-        return _polar((br * br + bi * bi) ** (-0.5 * nu), -nu * np.arctan2(bi, br))
+        return _polar((br * br + bi * bi) ** (-0.5 * p), -p * np.arctan2(bi, br))
 
-    def d2(s, t, x):
-        s0, t0 = complex(np.asarray(s).flat[0]), complex(np.asarray(t).flat[0])
-        w = complex(np.asarray(x).flat[0])
-        return np.array([[nu * s0 * np.conj(w) * (1.0 - np.conj(t0) * s0) ** (-nu - 1)]])
+    def d2(s, t, x):  # nu s conj(x) b^-(nu+1)
+        sr, si, xr, xi = s.real[..., 0], s.imag[..., 0], x.real[..., 0], x.imag[..., 0]
+        return _times(power(s, t, nu + 1), nu * (sr * xr + si * xi), nu * (si * xr - sr * xi))
 
-    return _scalar_kernel(domain, batch, d2, f"bergman-disk:nu={float(nu)!r}".removesuffix(".0"))
+    return _scalar_kernel(domain, lambda s, t: power(s, t, nu), d2,
+                          f"bergman-disk:nu={float(nu)!r}".removesuffix(".0"))
 
 
 def make_bergman_halfplane(nu: float) -> Kernel:
@@ -303,20 +328,17 @@ def make_bergman_halfplane(nu: float) -> Kernel:
         raise ValueError(f"nu must be finite and in [1, 1024), got {nu}")
     domain = VectorDomain(1, name="upper half-plane", guard=_halfplane_guard,
                           edge=_halfplane_edge)
-    c = 0.25 * (2.0j) ** nu
 
-    def batch(z, w):
-        # kappa = (2i/b)^nu / 4 with b = z - conj(w), Im b > 0; arg(2i/b) = atan2(Re b, Im b)
-        br = z.real - w.real.T
-        bi = z.imag + w.imag.T
-        return _polar(0.25 * (4.0 / (br * br + bi * bi)) ** (0.5 * nu), nu * np.arctan2(br, bi))
+    def power(z, w, p):
+        # (2i/b)^p / 4 with b = z - conj(w), Im b > 0; arg(2i/b) = atan2(Re b, Im b)
+        br = z.real[..., 0] - w.real[..., 0]
+        bi = z.imag[..., 0] + w.imag[..., 0]
+        return _polar(0.25 * (4.0 / (br * br + bi * bi)) ** (0.5 * p), p * np.arctan2(br, bi))
 
-    def d2(z, w, x):
-        z0, w0 = complex(np.asarray(z).flat[0]), complex(np.asarray(w).flat[0])
-        lam = complex(np.asarray(x).flat[0])
-        return np.array([[c * nu * np.conj(lam) * (z0 - np.conj(w0)) ** (-nu - 1)]])
+    def d2(z, w, x):  # nu conj(x) (2i)^nu b^-(nu+1) / 4 = power(nu + 1) nu conj(x) / 2i
+        return _times(power(z, w, nu + 1), -0.5 * nu * x.imag[..., 0], -0.5 * nu * x.real[..., 0])
 
-    return _scalar_kernel(domain, batch, d2,
+    return _scalar_kernel(domain, lambda z, w: power(z, w, nu), d2,
                           f"bergman-halfplane:nu={float(nu)!r}".removesuffix(".0"))
 
 
@@ -337,18 +359,18 @@ def make_fock(beta) -> Kernel:
     domain = VectorDomain(dim, name=f"C^{dim}")
     b_re, b_im = b.real, b.imag
 
-    def batch(z, w):
-        # v = B conj(w), one row per point of w; then beta = sum_j z_j v_j
-        wr, wi, zr, zi = w.real[:, None], w.imag[:, None], z.real[:, None], z.imag[:, None]
-        vr, vi = (b_re * wr + b_im * wi).sum(-1), (b_im * wr - b_re * wi).sum(-1)
-        re = (zr * vr - zi * vi).sum(-1)
-        return _polar(np.exp(re), (zr * vi + zi * vr).sum(-1))
-
     def form(z, w):
-        return np.dot(np.asarray(z, dtype=complex), b @ np.conj(np.asarray(w, dtype=complex)))
+        # real and imaginary parts of beta: v = B conj(w), then sum_j z_j v_j
+        wr, wi, zr, zi = w.real[..., None, :], w.imag[..., None, :], z.real, z.imag
+        vr, vi = (b_re * wr + b_im * wi).sum(-1), (b_im * wr - b_re * wi).sum(-1)
+        return (zr * vr - zi * vi).sum(-1), (zr * vi + zi * vr).sum(-1)
 
-    def d2(z, w, x):
-        return np.array([[np.exp(form(z, w)) * form(z, x)]])
+    def batch(z, w):
+        re, im = form(z, w)
+        return _polar(np.exp(re), im)
+
+    def d2(z, w, x):  # exp(beta(z, w)) beta(z, x)
+        return _times(batch(z, w), *form(z, x))
 
     return _scalar_kernel(domain, batch, d2, f"fock:dim={dim}")
 
@@ -450,33 +472,21 @@ def pull_back_kernel(theta: BundleMorphism, k_target: Kernel, fiber_dim: int,
 def admissibility_report(k: Kernel, points: Sequence) -> dict:
     """Diagnostics for kernel admissibility on a finite sample.
 
-    Reports the minimum singular value of kappa(s,s) over the sample, the
-    RKHS embedding lower bound computed independently from the assembled Gram
-    matrix (min over unit fiber vectors v of ||K^(s,v)||^2), and the maximal
-    Hermitian-symmetry residual.  The two leading numbers coincide for a true
-    kernel, which makes their equality testable.
+    Reports the smallest eigenvalue of kappa(s,s) over the sample, read from the
+    diagonal blocks of the assembled Gram matrix, and the maximal Hermitian-symmetry
+    residual.  The RKHS embedding lower bound, min over unit fiber vectors v of
+    ||K^(s,v)||^2 = v* kappa(s,s) v, is that same eigenvalue: `min_sigma` and
+    `embedding_lower_bound` agree by construction.
     """
     if len(points) < 2:
         raise ValueError("need at least two points")
-    m = k.fiber_dim
-    min_sigma = np.inf
-    for s in points:
-        values, _ = hermitian_eigh(k(s, s))
-        min_sigma = min(min_sigma, float(values[0]))
-
-    gram = gram_matrix(k, points)
-    embed_bound = np.inf
-    for i in range(len(points)):
-        block = gram[i * m:(i + 1) * m, i * m:(i + 1) * m]
-        values, _ = hermitian_eigh(block)
-        embed_bound = min(embed_bound, float(values[0]))
-
+    n, m = len(points), k.fiber_dim
+    gram = gram_matrix(k, points).reshape(n, m, n, m)
+    lowest = float(np.min(hermitian_eigh(gram[np.arange(n), :, np.arange(n)])[0][:, 0]))
     # block (i, j) of G* - G is kappa(t_j, t_i)* - kappa(t_i, t_j)
-    sym = (gram.conj().T - gram).reshape(len(points), m, len(points), m)
-    sym_res = float(np.max(np.linalg.norm(sym, axis=(1, 3))))
-
+    sym = gram.transpose(2, 3, 0, 1).conj() - gram
     return {
-        "min_sigma": min_sigma,
-        "embedding_lower_bound": embed_bound,
-        "hermitian_symmetry_residual": sym_res,
+        "min_sigma": lowest,
+        "embedding_lower_bound": lowest,
+        "hermitian_symmetry_residual": float(np.max(np.linalg.norm(sym, axis=(1, 3)))),
     }

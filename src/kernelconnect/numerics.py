@@ -31,9 +31,9 @@ class NumericsError(ValueError):
     """Raised on invalid numeric input (non-square, non-PSD, non-finite...)."""
 
 
-def _as_matrix(m) -> np.ndarray:
+def _as_matrix(m, stack: bool = False) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
+    if a.ndim != 2 and not (stack and a.ndim > 2):
         raise NumericsError(f"expected a matrix, got array of ndim {a.ndim}")
     if not np.isfinite(a).all():
         raise NumericsError("matrix has non-finite entries")
@@ -41,18 +41,18 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a (..., M, M) stack.
 
     The input is symmetrized as (M + M*)/2 first.  Returns (values, vectors)
     with values ascending and orthonormal eigenvector columns, so that
     M = V diag(values) V*.  A 1 x 1 input skips LAPACK, with LAPACK's bits.
     """
-    a = _as_matrix(m)
-    if a.shape[0] != a.shape[1]:
+    a = _as_matrix(m, stack=True)
+    if a.shape[-1] != a.shape[-2]:
         raise NumericsError(f"matrix is not square: shape {a.shape}")
-    if a.shape[0] == 1:
-        return np.array([a[0, 0].real]), np.ones((1, 1), dtype=complex)
-    h = 0.5 * (a + a.conj().T)
+    if a.shape[-1] == 1:
+        return a[..., 0].real.copy(), np.ones(a.shape, dtype=complex)
+    h = 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
     try:
         values, vectors = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
@@ -61,14 +61,17 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_solve(m, rhs) -> np.ndarray:
-    """Solve M x = rhs for Hermitian M, failing loudly when M is singular."""
+    """Solve M x = rhs for Hermitian M, or M (..., M, M) with rhs (..., M, K); fails if singular."""
     values, vectors = hermitian_eigh(m)
     mags = np.abs(values)
-    if mags.min() <= 1e-10 * max(mags.max(), 1.0):
+    if np.any(mags.min(-1) <= 1e-10 * np.maximum(mags.max(-1), 1.0)):
         raise NumericsError(
             f"matrix is singular within threshold (|lambda|_min = {mags.min():.3e})")
-    y = vectors.conj().T @ np.asarray(rhs, dtype=complex)
-    return vectors @ (y / values) if y.ndim == 1 else vectors @ (y / values[:, None])
+    y = np.asarray(rhs, dtype=complex)
+    if values.shape[-1] == 1:  # V = 1: the products by it would keep the bits
+        return y / values if y.ndim == 1 else y / values[..., None]
+    y = np.swapaxes(vectors.conj(), -1, -2) @ y
+    return vectors @ (y / values) if y.ndim == 1 else vectors @ (y / values[..., None])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from . import cpmaps, grassmann
 from .connections import (
     Curve,
     Section,
-    connection_form,
+    connection_forms,
     covariant_derivative_direct,
     leibniz_residual,
     make_evaluator,
@@ -133,11 +133,9 @@ def _backend_agreement_checks(seed):
 def _fock_form_check(seed):
     rng = np.random.default_rng(seed + 1)
     k = make_fock(np.eye(3))
-    res = 0.0
-    for s, x in _fock_probes(rng, 100, 3):
-        alpha = connection_form(k, s)(x)[0, 0]
-        expected = np.dot(s, np.conj(x))
-        res = max(res, abs(alpha - expected))
+    probes = _fock_probes(rng, 100, 3)
+    alphas = connection_forms(k, *zip(*probes))[:, 0, 0]
+    res = max(abs(a - np.dot(s, np.conj(x))) for a, (s, x) in zip(alphas, probes))
     return [_check("fock/connection_form_matches_formula", "connections", res, 1e-8)]
 
 
@@ -147,11 +145,10 @@ def _disk_sign_checks(seed):
     sigma = Section(F=lambda s: np.array([1.0 + 0j]), dF=lambda s, x: np.array([0.0 + 0j]))
     oracle = covariant_derivative_direct(k, sigma, np.array([0.5]), np.array([1.0]))
     res_value = abs(oracle[0] - 4.0 / 3.0)
-    res_grid = 0.0
-    for s, x in _disk_probes(rng, 40):
-        alpha = connection_form(k, s)(x)[0, 0]
-        direct = covariant_derivative_direct(k, sigma, s, x)[0]
-        res_grid = max(res_grid, abs(alpha - direct))
+    probes = _disk_probes(rng, 40)
+    alphas = connection_forms(k, *zip(*probes))[:, 0, 0]
+    res_grid = max(abs(a - covariant_derivative_direct(k, sigma, s, x)[0])
+                   for a, (s, x) in zip(alphas, probes))
     return [
         _check("disk_sign/direct_oracle_value", "connections", res_value, 1e-6),
         _check("disk_sign/closed_form_matches_oracle_grid", "connections", res_grid, 1e-8),

@@ -143,6 +143,19 @@ def test_connect_covderiv_near_the_circle_keeps_its_stencil_inside(capsys):
     code, out, err = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
                              "--point", "0.9999", "--direction", "1")
     assert err == "" and json.loads(out)["max_disagreement"] < 1e-5
+    assert code == 0
+
+
+def test_connect_covderiv_judges_the_spread_relative_to_the_derivative(capsys):
+    # at |s| = 0.9999 the value is about 1e4 and the spread about 2.4e-6: 2.4e-10 relative
+    argv = ("connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.9999",
+            "--direction", "1")
+    code, out, _ = run_cli(capsys, *argv, "--tol", "1e-9")
+    rep = json.loads(out)
+    scale = max(abs(parse_complex(rep[b][0])) for b in ("closed", "direct", "sampled"))
+    # the absolute rule would fail it; the relative rule passes it
+    assert code == 0 and 1e-9 < rep["max_disagreement"] < 1e-9 * scale
+    assert run_cli(capsys, *argv, "--tol", "1e-11")[0] == 1
 
 
 @pytest.mark.parametrize("direction, value", [("0", 0.0), ("1e-9", 4e-9 / 3), ("1e-300", 0.0)])
@@ -167,6 +180,14 @@ def test_negative_literal_reads_as_a_value(capsys, argv, flag, literal):
     assert joined[0] == 0 and split == joined
     code, out, err = run_cli(capsys, *argv, flag, literal.replace("i", "j"))
     assert code == 2 and out == "" and "complex literal" in err
+
+
+def test_connect_transport_reports_the_drift_of_the_metric(capsys):
+    # exact transport keeps v* kappa(s,s) v: 1 at s = 0, and 0.75 * (4/3) at s = 0.5
+    code, out, _ = run_cli(capsys, "connect", "transport", "--kernel", "bergman-disk:nu=1",
+                           "--start", "0", "--end", "0.5", "--steps", "256")
+    assert code == 0
+    assert 0 <= json.loads(out)["metric_drift"] < 1e-12
 
 
 def test_connect_transport_csv_table(capsys):

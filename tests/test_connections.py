@@ -6,6 +6,7 @@ from kernelconnect.connections import (
     Curve,
     Section,
     connection_form,
+    connection_forms,
     covariant_derivative_closed_form,
     covariant_derivative_direct,
     covariant_derivative_sampled,
@@ -25,9 +26,13 @@ from kernelconnect.grassmann import (
 from kernelconnect.kernels import (
     BundleMorphism,
     Kernel,
+    VectorDomain,
     make_bergman_disk,
     make_bergman_halfplane,
     make_fock,
+    make_rank_one_kernel,
+    pull_back_kernel,
+    stencil_sum,
 )
 from kernelconnect.numerics import NumericsError, hermitian_solve
 from kernelconnect.rkhs import (
@@ -292,3 +297,152 @@ def test_sampled_backend_is_real_linear_where_its_stencil_would_collapse(size):
         assert np.array_equal(sampled, np.zeros(1))
         with pytest.raises(ValueError):
             make_evaluator(k, "sampled")(sigma, np.array([1.5]), np.zeros(1))
+
+
+# ---------------------------------------------------------------------------
+# One stacked diagonal jet per set of forms, and one per transport
+
+def _psd_beta(dim, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return g @ g.conj().T / dim
+
+
+_JET_KERNELS = [make_bergman_disk(1), make_bergman_disk(2.5), make_bergman_halfplane(1),
+                make_bergman_halfplane(2), make_fock(np.eye(3)), make_fock(_psd_beta(2, 5))]
+
+
+def _jet_probes(k, count, rng):
+    dim = k.domain.dim
+    xs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(count)]
+    if k.name.startswith("bergman-disk"):
+        pts = [np.array([0.95 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())])
+               for _ in range(count)]
+    elif k.name.startswith("bergman-halfplane"):
+        pts = [np.array([rng.uniform(-2, 2) + 1j * rng.uniform(0.05, 2)]) for _ in range(count)]
+    else:
+        pts = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in range(count)]
+    return pts, xs
+
+
+def _form_formula(k, s, x):
+    """alpha_s(x) in closed form on the disk and the half-plane; None on Fock (tested below)."""
+    nu = float(k.name.partition("nu=")[2] or 0)
+    if k.name.startswith("bergman-disk"):
+        return nu * s[0] * np.conj(x[0]) / (1.0 - abs(s[0]) ** 2)
+    if k.name.startswith("bergman-halfplane"):
+        return nu * np.conj(x[0]) / (2j * s[0].imag)
+    return None
+
+
+@pytest.mark.parametrize("k", _JET_KERNELS, ids=lambda k: k.name)
+def test_connection_forms_equal_the_one_point_form_bit_for_bit(k):
+    pts, xs = _jet_probes(k, 60, np.random.default_rng(21))
+    forms = connection_forms(k, pts, xs)
+    assert forms.shape == (60, 1, 1)
+    for s, x, alpha in zip(pts, xs, forms):
+        assert np.array_equal(alpha, connection_form(k, s)(x))
+        want = _form_formula(k, s, x)
+        if want is not None:
+            assert abs(alpha[0, 0] - want) <= 1e-13 * abs(want) + 1e-300
+
+
+def test_fock_forms_are_the_form_beta_with_the_direction():
+    b = _psd_beta(3, 6)
+    k = make_fock(b)
+    pts, xs = _jet_probes(k, 50, np.random.default_rng(22))
+    for s, x, alpha in zip(pts, xs, connection_forms(k, pts, xs)):
+        want = s @ b @ np.conj(x)
+        assert abs(alpha[0, 0] - want) <= 1e-14 * (np.abs(s) @ np.abs(b) @ np.abs(x))
+
+
+def _segment(start, end):
+    return Curve(gamma=lambda t: (1.0 - t) * start + t * end, velocity=lambda t: end - start)
+
+
+def _count_calls(monkeypatch, name):
+    """Record the kernel and the arguments of every call of the Kernel method `name`."""
+    calls = []
+    method = getattr(Kernel, name)
+
+    def counted(self, *args, **kwargs):
+        calls.append((self, *args))
+        return method(self, *args, **kwargs)
+
+    monkeypatch.setattr(Kernel, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("k, start, end", [
+    (make_bergman_disk(2), np.array([0.1 + 0.2j]), np.array([-0.5 + 0.3j])),
+    (make_bergman_halfplane(1), np.array([0.3 + 0.5j]), np.array([-0.2 + 1.5j])),
+    (make_fock(np.eye(2)), np.array([0.1, 0.2j]), np.array([-0.5 + 0.3j, 0.4])),
+], ids=lambda a: getattr(a, "name", ""))
+def test_parallel_transport_makes_one_stacked_jet_evaluation(monkeypatch, k, start, end):
+    jets = _count_calls(monkeypatch, "diagonal_jet")
+    blocks = _count_calls(monkeypatch, "block")
+    derivatives = _count_calls(monkeypatch, "d2_eval")
+    parallel_transport(k, _segment(start, end), np.ones(1), steps=64)
+    assert len(jets) == 1 and len(jets[0][1]) == 129  # t_j = j/128
+    assert blocks == [] and derivatives == []
+
+
+def test_a_kernel_without_batch_transports_through_the_loop():
+    k = make_bergman_disk(1)
+    curve = Curve(gamma=lambda t: np.array([0.5 * t]), velocity=lambda t: np.array([0.5 + 0j]))
+    plain = Kernel(k.fiber_dim, k.domain, k.eval, k.d2, name=k.name + "[plain]")
+    v = parallel_transport(k, curve, np.array([1.0 + 0j]), steps=128)
+    assert np.array_equal(parallel_transport(plain, curve, np.array([1.0 + 0j]), steps=128), v)
+    # the negative control of verify: alpha -> -alpha carries 1 to 1/sqrt(0.75), not sqrt(0.75)
+    flipped = Kernel(k.fiber_dim, k.domain, k.eval, lambda s, t, x: -k.d2(s, t, x),
+                     name=k.name + "[flipped]")
+    w = parallel_transport(flipped, curve, np.array([1.0 + 0j]), steps=128)
+    assert abs(v[0] - np.sqrt(0.75)) < 1e-9 and abs(w[0] - 1.0 / np.sqrt(0.75)) < 1e-9
+
+
+def test_transport_propagators_equal_the_stage_by_stage_method():
+    # one step of the classical method, written out stage by stage, against the propagator
+    k = make_bergman_disk(2)
+    curve = _segment(np.array([0.1 + 0.2j]), np.array([-0.5 + 0.3j]))
+    v = np.array([1.0 - 0.5j])
+    for steps in (1, 3, 16):
+        dt, w = 1.0 / steps, v
+        form = lambda t: connection_form(k, curve.gamma(t))(curve.velocity(t))  # noqa: E731
+        for n in range(steps):
+            t0, tm, t1 = (2 * n) / (2 * steps), (2 * n + 1) / (2 * steps), (2 * n + 2) / (2 * steps)
+            k1 = -(form(t0) @ w)
+            k2 = -(form(tm) @ (w + 0.5 * dt * k1))
+            k3 = -(form(tm) @ (w + 0.5 * dt * k2))
+            k4 = -(form(t1) @ (w + dt * k3))
+            w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.max(np.abs(parallel_transport(k, curve, v, steps) - w)) <= 1e-14
+
+
+def _no_d2_cases():
+    """(kernel, point, direction) on kernels without an analytic d2."""
+    rng = np.random.default_rng(23)
+    base = coordinate_projector(4, 2)
+    u = random_unitary(4, seed=90)
+    p = HermitianProjector(u @ base.p @ u.conj().T, 2)
+    disk = make_bergman_disk(2)
+    theta = BundleMorphism(zeta=lambda s: 0.5 * np.asarray(s),
+                           delta=lambda s: np.array([[2.0 + 0.5j]]),
+                           tangent=lambda s, x: 0.5 * np.asarray(x))
+    return [
+        (universal_kernel(4, 2), p, random_grass_tangent(p, rng)),
+        (make_rank_one_kernel(lambda s: np.array([1.0, complex(np.asarray(s).flat[0])]), 2,
+                              VectorDomain(1)), np.array([0.3 - 0.1j]), np.array([1.0 + 0.5j])),
+        (pull_back_kernel(theta, disk, 1, disk.domain), np.array([0.4j]), np.array([-1.0 + 2j])),
+    ]
+
+
+def test_d2_eval_without_d2_reads_its_stencil_from_one_block(monkeypatch):
+    for k, s, x in _no_d2_cases():
+        points, weights = _per_pair_stencil(k, s, x)
+        want = stencil_sum(weights, [k(s, p) for p in points])  # four 1 x 1 blocks
+        calls = _count_calls(monkeypatch, "block")
+        got = k.d2_eval(s, s, x)
+        monkeypatch.undo()
+        own = [c for c in calls if c[0] is k]
+        assert len(own) == 1 and len(own[0][1]) == 1 and len(own[0][2]) == 4, k.name
+        assert np.array_equal(got, want), k.name

@@ -9,6 +9,7 @@ from kernelconnect.kernels import (
     DISK_BOUNDARY_GUARD,
     BundleMorphism,
     DomainError,
+    Kernel,
     UnitaryDomain,
     VectorDomain,
     admissibility_report,
@@ -370,3 +371,38 @@ def test_stencil_step_shrinks_only_near_the_edge(make, point):
         if d >= 0.08:  # EDGE_LAYER: the step is exactly the caller's
             assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4))
         domain.stack(domain.stencil(s, np.array([1.0]))[0])  # every point stays inside
+
+
+def test_admissibility_report_reads_kappa_from_its_gram(monkeypatch):
+    rank_one = make_rank_one_kernel(lambda s: np.array([1.0, 2.0 + complex(np.asarray(s).flat[0])]),
+                                    2, VectorDomain(1))
+    for k, pts in [(make_bergman_disk(2), [np.array([z]) for z in (0.0, 0.4, -0.3 + 0.2j)]),
+                   (make_fock(np.eye(2)), [np.zeros(2), np.array([0.5, 0.5j])]),
+                   (rank_one, [np.array([z]) for z in (0.1, 0.4 - 0.2j, 0.25j)])]:
+        lowest = min(np.linalg.eigvalsh(k(s, s))[0] for s in pts)
+        calls = []
+        block = Kernel.block
+        monkeypatch.setattr(Kernel, "block",
+                            lambda self, ss, ts: calls.append((ss, ts)) or block(self, ss, ts))
+        rep = admissibility_report(k, pts)
+        monkeypatch.undo()
+        assert len(calls) == 1 and calls[0][0] is calls[0][1], k.name  # the Gram alone
+        assert rep["min_sigma"] == rep["embedding_lower_bound"], k.name
+        assert abs(rep["min_sigma"] - lowest) <= 1e-12 * max(1.0, abs(lowest)), k.name
+
+
+def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
+    k = make_bergman_disk(2)
+    pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
+    with pytest.raises(DomainError, match="point 2 of 3"):
+        k.diagonal_jet(pts, xs)
+    with pytest.raises(DomainError, match="tangent dimension 2 != 1"):
+        k.diagonal_jet(pts[:2], [np.ones(2), np.ones(2)])
+    kss, d2 = k.diagonal_jet(pts[:2], xs[:2])
+    assert kss.shape == d2.shape == (2, 1, 1)
+    for s, x, a, b in zip(pts, xs, kss, d2):
+        assert np.array_equal(a, k(s, s)) and np.array_equal(b, k.d2_eval(s, s, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fock = make_fock(np.eye(1))
+        with pytest.raises(NumericsError, match="fock:dim=1: kernel derivative is not finite"):
+            fock.diagonal_jet([[0.5], [26.6]], [[1], [1]])

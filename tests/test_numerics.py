@@ -74,3 +74,20 @@ def test_one_by_one_eigh_has_the_lapack_bits(re, im):
     want_values, want_vectors = np.linalg.eigh(0.5 * (m + m.conj().T))
     assert values.dtype == want_values.dtype and vectors.dtype == want_vectors.dtype
     assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
+
+
+def test_hermitian_solve_takes_a_stack_and_names_a_singular_member():
+    rng = np.random.default_rng(4)
+    g = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    m = g @ np.swapaxes(g.conj(), -1, -2) + np.eye(3)
+    rhs = rng.standard_normal((5, 3, 2)) + 1j * rng.standard_normal((5, 3, 2))
+    x = hermitian_solve(m, rhs)
+    assert x.shape == (5, 3, 2) and np.max(np.abs(m @ x - rhs)) < 1e-12
+    for i in range(5):
+        assert np.max(np.abs(x[i] - hermitian_solve(m[i], rhs[i]))) < 1e-14
+    scalars = np.array([[[2.0 + 0j]], [[-0.5 + 0j]]])
+    assert np.array_equal(hermitian_solve(scalars, np.ones((2, 1, 1))),
+                          np.array([[[0.5 + 0j]], [[-2.0 + 0j]]]))
+    m[3] = np.zeros((3, 3))
+    with pytest.raises(NumericsError, match="singular"):
+        hermitian_solve(m, rhs)
