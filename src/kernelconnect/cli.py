@@ -190,11 +190,18 @@ def _cmd_kernel_gram(args) -> int:
     return 0 if is_psd else 1
 
 
+def _spectrum_json(r) -> dict:
+    """min_eig and the condition number lambda_max / lambda_min (None unless lambda_min > 0)."""
+    lo, hi = float(r.eigenvalues[0]), float(r.eigenvalues[-1])
+    return {"min_eig": lo, "condition_number": hi / lo if lo > 0 else None}
+
+
 def _cmd_rkhs_gram(args) -> int:
     k = parse_kernel_spec(args.kernel)
     r = build_rkhs(k, _parse_points(k, args.points))
     if args.format == "json":
-        _emit_json({"kernel": k.name, "gram": _matrix_json(r.gram)}, args.output)
+        _emit_json({"kernel": k.name, "gram": _matrix_json(r.gram), **_spectrum_json(r)},
+                   args.output)
     else:
         _emit(matrix_to_csv_text(r.gram), args.output)
     return 0
@@ -203,9 +210,8 @@ def _cmd_rkhs_gram(args) -> int:
 def _cmd_rkhs_universality(args) -> int:
     k = parse_kernel_spec(args.kernel)
     r = build_rkhs(k, _parse_points(k, args.points))
-    _, min_eig = positivity_certificate(r.gram, tol=args.tol)
     residual = universality_residual(r)
-    _emit_json({"residual": residual, "min_eig": min_eig,
+    _emit_json({"residual": residual, **_spectrum_json(r),
                 "tolerance": args.tol, "passed": residual < args.tol}, args.output)
     return 0 if residual < args.tol else 1
 

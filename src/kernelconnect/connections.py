@@ -16,13 +16,14 @@ connections back along bundle morphisms.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .kernels import BundleMorphism, Kernel, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, hermitian_solve
-from .rkhs import RKHSElement, SampledRKHS, build_rkhs
+from .rkhs import SampledRKHS, _certified_grams
 
 __all__ = [
     "Section",
@@ -66,14 +67,15 @@ class Curve:
 
 @dataclass(frozen=True)
 class ConnectionEvaluator:
-    """A covariant-derivative functional (section, point, tangent) -> fiber vector."""
+    """A covariant-derivative functional (section, point, tangent) -> fiber vector: the one-point
+    case of `evaluate`, which maps (section, L points, L tangents) to the (L, M) derivatives."""
 
     backend: str
     kernel: Kernel
-    evaluate: Callable[[Section, object, object], np.ndarray]
+    evaluate: Callable[[Section, Sequence, Sequence], np.ndarray]
 
     def __call__(self, sigma: Section, s, x) -> np.ndarray:
-        return self.evaluate(sigma, s, x)
+        return self.evaluate(sigma, (s,), (x,))[0]
 
 
 def connection_form(k: Kernel, s, h: float = DEFAULT_STEP) -> Callable[[object], np.ndarray]:
@@ -94,10 +96,19 @@ def connection_forms(k: Kernel, points: Sequence, directions: Sequence,
 def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
                                      h: float = DEFAULT_STEP) -> np.ndarray:
     """d(sigma)(X) + alpha(X) sigma(s) on the trivialized bundle."""
-    alpha = connection_form(k, s, h=h)
-    dsigma = (k.domain.derivative(s, x, sigma.value, h) if sigma.dF is None
-              else np.atleast_1d(np.asarray(sigma.dF(s, x), dtype=complex)))
-    return dsigma + alpha(x) @ sigma.value(s)
+    return _closed_form(k, sigma, (s,), (x,), h)[0]
+
+
+def _closed_form(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
+                 h: float) -> np.ndarray:
+    if sigma.dF is None:
+        _, stencils, weights = k.domain.stencils(points, directions, h)
+        dsigma = stencil_sum(weights, [[sigma.value(p) for p in ps] for ps in stencils])
+    else:
+        dsigma = np.array([sigma.dF(s, x) for s, x in zip(points, directions)], dtype=complex)
+        dsigma = dsigma.reshape(len(points), -1)
+    values = np.array([sigma.value(s) for s in points])[..., None]
+    return dsigma + (connection_forms(k, points, directions, h) @ values)[..., 0]
 
 
 def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
@@ -109,11 +120,18 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
     manifolds).  Projecting the derivative onto the fiber and evaluating at s
     collapses to exactly this expression by the reproducing property.
     """
-    points, weights = k.domain.stencil(s, x, h)
-    m = k.fiber_dim  # one kernel block: kst[j] = kappa(s, (s, *points)[j]), each contiguous
-    kst = np.ascontiguousarray(k.block((s,), (s, *points)).reshape(m, -1, m).transpose(1, 0, 2))
-    deriv = stencil_sum(weights, [b @ sigma.value(p) for b, p in zip(kst[1:], points)])
-    return hermitian_solve(kst[0], deriv)
+    return _direct(k, sigma, (s,), (x,), h)[0]
+
+
+def _direct(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
+            h: float) -> np.ndarray:
+    s, stencils, weights = k.domain.stencils(points, directions, h)
+    m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
+    rows = k.blocks([(p,) for p in s], [(p, *ps) for p, ps in zip(s, stencils)])
+    kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
+    values = np.array([[sigma.value(p) for p in ps] for ps in stencils])
+    deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
+    return hermitian_solve(kst[:, 0], deriv[..., None])[..., 0]
 
 
 def covariant_derivative_sampled(r: SampledRKHS, sigma: Section, s, x,
@@ -124,47 +142,52 @@ def covariant_derivative_sampled(r: SampledRKHS, sigma: Section, s, x,
     element has the coefficient w_i sigma(p_i) at each p_i; it is projected onto
     the fiber at s and evaluated at s, reading kappa from the Gram matrix only.
     """
-    return _sampled(r, sigma, s, *r.kernel.domain.stencil(s, x, h))
-
-
-def _sampled(r: SampledRKHS, sigma: Section, s, points, weights) -> np.ndarray:
+    _, (points,), weights = r.kernel.domain.stencils((s,), (x,), h)
     try:
         i, *at = r.indices((s, *points))
     except KeyError as exc:
         raise NumericsError("a stencil point is missing from the sample") from exc
-    c = np.zeros(len(r.points) * r.fiber_dim, dtype=complex)
-    for j, w, p in zip(at, weights, points):
-        c[r.block(j)] += w * sigma.value(p)
-    b = r.block(i)
-    kss, row = r.gram[b, b], r.gram[b]
-    projected = np.zeros_like(c)  # the fiber projection of the derivative element
-    projected[b] = hermitian_solve(kss, row @ RKHSElement(r, c).coefficients)
-    return hermitian_solve(kss, row @ projected)
+    values = [[sigma.value(p) for p in points]]
+    return _sampled_from_grams(r.gram[None], i, at, weights, values)[0]
+
+
+def _sampled_from_grams(grams: np.ndarray, i: int, at: Sequence, weights: np.ndarray,
+                        values) -> np.ndarray:
+    """(L, M) derivatives from L sample Grams: s_j is point i, its stencil `at`, sigma values[j]."""
+    v = np.asarray(values, dtype=complex)
+    if not np.isfinite(v).all():
+        raise NumericsError("non-finite function value at a stencil point")
+    n, m = grams.shape[-1], v.shape[-1]
+    c = np.zeros((len(grams), n // m, m), dtype=complex)
+    np.add.at(c, (slice(None), at), weights[..., None] * v)  # the derivative element
+    b = slice(i * m, (i + 1) * m)
+    row, kss = grams[:, b], grams[:, b, b]
+    projected = np.zeros((len(grams), n, 1), dtype=complex)  # its fiber projection
+    projected[:, b] = hermitian_solve(kss, row @ c.reshape(len(grams), n, 1))
+    return hermitian_solve(kss, row @ projected)[..., 0]
+
+
+def _sampled(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
+             h: float) -> np.ndarray:
+    s, stencils, weights = k.domain.stencils(points, directions, h)
+    samples = [(*ps[:2], p, *ps[2:]) for p, ps in zip(s, stencils)]
+    grams, _ = _certified_grams(k, samples)
+    values = [[sigma.value(p) for p in ps] for ps in stencils]
+    return _sampled_from_grams(grams, 2, [0, 1, 3, 4], weights, values)
 
 
 def make_evaluator(k: Kernel, backend: str = "direct",
                    h: float = DEFAULT_STEP) -> ConnectionEvaluator:
     """Build a covariant-derivative evaluator with the chosen backend.
 
-    The sampled backend assembles a 5-point sample along the probe curve for
-    every call; it is meant for cross-validation, not production use.
+    Every backend evaluates a stack of probes at once.  The sampled backend
+    assembles and certifies a 5-point sample along each probe's curve, all in
+    one stacked Gram; it is meant for cross-validation, not production use.
     """
-    if backend == "closed-form":
-        fn = lambda sigma, s, x: covariant_derivative_closed_form(k, sigma, s, x, h=h)
-    elif backend == "direct":
-        fn = lambda sigma, s, x: covariant_derivative_direct(k, sigma, s, x, h=h)
-    elif backend == "sampled":
-        def fn(sigma, s, x):
-            size = np.abs(x).max(initial=0.0) if isinstance(x, np.ndarray) else np.inf
-            if h > 1e-12 >= h * size:  # the sample would collapse (1e-12 rule): real-linear in x
-                k.domain.check_point(s)
-                k.domain.check_tangent(s, x)
-                return fn(sigma, s, x / size) * size if size else np.zeros(k.fiber_dim, complex)
-            points, weights = k.domain.stencil(s, x, h)
-            return _sampled(build_rkhs(k, (*points[:2], s, *points[2:])), sigma, s, points, weights)
-    else:
+    backends = {"closed-form": _closed_form, "direct": _direct, "sampled": _sampled}
+    if backend not in backends:
         raise ValueError(f"unknown backend {backend!r}; use closed-form|direct|sampled")
-    return ConnectionEvaluator(backend=backend, kernel=k, evaluate=fn)
+    return ConnectionEvaluator(backend, k, partial(backends[backend], k, h=h))
 
 
 def parallel_transport(k: Kernel, curve: Curve, v0, steps: int) -> np.ndarray:
@@ -201,15 +224,16 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
                      sigma: Section, probes: Sequence[tuple],
                      h: float = DEFAULT_STEP) -> float:
     """max over probes (s, X) of ||nabla(f sigma)(X) - df(X) sigma(s) - f(s) nabla(sigma)(X)||."""
-    k = nabla.kernel
-    scaled = Section(F=lambda s: complex(f(s)) * sigma.value(s))
-    res = 0.0
-    for s, x in probes:
-        df = complex(k.domain.derivative(s, x, f, h))
-        lhs = nabla(scaled, s, x)
-        rhs = df * sigma.value(s) + complex(f(s)) * nabla(sigma, s, x)
-        res = max(res, float(np.linalg.norm(lhs - rhs)))
-    return res
+    if not probes:
+        return 0.0
+    points, directions = [s for s, _ in probes], [x for _, x in probes]
+    _, stencils, weights = nabla.kernel.domain.stencils(points, directions, h)
+    df = stencil_sum(weights, [[f(p) for p in ps] for ps in stencils]).reshape(len(points), 1)
+    fs = np.array([[complex(f(s))] for s in points])
+    lhs = nabla.evaluate(Section(F=lambda s: complex(f(s)) * sigma.value(s)), points, directions)
+    values = np.array([sigma.value(s) for s in points])
+    rhs = df * values + fs * nabla.evaluate(sigma, points, directions)
+    return max(float(np.linalg.norm(d)) for d in lhs - rhs)
 
 
 def gauge_pullback_connection(theta: BundleMorphism,

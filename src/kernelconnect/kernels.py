@@ -35,6 +35,7 @@ __all__ = [
     "make_rank_one_kernel",
     "gram_matrix",
     "positivity_certificate",
+    "psd_spectra",
     "BundleMorphism",
     "pull_back_kernel",
     "admissibility_report",
@@ -42,6 +43,8 @@ __all__ = [
 
 DISK_BOUNDARY_GUARD = 1.0 - 1e-6
 EDGE_LAYER = 0.08  # nearer the edge the stencil step shrinks; h holds up to |s| = 0.9 on the disk
+_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])  # the stencil's curve parameters, in units of h
+_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])  # its weights, in units of 1 / (12 h)
 
 
 class DomainError(ValueError):
@@ -72,13 +75,21 @@ class Domain:
         """The library's one stencil, on the curve gamma with the 1-jet (s, x).
 
         Returns the points p = gamma(-2h), gamma(-h), gamma(h), gamma(2h) and the
-        weights w with d/dt|0 f(gamma(t)) = sum_i w_i f(p_i) + O(h^4).
+        weights w with d/dt|0 f(gamma(t)) = sum_i w_i f(p_i) + O(h^4).  The one-point
+        case of `stencils`.
         """
-        self.check_tangent(s, x)
+        _, points, weights = self.stencils((s,), (x,), h)
+        return list(points[0]), weights[0]
+
+    def stencils(self, points: Sequence, directions: Sequence,
+                 h: float = DEFAULT_STEP) -> tuple[Sequence, Sequence, np.ndarray]:
+        """The stencils of L probes (s_j, x_j): the points, L lists of 4 points, (L, 4) weights."""
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
-        points = list(map(self.curve(s, x), (-2.0 * h, -h, h, 2.0 * h)))
-        return points, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+        for s, x in zip(points, directions):
+            self.check_tangent(s, x)
+        stencils = [list(map(self.curve(s, x), h * _OFFSETS)) for s, x in zip(points, directions)]
+        return points, stencils, np.tile(_WEIGHTS / (12.0 * h), (len(points), 1))
 
     def derivative(self, s, x, f: Callable, h: float = DEFAULT_STEP) -> np.ndarray:
         """d/dt|0 f(gamma(t)) along the curve gamma with the 1-jet (s, x), by `stencil`."""
@@ -87,11 +98,13 @@ class Domain:
 
 
 def stencil_sum(weights: np.ndarray, values: Sequence) -> np.ndarray:
-    """sum_i w_i v_i over the values at the stencil points, in stencil order."""
-    values = [np.asarray(v, dtype=complex) for v in values]
-    if not all(np.isfinite(v).all() for v in values):
+    """sum_i w_i v_i in stencil order, for weights (..., 4) and values (..., 4, ...)."""
+    v = np.asarray(values, dtype=complex)
+    if not np.isfinite(v).all():
         raise NumericsError("non-finite function value at a stencil point")
-    return sum((w * v for w, v in zip(weights[1:], values[1:])), weights[0] * values[0])
+    w = np.reshape(weights, np.shape(weights) + (1,) * (v.ndim - np.ndim(weights)))
+    t, lead = w * v, (slice(None),) * (np.ndim(weights) - 1)
+    return ((t[lead + (0,)] + t[lead + (1,)]) + t[lead + (2,)]) + t[lead + (3,)]
 
 
 @dataclass(frozen=True)
@@ -102,41 +115,66 @@ class VectorDomain(Domain):
     name: str = "C^d"
     # maps an (N, d) stack to (i, reason) for its first point outside the domain, or None
     guard: Optional[Callable[[np.ndarray], Optional[tuple[int, str]]]] = None
-    # maps a point to its distance from the domain's edge, for a bounded domain
-    edge: Optional[Callable[[np.ndarray], float]] = None
+    # maps an (N, d) stack to the distances of its points from the domain's edge, if bounded
+    edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def stencil(self, s, x, h: float = DEFAULT_STEP) -> tuple[list, np.ndarray]:
-        """Domain.stencil, with h shrunk in proportion to an edge distance d < EDGE_LAYER."""
-        d = np.inf if self.edge is None else self.edge(_as_point(s))
-        return super().stencil(s, x, h * d / EDGE_LAYER if 0 < d < EDGE_LAYER else h)
+    def stencils(self, points: Sequence, directions: Sequence,
+                 h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Domain.stencils as arrays: checked (L, d) points, (L, 4, d) stencils, (L, 4) weights.
+
+        h shrinks in proportion to an edge distance d < EDGE_LAYER.  Where h |x| <= 1e-12 the
+        stencil would collapse (1e-12 rule): it runs along x / |x| (e_1 at x = 0), its weights
+        times |x|.
+        """
+        if not h > 0:
+            raise NumericsError(f"step must be positive, got {h}")
+        s = self.stack(points)
+        x = np.array(directions, dtype=complex).reshape(len(s), -1)
+        self.check_tangent(s[0], x[0])  # every row has the dimension of the first
+        # the distance d to the edge, > 0 at a checked point; inf on an unbounded domain
+        d = np.full((len(s), 1), np.inf) if self.edge is None else self.edge(s)[:, None]
+        step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)
+        weights = _WEIGHTS / (12.0 * step)
+        size = np.abs(x).max(axis=1, initial=0.0)[:, None]
+        tiny = step * size <= 1e-12
+        if tiny.any():  # the derivative is real-linear in x
+            unit = (x + (size == 0) * np.eye(1, x.shape[1])) / np.where(size > 0, size, 1.0)
+            x = np.where(tiny, unit, x)
+            weights = np.where(tiny, weights * size, weights)
+        return s, s[:, None] + (step * _OFFSETS)[..., None] * x[:, None], weights
 
     def check_point(self, s) -> None:
         self.stack((s,))
 
-    def stack(self, points: Sequence) -> np.ndarray:
-        """The points as one checked (N, d) complex array; a scalar is a point of C^1."""
+    def stack(self, points: Sequence, depth: int = 1) -> np.ndarray:
+        """The points as one checked complex array: `depth` axes of points (a scalar is a point of
+        C^1), then coordinates; an error names the point by its index."""
         try:
             a = np.array(points, dtype=complex)
         except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
+            if depth > 1:  # each list of points by itself, which names a point of the wrong size
+                return np.array([self.stack(p, depth - 1) for p in points])
             a = [_as_point(p) for p in points]
             bad = [i for i, p in enumerate(a) if p.shape != (self.dim,)]
             if bad:
                 raise DomainError(f"{self.name}: expected dimension {self.dim}, got "
                                   f"{a[bad[0]].shape[0]} (point {bad[0]} of {len(a)})")
             a = np.array(a)
-        if a.ndim == 1:  # scalar points, or no points at all
-            a = a.reshape(-1, 1 if len(a) else self.dim)
-        if a.ndim != 2:
-            raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape[1:]}")
-        if a.shape[1] != self.dim:
-            bad = 0, f"expected dimension {self.dim}, got {a.shape[1]}"
-        elif not np.isfinite(a).all():
-            bad = int(np.argmin(np.isfinite(a).all(axis=1))), "non-finite point"
+        if a.ndim == depth:  # scalar points, or no points at all
+            a = a.reshape(a.shape + (1,) if a.size else a.shape[:-1] + (0, self.dim))
+        if a.ndim != depth + 1:
+            raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape[depth:]}")
+        flat = a.reshape(-1, a.shape[-1])
+        if a.shape[-1] != self.dim:
+            bad = 0, f"expected dimension {self.dim}, got {a.shape[-1]}"
+        elif not np.isfinite(flat).all():
+            bad = int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
         else:
-            bad = self.guard(a) if self.guard is not None and len(a) else None
+            bad = self.guard(flat) if self.guard is not None and len(flat) else None
         if bad is not None:
-            at = f" (point {bad[0]} of {len(a)})" if len(a) > 1 else ""
-            raise DomainError(f"{self.name}: {bad[1]}{at}")
+            at, n = tuple(map(int, np.unravel_index(bad[0], a.shape[:-1]))), a.shape[:-1]
+            at = f" (point {at[0] if depth == 1 else at} of {n[0] if depth == 1 else n})"
+            raise DomainError(f"{self.name}: {bad[1]}{at if len(flat) > 1 else ''}")
         return a
 
     def check_tangent(self, s, x) -> None:
@@ -164,8 +202,9 @@ def _halfplane_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
         return i, f"Im z = {im[i]:.3e} must be positive"
 
 
-_disk_edge = lambda s: DISK_BOUNDARY_GUARD - abs(s[0])  # noqa: E731
-_halfplane_edge = lambda z: z[0].imag  # noqa: E731
+# |s| by hypot, which rounds as abs does on one point (numpy's abs of an array may not)
+_disk_edge = lambda s: DISK_BOUNDARY_GUARD - np.hypot(s[:, 0].real, s[:, 0].imag)  # noqa: E731
+_halfplane_edge = lambda z: z[:, 0].imag  # noqa: E731
 
 
 @dataclass(frozen=True)
@@ -248,6 +287,14 @@ class Kernel:
             for j, t in enumerate(ts):
                 out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
         return self._finite(out.reshape(len(ss) * m, len(ts) * m))
+
+    def blocks(self, ss: Sequence, ts: Sequence) -> np.ndarray:
+        """`block` over a leading axis: the (L, aM, bM) stack of block(ss[j], ts[j]), j < L."""
+        if self.batch is None:
+            return np.array([self.block(a, b) for a, b in zip(ss, ts)])
+        s_stack = self.domain.stack(ss, 2)
+        t_stack = s_stack if ts is ss else self.domain.stack(ts, 2)
+        return self._finite(self.batch(s_stack[:, :, None], t_stack[:, None]))
 
     def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:
         """Directional derivative of kappa(s, .) at t in direction x."""
@@ -412,16 +459,21 @@ def positivity_certificate(g, tol: float = 1e-9) -> tuple[bool, float]:
     """Check a Gram matrix for positive semidefiniteness by its spectrum.
 
     Returns (is_psd, min_eigenvalue); is_psd holds iff the minimum eigenvalue
-    is >= -tol * max(1, lambda_max).
+    is >= -tol * max(1, lambda_max).  The one-matrix case of `psd_spectra`.
     """
-    a = np.asarray(g, dtype=complex)
-    herm_res = np.linalg.norm(a - a.conj().T)
-    if herm_res > tol * max(1.0, np.linalg.norm(a)):
-        raise NumericsError(f"Gram matrix not Hermitian, ||G - G*|| = {herm_res:.3e}")
+    values, is_psd = psd_spectra(np.asarray(g, dtype=complex)[None], tol)
+    return bool(is_psd[0]), float(values[0, 0])
+
+
+def psd_spectra(grams, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """The ascending spectra of an (L, N, N) stack of Hermitian (within tol) Gram matrices, and
+    whether each is PSD: its minimum eigenvalue >= -tol * max(1, lambda_max)."""
+    a = np.asarray(grams, dtype=complex)
+    herm_res = np.linalg.norm(a - np.swapaxes(a.conj(), -1, -2), axis=(-2, -1))
+    if np.any(herm_res > tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))):
+        raise NumericsError(f"Gram matrix not Hermitian, ||G - G*|| = {herm_res.max():.3e}")
     values, _ = hermitian_eigh(a)
-    lam_min = float(values[0])
-    lam_max = float(values[-1])
-    return lam_min >= -tol * max(1.0, lam_max), lam_min
+    return values, values[:, 0] >= -tol * np.maximum(1.0, values[:, -1])
 
 
 @dataclass(frozen=True)

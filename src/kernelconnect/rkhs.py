@@ -11,11 +11,11 @@ provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .kernels import Kernel, gram_matrix, positivity_certificate
+from .kernels import Kernel, psd_spectra
 from .numerics import NumericsError, hermitian_solve
 
 __all__ = [
@@ -35,6 +35,7 @@ class SampledRKHS:
     kernel: Kernel
     points: tuple
     gram: np.ndarray
+    eigenvalues: Optional[np.ndarray] = None  # of the Gram, ascending, from its PSD certificate
 
     @property
     def fiber_dim(self) -> int:
@@ -80,27 +81,36 @@ def _coordinates(pts: Sequence) -> np.ndarray:
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """close[i, j]: rows a[i] and b[j] are one point, equal within 1e-12 entry by entry."""
-    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=-1, initial=0.0) <= 1e-12
+    """close[..., i, j]: rows a[..., i] and b[..., j] are one point, within 1e-12 entry by entry."""
+    return np.abs(a[..., :, None, :] - b[..., None, :, :]).max(axis=-1, initial=0.0) <= 1e-12
+
+
+def _certified_grams(k: Kernel, samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrices of L samples and their spectra; each sample distinct, each Gram PSD."""
+    try:
+        x = np.array([_coordinates(pts) for pts in samples])
+        close = _close(x, x)
+    except ValueError:  # points of different sizes, which the Gram rejects
+        close = np.zeros((0, 1, 1))
+    of = lambda j: f" (sample {j} of {len(samples)})" if len(samples) > 1 else ""  # noqa: E731
+    if np.count_nonzero(close) > close.size // close.shape[-1]:  # one beside its own diagonal
+        j, a, b = np.argwhere(np.triu(close, 1))[0]  # the first pair in row order
+        raise ValueError(f"duplicate sample points at indices {a} and {b}{of(j)}")
+    grams = k.blocks(samples, samples)
+    values, is_psd = psd_spectra(grams)
+    if not is_psd.all():
+        j = int(np.argmin(is_psd))
+        raise NumericsError(
+            f"Gram matrix is not PSD (min eigenvalue {values[j, 0]:.3e}); "
+            f"the input does not behave like a kernel on this sample{of(j)}")
+    return grams, values
 
 
 def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
     """Assemble the Gram matrix on distinct sample points and certify positivity."""
     pts = tuple(points)
-    try:
-        x = _coordinates(pts)
-        pairs = np.argwhere(np.triu(_close(x, x), 1))  # in row order
-    except ValueError:  # points of different sizes, which gram_matrix rejects
-        pairs = ()
-    if len(pairs):
-        raise ValueError("duplicate sample points at indices {} and {}".format(*pairs[0]))
-    gram = gram_matrix(k, pts)
-    is_psd, lam_min = positivity_certificate(gram)
-    if not is_psd:
-        raise NumericsError(
-            f"Gram matrix is not PSD (min eigenvalue {lam_min:.3e}); "
-            "the input does not behave like a kernel on this sample")
-    return SampledRKHS(kernel=k, points=pts, gram=gram)
+    (gram,), (values,) = _certified_grams(k, (pts,))
+    return SampledRKHS(kernel=k, points=pts, gram=gram, eigenvalues=values)
 
 
 def embed(r: SampledRKHS, s, v) -> RKHSElement:

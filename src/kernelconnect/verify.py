@@ -112,17 +112,11 @@ def _backend_agreement_checks(seed):
 
     checks = []
     for k, probes in kernels:
-        dim = k.domain.dim
-        sigma = _scalar_test_section(dim, rng)
-        closed = make_evaluator(k, "closed-form")
-        direct = make_evaluator(k, "direct")
-        sampled = make_evaluator(k, "sampled")
-        res_cd = 0.0
-        res_ds = 0.0
-        for s, x in probes:
-            d = direct(sigma, s, x)
-            res_cd = max(res_cd, float(np.linalg.norm(closed(sigma, s, x) - d)))
-            res_ds = max(res_ds, float(np.linalg.norm(sampled(sigma, s, x) - d)))
+        sigma = _scalar_test_section(k.domain.dim, rng)
+        closed, direct, sampled = (make_evaluator(k, b).evaluate(sigma, *zip(*probes))
+                                   for b in ("closed-form", "direct", "sampled"))
+        res_cd = max(float(np.linalg.norm(c - d)) for c, d in zip(closed, direct))
+        res_ds = max(float(np.linalg.norm(s - d)) for s, d in zip(sampled, direct))
         checks.append(_check(f"backend_agreement/closed_vs_direct/{k.name}",
                              "connections", res_cd, 1e-8))
         checks.append(_check(f"backend_agreement/direct_vs_sampled/{k.name}",
@@ -145,10 +139,9 @@ def _disk_sign_checks(seed):
     sigma = Section(F=lambda s: np.array([1.0 + 0j]), dF=lambda s, x: np.array([0.0 + 0j]))
     oracle = covariant_derivative_direct(k, sigma, np.array([0.5]), np.array([1.0]))
     res_value = abs(oracle[0] - 4.0 / 3.0)
-    probes = _disk_probes(rng, 40)
-    alphas = connection_forms(k, *zip(*probes))[:, 0, 0]
-    res_grid = max(abs(a - covariant_derivative_direct(k, sigma, s, x)[0])
-                   for a, (s, x) in zip(alphas, probes))
+    probes = list(zip(*_disk_probes(rng, 40)))
+    direct = make_evaluator(k, "direct").evaluate(sigma, *probes)[:, 0]
+    res_grid = max(abs(a - d) for a, d in zip(connection_forms(k, *probes)[:, 0, 0], direct))
     return [
         _check("disk_sign/direct_oracle_value", "connections", res_value, 1e-6),
         _check("disk_sign/closed_form_matches_oracle_grid", "connections", res_grid, 1e-8),
@@ -283,13 +276,12 @@ def _homogeneous_checks(seed):
         return p.p @ (u.conj().T @ z0)
 
     sigma = Section(F=lambda u: b.conj().T @ phi(u))
-    res = 0.0
-    for i in range(20):
-        u = cpmaps.random_unitary(n, seed=seed + 300 + i)
-        x = grassmann.random_grass_tangent(p, rng).generator
-        formula = grassmann.homogeneous_covariant_derivative(phi, p, u, x)
-        generic = covariant_derivative_direct(hk, sigma, u, x)
-        res = max(res, float(np.linalg.norm(b.conj().T @ formula - generic)))
+    us = [cpmaps.random_unitary(n, seed=seed + 300 + i) for i in range(20)]
+    xs = [grassmann.random_grass_tangent(p, rng).generator for _ in us]
+    generic = make_evaluator(hk, "direct").evaluate(sigma, us, xs)
+    formulas = [b.conj().T @ grassmann.homogeneous_covariant_derivative(phi, p, u, x)
+                for u, x in zip(us, xs)]
+    res = max(float(np.linalg.norm(f - g)) for f, g in zip(formulas, generic))
     return [_check("homogeneous/formula_vs_generic", "grassmann", res, 1e-6)]
 
 
@@ -322,14 +314,12 @@ def _stinespring_checks(seed):
         return w0 + psi.apply(u) @ (0.5 * w0)
 
     sigma = Section(F=sigma_fn)
-    cov_res = 0.0
-    for i in range(20):
-        u = cpmaps.random_unitary(3, seed=seed + 500 + i)
-        a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        a = 0.5 * (a - a.conj().T)
-        lhs = cpmaps.cp_covariant_derivative(psi, sigma_fn, u, a)
-        rhs = covariant_derivative_direct(ck, sigma, u, a)
-        cov_res = max(cov_res, float(np.linalg.norm(lhs - rhs)))
+    us = [cpmaps.random_unitary(3, seed=seed + 500 + i) for i in range(20)]
+    xs = [0.5 * (a - a.conj().T)
+          for a in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in us)]
+    generic = make_evaluator(ck, "direct").evaluate(sigma, us, xs)
+    cov_res = max(float(np.linalg.norm(cpmaps.cp_covariant_derivative(psi, sigma_fn, u, a) - g))
+                  for u, a, g in zip(us, xs, generic))
 
     return [
         _check("stinespring/isometry", "cpmaps", iso_res, 1e-12),

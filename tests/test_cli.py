@@ -1,13 +1,20 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernelconnect import verify
-from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, main, parse_kernel_spec
-from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk
-from kernelconnect.numerics import matrix_from_csv_text, matrix_to_csv_text, parse_complex
+from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, _spectrum_json, main, parse_kernel_spec
+from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk, positivity_certificate
+from kernelconnect.numerics import (
+    hermitian_eigh,
+    matrix_from_csv_text,
+    matrix_to_csv_text,
+    parse_complex,
+)
+from kernelconnect.rkhs import build_rkhs
 from kernelconnect.cpmaps import random_unital_cpmap
 
 
@@ -109,6 +116,20 @@ def test_rkhs_universality_passes(capsys):
     rep = json.loads(out)
     assert rep["residual"] < rep["tolerance"]
     assert "min_eig" in rep
+
+
+@pytest.mark.parametrize("command", ["gram", "universality"])
+def test_rkhs_reports_the_grams_condition_number_from_its_certificate(capsys, command):
+    argv = ["rkhs", command, "--kernel", "bergman-disk:nu=2", "--points", "0;0.5;-0.5"]
+    code, out, _ = run_cli(capsys, *argv, *(["--format", "json"] if command == "gram" else []))
+    rep = json.loads(out)
+    pts = [np.array([0.0]), np.array([0.5]), np.array([-0.5])]
+    gram = build_rkhs(make_bergman_disk(2), pts).gram
+    values = hermitian_eigh(gram)[0]
+    assert code == 0 and rep["min_eig"] == positivity_certificate(gram)[1] == values[0]
+    assert rep["condition_number"] == values[-1] / values[0]
+    assert _spectrum_json(SimpleNamespace(eigenvalues=np.array([-1e-15, 2.0]))) == {
+        "min_eig": -1e-15, "condition_number": None}
 
 
 def test_connect_covderiv_reports_three_backends(capsys):

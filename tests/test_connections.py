@@ -16,7 +16,8 @@ from kernelconnect.connections import (
     make_evaluator,
     parallel_transport,
 )
-from kernelconnect.cpmaps import random_unitary
+from kernelconnect import verify
+from kernelconnect.cpmaps import cp_kernel, random_unital_cpmap, random_unitary
 from kernelconnect.grassmann import (
     HermitianProjector,
     coordinate_projector,
@@ -25,6 +26,7 @@ from kernelconnect.grassmann import (
 )
 from kernelconnect.kernels import (
     BundleMorphism,
+    DomainError,
     Kernel,
     VectorDomain,
     make_bergman_disk,
@@ -247,33 +249,42 @@ def test_rkhs_reads_equal_their_per_pair_formulas_bit_for_bit():
 
 
 def _count_blocks(monkeypatch):
-    """Record the (ss, ts) point lists of every Kernel.block call."""
+    """Record the (ss, ts) point stacks of every Kernel.blocks call, the stacked kernel block."""
     calls = []
-    block = Kernel.block
+    blocks = Kernel.blocks
 
     def counted(self, ss, ts):
         calls.append((ss, ts))
-        return block(self, ss, ts)
+        return blocks(self, ss, ts)
 
-    monkeypatch.setattr(Kernel, "block", counted)
+    monkeypatch.setattr(Kernel, "blocks", counted)
     return calls
 
 
 def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
+    # one point or a stack: one stacked block of the rows kappa(s_j, (s_j, *stencil_j))
     for k, sigma, pts, xs in _bitwise_cases():
-        calls = _count_blocks(monkeypatch)
-        covariant_derivative_direct(k, sigma, pts[0], xs[0])
-        assert len(calls) == 1 and len(calls[0][0]) == 1 and len(calls[0][1]) == 5, k.name
-        monkeypatch.undo()
+        for n in (1, len(pts)):
+            calls = _count_blocks(monkeypatch)
+            if n == 1:
+                covariant_derivative_direct(k, sigma, pts[0], xs[0])
+            else:
+                make_evaluator(k, "direct").evaluate(sigma, pts, xs)
+            monkeypatch.undo()
+            assert len(calls) == 1 and [len(a) for a in calls[0][0]] == [1] * n, k.name
+            assert [len(b) for b in calls[0][1]] == [5] * n, k.name
 
 
 def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
+    # one stacked block of the L per-probe 5 x 5 sample Grams, and nothing else
     for k, sigma, pts, xs in _bitwise_cases():
-        calls = _count_blocks(monkeypatch)
-        monkeypatch.setattr(Kernel, "d2_eval", None)
-        make_evaluator(k, "sampled")(sigma, pts[0], xs[0])
-        assert len(calls) == 1 and calls[0][0] is calls[0][1] and len(calls[0][0]) == 5, k.name
-        monkeypatch.undo()
+        for n in (1, len(pts)):
+            calls = _count_blocks(monkeypatch)
+            monkeypatch.setattr(Kernel, "d2_eval", None)
+            make_evaluator(k, "sampled").evaluate(sigma, pts[:n], xs[:n])
+            monkeypatch.undo()
+            assert len(calls) == 1 and calls[0][0] is calls[0][1], k.name
+            assert [len(a) for a in calls[0][0]] == [5] * n, k.name
 
 
 def test_sampled_backend_names_a_missing_stencil_point():
@@ -297,6 +308,118 @@ def test_sampled_backend_is_real_linear_where_its_stencil_would_collapse(size):
         assert np.array_equal(sampled, np.zeros(1))
         with pytest.raises(ValueError):
             make_evaluator(k, "sampled")(sigma, np.array([1.5]), np.zeros(1))
+
+
+# ---------------------------------------------------------------------------
+# Every backend evaluates a stack of probes; a call is its one-point case
+
+def _stack_cases():
+    """(kernel, section, points, tangents): disk nu=2 with probes in the edge layer and a zero and
+    a tiny direction, half-plane nu=1, Fock dim=3 and the loop-fallback CP kernel on U(3)."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for k, pts in [
+        (make_bergman_disk(2), [np.array([r * np.exp(2j * np.pi * rng.uniform())])
+                                for r in (0.1, 0.5, 0.9, 0.93, 0.97, 0.995, 0.9999)]),
+        (make_bergman_halfplane(1), [np.array([rng.uniform(-1, 1) + 1j * v])
+                                     for v in (0.001, 0.05, 0.3, 1.0, 2.0)]),
+        (make_fock(np.eye(3)), [rng.standard_normal(3) + 1j * rng.standard_normal(3)
+                                for _ in range(6)]),
+    ]:
+        dim = k.domain.dim
+        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        sigma = Section(F=lambda s, a=a: np.array([1.0 + a @ np.asarray(s, dtype=complex)]))
+        xs = [rng.standard_normal(dim) + 1j * rng.standard_normal(dim) for _ in pts]
+        if dim == 1:
+            xs[1], xs[2] = np.zeros(1), 1e-20 * xs[2]
+        cases.append((k, sigma, pts, xs))
+    psi = random_unital_cpmap(3, 2, n_kraus=4, rng=rng)
+    w0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    sigma = Section(F=lambda u: w0 + psi.apply(u) @ (0.5 * w0))
+    us = [random_unitary(3, seed=70 + i) for i in range(4)]
+    xs = [a - a.conj().T for a in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                                   for _ in us)]
+    cases.append((cp_kernel(psi), sigma, us, xs))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+def test_stacked_evaluation_equals_the_one_point_loop_bit_for_bit(backend):
+    for k, sigma, pts, xs in _stack_cases():
+        nabla = make_evaluator(k, backend)
+        stacked = nabla.evaluate(sigma, pts, xs)
+        assert stacked.shape == (len(pts), k.fiber_dim), k.name
+        loop = np.array([nabla(sigma, s, x) for s, x in zip(pts, xs)])
+        assert np.array_equal(stacked, loop), k.name
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+@pytest.mark.parametrize("direction", [[0.0], (0.0,), np.zeros(1), [1e-20], [1e-9j], [1e-300]])
+def test_every_backend_is_real_linear_where_its_stencil_would_collapse(backend, direction):
+    # the 1e-12 rule lives in the stencil: whatever the type of the direction, no backend
+    # collapses its stencil or its sample, and a zero direction gives exactly zero
+    k = make_bergman_disk(2)
+    sigma = Section(F=lambda p: np.array([1.0 + 0.3 * complex(p[0])]))
+    s = np.array([0.5])
+    got = make_evaluator(k, backend)(sigma, s, direction)
+    x = complex(np.asarray(direction).flat[0])
+    want = (2.0 * 0.5 * np.conj(x) / 0.75) * 1.15 + 0.3 * x  # alpha(x) sigma(s) + d sigma(x)
+    if x == 0:
+        assert np.array_equal(got, np.zeros(1))
+    assert abs(got[0] - want) <= 1e-9 * abs(want)
+
+
+def test_a_stack_names_the_probe_whose_point_or_stencil_point_leaves_the_domain():
+    k = make_bergman_disk(2)
+    pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
+    for backend in ("closed-form", "direct", "sampled"):
+        with pytest.raises(DomainError, match=r"too close to the unit circle \(point 2 of 3\)"):
+            make_evaluator(k, backend).evaluate(CONSTANT, pts, xs)
+    # with h = 0.1 the last stencil point of the second probe is 0.5 + 2h * 2.5 = 1
+    for backend in ("direct", "sampled"):
+        message = r"\|s\| = 1\.00000000 .* \(point \(1, 4\) of \(2, 5\)\)"
+        with pytest.raises(DomainError, match=message):
+            make_evaluator(k, backend, h=0.1).evaluate(CONSTANT, pts[:1] + [np.array([0.5])],
+                                                       [np.ones(1), 2.5 * np.ones(1)])
+
+
+def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
+    # U(n) has no 1e-12 rule: a zero tangent collapses that probe's sample, and only its own
+    k, sigma, us, xs = _stack_cases()[-1]
+    nabla = make_evaluator(k, "sampled")
+    message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 4\)"
+    with pytest.raises(ValueError, match=message):
+        nabla.evaluate(sigma, us, xs[:2] + [np.zeros((3, 3))] + xs[3:])
+    assert np.array_equal(nabla.evaluate(sigma, us[:2], xs[:2]), nabla.evaluate(sigma, us, xs)[:2])
+
+
+def _leibniz_loop(nabla, f, sigma, probes, h=1e-4):
+    """The Leibniz residual probe by probe through one-point calls: the reference."""
+    scaled = Section(F=lambda s: complex(f(s)) * sigma.value(s))
+    res = 0.0
+    for s, x in probes:
+        df = complex(nabla.kernel.domain.derivative(s, x, f, h))
+        rhs = df * sigma.value(s) + complex(f(s)) * nabla(sigma, s, x)
+        res = max(res, float(np.linalg.norm(nabla(scaled, s, x) - rhs)))
+    return res
+
+
+@pytest.mark.parametrize("seed", [42, 5])
+def test_leibniz_residual_is_unchanged_on_the_reports_probes(seed):
+    # the probes, sections and functions of verify's Leibniz block
+    rng = np.random.default_rng(seed + 8)
+    for k, probes in [(make_bergman_disk(2), verify._disk_probes(rng, 30)),
+                      (make_bergman_halfplane(1), verify._halfplane_probes(rng, 30)),
+                      (make_fock(np.eye(2)), verify._fock_probes(rng, 30, 2))]:
+        dim = k.domain.dim
+        sigma = verify._scalar_test_section(dim, rng)
+        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        f = lambda s, a=a, b=b: 0.5 + a @ s + b @ np.conj(s)  # noqa: E731
+        for backend in ("closed-form", "direct", "sampled"):
+            nabla = make_evaluator(k, backend)
+            want = _leibniz_loop(nabla, f, sigma, probes)
+            assert leibniz_residual(nabla, f, sigma, probes) == want, (k.name, backend)
 
 
 # ---------------------------------------------------------------------------

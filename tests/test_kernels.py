@@ -332,6 +332,37 @@ def test_block_with_no_points_on_one_side_is_empty():
         assert k.block([], [s]).shape == (0, k.fiber_dim)
 
 
+def test_blocks_stack_the_blocks_of_their_members_bit_for_bit():
+    rng = np.random.default_rng(13)
+    rank_one = make_rank_one_kernel(lambda p: np.array([1.0, 2.0 + complex(np.asarray(p).flat[0])]),
+                                    2, VectorDomain(1))
+    for k, dim in ((make_bergman_disk(2.5), 1), (make_bergman_halfplane(1), 1),
+                   (make_fock(np.eye(3)), 3), (rank_one, 1)):
+        pts = 0.3 * (rng.standard_normal((3, 5, dim)) + 1j * rng.standard_normal((3, 5, dim)))
+        if k.name.startswith("bergman-halfplane"):
+            pts = pts.real + 1j * (0.1 + np.abs(pts.imag))
+        ss, ts = [list(p[:2]) for p in pts], [list(p) for p in pts]
+        for a, b in ((ss, ts), (ts, ts)):
+            want = np.array([k.block(x, y) for x, y in zip(a, b)])
+            assert np.array_equal(k.blocks(a, b), want), k.name
+
+
+def test_stencils_of_a_stack_are_the_stencils_of_its_points_bit_for_bit():
+    # vector domains build every curve as one array, with each point's edge-layer step
+    disk = make_bergman_disk(2).domain
+    pts = [np.array([r * np.exp(1j * r)]) for r in (0.0, 0.5, 0.9, 0.93, 0.99, 0.9999)]
+    xs = [np.array([1.0 - 2.0j]), np.array([0.3j]), np.array([-1.0]), np.array([2.0]),
+          np.array([1e-3 + 1e-3j]), np.array([0.7])]
+    s, q, w = disk.stencils(pts, xs)
+    for j, (p, x) in enumerate(zip(pts, xs)):
+        d = DISK_BOUNDARY_GUARD - abs(p[0])
+        h = 1e-4 * d / 0.08 if d < 0.08 else 1e-4
+        assert np.array_equal(s[j], p)
+        assert np.array_equal(q[j], np.array([p + t * x for t in (-2.0 * h, -h, h, 2.0 * h)]))
+        assert np.array_equal(w[j], np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h))
+    disk.stack(q.reshape(-1, 1))  # every stencil point stays inside
+
+
 def test_stencil_derivative_matches_analytic():
     # d/dt exp((0.3+0.2i) t) at 0 = 0.3+0.2i; 5-point stencil is O(h^4)
     c = 0.3 + 0.2j

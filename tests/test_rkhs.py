@@ -3,7 +3,13 @@ import pytest
 
 from kernelconnect.cpmaps import random_unitary
 from kernelconnect.grassmann import HermitianProjector, coordinate_projector, universal_kernel
-from kernelconnect.kernels import VectorDomain, make_bergman_disk, make_fock, make_rank_one_kernel
+from kernelconnect.kernels import (
+    DomainError,
+    VectorDomain,
+    make_bergman_disk,
+    make_fock,
+    make_rank_one_kernel,
+)
 from kernelconnect.numerics import NumericsError
 from kernelconnect.rkhs import (
     build_rkhs,
@@ -110,6 +116,11 @@ def test_duplicate_points_rejected():
     k = make_bergman_disk(2)
     with pytest.raises(ValueError):
         build_rkhs(k, [np.array([0.1]), np.array([0.1])])
+
+
+def test_points_of_the_wrong_size_are_named_as_in_a_gram():
+    with pytest.raises(DomainError, match=r"C\^2: expected dimension 2, got 3 \(point 1 of 3\)"):
+        build_rkhs(make_fock(np.eye(2)), [[0, 0], [1, 1j, 2], [0, 1]])
 
 
 def test_non_psd_input_rejected():
