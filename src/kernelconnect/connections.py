@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import BundleMorphism, Kernel, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, hermitian_solve
-from .rkhs import SampledRKHS, _certified_grams
+from .rkhs import SampledRKHS, _certify
 
 __all__ = [
     "Section",
@@ -101,6 +101,7 @@ def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
 
 def _closed_form(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
                  h: float) -> np.ndarray:
+    alpha = connection_forms(k, points, directions, h)  # one diagonal jet; checks every probe
     if sigma.dF is None:
         _, stencils, weights = k.domain.stencils(points, directions, h)
         dsigma = stencil_sum(weights, [[sigma.value(p) for p in ps] for ps in stencils])
@@ -108,7 +109,7 @@ def _closed_form(k: Kernel, sigma: Section, points: Sequence, directions: Sequen
         dsigma = np.array([sigma.dF(s, x) for s, x in zip(points, directions)], dtype=complex)
         dsigma = dsigma.reshape(len(points), -1)
     values = np.array([sigma.value(s) for s in points])[..., None]
-    return dsigma + (connection_forms(k, points, directions, h) @ values)[..., 0]
+    return dsigma + (alpha @ values)[..., 0]
 
 
 def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
@@ -148,16 +149,18 @@ def covariant_derivative_sampled(r: SampledRKHS, sigma: Section, s, x,
     except KeyError as exc:
         raise NumericsError("a stencil point is missing from the sample") from exc
     values = [[sigma.value(p) for p in points]]
-    return _sampled_from_grams(r.gram[None], i, at, weights, values)[0]
+    return _sampled_from_grams(r.gram[None], r.fiber_dim, i, at, weights, values)[0]
 
 
-def _sampled_from_grams(grams: np.ndarray, i: int, at: Sequence, weights: np.ndarray,
+def _sampled_from_grams(grams: np.ndarray, m: int, i: int, at: Sequence, weights: np.ndarray,
                         values) -> np.ndarray:
-    """(L, M) derivatives from L sample Grams: s_j is point i, its stencil `at`, sigma values[j]."""
-    v = np.asarray(values, dtype=complex)
+    """(L, M) derivatives from L sample Grams of fiber dimension m: s_j is point i, its stencil
+    `at`, sigma values[j]."""
+    v, n = np.asarray(values, dtype=complex), grams.shape[-1]
+    if v.shape[-1] != m:
+        raise ValueError(f"section value has {v.shape[-1]} entries, fiber dimension is {m}")
     if not np.isfinite(v).all():
         raise NumericsError("non-finite function value at a stencil point")
-    n, m = grams.shape[-1], v.shape[-1]
     c = np.zeros((len(grams), n // m, m), dtype=complex)
     np.add.at(c, (slice(None), at), weights[..., None] * v)  # the derivative element
     b = slice(i * m, (i + 1) * m)
@@ -171,9 +174,10 @@ def _sampled(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
              h: float) -> np.ndarray:
     s, stencils, weights = k.domain.stencils(points, directions, h)
     samples = [(*ps[:2], p, *ps[2:]) for p, ps in zip(s, stencils)]
-    grams, _ = _certified_grams(k, samples)
+    grams = k.blocks(samples, samples)
+    _certify(samples, grams)
     values = [[sigma.value(p) for p in ps] for ps in stencils]
-    return _sampled_from_grams(grams, 2, [0, 1, 3, 4], weights, values)
+    return _sampled_from_grams(grams, k.fiber_dim, 2, [0, 1, 3, 4], weights, values)
 
 
 def make_evaluator(k: Kernel, backend: str = "direct",

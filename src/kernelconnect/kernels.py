@@ -35,7 +35,6 @@ __all__ = [
     "make_rank_one_kernel",
     "gram_matrix",
     "positivity_certificate",
-    "psd_spectra",
     "BundleMorphism",
     "pull_back_kernel",
     "admissibility_report",
@@ -86,7 +85,7 @@ class Domain:
         """The stencils of L probes (s_j, x_j): the points, L lists of 4 points, (L, 4) weights."""
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
-        for s, x in zip(points, directions):
+        for s, x in zip(points, _paired(points, directions)):
             self.check_tangent(s, x)
         stencils = [list(map(self.curve(s, x), h * _OFFSETS)) for s, x in zip(points, directions)]
         return points, stencils, np.tile(_WEIGHTS / (12.0 * h), (len(points), 1))
@@ -97,14 +96,21 @@ class Domain:
         return stencil_sum(weights, [f(p) for p in points])
 
 
+def _paired(points: Sequence, directions: Sequence) -> Sequence:
+    """The directions of a stack of probes, one per point."""
+    if len(points) != len(directions):
+        raise DomainError(f"{len(points)} points but {len(directions)} directions")
+    return directions
+
+
 def stencil_sum(weights: np.ndarray, values: Sequence) -> np.ndarray:
     """sum_i w_i v_i in stencil order, for weights (..., 4) and values (..., 4, ...)."""
     v = np.asarray(values, dtype=complex)
     if not np.isfinite(v).all():
         raise NumericsError("non-finite function value at a stencil point")
     w = np.reshape(weights, np.shape(weights) + (1,) * (v.ndim - np.ndim(weights)))
-    t, lead = w * v, (slice(None),) * (np.ndim(weights) - 1)
-    return ((t[lead + (0,)] + t[lead + (1,)]) + t[lead + (2,)]) + t[lead + (3,)]
+    t = np.moveaxis(w * v, np.ndim(weights) - 1, 0)  # the four terms first
+    return ((t[0] + t[1]) + t[2]) + t[3]
 
 
 @dataclass(frozen=True)
@@ -128,9 +134,7 @@ class VectorDomain(Domain):
         """
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
-        s = self.stack(points)
-        x = np.array(directions, dtype=complex).reshape(len(s), -1)
-        self.check_tangent(s[0], x[0])  # every row has the dimension of the first
+        s, x = self.jets(points, directions)
         # the distance d to the edge, > 0 at a checked point; inf on an unbounded domain
         d = np.full((len(s), 1), np.inf) if self.edge is None else self.edge(s)[:, None]
         step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)
@@ -143,6 +147,13 @@ class VectorDomain(Domain):
             weights = np.where(tiny, weights * size, weights)
         return s, s[:, None] + (step * _OFFSETS)[..., None] * x[:, None], weights
 
+    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """The probes (s_j, x_j) as checked (L, d) stacks of points and directions."""
+        s = self.stack(points)
+        x = np.array(_paired(s, directions), dtype=complex).reshape(len(s), -1)
+        self.check_tangent(s[0], x[0])  # every row has the dimension of the first
+        return s, x
+
     def check_point(self, s) -> None:
         self.stack((s,))
 
@@ -152,8 +163,6 @@ class VectorDomain(Domain):
         try:
             a = np.array(points, dtype=complex)
         except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
-            if depth > 1:  # each list of points by itself, which names a point of the wrong size
-                return np.array([self.stack(p, depth - 1) for p in points])
             a = [_as_point(p) for p in points]
             bad = [i for i, p in enumerate(a) if p.shape != (self.dim,)]
             if bad:
@@ -315,11 +324,9 @@ class Kernel:
         With `batch` and `d2`: one domain check, one array expression each; else a loop.
         """
         if self.batch is None or self.d2 is None:
-            return (np.array([self(s, s) for s in points]),
-                    np.array([self.d2_eval(s, s, x, h) for s, x in zip(points, directions)]))
-        s = self.domain.stack(points)
-        x = np.array(directions, dtype=complex).reshape(len(s), -1)
-        self.domain.check_tangent(s[0], x[0])  # every row has the dimension of the first
+            return (np.array([self(s, s) for s in points]), np.array(
+                [self.d2_eval(s, s, x, h) for s, x in zip(points, _paired(points, directions))]))
+        s, x = self.domain.jets(points, directions)
         return (self._finite(self.batch(s, s)).reshape(-1, 1, 1),
                 self._finite(self.d2(s, s, x), "derivative").reshape(-1, 1, 1))
 
@@ -459,13 +466,13 @@ def positivity_certificate(g, tol: float = 1e-9) -> tuple[bool, float]:
     """Check a Gram matrix for positive semidefiniteness by its spectrum.
 
     Returns (is_psd, min_eigenvalue); is_psd holds iff the minimum eigenvalue
-    is >= -tol * max(1, lambda_max).  The one-matrix case of `psd_spectra`.
+    is >= -tol * max(1, lambda_max).  The one-matrix case of `_psd_spectra`.
     """
-    values, is_psd = psd_spectra(np.asarray(g, dtype=complex)[None], tol)
+    values, is_psd = _psd_spectra(np.asarray(g, dtype=complex)[None], tol)
     return bool(is_psd[0]), float(values[0, 0])
 
 
-def psd_spectra(grams, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
+def _psd_spectra(grams, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     """The ascending spectra of an (L, N, N) stack of Hermitian (within tol) Gram matrices, and
     whether each is PSD: its minimum eigenvalue >= -tol * max(1, lambda_max)."""
     a = np.asarray(grams, dtype=complex)

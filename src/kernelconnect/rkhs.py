@@ -11,11 +11,11 @@ provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel, psd_spectra
+from .kernels import Kernel, _psd_spectra, gram_matrix
 from .numerics import NumericsError, hermitian_solve
 
 __all__ = [
@@ -35,7 +35,7 @@ class SampledRKHS:
     kernel: Kernel
     points: tuple
     gram: np.ndarray
-    eigenvalues: Optional[np.ndarray] = None  # of the Gram, ascending, from its PSD certificate
+    eigenvalues: np.ndarray  # of the Gram, ascending, from its PSD certificate
 
     @property
     def fiber_dim(self) -> int:
@@ -85,32 +85,28 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(a[..., :, None, :] - b[..., None, :, :]).max(axis=-1, initial=0.0) <= 1e-12
 
 
-def _certified_grams(k: Kernel, samples: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """The Gram matrices of L samples and their spectra; each sample distinct, each Gram PSD."""
-    try:
-        x = np.array([_coordinates(pts) for pts in samples])
-        close = _close(x, x)
-    except ValueError:  # points of different sizes, which the Gram rejects
-        close = np.zeros((0, 1, 1))
+def _certify(samples: Sequence, grams: np.ndarray) -> np.ndarray:
+    """The ascending spectra of the Gram matrices of L samples; each sample distinct, each PSD."""
     of = lambda j: f" (sample {j} of {len(samples)})" if len(samples) > 1 else ""  # noqa: E731
-    if np.count_nonzero(close) > close.size // close.shape[-1]:  # one beside its own diagonal
-        j, a, b = np.argwhere(np.triu(close, 1))[0]  # the first pair in row order
+    x = np.array([_coordinates(pts) for pts in samples])
+    close = _close(x, x) > np.eye(x.shape[1], dtype=bool)  # off the diagonal; symmetric
+    if close.any():
+        j, a, b = np.argwhere(close)[0]  # the first pair in row order, so a < b
         raise ValueError(f"duplicate sample points at indices {a} and {b}{of(j)}")
-    grams = k.blocks(samples, samples)
-    values, is_psd = psd_spectra(grams)
+    values, is_psd = _psd_spectra(grams)
     if not is_psd.all():
         j = int(np.argmin(is_psd))
         raise NumericsError(
             f"Gram matrix is not PSD (min eigenvalue {values[j, 0]:.3e}); "
             f"the input does not behave like a kernel on this sample{of(j)}")
-    return grams, values
+    return values
 
 
 def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
     """Assemble the Gram matrix on distinct sample points and certify positivity."""
     pts = tuple(points)
-    (gram,), (values,) = _certified_grams(k, (pts,))
-    return SampledRKHS(kernel=k, points=pts, gram=gram, eigenvalues=values)
+    gram = gram_matrix(k, pts)
+    return SampledRKHS(kernel=k, points=pts, gram=gram, eigenvalues=_certify((pts,), gram[None])[0])
 
 
 def embed(r: SampledRKHS, s, v) -> RKHSElement:

@@ -249,16 +249,36 @@ def test_rkhs_reads_equal_their_per_pair_formulas_bit_for_bit():
 
 
 def _count_blocks(monkeypatch):
-    """Record the (ss, ts) point stacks of every Kernel.blocks call, the stacked kernel block."""
-    calls = []
-    blocks = Kernel.blocks
+    """Record every Kernel.block and Kernel.blocks call as (name, ss, ts, inside), where inside
+    marks a call made from within a blocks call (its loop over block on other kernels)."""
+    calls, open_blocks = [], []
+    block, blocks = Kernel.block, Kernel.blocks
 
-    def counted(self, ss, ts):
-        calls.append((ss, ts))
-        return blocks(self, ss, ts)
+    def counted_block(self, ss, ts):
+        calls.append(("block", ss, ts, bool(open_blocks)))
+        return block(self, ss, ts)
 
-    monkeypatch.setattr(Kernel, "blocks", counted)
+    def counted_blocks(self, ss, ts):
+        calls.append(("blocks", ss, ts, bool(open_blocks)))
+        open_blocks.append(ss)
+        try:
+            return blocks(self, ss, ts)
+        finally:
+            open_blocks.pop()
+
+    monkeypatch.setattr(Kernel, "block", counted_block)
+    monkeypatch.setattr(Kernel, "blocks", counted_blocks)
     return calls
+
+
+def _one_stacked_block(k, calls, n):
+    """The (ss, ts) of the one blocks call among `calls`, after checking that the kernel was read
+    nowhere else: block runs only inside it, n times on a kernel without batch and never with."""
+    outer = [c for c in calls if not c[3]]
+    assert [c[0] for c in outer] == ["blocks"], k.name
+    inner = [c[0] for c in calls if c[3]]
+    assert inner == ([] if k.batch is not None else ["block"] * n), k.name
+    return outer[0][1:3]
 
 
 def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
@@ -271,8 +291,8 @@ def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
             else:
                 make_evaluator(k, "direct").evaluate(sigma, pts, xs)
             monkeypatch.undo()
-            assert len(calls) == 1 and [len(a) for a in calls[0][0]] == [1] * n, k.name
-            assert [len(b) for b in calls[0][1]] == [5] * n, k.name
+            ss, ts = _one_stacked_block(k, calls, n)
+            assert [len(a) for a in ss] == [1] * n and [len(b) for b in ts] == [5] * n, k.name
 
 
 def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
@@ -283,8 +303,20 @@ def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
             monkeypatch.setattr(Kernel, "d2_eval", None)
             make_evaluator(k, "sampled").evaluate(sigma, pts[:n], xs[:n])
             monkeypatch.undo()
-            assert len(calls) == 1 and calls[0][0] is calls[0][1], k.name
-            assert [len(a) for a in calls[0][0]] == [5] * n, k.name
+            ss, ts = _one_stacked_block(k, calls, n)
+            assert ss is ts and [len(a) for a in ss] == [5] * n, k.name
+
+
+def test_block_counter_sees_a_stray_kernel_evaluation(monkeypatch):
+    # the counter behind the two tests above catches k(s, s) and a second block call
+    k, _, pts, _ = _bitwise_cases()[0]
+    for extra in (lambda: k(pts[0], pts[0]), lambda: k.blocks([pts[:1]], [pts[:2]])):
+        calls = _count_blocks(monkeypatch)
+        k.blocks([pts[:1]], [pts])
+        extra()
+        monkeypatch.undo()
+        with pytest.raises(AssertionError):
+            _one_stacked_block(k, calls, 1)
 
 
 def test_sampled_backend_names_a_missing_stencil_point():
@@ -381,6 +413,38 @@ def test_a_stack_names_the_probe_whose_point_or_stencil_point_leaves_the_domain(
         with pytest.raises(DomainError, match=message):
             make_evaluator(k, backend, h=0.1).evaluate(CONSTANT, pts[:1] + [np.array([0.5])],
                                                        [np.ones(1), 2.5 * np.ones(1)])
+
+
+def test_a_stack_needs_one_direction_per_point():
+    # on C^1 two points and one 2-vector must not read as two directions; on a loop domain
+    # the stack must not shrink to the shorter list
+    disk = make_bergman_disk(1)
+    grass, sigma, gpts, gxs = _bitwise_cases()[-1]
+    for k, sigma, pts, xs in [(disk, CONSTANT, [np.array([0.1]), np.array([0.2])],
+                               [np.array([1.0, 2.0])]),
+                              (grass, sigma, gpts[:2], gxs[:1])]:
+        with pytest.raises(DomainError, match="2 points but 1 directions"):
+            k.domain.stencils(pts, xs)
+        with pytest.raises(DomainError, match="2 points but 1 directions"):
+            connection_forms(k, pts, xs)
+        for backend in ("closed-form", "direct", "sampled"):
+            with pytest.raises(DomainError, match="2 points but 1 directions"):
+                make_evaluator(k, backend).evaluate(sigma, pts, xs)
+
+
+def test_every_backend_rejects_a_section_of_the_wrong_fiber_dimension():
+    # a 2-vector section on a scalar kernel: no backend may read it as two fibers
+    k = make_bergman_disk(2)
+    sigma = Section(F=lambda s: np.array([1.0, 2.0 + 0j]))
+    s, x = np.array([0.3]), np.array([1.0])
+    for backend in ("closed-form", "direct", "sampled"):
+        with pytest.raises(ValueError):
+            make_evaluator(k, backend)(sigma, s, x)
+    points, _ = _per_pair_stencil(k, s, x)
+    extra = [np.array([0.1 * j - 0.4j]) for j in range(5)]
+    r = build_rkhs(k, [*points[:2], s, *points[2:], *extra])  # 10 points: 10 / 2 is whole
+    with pytest.raises(ValueError, match="section value has 2 entries, fiber dimension is 1"):
+        covariant_derivative_sampled(r, sigma, s, x)
 
 
 def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
