@@ -69,7 +69,6 @@ from .grassmann import (
     homogeneous_covariant_derivative,
     homogeneous_kernel,
     maurer_cartan,
-    projector_from_basis,
     random_grass_tangent,
     reductive_axioms_residual,
     reductive_covariant_derivative,

@@ -20,7 +20,6 @@ from .connections import (
     _transport,
     covariant_derivative_direct,
     make_evaluator,
-    parallel_transport,
 )
 from .cpmaps import (
     cp_covariant_derivative,
@@ -92,8 +91,10 @@ def parse_kernel_spec(spec: str) -> Kernel:
 def _load_cpmap(path: str, n: int | None):
     try:
         choi = read_matrix_csv(path)
-    except OSError as exc:
+    except (OSError, NumericsError) as exc:  # unreadable, empty, ragged or unparsable
         raise UsageError(f"cannot read Choi CSV {path!r}: {exc}") from exc
+    if choi.shape[0] != choi.shape[1]:
+        raise UsageError(f"Choi matrix is not square: shape {choi.shape}")
     size = choi.shape[0]
     if n is None:
         n = int(round(np.sqrt(size)))
@@ -128,7 +129,10 @@ def _parse_point(k: Kernel, text: str, base=None) -> np.ndarray:
 
 
 def _parse_points(k: Kernel, text: str) -> list:
-    return [_parse_point(k, part) for part in text.split(";") if part.strip()]
+    points = [_parse_point(k, part) for part in text.split(";") if part.strip()]
+    if not points:
+        raise UsageError(f"--points needs at least one point, got {text!r}")
+    return points
 
 
 def _vector_json(v) -> list:
@@ -141,8 +145,11 @@ def _matrix_json(m) -> list:
 
 def _emit(text: str, path: str | None) -> None:
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {path!r}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -248,20 +255,18 @@ def _cmd_connect_transport(args) -> int:
     curve = Curve(gamma=lambda t: (1.0 - t) * start + t * end,
                   velocity=lambda t: end - start)
     rungs = sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})
-    ladder = {}
-    for n in rungs:  # ends: kappa(s, s) at the segment's two ends, the same on every rung
-        ladder[n], ends = _transport(k, curve, v0, steps=n)
+    coarse = rungs[-2] if len(rungs) > 1 else 2  # --steps 1 has no coarser rung: 2 steps stand in
+    every = sorted({*rungs, coarse})
+    vectors, ends = _transport(k, curve, v0, every)  # one jet for the whole ladder
+    ladder = dict(zip(every, vectors))
     final = ladder[args.steps]  # metric_drift: v* kappa(s, s) v, which exact transport keeps
     start_norm, end_norm = (np.vdot(v, kss @ v).real for v, kss in zip((v0, final), ends))
     drift = abs(end_norm - start_norm) / start_norm if start_norm else 0.0
-    if len(rungs) == 1:  # --steps 1 has no coarser rung: measure it against 2 steps
-        own_error = float(np.linalg.norm(final - parallel_transport(k, curve, v0, steps=2)))
-    else:  # step doubling at the rate the ladder shows, at most RK4's (steps / coarse)^4
-        coarse = rungs[-2]
-        own_error = float(np.linalg.norm(final - ladder[coarse]))
-        if len(rungs) > 2 and own_error > 0:  # two rungs show no rate: keep the difference
-            seen = float(np.linalg.norm(ladder[coarse] - ladder[rungs[-3]])) / own_error
-            own_error /= max(min(seen, (args.steps / coarse) ** 4) - 1.0, 1.0)
+    # step doubling at the rate the ladder shows, at most RK4's (steps / coarse)^4
+    own_error = float(np.linalg.norm(final - ladder[coarse]))
+    if len(rungs) > 2 and own_error > 0:  # two rungs show no rate: keep the difference
+        seen = float(np.linalg.norm(ladder[coarse] - ladder[rungs[-3]])) / own_error
+        own_error /= max(min(seen, (args.steps / coarse) ** 4) - 1.0, 1.0)
     table = [(n, float(np.linalg.norm(ladder[n] - final))) for n in rungs[:-1]]
     table.append((args.steps, own_error))
     if args.format == "csv":

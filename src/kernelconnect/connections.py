@@ -197,31 +197,39 @@ def make_evaluator(k: Kernel, backend: str = "direct",
 def parallel_transport(k: Kernel, curve: Curve, v0, steps: int) -> np.ndarray:
     """Transport v0 along the curve by integrating v' = -alpha_gamma(t)(gamma'(t)) v.
 
-    Classical 4th-order one-step integration with fixed step 1/steps.
+    Classical 4th-order one-step integration with fixed step 1/steps.  The one-rung case of
+    `_transport`.
     """
-    return _transport(k, curve, v0, steps)[0]
+    return _transport(k, curve, v0, (steps,))[0][0]
 
 
-def _transport(k: Kernel, curve: Curve, v0, steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """parallel_transport, and the (2, M, M) kappa(s, s) at the curve's two ends.
+def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list, np.ndarray]:
+    """parallel_transport at each number of steps in `rungs`, and the (2, M, M) kappa(s, s) at the
+    curve's two ends.
 
-    One diagonal jet gives the forms at the nodes t_j = j / (2 steps), one stacked
-    expression every step's propagator P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v.
+    One diagonal jet gives the forms at the union of the rungs' nodes; a rung of n steps reads
+    its nodes t_j = j / (2n) from it, bit for bit, and builds every step's propagator
+    P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v as one stacked expression.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    v = np.atleast_1d(np.asarray(v0, dtype=complex))
-    nodes = np.arange(2 * steps + 1) / (2 * steps)
+    if min(rungs) < 1:
+        raise ValueError(f"steps must be >= 1, got {min(rungs)}")
+    v0 = np.atleast_1d(np.asarray(v0, dtype=complex))
+    grids = [np.arange(2 * n + 1) / (2 * n) for n in rungs]
+    nodes = np.sort(np.concatenate(grids))  # their union (np.unique would import numpy.ma)
+    nodes = nodes[np.diff(nodes, prepend=-1.0) > 0]
     kss, d2 = k.diagonal_jet(list(map(curve.gamma, nodes)), list(map(curve.velocity, nodes)))
-    a = -hermitian_solve(kss, d2)
-    dt, eye = 1.0 / steps, np.eye(k.fiber_dim)
-    k1 = a[:-1:2]
-    k2 = a[1::2] @ (eye + 0.5 * dt * k1)
-    k3 = a[1::2] @ (eye + 0.5 * dt * k2)
-    k4 = a[2::2] @ (eye + dt * k3)
-    for p in eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
-        v = p @ v
-    return v, kss[::2 * steps]
+    forms, eye, out = -hermitian_solve(kss, d2), np.eye(k.fiber_dim), []
+    for n, grid in zip(rungs, grids):
+        a, dt = forms[np.searchsorted(nodes, grid)], 1.0 / n
+        k1 = a[:-1:2]
+        k2 = a[1::2] @ (eye + 0.5 * dt * k1)
+        k3 = a[1::2] @ (eye + 0.5 * dt * k2)
+        k4 = a[2::2] @ (eye + dt * k3)
+        v = v0
+        for p in eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
+            v = p @ v
+        out.append(v)
+    return out, kss[[0, -1]]
 
 
 def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],

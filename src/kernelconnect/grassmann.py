@@ -28,7 +28,6 @@ __all__ = [
     "GrassDomain",
     "ReductiveStructure",
     "coordinate_projector",
-    "projector_from_basis",
     "fiber_basis",
     "conditional_expectation",
     "reductive_axioms_residual",
@@ -99,15 +98,6 @@ def coordinate_projector(n: int, k: int) -> HermitianProjector:
     p = np.zeros((n, n), dtype=complex)
     p[:k, :k] = np.eye(k)
     return HermitianProjector(p, k)
-
-
-def projector_from_basis(b) -> HermitianProjector:
-    """Projector onto the column span of an orthonormal-column matrix."""
-    m = np.asarray(b, dtype=complex)
-    k = m.shape[1]
-    if np.linalg.norm(m.conj().T @ m - np.eye(k)) > 1e-10:
-        raise DomainError("columns are not orthonormal")
-    return HermitianProjector(m @ m.conj().T, k)
 
 
 def fiber_basis(point: HermitianProjector) -> np.ndarray:

@@ -15,6 +15,7 @@ are treated as real-linear directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -159,16 +160,16 @@ class VectorDomain(Domain):
 
     def stack(self, points: Sequence, depth: int = 1) -> np.ndarray:
         """The points as one checked complex array: `depth` axes of points (a scalar is a point of
-        C^1), then coordinates; an error names the point by its index."""
+        C^1), then coordinates; an error names the point by its index on the axes longer than 1."""
         try:
             a = np.array(points, dtype=complex)
         except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
-            a = [_as_point(p) for p in points]
+            a = [_as_point(p) for p in (points if depth == 1 else chain.from_iterable(points))]
             bad = [i for i, p in enumerate(a) if p.shape != (self.dim,)]
             if bad:
                 raise DomainError(f"{self.name}: expected dimension {self.dim}, got "
                                   f"{a[bad[0]].shape[0]} (point {bad[0]} of {len(a)})")
-            a = np.array(a)
+            a = np.array(a) if depth == 1 else np.array(a).reshape(len(points), -1, self.dim)
         if a.ndim == depth:  # scalar points, or no points at all
             a = a.reshape(a.shape + (1,) if a.size else a.shape[:-1] + (0, self.dim))
         if a.ndim != depth + 1:
@@ -180,10 +181,11 @@ class VectorDomain(Domain):
             bad = int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
         else:
             bad = self.guard(flat) if self.guard is not None and len(flat) else None
-        if bad is not None:
-            at, n = tuple(map(int, np.unravel_index(bad[0], a.shape[:-1]))), a.shape[:-1]
-            at = f" (point {at[0] if depth == 1 else at} of {n[0] if depth == 1 else n})"
-            raise DomainError(f"{self.name}: {bad[1]}{at if len(flat) > 1 else ''}")
+        if bad is not None:  # a one-member stack names its point as a flat list would
+            at = [(int(i), n) for i, n in zip(np.unravel_index(bad[0], a.shape[:-1]), a.shape[:-1])
+                  if n > 1]
+            at, n = at[0] if len(at) == 1 else tuple(zip(*at)) or ((), ())
+            raise DomainError(f"{self.name}: {bad[1]}{f' (point {at} of {n})' if n else ''}")
         return a
 
     def check_tangent(self, s, x) -> None:
@@ -199,15 +201,15 @@ class VectorDomain(Domain):
 
 def _disk_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
     r = np.abs(a[:, 0])
-    i = int(np.argmax(r >= DISK_BOUNDARY_GUARD))  # 0 when every point is inside
-    if r[i] >= DISK_BOUNDARY_GUARD:
+    if r.max() >= DISK_BOUNDARY_GUARD:  # then name the first point outside
+        i = int(np.argmax(r >= DISK_BOUNDARY_GUARD))
         return i, f"|s| = {r[i]:.8f} is too close to the unit circle"
 
 
 def _halfplane_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
     im = a[:, 0].imag
-    i = int(np.argmax(im <= 0))  # 0 when every point is inside
-    if im[i] <= 0:
+    if im.min() <= 0:  # then name the first point outside
+        i = int(np.argmax(im <= 0))
         return i, f"Im z = {im[i]:.3e} must be positive"
 
 
@@ -256,11 +258,12 @@ class Kernel:
     `eval` returns the M x M matrix kappa(s, t).  `d2`, when present, returns
     the real-linear directional derivative of t -> kappa(s, t) in direction x
     (a conjugate-linear expression for the anti-holomorphic built-ins).
-    Kernels lacking `d2` fall back to domain.stencil(t, x) over one block.
+    Kernels lacking `d2` fall back to the stencil, read from one `blocks` call.
     `batch`, when present, maps point arrays of a VectorDomain, coordinates on
     the last axis and leading axes broadcast, to a scalar kernel's values; its
     `d2` then maps (s, t, x) arrays the same way.  Every entry must depend on
-    its own points alone, bit for bit, whatever the shapes are.
+    its own points alone, bit for bit, whatever the shapes are, given one
+    leading axis at least (numpy's 0-d scalar arithmetic may round otherwise).
     """
 
     fiber_dim: int
@@ -271,8 +274,7 @@ class Kernel:
     batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, s, t) -> np.ndarray:
-        ss = (s,)
-        return self.block(ss, ss if t is s else (t,))
+        return self.blocks(ss := ((s,),), ss if t is s else ((t,),))[0]
 
     def _finite(self, out: np.ndarray, what: str = "value") -> np.ndarray:
         if not np.isfinite(out).all():
@@ -280,55 +282,73 @@ class Kernel:
         return out
 
     def block(self, ss: Sequence, ts: Sequence) -> np.ndarray:
-        """The len(ss)*M x len(ts)*M matrix whose block (l, j) is kappa(ss[l], ts[j]).
-
-        Each point is checked against the domain once, not once per pair.
-        """
-        if self.batch is not None:
-            s_stack = self.domain.stack(ss)
-            t_stack = s_stack if ts is ss else self.domain.stack(ts)
-            return self._finite(self.batch(s_stack[:, None], t_stack[None]))
-        for p in ss if ts is ss else (*ss, *ts):
-            self.domain.check_point(p)
-        m = self.fiber_dim
-        out = np.empty((len(ss), m, len(ts), m), dtype=complex)
-        for l, s in enumerate(ss):
-            for j, t in enumerate(ts):
-                out[l, :, j, :] = np.asarray(self.eval(s, t), dtype=complex).reshape(m, m)
-        return self._finite(out.reshape(len(ss) * m, len(ts) * m))
+        """The len(ss)*M x len(ts)*M matrix of blocks kappa(ss[l], ts[j]): one-member `blocks`."""
+        return self.blocks(one := (ss,), one if ts is ss else (ts,))[0]
 
     def blocks(self, ss: Sequence, ts: Sequence) -> np.ndarray:
-        """`block` over a leading axis: the (L, aM, bM) stack of block(ss[j], ts[j]), j < L."""
-        if self.batch is None:
-            return np.array([self.block(a, b) for a, b in zip(ss, ts)])
-        s_stack = self.domain.stack(ss, 2)
-        t_stack = s_stack if ts is ss else self.domain.stack(ts, 2)
-        return self._finite(self.batch(s_stack[:, :, None], t_stack[:, None]))
+        """The (L, aM, bM) stack of block(ss[j], ts[j]), j < L, for members of a and b points.
+
+        Every kernel value is evaluated here, by one `batch` expression or one loop over `eval`,
+        after `_points` has checked each point once.
+        """
+        s, t = self._points(ss, ts)
+        if self.batch is not None:
+            a, b = s.shape[1], t.shape[1]  # members of one point need fewer axes to broadcast
+            if a == b == 1:
+                s, t = s[:, 0], t[:, 0]
+            elif a > 1 and b > 1:
+                s, t = s[:, :, None], t[:, None]
+            return self._finite(self.batch(s, t).reshape(len(s), a, b))
+        m, (a, b) = self.fiber_dim, (len(x[0]) if len(x) else 0 for x in (ss, ts))
+        out = np.array([[[self.eval(p, q) for q in tj] for p in sj] for sj, tj in zip(ss, ts)],
+                       dtype=complex).reshape(len(ss), a, b, m, m).swapaxes(2, 3)
+        return self._finite(out.reshape(len(ss), a * m, b * m))
+
+    def _points(self, ss: Sequence, ts: Sequence) -> tuple[Sequence, Sequence]:
+        """The stacks ss and ts with each point checked against the domain once, all of them once
+        when ts is ss: as (L, a, d) arrays for `batch`, else as they are."""
+        if self.batch is not None:
+            s = self.domain.stack(ss, 2)
+            return s, s if ts is ss else self.domain.stack(ts, 2)
+        for p in chain(*ss) if ts is ss else chain(*ss, *ts):
+            self.domain.check_point(p)
+        return ss, ts
 
     def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:
-        """Directional derivative of kappa(s, .) at t in direction x."""
-        for p in (s,) if t is s else (s, t):
-            self.domain.check_point(p)
-        m = self.fiber_dim
-        if self.d2 is None:  # one block holds every value the stencil reads
-            points, weights = self.domain.stencil(t, x, h)
-            return stencil_sum(weights, self.block((s,), points).reshape(m, 4, m).swapaxes(0, 1))
-        self.domain.check_tangent(t, x)
-        args = (s, t, x) if self.batch is None else map(_as_point, (s, t, x))  # array d2
-        return self._finite(np.asarray(self.d2(*args), dtype=complex), "derivative").reshape(m, m)
+        """Directional derivative of kappa(s, .) at t in direction x: one-probe `_derivatives`."""
+        return self._derivatives(*self._points(p := ((s,),), p if t is s else ((t,),)), (x,), h)[0]
 
     def diagonal_jet(self, points: Sequence, directions: Sequence,
                      h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
-        """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j).
+        """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j); the one `blocks` call
+        for the first checks each point once."""
+        try:  # one-member stacks: an (L, 1, ...) array, or 1-tuples of ragged points
+            ss = np.asarray(points)[:, None]
+        except ValueError:  # scalars mixed with vectors on C^1, or a dimension blocks rejects
+            ss = [(np.atleast_1d(p),) for p in points]
+        return self.blocks(ss, ss), self._derivatives(ss, ss, directions, h)
 
-        With `batch` and `d2`: one domain check, one array expression each; else a loop.
-        """
-        if self.batch is None or self.d2 is None:
-            return (np.array([self(s, s) for s in points]), np.array(
-                [self.d2_eval(s, s, x, h) for s, x in zip(points, _paired(points, directions))]))
-        s, x = self.domain.jets(points, directions)
-        return (self._finite(self.batch(s, s)).reshape(-1, 1, 1),
-                self._finite(self.d2(s, s, x), "derivative").reshape(-1, 1, 1))
+    def _derivatives(self, ss: Sequence, ts: Sequence, xs: Sequence, h: float) -> np.ndarray:
+        """The (L, M, M) stack d2_kappa(s_j, .)(t_j)(x_j) over checked one-member stacks
+        ss[j] = (s_j,) and ts[j] = (t_j,): `d2` at all L probes at once or, without it, the
+        stencil, read from one `blocks` call."""
+        m = self.fiber_dim
+        if self.d2 is None:
+            _, stencils, weights = self.domain.stencils([q for q, in ts], xs, h)
+            values = self.blocks(ss, stencils).reshape(len(ss), m, 4, m).swapaxes(1, 2)
+            return stencil_sum(weights, values)
+        if self.batch is None:
+            args = [(p, q, x) for (p,), (q,), x in zip(ss, ts, _paired(ts, xs))]
+            for _, q, x in args:
+                self.domain.check_tangent(q, x)
+        else:  # (L, d) arrays of points and directions, each direction as long as the first
+            s = np.asarray(ss, dtype=complex).reshape(len(ss), -1)
+            t = s if ts is ss else np.asarray(ts, dtype=complex).reshape(len(ts), -1)
+            x = np.array(_paired(s, xs), dtype=complex).reshape(len(s), -1)
+            self.domain.check_tangent(None, x[0])
+            args = ((s, t, x),)
+        out = np.array([self.d2(*a) for a in args], dtype=complex)
+        return self._finite(out, "derivative").reshape(len(ss), m, m)
 
 
 def _polar(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:  # mag e^{i phase}, part by part
@@ -350,7 +370,7 @@ def _times(a: np.ndarray, fr, fi) -> np.ndarray:  # a (fr + i fi), part by part
 # with the shape; these do not, so every entry of a stack has the bits of its 1 x 1.
 
 def _scalar_kernel(domain: VectorDomain, batch, d2, name: str) -> Kernel:
-    ev = lambda s, t: batch(_as_point(s), _as_point(t)).reshape(1, 1)  # noqa: E731
+    ev = lambda s, t: batch(_as_point(s)[None], _as_point(t)[None]).reshape(1, 1)  # noqa: E731
     return Kernel(1, domain, ev, d2, name=name, batch=batch)
 
 

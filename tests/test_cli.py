@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kernelconnect import verify
+from kernelconnect import cli, connections, verify
 from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, _spectrum_json, main, parse_kernel_spec
 from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk, positivity_certificate
 from kernelconnect.numerics import (
@@ -240,6 +240,33 @@ def test_connect_transport_error_estimate_tracks_exact_error(capsys, end, steps,
     assert exact_error / 2 < estimate < 2 * exact_error
 
 
+def _transport_one_jet_per_rung(k, curve, v0, rungs):
+    """connections._transport as separate runs, each rung integrated from its own jet."""
+    runs = [connections._transport(k, curve, v0, [n]) for n in rungs]
+    return [v for (v,), _ in runs], runs[0][1]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("steps", ["1", "3", "100", "257", "512"])
+@pytest.mark.parametrize("spec, start, end", [
+    ("bergman-disk:nu=1", "0", "0.5"),
+    ("fock:dim=2", "0.1,0.2i", "-0.5+0.3i,0.4"),
+])
+def test_connect_transport_reads_one_jet_for_its_whole_ladder(capsys, monkeypatch, spec, start,
+                                                              end, steps, fmt):
+    # the rungs' nodes j / (2n) are members of their union bit for bit, so one jet at the union
+    # gives the bytes of one jet per rung; at --steps 1 and 100 the rungs do not nest
+    argv = ["connect", "transport", "--kernel", spec, "--start", start, "--end", end,
+            "--steps", steps, "--format", fmt]
+    jets, jet = [], Kernel.diagonal_jet
+    monkeypatch.setattr(Kernel, "diagonal_jet",
+                        lambda self, *a, **kw: jets.append(a) or jet(self, *a, **kw))
+    one_jet = run_cli(capsys, *argv)
+    assert len(jets) == 1
+    monkeypatch.setattr(cli, "_transport", _transport_one_jet_per_rung)
+    assert run_cli(capsys, *argv) == one_jet
+
+
 def test_connect_transport_zero_steps_exits_2(capsys):
     code, _, err = run_cli(capsys, "connect", "transport", "--kernel", "bergman-disk:nu=1",
                            "--start", "0", "--end", "0.5", "--steps", "0")
@@ -286,6 +313,12 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
       "--end", "0.5", "--tol", "0"], "tolerance must be finite and > 0"),
     (["verify", "all", "--seed", "-1"], "--seed must be >= 0"),
     (["grassmann", "verify", "--seed", "-10"], "--seed must be >= 0"),
+    (["kernel", "gram", "--kernel", "bergman-disk:nu=2", "--points", ";"],
+     "--points needs at least one point"),
+    (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", ";"],
+     "--points needs at least one point"),
+    (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", " ; "],
+     "--points needs at least one point"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -303,6 +336,28 @@ def test_bad_cp_input_exits_2(capsys, choi_csv, argv, message):
     code, out, err = run_cli(capsys, *[a.format(choi=choi_csv) for a in argv])
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("text, n, code, message", [
+    ("", None, 2, "empty CSV matrix"),
+    ("1,0\n0\n", None, 2, "ragged CSV matrix"),
+    ("1,x\n0,1\n", None, 2, "cannot parse complex literal 'x'"),
+    ("1,0,0\n0,1,0\n", "1", 2, "Choi matrix is not square: shape (2, 3)"),
+    ("-1,0\n0,1\n", "1", 1, "map is not CP"),  # a verdict on the map, not bad input
+])
+def test_a_choi_csv_that_is_no_square_matrix_exits_2(capsys, tmp_path, text, n, code, message):
+    path = tmp_path / "choi.csv"
+    path.write_text(text)
+    argv = ["cp", "dilate", "--choi", str(path)] + (["--n", n] if n else [])
+    exit_code, out, err = run_cli(capsys, *argv)
+    assert exit_code == code and out == "" and message in err
+
+
+def test_an_unwritable_output_exits_2(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(capsys, "verify", "kernels", "--output", str(path))
+    assert code == 2 and out == "" and not path.exists()
+    assert f"cannot write {str(path)!r}" in err
 
 
 @pytest.mark.parametrize("spec, point", [

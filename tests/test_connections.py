@@ -249,36 +249,16 @@ def test_rkhs_reads_equal_their_per_pair_formulas_bit_for_bit():
 
 
 def _count_blocks(monkeypatch):
-    """Record every Kernel.block and Kernel.blocks call as (name, ss, ts, inside), where inside
-    marks a call made from within a blocks call (its loop over block on other kernels)."""
-    calls, open_blocks = [], []
-    block, blocks = Kernel.block, Kernel.blocks
-
-    def counted_block(self, ss, ts):
-        calls.append(("block", ss, ts, bool(open_blocks)))
-        return block(self, ss, ts)
-
-    def counted_blocks(self, ss, ts):
-        calls.append(("blocks", ss, ts, bool(open_blocks)))
-        open_blocks.append(ss)
-        try:
-            return blocks(self, ss, ts)
-        finally:
-            open_blocks.pop()
-
-    monkeypatch.setattr(Kernel, "block", counted_block)
-    monkeypatch.setattr(Kernel, "blocks", counted_blocks)
-    return calls
+    """Record every Kernel.blocks call as (kernel, ss, ts): blocks is where every kernel value is
+    evaluated, so block, k(s, t) and the stencil fallback all show up here."""
+    return _count_calls(monkeypatch, "blocks")
 
 
-def _one_stacked_block(k, calls, n):
+def _one_stacked_block(k, calls):
     """The (ss, ts) of the one blocks call among `calls`, after checking that the kernel was read
-    nowhere else: block runs only inside it, n times on a kernel without batch and never with."""
-    outer = [c for c in calls if not c[3]]
-    assert [c[0] for c in outer] == ["blocks"], k.name
-    inner = [c[0] for c in calls if c[3]]
-    assert inner == ([] if k.batch is not None else ["block"] * n), k.name
-    return outer[0][1:3]
+    nowhere else."""
+    assert len(calls) == 1, k.name
+    return calls[0][1:]
 
 
 def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
@@ -291,7 +271,7 @@ def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
             else:
                 make_evaluator(k, "direct").evaluate(sigma, pts, xs)
             monkeypatch.undo()
-            ss, ts = _one_stacked_block(k, calls, n)
+            ss, ts = _one_stacked_block(k, calls)
             assert [len(a) for a in ss] == [1] * n and [len(b) for b in ts] == [5] * n, k.name
 
 
@@ -303,7 +283,7 @@ def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
             monkeypatch.setattr(Kernel, "d2_eval", None)
             make_evaluator(k, "sampled").evaluate(sigma, pts[:n], xs[:n])
             monkeypatch.undo()
-            ss, ts = _one_stacked_block(k, calls, n)
+            ss, ts = _one_stacked_block(k, calls)
             assert ss is ts and [len(a) for a in ss] == [5] * n, k.name
 
 
@@ -316,7 +296,7 @@ def test_block_counter_sees_a_stray_kernel_evaluation(monkeypatch):
         extra()
         monkeypatch.undo()
         with pytest.raises(AssertionError):
-            _one_stacked_block(k, calls, 1)
+            _one_stacked_block(k, calls)
 
 
 def test_sampled_backend_names_a_missing_stencil_point():
@@ -623,13 +603,57 @@ def _no_d2_cases():
     ]
 
 
+def _no_d2_stacks(n=5):
+    """(kernel, points, directions): n probes on each kernel of `_no_d2_cases`."""
+    rng = np.random.default_rng(25)
+    stacks = []
+    for k, s, x in _no_d2_cases():
+        if isinstance(s, HermitianProjector):
+            pts = [HermitianProjector(u @ s.p @ u.conj().T, s.rank)
+                   for u in (random_unitary(4, seed=100 + j) for j in range(n))]
+            xs = [random_grass_tangent(p, rng) for p in pts]
+        else:
+            pts = [s + 0.3 * np.exp(2j * np.pi * j / n) for j in range(n)]
+            xs = [x * (1.0 + 0.5j * j) for j in range(n)]
+        stacks.append((k, pts, xs))
+    return stacks
+
+
+def test_a_jet_without_d2_reads_the_kernel_in_two_blocks(monkeypatch):
+    # L = 5 probes: one blocks call for the kappa(s_j, s_j), one for all 4 L stencil values
+    for k, pts, xs in _no_d2_stacks():
+        want = [(k(s, s), k.d2_eval(s, s, x)) for s, x in zip(pts, xs)]
+        calls = _count_calls(monkeypatch, "blocks")
+        kss, d2 = k.diagonal_jet(pts, xs)
+        monkeypatch.undo()
+        own = [c for c in calls if c[0] is k]
+        assert len(own) == 2, k.name
+        assert own[0][1] is own[0][2] and [len(a) for a in own[0][1]] == [1] * 5, k.name
+        assert [len(a) for a in own[1][1]] == [1] * 5, k.name
+        assert [len(b) for b in own[1][2]] == [4] * 5, k.name
+        for a, b, (value, deriv) in zip(kss, d2, want):
+            assert np.array_equal(a, value) and np.array_equal(b, deriv), k.name
+
+
+def test_connection_forms_without_d2_equal_their_one_point_forms(monkeypatch):
+    # the forms of a stack make one diagonal jet; the rank-one kernel has no form (singular kappa)
+    for k, pts, xs in _no_d2_stacks()[::2]:
+        want = [connection_form(k, s)(x) for s, x in zip(pts, xs)]
+        calls = _count_calls(monkeypatch, "blocks")
+        forms = connection_forms(k, pts, xs)
+        monkeypatch.undo()
+        assert len([c for c in calls if c[0] is k]) == 2, k.name
+        assert np.array_equal(forms, np.array(want)), k.name
+
+
 def test_d2_eval_without_d2_reads_its_stencil_from_one_block(monkeypatch):
     for k, s, x in _no_d2_cases():
         points, weights = _per_pair_stencil(k, s, x)
         want = stencil_sum(weights, [k(s, p) for p in points])  # four 1 x 1 blocks
-        calls = _count_calls(monkeypatch, "block")
+        calls = _count_calls(monkeypatch, "blocks")
         got = k.d2_eval(s, s, x)
         monkeypatch.undo()
         own = [c for c in calls if c[0] is k]
-        assert len(own) == 1 and len(own[0][1]) == 1 and len(own[0][2]) == 4, k.name
+        assert len(own) == 1, k.name
+        assert [len(a) for a in own[0][1]] == [1] and [len(b) for b in own[0][2]] == [4], k.name
         assert np.array_equal(got, want), k.name

@@ -15,7 +15,6 @@ from kernelconnect.grassmann import (
     homogeneous_covariant_derivative,
     homogeneous_kernel,
     maurer_cartan,
-    projector_from_basis,
     random_grass_tangent,
     reductive_axioms_residual,
     reductive_covariant_derivative,
@@ -54,12 +53,6 @@ def test_fiber_basis_is_orthonormal_and_deterministic():
     assert np.array_equal(b1, b2)
     assert np.linalg.norm(b1.conj().T @ b1 - np.eye(2)) < 1e-12
     assert np.linalg.norm(b1 @ b1.conj().T - point.p) < 1e-12
-
-
-def test_projector_from_basis_round_trip():
-    point = _random_point(4, 2, seed=12)
-    again = projector_from_basis(fiber_basis(point))
-    assert np.linalg.norm(again.p - point.p) < 1e-12
 
 
 def test_conditional_expectation_properties():

@@ -192,6 +192,20 @@ def test_scalar_kernels_hermitian_psd_and_block_matches_pairs(family, data):
     assert positivity_certificate(gram_matrix(k, ss))[0]
 
 
+def test_eval_of_a_builtin_has_the_bits_of_its_block():
+    # k.eval keeps a leading axis as blocks does: numpy's arithmetic on 0-d scalars rounds
+    # about one disk value in twenty differently
+    rng = np.random.default_rng(31)
+    for k in (make_bergman_disk(1), make_bergman_disk(2.5), make_bergman_halfplane(2),
+              make_fock(np.eye(2))):
+        z = 0.6 * (rng.uniform(-1, 1, (200, 2, k.domain.dim))
+                   + 1j * rng.uniform(-1, 1, (200, 2, k.domain.dim)))
+        if k.name.startswith("bergman-halfplane"):
+            z = z.real + 1j * (0.2 + np.abs(z.imag))
+        for s, t in z:
+            assert np.array_equal(k.eval(s, t), k(s, t)), k.name
+
+
 @pytest.mark.parametrize("kernel, s", [
     (make_bergman_disk(1e300), [0.5]),
     (make_bergman_halfplane(200), [0.001j]),
