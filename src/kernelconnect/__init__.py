@@ -51,7 +51,6 @@ from .connections import (
     connection_forms,
     covariant_derivative_closed_form,
     covariant_derivative_direct,
-    covariant_derivative_sampled,
     gauge_pullback_connection,
     intertwining_residual,
     leibniz_residual,

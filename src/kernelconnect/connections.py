@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import BundleMorphism, Kernel, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, hermitian_solve
-from .rkhs import SampledRKHS, _certify
+from .rkhs import _certify
 
 __all__ = [
     "Section",
@@ -33,7 +33,6 @@ __all__ = [
     "connection_forms",
     "covariant_derivative_closed_form",
     "covariant_derivative_direct",
-    "covariant_derivative_sampled",
     "make_evaluator",
     "parallel_transport",
     "leibniz_residual",
@@ -102,14 +101,20 @@ def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
 def _closed_form(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
                  h: float) -> np.ndarray:
     alpha = connection_forms(k, points, directions, h)  # one diagonal jet; checks every probe
-    if sigma.dF is None:
-        _, stencils, weights = k.domain.stencils(points, directions, h)
-        dsigma = stencil_sum(weights, [[sigma.value(p) for p in ps] for ps in stencils])
-    else:
-        dsigma = np.array([sigma.dF(s, x) for s, x in zip(points, directions)], dtype=complex)
-        dsigma = dsigma.reshape(len(points), -1)
-    values = np.array([sigma.value(s) for s in points])[..., None]
-    return dsigma + (alpha @ values)[..., 0]
+    values = _fiber([sigma.value(s) for s in points], k.fiber_dim)[..., None]
+    dsigma = (k.domain.derivatives(points, directions, sigma.value, h) if sigma.dF is None
+              else np.array([sigma.dF(s, x) for s, x in zip(points, directions)]))
+    return _fiber(dsigma.reshape(len(points), -1), k.fiber_dim) + (alpha @ values)[..., 0]
+
+
+def _fiber(values, m: int) -> np.ndarray:
+    """Section values or derivatives (..., m) as a complex array, checked finite and m long."""
+    v = np.asarray(values, dtype=complex)
+    if v.shape[-1] != m:
+        raise ValueError(f"section value has {v.shape[-1]} entries, fiber dimension is {m}")
+    if not np.isfinite(v).all():
+        raise NumericsError("section value or derivative is not finite")
+    return v
 
 
 def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
@@ -130,54 +135,25 @@ def _direct(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
     m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
     rows = k.blocks([(p,) for p in s], [(p, *ps) for p, ps in zip(s, stencils)])
     kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
-    values = np.array([[sigma.value(p) for p in ps] for ps in stencils])
+    values = _fiber([[sigma.value(p) for p in ps] for ps in stencils], m)
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
     return hermitian_solve(kst[:, 0], deriv[..., None])[..., 0]
-
-
-def covariant_derivative_sampled(r: SampledRKHS, sigma: Section, s, x,
-                                 h: float = DEFAULT_STEP) -> np.ndarray:
-    """The same derivative realized literally in the sampled Hilbert space.
-
-    s and the stencil points p_i must belong to the sample.  The derivative
-    element has the coefficient w_i sigma(p_i) at each p_i; it is projected onto
-    the fiber at s and evaluated at s, reading kappa from the Gram matrix only.
-    """
-    _, (points,), weights = r.kernel.domain.stencils((s,), (x,), h)
-    try:
-        i, *at = r.indices((s, *points))
-    except KeyError as exc:
-        raise NumericsError("a stencil point is missing from the sample") from exc
-    values = [[sigma.value(p) for p in points]]
-    return _sampled_from_grams(r.gram[None], r.fiber_dim, i, at, weights, values)[0]
-
-
-def _sampled_from_grams(grams: np.ndarray, m: int, i: int, at: Sequence, weights: np.ndarray,
-                        values) -> np.ndarray:
-    """(L, M) derivatives from L sample Grams of fiber dimension m: s_j is point i, its stencil
-    `at`, sigma values[j]."""
-    v, n = np.asarray(values, dtype=complex), grams.shape[-1]
-    if v.shape[-1] != m:
-        raise ValueError(f"section value has {v.shape[-1]} entries, fiber dimension is {m}")
-    if not np.isfinite(v).all():
-        raise NumericsError("non-finite function value at a stencil point")
-    c = np.zeros((len(grams), n // m, m), dtype=complex)
-    np.add.at(c, (slice(None), at), weights[..., None] * v)  # the derivative element
-    b = slice(i * m, (i + 1) * m)
-    row, kss = grams[:, b], grams[:, b, b]
-    projected = np.zeros((len(grams), n, 1), dtype=complex)  # its fiber projection
-    projected[:, b] = hermitian_solve(kss, row @ c.reshape(len(grams), n, 1))
-    return hermitian_solve(kss, row @ projected)[..., 0]
 
 
 def _sampled(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
              h: float) -> np.ndarray:
     s, stencils, weights = k.domain.stencils(points, directions, h)
-    samples = [(*ps[:2], p, *ps[2:]) for p, ps in zip(s, stencils)]
+    samples = [(*ps[:2], p, *ps[2:]) for p, ps in zip(s, stencils)]  # s_j in slot 2 of 5
     grams = k.blocks(samples, samples)
     _certify(samples, grams)
-    values = [[sigma.value(p) for p in ps] for ps in stencils]
-    return _sampled_from_grams(grams, k.fiber_dim, 2, [0, 1, 3, 4], weights, values)
+    m, n = k.fiber_dim, len(grams)
+    v = _fiber([[sigma.value(p) for p in ps] for ps in stencils], m)
+    c = np.zeros((n, 5, m), dtype=complex)  # the derivative element: += keeps each zero's sign
+    c[:, [0, 1, 3, 4]] += weights[..., None] * v
+    row, kss = grams[:, 2 * m:3 * m], grams[:, 2 * m:3 * m, 2 * m:3 * m]
+    projected = np.zeros((n, 5 * m, 1), dtype=complex)  # its fiber projection
+    projected[:, 2 * m:3 * m] = hermitian_solve(kss, row @ c.reshape(n, 5 * m, 1))
+    return hermitian_solve(kss, row @ projected)[..., 0]
 
 
 def make_evaluator(k: Kernel, backend: str = "direct",
@@ -239,13 +215,12 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
     if not probes:
         return 0.0
     points, directions = [s for s, _ in probes], [x for _, x in probes]
-    _, stencils, weights = nabla.kernel.domain.stencils(points, directions, h)
-    df = stencil_sum(weights, [[f(p) for p in ps] for ps in stencils]).reshape(len(points), 1)
+    df = nabla.kernel.domain.derivatives(points, directions, f, h).reshape(len(points), 1)
     fs = np.array([[complex(f(s))] for s in points])
     lhs = nabla.evaluate(Section(F=lambda s: complex(f(s)) * sigma.value(s)), points, directions)
     values = np.array([sigma.value(s) for s in points])
     rhs = df * values + fs * nabla.evaluate(sigma, points, directions)
-    return max(float(np.linalg.norm(d)) for d in lhs - rhs)
+    return float(np.max([np.linalg.norm(d) for d in lhs - rhs]))  # a NaN propagates
 
 
 def gauge_pullback_connection(theta: BundleMorphism,
@@ -265,13 +240,13 @@ def gauge_pullback_connection(theta: BundleMorphism,
 
     def alpha(s, x) -> np.ndarray:
         ds = theta.fiber_map(s, fiber_dim)
-        if abs(np.linalg.det(ds)) < 1e-12:
+        sv = np.linalg.svd(ds, compute_uv=False)
+        if sv[-1] <= 1e-10 * sv[0]:  # relative, as in hermitian_solve: a scale is not singular
             raise NumericsError("fiber map is singular; cannot pull back the connection")
-        ds_inv = np.linalg.inv(ds)
         ddelta = source_domain.derivative(s, x, lambda p: theta.fiber_map(p, fiber_dim))
         core = np.atleast_2d(np.asarray(
             alpha_target(theta.zeta(s), theta.tangent(s, x)), dtype=complex))
-        return ds_inv @ core @ ds + ds_inv @ ddelta
+        return np.linalg.solve(ds, core @ ds + ddelta)
 
     return alpha
 
@@ -290,14 +265,11 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
     for s, _ in probes:
         ds = theta.fiber_map(s, m)
         compat = np.linalg.norm(ds @ sigma.value(s) - sigma_target.value(theta.zeta(s)))
-        if compat > 1e-10:
+        if not compat <= 1e-10:  # a NaN residual fails too
             raise ValueError(
                 f"sections are not morphism-compatible: residual {compat:.3e} at a probe")
-    res = 0.0
-    for s, x in probes:
-        ds = theta.fiber_map(s, m)
-        lhs = ds @ nabla(sigma, s, x)
-        rhs = nabla_target(sigma_target, theta.zeta(s), theta.tangent(s, x))
-        res = max(res, float(np.linalg.norm(lhs - rhs)))
-    return res
+    res = [np.linalg.norm(theta.fiber_map(s, m) @ nabla(sigma, s, x)
+                          - nabla_target(sigma_target, theta.zeta(s), theta.tangent(s, x)))
+           for s, x in probes]
+    return float(np.max(res, initial=0.0))  # a NaN propagates
 

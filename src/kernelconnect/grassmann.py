@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import Domain, DomainError, Kernel, UnitaryDomain, make_group_kernel
+from .kernels import Domain, DomainError, Kernel, UnitaryDomain, _finite_array, make_group_kernel
 
 __all__ = [
     "HermitianProjector",
@@ -50,7 +50,7 @@ class HermitianProjector:
     rank: int
 
     def __post_init__(self):
-        m = np.array(self.p, dtype=complex)  # a read-only copy: fiber_basis caches on it
+        m = np.array(_finite_array(self.p, "projector"))  # read-only copy: fiber_basis caches it
         m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"projector must be square, got shape {m.shape}")
@@ -79,7 +79,7 @@ class GrassTangent:
     generator: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.generator, dtype=complex)
+        a = _finite_array(self.generator, "generator")
         p = self.base.p
         if a.shape != p.shape:
             raise DomainError(f"generator shape {a.shape} does not match base {p.shape}")

@@ -51,6 +51,14 @@ class DomainError(ValueError):
     """A base point or tangent vector violates its domain constraints."""
 
 
+def _finite_array(x, what: str) -> np.ndarray:
+    """x as a complex array, after rejecting a non-finite entry: residual checks let NaN through."""
+    a = np.asarray(x, dtype=complex)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} is not finite")
+    return a
+
+
 def _as_point(s) -> np.ndarray:
     a = np.atleast_1d(np.asarray(s, dtype=complex))
     if a.ndim != 1:
@@ -71,19 +79,11 @@ class Domain:
         """A curve gamma with gamma(0) = s and velocity x at t = 0."""
         raise NotImplementedError
 
-    def stencil(self, s, x, h: float = DEFAULT_STEP) -> tuple[list, np.ndarray]:
-        """The library's one stencil, on the curve gamma with the 1-jet (s, x).
-
-        Returns the points p = gamma(-2h), gamma(-h), gamma(h), gamma(2h) and the
-        weights w with d/dt|0 f(gamma(t)) = sum_i w_i f(p_i) + O(h^4).  The one-point
-        case of `stencils`.
-        """
-        _, points, weights = self.stencils((s,), (x,), h)
-        return list(points[0]), weights[0]
-
     def stencils(self, points: Sequence, directions: Sequence,
                  h: float = DEFAULT_STEP) -> tuple[Sequence, Sequence, np.ndarray]:
-        """The stencils of L probes (s_j, x_j): the points, L lists of 4 points, (L, 4) weights."""
+        """The library's one stencil at L probes (s_j, x_j): the points, L lists p_j = gamma_j(t h),
+        t = -2, -1, 1, 2, on curves gamma_j with those 1-jets, and (L, 4) weights w_j with
+        d/dt|0 f(gamma_j(t)) = sum_i w_ji f(p_ji) + O(h^4)."""
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
         for s, x in zip(points, _paired(points, directions)):
@@ -91,10 +91,15 @@ class Domain:
         stencils = [list(map(self.curve(s, x), h * _OFFSETS)) for s, x in zip(points, directions)]
         return points, stencils, np.tile(_WEIGHTS / (12.0 * h), (len(points), 1))
 
+    def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
+                    h: float = DEFAULT_STEP) -> np.ndarray:
+        """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at L probes (s_j, x_j), by one `stencils`."""
+        _, stencils, weights = self.stencils(points, directions, h)
+        return stencil_sum(weights, [[f(p) for p in ps] for ps in stencils])
+
     def derivative(self, s, x, f: Callable, h: float = DEFAULT_STEP) -> np.ndarray:
-        """d/dt|0 f(gamma(t)) along the curve gamma with the 1-jet (s, x), by `stencil`."""
-        points, weights = self.stencil(s, x, h)
-        return stencil_sum(weights, [f(p) for p in points])
+        """d/dt|0 f(gamma(t)) on the curve gamma with the 1-jet (s, x): one-probe `derivatives`."""
+        return self.derivatives((s,), (x,), f, h)[0]
 
 
 def _paired(points: Sequence, directions: Sequence) -> Sequence:
@@ -151,9 +156,17 @@ class VectorDomain(Domain):
     def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
         """The probes (s_j, x_j) as checked (L, d) stacks of points and directions."""
         s = self.stack(points)
+        return s, self._tangents(s, directions)
+
+    def _tangents(self, s: np.ndarray, directions: Sequence) -> np.ndarray:
+        """The directions of probes at the (L, d) points s as one checked (L, d) stack."""
         x = np.array(_paired(s, directions), dtype=complex).reshape(len(s), -1)
-        self.check_tangent(s[0], x[0])  # every row has the dimension of the first
-        return s, x
+        if x.shape[1] != self.dim:
+            raise DomainError(f"{self.name}: tangent dimension {x.shape[1]} != {self.dim}")
+        if not np.isfinite(x).all():  # then name the first probe whose tangent is not
+            i = int(np.argmin(np.isfinite(x).all(axis=1)))
+            raise DomainError(f"{self.name}: tangent is not finite (probe {i} of {len(x)})")
+        return x
 
     def check_point(self, s) -> None:
         self.stack((s,))
@@ -189,7 +202,7 @@ class VectorDomain(Domain):
         return a
 
     def check_tangent(self, s, x) -> None:
-        a = _as_point(x)
+        a = _as_point(_finite_array(x, f"{self.name}: tangent"))
         if a.shape[0] != self.dim:
             raise DomainError(f"{self.name}: tangent dimension {a.shape[0]} != {self.dim}")
 
@@ -229,7 +242,7 @@ class UnitaryDomain(Domain):
     name: str = "U(n)"
 
     def check_point(self, u) -> None:
-        m = np.asarray(u, dtype=complex)
+        m = _finite_array(u, f"{self.name}: point")
         if m.shape != (self.n, self.n):
             raise DomainError(f"{self.name}: expected {self.n}x{self.n} matrix, got {m.shape}")
         res = np.linalg.norm(m.conj().T @ m - np.eye(self.n))
@@ -237,7 +250,7 @@ class UnitaryDomain(Domain):
             raise DomainError(f"{self.name}: not unitary, ||u*u - I|| = {res:.3e}")
 
     def check_tangent(self, u, a) -> None:
-        m = np.asarray(a, dtype=complex)
+        m = _finite_array(a, f"{self.name}: tangent")
         if m.shape != (self.n, self.n):
             raise DomainError(f"{self.name}: tangent shape {m.shape} != ({self.n},{self.n})")
         res = np.linalg.norm(m + m.conj().T)
@@ -344,9 +357,7 @@ class Kernel:
         else:  # (L, d) arrays of points and directions, each direction as long as the first
             s = np.asarray(ss, dtype=complex).reshape(len(ss), -1)
             t = s if ts is ss else np.asarray(ts, dtype=complex).reshape(len(ts), -1)
-            x = np.array(_paired(s, xs), dtype=complex).reshape(len(s), -1)
-            self.domain.check_tangent(None, x[0])
-            args = ((s, t, x),)
+            args = ((s, t, self.domain._tangents(s, xs)),)
         out = np.array([self.d2(*a) for a in args], dtype=complex)
         return self._finite(out, "derivative").reshape(len(ss), m, m)
 

@@ -43,38 +43,26 @@ DISK_SIGN_NOTE = (
 )
 
 
-def _disk_probes(rng, count, rmax=0.9):
-    pts = []
-    for _ in range(count):
-        r = rmax * np.sqrt(rng.uniform())
-        th = rng.uniform(0.0, 2.0 * np.pi)
-        s = np.array([r * np.exp(1j * th)])
-        x = np.array([rng.standard_normal() + 1j * rng.standard_normal()])
-        pts.append((s, x))
-    return pts
+def _normal(rng, dim=1):  # a standard complex normal vector in C^dim
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-def _halfplane_probes(rng, count):
-    pts = []
-    for _ in range(count):
-        s = np.array([rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.3, 1.5)])
-        x = np.array([rng.standard_normal() + 1j * rng.standard_normal()])
-        pts.append((s, x))
-    return pts
+def _probes(rng, count, point, dim=1, scale=1.0):
+    """`count` probes (scale * point(rng), x), with x a standard complex normal vector in C^dim."""
+    return [(scale * point(rng), _normal(rng, dim)) for _ in range(count)]
 
 
-def _fock_probes(rng, count, dim):
-    pts = []
-    for _ in range(count):
-        s = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        pts.append((0.7 * s, x))
-    return pts
+def _disk(rng):  # uniform in the disk of radius 0.9
+    return np.array([0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))])
+
+
+def _halfplane(rng):
+    return np.array([rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.3, 1.5)])
 
 
 def _scalar_test_section(dim, rng):
-    c = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    d = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    c = _normal(rng, dim)
+    d = _normal(rng, dim)
 
     def f(s):
         z = np.asarray(s, dtype=complex)
@@ -105,10 +93,10 @@ def _check(name, module, residual, tolerance):
 
 def _backend_agreement_checks(seed):
     rng = np.random.default_rng(seed)
-    kernels = [(make_bergman_disk(nu), _disk_probes(rng, 50)) for nu in (1, 2, 3)]
+    kernels = [(make_bergman_disk(nu), _probes(rng, 50, _disk)) for nu in (1, 2, 3)]
     for nu in (1, 2):
-        kernels.append((make_bergman_halfplane(nu), _halfplane_probes(rng, 50)))
-    kernels.append((make_fock(np.eye(3)), _fock_probes(rng, 50, 3)))
+        kernels.append((make_bergman_halfplane(nu), _probes(rng, 50, _halfplane)))
+    kernels.append((make_fock(np.eye(3)), _probes(rng, 50, lambda r: _normal(r, 3), 3, 0.7)))
 
     checks = []
     for k, probes in kernels:
@@ -127,7 +115,7 @@ def _backend_agreement_checks(seed):
 def _fock_form_check(seed):
     rng = np.random.default_rng(seed + 1)
     k = make_fock(np.eye(3))
-    probes = _fock_probes(rng, 100, 3)
+    probes = _probes(rng, 100, lambda r: _normal(r, 3), 3, 0.7)
     alphas = connection_forms(k, *zip(*probes))[:, 0, 0]
     res = max(abs(a - np.dot(s, np.conj(x))) for a, (s, x) in zip(alphas, probes))
     return [_check("fock/connection_form_matches_formula", "connections", res, 1e-8)]
@@ -139,7 +127,7 @@ def _disk_sign_checks(seed):
     sigma = Section(F=lambda s: np.array([1.0 + 0j]), dF=lambda s, x: np.array([0.0 + 0j]))
     oracle = covariant_derivative_direct(k, sigma, np.array([0.5]), np.array([1.0]))
     res_value = abs(oracle[0] - 4.0 / 3.0)
-    probes = list(zip(*_disk_probes(rng, 40)))
+    probes = list(zip(*_probes(rng, 40, _disk)))
     direct = make_evaluator(k, "direct").evaluate(sigma, *probes)[:, 0]
     res_grid = max(abs(a - d) for a, d in zip(connection_forms(k, *probes)[:, 0, 0], direct))
     return [
@@ -157,8 +145,7 @@ def _universality_checks(seed):
     half_pts = [np.array([z]) for z in
                 (1j, 0.5 + 0.8j, -0.4 + 1.2j, 0.2 + 0.5j, -1.0 + 0.9j, 0.7 + 1.5j)]
     cases.append(("bergman-halfplane:nu=1", make_bergman_halfplane(1), half_pts))
-    fock_pts = [0.6 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-                for _ in range(6)]
+    fock_pts = [0.6 * _normal(rng, 2) for _ in range(6)]
     cases.append(("fock:dim=2", make_fock(np.eye(2)), fock_pts))
 
     q = grassmann.universal_kernel(4, 2)
@@ -192,8 +179,7 @@ def _admissibility_checks(seed):
     builtins = [
         (make_bergman_disk(2), [np.array([z]) for z in (0.0, 0.4, -0.3 + 0.2j, 0.5j)]),
         (make_bergman_halfplane(1), [np.array([z]) for z in (0.4j, 0.3 + 0.4j, -0.2 + 0.35j)]),
-        (make_fock(np.eye(2)),
-         [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]),
+        (make_fock(np.eye(2)), [_normal(rng, 2) for _ in range(4)]),
     ]
     for k, sample in builtins:
         rep = admissibility_report(k, sample)
@@ -213,8 +199,8 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
     rng = np.random.default_rng(seed + 5)
     base = grassmann.coordinate_projector(n, k)
     q = grassmann.universal_kernel(n, k)
-    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    w0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v0 = _normal(rng, n)
+    w0 = _normal(rng, n)
 
     def f_ambient(pt):
         return pt.p @ v0
@@ -270,7 +256,7 @@ def _homogeneous_checks(seed):
     p = grassmann.coordinate_projector(n, 1)
     hk = grassmann.homogeneous_kernel(n, p)
     b = grassmann.fiber_basis(p)
-    z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z0 = _normal(rng, n)
 
     def phi(u):
         return p.p @ (u.conj().T @ z0)
@@ -307,7 +293,7 @@ def _stinespring_checks(seed):
     pull_res = cpmaps.pullback_identity_residual(psi, triple, pairs)
 
     ck = cpmaps.cp_kernel(psi)
-    w0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    w0 = _normal(rng, 2)
 
     # section on the unitary group: constant part plus a Psi-transported part
     def sigma_fn(u):
@@ -333,16 +319,16 @@ def _stinespring_checks(seed):
 def _leibniz_checks(seed):
     rng = np.random.default_rng(seed + 8)
     cases = [
-        (make_bergman_disk(2), _disk_probes(rng, 30)),
-        (make_bergman_halfplane(1), _halfplane_probes(rng, 30)),
-        (make_fock(np.eye(2)), _fock_probes(rng, 30, 2)),
+        (make_bergman_disk(2), _probes(rng, 30, _disk)),
+        (make_bergman_halfplane(1), _probes(rng, 30, _halfplane)),
+        (make_fock(np.eye(2)), _probes(rng, 30, lambda r: _normal(r, 2), 2, 0.7)),
     ]
     checks = []
     for k, probes in cases:
         dim = k.domain.dim
         sigma = _scalar_test_section(dim, rng)
-        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        a = _normal(rng, dim)
+        b = _normal(rng, dim)
 
         def f(s, a=a, b=b):
             z = np.asarray(s, dtype=complex)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernelconnect.connections import (
+    ConnectionEvaluator,
     Curve,
     Section,
     connection_form,
     connection_forms,
     covariant_derivative_closed_form,
     covariant_derivative_direct,
-    covariant_derivative_sampled,
     gauge_pullback_connection,
     intertwining_residual,
     leibniz_residual,
@@ -46,6 +46,7 @@ from kernelconnect.rkhs import (
 )
 
 CONSTANT = Section(F=lambda s: np.array([1.0 + 0j]), dF=lambda s, x: np.array([0.0 + 0j]))
+NAN = np.array([np.nan + 0j])
 
 
 def test_disk_connection_form_value():
@@ -145,6 +146,41 @@ def test_gauge_pullback_through_constant_rescale():
     assert np.linalg.norm(got - target(np.array([1.0]))) < 1e-10
 
 
+def test_gauge_pullback_accepts_a_small_scale_and_rejects_a_rank_one_fiber_map():
+    # 1e-7 I_2 has det 1e-14 but condition number 1: a constant scale conjugates the form to itself
+    form = np.array([[1.0, 2.0j], [0.5, -1.0]])
+    for scale in (1e-7, 1.0, 1e7):
+        theta = BundleMorphism(zeta=lambda s: s, delta=lambda s, c=scale: c * np.eye(2),
+                               tangent=lambda s, x: x)
+        pulled = gauge_pullback_connection(theta, lambda s, x: form, VectorDomain(1), fiber_dim=2)
+        assert np.allclose(pulled(np.array([0.3]), np.array([1.0])), form, rtol=0, atol=1e-9)
+    for delta in (np.ones((2, 2)), np.zeros((2, 2))):
+        theta = BundleMorphism(zeta=lambda s: s, delta=lambda s, d=delta: d, tangent=lambda s, x: x)
+        pulled = gauge_pullback_connection(theta, lambda s, x: form, VectorDomain(1), fiber_dim=2)
+        with pytest.raises(NumericsError, match="fiber map is singular"):
+            pulled(np.array([0.3]), np.array([1.0]))
+
+
+def _nan_at_second_probe(k):
+    """An evaluator that reads 0 at every probe but the one at s = 0.2, where it reads NaN."""
+    return ConnectionEvaluator("nan", k, lambda sigma, pts, xs: np.array(
+        [[np.nan if complex(s[0]) == 0.2 else 0.0] for s in pts]))
+
+
+def test_residual_maxima_propagate_a_nan():
+    # Python's max(0.0, nan) is 0.0: a NaN residual must not read as agreement
+    k = make_bergman_disk(2)
+    nabla = _nan_at_second_probe(k)
+    probes = [(np.array([0.1]), np.array([1.0])), (np.array([0.2]), np.array([1.0]))]
+    assert np.isnan(leibniz_residual(nabla, lambda s: 1.0, CONSTANT, probes))
+    theta = BundleMorphism(zeta=lambda s: s, delta=lambda s: np.array([[1.0]]),
+                           tangent=lambda s, x: x)
+    assert np.isnan(intertwining_residual(theta, nabla, nabla, CONSTANT, CONSTANT, probes))
+    nan = Section(F=lambda s: NAN)  # and a NaN compatibility residual is not compatible
+    with pytest.raises(ValueError, match="not morphism-compatible: residual nan"):
+        intertwining_residual(theta, nabla, nabla, nan, nan, probes)
+
+
 def test_intertwining_residual_vanishes_for_identity():
     k = make_bergman_disk(2)
     nabla = make_evaluator(k, "direct")
@@ -224,8 +260,6 @@ def test_backends_equal_their_per_pair_formulas_bit_for_bit():
             projected[2 * m:3 * m] = hermitian_solve(k(s, s), row @ acc)
             sampled = hermitian_solve(k(s, s), row @ projected)
             assert np.array_equal(make_evaluator(k, "sampled")(sigma, s, x), sampled), k.name
-            r = build_rkhs(k, sample)
-            assert np.array_equal(covariant_derivative_sampled(r, sigma, s, x), sampled), k.name
 
 
 def test_rkhs_reads_equal_their_per_pair_formulas_bit_for_bit():
@@ -297,15 +331,6 @@ def test_block_counter_sees_a_stray_kernel_evaluation(monkeypatch):
         monkeypatch.undo()
         with pytest.raises(AssertionError):
             _one_stacked_block(k, calls)
-
-
-def test_sampled_backend_names_a_missing_stencil_point():
-    k = make_bergman_disk(2)
-    s, x = np.array([0.3]), np.array([1.0])
-    points, _ = _per_pair_stencil(k, s, x)
-    r = build_rkhs(k, [points[0], points[1], s, points[2]])  # gamma(2h) is missing
-    with pytest.raises(NumericsError, match="a stencil point is missing from the sample"):
-        covariant_derivative_sampled(r, CONSTANT, s, x)
 
 
 @pytest.mark.parametrize("size", [0.0, 1e-300, 1e-9, 1e-8])
@@ -420,11 +445,32 @@ def test_every_backend_rejects_a_section_of_the_wrong_fiber_dimension():
     for backend in ("closed-form", "direct", "sampled"):
         with pytest.raises(ValueError):
             make_evaluator(k, backend)(sigma, s, x)
-    points, _ = _per_pair_stencil(k, s, x)
-    extra = [np.array([0.1 * j - 0.4j]) for j in range(5)]
-    r = build_rkhs(k, [*points[:2], s, *points[2:], *extra])  # 10 points: 10 / 2 is whole
-    with pytest.raises(ValueError, match="section value has 2 entries, fiber dimension is 1"):
-        covariant_derivative_sampled(r, sigma, s, x)
+
+
+@pytest.mark.parametrize("backend, sigma", [
+    (b, Section(F=lambda s: NAN)) for b in ("closed-form", "direct", "sampled")
+] + [
+    ("closed-form", Section(F=lambda s: NAN, dF=lambda s, x: np.zeros(1))),
+    ("closed-form", Section(F=lambda s: np.ones(1), dF=lambda s, x: NAN)),
+])
+def test_every_backend_rejects_a_non_finite_section_value_or_derivative(backend, sigma):
+    # the closed form returned NaN for a NaN value beside an analytic dF, and for a NaN dF
+    nabla = make_evaluator(make_bergman_disk(2), backend)
+    with pytest.raises(NumericsError, match="section value or derivative is not finite"):
+        nabla.evaluate(sigma, [np.array([0.1]), np.array([0.3j])], [np.ones(1), np.ones(1)])
+
+
+def test_dsigma_and_df_each_read_one_stencils_call_for_a_stack(monkeypatch):
+    # on kernels with d2 the jet reads no stencil: the one call is the derivative's
+    for k, sigma, pts, xs in _stack_cases():
+        calls, stencils = [], type(k.domain).stencils
+        monkeypatch.setattr(type(k.domain), "stencils", lambda self, points, *args, **kwargs:
+                            calls.append(len(points)) or stencils(self, points, *args, **kwargs))
+        make_evaluator(k, "closed-form").evaluate(sigma, pts, xs)
+        zero = ConnectionEvaluator("zero", k, lambda s, p, x: np.zeros((len(p), k.fiber_dim)))
+        leibniz_residual(zero, lambda p: complex(np.sum(p)), sigma, list(zip(pts, xs)))
+        monkeypatch.undo()
+        assert calls == [len(pts), len(pts)], k.name
 
 
 def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
@@ -452,9 +498,10 @@ def _leibniz_loop(nabla, f, sigma, probes, h=1e-4):
 def test_leibniz_residual_is_unchanged_on_the_reports_probes(seed):
     # the probes, sections and functions of verify's Leibniz block
     rng = np.random.default_rng(seed + 8)
-    for k, probes in [(make_bergman_disk(2), verify._disk_probes(rng, 30)),
-                      (make_bergman_halfplane(1), verify._halfplane_probes(rng, 30)),
-                      (make_fock(np.eye(2)), verify._fock_probes(rng, 30, 2))]:
+    for k, probes in [(make_bergman_disk(2), verify._probes(rng, 30, verify._disk)),
+                      (make_bergman_halfplane(1), verify._probes(rng, 30, verify._halfplane)),
+                      (make_fock(np.eye(2)),
+                       verify._probes(rng, 30, lambda r: verify._normal(r, 2), 2, 0.7))]:
         dim = k.domain.dim
         sigma = verify._scalar_test_section(dim, rng)
         a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -37,6 +37,18 @@ def test_projector_validation():
         HermitianProjector(np.eye(2, dtype=complex), 1)  # trace 2, declared rank 1
 
 
+@pytest.mark.parametrize("make", [
+    lambda p: HermitianProjector(np.full((2, 2), np.nan), 1),
+    lambda p: HermitianProjector(np.where(p.p == 1, np.nan, p.p), 2),
+    lambda p: GrassTangent(p, np.full((4, 4), np.nan)),
+    lambda p: GrassTangent(p, np.where(np.eye(4) == 1, np.inf, 0.0)),
+])
+def test_a_non_finite_projector_or_generator_is_rejected_first(make):
+    # every residual of a NaN matrix is NaN, and NaN > tol is False: each check would pass
+    with pytest.raises(DomainError, match="(projector|generator) is not finite"):
+        make(coordinate_projector(4, 2))
+
+
 def test_tangent_validation():
     p = coordinate_projector(4, 2)
     a = np.zeros((4, 4), dtype=complex)

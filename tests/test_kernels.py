@@ -3,7 +3,14 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from kernelconnect.connections import Section, make_evaluator
 from kernelconnect.cpmaps import random_unitary
+from kernelconnect.grassmann import (
+    GrassDomain,
+    HermitianProjector,
+    coordinate_projector,
+    random_grass_tangent,
+)
 
 from kernelconnect.kernels import (
     DISK_BOUNDARY_GUARD,
@@ -17,6 +24,7 @@ from kernelconnect.kernels import (
     make_bergman_disk,
     make_bergman_halfplane,
     make_fock,
+    make_group_kernel,
     make_rank_one_kernel,
     positivity_certificate,
     pull_back_kernel,
@@ -387,7 +395,7 @@ def test_stencil_derivative_matches_analytic():
 def test_stencil_derivative_rejects_bad_step():
     for h in (0.0, -1e-4, float("nan")):
         with pytest.raises(NumericsError, match="step must be positive"):
-            VectorDomain(1).stencil(np.array([0.0]), np.array([1.0]), h=h)
+            VectorDomain(1).stencils([np.array([0.0])], [np.array([1.0])], h=h)
 
 
 def test_stencil_derivative_rejects_a_non_finite_value():
@@ -396,9 +404,39 @@ def test_stencil_derivative_rejects_a_non_finite_value():
                                    lambda p: np.array([np.inf if p[0] > 0 else 1.0]))
 
 
+def _derivative_cases():
+    """(domain, f, points, directions) on C^2, U(3) and Gr(2, 4), f vector- or matrix-valued."""
+    rng = np.random.default_rng(17)
+    c = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    vs = [0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) for _ in range(4)]
+    us = [random_unitary(3, seed=90 + i) for i in range(3)]
+    base = coordinate_projector(4, 2)
+    ps = [HermitianProjector(u @ base.p @ u.conj().T, 2)
+          for u in (random_unitary(4, seed=95 + i) for i in range(3))]
+    return [
+        (VectorDomain(2), lambda p: np.exp(c @ p), vs,
+         [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in vs]),
+        (UnitaryDomain(3), lambda u: u @ u, us,
+         [a - a.conj().T for a in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+                                   for _ in us)]),
+        (GrassDomain(4, 2), lambda p: p.p @ v, ps,
+         [random_grass_tangent(p, rng) for p in ps]),
+    ]
+
+
+def test_derivatives_of_a_stack_are_the_derivatives_of_its_probes_bit_for_bit():
+    for domain, f, pts, xs in _derivative_cases():
+        got = domain.derivatives(pts, xs, f)
+        want = np.array([domain.derivative(s, x, f) for s, x in zip(pts, xs)])
+        assert got.shape == want.shape and np.array_equal(got, want), domain
+        with pytest.raises(DomainError, match=f"{len(pts)} points but {len(pts) - 1} directions"):
+            domain.derivatives(pts, xs[:-1], f)
+
+
 def test_stencil_is_the_five_point_rule_along_the_curve():
     s, x, h = np.array([0.3 - 0.1j]), np.array([1.0 + 2.0j]), 1e-3
-    points, weights = VectorDomain(1).stencil(s, x, h)
+    _, (points,), (weights,) = VectorDomain(1).stencils((s,), (x,), h)
     assert np.array_equal(np.array(points), s + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * h * x)
     assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h))
 
@@ -411,11 +449,45 @@ def test_stencil_step_shrinks_only_near_the_edge(make, point):
     domain = make().domain
     for d, h in [(0.5, 1e-4), (0.1, 1e-4), (0.081, 1e-4), (0.04, 5e-5), (1e-4, 1.25e-7)]:
         s = np.array([point(d)])
-        _, weights = domain.stencil(s, np.array([1.0]))
+        _, (points,), (weights,) = domain.stencils((s,), (np.array([1.0]),))
         assert weights[0] * 12.0 * h == pytest.approx(1.0, rel=1e-9)
         if d >= 0.08:  # EDGE_LAYER: the step is exactly the caller's
             assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4))
-        domain.stack(domain.stencil(s, np.array([1.0]))[0])  # every point stays inside
+        domain.stack(points)  # every point stays inside
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: VectorDomain(1).check_tangent(np.zeros(1), [np.nan]), r"C\^d: tangent is not finite$"),
+    (lambda: VectorDomain(2, name="C^2").jets([np.zeros(2)] * 3, [[1, 0], [1, np.inf], [0, 1]]),
+     r"C\^2: tangent is not finite \(probe 1 of 3\)"),
+    (lambda: make_bergman_disk(2).domain.stencils([0.1, 0.2], [1.0, np.nan]),
+     r"unit disk: tangent is not finite \(probe 1 of 2\)"),
+    (lambda: make_bergman_disk(2).d2_eval([0.1], [0.1], [np.nan]),
+     "unit disk: tangent is not finite"),
+    (lambda: make_fock(np.eye(2)).diagonal_jet([np.zeros(2)] * 2, [[1, 0], [np.nan, 0]]),
+     r"C\^2: tangent is not finite \(probe 1 of 2\)"),
+] + [(lambda b=b: make_evaluator(make_bergman_disk(2), b).evaluate(
+          Section(F=lambda s: np.ones(1)), [[0.1], [0.2j], [0.3]], [[1], [np.nan], [1]]),
+      r"unit disk: tangent is not finite \(probe 1 of 3\)")
+     for b in ("closed-form", "direct", "sampled")])
+def test_a_vector_domain_rejects_a_non_finite_tangent_and_names_its_probe(call, message):
+    # on the disk a NaN direction read as a non-finite stencil point or kernel derivative
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda d: d.check_point(np.full((2, 2), np.nan)),
+    lambda d: d.check_point(np.diag([1.0, np.inf])),
+    lambda d: d.check_tangent(np.eye(2), np.full((2, 2), np.nan)),
+    lambda d: d.check_tangent(np.eye(2), np.array([[0, np.inf], [-np.inf, 0]])),
+    lambda d: make_group_kernel(2, 2, lambda m: m, "id").d2_eval(
+        np.eye(2), np.eye(2), np.full((2, 2), np.nan)),
+])
+def test_a_unitary_domain_rejects_a_non_finite_point_or_tangent_first(call):
+    # ||u*u - I|| and ||a + a*|| are NaN there, and NaN > tol is False
+    with pytest.raises(DomainError, match=r"U\(n\): (point|tangent) is not finite"):
+        call(UnitaryDomain(2))
 
 
 def test_admissibility_report_reads_kappa_from_its_gram(monkeypatch):
