@@ -242,6 +242,7 @@ def cp_covariant_derivative(psi: CPMap, sigma: Callable[[np.ndarray], np.ndarray
     """d(sigma) along u e^{ta} plus Psi(a) sigma(u), for anti-Hermitian a."""
     um = np.asarray(u, dtype=complex)
     am = np.asarray(a, dtype=complex)
+    UnitaryDomain(psi.input_dim).check_point(um)
     if np.linalg.norm(am + am.conj().T) > 1e-10:
         raise NumericsError("direction must be anti-Hermitian")
     dsigma = UnitaryDomain(psi.input_dim).derivative(um, am, sigma)

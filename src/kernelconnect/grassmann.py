@@ -16,6 +16,7 @@ homogeneous-bundle kernel and its derivative on unitary groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -63,6 +64,13 @@ class HermitianProjector:
                 f"trace {np.trace(m).real:.6f} does not match declared rank {self.rank}")
         object.__setattr__(self, "p", m)
 
+    def _conjugate(self, u: np.ndarray) -> HermitianProjector:
+        """u p u* for a unitary u: a projector of this rank, so only its finiteness is checked."""
+        point = object.__new__(HermitianProjector)  # skips __post_init__; t w can still overflow
+        point.__dict__.update(p=_finite_array(u @ self.p @ u.conj().T, "projector"), rank=self.rank)
+        point.p.flags.writeable = False
+        return point
+
     @property
     def n(self) -> int:
         return self.p.shape[0]
@@ -92,6 +100,9 @@ class GrassTangent:
                 f"generator has diagonal blocks (residual {diag:.3e}); "
                 "it must lie in the reductive complement")
         object.__setattr__(self, "generator", a)
+
+    def __getstate__(self):  # the curve GrassDomain.curve holds here is rebuilt, not pickled
+        return {k: v for k, v in self.__dict__.items() if k != "_curve"}
 
 
 def coordinate_projector(n: int, k: int) -> HermitianProjector:
@@ -146,16 +157,17 @@ class GrassDomain(Domain):
     def check_tangent(self, s, x) -> None:
         if not isinstance(x, GrassTangent):
             raise DomainError("Grassmann tangents must be GrassTangent values")
-        if not np.allclose(x.base.p, s.p, atol=1e-10):
+        if x.base is not s and not np.allclose(x.base.p, s.p, atol=1e-10):
             raise DomainError("tangent is anchored at a different base point")
 
     def curve(self, s, x) -> Callable[[float], HermitianProjector]:
+        """t -> e^{tA} s e^{-tA}, each point built once; held by a tangent whose base is s."""
+        if x.base is s and "_curve" in x.__dict__:
+            return x.__dict__["_curve"]
         exp_ta = UnitaryDomain(self.n).curve(np.eye(self.n), x.generator)
-
-        def gamma(t: float) -> HermitianProjector:
-            u = exp_ta(t)
-            return HermitianProjector(u @ s.p @ u.conj().T, s.rank)
-
+        gamma = cache(lambda t: s._conjugate(exp_ta(float(t))))  # a real t keeps e^{tA} unitary
+        if x.base is s:
+            object.__setattr__(x, "_curve", gamma)  # beside the frozen fields: derivatives share it
         return gamma
 
 
@@ -286,6 +298,7 @@ def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
     """
     gm = np.asarray(g, dtype=complex)
     xm = np.asarray(x, dtype=complex)
+    UnitaryDomain(base.n).check_point(gm)
     generator = maurer_cartan(ReductiveStructure(base), gm, xm)  # rejects x outside the complement
 
     def orbit(u) -> HermitianProjector:
@@ -318,6 +331,7 @@ def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],
     """
     um = np.asarray(u, dtype=complex)
     xm = np.asarray(x, dtype=complex)
+    UnitaryDomain(point.n).check_point(um)
     p = point.p
     value = np.asarray(phi(um), dtype=complex)
     if np.linalg.norm(value - p @ value) > 1e-8:
@@ -331,5 +345,4 @@ def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],
                                  - wm.conj().T @ value)
             if res > 1e-8:
                 raise DomainError(f"phi violates equivariance (residual {res:.3e})")
-    dphi = UnitaryDomain(point.n).derivative(um, xm, phi)
-    return dphi + p @ (xm @ value)
+    return UnitaryDomain(point.n).derivative(um, xm, phi) + p @ (xm @ value)

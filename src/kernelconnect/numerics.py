@@ -62,13 +62,14 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_solve(m, rhs) -> np.ndarray:
     """Solve M x = rhs for Hermitian M, or M (..., M, M) with rhs (..., M, K); fails if singular."""
-    values, vectors = hermitian_eigh(m)
-    mags = np.abs(values)
-    if np.any(mags.min(-1) <= 1e-10 * np.maximum(mags.max(-1), 1.0)):
-        raise NumericsError(
-            f"matrix is singular within threshold (|lambda|_min = {mags.min():.3e})")
+    one = np.shape(m)[-2:] == (1, 1)  # the eigenvalue is Re M and V = 1: no eigh, the same bits
+    values, vectors = (_as_matrix(m, stack=True)[..., 0].real, None) if one else hermitian_eigh(m)
+    mags = np.abs(values)  # the relative rule; on one finite eigenvalue it is |lambda| <= 1e-10
+    lo, floor = (mags, 1e-10) if one else (mags.min(-1), 1e-10 * np.maximum(mags.max(-1), 1.0))
+    if (lo <= floor).any():
+        raise NumericsError(f"matrix is singular within threshold (|lambda|_min = {lo.min():.3e})")
     y = np.asarray(rhs, dtype=complex)
-    if values.shape[-1] == 1:  # V = 1: the products by it would keep the bits
+    if one:
         return y / values if y.ndim == 1 else y / values[..., None]
     y = np.swapaxes(vectors.conj(), -1, -2) @ y
     return vectors @ (y / values) if y.ndim == 1 else vectors @ (y / values[..., None])

@@ -41,20 +41,16 @@ class SampledRKHS:
     def fiber_dim(self) -> int:
         return self.kernel.fiber_dim
 
-    def indices(self, points: Sequence) -> list[int]:
-        """The index of each point in the sample: the sample point within 1e-12 of it."""
-        n = len(points)
-        try:
-            x = _coordinates((*points, *self.points))
-            close = _close(x[:n], x[n:])
-        except ValueError:  # points of different sizes: none is in the sample
-            close = np.zeros((n, 0), dtype=bool)
-        if not close.any(axis=1).all():
-            raise KeyError("point is not among the sample points; augment the sample first")
-        return close.argmax(axis=1).tolist()
-
     def point_index(self, s) -> int:
-        return self.indices((s,))[0]
+        """The index of s in the sample: the sample point within 1e-12 of it."""
+        try:
+            x = _coordinates((s, *self.points))
+            close = _close(x[:1], x[1:])[0]
+        except ValueError:  # s has another size than the sample's points: it is not among them
+            close = np.zeros(0, dtype=bool)
+        if not close.any():
+            raise KeyError("point is not among the sample points; augment the sample first")
+        return int(close.argmax())
 
     def block(self, i: int) -> slice:
         m = self.fiber_dim

@@ -16,6 +16,7 @@ from kernelconnect.cpmaps import (
     verify_dilation,
 )
 from kernelconnect.grassmann import fiber_basis
+from kernelconnect.kernels import DomainError
 from kernelconnect.numerics import NumericsError
 
 
@@ -110,6 +111,17 @@ def test_cp_covariant_derivative_rejects_bad_direction():
     psi = _example_map(seed=9)
     with pytest.raises(NumericsError):
         cp_covariant_derivative(psi, lambda u: np.ones(2), np.eye(3), np.eye(3))
+
+
+@pytest.mark.parametrize("u, message", [
+    (2 * np.eye(3), r"U\(n\): not unitary"),
+    (np.full((3, 3), np.nan), r"U\(n\): point is not finite"),
+], ids=["non-unitary", "nan"])
+def test_cp_covariant_derivative_checks_its_group_point(u, message):
+    psi = _example_map(seed=9)
+    a = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1j]], dtype=complex)
+    with pytest.raises(DomainError, match=message):
+        cp_covariant_derivative(psi, lambda u: psi.apply(u) @ np.ones(2), u, a)
 
 
 def test_cp_kernel_identity_on_diagonal():

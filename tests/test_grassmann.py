@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,6 +7,7 @@ import scipy.linalg
 from kernelconnect.connections import Section, covariant_derivative_direct
 from kernelconnect.cpmaps import random_unitary
 from kernelconnect.grassmann import (
+    GrassDomain,
     GrassTangent,
     HermitianProjector,
     ReductiveStructure,
@@ -21,7 +24,7 @@ from kernelconnect.grassmann import (
     universal_covariant_derivative,
     universal_kernel,
 )
-from kernelconnect.kernels import DomainError
+from kernelconnect.kernels import DomainError, UnitaryDomain
 from kernelconnect.verify import grassmann_agreement
 
 
@@ -176,6 +179,29 @@ def test_homogeneous_derivative_rejects_non_anti_hermitian_direction():
         homogeneous_covariant_derivative(phi, p, random_unitary(3, seed=21), np.eye(3))
 
 
+@pytest.mark.parametrize("u, message", [
+    (2 * np.eye(3), r"U\(n\): not unitary"),
+    (np.full((3, 3), np.nan), r"U\(n\): point is not finite"),
+], ids=["non-unitary", "nan"])
+def test_homogeneous_derivative_checks_its_group_point(u, message):
+    p = coordinate_projector(3, 1)
+    phi = lambda u: p.p @ (np.asarray(u).conj().T @ np.ones(3))
+    x = random_grass_tangent(p, np.random.default_rng(21)).generator
+    with pytest.raises(DomainError, match=message):
+        homogeneous_covariant_derivative(phi, p, u, x)
+
+
+@pytest.mark.parametrize("g, message", [
+    (2 * np.eye(4), r"U\(n\): not unitary"),
+    (np.full((4, 4), np.nan), r"U\(n\): point is not finite"),
+], ids=["non-unitary", "nan"])
+def test_reductive_derivative_checks_its_group_point(g, message):
+    base = coordinate_projector(4, 2)
+    x = random_grass_tangent(base, np.random.default_rng(22)).generator
+    with pytest.raises(DomainError, match=message):
+        reductive_covariant_derivative(lambda pt: pt.p @ np.ones(4), g, x, base)
+
+
 def test_homogeneous_kernel_keeps_its_explicit_formula_bits():
     n = 3
     p = coordinate_projector(n, 1)
@@ -242,3 +268,84 @@ def test_grassmann_verify_output_keeps_its_bits_with_the_cache(capsys, monkeypat
     monkeypatch.setattr(grassmann, "fiber_basis", _fiber_basis_uncached)
     assert main(argv) == 0
     assert capsys.readouterr().out == cached
+
+
+def _probe(n=4, k=2, seed=40):
+    point = _random_point(n, k, seed)
+    return point, random_grass_tangent(point, np.random.default_rng(seed + 1)).generator
+
+
+def test_derivatives_along_a_reused_tangent_keep_their_bits():
+    point, generator = _probe()
+    v0 = np.arange(1, 5) + 0.5j
+    f = lambda pt: pt.p @ v0
+    q = universal_kernel(4, 2)
+    sigma = Section(F=grass_section_coordinates(f))
+    calls = [
+        lambda x: GrassDomain(4, 2).derivative(point, x, lambda pt: np.vdot(v0, f(pt))),
+        lambda x: covariant_derivative_direct(q, sigma, point, x),
+        lambda x: universal_covariant_derivative(f, point, x),
+    ]
+    reused = GrassTangent(point, generator)
+    for call in calls * 2:  # the second round reads only held points
+        assert np.array_equal(call(reused), call(GrassTangent(point, generator)))
+
+
+def test_stencil_points_are_built_once_per_tangent_with_the_checked_bits():
+    point, generator = _probe()
+    tangent, domain = GrassTangent(point, generator), GrassDomain(4, 2)
+    _, (first,), _ = domain.stencils((point,), (tangent,))
+    _, (second,), _ = domain.stencils((point,), (tangent,))
+    assert all(a is b for a, b in zip(first, second))
+    exp_ta = UnitaryDomain(4).curve(np.eye(4), generator)
+    for t, derived in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), first):
+        u = exp_ta(t)  # the same conjugate, built through the full projector check
+        assert np.array_equal(derived.p, HermitianProjector(u @ point.p @ u.conj().T, 2).p)
+        assert derived.rank == 2 and not derived.p.flags.writeable
+    # a tangent anchored at an equal projector object: a fresh curve, the same bits
+    copy = HermitianProjector(point.p.copy(), 2)
+    _, (other,), _ = domain.stencils((copy,), (tangent,))
+    assert all(a is not b and np.array_equal(a.p, b.p) for a, b in zip(first, other))
+
+
+def test_a_tangent_that_holds_its_curve_still_pickles():
+    point, generator = _probe()
+    tangent = GrassTangent(point, generator)
+    f = lambda pt: pt.p @ np.ones(4)
+    want = universal_covariant_derivative(f, point, tangent)
+    copy = pickle.loads(pickle.dumps(tangent))
+    assert "_curve" not in copy.__dict__
+    assert np.array_equal(universal_covariant_derivative(f, copy.base, copy), want)
+
+
+def test_a_curve_point_is_never_built_from_a_non_unitary_exponential():
+    point, generator = _probe()
+    gamma = GrassDomain(4, 2).curve(point, GrassTangent(point, generator))
+    with pytest.raises((TypeError, DomainError)):  # e^{tA} is not unitary at a complex t
+        gamma(0.5j)
+
+
+def test_agreement_checks_no_curve_point_as_a_projector(monkeypatch):
+    checked = []
+    post_init = HermitianProjector.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(HermitianProjector, "__post_init__", counted)
+    grassmann_agreement(4, 2, probes=3, seed=0)
+    # the base, then per probe its point and the reductive oracle's five orbit points from g;
+    # the four curve points each probe's four derivatives share are derived, not checked
+    assert len(checked) == 1 + 3 * 6
+
+
+def test_a_huge_step_still_rejects_a_non_finite_curve_point():
+    point, generator = _probe()
+    tangent = GrassTangent(point, generator)
+    sigma = Section(F=grass_section_coordinates(lambda pt: pt.p @ np.ones(4)))
+    with np.errstate(over="ignore", invalid="ignore"):  # 2 h overflows, then t w
+        with pytest.raises(DomainError, match="projector is not finite"):
+            covariant_derivative_direct(universal_kernel(4, 2), sigma, point, tangent, h=1e308)
+        with pytest.raises(DomainError, match="projector is not finite"):
+            GrassDomain(4, 2).derivative(point, tangent, lambda pt: pt.p, h=1e308)

@@ -91,3 +91,32 @@ def test_hermitian_solve_takes_a_stack_and_names_a_singular_member():
     m[3] = np.zeros((3, 3))
     with pytest.raises(NumericsError, match="singular"):
         hermitian_solve(m, rhs)
+
+
+_SCALARS = np.array([[[2.5 - 0.3j]], [[-1e-3 + 0j]], [[7e8 + 1e-9j]], [[3e-10 + 0j]]])
+
+
+@pytest.mark.parametrize("m, rhs", [
+    (_SCALARS[0], np.array([1.0 + 2.0j])),
+    (_SCALARS[1], np.array([[0.1 + 0.7j, -3.0, 1e-300j]])),
+    (_SCALARS, np.array([0.3 - 0.1j])),
+    (_SCALARS, np.arange(12).reshape(4, 1, 3) * (0.7 - 1.3j)),
+    (_SCALARS, np.array([[1.0 + 1j, -2.0]])),
+])
+def test_one_by_one_solve_is_rhs_over_the_real_entry_bit_for_bit(m, rhs):
+    want = rhs / (m[..., 0].real if rhs.ndim == 1 else m.real)
+    got = hermitian_solve(m, rhs)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+@pytest.mark.parametrize("m, message", [
+    (np.array([[np.nan + 0j]]), "non-finite"),
+    (np.array([[1.0 + np.inf * 1j]]), "non-finite"),
+    (np.array([[0.0 + 0j]]), "singular"),
+    (np.array([[-1e-10 + 5j]]), "singular"),  # |lambda| <= 1e-10 max(|lambda|, 1)
+    (np.concatenate([_SCALARS, [[[0.0]]]]), "singular"),
+])
+def test_one_by_one_solve_keeps_its_checks(m, message):
+    with pytest.raises(NumericsError, match=message):
+        hermitian_solve(m, np.ones(1))

@@ -168,13 +168,13 @@ def test_duplicate_message_names_the_first_pair_of_projector_points():
 def test_lookup_keeps_the_one_point_rule():
     r = _disk_space()
     near = [np.array([complex(p[0]) + 1e-13]) for p in r.points]
-    assert r.indices(near[::-1]) == [3, 2, 1, 0]
+    assert [r.point_index(p) for p in near[::-1]] == [3, 2, 1, 0]
     assert [r.point_index(p) for p in near] == [0, 1, 2, 3]
     for far in (np.array([0.3 + 1e-11]), np.array([0.7]), np.array([0.3, 0.0]), np.zeros((2, 2))):
         with pytest.raises(KeyError):
             r.point_index(far)
         with pytest.raises(KeyError):
-            r.indices([r.points[0], far])
+            [r.point_index(p) for p in (r.points[0], far)]
 
 
 def test_lookup_finds_projectors_by_their_matrix():
@@ -182,6 +182,6 @@ def test_lookup_finds_projectors_by_their_matrix():
     pts = [base] + [HermitianProjector(u @ base.p @ u.conj().T, 2)
                     for u in (random_unitary(4, seed=90 + i) for i in range(3))]
     r = build_rkhs(universal_kernel(4, 2), pts)
-    assert r.indices([HermitianProjector(p.p.copy(), 2) for p in pts[::-1]]) == [3, 2, 1, 0]
+    assert [r.point_index(HermitianProjector(p.p.copy(), 2)) for p in pts[::-1]] == [3, 2, 1, 0]
     with pytest.raises(KeyError):
         r.point_index(coordinate_projector(4, 1))
