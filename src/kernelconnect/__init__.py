@@ -61,7 +61,6 @@ from .grassmann import (
     GrassDomain,
     GrassTangent,
     HermitianProjector,
-    ReductiveStructure,
     conditional_expectation,
     coordinate_projector,
     fiber_basis,

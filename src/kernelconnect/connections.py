@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, stencil_sum
+from .kernels import BundleMorphism, Kernel, _members, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, hermitian_solve
 from .rkhs import _certify
 
@@ -100,11 +100,15 @@ def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
 
 def _closed_form(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
                  h: float) -> np.ndarray:
-    alpha = connection_forms(k, points, directions, h)  # one diagonal jet; checks every probe
-    values = _fiber([sigma.value(s) for s in points], k.fiber_dim)[..., None]
-    dsigma = (k.domain.derivatives(points, directions, sigma.value, h) if sigma.dF is None
-              else np.array([sigma.dF(s, x) for s, x in zip(points, directions)]))
-    return _fiber(dsigma.reshape(len(points), -1), k.fiber_dim) + (alpha @ values)[..., 0]
+    s, x = k.domain.jets(points, directions)  # the one check of every probe
+    alpha = hermitian_solve(*k._jet(s, x, h))
+    values = _fiber([sigma.value(p) for p in s], k.fiber_dim)[..., None]
+    if sigma.dF is None:
+        stencils, weights = k.domain._stencils(s, x, h)
+        dsigma = stencil_sum(weights, [[sigma.value(p) for p in ps] for ps in stencils])
+    else:
+        dsigma = np.array([sigma.dF(p, v) for p, v in zip(s, x)])
+    return _fiber(dsigma.reshape(len(s), -1), k.fiber_dim) + (alpha @ values)[..., 0]
 
 
 def _fiber(values, m: int) -> np.ndarray:
@@ -131,9 +135,10 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
 
 def _direct(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
             h: float) -> np.ndarray:
-    s, stencils, weights = k.domain.stencils(points, directions, h)
+    s, x = k.domain.jets(points, directions)  # the one check of every probe
+    stencils, weights = k.domain._stencils(s, x, h)
     m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
-    rows = k.blocks([(p,) for p in s], [(p, *ps) for p, ps in zip(s, stencils)])
+    rows = k._values(_members(s), [(p, *ps) for p, ps in zip(s, stencils)])
     kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
     values = _fiber([[sigma.value(p) for p in ps] for ps in stencils], m)
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
@@ -142,9 +147,10 @@ def _direct(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
 
 def _sampled(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
              h: float) -> np.ndarray:
-    s, stencils, weights = k.domain.stencils(points, directions, h)
+    s, x = k.domain.jets(points, directions)  # the one check of every probe
+    stencils, weights = k.domain._stencils(s, x, h)
     samples = [(*ps[:2], p, *ps[2:]) for p, ps in zip(s, stencils)]  # s_j in slot 2 of 5
-    grams = k.blocks(samples, samples)
+    grams = k._values(samples, samples)
     _certify(samples, grams)
     m, n = k.fiber_dim, len(grams)
     v = _fiber([[sigma.value(p) for p in ps] for ps in stencils], m)
@@ -225,8 +231,7 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
 
 def gauge_pullback_connection(theta: BundleMorphism,
                               alpha_target: Callable[[object, object], np.ndarray],
-                              source_domain,
-                              fiber_dim: int) -> Callable[[object, object], np.ndarray]:
+                              source_domain) -> Callable[[object, object], np.ndarray]:
     """Pull a connection-form field back along an invertible bundle morphism:
 
         alpha(s, X) = delta_s^(-1) alpha~(zeta(s), Tzeta X) delta_s
@@ -239,11 +244,11 @@ def gauge_pullback_connection(theta: BundleMorphism,
         raise ValueError("bundle morphism must provide a base-tangent map")
 
     def alpha(s, x) -> np.ndarray:
-        ds = theta.fiber_map(s, fiber_dim)
+        ds = theta.fiber_map(s)
         sv = np.linalg.svd(ds, compute_uv=False)
         if sv[-1] <= 1e-10 * sv[0]:  # relative, as in hermitian_solve: a scale is not singular
             raise NumericsError("fiber map is singular; cannot pull back the connection")
-        ddelta = source_domain.derivative(s, x, lambda p: theta.fiber_map(p, fiber_dim))
+        ddelta = source_domain.derivative(s, x, theta.fiber_map)
         core = np.atleast_2d(np.asarray(
             alpha_target(theta.zeta(s), theta.tangent(s, x)), dtype=complex))
         return np.linalg.solve(ds, core @ ds + ddelta)
@@ -261,14 +266,13 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
     """
     if theta.tangent is None:
         raise ValueError("bundle morphism must provide a base-tangent map")
-    m = nabla.kernel.fiber_dim
     for s, _ in probes:
-        ds = theta.fiber_map(s, m)
+        ds = theta.fiber_map(s)
         compat = np.linalg.norm(ds @ sigma.value(s) - sigma_target.value(theta.zeta(s)))
         if not compat <= 1e-10:  # a NaN residual fails too
             raise ValueError(
                 f"sections are not morphism-compatible: residual {compat:.3e} at a probe")
-    res = [np.linalg.norm(theta.fiber_map(s, m) @ nabla(sigma, s, x)
+    res = [np.linalg.norm(theta.fiber_map(s) @ nabla(sigma, s, x)
                           - nabla_target(sigma_target, theta.zeta(s), theta.tangent(s, x)))
            for s, x in probes]
     return float(np.max(res, initial=0.0))  # a NaN propagates

@@ -27,7 +27,6 @@ __all__ = [
     "HermitianProjector",
     "GrassTangent",
     "GrassDomain",
-    "ReductiveStructure",
     "coordinate_projector",
     "fiber_basis",
     "conditional_expectation",
@@ -171,20 +170,6 @@ class GrassDomain(Domain):
         return gamma
 
 
-@dataclass(frozen=True)
-class ReductiveStructure:
-    """The block-compression idempotent E_p(X) = pXp + (1-p)X(1-p) at a projector."""
-
-    point: HermitianProjector
-
-    def expect(self, x) -> np.ndarray:
-        return conditional_expectation(self.point, x)
-
-    def complement_residual(self, a) -> float:
-        """Distance of E_p(a) from zero: membership test for the complement m."""
-        return float(np.linalg.norm(self.expect(a)))
-
-
 def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:
     """Compression onto block-diagonal matrices: X -> pXp + (1-p)X(1-p)."""
     m = np.asarray(x, dtype=complex)
@@ -195,16 +180,16 @@ def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:
     return p @ m @ p + q @ m @ q
 
 
-def reductive_axioms_residual(rs: ReductiveStructure, unitaries: Sequence[np.ndarray],
+def reductive_axioms_residual(point: HermitianProjector, unitaries: Sequence[np.ndarray],
                               n_probes: int = 20, seed: int = 0) -> float:
-    """Idempotence and equivariance residuals of E_p against subgroup unitaries.
+    """Idempotence and equivariance residuals of the conditional expectation E_p against
+    subgroup unitaries.
 
     Every g must commute with p (that is the subgroup membership condition);
     the residual is the max over g and random X of ||E(g X g^-1) - g E(X) g^-1||,
     together with ||E(E(X)) - E(X)||.
     """
-    p = rs.point.p
-    n = rs.point.n
+    p, n = point.p, point.n
     for g in unitaries:
         gm = np.asarray(g, dtype=complex)
         if np.linalg.norm(gm @ p - p @ gm) > 1e-10:
@@ -213,21 +198,21 @@ def reductive_axioms_residual(rs: ReductiveStructure, unitaries: Sequence[np.nda
     res = 0.0
     for _ in range(n_probes):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ex = rs.expect(x)
-        res = max(res, float(np.linalg.norm(rs.expect(ex) - ex)))
+        ex = conditional_expectation(point, x)
+        res = max(res, float(np.linalg.norm(conditional_expectation(point, ex) - ex)))
         for g in unitaries:
             gm = np.asarray(g, dtype=complex)
-            lhs = rs.expect(gm @ x @ gm.conj().T)
+            lhs = conditional_expectation(point, gm @ x @ gm.conj().T)
             rhs = gm @ ex @ gm.conj().T
             res = max(res, float(np.linalg.norm(lhs - rhs)))
     return res
 
 
-def maurer_cartan(rs: ReductiveStructure, g, x) -> np.ndarray:
-    """The tangent-identification 1-form: (g, X) -> g X g^-1 for X in the complement."""
+def maurer_cartan(point: HermitianProjector, g, x) -> np.ndarray:
+    """The tangent-identification 1-form: (g, X) -> g X g^-1 for X in the complement, E_p(X) = 0."""
     gm = np.asarray(g, dtype=complex)
     xm = np.asarray(x, dtype=complex)
-    if rs.complement_residual(xm) > 1e-10:
+    if np.linalg.norm(conditional_expectation(point, xm)) > 1e-10:
         raise DomainError("direction is not in the reductive complement of E_p")
     return gm @ xm @ gm.conj().T
 
@@ -298,13 +283,12 @@ def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
     """
     gm = np.asarray(g, dtype=complex)
     xm = np.asarray(x, dtype=complex)
-    UnitaryDomain(base.n).check_point(gm)
-    generator = maurer_cartan(ReductiveStructure(base), gm, xm)  # rejects x outside the complement
 
     def orbit(u) -> HermitianProjector:
         return HermitianProjector(u @ base.p @ u.conj().T, base.rank)
 
-    deriv = UnitaryDomain(base.n).derivative(gm, xm, lambda u: f_ambient(orbit(u)))
+    deriv = UnitaryDomain(base.n).derivative(gm, xm, lambda u: f_ambient(orbit(u)))  # checks g, x
+    generator = maurer_cartan(base, gm, xm)  # rejects x outside the complement
     return deriv - generator @ np.asarray(f_ambient(orbit(gm)), dtype=complex)
 
 
@@ -331,7 +315,7 @@ def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],
     """
     um = np.asarray(u, dtype=complex)
     xm = np.asarray(x, dtype=complex)
-    UnitaryDomain(point.n).check_point(um)
+    deriv = UnitaryDomain(point.n).derivative(um, xm, phi)  # checks u and x
     p = point.p
     value = np.asarray(phi(um), dtype=complex)
     if np.linalg.norm(value - p @ value) > 1e-8:
@@ -345,4 +329,4 @@ def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],
                                  - wm.conj().T @ value)
             if res > 1e-8:
                 raise DomainError(f"phi violates equivariance (residual {res:.3e})")
-    return UnitaryDomain(point.n).derivative(um, xm, phi) + p @ (xm @ value)
+    return deriv + p @ (xm @ value)

@@ -79,22 +79,27 @@ class Domain:
         """A curve gamma with gamma(0) = s and velocity x at t = 0."""
         raise NotImplementedError
 
-    def stencils(self, points: Sequence, directions: Sequence,
-                 h: float = DEFAULT_STEP) -> tuple[Sequence, Sequence, np.ndarray]:
-        """The library's one stencil at L probes (s_j, x_j): the points, L lists p_j = gamma_j(t h),
+    def jets(self, points: Sequence, directions: Sequence) -> tuple[Sequence, Sequence]:
+        """The probes (s_j, x_j), each point and tangent checked once: the one check of a stack of
+        probes.  Code past it trusts them, and the curve points that cannot leave the domain."""
+        for s, x in zip(points, _paired(points, directions)):
+            self.check_point(s)
+            self.check_tangent(s, x)
+        return points, directions
+
+    def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[Sequence, np.ndarray]:
+        """The library's one stencil at L checked probes (s_j, x_j): L lists p_j = gamma_j(t h),
         t = -2, -1, 1, 2, on curves gamma_j with those 1-jets, and (L, 4) weights w_j with
         d/dt|0 f(gamma_j(t)) = sum_i w_ji f(p_ji) + O(h^4)."""
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
-        for s, x in zip(points, _paired(points, directions)):
-            self.check_tangent(s, x)
-        stencils = [list(map(self.curve(s, x), h * _OFFSETS)) for s, x in zip(points, directions)]
-        return points, stencils, np.tile(_WEIGHTS / (12.0 * h), (len(points), 1))
+        return ([list(map(self.curve(p, v), h * _OFFSETS)) for p, v in zip(s, x)],
+                np.tile(_WEIGHTS / (12.0 * h), (len(s), 1)))
 
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:
-        """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at L probes (s_j, x_j), by one `stencils`."""
-        _, stencils, weights = self.stencils(points, directions, h)
+        """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at L probes (s_j, x_j), checked by `jets`."""
+        stencils, weights = self._stencils(*self.jets(points, directions), h)
         return stencil_sum(weights, [[f(p) for p in ps] for ps in stencils])
 
     def derivative(self, s, x, f: Callable, h: float = DEFAULT_STEP) -> np.ndarray:
@@ -130,17 +135,28 @@ class VectorDomain(Domain):
     # maps an (N, d) stack to the distances of its points from the domain's edge, if bounded
     edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def stencils(self, points: Sequence, directions: Sequence,
-                 h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Domain.stencils as arrays: checked (L, d) points, (L, 4, d) stencils, (L, 4) weights.
+    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Domain.jets as checked (L, d) stacks of points and directions."""
+        s = self.stack(points)
+        x = np.array(_paired(s, directions), dtype=complex).reshape(len(s), -1)
+        if x.shape[1] != self.dim:
+            raise DomainError(f"{self.name}: tangent dimension {x.shape[1]} != {self.dim}")
+        if not np.isfinite(x).all():  # then name the first probe whose tangent is not
+            i = int(np.argmin(np.isfinite(x).all(axis=1)))
+            raise DomainError(f"{self.name}: tangent is not finite (probe {i} of {len(x)})")
+        return s, x
+
+    def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Domain._stencils as arrays at checked (L, d) probes: (L, 4, d) stencil points and
+        (L, 4) weights.
 
         h shrinks in proportion to an edge distance d < EDGE_LAYER.  Where h |x| <= 1e-12 the
         stencil would collapse (1e-12 rule): it runs along x / |x| (e_1 at x = 0), its weights
-        times |x|.
+        times |x|.  A straight line can leave the domain, so the stencil points are checked once;
+        an error names the stencil point and its probe.
         """
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
-        s, x = self.jets(points, directions)
         # the distance d to the edge, > 0 at a checked point; inf on an unbounded domain
         d = np.full((len(s), 1), np.inf) if self.edge is None else self.edge(s)[:, None]
         step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)
@@ -151,22 +167,12 @@ class VectorDomain(Domain):
             unit = (x + (size == 0) * np.eye(1, x.shape[1])) / np.where(size > 0, size, 1.0)
             x = np.where(tiny, unit, x)
             weights = np.where(tiny, weights * size, weights)
-        return s, s[:, None] + (step * _OFFSETS)[..., None] * x[:, None], weights
-
-    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """The probes (s_j, x_j) as checked (L, d) stacks of points and directions."""
-        s = self.stack(points)
-        return s, self._tangents(s, directions)
-
-    def _tangents(self, s: np.ndarray, directions: Sequence) -> np.ndarray:
-        """The directions of probes at the (L, d) points s as one checked (L, d) stack."""
-        x = np.array(_paired(s, directions), dtype=complex).reshape(len(s), -1)
-        if x.shape[1] != self.dim:
-            raise DomainError(f"{self.name}: tangent dimension {x.shape[1]} != {self.dim}")
-        if not np.isfinite(x).all():  # then name the first probe whose tangent is not
-            i = int(np.argmin(np.isfinite(x).all(axis=1)))
-            raise DomainError(f"{self.name}: tangent is not finite (probe {i} of {len(x)})")
-        return x
+        stencils = s[:, None] + (step * _OFFSETS)[..., None] * x[:, None]
+        bad = self._outside(stencils.reshape(-1, self.dim))
+        if bad is not None:
+            j, i = divmod(bad[0], len(_OFFSETS))
+            raise DomainError(f"{self.name}: {bad[1]} (stencil point {i} of probe {j})")
+        return stencils, weights
 
     def check_point(self, s) -> None:
         self.stack((s,))
@@ -187,19 +193,22 @@ class VectorDomain(Domain):
             a = a.reshape(a.shape + (1,) if a.size else a.shape[:-1] + (0, self.dim))
         if a.ndim != depth + 1:
             raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape[depth:]}")
-        flat = a.reshape(-1, a.shape[-1])
         if a.shape[-1] != self.dim:
             bad = 0, f"expected dimension {self.dim}, got {a.shape[-1]}"
-        elif not np.isfinite(flat).all():
-            bad = int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
         else:
-            bad = self.guard(flat) if self.guard is not None and len(flat) else None
+            bad = self._outside(a.reshape(-1, self.dim))
         if bad is not None:  # a one-member stack names its point as a flat list would
             at = [(int(i), n) for i, n in zip(np.unravel_index(bad[0], a.shape[:-1]), a.shape[:-1])
                   if n > 1]
             at, n = at[0] if len(at) == 1 else tuple(zip(*at)) or ((), ())
             raise DomainError(f"{self.name}: {bad[1]}{f' (point {at} of {n})' if n else ''}")
         return a
+
+    def _outside(self, flat: np.ndarray) -> Optional[tuple[int, str]]:
+        """(i, reason) for the first of the (N, d) points outside the domain, or None."""
+        if not np.isfinite(flat).all():
+            return int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
+        return self.guard(flat) if self.guard is not None and len(flat) else None
 
     def check_tangent(self, s, x) -> None:
         a = _as_point(_finite_array(x, f"{self.name}: tangent"))
@@ -271,7 +280,7 @@ class Kernel:
     `eval` returns the M x M matrix kappa(s, t).  `d2`, when present, returns
     the real-linear directional derivative of t -> kappa(s, t) in direction x
     (a conjugate-linear expression for the anti-holomorphic built-ins).
-    Kernels lacking `d2` fall back to the stencil, read from one `blocks` call.
+    Kernels lacking `d2` fall back to the stencil, read from one `_values` call.
     `batch`, when present, maps point arrays of a VectorDomain, coordinates on
     the last axis and leading axes broadcast, to a scalar kernel's values; its
     `d2` then maps (s, t, x) arrays the same way.  Every entry must depend on
@@ -299,13 +308,21 @@ class Kernel:
         return self.blocks(one := (ss,), one if ts is ss else (ts,))[0]
 
     def blocks(self, ss: Sequence, ts: Sequence) -> np.ndarray:
-        """The (L, aM, bM) stack of block(ss[j], ts[j]), j < L, for members of a and b points.
-
-        Every kernel value is evaluated here, by one `batch` expression or one loop over `eval`,
-        after `_points` has checked each point once.
-        """
-        s, t = self._points(ss, ts)
+        """The (L, aM, bM) stack of block(ss[j], ts[j]), j < L, for members of a and b points: the
+        `_values` of the stacks after each point is checked once, all of them once when ts is ss."""
         if self.batch is not None:
+            s = self.domain.stack(ss, 2)
+            return self._values(s, s if ts is ss else self.domain.stack(ts, 2))
+        for p in chain(*ss) if ts is ss else chain(*ss, *ts):
+            self.domain.check_point(p)
+        return self._values(ss, ts)
+
+    def _values(self, ss: Sequence, ts: Sequence) -> np.ndarray:
+        """`blocks` at checked points.  Every kernel value is evaluated here, by one `batch`
+        expression on (L, a, d) arrays or one loop over `eval`."""
+        if self.batch is not None:
+            s = np.asarray(ss, dtype=complex)
+            t = s if ts is ss else np.asarray(ts, dtype=complex)
             a, b = s.shape[1], t.shape[1]  # members of one point need fewer axes to broadcast
             if a == b == 1:
                 s, t = s[:, 0], t[:, 0]
@@ -317,49 +334,29 @@ class Kernel:
                        dtype=complex).reshape(len(ss), a, b, m, m).swapaxes(2, 3)
         return self._finite(out.reshape(len(ss), a * m, b * m))
 
-    def _points(self, ss: Sequence, ts: Sequence) -> tuple[Sequence, Sequence]:
-        """The stacks ss and ts with each point checked against the domain once, all of them once
-        when ts is ss: as (L, a, d) arrays for `batch`, else as they are."""
-        if self.batch is not None:
-            s = self.domain.stack(ss, 2)
-            return s, s if ts is ss else self.domain.stack(ts, 2)
-        for p in chain(*ss) if ts is ss else chain(*ss, *ts):
-            self.domain.check_point(p)
-        return ss, ts
-
-    def d2_eval(self, s, t, x, h: float = DEFAULT_STEP) -> np.ndarray:
-        """Directional derivative of kappa(s, .) at t in direction x: one-probe `_derivatives`."""
-        return self._derivatives(*self._points(p := ((s,),), p if t is s else ((t,),)), (x,), h)[0]
-
     def diagonal_jet(self, points: Sequence, directions: Sequence,
                      h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
-        """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j); the one `blocks` call
-        for the first checks each point once."""
-        try:  # one-member stacks: an (L, 1, ...) array, or 1-tuples of ragged points
-            ss = np.asarray(points)[:, None]
-        except ValueError:  # scalars mixed with vectors on C^1, or a dimension blocks rejects
-            ss = [(np.atleast_1d(p),) for p in points]
-        return self.blocks(ss, ss), self._derivatives(ss, ss, directions, h)
+        """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j): the `_jet` of the
+        probes, checked once by `jets`."""
+        return self._jet(*self.domain.jets(points, directions), h)
 
-    def _derivatives(self, ss: Sequence, ts: Sequence, xs: Sequence, h: float) -> np.ndarray:
-        """The (L, M, M) stack d2_kappa(s_j, .)(t_j)(x_j) over checked one-member stacks
-        ss[j] = (s_j,) and ts[j] = (t_j,): `d2` at all L probes at once or, without it, the
-        stencil, read from one `blocks` call."""
-        m = self.fiber_dim
+    def _jet(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """diagonal_jet at checked probes: kappa(s_j, s_j) from one `_values` call, and `d2` at
+        all L probes at once or, without it, the stencil, read from a second one."""
+        m, ss = self.fiber_dim, _members(s)
+        kss = self._values(ss, ss)
         if self.d2 is None:
-            _, stencils, weights = self.domain.stencils([q for q, in ts], xs, h)
-            values = self.blocks(ss, stencils).reshape(len(ss), m, 4, m).swapaxes(1, 2)
-            return stencil_sum(weights, values)
-        if self.batch is None:
-            args = [(p, q, x) for (p,), (q,), x in zip(ss, ts, _paired(ts, xs))]
-            for _, q, x in args:
-                self.domain.check_tangent(q, x)
-        else:  # (L, d) arrays of points and directions, each direction as long as the first
-            s = np.asarray(ss, dtype=complex).reshape(len(ss), -1)
-            t = s if ts is ss else np.asarray(ts, dtype=complex).reshape(len(ts), -1)
-            args = ((s, t, self.domain._tangents(s, xs)),)
+            stencils, weights = self.domain._stencils(s, x, h)
+            values = self._values(ss, stencils).reshape(len(ss), m, 4, m).swapaxes(1, 2)
+            return kss, stencil_sum(weights, values)
+        args = ((s, s, x),) if self.batch is not None else zip(s, s, x)  # (L, d) arrays for batch
         out = np.array([self.d2(*a) for a in args], dtype=complex)
-        return self._finite(out, "derivative").reshape(len(ss), m, m)
+        return kss, self._finite(out, "derivative").reshape(len(ss), m, m)
+
+
+def _members(s: Sequence) -> Sequence:
+    """The one-member stacks (s_j,) of a stack of points; an (L, 1, d) view of an (L, d) array."""
+    return s[:, None] if isinstance(s, np.ndarray) else [(p,) for p in s]
 
 
 def _polar(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:  # mag e^{i phase}, part by part
@@ -526,17 +523,8 @@ class BundleMorphism:
     delta: Callable[[object], np.ndarray]
     tangent: Optional[Callable[[object, object], object]] = None
 
-    @staticmethod
-    def identity() -> "BundleMorphism":
-        return BundleMorphism(zeta=lambda s: s,
-                              delta=lambda s: None,  # marker: identity fiber map
-                              tangent=lambda s, x: x)
-
-    def fiber_map(self, s, dim: int) -> np.ndarray:
-        d = self.delta(s)
-        if d is None:
-            return np.eye(dim, dtype=complex)
-        return np.atleast_2d(np.asarray(d, dtype=complex))
+    def fiber_map(self, s) -> np.ndarray:
+        return np.atleast_2d(np.asarray(self.delta(s), dtype=complex))
 
 
 def pull_back_kernel(theta: BundleMorphism, k_target: Kernel, fiber_dim: int,
@@ -547,8 +535,8 @@ def pull_back_kernel(theta: BundleMorphism, k_target: Kernel, fiber_dim: int,
     """
 
     def ev(s, t):
-        ds = theta.fiber_map(s, k_target.fiber_dim)
-        dt = theta.fiber_map(t, k_target.fiber_dim)
+        ds = theta.fiber_map(s)
+        dt = theta.fiber_map(t)
         core = k_target(theta.zeta(s), theta.zeta(t))
         if ds.shape[0] != core.shape[0] or dt.shape[0] != core.shape[1]:
             raise DomainError(

@@ -358,13 +358,13 @@ def _transport_checks():
 
 
 def _reductive_checks(seed):
-    rs = grassmann.ReductiveStructure(grassmann.coordinate_projector(4, 2))
+    point = grassmann.coordinate_projector(4, 2)
     unitaries = []
     for i in range(20):
         u1 = cpmaps.random_unitary(2, seed=seed + 600 + 2 * i)
         u2 = cpmaps.random_unitary(2, seed=seed + 601 + 2 * i)
         unitaries.append(np.block([[u1, np.zeros((2, 2))], [np.zeros((2, 2)), u2]]))
-    res = grassmann.reductive_axioms_residual(rs, unitaries, n_probes=20, seed=seed)
+    res = grassmann.reductive_axioms_residual(point, unitaries, n_probes=20, seed=seed)
     return [_check("reductive/axioms_residual", "grassmann", res, 1e-12)]
 
 

@@ -28,6 +28,7 @@ from kernelconnect.kernels import (
     BundleMorphism,
     DomainError,
     Kernel,
+    UnitaryDomain,
     VectorDomain,
     make_bergman_disk,
     make_bergman_halfplane,
@@ -141,7 +142,7 @@ def test_gauge_pullback_through_constant_rescale():
                            tangent=lambda s, x: x)
     target = connection_form(k, np.array([0.3]))
     pulled = gauge_pullback_connection(theta, lambda s, x: connection_form(k, s)(x),
-                                       k.domain, fiber_dim=1)
+                                       k.domain)
     got = pulled(np.array([0.3]), np.array([1.0]))
     assert np.linalg.norm(got - target(np.array([1.0]))) < 1e-10
 
@@ -152,11 +153,11 @@ def test_gauge_pullback_accepts_a_small_scale_and_rejects_a_rank_one_fiber_map()
     for scale in (1e-7, 1.0, 1e7):
         theta = BundleMorphism(zeta=lambda s: s, delta=lambda s, c=scale: c * np.eye(2),
                                tangent=lambda s, x: x)
-        pulled = gauge_pullback_connection(theta, lambda s, x: form, VectorDomain(1), fiber_dim=2)
+        pulled = gauge_pullback_connection(theta, lambda s, x: form, VectorDomain(1))
         assert np.allclose(pulled(np.array([0.3]), np.array([1.0])), form, rtol=0, atol=1e-9)
     for delta in (np.ones((2, 2)), np.zeros((2, 2))):
         theta = BundleMorphism(zeta=lambda s: s, delta=lambda s, d=delta: d, tangent=lambda s, x: x)
-        pulled = gauge_pullback_connection(theta, lambda s, x: form, VectorDomain(1), fiber_dim=2)
+        pulled = gauge_pullback_connection(theta, lambda s, x: form, VectorDomain(1))
         with pytest.raises(NumericsError, match="fiber map is singular"):
             pulled(np.array([0.3]), np.array([1.0]))
 
@@ -282,14 +283,14 @@ def test_rkhs_reads_equal_their_per_pair_formulas_bit_for_bit():
         assert universality_residual(r) == res, k.name
 
 
-def _count_blocks(monkeypatch):
-    """Record every Kernel.blocks call as (kernel, ss, ts): blocks is where every kernel value is
-    evaluated, so block, k(s, t) and the stencil fallback all show up here."""
-    return _count_calls(monkeypatch, "blocks")
+def _count_values(monkeypatch):
+    """Record every Kernel._values call as (kernel, ss, ts): _values is where every kernel value
+    is evaluated, so blocks, block, k(s, t) and the stencil fallback all show up here."""
+    return _count_calls(monkeypatch, "_values")
 
 
 def _one_stacked_block(k, calls):
-    """The (ss, ts) of the one blocks call among `calls`, after checking that the kernel was read
+    """The (ss, ts) of the one _values call among `calls`, after checking that the kernel was read
     nowhere else."""
     assert len(calls) == 1, k.name
     return calls[0][1:]
@@ -299,7 +300,7 @@ def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
     # one point or a stack: one stacked block of the rows kappa(s_j, (s_j, *stencil_j))
     for k, sigma, pts, xs in _bitwise_cases():
         for n in (1, len(pts)):
-            calls = _count_blocks(monkeypatch)
+            calls = _count_values(monkeypatch)
             if n == 1:
                 covariant_derivative_direct(k, sigma, pts[0], xs[0])
             else:
@@ -313,19 +314,35 @@ def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
     # one stacked block of the L per-probe 5 x 5 sample Grams, and nothing else
     for k, sigma, pts, xs in _bitwise_cases():
         for n in (1, len(pts)):
-            calls = _count_blocks(monkeypatch)
-            monkeypatch.setattr(Kernel, "d2_eval", None)
+            calls = _count_values(monkeypatch)
+            monkeypatch.setattr(Kernel, "_jet", None)
             make_evaluator(k, "sampled").evaluate(sigma, pts[:n], xs[:n])
             monkeypatch.undo()
             ss, ts = _one_stacked_block(k, calls)
             assert ss is ts and [len(a) for a in ss] == [5] * n, k.name
 
 
+def test_each_probe_is_checked_once_and_its_derived_points_are_trusted(monkeypatch):
+    # the disk: a one-point direct call stacks its probe once and checks its stencil once
+    stacks = _count_calls(monkeypatch, "stack", VectorDomain)
+    checks = _count_calls(monkeypatch, "_outside", VectorDomain)
+    covariant_derivative_direct(make_bergman_disk(2), CONSTANT, np.array([0.3]), np.array([1.0]))
+    monkeypatch.undo()
+    assert len(stacks) == 1 and [len(c[1]) for c in checks] == [1, 4]
+    # U(n): one unitarity check per probe; the stencil points u e^{tha} are unitary by construction
+    k, sigma, us, xs = _stack_cases()[-1]
+    for backend in ("direct", "sampled"):
+        calls = _count_calls(monkeypatch, "check_point", UnitaryDomain)
+        make_evaluator(k, backend).evaluate(sigma, us, xs)
+        monkeypatch.undo()
+        assert len(calls) == len(us), backend
+
+
 def test_block_counter_sees_a_stray_kernel_evaluation(monkeypatch):
     # the counter behind the two tests above catches k(s, s) and a second block call
     k, _, pts, _ = _bitwise_cases()[0]
     for extra in (lambda: k(pts[0], pts[0]), lambda: k.blocks([pts[:1]], [pts[:2]])):
-        calls = _count_blocks(monkeypatch)
+        calls = _count_values(monkeypatch)
         k.blocks([pts[:1]], [pts])
         extra()
         monkeypatch.undo()
@@ -412,11 +429,13 @@ def test_a_stack_names_the_probe_whose_point_or_stencil_point_leaves_the_domain(
     for backend in ("closed-form", "direct", "sampled"):
         with pytest.raises(DomainError, match=r"too close to the unit circle \(point 2 of 3\)"):
             make_evaluator(k, backend).evaluate(CONSTANT, pts, xs)
-    # with h = 0.1 the last stencil point of the second probe is 0.5 + 2h * 2.5 = 1
-    for backend in ("direct", "sampled"):
-        message = r"\|s\| = 1\.00000000 .* \(point \(1, 4\) of \(2, 5\)\)"
+    # with h = 0.1 the last stencil point of the second probe is 0.5 + 2h * 2.5 = 1; the closed
+    # form reads that stencil for d(sigma) of a section without dF
+    for backend in ("closed-form", "direct", "sampled"):
+        message = r"\|s\| = 1\.00000000 .* \(stencil point 3 of probe 1\)"
         with pytest.raises(DomainError, match=message):
-            make_evaluator(k, backend, h=0.1).evaluate(CONSTANT, pts[:1] + [np.array([0.5])],
+            make_evaluator(k, backend, h=0.1).evaluate(Section(F=CONSTANT.F),
+                                                       pts[:1] + [np.array([0.5])],
                                                        [np.ones(1), 2.5 * np.ones(1)])
 
 
@@ -429,7 +448,7 @@ def test_a_stack_needs_one_direction_per_point():
                                [np.array([1.0, 2.0])]),
                               (grass, sigma, gpts[:2], gxs[:1])]:
         with pytest.raises(DomainError, match="2 points but 1 directions"):
-            k.domain.stencils(pts, xs)
+            k.domain.jets(pts, xs)
         with pytest.raises(DomainError, match="2 points but 1 directions"):
             connection_forms(k, pts, xs)
         for backend in ("closed-form", "direct", "sampled"):
@@ -463,9 +482,9 @@ def test_every_backend_rejects_a_non_finite_section_value_or_derivative(backend,
 def test_dsigma_and_df_each_read_one_stencils_call_for_a_stack(monkeypatch):
     # on kernels with d2 the jet reads no stencil: the one call is the derivative's
     for k, sigma, pts, xs in _stack_cases():
-        calls, stencils = [], type(k.domain).stencils
-        monkeypatch.setattr(type(k.domain), "stencils", lambda self, points, *args, **kwargs:
-                            calls.append(len(points)) or stencils(self, points, *args, **kwargs))
+        calls, stencils = [], type(k.domain)._stencils
+        monkeypatch.setattr(type(k.domain), "_stencils", lambda self, s, *args, **kwargs:
+                            calls.append(len(s)) or stencils(self, s, *args, **kwargs))
         make_evaluator(k, "closed-form").evaluate(sigma, pts, xs)
         zero = ConnectionEvaluator("zero", k, lambda s, p, x: np.zeros((len(p), k.fiber_dim)))
         leibniz_residual(zero, lambda p: complex(np.sum(p)), sigma, list(zip(pts, xs)))
@@ -574,16 +593,16 @@ def _segment(start, end):
     return Curve(gamma=lambda t: (1.0 - t) * start + t * end, velocity=lambda t: end - start)
 
 
-def _count_calls(monkeypatch, name):
-    """Record the kernel and the arguments of every call of the Kernel method `name`."""
+def _count_calls(monkeypatch, name, cls=Kernel):
+    """Record the instance and the arguments of every call of the method `name` of cls."""
     calls = []
-    method = getattr(Kernel, name)
+    method = getattr(cls, name)
 
     def counted(self, *args, **kwargs):
         calls.append((self, *args))
         return method(self, *args, **kwargs)
 
-    monkeypatch.setattr(Kernel, name, counted)
+    monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -595,10 +614,10 @@ def _count_calls(monkeypatch, name):
 def test_parallel_transport_makes_one_stacked_jet_evaluation(monkeypatch, k, start, end):
     jets = _count_calls(monkeypatch, "diagonal_jet")
     blocks = _count_calls(monkeypatch, "block")
-    derivatives = _count_calls(monkeypatch, "d2_eval")
+    derivatives = _count_calls(monkeypatch, "_jet")
     parallel_transport(k, _segment(start, end), np.ones(1), steps=64)
     assert len(jets) == 1 and len(jets[0][1]) == 129  # t_j = j/128
-    assert blocks == [] and derivatives == []
+    assert blocks == [] and len(derivatives) == 1 and len(derivatives[0][1]) == 129
 
 
 def test_a_kernel_without_batch_transports_through_the_loop():
@@ -667,10 +686,10 @@ def _no_d2_stacks(n=5):
 
 
 def test_a_jet_without_d2_reads_the_kernel_in_two_blocks(monkeypatch):
-    # L = 5 probes: one blocks call for the kappa(s_j, s_j), one for all 4 L stencil values
+    # L = 5 probes: one _values call for the kappa(s_j, s_j), one for all 4 L stencil values
     for k, pts, xs in _no_d2_stacks():
-        want = [(k(s, s), k.d2_eval(s, s, x)) for s, x in zip(pts, xs)]
-        calls = _count_calls(monkeypatch, "blocks")
+        want = [(k(s, s), k.diagonal_jet((s,), (x,))[1][0]) for s, x in zip(pts, xs)]
+        calls = _count_calls(monkeypatch, "_values")
         kss, d2 = k.diagonal_jet(pts, xs)
         monkeypatch.undo()
         own = [c for c in calls if c[0] is k]
@@ -686,21 +705,22 @@ def test_connection_forms_without_d2_equal_their_one_point_forms(monkeypatch):
     # the forms of a stack make one diagonal jet; the rank-one kernel has no form (singular kappa)
     for k, pts, xs in _no_d2_stacks()[::2]:
         want = [connection_form(k, s)(x) for s, x in zip(pts, xs)]
-        calls = _count_calls(monkeypatch, "blocks")
+        calls = _count_calls(monkeypatch, "_values")
         forms = connection_forms(k, pts, xs)
         monkeypatch.undo()
         assert len([c for c in calls if c[0] is k]) == 2, k.name
         assert np.array_equal(forms, np.array(want)), k.name
 
 
-def test_d2_eval_without_d2_reads_its_stencil_from_one_block(monkeypatch):
+def test_a_one_probe_jet_without_d2_reads_its_stencil_from_one_block(monkeypatch):
+    # one _values call for kappa(s, s), and one for the four stencil values
     for k, s, x in _no_d2_cases():
         points, weights = _per_pair_stencil(k, s, x)
         want = stencil_sum(weights, [k(s, p) for p in points])  # four 1 x 1 blocks
-        calls = _count_calls(monkeypatch, "blocks")
-        got = k.d2_eval(s, s, x)
+        calls = _count_calls(monkeypatch, "_values")
+        got = k.diagonal_jet((s,), (x,))[1][0]
         monkeypatch.undo()
         own = [c for c in calls if c[0] is k]
-        assert len(own) == 1, k.name
-        assert [len(a) for a in own[0][1]] == [1] and [len(b) for b in own[0][2]] == [4], k.name
+        assert len(own) == 2 and own[0][1] is own[0][2], k.name
+        assert [len(a) for a in own[1][1]] == [1] and [len(b) for b in own[1][2]] == [4], k.name
         assert np.array_equal(got, want), k.name

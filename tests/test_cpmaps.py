@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from kernelconnect import cpmaps
 from kernelconnect.connections import Section, covariant_derivative_direct
 from kernelconnect.cpmaps import (
+    CPMap,
     choi_from_kraus,
     cp_covariant_derivative,
     cp_kernel,
@@ -107,9 +109,24 @@ def test_cp_covariant_derivative_matches_generic():
         assert np.linalg.norm(formula - generic) < 1e-6
 
 
+def test_a_cpmap_derives_its_kraus_operators_from_its_choi_matrix(monkeypatch):
+    psi = _example_map(seed=21)
+    n, m = psi.input_dim, psi.output_dim
+    want = kraus_from_choi(psi.choi, n, m)
+    for got in (CPMap(n, m, psi.choi), cpmap_from_choi(psi.choi, n, m)):
+        assert len(got.kraus) == len(want) == 4
+        assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want))
+    # a Choi matrix of the wrong shape is rejected before any eigendecomposition
+    calls = []
+    monkeypatch.setattr(cpmaps, "hermitian_eigh", lambda *args: calls.append(args))
+    with pytest.raises(NumericsError, match=r"Choi matrix shape \(7, 7\) != \(6,6\)"):
+        CPMap(n, m, np.eye(7))
+    assert calls == []
+
+
 def test_cp_covariant_derivative_rejects_bad_direction():
     psi = _example_map(seed=9)
-    with pytest.raises(NumericsError):
+    with pytest.raises(DomainError, match=r"U\(n\): tangent not anti-Hermitian"):
         cp_covariant_derivative(psi, lambda u: np.ones(2), np.eye(3), np.eye(3))
 
 
@@ -141,9 +158,9 @@ def test_cp_and_lambda_kernels_keep_their_explicit_formula_bits():
     a = random_unitary(3, seed=15)
     a = a - a.conj().T
     assert np.array_equal(k(u, v), psi.apply(u.conj().T @ v))
-    assert np.array_equal(k.d2_eval(u, v, a), psi.apply(u.conj().T @ v @ a))
+    assert np.array_equal(k.d2(u, v, a), psi.apply(u.conj().T @ v @ a))
     assert np.array_equal(k_lam(u, v), b.conj().T @ triple.lam(u.conj().T @ v) @ b)
-    assert np.array_equal(k_lam.d2_eval(u, v, a),
+    assert np.array_equal(k_lam.d2(u, v, a),
                           b.conj().T @ triple.lam(u.conj().T @ v @ a) @ b)
 
 

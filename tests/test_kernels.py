@@ -79,14 +79,9 @@ def test_analytic_d2_matches_stencil(make):
     k = make()
     plain = type(k)(k.fiber_dim, k.domain, k.eval, None, k.name)
     for s, x in _probe_pairs(k, 10, seed=3):
-        analytic = k.d2_eval(s, s, x)
-        stencil = plain.d2_eval(s, s, x, h=1e-4)
+        analytic = k.diagonal_jet((s,), (x,))[1][0]
+        stencil = plain.diagonal_jet((s,), (x,), h=1e-4)[1][0]
         assert np.linalg.norm(analytic - stencil) < 1e-8
-
-
-def test_d2_eval_checks_its_second_point():
-    with pytest.raises(DomainError):
-        make_bergman_disk(2).d2_eval(np.array([0.1]), np.array([1.5]), np.array([1.0]))
 
 
 @pytest.mark.parametrize("nu", [1024.0, 1e300])
@@ -151,7 +146,8 @@ def test_admissibility_positive_for_builtins():
 
 def test_pullback_through_identity_morphism():
     k = make_bergman_disk(2)
-    pulled = pull_back_kernel(BundleMorphism.identity(), k, fiber_dim=1, domain=k.domain)
+    identity = BundleMorphism(zeta=lambda s: s, delta=lambda s: np.eye(1), tangent=lambda s, x: x)
+    pulled = pull_back_kernel(identity, k, fiber_dim=1, domain=k.domain)
     for s, _ in _probe_pairs(k, 5, 9):
         t = np.array([0.3 + 0.1j])
         assert np.linalg.norm(pulled(s, t) - k(s, t)) < 1e-14
@@ -344,7 +340,7 @@ def test_non_finite_analytic_derivative_raises():
         k = make_fock(np.eye(1))
         assert np.isfinite(k([26.6], [26.6])).all()
         with pytest.raises(NumericsError, match="fock:dim=1: kernel derivative is not finite"):
-            k.d2_eval([26.6], [26.6], [1])
+            k.diagonal_jet([[26.6]], [[1]])[1]
 
 
 def test_block_with_no_points_on_one_side_is_empty():
@@ -375,7 +371,8 @@ def test_stencils_of_a_stack_are_the_stencils_of_its_points_bit_for_bit():
     pts = [np.array([r * np.exp(1j * r)]) for r in (0.0, 0.5, 0.9, 0.93, 0.99, 0.9999)]
     xs = [np.array([1.0 - 2.0j]), np.array([0.3j]), np.array([-1.0]), np.array([2.0]),
           np.array([1e-3 + 1e-3j]), np.array([0.7])]
-    s, q, w = disk.stencils(pts, xs)
+    s, x = disk.jets(pts, xs)
+    q, w = disk._stencils(s, x, 1e-4)
     for j, (p, x) in enumerate(zip(pts, xs)):
         d = DISK_BOUNDARY_GUARD - abs(p[0])
         h = 1e-4 * d / 0.08 if d < 0.08 else 1e-4
@@ -395,7 +392,7 @@ def test_stencil_derivative_matches_analytic():
 def test_stencil_derivative_rejects_bad_step():
     for h in (0.0, -1e-4, float("nan")):
         with pytest.raises(NumericsError, match="step must be positive"):
-            VectorDomain(1).stencils([np.array([0.0])], [np.array([1.0])], h=h)
+            VectorDomain(1).derivative(np.array([0.0]), np.array([1.0]), np.exp, h=h)
 
 
 def test_stencil_derivative_rejects_a_non_finite_value():
@@ -436,7 +433,7 @@ def test_derivatives_of_a_stack_are_the_derivatives_of_its_probes_bit_for_bit():
 
 def test_stencil_is_the_five_point_rule_along_the_curve():
     s, x, h = np.array([0.3 - 0.1j]), np.array([1.0 + 2.0j]), 1e-3
-    _, (points,), (weights,) = VectorDomain(1).stencils((s,), (x,), h)
+    (points,), (weights,) = VectorDomain(1)._stencils(*VectorDomain(1).jets((s,), (x,)), h)
     assert np.array_equal(np.array(points), s + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * h * x)
     assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h))
 
@@ -449,7 +446,7 @@ def test_stencil_step_shrinks_only_near_the_edge(make, point):
     domain = make().domain
     for d, h in [(0.5, 1e-4), (0.1, 1e-4), (0.081, 1e-4), (0.04, 5e-5), (1e-4, 1.25e-7)]:
         s = np.array([point(d)])
-        _, (points,), (weights,) = domain.stencils((s,), (np.array([1.0]),))
+        (points,), (weights,) = domain._stencils(*domain.jets((s,), (np.array([1.0]),)), 1e-4)
         assert weights[0] * 12.0 * h == pytest.approx(1.0, rel=1e-9)
         if d >= 0.08:  # EDGE_LAYER: the step is exactly the caller's
             assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4))
@@ -460,9 +457,9 @@ def test_stencil_step_shrinks_only_near_the_edge(make, point):
     (lambda: VectorDomain(1).check_tangent(np.zeros(1), [np.nan]), r"C\^d: tangent is not finite$"),
     (lambda: VectorDomain(2, name="C^2").jets([np.zeros(2)] * 3, [[1, 0], [1, np.inf], [0, 1]]),
      r"C\^2: tangent is not finite \(probe 1 of 3\)"),
-    (lambda: make_bergman_disk(2).domain.stencils([0.1, 0.2], [1.0, np.nan]),
+    (lambda: make_bergman_disk(2).domain.derivatives([0.1, 0.2], [1.0, np.nan], np.exp),
      r"unit disk: tangent is not finite \(probe 1 of 2\)"),
-    (lambda: make_bergman_disk(2).d2_eval([0.1], [0.1], [np.nan]),
+    (lambda: make_bergman_disk(2).diagonal_jet([0.1], [np.nan]),
      "unit disk: tangent is not finite"),
     (lambda: make_fock(np.eye(2)).diagonal_jet([np.zeros(2)] * 2, [[1, 0], [np.nan, 0]]),
      r"C\^2: tangent is not finite \(probe 1 of 2\)"),
@@ -481,8 +478,8 @@ def test_a_vector_domain_rejects_a_non_finite_tangent_and_names_its_probe(call, 
     lambda d: d.check_point(np.diag([1.0, np.inf])),
     lambda d: d.check_tangent(np.eye(2), np.full((2, 2), np.nan)),
     lambda d: d.check_tangent(np.eye(2), np.array([[0, np.inf], [-np.inf, 0]])),
-    lambda d: make_group_kernel(2, 2, lambda m: m, "id").d2_eval(
-        np.eye(2), np.eye(2), np.full((2, 2), np.nan)),
+    lambda d: make_group_kernel(2, 2, lambda m: m, "id").diagonal_jet(
+        [np.eye(2)], [np.full((2, 2), np.nan)]),
 ])
 def test_a_unitary_domain_rejects_a_non_finite_point_or_tangent_first(call):
     # ||u*u - I|| and ||a + a*|| are NaN there, and NaN > tol is False
@@ -518,7 +515,7 @@ def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
     kss, d2 = k.diagonal_jet(pts[:2], xs[:2])
     assert kss.shape == d2.shape == (2, 1, 1)
     for s, x, a, b in zip(pts, xs, kss, d2):
-        assert np.array_equal(a, k(s, s)) and np.array_equal(b, k.d2_eval(s, s, x))
+        assert np.array_equal(a, k(s, s)) and np.array_equal(b, k.diagonal_jet((s,), (x,))[1][0])
     with np.errstate(over="ignore", invalid="ignore"):
         fock = make_fock(np.eye(1))
         with pytest.raises(NumericsError, match="fock:dim=1: kernel derivative is not finite"):
