@@ -80,7 +80,6 @@ from .cpmaps import (
     cp_classifying_morphism,
     cp_covariant_derivative,
     cp_kernel,
-    cpmap_from_choi,
     kraus_from_choi,
     lambda_kernel,
     pullback_identity_residual,

@@ -22,9 +22,9 @@ from .connections import (
     make_evaluator,
 )
 from .cpmaps import (
+    CPMap,
     cp_covariant_derivative,
     cp_kernel,
-    cpmap_from_choi,
     random_unitary,
     stinespring_dilate,
     verify_dilation,
@@ -105,7 +105,7 @@ def _load_cpmap(path: str, n: int | None):
         raise UsageError(f"input dimension n must be >= 1, got {n}")
     if size % n != 0:
         raise UsageError(f"Choi size {size} is not divisible by n={n}")
-    return cpmap_from_choi(choi, input_dim=n, output_dim=size // n)
+    return CPMap(input_dim=n, output_dim=size // n, choi=choi)
 
 
 def _parse_vector(text: str) -> np.ndarray:

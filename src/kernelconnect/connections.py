@@ -67,14 +67,19 @@ class Curve:
 @dataclass(frozen=True)
 class ConnectionEvaluator:
     """A covariant-derivative functional (section, point, tangent) -> fiber vector: the one-point
-    case of `evaluate`, which maps (section, L points, L tangents) to the (L, M) derivatives."""
+    case of `evaluate`, which maps (section, L points, L tangents) to the (L, M) derivatives.
+    `core` maps (section, L checked points, L checked tangents) to the same."""
 
     backend: str
     kernel: Kernel
-    evaluate: Callable[[Section, Sequence, Sequence], np.ndarray]
+    core: Callable[[Section, Sequence, Sequence], np.ndarray]
 
     def __call__(self, sigma: Section, s, x) -> np.ndarray:
         return self.evaluate(sigma, (s,), (x,))[0]
+
+    def evaluate(self, sigma: Section, points: Sequence, directions: Sequence) -> np.ndarray:
+        """The core at the probes, after `Domain.jets`, their one check."""
+        return self.core(sigma, *self.kernel.domain.jets(points, directions))
 
 
 def connection_form(k: Kernel, s, h: float = DEFAULT_STEP) -> Callable[[object], np.ndarray]:
@@ -95,17 +100,14 @@ def connection_forms(k: Kernel, points: Sequence, directions: Sequence,
 def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
                                      h: float = DEFAULT_STEP) -> np.ndarray:
     """d(sigma)(X) + alpha(X) sigma(s) on the trivialized bundle."""
-    return _closed_form(k, sigma, (s,), (x,), h)[0]
+    return _closed_form(k, sigma, *k.domain.jets((s,), (x,)), h)[0]
 
 
-def _closed_form(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
-                 h: float) -> np.ndarray:
-    s, x = k.domain.jets(points, directions)  # the one check of every probe
+def _closed_form(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     alpha = hermitian_solve(*k._jet(s, x, h))
     values = _fiber([sigma.value(p) for p in s], k.fiber_dim)[..., None]
     if sigma.dF is None:
-        stencils, weights = k.domain._stencils(s, x, h)
-        dsigma = stencil_sum(weights, [[sigma.value(p) for p in ps] for ps in stencils])
+        dsigma = k.domain._derivatives(s, x, sigma.value, h)
     else:
         dsigma = np.array([sigma.dF(p, v) for p, v in zip(s, x)])
     return _fiber(dsigma.reshape(len(s), -1), k.fiber_dim) + (alpha @ values)[..., 0]
@@ -130,12 +132,10 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
     manifolds).  Projecting the derivative onto the fiber and evaluating at s
     collapses to exactly this expression by the reproducing property.
     """
-    return _direct(k, sigma, (s,), (x,), h)[0]
+    return _direct(k, sigma, *k.domain.jets((s,), (x,)), h)[0]
 
 
-def _direct(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
-            h: float) -> np.ndarray:
-    s, x = k.domain.jets(points, directions)  # the one check of every probe
+def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     stencils, weights = k.domain._stencils(s, x, h)
     m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
     rows = k._values(_members(s), [(p, *ps) for p, ps in zip(s, stencils)])
@@ -145,9 +145,7 @@ def _direct(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
     return hermitian_solve(kst[:, 0], deriv[..., None])[..., 0]
 
 
-def _sampled(k: Kernel, sigma: Section, points: Sequence, directions: Sequence,
-             h: float) -> np.ndarray:
-    s, x = k.domain.jets(points, directions)  # the one check of every probe
+def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     stencils, weights = k.domain._stencils(s, x, h)
     samples = [(*ps[:2], p, *ps[2:]) for p, ps in zip(s, stencils)]  # s_j in slot 2 of 5
     grams = k._values(samples, samples)
@@ -221,11 +219,12 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
     if not probes:
         return 0.0
     points, directions = [s for s, _ in probes], [x for _, x in probes]
-    df = nabla.kernel.domain.derivatives(points, directions, f, h).reshape(len(points), 1)
-    fs = np.array([[complex(f(s))] for s in points])
-    lhs = nabla.evaluate(Section(F=lambda s: complex(f(s)) * sigma.value(s)), points, directions)
-    values = np.array([sigma.value(s) for s in points])
-    rhs = df * values + fs * nabla.evaluate(sigma, points, directions)
+    s, x = nabla.kernel.domain.jets(points, directions)  # the one check of the probes
+    df = nabla.kernel.domain._derivatives(s, x, f, h).reshape(len(points), 1)
+    fs = np.array([[complex(f(p))] for p in points])
+    lhs = nabla.core(Section(F=lambda p: complex(f(p)) * sigma.value(p)), s, x)
+    values = np.array([sigma.value(p) for p in points])
+    rhs = df * values + fs * nabla.core(sigma, s, x)
     return float(np.max([np.linalg.norm(d) for d in lhs - rhs]))  # a NaN propagates
 
 
@@ -266,14 +265,17 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
     """
     if theta.tangent is None:
         raise ValueError("bundle morphism must provide a base-tangent map")
-    for s, _ in probes:
-        ds = theta.fiber_map(s)
-        compat = np.linalg.norm(ds @ sigma.value(s) - sigma_target.value(theta.zeta(s)))
+    if not probes:
+        return 0.0
+    points, directions = [s for s, _ in probes], [x for _, x in probes]
+    deltas, images = [theta.fiber_map(s) for s in points], [theta.zeta(s) for s in points]
+    for s, ds, z in zip(points, deltas, images):
+        compat = np.linalg.norm(ds @ sigma.value(s) - sigma_target.value(z))
         if not compat <= 1e-10:  # a NaN residual fails too
             raise ValueError(
                 f"sections are not morphism-compatible: residual {compat:.3e} at a probe")
-    res = [np.linalg.norm(theta.fiber_map(s) @ nabla(sigma, s, x)
-                          - nabla_target(sigma_target, theta.zeta(s), theta.tangent(s, x)))
-           for s, x in probes]
-    return float(np.max(res, initial=0.0))  # a NaN propagates
+    lhs = nabla.evaluate(sigma, points, directions)
+    rhs = nabla_target.evaluate(sigma_target, images, list(map(theta.tangent, points, directions)))
+    res = [np.linalg.norm(ds @ a - b) for ds, a, b in zip(deltas, lhs, rhs)]
+    return float(np.max(res))  # a NaN propagates
 

@@ -24,7 +24,6 @@ __all__ = [
     "StinespringTriple",
     "choi_from_kraus",
     "kraus_from_choi",
-    "cpmap_from_choi",
     "pullback_identity_residual",
     "stinespring_dilate",
     "verify_dilation",
@@ -152,10 +151,6 @@ def kraus_from_choi(choi, input_dim: int, output_dim: int) -> tuple:
             ks.append(x.reshape(input_dim, output_dim).T)
     ks.reverse()  # dominant Kraus operator first
     return tuple(ks)
-
-
-def cpmap_from_choi(choi, input_dim: int, output_dim: int) -> CPMap:
-    return CPMap(input_dim=input_dim, output_dim=output_dim, choi=choi)
 
 
 def stinespring_dilate(psi: CPMap) -> StinespringTriple:

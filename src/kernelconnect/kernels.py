@@ -15,7 +15,6 @@ are treated as real-linear directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -67,17 +66,24 @@ def _as_point(s) -> np.ndarray:
 
 
 class Domain:
-    """Base-domain protocol: membership checks and curves with a given 1-jet."""
+    """Base-domain protocol: membership checks and curves with a given 1-jet.  A domain defines
+    `check_point` and `check_tangent`, or the `stack` and `jets` whose one-member cases they are."""
 
     def check_point(self, s) -> None:
-        raise NotImplementedError
+        self.stack((s,))
 
     def check_tangent(self, s, x) -> None:
-        raise NotImplementedError
+        self.jets((s,), (x,))
 
     def curve(self, s, x) -> Callable[[float], object]:
         """A curve gamma with gamma(0) = s and velocity x at t = 0."""
         raise NotImplementedError
+
+    def stack(self, points: Sequence) -> Sequence:
+        """The points, each checked once: the one check of a list of points."""
+        for p in points:
+            self.check_point(p)
+        return points
 
     def jets(self, points: Sequence, directions: Sequence) -> tuple[Sequence, Sequence]:
         """The probes (s_j, x_j), each point and tangent checked once: the one check of a stack of
@@ -99,7 +105,11 @@ class Domain:
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:
         """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at L probes (s_j, x_j), checked by `jets`."""
-        stencils, weights = self._stencils(*self.jets(points, directions), h)
+        return self._derivatives(*self.jets(points, directions), f, h)
+
+    def _derivatives(self, s: Sequence, x: Sequence, f: Callable, h: float) -> np.ndarray:
+        """`derivatives` at checked probes."""
+        stencils, weights = self._stencils(s, x, h)
         return stencil_sum(weights, [[f(p) for p in ps] for ps in stencils])
 
     def derivative(self, s, x, f: Callable, h: float = DEFAULT_STEP) -> np.ndarray:
@@ -126,25 +136,67 @@ def stencil_sum(weights: np.ndarray, values: Sequence) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VectorDomain(Domain):
-    """Points in C^d; curves are straight lines s + t*x."""
+    """Points in C^d; curves are straight lines s + t*x.
+
+    A bounded domain has one boundary, `edge`: it maps an (N, d) stack to its points' distances
+    from the domain's edge, > 0 exactly inside, so it decides membership and sets the stencil
+    step of the edge layer.  `reason` says why a point at edge <= 0 is not in the domain.
+    """
 
     dim: int
     name: str = "C^d"
-    # maps an (N, d) stack to (i, reason) for its first point outside the domain, or None
-    guard: Optional[Callable[[np.ndarray], Optional[tuple[int, str]]]] = None
-    # maps an (N, d) stack to the distances of its points from the domain's edge, if bounded
     edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    reason: Optional[Callable[[np.ndarray], str]] = None
+
+    def stack(self, points: Sequence) -> np.ndarray:
+        """Domain.stack as one checked (N, d) complex array; a scalar is a point of C^1."""
+        try:
+            a = np.array(points, dtype=complex)
+        except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
+            a = [_as_point(p) for p in points]
+            bad = [i for i, p in enumerate(a) if p.shape != (self.dim,)]
+            if bad:
+                raise self._error(f"expected dimension {self.dim}, got {a[bad[0]].shape[0]}",
+                                  bad[0], len(a))
+            a = np.array(a)
+        if a.ndim == 1:  # scalar points, or no points at all
+            a = a.reshape((-1, 1) if a.size else (0, self.dim))
+        if a.ndim != 2:
+            raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape[1:]}")
+        if a.shape[1] != self.dim:
+            raise self._error(f"expected dimension {self.dim}, got {a.shape[1]}", 0, len(a))
+        bad = self._outside(a)
+        if bad is not None:
+            raise self._error(bad[1], bad[0], len(a))
+        return a
 
     def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
         """Domain.jets as checked (L, d) stacks of points and directions."""
         s = self.stack(points)
-        x = np.array(_paired(s, directions), dtype=complex).reshape(len(s), -1)
+        x = np.array(_paired(s, directions), dtype=complex)
+        if not np.isfinite(x).all():  # then name the first probe whose tangent is not
+            i = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
+            raise self._error("tangent is not finite", i, len(x), "probe")
+        x = x[:, None] if x.ndim == 1 else x  # scalar tangents of C^1
+        if x.ndim != 2:
+            raise DomainError(f"vector-domain point must be 1-d, got shape {x.shape[1:]}")
         if x.shape[1] != self.dim:
             raise DomainError(f"{self.name}: tangent dimension {x.shape[1]} != {self.dim}")
-        if not np.isfinite(x).all():  # then name the first probe whose tangent is not
-            i = int(np.argmin(np.isfinite(x).all(axis=1)))
-            raise DomainError(f"{self.name}: tangent is not finite (probe {i} of {len(x)})")
         return s, x
+
+    def _error(self, reason: str, i: int, n: int, what: str = "point") -> DomainError:
+        """The error of entry i of n, which names the entry when there are several."""
+        return DomainError(f"{self.name}: {reason}" + (f" ({what} {i} of {n})" if n > 1 else ""))
+
+    def _outside(self, flat: np.ndarray) -> Optional[tuple[int, str]]:
+        """(i, reason) for the first of the (N, d) points outside the domain, or None."""
+        if not np.isfinite(flat).all():
+            return int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
+        if self.edge is not None and len(flat):
+            d = self.edge(flat)
+            if not d.min() > 0:  # then name the first point at edge <= 0
+                i = int(np.argmin(d > 0))
+                return i, self.reason(flat[i])
 
     def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils as arrays at checked (L, d) probes: (L, 4, d) stencil points and
@@ -174,70 +226,18 @@ class VectorDomain(Domain):
             raise DomainError(f"{self.name}: {bad[1]} (stencil point {i} of probe {j})")
         return stencils, weights
 
-    def check_point(self, s) -> None:
-        self.stack((s,))
-
-    def stack(self, points: Sequence, depth: int = 1) -> np.ndarray:
-        """The points as one checked complex array: `depth` axes of points (a scalar is a point of
-        C^1), then coordinates; an error names the point by its index on the axes longer than 1."""
-        try:
-            a = np.array(points, dtype=complex)
-        except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
-            a = [_as_point(p) for p in (points if depth == 1 else chain.from_iterable(points))]
-            bad = [i for i, p in enumerate(a) if p.shape != (self.dim,)]
-            if bad:
-                raise DomainError(f"{self.name}: expected dimension {self.dim}, got "
-                                  f"{a[bad[0]].shape[0]} (point {bad[0]} of {len(a)})")
-            a = np.array(a) if depth == 1 else np.array(a).reshape(len(points), -1, self.dim)
-        if a.ndim == depth:  # scalar points, or no points at all
-            a = a.reshape(a.shape + (1,) if a.size else a.shape[:-1] + (0, self.dim))
-        if a.ndim != depth + 1:
-            raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape[depth:]}")
-        if a.shape[-1] != self.dim:
-            bad = 0, f"expected dimension {self.dim}, got {a.shape[-1]}"
-        else:
-            bad = self._outside(a.reshape(-1, self.dim))
-        if bad is not None:  # a one-member stack names its point as a flat list would
-            at = [(int(i), n) for i, n in zip(np.unravel_index(bad[0], a.shape[:-1]), a.shape[:-1])
-                  if n > 1]
-            at, n = at[0] if len(at) == 1 else tuple(zip(*at)) or ((), ())
-            raise DomainError(f"{self.name}: {bad[1]}{f' (point {at} of {n})' if n else ''}")
-        return a
-
-    def _outside(self, flat: np.ndarray) -> Optional[tuple[int, str]]:
-        """(i, reason) for the first of the (N, d) points outside the domain, or None."""
-        if not np.isfinite(flat).all():
-            return int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
-        return self.guard(flat) if self.guard is not None and len(flat) else None
-
-    def check_tangent(self, s, x) -> None:
-        a = _as_point(_finite_array(x, f"{self.name}: tangent"))
-        if a.shape[0] != self.dim:
-            raise DomainError(f"{self.name}: tangent dimension {a.shape[0]} != {self.dim}")
-
     def curve(self, s, x) -> Callable[[float], np.ndarray]:
         s0 = _as_point(s)
         x0 = _as_point(x)
         return lambda t: s0 + t * x0
 
 
-def _disk_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
-    r = np.abs(a[:, 0])
-    if r.max() >= DISK_BOUNDARY_GUARD:  # then name the first point outside
-        i = int(np.argmax(r >= DISK_BOUNDARY_GUARD))
-        return i, f"|s| = {r[i]:.8f} is too close to the unit circle"
-
-
-def _halfplane_guard(a: np.ndarray) -> Optional[tuple[int, str]]:
-    im = a[:, 0].imag
-    if im.min() <= 0:  # then name the first point outside
-        i = int(np.argmax(im <= 0))
-        return i, f"Im z = {im[i]:.3e} must be positive"
-
-
-# |s| by hypot, which rounds as abs does on one point (numpy's abs of an array may not)
+# the disk's edge distance: |s| by hypot, which rounds as abs does on one point (numpy's abs of an
+# array may not); a point inside the guard circle |s| = 1 - 1e-6 has edge > 0
 _disk_edge = lambda s: DISK_BOUNDARY_GUARD - np.hypot(s[:, 0].real, s[:, 0].imag)  # noqa: E731
+_disk_reason = lambda s: f"|s| = {abs(s[0]):.8f} is too close to the unit circle"  # noqa: E731
 _halfplane_edge = lambda z: z[:, 0].imag  # noqa: E731
+_halfplane_reason = lambda z: f"Im z = {z[0].imag:.3e} must be positive"  # noqa: E731
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ class Kernel:
     batch: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __call__(self, s, t) -> np.ndarray:
-        return self.blocks(ss := ((s,),), ss if t is s else ((t,),))[0]
+        return self.block(ss := (s,), ss if t is s else (t,))
 
     def _finite(self, out: np.ndarray, what: str = "value") -> np.ndarray:
         if not np.isfinite(out).all():
@@ -304,22 +304,15 @@ class Kernel:
         return out
 
     def block(self, ss: Sequence, ts: Sequence) -> np.ndarray:
-        """The len(ss)*M x len(ts)*M matrix of blocks kappa(ss[l], ts[j]): one-member `blocks`."""
-        return self.blocks(one := (ss,), one if ts is ss else (ts,))[0]
-
-    def blocks(self, ss: Sequence, ts: Sequence) -> np.ndarray:
-        """The (L, aM, bM) stack of block(ss[j], ts[j]), j < L, for members of a and b points: the
-        `_values` of the stacks after each point is checked once, all of them once when ts is ss."""
-        if self.batch is not None:
-            s = self.domain.stack(ss, 2)
-            return self._values(s, s if ts is ss else self.domain.stack(ts, 2))
-        for p in chain(*ss) if ts is ss else chain(*ss, *ts):
-            self.domain.check_point(p)
-        return self._values(ss, ts)
+        """The len(ss)*M x len(ts)*M matrix of blocks kappa(ss[l], ts[j]): the one-member `_values`
+        of the points after `Domain.stack` checks each once, all of them once when ts is ss."""
+        one = (self.domain.stack(ss),)
+        return self._values(one, one if ts is ss else (self.domain.stack(ts),))[0]
 
     def _values(self, ss: Sequence, ts: Sequence) -> np.ndarray:
-        """`blocks` at checked points.  Every kernel value is evaluated here, by one `batch`
-        expression on (L, a, d) arrays or one loop over `eval`."""
+        """The (L, aM, bM) stack of the blocks kappa(ss[j], ts[j]), j < L, for members of a and b
+        checked points.  Every kernel value is evaluated here, by one `batch` expression on
+        (L, a, d) arrays or one loop over `eval`."""
         if self.batch is not None:
             s = np.asarray(ss, dtype=complex)
             t = s if ts is ss else np.asarray(ts, dtype=complex)
@@ -386,7 +379,7 @@ def make_bergman_disk(nu: float) -> Kernel:
     """Weighted Bergman kernel (1 - conj(t) s)^(-nu) on the unit disk; nu=1 is Hardy."""
     if not (np.isfinite(nu) and nu >= 1):
         raise ValueError(f"nu must be finite and >= 1, got {nu}")
-    domain = VectorDomain(1, name="unit disk", guard=_disk_guard, edge=_disk_edge)
+    domain = VectorDomain(1, "unit disk", _disk_edge, _disk_reason)
 
     def power(s, t, p):
         # b = 1 - s conj(t) = (1 - (sr tr + si ti)) + i (sr ti - si tr); b^-p in polar form
@@ -408,8 +401,7 @@ def make_bergman_halfplane(nu: float) -> Kernel:
     # |(2i)^nu| = 2^nu overflows a float from nu = 1024 on
     if not (np.isfinite(nu) and 1 <= nu < 1024):
         raise ValueError(f"nu must be finite and in [1, 1024), got {nu}")
-    domain = VectorDomain(1, name="upper half-plane", guard=_halfplane_guard,
-                          edge=_halfplane_edge)
+    domain = VectorDomain(1, "upper half-plane", _halfplane_edge, _halfplane_reason)
 
     def power(z, w, p):
         # (2i/b)^p / 4 with b = z - conj(w), Im b > 0; arg(2i/b) = atan2(Re b, Im b)

@@ -319,6 +319,9 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
      "--points needs at least one point"),
     (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", " ; "],
      "--points needs at least one point"),
+    # numpy's abs of an array puts |s| below the guard circle, the disk's edge distance does not
+    (["connect", "covderiv", "--kernel", "bergman-disk:nu=2",
+      "--point=-0.6631062061875492-0.7485239871350519i", "--direction", "1"], "unit circle"),
 ])
 def test_bad_input_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

@@ -192,6 +192,54 @@ def test_intertwining_residual_vanishes_for_identity():
     assert intertwining_residual(theta, nabla, nabla, sigma, sigma, probes) < 1e-12
 
 
+def _disk_automorphism(a, nu):
+    """phi_a(z) = (a - z) / (1 - conj(a) z), with the multiplier that keeps the Bergman kernel of
+    weight nu invariant and phi_a' as its tangent map."""
+    c = np.conj(a)
+    return BundleMorphism(
+        zeta=lambda s: (a - s) / (1.0 - c * s),
+        delta=lambda s: np.conj((np.sqrt(1.0 - abs(a) ** 2) / (1.0 - c * s[0])) ** nu)[None, None],
+        tangent=lambda s, x: -(1.0 - abs(a) ** 2) / (1.0 - c * s) ** 2 * x)
+
+
+def _intertwining_loop(theta, nabla, nabla_target, sigma, sigma_target, probes):
+    """The intertwining residual probe by probe through one-point calls: the reference."""
+    return max(float(np.linalg.norm(theta.fiber_map(s) @ nabla(sigma, s, x) - nabla_target(
+        sigma_target, theta.zeta(s), theta.tangent(s, x)))) for s, x in probes)
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+def test_leibniz_and_intertwining_residuals_check_their_probes_once_per_evaluator(
+        backend, monkeypatch):
+    k, nu = make_bergman_disk(2), 2
+    theta = _disk_automorphism(0.4 + 0.3j, nu)
+    target = Section(F=lambda t: np.array([1.0 + 0.3 * complex(t[0])]))
+    sigma = Section(F=lambda s: np.linalg.solve(theta.fiber_map(s), target.value(theta.zeta(s))))
+    rng = np.random.default_rng(7)
+    probes = [(np.array([0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())]),
+               rng.standard_normal(1) + 1j * rng.standard_normal(1)) for _ in range(5)]
+    nabla = make_evaluator(k, backend)
+    stacks = _count_calls(monkeypatch, "stack", VectorDomain)
+    leibniz = leibniz_residual(nabla, lambda p: complex(p[0]) ** 2, sigma, probes)
+    assert len(stacks) == 1 and leibniz < 1e-6
+    residual = intertwining_residual(theta, nabla, nabla, sigma, target, probes)
+    monkeypatch.undo()
+    assert len(stacks) == 3 and residual < 1e-8
+    assert residual == _intertwining_loop(theta, nabla, nabla, sigma, target, probes)
+
+
+# a point of the disk's edge: numpy's abs of a one-point array puts |s| below 1 - 1e-6, hypot not
+EDGE_POINT = np.array([-0.6631062061875492 - 0.7485239871350519j])
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+def test_every_backend_rejects_a_point_at_the_disks_edge(backend):
+    k = make_bergman_disk(2)
+    assert k.domain.edge(EDGE_POINT[None]) <= 0
+    with pytest.raises(DomainError, match=r"\|s\| = 0.99999900 is too close to the unit circle$"):
+        make_evaluator(k, backend)(CONSTANT, EDGE_POINT, np.ones(1))
+
+
 def test_closed_form_uses_analytic_differential():
     k = make_bergman_disk(2)
     sigma = Section(F=lambda s: np.array([np.exp(complex(s[0]))]),
@@ -285,7 +333,7 @@ def test_rkhs_reads_equal_their_per_pair_formulas_bit_for_bit():
 
 def _count_values(monkeypatch):
     """Record every Kernel._values call as (kernel, ss, ts): _values is where every kernel value
-    is evaluated, so blocks, block, k(s, t) and the stencil fallback all show up here."""
+    is evaluated, so block, k(s, t) and the stencil fallback all show up here."""
     return _count_calls(monkeypatch, "_values")
 
 
@@ -341,9 +389,9 @@ def test_each_probe_is_checked_once_and_its_derived_points_are_trusted(monkeypat
 def test_block_counter_sees_a_stray_kernel_evaluation(monkeypatch):
     # the counter behind the two tests above catches k(s, s) and a second block call
     k, _, pts, _ = _bitwise_cases()[0]
-    for extra in (lambda: k(pts[0], pts[0]), lambda: k.blocks([pts[:1]], [pts[:2]])):
+    for extra in (lambda: k(pts[0], pts[0]), lambda: k.block(pts[:1], pts[:2])):
         calls = _count_values(monkeypatch)
-        k.blocks([pts[:1]], [pts])
+        k.block(pts[:1], pts)
         extra()
         monkeypatch.undo()
         with pytest.raises(AssertionError):

@@ -8,7 +8,6 @@ from kernelconnect.cpmaps import (
     choi_from_kraus,
     cp_covariant_derivative,
     cp_kernel,
-    cpmap_from_choi,
     kraus_from_choi,
     lambda_kernel,
     pullback_identity_residual,
@@ -47,7 +46,7 @@ def test_apply_matches_kraus_sum():
 
 def test_choi_kraus_round_trip():
     psi = _example_map(seed=2)
-    again = cpmap_from_choi(psi.choi, psi.input_dim, psi.output_dim)
+    again = CPMap(psi.input_dim, psi.output_dim, psi.choi)
     a = np.random.default_rng(3).standard_normal((3, 3))
     assert np.linalg.norm(psi.apply(a) - again.apply(a)) < 1e-10
 
@@ -113,9 +112,9 @@ def test_a_cpmap_derives_its_kraus_operators_from_its_choi_matrix(monkeypatch):
     psi = _example_map(seed=21)
     n, m = psi.input_dim, psi.output_dim
     want = kraus_from_choi(psi.choi, n, m)
-    for got in (CPMap(n, m, psi.choi), cpmap_from_choi(psi.choi, n, m)):
-        assert len(got.kraus) == len(want) == 4
-        assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want))
+    got = CPMap(n, m, psi.choi)
+    assert len(got.kraus) == len(want) == 4
+    assert all(np.array_equal(a, b) for a, b in zip(got.kraus, want))
     # a Choi matrix of the wrong shape is rejected before any eigendecomposition
     calls = []
     monkeypatch.setattr(cpmaps, "hermitian_eigh", lambda *args: calls.append(args))

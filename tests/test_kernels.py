@@ -116,6 +116,27 @@ def test_domain_guards():
         half(np.array([1.0 - 0.1j]), np.array([1j]))
 
 
+def _accepts(domain, p) -> bool:
+    try:
+        domain.stack((p,))
+    except DomainError:
+        return False
+    return True
+
+
+def test_the_disk_holds_exactly_its_points_at_positive_edge_distance():
+    # 60,000 one-ulp neighbours of the guard circle |s| = 1 - 1e-6, where numpy's abs of an array
+    # and hypot can round apart: the one boundary decides, on one point and on a stack
+    disk = make_bergman_disk(2).domain
+    z = DISK_BOUNDARY_GUARD * np.exp(2j * np.pi * np.random.default_rng(0).random(20000))
+    pts = np.concatenate([z, np.nextafter(z.real, np.inf) + 1j * z.imag,
+                          z.real + 1j * np.nextafter(z.imag, -np.inf)])[:, None]
+    inside = disk.edge(pts) > 0
+    assert 0 < inside.sum() < len(pts)
+    assert np.array_equal([_accepts(disk, p) for p in pts], inside)
+    assert np.array_equal(disk.stack(pts[inside]), pts[inside])
+
+
 def test_kernel_hermitian_symmetry():
     for k in (make_bergman_disk(2), make_bergman_halfplane(1), make_fock(np.eye(2))):
         for (s, _), (t, _) in zip(_probe_pairs(k, 5, 7), _probe_pairs(k, 5, 8)):
@@ -350,7 +371,8 @@ def test_block_with_no_points_on_one_side_is_empty():
         assert k.block([], [s]).shape == (0, k.fiber_dim)
 
 
-def test_blocks_stack_the_blocks_of_their_members_bit_for_bit():
+def test_values_stack_the_blocks_of_their_members_bit_for_bit():
+    # _values, the stacked core the backends read, at members given as lists of points
     rng = np.random.default_rng(13)
     rank_one = make_rank_one_kernel(lambda p: np.array([1.0, 2.0 + complex(np.asarray(p).flat[0])]),
                                     2, VectorDomain(1))
@@ -362,7 +384,7 @@ def test_blocks_stack_the_blocks_of_their_members_bit_for_bit():
         ss, ts = [list(p[:2]) for p in pts], [list(p) for p in pts]
         for a, b in ((ss, ts), (ts, ts)):
             want = np.array([k.block(x, y) for x, y in zip(a, b)])
-            assert np.array_equal(k.blocks(a, b), want), k.name
+            assert np.array_equal(k._values(a, b), want), k.name
 
 
 def test_stencils_of_a_stack_are_the_stencils_of_its_points_bit_for_bit():
@@ -503,6 +525,15 @@ def test_admissibility_report_reads_kappa_from_its_gram(monkeypatch):
         assert len(calls) == 1 and calls[0][0] is calls[0][1], k.name  # the Gram alone
         assert rep["min_sigma"] == rep["embedding_lower_bound"], k.name
         assert abs(rep["min_sigma"] - lowest) <= 1e-12 * max(1.0, abs(lowest)), k.name
+
+
+def test_a_vector_domain_rejects_a_tangent_that_is_not_a_vector():
+    # check_tangent is the one-probe jets, and a stack no longer flattens a 2-d tangent
+    domain = VectorDomain(2)
+    for call in (lambda: domain.check_tangent(np.zeros(2), [[1.0, 0.0]]),
+                 lambda: domain.jets([np.zeros(2)], [[[1.0, 0.0]]])):
+        with pytest.raises(DomainError, match=r"must be 1-d, got shape \(1, 2\)"):
+            call()
 
 
 def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
