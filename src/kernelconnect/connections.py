@@ -46,14 +46,26 @@ class Section:
     """A section of the trivial fiber bundle: a map from base points to C^M.
 
     `dF`, when given, is the analytic differential (s, X) -> fiber vector and
-    takes precedence over stencil differentiation.
+    takes precedence over stencil differentiation.  `batch`, when given, maps an
+    (..., d) array of points of a VectorDomain to their (..., M) values in one
+    call, and `F` is its one-point case: every entry must have the bits of F at
+    its own point, under the rule for `Kernel.batch`.
     """
 
     F: Callable[[object], np.ndarray]
     dF: Optional[Callable[[object, object], np.ndarray]] = None
+    batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value(self, s) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.F(s), dtype=complex))
+
+    def _values(self, points, depth: int = 1) -> np.ndarray:
+        """The (..., M) values at a stack of points `depth` axes deep (2 for stencils): one `batch`
+        call on a vector-domain array, else a loop over `F`.  Every backend reads values here."""
+        if self.batch is not None and isinstance(points, np.ndarray):
+            return np.asarray(self.batch(points), dtype=complex)
+        return np.array([self._values(p, depth - 1) if depth > 1 else self.value(p)
+                         for p in points])
 
 
 @dataclass(frozen=True)
@@ -105,9 +117,10 @@ def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
 
 def _closed_form(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     alpha = hermitian_solve(*k._jet(s, x, h))
-    values = _fiber([sigma.value(p) for p in s], k.fiber_dim)[..., None]
+    values = _fiber(sigma._values(s), k.fiber_dim)[..., None]
     if sigma.dF is None:
-        dsigma = k.domain._derivatives(s, x, sigma.value, h)
+        stencils, weights = k.domain._stencils(s, x, h)
+        dsigma = stencil_sum(weights, sigma._values(stencils, 2))
     else:
         dsigma = np.array([sigma.dF(p, v) for p, v in zip(s, x)])
     return _fiber(dsigma.reshape(len(s), -1), k.fiber_dim) + (alpha @ values)[..., 0]
@@ -138,26 +151,34 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
 def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     stencils, weights = k.domain._stencils(s, x, h)
     m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
-    rows = k._values(_members(s), [(p, *ps) for p, ps in zip(s, stencils)])
+    rows = k._values(_members(s), _five(s, stencils, 0))
     kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
-    values = _fiber([[sigma.value(p) for p in ps] for ps in stencils], m)
+    values = _fiber(sigma._values(stencils, 2), m)
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
     return hermitian_solve(kst[:, 0], deriv[..., None])[..., 0]
 
 
 def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     stencils, weights = k.domain._stencils(s, x, h)
-    samples = [(*ps[:2], p, *ps[2:]) for p, ps in zip(s, stencils)]  # s_j in slot 2 of 5
+    samples = _five(s, stencils, 2)
     grams = k._values(samples, samples)
     _certify(samples, grams)
     m, n = k.fiber_dim, len(grams)
-    v = _fiber([[sigma.value(p) for p in ps] for ps in stencils], m)
+    v = _fiber(sigma._values(stencils, 2), m)
     c = np.zeros((n, 5, m), dtype=complex)  # the derivative element: += keeps each zero's sign
     c[:, [0, 1, 3, 4]] += weights[..., None] * v
     row, kss = grams[:, 2 * m:3 * m], grams[:, 2 * m:3 * m, 2 * m:3 * m]
     projected = np.zeros((n, 5 * m, 1), dtype=complex)  # its fiber projection
     projected[:, 2 * m:3 * m] = hermitian_solve(kss, row @ c.reshape(n, 5 * m, 1))
     return hermitian_solve(kss, row @ projected)[..., 0]
+
+
+def _five(s: Sequence, stencils: Sequence, i: int) -> Sequence:
+    """Each probe's five points: its stencil with s_j inserted at slot i, one (L, 5, d) array on a
+    vector domain, else L tuples."""
+    if isinstance(stencils, np.ndarray):
+        return np.concatenate([stencils[:, :i], s[:, None], stencils[:, i:]], axis=1)
+    return [(*ps[:i], p, *ps[i:]) for p, ps in zip(s, stencils)]
 
 
 def make_evaluator(k: Kernel, backend: str = "direct",
@@ -190,6 +211,7 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
     One diagonal jet gives the forms at the union of the rungs' nodes; a rung of n steps reads
     its nodes t_j = j / (2n) from it, bit for bit, and builds every step's propagator
     P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v as one stacked expression.
+    A rung whose vector is not finite raises NumericsError.
     """
     if min(rungs) < 1:
         raise ValueError(f"steps must be >= 1, got {min(rungs)}")
@@ -208,6 +230,8 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
         v = v0
         for p in eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
             v = p @ v
+        if not np.isfinite(v).all():
+            raise NumericsError(f"transport at {n} steps is not finite")
         out.append(v)
     return out, kss[[0, -1]]
 
@@ -215,16 +239,25 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
 def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
                      sigma: Section, probes: Sequence[tuple],
                      h: float = DEFAULT_STEP) -> float:
-    """max over probes (s, X) of ||nabla(f sigma)(X) - df(X) sigma(s) - f(s) nabla(sigma)(X)||."""
+    """max over probes (s, X) of ||nabla(f sigma)(X) - df(X) sigma(s) - f(s) nabla(sigma)(X)||.
+
+    f is a function of one point.  The product f sigma takes sigma's `batch`, multiplied as at one
+    point by numpy's complex multiply.
+    """
     if not probes:
         return 0.0
     points, directions = [s for s, _ in probes], [x for _, x in probes]
     s, x = nabla.kernel.domain.jets(points, directions)  # the one check of the probes
     df = nabla.kernel.domain._derivatives(s, x, f, h).reshape(len(points), 1)
     fs = np.array([[complex(f(p))] for p in points])
-    lhs = nabla.core(Section(F=lambda p: complex(f(p)) * sigma.value(p)), s, x)
-    values = np.array([sigma.value(p) for p in points])
-    rhs = df * values + fs * nabla.core(sigma, s, x)
+
+    def product(p):  # f sigma at an (..., d) array: f point by point, sigma by its batch
+        fp = np.array([complex(f(q)) for q in p.reshape(-1, p.shape[-1])])
+        return fp.reshape(p.shape[:-1] + (1,)) * sigma.batch(p)
+
+    lhs = nabla.core(Section(F=lambda p: complex(f(p)) * sigma.value(p),
+                             batch=product if sigma.batch else None), s, x)
+    rhs = df * sigma._values(s) + fs * nabla.core(sigma, s, x)
     return float(np.max([np.linalg.norm(d) for d in lhs - rhs]))  # a NaN propagates
 
 

@@ -50,15 +50,15 @@ def _matrix_units(n: int):
 class CPMap:
     """A completely positive map M_n -> M_m with PSD Choi matrix.
 
-    `kraus` is derived from the Choi spectrum at construction; `unital` is
-    checked (sum K_i K_i* = I_m) and required by the dilation and kernel
-    operations.
+    `kraus`, the (r, m, n) stack of Kraus operators, is derived from the Choi
+    spectrum at construction; `unital` is checked (sum K_i K_i* = I_m) and
+    required by the dilation and kernel operations.
     """
 
     input_dim: int
     output_dim: int
     choi: np.ndarray
-    kraus: tuple = field(init=False)
+    kraus: np.ndarray = field(init=False)
 
     def __post_init__(self):
         c = np.asarray(self.choi, dtype=complex)
@@ -69,12 +69,11 @@ class CPMap:
         object.__setattr__(self, "kraus", kraus_from_choi(c, self.input_dim, self.output_dim))
 
     def apply(self, a) -> np.ndarray:
-        """Psi(a) = sum_i K_i a K_i*, extended linearly to all of M_n."""
-        am = np.asarray(a, dtype=complex)
-        out = np.zeros((self.output_dim, self.output_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ am @ k.conj().T
-        return out
+        """Psi(a) = sum_i K_i a K_i*, extended linearly to all of M_n: one stacked product, summed
+        in Kraus order from zero."""
+        k = self.kraus
+        terms = k @ np.asarray(a, dtype=complex) @ k.conj().transpose(0, 2, 1)
+        return terms.sum(axis=0, initial=0.0)
 
     @property
     def choi_rank(self) -> int:
@@ -131,8 +130,9 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> CPMap:
     return CPMap(input_dim=n, output_dim=m, choi=choi)
 
 
-def kraus_from_choi(choi, input_dim: int, output_dim: int) -> tuple:
-    """Extract Kraus operators from the Choi spectrum above a relative cut.
+def kraus_from_choi(choi, input_dim: int, output_dim: int) -> np.ndarray:
+    """Extract the (r, m, n) stack of Kraus operators from the Choi spectrum above a relative cut,
+    dominant first.
 
     Eigenvalues in (-tau*lam_max, tau*lam_max), tau = CHOI_RANK_TAU, are
     treated as zero; anything more negative signals a non-CP input.
@@ -148,9 +148,9 @@ def kraus_from_choi(choi, input_dim: int, output_dim: int) -> tuple:
     for lam, vec in zip(values, vectors.T):
         if lam > cut:
             x = np.sqrt(lam) * vec
-            ks.append(x.reshape(input_dim, output_dim).T)
-    ks.reverse()  # dominant Kraus operator first
-    return tuple(ks)
+            ks.append(x.reshape(input_dim, output_dim))
+    ks.reverse()  # dominant Kraus operator first; each K_i is the transpose of its (n, m) block
+    return np.array(ks, dtype=complex).reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
 
 
 def stinespring_dilate(psi: CPMap) -> StinespringTriple:

@@ -171,9 +171,9 @@ class GrassDomain(Domain):
 
 
 def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:
-    """Compression onto block-diagonal matrices: X -> pXp + (1-p)X(1-p)."""
+    """Compression onto block-diagonal matrices: X -> pXp + (1-p)X(1-p), for X (..., n, n)."""
     m = np.asarray(x, dtype=complex)
-    if m.shape != point.p.shape:
+    if m.shape[-2:] != point.p.shape:
         raise DomainError(f"operand shape {m.shape} does not match projector {point.p.shape}")
     p = point.p
     q = point.complement()
@@ -187,25 +187,23 @@ def reductive_axioms_residual(point: HermitianProjector, unitaries: Sequence[np.
 
     Every g must commute with p (that is the subgroup membership condition);
     the residual is the max over g and random X of ||E(g X g^-1) - g E(X) g^-1||,
-    together with ||E(E(X)) - E(X)||.
+    together with ||E(E(X)) - E(X)||.  Each X is conjugated by all G unitaries in one
+    (G, n, n) expression, whose members have the bits of their one-matrix products.
     """
     p, n = point.p, point.n
-    for g in unitaries:
-        gm = np.asarray(g, dtype=complex)
-        if np.linalg.norm(gm @ p - p @ gm) > 1e-10:
-            raise DomainError("unitary does not commute with the projector")
+    g = np.asarray(unitaries, dtype=complex).reshape(-1, n, n)
+    gh = g.conj().transpose(0, 2, 1)
+    if any(np.linalg.norm(d) > 1e-10 for d in g @ p - p @ g):
+        raise DomainError("unitary does not commute with the projector")
     rng = np.random.default_rng(seed)
     res = 0.0
     for _ in range(n_probes):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ex = conditional_expectation(point, x)
-        res = max(res, float(np.linalg.norm(conditional_expectation(point, ex) - ex)))
-        for g in unitaries:
-            gm = np.asarray(g, dtype=complex)
-            lhs = conditional_expectation(point, gm @ x @ gm.conj().T)
-            rhs = gm @ ex @ gm.conj().T
-            res = max(res, float(np.linalg.norm(lhs - rhs)))
-    return res
+        equivariance = conditional_expectation(point, g @ x @ gh) - g @ ex @ gh
+        res = max(res, np.linalg.norm(conditional_expectation(point, ex) - ex),
+                  *map(np.linalg.norm, equivariance))
+    return float(res)
 
 
 def maurer_cartan(point: HermitianProjector, g, x) -> np.ndarray:

@@ -179,7 +179,7 @@ class VectorDomain(Domain):
             raise self._error("tangent is not finite", i, len(x), "probe")
         x = x[:, None] if x.ndim == 1 else x  # scalar tangents of C^1
         if x.ndim != 2:
-            raise DomainError(f"vector-domain point must be 1-d, got shape {x.shape[1:]}")
+            raise DomainError(f"{self.name}: tangent must be 1-d, got shape {x.shape[1:]}")
         if x.shape[1] != self.dim:
             raise DomainError(f"{self.name}: tangent dimension {x.shape[1]} != {self.dim}")
         return s, x

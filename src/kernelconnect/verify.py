@@ -61,12 +61,20 @@ def _halfplane(rng):
 
 
 def _scalar_test_section(dim, rng):
+    """sigma(z) = 1 + c.z + d.conj(z) + 0.1 (c.z)(d.conj(z)) with dF, evaluated by a `batch` in real
+    arithmetic whose one-point case is F."""
     c = _normal(rng, dim)
     d = _normal(rng, dim)
+    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
 
-    def f(s):
-        z = np.asarray(s, dtype=complex)
-        return np.array([1.0 + c @ z + d @ np.conj(z) + 0.1 * (c @ z) * (d @ np.conj(z))])
+    def batch(z):
+        zr, zi = z.real, z.imag
+        ar, ai = (cr * zr - ci * zi).sum(-1), (cr * zi + ci * zr).sum(-1)  # c.z
+        br, bi = (dr * zr + di * zi).sum(-1), (di * zr - dr * zi).sum(-1)  # d.conj(z)
+        out = np.empty(z.shape[:-1] + (1,), dtype=complex)
+        out.real[..., 0] = 1.0 + ar + br + 0.1 * (ar * br - ai * bi)
+        out.imag[..., 0] = ai + bi + 0.1 * (ar * bi + ai * br)
+        return out
 
     def df(s, x):
         z = np.asarray(s, dtype=complex)
@@ -74,7 +82,8 @@ def _scalar_test_section(dim, rng):
         return np.array([c @ w + d @ np.conj(w)
                          + 0.1 * ((c @ w) * (d @ np.conj(z)) + (c @ z) * (d @ np.conj(w)))])
 
-    return Section(F=f, dF=df)
+    return Section(F=lambda s: batch(np.asarray(s, dtype=complex).reshape(1, dim))[0], dF=df,
+                   batch=batch)
 
 
 def _check(name, module, residual, tolerance):

@@ -772,3 +772,78 @@ def test_a_one_probe_jet_without_d2_reads_its_stencil_from_one_block(monkeypatch
         assert len(own) == 2 and own[0][1] is own[0][2], k.name
         assert [len(a) for a in own[1][1]] == [1] and [len(b) for b in own[1][2]] == [4], k.name
         assert np.array_equal(got, want), k.name
+
+
+# ---------------------------------------------------------------------------
+# A section's values at a stack of points, from one batch call
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _verify_section_case(k, count, seed):
+    """verify's section for k, its probes, and their (L, 4, d) stencil stack."""
+    rng, dim = np.random.default_rng(seed), k.domain.dim
+    point = verify._disk if dim == 1 else (lambda r: verify._normal(r, dim))
+    probes = verify._probes(rng, count, point, dim, 1.0 if dim == 1 else 0.7)
+    stencils, _ = k.domain._stencils(*k.domain.jets(*zip(*probes)), 1e-4)
+    return verify._scalar_test_section(dim, rng), probes, stencils
+
+
+_SECTION_KERNELS = [make_bergman_disk(2), make_fock(np.eye(2)), make_fock(np.eye(3))]
+
+
+@pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
+def test_verify_sections_batch_has_the_bits_of_their_one_point_loop(k):
+    # at dimensions 1, 2 and 3: the stack against F point by point, then every backend
+    sigma, probes, stencils = _verify_section_case(k, 12, seed=3)
+    assert stencils.shape == (12, 4, k.domain.dim)
+    loop = np.array([[sigma.F(p) for p in ps] for ps in stencils])
+    assert _same_bits(sigma.batch(stencils), loop)
+    plain = Section(F=sigma.F, dF=sigma.dF)
+    for backend in ("closed-form", "direct", "sampled"):
+        nabla = make_evaluator(k, backend, h=1e-4)
+        got = nabla.evaluate(sigma, *zip(*probes))
+        assert _same_bits(got, nabla.evaluate(plain, *zip(*probes))), backend
+
+
+@pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
+def test_each_backend_reads_a_sections_values_from_one_batch_call(k):
+    # F is never called; the closed form without dF reads its stencil from a second call
+    sigma, probes, _ = _verify_section_case(k, 6, seed=4)
+    calls = []
+    counted = lambda z: calls.append(z.shape) or sigma.batch(z)  # noqa: E731
+    never = lambda s: pytest.fail("F called point by point")  # noqa: E731
+    for backend, d_f, want in [("closed-form", sigma.dF, [(6, 1)]),
+                               ("closed-form", None, [(6, 1), (6, 4, 1)]),
+                               ("direct", None, [(6, 4, 1)]), ("sampled", None, [(6, 4, 1)])]:
+        calls.clear()
+        make_evaluator(k, backend).evaluate(Section(F=never, dF=d_f, batch=counted),
+                                            *zip(*probes))
+        assert calls == [w[:-1] + (k.domain.dim,) for w in want], backend
+
+
+def test_leibniz_residual_reads_the_product_section_from_sigmas_batch():
+    k = make_fock(np.eye(2))
+    sigma, probes, _ = _verify_section_case(k, 5, seed=5)
+    calls = []
+    counted = Section(F=sigma.F, dF=sigma.dF,
+                      batch=lambda z: calls.append(z.shape) or sigma.batch(z))
+    f = lambda s: 0.5 + s[0] - 2j * np.conj(s[1])  # noqa: E731
+    res = leibniz_residual(make_evaluator(k, "direct"), f, counted, probes)
+    assert res == leibniz_residual(make_evaluator(k, "direct"), f, Section(F=sigma.F), probes)
+    assert sorted(calls) == [(5, 2), (5, 4, 2), (5, 4, 2)]  # sigma(s); f sigma, sigma
+
+
+@pytest.mark.parametrize("kss, d2", [(1e-9, 1e300), (1.0, -1e5)],
+                         ids=["form-overflows", "vector-overflows"])
+def test_transport_raises_when_a_rungs_vector_is_not_finite(kss, d2):
+    # the form d2 / kappa overflows to inf; or a finite form of -1e5 makes the vector grow past
+    # the float range within 64 steps
+    k = Kernel(1, VectorDomain(1), lambda s, t: np.array([[kss]]),
+               lambda s, t, x: np.array([[d2]]), name="overflowing")
+    curve = Curve(gamma=lambda t: np.array([t + 0j]), velocity=lambda t: np.array([1.0 + 0j]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="transport at 64 steps is not finite"):
+            parallel_transport(k, curve, np.ones(1), steps=64)

@@ -44,6 +44,20 @@ def test_apply_matches_kraus_sum():
     assert np.linalg.norm(psi.apply(a) - direct) < 1e-10
 
 
+def test_apply_has_the_bits_of_its_kraus_loop():
+    # one stacked product, summed in Kraus order from zero, against the one-operator loop
+    for seed, (n, m, r) in enumerate([(3, 2, 4), (2, 2, 1), (2, 3, 3), (3, 1, 2)]):
+        rng = np.random.default_rng(seed)
+        ks = [rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(r)]
+        psi = choi_from_kraus(ks)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        want = np.zeros((m, m), dtype=complex)
+        for k in kraus_from_choi(psi.choi, n, m):
+            want += k @ a @ k.conj().T
+        assert psi.kraus.shape == (psi.choi_rank, m, n)
+        assert psi.apply(a).tobytes() == want.tobytes(), (n, m, r)
+
+
 def test_choi_kraus_round_trip():
     psi = _example_map(seed=2)
     again = CPMap(psi.input_dim, psi.output_dim, psi.choi)

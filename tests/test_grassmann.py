@@ -88,6 +88,26 @@ def test_reductive_axioms_on_block_unitaries():
     assert reductive_axioms_residual(point, unitaries, n_probes=10, seed=1) < 1e-12
 
 
+def test_reductive_residual_has_the_bits_of_its_loop_over_unitaries():
+    # at a rotated projector, where the residuals are rounding errors (at a coordinate projector
+    # and block-diagonal unitaries they are exactly 0)
+    u = random_unitary(4, seed=9)
+    point = HermitianProjector(u @ coordinate_projector(4, 2).p @ u.conj().T, 2)
+    unitaries = [u @ scipy.linalg.block_diag(random_unitary(2, seed=2 * i),
+                                             random_unitary(2, seed=2 * i + 1)) @ u.conj().T
+                 for i in range(6)]
+    rng, want = np.random.default_rng(3), 0.0
+    for _ in range(5):
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        ex = conditional_expectation(point, x)
+        want = max(want, float(np.linalg.norm(conditional_expectation(point, ex) - ex)))
+        for g in unitaries:
+            lhs = conditional_expectation(point, g @ x @ g.conj().T)
+            want = max(want, float(np.linalg.norm(lhs - g @ ex @ g.conj().T)))
+    assert 0.0 < want < 1e-12
+    assert reductive_axioms_residual(point, unitaries, n_probes=5, seed=3) == want
+
+
 def test_reductive_axioms_reject_noncommuting_unitary():
     with pytest.raises(DomainError):
         reductive_axioms_residual(coordinate_projector(4, 2), [random_unitary(4, seed=3)])

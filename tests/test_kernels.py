@@ -536,6 +536,11 @@ def test_a_vector_domain_rejects_a_tangent_that_is_not_a_vector():
             call()
 
 
+def test_a_tangent_that_is_not_a_vector_is_called_a_tangent_of_its_domain():
+    with pytest.raises(DomainError, match=r"^C\^2: tangent must be 1-d, got shape \(1, 2\)$"):
+        make_fock(np.eye(2)).domain.check_tangent(np.zeros(2), [[1.0, 0.0]])
+
+
 def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
     k = make_bergman_disk(2)
     pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
