@@ -174,10 +174,10 @@ def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> n
 
 
 def _five(s: Sequence, stencils: Sequence, i: int) -> Sequence:
-    """Each probe's five points: its stencil with s_j inserted at slot i, one (L, 5, d) array on a
-    vector domain, else L tuples."""
+    """Each probe's five points: its stencil with s_j inserted at slot i, one (L, 5, ...) array
+    where the stencils are one array (vector and unitary domains), else L tuples."""
     if isinstance(stencils, np.ndarray):
-        return np.concatenate([stencils[:, :i], s[:, None], stencils[:, i:]], axis=1)
+        return np.concatenate([stencils[:, :i], np.asarray(s)[:, None], stencils[:, i:]], axis=1)
     return [(*ps[:i], p, *ps[i:]) for p, ps in zip(s, stencils)]
 
 

@@ -38,14 +38,6 @@ __all__ = [
 CHOI_RANK_TAU = 1e-10
 
 
-def _matrix_units(n: int):
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            yield e
-
-
 @dataclass(frozen=True)
 class CPMap:
     """A completely positive map M_n -> M_m with PSD Choi matrix.
@@ -69,21 +61,19 @@ class CPMap:
         object.__setattr__(self, "kraus", kraus_from_choi(c, self.input_dim, self.output_dim))
 
     def apply(self, a) -> np.ndarray:
-        """Psi(a) = sum_i K_i a K_i*, extended linearly to all of M_n: one stacked product, summed
-        in Kraus order from zero."""
+        """Psi(a) = sum_i K_i a K_i*, extended linearly to M_n, at a or an (..., n, n) stack: one
+        stacked product, summed in Kraus order from zero."""
         k = self.kraus
-        terms = k @ np.asarray(a, dtype=complex) @ k.conj().transpose(0, 2, 1)
-        return terms.sum(axis=0, initial=0.0)
+        terms = k @ np.asarray(a, dtype=complex)[..., None, :, :] @ k.conj().transpose(0, 2, 1)
+        return terms.sum(axis=-3, initial=0.0)
 
     @property
     def choi_rank(self) -> int:
         return len(self.kraus)
 
-    def unitality_residual(self) -> float:
-        acc = np.zeros((self.output_dim, self.output_dim), dtype=complex)
-        for k in self.kraus:
-            acc += k @ k.conj().T
-        return float(np.linalg.norm(acc - np.eye(self.output_dim)))
+    def unitality_residual(self) -> float:  # ||sum K_i K_i* - I||, summed from zero in order
+        total = (self.kraus @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0)
+        return float(np.linalg.norm(total - np.eye(self.output_dim)))
 
     def require_unital(self) -> None:
         res = self.unitality_residual()
@@ -122,11 +112,8 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> CPMap:
     m, n = ks[0].shape
     if any(k.shape != (m, n) for k in ks):
         raise ValueError("inconsistent Kraus operator shapes")
-    nm = n * m
-    choi = np.zeros((nm, nm), dtype=complex)
-    for k in ks:
-        x = k.T.reshape(nm)  # x[(i,j)] = K[j,i]: row-major on C^n (x) C^m
-        choi += np.outer(x, x.conj())
+    x = np.array([k.T.reshape(n * m) for k in ks])  # x[(i,j)] = K[j,i]: row-major on C^n (x) C^m
+    choi = (x[:, :, None] * x[:, None, :].conj()).sum(axis=0, initial=0.0)  # from zero, in order
     return CPMap(input_dim=n, output_dim=m, choi=choi)
 
 
@@ -144,13 +131,9 @@ def kraus_from_choi(choi, input_dim: int, output_dim: int) -> np.ndarray:
     if values.size and values[0] < -cut:
         raise NumericsError(
             f"Choi matrix is not PSD (min eigenvalue {values[0]:.3e}); map is not CP")
-    ks = []
-    for lam, vec in zip(values, vectors.T):
-        if lam > cut:
-            x = np.sqrt(lam) * vec
-            ks.append(x.reshape(input_dim, output_dim))
-    ks.reverse()  # dominant Kraus operator first; each K_i is the transpose of its (n, m) block
-    return np.array(ks, dtype=complex).reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
+    keep = values > cut  # dominant first; each K_i is the transpose of its (n, m) block
+    x = np.ascontiguousarray((np.sqrt(values[keep]) * vectors[:, keep]).T[::-1])
+    return x.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
 
 
 def stinespring_dilate(psi: CPMap) -> StinespringTriple:
@@ -167,14 +150,10 @@ def stinespring_dilate(psi: CPMap) -> StinespringTriple:
 
 
 def verify_dilation(psi: CPMap, triple: StinespringTriple) -> float:
-    """max over matrix units a of ||Psi(a) - V* (a (x) I_r) V||."""
-    v = triple.v
-    res = 0.0
-    for a in _matrix_units(psi.input_dim):
-        lhs = psi.apply(a)
-        rhs = v.conj().T @ triple.lam(a) @ v
-        res = max(res, float(np.linalg.norm(lhs - rhs)))
-    return res
+    """max over matrix units a of ||Psi(a) - V* (a (x) I_r) V||, all n^2 units in one stack."""
+    units = np.eye(psi.input_dim ** 2, dtype=complex).reshape(-1, psi.input_dim, psi.input_dim)
+    diff = psi.apply(units) - triple.v.conj().T @ triple.lam(units) @ triple.v
+    return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
 
 
 def cp_kernel(psi: CPMap) -> Kernel:
@@ -253,9 +232,8 @@ def random_unital_cpmap(input_dim: int, output_dim: int, n_kraus: int,
     """A random unital CP map: Gaussian Kraus family renormalized so sum K K* = I."""
     ks = [rng.standard_normal((output_dim, input_dim))
           + 1j * rng.standard_normal((output_dim, input_dim)) for _ in range(n_kraus)]
-    total = np.zeros((output_dim, output_dim), dtype=complex)
-    for k in ks:
-        total += k @ k.conj().T
+    k = np.array(ks)
+    total = (k @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0)  # from zero, in order
     values, vectors = hermitian_eigh(total)
     inv_sqrt = (vectors * (1.0 / np.sqrt(values))) @ vectors.conj().T
     return choi_from_kraus([inv_sqrt @ k for k in ks])

@@ -16,12 +16,13 @@ homogeneous-bundle kernel and its derivative on unitary groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import Domain, DomainError, Kernel, UnitaryDomain, _finite_array, make_group_kernel
+from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _finite_array,
+                      make_group_kernel, stencil_sum)
+from .numerics import DEFAULT_STEP, NumericsError
 
 __all__ = [
     "HermitianProjector",
@@ -51,24 +52,10 @@ class HermitianProjector:
 
     def __post_init__(self):
         m = np.array(_finite_array(self.p, "projector"))  # read-only copy: fiber_basis caches it
-        m.flags.writeable = False
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"projector must be square, got shape {m.shape}")
-        if np.linalg.norm(m - m.conj().T) > 1e-10:
-            raise DomainError("projector is not Hermitian")
-        if np.linalg.norm(m @ m - m) > 1e-10:
-            raise DomainError("matrix is not idempotent")
-        if abs(np.trace(m).real - self.rank) > 1e-8:
-            raise DomainError(
-                f"trace {np.trace(m).real:.6f} does not match declared rank {self.rank}")
-        object.__setattr__(self, "p", m)
-
-    def _conjugate(self, u: np.ndarray) -> HermitianProjector:
-        """u p u* for a unitary u: a projector of this rank, so only its finiteness is checked."""
-        point = object.__new__(HermitianProjector)  # skips __post_init__; t w can still overflow
-        point.__dict__.update(p=_finite_array(u @ self.p @ u.conj().T, "projector"), rank=self.rank)
-        point.p.flags.writeable = False
-        return point
+        m.flags.writeable = False
+        object.__setattr__(self, "p", _projectors(m[None], self.rank)[0])
 
     @property
     def n(self) -> int:
@@ -100,8 +87,28 @@ class GrassTangent:
                 "it must lie in the reductive complement")
         object.__setattr__(self, "generator", a)
 
-    def __getstate__(self):  # the curve GrassDomain.curve holds here is rebuilt, not pickled
-        return {k: v for k, v in self.__dict__.items() if k != "_curve"}
+
+def _projectors(m: np.ndarray, rank: int) -> np.ndarray:
+    """The (..., n, n) stack m, after one vectorized test of all of it per projector check."""
+    m = _finite_array(m, "projector")
+    if (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > 1e-10).any():
+        raise DomainError("projector is not Hermitian")
+    if (np.linalg.norm(m @ m - m, axis=(-2, -1)) > 1e-10).any():
+        raise DomainError("matrix is not idempotent")
+    trace = np.trace(m, axis1=-2, axis2=-1).real
+    bad = trace[abs(trace - rank) > 1e-8]
+    if bad.size:
+        raise DomainError(f"trace {bad[0]:.6f} does not match declared rank {rank}")
+    return m
+
+
+def _derived(m: np.ndarray, rank: int) -> list:
+    """The projectors of a stack its maker checked, read-only and one stack for fiber_basis."""
+    m.flags.writeable = False
+    stack = [object.__new__(HermitianProjector) for _ in range(m[..., 0, 0].size)]
+    for point, p in zip(stack, m.reshape((-1,) + m.shape[-2:])):
+        vars(point).update(p=p, rank=rank, _stack=stack)
+    return stack
 
 
 def coordinate_projector(n: int, k: int) -> HermitianProjector:
@@ -117,25 +124,31 @@ def fiber_basis(point: HermitianProjector) -> np.ndarray:
     largest-modulus entry rotated to be real positive.  Reproducible, but not
     a continuous function of the projector (the eigenspace is degenerate), so
     only gauge-covariant combinations of bases are meaningful.  Computed once
-    per projector object; the array returned is read-only.
+    per projector object, with the rest of its stack (GrassDomain._stencils)
+    in one `_eigenbases` call; the array returned is read-only.
     """
-    cached = point.__dict__.get("_fiber_basis")
-    if cached is not None:
-        return cached
-    values, vectors = np.linalg.eigh(0.5 * (point.p + point.p.conj().T))
-    cols = vectors[:, values > 0.5]
-    if cols.shape[1] != point.rank:
+    if "_fiber_basis" not in vars(point):
+        todo = [q for q in vars(point).get("_stack", (point,)) if "_fiber_basis" not in vars(q)]
+        for q, b in zip(todo, _eigenbases(np.array([q.p for q in todo]), point.rank)[0]):
+            vars(q).update(_fiber_basis=b)  # beside the frozen fields
+            vars(q).pop("_stack", None)
+    return vars(point)["_fiber_basis"]
+
+
+def _eigenbases(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One eigh of an (L, n, n) stack of rank-k projectors' Hermitian parts: the read-only (L, n, k)
+    range bases under the phase rule, each F-ordered as BLAS sees it, the values and vectors."""
+    values, vectors = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
+    found = (values > 0.5).sum(axis=-1)
+    if (found != rank).any():
         raise DomainError(
-            f"projector has {cols.shape[1]} near-1 eigenvalues, expected rank {point.rank}")
-    fixed = np.empty_like(cols)
-    for j in range(cols.shape[1]):
-        col = cols[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        phase = col[idx] / abs(col[idx])
-        fixed[:, j] = col / phase
-    fixed.flags.writeable = False
-    object.__setattr__(point, "_fiber_basis", fixed)  # beside the frozen fields
-    return fixed
+            f"projector has {found[found != rank][0]} near-1 eigenvalues, expected rank {rank}")
+    cols = np.empty(m.shape[:-2] + (rank, m.shape[-1]), dtype=complex).swapaxes(-1, -2)
+    cols[...] = vectors[..., m.shape[-1] - rank:]  # eigenvalues ascend: the near-1 ones are last
+    top = np.take_along_axis(cols, np.argmax(np.abs(cols), axis=-2)[..., None, :], axis=-2)
+    np.divide(cols, top / np.hypot(top.real, top.imag), out=cols)  # hypot rounds as scalar abs
+    cols.flags.writeable = False
+    return cols, values, vectors
 
 
 @dataclass(frozen=True)
@@ -149,9 +162,8 @@ class GrassDomain(Domain):
         if not isinstance(s, HermitianProjector):
             raise DomainError("Grassmann points must be HermitianProjector values")
         if s.n != self.n or s.rank != self.k:
-            raise DomainError(
-                f"expected rank-{self.k} projector in C^{self.n}, "
-                f"got rank {s.rank} in C^{s.n}")
+            raise DomainError(f"expected rank-{self.k} projector in C^{self.n}, "
+                              f"got rank {s.rank} in C^{s.n}")
 
     def check_tangent(self, s, x) -> None:
         if not isinstance(x, GrassTangent):
@@ -159,15 +171,28 @@ class GrassDomain(Domain):
         if x.base is not s and not np.allclose(x.base.p, s.p, atol=1e-10):
             raise DomainError("tangent is anchored at a different base point")
 
-    def curve(self, s, x) -> Callable[[float], HermitianProjector]:
-        """t -> e^{tA} s e^{-tA}, each point built once; held by a tangent whose base is s."""
-        if x.base is s and "_curve" in x.__dict__:
-            return x.__dict__["_curve"]
-        exp_ta = UnitaryDomain(self.n).curve(np.eye(self.n), x.generator)
-        gamma = cache(lambda t: s._conjugate(exp_ta(float(t))))  # a real t keeps e^{tA} unitary
-        if x.base is s:
-            object.__setattr__(x, "_curve", gamma)  # beside the frozen fields: derivatives share it
-        return gamma
+    def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[list, np.ndarray]:
+        """Domain._stencils as L lists of conjugates e^{tA} p e^{-tA}, by one U(n) stencil stack at
+        the identity, checked for finiteness only.  A tangent at its own base holds its points,
+        which derivatives along it share; new points, and probes without a fiber basis, form one
+        stack for fiber_basis."""
+        if not h > 0:
+            raise NumericsError(f"step must be positive, got {h}")
+        held = [vars(t).get("_stencil") if t.base is p else None for p, t in zip(s, x)]
+        new = [j for j, c in enumerate(held) if c is None or c[0] != h]
+        if new:
+            eye = np.broadcast_to(np.eye(self.n, dtype=complex), (len(new), self.n, self.n))
+            u, _ = UnitaryDomain(self.n)._stencils(eye, np.array([x[j].generator for j in new]), h)
+            p = np.array([s[j].p for j in new])[:, None]
+            stack = _derived(_finite_array(u @ p @ u.conj().swapaxes(-1, -2), "projector"), self.k)
+            for i, j in enumerate(new):
+                if "_fiber_basis" not in vars(s[j]):
+                    stack.append(s[j])
+                    vars(s[j]).update(_stack=stack)
+                held[j] = (h, stack[4 * i:4 * i + 4])
+                if x[j].base is s[j]:
+                    vars(x[j]).update(_stencil=held[j])  # beside the frozen fields
+        return [c[1] for c in held], np.tile(_WEIGHTS / (12.0 * h), (len(s), 1))
 
 
 def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:
@@ -182,13 +207,13 @@ def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:
 
 def reductive_axioms_residual(point: HermitianProjector, unitaries: Sequence[np.ndarray],
                               n_probes: int = 20, seed: int = 0) -> float:
-    """Idempotence and equivariance residuals of the conditional expectation E_p against
-    subgroup unitaries.
+    """Fixed-point, idempotence and equivariance residuals of the conditional expectation E_p
+    against subgroup unitaries.
 
-    Every g must commute with p (that is the subgroup membership condition);
-    the residual is the max over g and random X of ||E(g X g^-1) - g E(X) g^-1||,
-    together with ||E(E(X)) - E(X)||.  Each X is conjugated by all G unitaries in one
-    (G, n, n) expression, whose members have the bits of their one-matrix products.
+    Every g must commute with p (that is the subgroup membership condition), so E fixes it; the
+    residual is the max of ||E(g) - g|| over g, and over g and random X of
+    ||E(g X g^-1) - g E(X) g^-1|| and ||E(E(X)) - E(X)||.  Each X is conjugated by all G unitaries
+    in one (G, n, n) expression, whose members have the bits of their one-matrix products.
     """
     p, n = point.p, point.n
     g = np.asarray(unitaries, dtype=complex).reshape(-1, n, n)
@@ -196,7 +221,7 @@ def reductive_axioms_residual(point: HermitianProjector, unitaries: Sequence[np.
     if any(np.linalg.norm(d) > 1e-10 for d in g @ p - p @ g):
         raise DomainError("unitary does not commute with the projector")
     rng = np.random.default_rng(seed)
-    res = 0.0
+    res = max(map(np.linalg.norm, conditional_expectation(point, g) - g), default=0.0)
     for _ in range(n_probes):
         x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         ex = conditional_expectation(point, x)
@@ -207,19 +232,23 @@ def reductive_axioms_residual(point: HermitianProjector, unitaries: Sequence[np.
 
 
 def maurer_cartan(point: HermitianProjector, g, x) -> np.ndarray:
-    """The tangent-identification 1-form: (g, X) -> g X g^-1 for X in the complement, E_p(X) = 0."""
+    """The tangent-identification 1-form: (g, X) -> g X g^-1 for X in the complement, E_p(X) = 0,
+    on matrices or (..., n, n) stacks."""
     gm = np.asarray(g, dtype=complex)
     xm = np.asarray(x, dtype=complex)
-    if np.linalg.norm(conditional_expectation(point, xm)) > 1e-10:
+    if (np.linalg.norm(conditional_expectation(point, xm), axis=(-2, -1)) > 1e-10).any():
         raise DomainError("direction is not in the reductive complement of E_p")
-    return gm @ xm @ gm.conj().T
+    return gm @ xm @ gm.conj().swapaxes(-1, -2)
 
 
 def random_grass_tangent(point: HermitianProjector, rng: np.random.Generator) -> GrassTangent:
-    """A random off-diagonal anti-Hermitian generator at the given projector."""
-    b = fiber_basis(point)
-    values, vectors = np.linalg.eigh(point.p)
-    c = vectors[:, values <= 0.5]
+    """A random off-diagonal anti-Hermitian generator at the given projector.  Its range and
+    complement columns come from one eigh, held by the projector beside its fiber basis."""
+    if "_complement_basis" not in vars(point):
+        bases, values, vectors = _eigenbases(point.p[None], point.rank)
+        vars(point).setdefault("_fiber_basis", bases[0])
+        vars(point)["_complement_basis"] = vectors[0][:, values[0] <= 0.5]
+    b, c = fiber_basis(point), vars(point)["_complement_basis"]
     k, nk = b.shape[1], c.shape[1]
     r = rng.standard_normal((k, nk)) + 1j * rng.standard_normal((k, nk))
     a = b @ r @ c.conj().T
@@ -249,24 +278,26 @@ def grass_section_coordinates(f_ambient: Callable[[HermitianProjector], np.ndarr
     return coords
 
 
-def _fiber_value(f_ambient, point: HermitianProjector) -> np.ndarray:
-    value = np.asarray(f_ambient(point), dtype=complex)
-    res = np.linalg.norm(point.complement() @ value)
-    if res > 1e-8:
-        raise DomainError(f"section is not fiber-valued: ||(1-p) F(p)|| = {res:.3e}")
-    return value
-
-
 def universal_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.ndarray],
                                    point: HermitianProjector,
                                    tangent: GrassTangent) -> np.ndarray:
-    """Projected differential p . d/dt F(e^{tA} p e^{-tA}) of a fiber-valued section.
+    """Projected differential p . d/dt F(e^{tA} p e^{-tA}) of a fiber-valued section F (a vector
+    of C^n at each projector): the one-probe `_universal`."""
+    return _universal(f_ambient, (point,), (tangent,))[0]
 
-    F is checked to be fiber-valued at every point the stencil evaluates.
-    """
-    deriv = GrassDomain(point.n, point.rank).derivative(
-        point, tangent, lambda pt: _fiber_value(f_ambient, pt))
-    return point.p @ deriv
+
+def _universal(f_ambient, points: Sequence, tangents: Sequence) -> np.ndarray:
+    """The (L, n) projected differentials at L probes, from one stencil stack; that F is
+    fiber-valued, ||(1-p) F(p)|| <= 1e-8, is one test of all 4L stencil values."""
+    domain = GrassDomain(points[0].n, points[0].rank)
+    stencils, weights = domain._stencils(*domain.jets(points, tangents), DEFAULT_STEP)
+    at = [q for ps in stencils for q in ps]
+    v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in at])
+    res = np.linalg.norm(v - (np.array([q.p for q in at]) @ v[..., None])[..., 0], axis=-1)
+    if (res > 1e-8).any():
+        raise DomainError(f"section is not fiber-valued: ||(1-p) F(p)|| = {res[res > 1e-8][0]:.3e}")
+    deriv = stencil_sum(weights, v.reshape(len(points), 4, -1))
+    return (np.array([p.p for p in points]) @ deriv[..., None])[..., 0]
 
 
 def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.ndarray],
@@ -277,17 +308,22 @@ def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
     g e^{tX}; the correction term is the adjoint-transported generator acting
     on the section value:
 
-        dF(curve) - (g X g^-1) F(g p g^-1),  X in the complement at p.
+        dF(curve) - (g X g^-1) F(g p g^-1),  X in the complement at p  (one-probe `_reductive`).
     """
-    gm = np.asarray(g, dtype=complex)
-    xm = np.asarray(x, dtype=complex)
+    return _reductive(f_ambient, (g,), (x,), base)[0]
 
-    def orbit(u) -> HermitianProjector:
-        return HermitianProjector(u @ base.p @ u.conj().T, base.rank)
 
-    deriv = UnitaryDomain(base.n).derivative(gm, xm, lambda u: f_ambient(orbit(u)))  # checks g, x
-    generator = maurer_cartan(base, gm, xm)  # rejects x outside the complement
-    return deriv - generator @ np.asarray(f_ambient(orbit(gm)), dtype=complex)
+def _reductive(f_ambient, gs: Sequence, xs: Sequence, base: HermitianProjector) -> np.ndarray:
+    """The (L, n) reductive derivatives at L probes (g_j, x_j), from one U(n) stencil stack; its
+    5L orbit points u p u* (4L stencil points, and the g_j) are checked as projectors at once."""
+    domain = UnitaryDomain(base.n)
+    g, x = (np.asarray(a, dtype=complex) for a in domain.jets(gs, xs))  # checks g and x
+    stencils, weights = domain._stencils(g, x, DEFAULT_STEP)
+    u = np.concatenate([stencils, g[:, None]], axis=1)
+    orbit = _derived(_projectors(u @ base.p @ u.conj().swapaxes(-1, -2), base.rank), base.rank)
+    v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in orbit]).reshape(len(g), 5, -1)
+    correction = maurer_cartan(base, g, x) @ v[:, 4, :, None]  # rejects x off the complement
+    return stencil_sum(weights, v[:, :4]) - correction[..., 0]
 
 
 def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:

@@ -66,18 +66,16 @@ def _as_point(s) -> np.ndarray:
 
 
 class Domain:
-    """Base-domain protocol: membership checks and curves with a given 1-jet.  A domain defines
-    `check_point` and `check_tangent`, or the `stack` and `jets` whose one-member cases they are."""
+    """Base-domain protocol: membership checks and the library's one stencil.  A domain defines
+    `check_point` and `check_tangent` (or the `stack` and `jets` whose one-member cases they are)
+    and `_stencils(s, x, h)`: at L checked probes, all at once, the points gamma_j(t h), t = -2,
+    -1, 1, 2, on curves with the 1-jets (s_j, x_j), and the (L, 4) weights of d/dt f(gamma_j)."""
 
     def check_point(self, s) -> None:
         self.stack((s,))
 
     def check_tangent(self, s, x) -> None:
         self.jets((s,), (x,))
-
-    def curve(self, s, x) -> Callable[[float], object]:
-        """A curve gamma with gamma(0) = s and velocity x at t = 0."""
-        raise NotImplementedError
 
     def stack(self, points: Sequence) -> Sequence:
         """The points, each checked once: the one check of a list of points."""
@@ -92,15 +90,6 @@ class Domain:
             self.check_point(s)
             self.check_tangent(s, x)
         return points, directions
-
-    def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[Sequence, np.ndarray]:
-        """The library's one stencil at L checked probes (s_j, x_j): L lists p_j = gamma_j(t h),
-        t = -2, -1, 1, 2, on curves gamma_j with those 1-jets, and (L, 4) weights w_j with
-        d/dt|0 f(gamma_j(t)) = sum_i w_ji f(p_ji) + O(h^4)."""
-        if not h > 0:
-            raise NumericsError(f"step must be positive, got {h}")
-        return ([list(map(self.curve(p, v), h * _OFFSETS)) for p, v in zip(s, x)],
-                np.tile(_WEIGHTS / (12.0 * h), (len(s), 1)))
 
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:
@@ -204,14 +193,20 @@ class VectorDomain(Domain):
 
         h shrinks in proportion to an edge distance d < EDGE_LAYER.  Where h |x| <= 1e-12 the
         stencil would collapse (1e-12 rule): it runs along x / |x| (e_1 at x = 0), its weights
-        times |x|.  A straight line can leave the domain, so the stencil points are checked once;
-        an error names the stencil point and its probe.
+        times |x|.  A step under 1e6 ulps of the probe's largest coordinate would round the stencil
+        points onto each other, so it is an error, which names the probe.  A straight line can leave
+        the domain, so the stencil points are checked once; an error names the point and its probe.
         """
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
         # the distance d to the edge, > 0 at a checked point; inf on an unbounded domain
         d = np.full((len(s), 1), np.inf) if self.edge is None else self.edge(s)[:, None]
         step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)
+        blurred = step[:, 0] < 2.2e-10 * np.abs(s).max(axis=1, initial=0.0)
+        if blurred.any():
+            j = int(np.argmax(blurred))
+            raise self._error(f"stencil step {step[j, 0]:.3e} is too small to resolve the point",
+                              j, len(s), "probe")
         weights = _WEIGHTS / (12.0 * step)
         size = np.abs(x).max(axis=1, initial=0.0)[:, None]
         tiny = step * size <= 1e-12
@@ -226,11 +221,6 @@ class VectorDomain(Domain):
             raise DomainError(f"{self.name}: {bad[1]} (stencil point {i} of probe {j})")
         return stencils, weights
 
-    def curve(self, s, x) -> Callable[[float], np.ndarray]:
-        s0 = _as_point(s)
-        x0 = _as_point(x)
-        return lambda t: s0 + t * x0
-
 
 # the disk's edge distance: |s| by hypot, which rounds as abs does on one point (numpy's abs of an
 # array may not); a point inside the guard circle |s| = 1 - 1e-6 has edge > 0
@@ -242,10 +232,7 @@ _halfplane_reason = lambda z: f"Im z = {z[0].imag:.3e} must be positive"  # noqa
 
 @dataclass(frozen=True)
 class UnitaryDomain(Domain):
-    """Points are n x n unitary matrices; tangents anti-Hermitian matrices.
-
-    Curves are u exp(t a), exponentiated through one eigendecomposition.
-    """
+    """Points are n x n unitary matrices; tangents anti-Hermitian matrices; curves u exp(t a)."""
 
     n: int
     name: str = "U(n)"
@@ -266,11 +253,17 @@ class UnitaryDomain(Domain):
         if res > 1e-10:
             raise DomainError(f"{self.name}: tangent not anti-Hermitian, ||a + a*|| = {res:.3e}")
 
-    def curve(self, u, a) -> Callable[[float], np.ndarray]:
-        # a = iH with H = -ia Hermitian, so exp(ta) = V diag(e^{itw}) V* is exact and unitary
-        u0 = np.asarray(u, dtype=complex)
-        w, v = hermitian_eigh(-1j * np.asarray(a, dtype=complex))
-        return lambda t: u0 @ (v * np.exp(1j * t * w)) @ v.conj().T
+    def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Domain._stencils as an (L, 4, n, n) array of u_j e^{t a_j}.  a = iH with H = -ia
+        Hermitian, so e^{ta} = V diag(e^{itw}) V* is exact and unitary: one eigendecomposition of
+        the (L, n, n) stack -ia, and one expression for all 4L exponentials."""
+        if not h > 0:
+            raise NumericsError(f"step must be positive, got {h}")
+        x = np.asarray(x, dtype=complex).reshape(-1, self.n, self.n)
+        w, v = hermitian_eigh(-1j * x)
+        e = np.exp(1j * ((h * _OFFSETS)[:, None] * w[:, None]))  # e^{itw}, (L, 4, n)
+        u = np.asarray(s, dtype=complex).reshape(x.shape)[:, None] @ (v[:, None] * e[..., None, :])
+        return u @ v.conj().swapaxes(-1, -2)[:, None], np.tile(_WEIGHTS / (12.0 * h), (len(s), 1))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from kernelconnect.grassmann import (
     universal_kernel,
 )
 from kernelconnect.kernels import (
+    DISK_BOUNDARY_GUARD,
     BundleMorphism,
     DomainError,
     Kernel,
@@ -37,7 +38,7 @@ from kernelconnect.kernels import (
     pull_back_kernel,
     stencil_sum,
 )
-from kernelconnect.numerics import NumericsError, hermitian_solve
+from kernelconnect.numerics import NumericsError, hermitian_eigh, hermitian_solve
 from kernelconnect.rkhs import (
     RKHSElement,
     build_rkhs,
@@ -279,9 +280,15 @@ def _bitwise_cases():
 
 
 def _per_pair_stencil(k, s, x, h=1e-4):
-    """The stencil points and weights, restated: gamma(t) at t = -2h, -h, h, 2h."""
-    gamma = k.domain.curve(s, x)
-    points = [gamma(t) for t in (-2.0 * h, -h, h, 2.0 * h)]
+    """The stencil points and weights, restated: gamma(t) at t = -2h, -h, h, 2h, on the line
+    s + t x or the curve e^{tA} p e^{-tA}, e^{tA} = V diag(e^{itw}) V* where -iA = V w V*."""
+    ts = (-2.0 * h, -h, h, 2.0 * h)
+    if isinstance(s, HermitianProjector):
+        w, v = hermitian_eigh(-1j * x.generator)
+        us = [np.eye(s.n) @ (v * np.exp(1j * t * w)) @ v.conj().T for t in ts]
+        points = [HermitianProjector(u @ s.p @ u.conj().T, s.rank) for u in us]
+    else:
+        points = [s + t * x for t in ts]
     return points, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
 
 
@@ -847,3 +854,43 @@ def test_transport_raises_when_a_rungs_vector_is_not_finite(kss, d2):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericsError, match="transport at 64 steps is not finite"):
             parallel_transport(k, curve, np.ones(1), steps=64)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_each_backend_agrees_with_the_closed_form_or_raises_in_the_ulp_band_below_the_guard(nu):
+    # within about 1e-10 of |s| = 1 - 1e-6 the edge-layer step falls below the rounding of s, and
+    # the stencil points round onto each other: the direct backend read -140.7 where the closed
+    # form reads 1.0e6.  A step under 1e6 ulps of the point is an error naming the probe.
+    k = make_bergman_disk(nu)
+    closed = make_evaluator(k, "closed-form")
+    radii = [np.nextafter(DISK_BOUNDARY_GUARD, 0.0)]
+    for _ in range(40):
+        radii.append(np.nextafter(radii[-1], 0.0))
+    radii += list(DISK_BOUNDARY_GUARD - np.logspace(-15, -4, 23))
+    agreed = raised = 0
+    for r in radii:
+        for angle in (0.0, 0.7, 2.0):
+            s, x = np.array([r * np.exp(1j * angle)]), np.array([np.exp(1j * (angle + 0.3))])
+            if not k.domain.edge(s[None]) > 0:  # r e^{i angle} rounds onto the guard circle
+                continue
+            want = closed(CONSTANT, s, x)[0]
+            for backend in ("direct", "sampled"):
+                try:
+                    got = make_evaluator(k, backend)(CONSTANT, s, x)[0]
+                except DomainError as exc:
+                    assert "is too small to resolve the point" in str(exc)
+                    raised += 1
+                    continue
+                assert abs(got - want) <= 1e-6 * abs(want), (r, angle, backend)
+                agreed += 1
+    assert raised > 0 and agreed > 0
+
+
+def test_an_unresolved_stencil_names_its_probe():
+    k = make_bergman_disk(2)
+    s = np.array([np.nextafter(DISK_BOUNDARY_GUARD, 0.0)])
+    with pytest.raises(DomainError, match=r"unit disk: stencil step .* is too small to resolve the "
+                                          r"point$"):
+        covariant_derivative_direct(k, CONSTANT, s, np.array([1.0]))
+    with pytest.raises(DomainError, match=r"resolve the point \(probe 1 of 2\)$"):
+        make_evaluator(k, "direct").evaluate(CONSTANT, [np.array([0.5]), s], [[1.0], [1.0]])

@@ -187,3 +187,50 @@ def test_random_unitary_deterministic_and_unitary():
 def test_random_unital_cpmap_is_unital():
     psi = _example_map(seed=13)
     assert psi.unitality_residual() < 1e-12
+
+
+def _matrix_unit(n, i, j):
+    e = np.zeros((n, n), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def test_dilation_and_unitality_residuals_keep_the_verdicts_of_their_loops():
+    # one stacked expression over the n^2 matrix units and the Kraus stack, against the loops
+    for seed, (n, m, r) in enumerate([(3, 2, 4), (2, 2, 1), (2, 3, 3), (3, 1, 2)]):
+        psi = _example_map(seed, n, m, r)
+        total = np.zeros((m, m), dtype=complex)
+        for k in psi.kraus:
+            total += k @ k.conj().T
+        assert psi.unitality_residual() == float(np.linalg.norm(total - np.eye(m)))
+        for triple in (stinespring_dilate(psi), cpmaps.StinespringTriple(
+                stinespring_dilate(psi).v * 1.01, r=psi.choi_rank, input_dim=n, output_dim=m)):
+            units = [_matrix_unit(n, i, j) for i in range(n) for j in range(n)]
+            want = max(float(np.linalg.norm(psi.apply(a) - triple.v.conj().T @ triple.lam(a)
+                                            @ triple.v)) for a in units)
+            got = verify_dilation(psi, triple)
+            assert (got < 1e-10) == (want < 1e-10) and abs(got - want) <= 1e-15 + 1e-12 * want
+
+
+def test_choi_kraus_and_normalization_stacks_have_the_bits_of_their_loops():
+    for seed, (n, m, r) in enumerate([(3, 2, 4), (2, 2, 1), (2, 3, 3), (3, 1, 2)]):
+        rng = np.random.default_rng(seed)
+        ks = [rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n)) for _ in range(r)]
+        choi = np.zeros((n * m, n * m), dtype=complex)
+        for k in ks:
+            x = k.T.reshape(n * m)
+            choi += np.outer(x, x.conj())
+        psi = choi_from_kraus(ks)
+        assert psi.choi.tobytes() == choi.tobytes()
+        values, vectors = np.linalg.eigh(0.5 * (choi + choi.conj().T))
+        cut = cpmaps.CHOI_RANK_TAU * max(float(values[-1]), 1.0)
+        want = [(np.sqrt(lam) * vec).reshape(n, m).T for lam, vec in zip(values, vectors.T)
+                if lam > cut][::-1]
+        assert psi.kraus.tobytes() == np.array(want).tobytes()
+        total = np.zeros((m, m), dtype=complex)
+        for k in ks:
+            total += k @ k.conj().T
+        values, vectors = np.linalg.eigh(0.5 * (total + total.conj().T))
+        inv_sqrt = (vectors * (1.0 / np.sqrt(values))) @ vectors.conj().T
+        drawn = random_unital_cpmap(n, m, r, np.random.default_rng(seed))
+        assert drawn.choi.tobytes() == choi_from_kraus([inv_sqrt @ k for k in ks]).choi.tobytes()

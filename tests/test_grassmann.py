@@ -23,7 +23,8 @@ from kernelconnect.grassmann import (
     universal_covariant_derivative,
     universal_kernel,
 )
-from kernelconnect.kernels import DomainError, UnitaryDomain
+from kernelconnect.kernels import DomainError
+from kernelconnect.numerics import hermitian_eigh
 from kernelconnect.verify import grassmann_agreement
 
 
@@ -96,7 +97,9 @@ def test_reductive_residual_has_the_bits_of_its_loop_over_unitaries():
     unitaries = [u @ scipy.linalg.block_diag(random_unitary(2, seed=2 * i),
                                              random_unitary(2, seed=2 * i + 1)) @ u.conj().T
                  for i in range(6)]
-    rng, want = np.random.default_rng(3), 0.0
+    rng = np.random.default_rng(3)
+    # E fixes the subgroup: ||E(g) - g||
+    want = max(float(np.linalg.norm(conditional_expectation(point, g) - g)) for g in unitaries)
     for _ in range(5):
         x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         ex = conditional_expectation(point, x)
@@ -287,6 +290,12 @@ def test_grassmann_verify_output_keeps_its_bits_with_the_cache(capsys, monkeypat
     assert capsys.readouterr().out == cached
 
 
+def _exp(a, t, u=None):
+    """u e^{ta} (u = 1 by default), restated: u V diag(e^{itw}) V* with -ia = V diag(w) V*."""
+    w, v = hermitian_eigh(-1j * a)
+    return (np.eye(len(a)) if u is None else u) @ (v * np.exp(1j * t * w)) @ v.conj().T
+
+
 def _probe(n=4, k=2, seed=40):
     point = _random_point(n, k, seed)
     return point, random_grass_tangent(point, np.random.default_rng(seed + 1)).generator
@@ -314,9 +323,8 @@ def test_stencil_points_are_built_once_per_tangent_with_the_checked_bits():
     (first,), _ = domain._stencils((point,), (tangent,), 1e-4)
     (second,), _ = domain._stencils((point,), (tangent,), 1e-4)
     assert all(a is b for a, b in zip(first, second))
-    exp_ta = UnitaryDomain(4).curve(np.eye(4), generator)
     for t, derived in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), first):
-        u = exp_ta(t)  # the same conjugate, built through the full projector check
+        u = _exp(generator, t)  # the same conjugate, built through the full projector check
         assert np.array_equal(derived.p, HermitianProjector(u @ point.p @ u.conj().T, 2).p)
         assert derived.rank == 2 and not derived.p.flags.writeable
     # a tangent anchored at an equal projector object: a fresh curve, the same bits
@@ -331,30 +339,28 @@ def test_a_tangent_that_holds_its_curve_still_pickles():
     f = lambda pt: pt.p @ np.ones(4)
     want = universal_covariant_derivative(f, point, tangent)
     copy = pickle.loads(pickle.dumps(tangent))
-    assert "_curve" not in copy.__dict__
+    # the held stencil is plain projectors: it pickles with the tangent, and still serves it
+    assert [q.p.tobytes() for q in copy._stencil[1]] == [q.p.tobytes() for q in tangent._stencil[1]]
     assert np.array_equal(universal_covariant_derivative(f, copy.base, copy), want)
 
 
 def test_a_curve_point_is_never_built_from_a_non_unitary_exponential():
     point, generator = _probe()
-    gamma = GrassDomain(4, 2).curve(point, GrassTangent(point, generator))
     with pytest.raises((TypeError, DomainError)):  # e^{tA} is not unitary at a complex t
-        gamma(0.5j)
+        GrassDomain(4, 2)._stencils((point,), (GrassTangent(point, generator),), 0.5j)
 
 
 def test_agreement_checks_no_curve_point_as_a_projector(monkeypatch):
-    checked = []
-    post_init = HermitianProjector.__post_init__
+    from kernelconnect import grassmann
 
-    def counted(self):
-        checked.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(HermitianProjector, "__post_init__", counted)
+    checked, stacked = [], grassmann._projectors
+    monkeypatch.setattr(grassmann, "_projectors",
+                        lambda m, rank: checked.append(m[..., 0, 0].size) or stacked(m, rank))
     grassmann_agreement(4, 2, probes=3, seed=0)
-    # the base, then per probe its point and the reductive oracle's five orbit points from g;
-    # the four curve points each probe's four derivatives share are derived, not checked
-    assert len(checked) == 1 + 3 * 6
+    # the base and each probe's point one by one, then the reductive oracle's five orbit points
+    # per probe (four stencil points and g) as one stack; the four curve points each probe's
+    # four derivatives share are derived, not checked
+    assert checked == [1] * (1 + 3) + [3 * 5]
 
 
 def test_a_huge_step_still_rejects_a_non_finite_curve_point():
@@ -366,3 +372,140 @@ def test_a_huge_step_still_rejects_a_non_finite_curve_point():
             covariant_derivative_direct(universal_kernel(4, 2), sigma, point, tangent, h=1e308)
         with pytest.raises(DomainError, match="projector is not finite"):
             GrassDomain(4, 2).derivative(point, tangent, lambda pt: pt.p, h=1e308)
+
+
+# ---------------------------------------------------------------------------
+# Stacked layers: every member has the bits of its one-point call
+
+_TS = 1e-4 * np.array([-2.0, -1.0, 1.0, 2.0])
+_W = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4)
+
+
+def test_grassmann_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit():
+    probes = [_probe(6, 3, seed=50 + i) for i in range(4)]
+    tangents = [GrassTangent(p, a) for p, a in probes]
+    stack, weights = GrassDomain(6, 3)._stencils([p for p, _ in probes], tangents, 1e-4)
+    assert np.array_equal(weights, np.tile(_W, (4, 1)))
+    for (point, a), points in zip(probes, stack):
+        (one,), _ = GrassDomain(6, 3)._stencils((point,), (GrassTangent(point, a),), 1e-4)
+        for t, q, r in zip(_TS, points, one):
+            u = _exp(a, t)
+            assert q.p.tobytes() == r.p.tobytes() == (u @ point.p @ u.conj().T).tobytes()
+
+
+def test_stacked_fiber_bases_are_the_one_point_bases_bit_for_bit(monkeypatch):
+    from kernelconnect import grassmann
+
+    points = [_random_point(6, 3, seed=60 + i) for i in range(8)] + [coordinate_projector(6, 3)]
+    bases, _, _ = grassmann._eigenbases(np.array([p.p for p in points]), 3)
+    for point, b in zip(points, bases):
+        want = _fiber_basis_uncached(point)
+        assert b.tobytes() == want.tobytes() and b.strides == want.strides
+    # a stencil stack and its probes: the first fiber_basis call finds all of their bases at once
+    drawn, a = _probe(6, 3, seed=70)
+    point = HermitianProjector(drawn.p, 3)  # without the basis random_grass_tangent held
+    (stencil,), _ = GrassDomain(6, 3)._stencils((point,), (GrassTangent(point, a),), 1e-4)
+    calls, stacked = [], grassmann._eigenbases
+    monkeypatch.setattr(grassmann, "_eigenbases",
+                        lambda m, rank: calls.append(len(m)) or stacked(m, rank))
+    for q in [point, *stencil]:
+        assert fiber_basis(q).tobytes() == _fiber_basis_uncached(q).tobytes()
+    assert calls == [5]
+
+
+def _universal_restated(f, point, a):
+    """p . sum_i w_i F(e^{t_i A} p e^{-t_i A}), one point at a time."""
+    terms = [w * np.asarray(f(HermitianProjector(u @ point.p @ u.conj().T, point.rank)))
+             for w, u in zip(_W, (_exp(a, t) for t in _TS))]
+    return point.p @ (((terms[0] + terms[1]) + terms[2]) + terms[3])
+
+
+def _reductive_restated(f, g, x, base):
+    """sum_i w_i F(u_i p u_i*) - (g X g*) F(g p g*), u_i = g e^{t_i X}, one point at a time."""
+    orbit = lambda u: HermitianProjector(u @ base.p @ u.conj().T, base.rank)  # noqa: E731
+    terms = [w * np.asarray(f(orbit(_exp(x, t, g)))) for w, t in zip(_W, _TS)]
+    return (((terms[0] + terms[1]) + terms[2]) + terms[3]) - (g @ x @ g.conj().T) @ f(orbit(g))
+
+
+def test_stacked_routes_are_their_one_probe_calls_bit_for_bit():
+    from kernelconnect import grassmann
+
+    n, k, rng = 6, 3, np.random.default_rng(71)
+    base, v0 = coordinate_projector(n, k), rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f = lambda pt: pt.p @ v0  # noqa: E731
+    gs = [random_unitary(n, seed=72 + i) for i in range(5)]
+    xs = [random_grass_tangent(base, rng).generator for _ in gs]
+    points = [HermitianProjector(g @ base.p @ g.conj().T, k) for g in gs]
+    tangents = [GrassTangent(p, g @ x @ g.conj().T) for p, g, x in zip(points, gs, xs)]
+    univ = grassmann._universal(f, points, tangents)
+    red = grassmann._reductive(f, gs, xs, base)
+    for j, (point, tangent) in enumerate(zip(points, tangents)):
+        one = universal_covariant_derivative(f, point, GrassTangent(point, tangent.generator))
+        assert univ[j].tobytes() == one.tobytes()
+        assert one.tobytes() == _universal_restated(f, point, tangent.generator).tobytes()
+        one = reductive_covariant_derivative(f, gs[j], xs[j], base)
+        assert red[j].tobytes() == one.tobytes()
+        assert one.tobytes() == _reductive_restated(f, gs[j], xs[j], base).tobytes()
+
+
+def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stack(monkeypatch):
+    from kernelconnect import connections, grassmann, kernels
+
+    calls = []
+
+    def count(owner, name):
+        method = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, **kw: calls.append(name) or method(*a, **kw))
+
+    for owner, name in [(grassmann, "_universal"), (grassmann, "_reductive"),
+                        (grassmann, "universal_covariant_derivative"),
+                        (grassmann, "reductive_covariant_derivative"),
+                        (connections.ConnectionEvaluator, "evaluate"),
+                        (GrassDomain, "derivatives"), (GrassDomain, "derivative")]:
+        count(owner, name)
+    exponentials, eigh = [], kernels.hermitian_eigh
+    monkeypatch.setattr(kernels, "hermitian_eigh",
+                        lambda m: exponentials.append(np.shape(m)) or eigh(m))
+    bases, stacked = [], grassmann._eigenbases
+    monkeypatch.setattr(grassmann, "_eigenbases",
+                        lambda m, rank: bases.append(len(m)) or stacked(m, rank))
+    grassmann_agreement(4, 2, probes=5, seed=0)
+    # universal for f and for g, reductive, direct, and metric compatibility's derivative
+    assert sorted(calls) == ["_reductive", "_universal", "_universal", "derivatives", "evaluate"]
+    # the Grassmann stencil stack (shared by four routes), then the reductive U(n) stack
+    assert exponentials == [(5, 4, 4), (5, 4, 4)]
+    # one eigh for the tangents' base, then the bases of the probes and their 20 stencil points
+    assert bases == [1, 25]
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2), (6, 3)])
+def test_random_grass_tangent_keeps_its_two_eigh_tangents_at_coordinate_projectors(n, k,
+                                                                                    monkeypatch):
+    # one eigh of (p + p*)/2, held by the projector, gives the complement columns a second eigh of
+    # p gave: at an exactly Hermitian p the two inputs are the same bits.  Degenerate eigenvectors
+    # would rotate under any perturbation, so the tangents are compared, not assumed equal.
+    point = coordinate_projector(n, k)
+    assert (0.5 * (point.p + point.p.conj().T)).tobytes() == point.p.tobytes()
+    old, new = np.random.default_rng(5), np.random.default_rng(5)
+    eighs, eigh = [], np.linalg.eigh
+    for _ in range(4):
+        values, vectors = np.linalg.eigh(point.p)
+        r = old.standard_normal((k, n - k)) + 1j * old.standard_normal((k, n - k))
+        a = _fiber_basis_uncached(point) @ r @ vectors[:, values <= 0.5].conj().T
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m) or eigh(m))
+        got = random_grass_tangent(point, new).generator
+        monkeypatch.undo()
+        assert got.tobytes() == (a - a.conj().T).tobytes()
+    assert len(eighs) == 1  # for the first call; the projector holds its columns
+
+
+def test_reductive_check_fails_on_a_wrong_conditional_expectation(monkeypatch):
+    # E(X) = pX(1-p) is idempotent and equivariant too; that E fixes the subgroup tells them apart
+    from kernelconnect import grassmann, verify
+
+    (check,) = verify._reductive_checks(0)
+    assert check["passed"] and 0.0 < check["residual"] < 1e-12
+    wrong = lambda point, x: point.p @ np.asarray(x, dtype=complex) @ point.complement()  # noqa
+    monkeypatch.setattr(grassmann, "conditional_expectation", wrong)
+    (check,) = verify._reductive_checks(0)
+    assert not check["passed"] and check["residual"] > 1.0

@@ -29,7 +29,7 @@ from kernelconnect.kernels import (
     positivity_certificate,
     pull_back_kernel,
 )
-from kernelconnect.numerics import NumericsError
+from kernelconnect.numerics import NumericsError, hermitian_eigh
 
 
 def _probe_pairs(kernel, count, seed):
@@ -249,10 +249,12 @@ def test_unitary_curve_matches_expm_and_stays_unitary(n, seed, t):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = 0.5 * (g - g.conj().T)
     u = random_unitary(n, seed=seed)
-    got = UnitaryDomain(n).curve(u, a)(t)
-    # scipy's Pade exponential is the independent reference here only
-    assert np.max(np.abs(got - u @ scipy.linalg.expm(t * a))) <= 1e-13
-    assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-13
+    h = max(abs(t), 1e-3) / 2.0  # the stencil points u e^{ta} at t = -2h, -h, h, 2h
+    (points,), _ = UnitaryDomain(n)._stencils(u[None], a[None], h)
+    for s, got in zip((-2.0, -1.0, 1.0, 2.0), points):
+        # scipy's Pade exponential is the independent reference here only
+        assert np.max(np.abs(got - u @ scipy.linalg.expm(s * h * a))) <= 1e-13
+        assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-13
 
 
 def _random_psd_beta(dim, seed):
@@ -556,3 +558,21 @@ def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
         fock = make_fock(np.eye(1))
         with pytest.raises(NumericsError, match="fock:dim=1: kernel derivative is not finite"):
             fock.diagonal_jet([[0.5], [26.6]], [[1], [1]])
+
+
+def test_unitary_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit():
+    # one eigh of the (L, n, n) stack -ia and one expression for the 4L exponentials, against the
+    # one-probe call and the one-point exponential u V diag(e^{itw}) V* restated
+    rng = np.random.default_rng(23)
+    for n in (1, 3, 6):
+        us = [random_unitary(n, seed=30 + i) for i in range(5)]
+        xs = [a - a.conj().T for a in (rng.standard_normal((n, n))
+                                       + 1j * rng.standard_normal((n, n)) for _ in us)]
+        stack, weights = UnitaryDomain(n)._stencils(us, xs, 1e-4)
+        assert stack.shape == (5, 4, n, n) and weights.shape == (5, 4)
+        for u, a, points, w in zip(us, xs, stack, weights):
+            (one,), (one_w,) = UnitaryDomain(n)._stencils([u], [a], 1e-4)
+            assert points.tobytes() == one.tobytes() and w.tobytes() == one_w.tobytes()
+            values, v = hermitian_eigh(-1j * a)
+            for t, p in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), points):
+                assert p.tobytes() == (u @ (v * np.exp(1j * t * values)) @ v.conj().T).tobytes()
