@@ -37,9 +37,7 @@ from .rkhs import (
     RKHSElement,
     SampledRKHS,
     build_rkhs,
-    embed,
     evaluate_element,
-    inner,
     project_fiber,
     universality_residual,
 )

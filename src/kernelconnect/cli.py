@@ -203,11 +203,22 @@ def _spectrum_json(r) -> dict:
     return {"min_eig": lo, "condition_number": hi / lo if lo > 0 else None}
 
 
-def _cmd_rkhs_gram(args) -> int:
+def _build_rkhs(args):
+    """The sampled space of --kernel on --points: coinciding points are bad input (exit 2)."""
     k = parse_kernel_spec(args.kernel)
-    r = build_rkhs(k, _parse_points(k, args.points))
+    pts = _parse_points(k, args.points)
+    try:
+        return build_rkhs(k, pts)
+    except NumericsError:  # a Gram that is not PSD: a verdict on the kernel, exit 1
+        raise
+    except ValueError as exc:  # duplicate sample points
+        raise UsageError(str(exc)) from exc
+
+
+def _cmd_rkhs_gram(args) -> int:
+    r = _build_rkhs(args)
     if args.format == "json":
-        _emit_json({"kernel": k.name, "gram": _matrix_json(r.gram), **_spectrum_json(r)},
+        _emit_json({"kernel": r.kernel.name, "gram": _matrix_json(r.gram), **_spectrum_json(r)},
                    args.output)
     else:
         _emit(matrix_to_csv_text(r.gram), args.output)
@@ -215,8 +226,7 @@ def _cmd_rkhs_gram(args) -> int:
 
 
 def _cmd_rkhs_universality(args) -> int:
-    k = parse_kernel_spec(args.kernel)
-    r = build_rkhs(k, _parse_points(k, args.points))
+    r = _build_rkhs(args)
     residual = universality_residual(r)
     _emit_json({"residual": residual, **_spectrum_json(r),
                 "tolerance": args.tol, "passed": residual < args.tol}, args.output)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .kernels import BundleMorphism, Kernel, _members, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, hermitian_solve
-from .rkhs import _certify
+from .rkhs import _certify, _project
 
 __all__ = [
     "Section",
@@ -167,10 +167,8 @@ def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> n
     v = _fiber(sigma._values(stencils, 2), m)
     c = np.zeros((n, 5, m), dtype=complex)  # the derivative element: += keeps each zero's sign
     c[:, [0, 1, 3, 4]] += weights[..., None] * v
-    row, kss = grams[:, 2 * m:3 * m], grams[:, 2 * m:3 * m, 2 * m:3 * m]
-    projected = np.zeros((n, 5 * m, 1), dtype=complex)  # its fiber projection
-    projected[:, 2 * m:3 * m] = hermitian_solve(kss, row @ c.reshape(n, 5 * m, 1))
-    return hermitian_solve(kss, row @ projected)[..., 0]
+    projected = _project(grams, m, 2, c.reshape(n, 5 * m, 1))  # onto the fiber at s
+    return _project(grams, m, 2, projected)[:, 2 * m:3 * m, 0]  # kappa(s,s)^(-1) of its value at s
 
 
 def _five(s: Sequence, stencils: Sequence, i: int) -> Sequence:

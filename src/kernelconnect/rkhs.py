@@ -2,10 +2,9 @@
 
 Elements are coefficient vectors c of length N*M representing
 f = sum_i kappa(., t_i) c_i (block-indexed by sample point).  The inner
-product is the block Gram pairing, the fiber at a sample point s is the span
-of the embedded basis vectors kappa(., s) e_v, and the fiber projection uses
-the closed form c = kappa(s,s)^(-1) f(s) that the reproducing property
-provides.
+product is the block Gram pairing g* G f, the fiber at a sample point s is the
+span of the generators kappa(., s) v, and the fiber projection uses the closed
+form c = kappa(s,s)^(-1) f(s) that the reproducing property provides.
 """
 
 from __future__ import annotations
@@ -18,16 +17,8 @@ import numpy as np
 from .kernels import Kernel, _psd_spectra, gram_matrix
 from .numerics import NumericsError, hermitian_solve
 
-__all__ = [
-    "SampledRKHS",
-    "RKHSElement",
-    "build_rkhs",
-    "embed",
-    "inner",
-    "evaluate_element",
-    "project_fiber",
-    "universality_residual",
-]
+__all__ = ["SampledRKHS", "RKHSElement", "build_rkhs", "evaluate_element", "project_fiber",
+           "universality_residual"]
 
 
 @dataclass(frozen=True)
@@ -51,10 +42,6 @@ class SampledRKHS:
         if not close.any():
             raise KeyError("point is not among the sample points; augment the sample first")
         return int(close.argmax())
-
-    def block(self, i: int) -> slice:
-        m = self.fiber_dim
-        return slice(i * m, (i + 1) * m)
 
 
 @dataclass(frozen=True)
@@ -105,40 +92,28 @@ def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
     return SampledRKHS(kernel=k, points=pts, gram=gram, eigenvalues=_certify((pts,), gram[None])[0])
 
 
-def embed(r: SampledRKHS, s, v) -> RKHSElement:
-    """The generator kappa(., s) v as an element: v placed in the block of s."""
-    i = r.point_index(s)
-    vec = np.asarray(v, dtype=complex).reshape(r.fiber_dim)
-    c = np.zeros(len(r.points) * r.fiber_dim, dtype=complex)
-    c[r.block(i)] = vec
-    return RKHSElement(r, c)
-
-
-def inner(r: SampledRKHS, f: RKHSElement, g: RKHSElement) -> complex:
-    """Gram pairing <f, g> = g^dagger G f; conjugate-symmetric, PSD."""
-    if f.space is not r or g.space is not r:
-        raise ValueError("elements belong to a different sampled space")
-    return complex(g.coefficients.conj() @ (r.gram @ f.coefficients))
-
-
 def evaluate_element(f: RKHSElement, s) -> np.ndarray:
     """Pointwise value f(s) = sum_i kappa(s, t_i) c_i; s need not be sampled."""
     return f.space.kernel.block((s,), f.space.points) @ f.coefficients
 
 
-def project_fiber(r: SampledRKHS, s, f: RKHSElement) -> RKHSElement:
-    """Gram-orthogonal projection of f onto the fiber span at sample point s.
+def _project(grams: np.ndarray, m: int, i: int, c: np.ndarray) -> np.ndarray:
+    """Fiber projections at sample point i in L spaces, (L, NM, NM) Grams and (L, NM, K) c:
+    kappa(s_i,s_i)^(-1) (G c)_i = kappa(s_i,s_i)^(-1) f(s_i) in block i, zeros elsewhere.
+    Fails when kappa(s_i,s_i) is singular within threshold."""
+    b = slice(i * m, (i + 1) * m)
+    projected = np.zeros(c.shape, dtype=complex)
+    projected[:, b] = hermitian_solve(grams[:, b, b], grams[:, b] @ c)
+    return projected
 
-    The reproducing property turns the fiber Gram into kappa(s,s), so the
-    projection coefficients are kappa(s,s)^(-1) f(s) in the block of s, both read
-    from the Gram matrix.  Fails when kappa(s,s) is singular within threshold.
-    """
+
+def project_fiber(r: SampledRKHS, s, f: RKHSElement) -> RKHSElement:
+    """Gram-orthogonal projection of f onto the fiber span at sample point s: `_project`'s
+    one-member case, reading kappa(s,s) and f(s) from the Gram matrix."""
     if f.space is not r:
         raise ValueError("element belongs to a different sampled space")
-    b = r.block(r.point_index(s))
-    c = np.zeros_like(f.coefficients)
-    c[b] = hermitian_solve(r.gram[b, b], r.gram[b] @ f.coefficients)
-    return RKHSElement(r, c)
+    c = _project(r.gram[None], r.fiber_dim, r.point_index(s), f.coefficients[None, :, None])
+    return RKHSElement(r, c[0, :, 0])
 
 
 def universality_residual(r: SampledRKHS) -> float:
@@ -148,11 +123,9 @@ def universality_residual(r: SampledRKHS) -> float:
     |(kappa(s,t) v | w) - <P_{fiber(s)} khat(t,v), khat(s,w)>|.  Column (t, v) of
     kappa(s, .) is khat(t,v)(s); its fiber projection has coefficients
     kappa(s,s)^(-1) kappa(s,t) v, and pairing with khat(s,w) takes row w of G[s,s].
-    Every kernel value is read from the Gram matrix.
+    Every kernel value is read from the Gram matrix, and all N rows s take one stacked solve.
     """
-    res = 0.0
-    for i in range(len(r.points)):
-        b = r.block(i)
-        row, kss = r.gram[b], r.gram[b, b]
-        res = max(res, float(np.max(np.abs(row - kss @ hermitian_solve(kss, row)))))
-    return res
+    n, m = len(r.points), r.fiber_dim
+    rows = r.gram.reshape(n, m, n * m)
+    kss = r.gram.reshape(n, m, n, m)[np.arange(n), :, np.arange(n)]
+    return float(np.max(np.abs(rows - kss @ hermitian_solve(kss, rows)), initial=0.0))

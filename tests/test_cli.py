@@ -319,6 +319,11 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
      "--points needs at least one point"),
     (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", " ; "],
      "--points needs at least one point"),
+    # coinciding sample points (within 1e-12) are bad input to the rkhs commands
+    (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", "0.1;0.1"],
+     "duplicate sample points at indices 0 and 1"),
+    (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0.3;0.1;0.1+0.0000000000001i"],
+     "duplicate sample points at indices 1 and 2"),
     # numpy's abs of an array puts |s| below the guard circle, the disk's edge distance does not
     (["connect", "covderiv", "--kernel", "bergman-disk:nu=2",
       "--point=-0.6631062061875492-0.7485239871350519i", "--direction", "1"], "unit circle"),
@@ -354,6 +359,21 @@ def test_a_choi_csv_that_is_no_square_matrix_exits_2(capsys, tmp_path, text, n, 
     argv = ["cp", "dilate", "--choi", str(path)] + (["--n", n] if n else [])
     exit_code, out, err = run_cli(capsys, *argv)
     assert exit_code == code and out == "" and message in err
+
+
+def test_rkhs_commands_exit_1_on_a_gram_that_is_not_psd_and_kernel_gram_takes_repeats(
+        capsys, monkeypatch):
+    # kappa(s,t) = s + conj(t) is Hermitian-symmetric but indefinite: a verdict, not bad input
+    bad = Kernel(1, VectorDomain(1, name="C"),
+                 lambda s, t: np.array([[complex(s[0]) + np.conj(complex(t[0]))]]))
+    monkeypatch.setattr(cli, "parse_kernel_spec", lambda spec: bad)
+    for command in ("gram", "universality"):
+        code, out, err = run_cli(capsys, "rkhs", command, "--kernel", "x", "--points", "1;-1;2")
+        assert code == 1 and out == "" and "Gram matrix is not PSD" in err
+    monkeypatch.undo()
+    code, out, _ = run_cli(capsys, "kernel", "gram", "--kernel", "bergman-disk:nu=2",
+                           "--points", "0.1;0.1")
+    assert code == 0 and json.loads(out)["is_psd"]
 
 
 def test_an_unwritable_output_exits_2(capsys, tmp_path):

@@ -12,10 +12,9 @@ from kernelconnect.kernels import (
 )
 from kernelconnect.numerics import NumericsError
 from kernelconnect.rkhs import (
+    RKHSElement,
     build_rkhs,
-    embed,
     evaluate_element,
-    inner,
     project_fiber,
     universality_residual,
 )
@@ -28,19 +27,18 @@ def _disk_space():
 
 
 def test_reproducing_property():
-    # <khat(t, v), khat(s, w)> = w* kappa(s, t) v on the sample
+    # <khat(t, 1), khat(s, 1)> = g* G f = kappa(s, t) on the sample, khat(t, 1) = e_t
     r = _disk_space()
-    for s in r.points:
-        for t in r.points:
-            f = embed(r, t, np.array([1.0]))
-            g = embed(r, s, np.array([1.0]))
-            assert abs(inner(r, f, g) - r.kernel(s, t)[0, 0]) < 1e-13
+    eye = np.eye(len(r.points))
+    for i, s in enumerate(r.points):
+        for j, t in enumerate(r.points):
+            assert abs(eye[i] @ r.gram @ eye[j] - r.kernel(s, t)[0, 0]) < 1e-13
 
 
 def test_evaluation_off_sample():
     # f(s) = sum_i kappa(s, t_i) c_i holds at points outside the sample too
     r = _disk_space()
-    f = embed(r, r.points[1], np.array([2.0 - 1j]))
+    f = RKHSElement(r, np.array([0.0, 2.0 - 1j, 0.0, 0.0]))  # khat(t_1, 2 - i)
     s = np.array([0.1 - 0.2j])
     expected = r.kernel(s, r.points[1]) @ np.array([2.0 - 1j])
     assert np.linalg.norm(evaluate_element(f, s) - expected) < 1e-13
@@ -50,8 +48,6 @@ def test_fiber_projection_is_idempotent():
     r = _disk_space()
     rng = np.random.default_rng(2)
     c = rng.standard_normal(len(r.points)) + 1j * rng.standard_normal(len(r.points))
-    from kernelconnect.rkhs import RKHSElement
-
     f = RKHSElement(r, c)
     s = r.points[2]
     once = project_fiber(r, s, f)
@@ -64,13 +60,11 @@ def test_fiber_projection_is_orthogonal():
     r = _disk_space()
     rng = np.random.default_rng(3)
     c = rng.standard_normal(len(r.points)) + 1j * rng.standard_normal(len(r.points))
-    from kernelconnect.rkhs import RKHSElement
-
     f = RKHSElement(r, c)
     s = r.points[0]
-    residual = RKHSElement(r, f.coefficients - project_fiber(r, s, f).coefficients)
-    gen = embed(r, s, np.array([1.0]))
-    assert abs(inner(r, residual, gen)) < 1e-12
+    residual = f.coefficients - project_fiber(r, s, f).coefficients
+    gen = np.eye(len(r.points))[0]  # khat(s, 1), s = t_0
+    assert abs(gen.conj() @ r.gram @ residual) < 1e-12
 
 
 def test_universality_residual_small_for_builtins():
@@ -82,16 +76,19 @@ def test_universality_residual_small_for_builtins():
 
 
 def _universality_by_definition(r):
-    """max over (s, t, v, w) of |(kappa(s,t) v | w) - <P_s khat(t,v), khat(s,w)>|, term by term."""
+    """max over (s, t, v, w) of |(kappa(s,t) v | w) - <P_s khat(t,v), khat(s,w)>|, term by term.
+
+    khat(t, v) has v in the block of t and zeros elsewhere; the pairing <f, g> is g* G f."""
     m = r.fiber_dim
+    eye = np.eye(len(r.points) * m)  # row i*m + v is khat(t_i, e_v)
     res = 0.0
-    for s in r.points:
-        for t in r.points:
+    for i, s in enumerate(r.points):
+        for j, t in enumerate(r.points):
             kst = r.kernel(s, t)
             for v in range(m):
-                proj = project_fiber(r, s, embed(r, t, np.eye(m)[v]))
+                proj = project_fiber(r, s, RKHSElement(r, eye[j * m + v])).coefficients
                 for w in range(m):
-                    res = max(res, abs(kst[w, v] - inner(r, proj, embed(r, s, np.eye(m)[w]))))
+                    res = max(res, abs(kst[w, v] - eye[i * m + w] @ r.gram @ proj))
     return res
 
 
@@ -139,9 +136,11 @@ def test_degenerate_kernel_fiber_projection_fails_loudly():
                              fiber_dim=2, domain=VectorDomain(1, name="C"))
     pts = [np.array([0.1]), np.array([0.5])]
     r = build_rkhs(k, pts)
-    f = embed(r, pts[0], np.array([1.0, 0.0]))
+    f = RKHSElement(r, np.array([1.0, 0.0, 0.0, 0.0]))  # khat(t_0, e_0)
     with pytest.raises(NumericsError):
         project_fiber(r, pts[0], f)
+    with pytest.raises(NumericsError):
+        universality_residual(r)
 
 
 def test_duplicate_message_names_the_first_pair_of_vector_points():
