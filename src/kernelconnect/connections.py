@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .kernels import BundleMorphism, Kernel, _members, stencil_sum
-from .numerics import DEFAULT_STEP, NumericsError, hermitian_solve
+from .numerics import DEFAULT_STEP, NumericsError, _max_norm, hermitian_solve
 from .rkhs import _certify, _project
 
 __all__ = [
@@ -237,26 +237,36 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
 def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
                      sigma: Section, probes: Sequence[tuple],
                      h: float = DEFAULT_STEP) -> float:
-    """max over probes (s, X) of ||nabla(f sigma)(X) - df(X) sigma(s) - f(s) nabla(sigma)(X)||.
+    """max over probes (s, X) of ||nabla(f sigma)(X) - df(X) sigma(s) - f(s) nabla(sigma)(X)||:
+    the one-evaluator case of `_leibniz`."""
+    return _leibniz((nabla,), f, sigma, probes, h)[0]
 
-    f is a function of one point.  The product f sigma takes sigma's `batch`, multiplied as at one
-    point by numpy's complex multiply.
-    """
+
+def _leibniz(nablas: Sequence[ConnectionEvaluator], f: Callable[[object], complex],
+             sigma: Section, probes: Sequence[tuple], h: float = DEFAULT_STEP) -> list[float]:
+    """leibniz_residual of each evaluator of one kernel, its probes checked once.  f, a function of
+    one point, is called once at each probe and point of one stencil stack: df, f(s), and f sigma
+    where a backend asks for exactly those points.  f sigma takes sigma's `batch`, multiplied as at
+    one point by numpy's complex multiply."""
     if not probes:
-        return 0.0
-    points, directions = [s for s, _ in probes], [x for _, x in probes]
-    s, x = nabla.kernel.domain.jets(points, directions)  # the one check of the probes
-    df = nabla.kernel.domain._derivatives(s, x, f, h).reshape(len(points), 1)
-    fs = np.array([[complex(f(p))] for p in points])
+        return [0.0] * len(nablas)
+    domain = nablas[0].kernel.domain
+    s, x = domain.jets([p for p, _ in probes], [v for _, v in probes])  # the one check
+    stencils, weights = domain._stencils(s, x, h)
+    fs = np.array([[complex(f(p))] for p in s])
+    fst = np.array([[complex(f(q)) for q in ps] for ps in stencils])
+    df = stencil_sum(weights, fst)[:, None]
 
-    def product(p):  # f sigma at an (..., d) array: f point by point, sigma by its batch
-        fp = np.array([complex(f(q)) for q in p.reshape(-1, p.shape[-1])])
+    def product(p):  # f sigma at an (..., d) array: f's values above, or f point by point
+        fp = (fst if np.array_equal(p, stencils) else fs[:, 0] if np.array_equal(p, s) else
+              np.array([complex(f(q)) for q in p.reshape(-1, p.shape[-1])]))
         return fp.reshape(p.shape[:-1] + (1,)) * sigma.batch(p)
 
-    lhs = nabla.core(Section(F=lambda p: complex(f(p)) * sigma.value(p),
-                             batch=product if sigma.batch else None), s, x)
-    rhs = df * sigma._values(s) + fs * nabla.core(sigma, s, x)
-    return float(np.max([np.linalg.norm(d) for d in lhs - rhs]))  # a NaN propagates
+    fsigma = Section(F=lambda p: complex(f(p)) * sigma.value(p),
+                     batch=product if sigma.batch else None)
+    rhs = df * sigma._values(s)
+    return [_max_norm(nabla.core(fsigma, s, x) - (rhs + fs * nabla.core(sigma, s, x)))
+            for nabla in nablas]
 
 
 def gauge_pullback_connection(theta: BundleMorphism,
@@ -307,6 +317,5 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
                 f"sections are not morphism-compatible: residual {compat:.3e} at a probe")
     lhs = nabla.evaluate(sigma, points, directions)
     rhs = nabla_target.evaluate(sigma_target, images, list(map(theta.tangent, points, directions)))
-    res = [np.linalg.norm(ds @ a - b) for ds, a, b in zip(deltas, lhs, rhs)]
-    return float(np.max(res))  # a NaN propagates
+    return _max_norm([ds @ a - b for ds, a, b in zip(deltas, lhs, rhs)])
 

@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, UnitaryDomain, make_group_kernel, pull_back_kernel
-from .numerics import NumericsError, hermitian_eigh
-from .grassmann import HermitianProjector, fiber_basis
+from .kernels import BundleMorphism, Kernel, make_group_kernel, pull_back_kernel
+from .numerics import NumericsError, _max_norm, hermitian_eigh
+from .grassmann import HermitianProjector, _group_jets, fiber_basis
 
 __all__ = [
     "CPMap",
@@ -201,19 +201,20 @@ def pullback_identity_residual(psi: CPMap, triple: StinespringTriple,
     k_psi = cp_kernel(psi)
     pulled = pull_back_kernel(theta, k_lam, fiber_dim=psi.output_dim,
                               domain=k_psi.domain)
-    res = 0.0
-    for s, t in unitary_pairs:
-        res = max(res, float(np.linalg.norm(pulled(s, t) - k_psi(s, t))))
-    return res
+    return _max_norm([pulled(s, t) - k_psi(s, t) for s, t in unitary_pairs])
 
 
 def cp_covariant_derivative(psi: CPMap, sigma: Callable[[np.ndarray], np.ndarray],
                             u, a) -> np.ndarray:
-    """d(sigma) along u e^{ta} plus Psi(a) sigma(u), for anti-Hermitian a."""
-    um = np.asarray(u, dtype=complex)
-    am = np.asarray(a, dtype=complex)
-    dsigma = UnitaryDomain(psi.input_dim).derivative(um, am, sigma)  # checks u and a
-    return dsigma + psi.apply(am) @ np.asarray(sigma(um), dtype=complex)
+    """d(sigma) along u e^{ta} plus Psi(a) sigma(u), for anti-Hermitian a: the one-probe
+    `_cp_covariant`."""
+    return _cp_covariant(psi, sigma, (u,), (a,))[0]
+
+
+def _cp_covariant(psi: CPMap, sigma, us: Sequence, xs: Sequence) -> np.ndarray:
+    """The (L, m) derivatives at L probes (u_j, a_j), from one U(n) stencil stack."""
+    dsigma, value, a = _group_jets(sigma, us, xs, psi.input_dim, psi.output_dim)
+    return dsigma + (psi.apply(a) @ value[..., None])[..., 0]
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:

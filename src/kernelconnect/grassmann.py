@@ -16,13 +16,14 @@ homogeneous-bundle kernel and its derivative on unitary groups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _finite_array,
                       make_group_kernel, stencil_sum)
-from .numerics import DEFAULT_STEP, NumericsError
+from .connections import _fiber
+from .numerics import DEFAULT_STEP, NumericsError, _max_norm
 
 __all__ = [
     "HermitianProjector",
@@ -212,23 +213,21 @@ def reductive_axioms_residual(point: HermitianProjector, unitaries: Sequence[np.
 
     Every g must commute with p (that is the subgroup membership condition), so E fixes it; the
     residual is the max of ||E(g) - g|| over g, and over g and random X of
-    ||E(g X g^-1) - g E(X) g^-1|| and ||E(E(X)) - E(X)||.  Each X is conjugated by all G unitaries
-    in one (G, n, n) expression, whose members have the bits of their one-matrix products.
+    ||E(g X g^-1) - g E(X) g^-1|| and ||E(E(X)) - E(X)||.  The X are one (P, n, n) draw, each
+    conjugated by all G unitaries in one (P, G, n, n) expression, whose members have the bits of
+    their one-matrix products.  A non-finite unitary is rejected.
     """
     p, n = point.p, point.n
-    g = np.asarray(unitaries, dtype=complex).reshape(-1, n, n)
+    g = _finite_array(unitaries, "unitary").reshape(-1, n, n)
     gh = g.conj().transpose(0, 2, 1)
-    if any(np.linalg.norm(d) > 1e-10 for d in g @ p - p @ g):
+    if _max_norm(g @ p - p @ g) > 1e-10:
         raise DomainError("unitary does not commute with the projector")
-    rng = np.random.default_rng(seed)
-    res = max(map(np.linalg.norm, conditional_expectation(point, g) - g), default=0.0)
-    for _ in range(n_probes):
-        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        ex = conditional_expectation(point, x)
-        equivariance = conditional_expectation(point, g @ x @ gh) - g @ ex @ gh
-        res = max(res, np.linalg.norm(conditional_expectation(point, ex) - ex),
-                  *map(np.linalg.norm, equivariance))
-    return float(res)
+    z = np.random.default_rng(seed).standard_normal((n_probes, 2, n, n))
+    x = z[:, 0] + 1j * z[:, 1]
+    ex = conditional_expectation(point, x)
+    equivariance = conditional_expectation(point, g @ x[:, None] @ gh) - g @ ex[:, None] @ gh
+    return _max_norm(np.concatenate([conditional_expectation(point, g) - g, equivariance.reshape(
+        -1, n, n), conditional_expectation(point, ex) - ex]))
 
 
 def maurer_cartan(point: HermitianProjector, g, x) -> np.ndarray:
@@ -338,29 +337,33 @@ def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:
 
 
 def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],
-                                     point: HermitianProjector, u, x,
-                                     equivariance_probes: Optional[Sequence[np.ndarray]] = None
-                                     ) -> np.ndarray:
-    """d(phi) along u e^{tX} plus the compressed generator action P X phi(u).
+                                     point: HermitianProjector, u, x) -> np.ndarray:
+    """d(phi) along u e^{tX} plus the compressed generator action P X phi(u): the one-probe
+    `_homogeneous`.
 
     phi maps unitaries into Ran P (ambient coordinates) and must be
-    equivariant under block unitaries, phi(u w) = w^-1 phi(u); spot-checked
-    when probes are supplied.
+    equivariant under block unitaries, phi(u w) = w^-1 phi(u).
     """
-    um = np.asarray(u, dtype=complex)
-    xm = np.asarray(x, dtype=complex)
-    deriv = UnitaryDomain(point.n).derivative(um, xm, phi)  # checks u and x
-    p = point.p
-    value = np.asarray(phi(um), dtype=complex)
-    if np.linalg.norm(value - p @ value) > 1e-8:
+    return _homogeneous(phi, point, (u,), (x,))[0]
+
+
+def _homogeneous(phi, point: HermitianProjector, us: Sequence, xs: Sequence) -> np.ndarray:
+    """The (L, n) homogeneous derivatives at L probes (u_j, x_j), from one U(n) stencil stack;
+    that phi(u_j) lies in Ran P is one test of the L values."""
+    deriv, value, x = _group_jets(phi, us, xs, point.n, point.n)
+    if _max_norm(value - (point.p @ value[..., None])[..., 0]) > 1e-8:
         raise DomainError("phi does not map into the projector range")
-    if equivariance_probes is not None:
-        for w in equivariance_probes:
-            wm = np.asarray(w, dtype=complex)
-            if np.linalg.norm(wm @ p - p @ wm) > 1e-10:
-                raise DomainError("equivariance probe does not commute with P")
-            res = np.linalg.norm(np.asarray(phi(um @ wm), dtype=complex)
-                                 - wm.conj().T @ value)
-            if res > 1e-8:
-                raise DomainError(f"phi violates equivariance (residual {res:.3e})")
-    return deriv + p @ (xm @ value)
+    return deriv + (point.p @ (x @ value[..., None]))[..., 0]
+
+
+def _group_jets(f, us: Sequence, xs: Sequence, n: int, m: int) -> tuple[np.ndarray, ...]:
+    """At L probes (u_j, x_j) of U(n), checked once: the (L, m) derivatives of f along u_j e^{t x_j}
+    from one stencil stack, the (L, m) values f(u_j) and the (L, n, n) directions.  f is called at
+    the 5L points, and its values are checked as a section's: m long and finite."""
+    domain = UnitaryDomain(n)
+    us, xs = domain.jets(us, xs)
+    x = np.asarray(xs, dtype=complex)
+    stencils, weights = domain._stencils(us, x, DEFAULT_STEP)
+    v = _fiber([f(q) for ps in stencils for q in ps] + [f(np.asarray(u, dtype=complex))
+                                                        for u in us], m)
+    return stencil_sum(weights, v[:4 * len(x)].reshape(len(x), 4, m)), v[4 * len(x):], x

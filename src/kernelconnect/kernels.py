@@ -94,11 +94,7 @@ class Domain:
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:
         """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at L probes (s_j, x_j), checked by `jets`."""
-        return self._derivatives(*self.jets(points, directions), f, h)
-
-    def _derivatives(self, s: Sequence, x: Sequence, f: Callable, h: float) -> np.ndarray:
-        """`derivatives` at checked probes."""
-        stencils, weights = self._stencils(s, x, h)
+        stencils, weights = self._stencils(*self.jets(points, directions), h)
         return stencil_sum(weights, [[f(p) for p in ps] for ps in stencils])
 
     def derivative(self, s, x, f: Callable, h: float = DEFAULT_STEP) -> np.ndarray:
@@ -274,11 +270,12 @@ class Kernel:
     the real-linear directional derivative of t -> kappa(s, t) in direction x
     (a conjugate-linear expression for the anti-holomorphic built-ins).
     Kernels lacking `d2` fall back to the stencil, read from one `_values` call.
-    `batch`, when present, maps point arrays of a VectorDomain, coordinates on
-    the last axis and leading axes broadcast, to a scalar kernel's values; its
-    `d2` then maps (s, t, x) arrays the same way.  Every entry must depend on
-    its own points alone, bit for bit, whatever the shapes are, given one
-    leading axis at least (numpy's 0-d scalar arithmetic may round otherwise).
+    `batch`, when present, maps point arrays, a point on the trailing axes (one
+    for a VectorDomain, two for U(n)) and leading axes broadcast, to the values:
+    (...) for a scalar kernel, (..., M, M) otherwise; its `d2` then maps
+    (s, t, x) arrays the same way.  Every entry must depend on its own points
+    alone, bit for bit, whatever the shapes are, given one leading axis at least
+    (numpy's 0-d scalar arithmetic may round otherwise).
     """
 
     fiber_dim: int
@@ -305,19 +302,20 @@ class Kernel:
     def _values(self, ss: Sequence, ts: Sequence) -> np.ndarray:
         """The (L, aM, bM) stack of the blocks kappa(ss[j], ts[j]), j < L, for members of a and b
         checked points.  Every kernel value is evaluated here, by one `batch` expression on
-        (L, a, d) arrays or one loop over `eval`."""
+        (L, a, ...) arrays or one loop over `eval`."""
+        m, (a, b) = self.fiber_dim, (len(x[0]) if len(x) else 0 for x in (ss, ts))
         if self.batch is not None:
             s = np.asarray(ss, dtype=complex)
             t = s if ts is ss else np.asarray(ts, dtype=complex)
-            a, b = s.shape[1], t.shape[1]  # members of one point need fewer axes to broadcast
-            if a == b == 1:
+            if a == b == 1:  # members of one point need fewer axes to broadcast
                 s, t = s[:, 0], t[:, 0]
             elif a > 1 and b > 1:
                 s, t = s[:, :, None], t[:, None]
-            return self._finite(self.batch(s, t).reshape(len(s), a, b))
-        m, (a, b) = self.fiber_dim, (len(x[0]) if len(x) else 0 for x in (ss, ts))
-        out = np.array([[[self.eval(p, q) for q in tj] for p in sj] for sj, tj in zip(ss, ts)],
-                       dtype=complex).reshape(len(ss), a, b, m, m).swapaxes(2, 3)
+            out = self.batch(s, t)
+        else:
+            out = np.array([[[self.eval(p, q) for q in tj] for p in sj] for sj, tj in zip(ss, ts)],
+                           dtype=complex)
+        out = out.reshape(len(ss), a, b, m, m).swapaxes(2, 3)
         return self._finite(out.reshape(len(ss), a * m, b * m))
 
     def diagonal_jet(self, points: Sequence, directions: Sequence,
@@ -446,14 +444,16 @@ def make_group_kernel(n: int, fiber_dim: int, compress: Callable[[np.ndarray], n
                       name: str) -> Kernel:
     """Group-indexed kernel kappa(u, v) = compress(u* v) on the unitary group U(n).
 
-    compress must be linear, so that d2 along v exp(t a) is compress(u* v a).
+    compress must be linear, so that d2 along v exp(t a) is compress(u* v a), and map an
+    (..., n, n) stack to (..., M, M), each member with its one-matrix bits: `batch` is one compress.
     """
 
     def uv(u, v):
-        return np.asarray(u, dtype=complex).conj().T @ np.asarray(v, dtype=complex)
+        return np.asarray(u, dtype=complex).conj().swapaxes(-1, -2) @ np.asarray(v, dtype=complex)
 
-    return Kernel(fiber_dim, UnitaryDomain(n), lambda u, v: compress(uv(u, v)),
-                  lambda u, v, a: compress(uv(u, v) @ np.asarray(a, dtype=complex)), name=name)
+    ev = lambda u, v: compress(uv(u, v))  # noqa: E731
+    return Kernel(fiber_dim, UnitaryDomain(n), ev, lambda u, v, a: compress(
+        uv(u, v) @ np.asarray(a, dtype=complex)), name=name, batch=ev)
 
 
 def make_rank_one_kernel(a: Callable[[object], np.ndarray], fiber_dim: int, domain: Domain,

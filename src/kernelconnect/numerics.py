@@ -75,6 +75,18 @@ def hermitian_solve(m, rhs) -> np.ndarray:
     return vectors @ (y / values) if y.ndim == 1 else vectors @ (y / values[..., None])
 
 
+def _max_norm(rows) -> float:
+    """max over the rows of a stack of np.linalg.norm(row), with its bits; 0.0 for no rows, and a
+    NaN propagates.  Stacked norms, which round differently, screen the rows: only those within
+    1e-9 (relative) of the top are normed one at a time."""
+    rows = np.asarray(rows)
+    screen = np.linalg.norm(rows.reshape(len(rows), -1), axis=1) if len(rows) else np.zeros(0)
+    top = screen.max(initial=0.0)
+    if not 0.0 < top < np.inf:  # NaN, or exact: no rows, all zero, or an overflow
+        return float(top)
+    return max(float(np.linalg.norm(rows[i])) for i in np.flatnonzero(screen >= top * (1 - 1e-9)))
+
+
 # ---------------------------------------------------------------------------
 # Complex CSV serialization: entries formatted `a+bi`, e.g. `1.5-0.25i`.
 

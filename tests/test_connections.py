@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from kernelconnect.connections import (
     ConnectionEvaluator,
+    _leibniz,
     Curve,
     Section,
     connection_form,
@@ -841,6 +842,44 @@ def test_leibniz_residual_reads_the_product_section_from_sigmas_batch():
     res = leibniz_residual(make_evaluator(k, "direct"), f, counted, probes)
     assert res == leibniz_residual(make_evaluator(k, "direct"), f, Section(F=sigma.F), probes)
     assert sorted(calls) == [(5, 2), (5, 4, 2), (5, 4, 2)]  # sigma(s); f sigma, sigma
+
+
+_BACKENDS = ("closed-form", "direct", "sampled")
+
+
+@pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
+def test_leibniz_core_members_have_the_bits_of_leibniz_residual(k):
+    sigma, probes, _ = _verify_section_case(k, 8, seed=6)
+    f = lambda s: 0.5 + s[0] - 2j * np.conj(s[-1])  # noqa: E731
+    nablas = [make_evaluator(k, b) for b in _BACKENDS]
+    got = _leibniz(nablas, f, sigma, probes)
+    assert got == [leibniz_residual(nabla, f, sigma, probes) for nabla in nablas]
+    assert 0.0 < max(got) < 1e-6
+
+
+@pytest.mark.parametrize("batch", [True, False], ids=["batch", "pointwise"])
+def test_one_leibniz_core_call_evaluates_f_at_most_five_times_per_probe(batch):
+    # f at the L probes and their 4L stencil points serves df, f(s) and f sigma of all three
+    # backends; without sigma's batch the product section is evaluated point by point
+    k = make_fock(np.eye(2))
+    sigma, probes, _ = _verify_section_case(k, 7, seed=7)
+    sigma = sigma if batch else Section(F=sigma.F, dF=sigma.dF)
+    calls = []
+    f = lambda s: calls.append(1) or 0.5 + s[0] - 2j * np.conj(s[1])  # noqa: E731
+    got = _leibniz([make_evaluator(k, b) for b in _BACKENDS], f, sigma, probes)
+    if batch:
+        assert len(calls) == 5 * 7
+    assert got == [leibniz_residual(make_evaluator(k, b), f, sigma, probes) for b in _BACKENDS]
+
+
+def test_the_product_section_computes_f_at_points_it_has_not_seen():
+    # a backend whose stencil step differs from the Leibniz step asks for other points
+    k = make_bergman_disk(2)
+    sigma, probes, _ = _verify_section_case(k, 5, seed=8)
+    f = lambda s: 0.5 + 2j * s[0]  # noqa: E731
+    nabla = make_evaluator(k, "direct", h=2e-4)
+    want = _leibniz_loop(nabla, f, sigma, probes)
+    assert leibniz_residual(nabla, f, sigma, probes) == want
 
 
 @pytest.mark.parametrize("kss, d2", [(1e-9, 1e300), (1.0, -1e5)],

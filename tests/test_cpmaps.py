@@ -1,8 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from kernelconnect import cpmaps
-from kernelconnect.connections import Section, covariant_derivative_direct
+from kernelconnect.connections import Section, covariant_derivative_direct, make_evaluator
 from kernelconnect.cpmaps import (
     CPMap,
     choi_from_kraus,
@@ -16,8 +18,8 @@ from kernelconnect.cpmaps import (
     stinespring_dilate,
     verify_dilation,
 )
-from kernelconnect.grassmann import fiber_basis
-from kernelconnect.kernels import DomainError
+from kernelconnect.grassmann import coordinate_projector, fiber_basis, homogeneous_kernel
+from kernelconnect.kernels import DomainError, Kernel
 from kernelconnect.numerics import NumericsError
 
 
@@ -120,6 +122,69 @@ def test_cp_covariant_derivative_matches_generic():
         formula = cp_covariant_derivative(psi, sigma_fn, u, a)
         generic = covariant_derivative_direct(k, Section(F=sigma_fn), u, a)
         assert np.linalg.norm(formula - generic) < 1e-6
+
+
+def _cp_probes(count, seed):
+    rng = np.random.default_rng(seed)
+    us = [random_unitary(3, seed=seed + 100 + i) for i in range(count)]
+    xs = [0.5 * (a - a.conj().T) for a in (rng.standard_normal((3, 3))
+                                           + 1j * rng.standard_normal((3, 3)) for _ in us)]
+    return us, xs
+
+
+def test_cp_core_members_have_the_bits_of_the_one_probe_function():
+    psi = _example_map(seed=25)
+    w0 = np.array([1.0, -0.5j])
+    sigma_fn = lambda u: w0 + psi.apply(u) @ (0.5 * w0)  # noqa: E731
+    us, xs = _cp_probes(9, seed=26)
+    stacked = cpmaps._cp_covariant(psi, sigma_fn, us, xs)
+    assert stacked.shape == (9, 2)
+    for u, a, got in zip(us, xs, stacked):
+        assert np.array_equal(got, cp_covariant_derivative(psi, sigma_fn, u, a))
+
+
+def test_cp_covariant_derivative_raises_on_a_non_finite_value_at_its_point():
+    # NaN only at u = I: the stencil is finite, and the derivative read [nan, nan]
+    psi = random_unital_cpmap(3, 2, 4, np.random.default_rng(27))
+    sigma_fn = lambda u: np.full(2, np.nan) if np.array_equal(u, np.eye(3)) else psi.apply(u)[0]
+    a = np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1j]], dtype=complex)
+    with pytest.raises(NumericsError, match="section value or derivative is not finite"):
+        cp_covariant_derivative(psi, sigma_fn, np.eye(3, dtype=complex), a)
+
+
+def _group_kernels():
+    psi = _example_map(seed=28)
+    triple = stinespring_dilate(psi)
+    p = coordinate_projector(3, 1)
+    return [cp_kernel(psi), lambda_kernel(psi, triple)[0], homogeneous_kernel(3, p)]
+
+
+@pytest.mark.parametrize("k", _group_kernels(), ids=lambda k: k.name)
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (4, 1, 5), (3, 2, 3)],
+                         ids=lambda s: "L{}-a{}-b{}".format(*s))
+def test_group_kernel_blocks_have_the_bits_of_a_per_pair_eval_loop(k, shape):
+    # one compress of the (L, a, b, n, n) stack u* v against the loop over eval, pair by pair
+    n_blocks, a, b = shape
+    us = np.array([random_unitary(3, seed=300 + i) for i in range(n_blocks * (a + b))])
+    ss = list(us[:n_blocks * a].reshape(n_blocks, a, 3, 3))
+    ts = list(us[n_blocks * a:].reshape(n_blocks, b, 3, 3))
+    loop = Kernel(k.fiber_dim, k.domain, k.eval, k.d2, name=k.name)  # no batch: eval per pair
+    got = k._values(ss, ts)
+    assert got.shape == (n_blocks, a * k.fiber_dim, b * k.fiber_dim)
+    assert np.array_equal(got, loop._values(ss, ts))
+    if n_blocks == 1:
+        assert np.array_equal(k.block(list(ss[0]), list(ts[0])), got[0])
+
+
+@pytest.mark.parametrize("k", _group_kernels(), ids=lambda k: k.name)
+def test_a_group_kernels_evaluate_makes_no_eval_call(k):
+    never = replace(k, eval=lambda u, v: pytest.fail("eval called pair by pair"))
+    us, xs = _cp_probes(4, seed=29)
+    m = k.fiber_dim
+    sigma = Section(F=lambda u: np.asarray(u)[:m, 0])
+    for backend in ("closed-form", "direct", "sampled"):
+        got = make_evaluator(never, backend).evaluate(sigma, us, xs)
+        assert np.array_equal(got, make_evaluator(k, backend).evaluate(sigma, us, xs)), backend
 
 
 def test_a_cpmap_derives_its_kraus_operators_from_its_choi_matrix(monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kernelconnect import grassmann
 from kernelconnect.connections import Section, covariant_derivative_direct
 from kernelconnect.cpmaps import random_unitary
 from kernelconnect.grassmann import (
@@ -24,7 +25,7 @@ from kernelconnect.grassmann import (
     universal_kernel,
 )
 from kernelconnect.kernels import DomainError
-from kernelconnect.numerics import hermitian_eigh
+from kernelconnect.numerics import NumericsError, hermitian_eigh
 from kernelconnect.verify import grassmann_agreement
 
 
@@ -114,6 +115,39 @@ def test_reductive_residual_has_the_bits_of_its_loop_over_unitaries():
 def test_reductive_axioms_reject_noncommuting_unitary():
     with pytest.raises(DomainError):
         reductive_axioms_residual(coordinate_projector(4, 2), [random_unitary(4, seed=3)])
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["nan-first", "nan-second"])
+def test_reductive_axioms_reject_a_non_finite_unitary_in_either_order(first):
+    # the NaN commute test read False and Python's max dropped a NaN that was not first: [I, U_nan]
+    # returned 0.0, a pass
+    u_nan = np.full((4, 4), np.nan)
+    unitaries = [u_nan, np.eye(4)] if first else [np.eye(4), u_nan]
+    with pytest.raises(DomainError, match="unitary is not finite"):
+        reductive_axioms_residual(coordinate_projector(4, 2), unitaries, n_probes=3)
+
+
+def test_homogeneous_core_members_have_the_bits_of_the_one_probe_function():
+    n, rng = 3, np.random.default_rng(23)
+    p = coordinate_projector(n, 1)
+    z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phi = lambda u: p.p @ (np.asarray(u).conj().T @ z0)  # noqa: E731
+    us = [random_unitary(n, seed=60 + i) for i in range(7)]
+    xs = [random_grass_tangent(p, rng).generator for _ in us]
+    stacked = grassmann._homogeneous(phi, p, us, xs)
+    assert stacked.shape == (7, n)
+    for u, x, got in zip(us, xs, stacked):
+        assert np.array_equal(got, homogeneous_covariant_derivative(phi, p, u, x))
+
+
+def test_homogeneous_derivative_raises_on_a_non_finite_value_at_its_point():
+    # NaN only at u itself: the stencil is finite, and the NaN range test let it through
+    p = coordinate_projector(3, 1)
+    z0 = np.ones(3, dtype=complex)
+    phi = lambda u: np.full(3, np.nan) if np.array_equal(u, np.eye(3)) else p.p @ (u.conj().T @ z0)
+    x = random_grass_tangent(p, np.random.default_rng(24)).generator
+    with pytest.raises(NumericsError, match="section value or derivative is not finite"):
+        homogeneous_covariant_derivative(phi, p, np.eye(3, dtype=complex), x)
 
 
 def test_maurer_cartan_requires_complement_direction():
@@ -231,21 +265,6 @@ def test_homogeneous_kernel_keeps_its_explicit_formula_bits():
     a = random_grass_tangent(p, np.random.default_rng(19)).generator
     assert np.array_equal(hk(u, v), b.conj().T @ (u.conj().T @ v) @ b)
     assert np.array_equal(hk.d2(u, v, a), b.conj().T @ (u.conj().T @ v @ a) @ b)
-
-
-def test_homogeneous_equivariance_spot_check():
-    n = 3
-    p = coordinate_projector(n, 1)
-    rng = np.random.default_rng(13)
-    phi = lambda u: p.p @ (np.asarray(u).conj().T @ np.ones(n))
-    w = scipy.linalg.block_diag(random_unitary(1, seed=14), random_unitary(2, seed=15))
-    u = random_unitary(n, seed=16)
-    x = random_grass_tangent(p, rng).generator
-    # equivariant phi passes the optional spot check
-    homogeneous_covariant_derivative(phi, p, u, x, equivariance_probes=[w])
-    bad = lambda u: p.p @ np.ones(n)
-    with pytest.raises(DomainError):
-        homogeneous_covariant_derivative(bad, p, u, x, equivariance_probes=[w])
 
 
 def _fiber_basis_uncached(point):

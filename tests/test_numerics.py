@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kernelconnect.numerics import (
     NumericsError,
+    _max_norm,
     format_complex,
     hermitian_eigh,
     hermitian_solve,
@@ -120,3 +121,33 @@ def test_one_by_one_solve_is_rhs_over_the_real_entry_bit_for_bit(m, rhs):
 def test_one_by_one_solve_keeps_its_checks(m, message):
     with pytest.raises(NumericsError, match=message):
         hermitian_solve(m, np.ones(1))
+
+
+def _loop_max(rows):
+    """The max of per-row norms, a NaN propagating: the reference for _max_norm."""
+    norms = [float(np.linalg.norm(r)) for r in rows]
+    return float(np.max(norms)) if norms else 0.0
+
+
+@pytest.mark.parametrize("shape", [(50, 1), (40, 3), (30, 4, 4), (1, 2), (200, 6)])
+def test_max_norm_has_the_bits_of_the_max_of_per_row_norms(shape):
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-15, 1.0, 1e8):
+        rows = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        assert _max_norm(rows) == _loop_max(rows)
+        assert _max_norm(rows.real) == _loop_max(rows.real)
+
+
+def test_max_norm_on_ties_zero_rows_nan_and_no_rows():
+    rng = np.random.default_rng(5)
+    row = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    tied = np.array([row, row[::-1], 1j * row, row])  # equal norms, which may round apart
+    assert _max_norm(tied) == _loop_max(tied)
+    assert _max_norm(np.zeros((4, 3), dtype=complex)) == 0.0
+    assert _max_norm(np.concatenate([np.zeros((3, 3)), tied])) == _loop_max(tied)
+    assert _max_norm(np.zeros((0, 3))) == 0.0
+    for i in range(4):  # a NaN propagates wherever it is, as Python's max would not
+        rows = tied.copy()
+        rows[i, 1] = np.nan
+        assert np.isnan(_max_norm(rows))
+    assert _max_norm(np.array([[np.inf, 0.0], [1.0, 2.0]])) == np.inf

@@ -6,6 +6,7 @@ from kernelconnect.grassmann import HermitianProjector, coordinate_projector, un
 from kernelconnect.kernels import (
     DomainError,
     VectorDomain,
+    gram_matrix,
     make_bergman_disk,
     make_fock,
     make_rank_one_kernel,
@@ -13,6 +14,7 @@ from kernelconnect.kernels import (
 from kernelconnect.numerics import NumericsError
 from kernelconnect.rkhs import (
     RKHSElement,
+    _certify,
     build_rkhs,
     evaluate_element,
     project_fiber,
@@ -184,3 +186,21 @@ def test_lookup_finds_projectors_by_their_matrix():
     assert [r.point_index(HermitianProjector(p.p.copy(), 2)) for p in pts[::-1]] == [3, 2, 1, 0]
     with pytest.raises(KeyError):
         r.point_index(coordinate_projector(4, 1))
+
+
+def test_certify_reads_an_array_of_samples_as_its_list_of_points():
+    # the sampled backend's (L, N, ...) arrays are reshaped, not raveled point by point
+    k = make_bergman_disk(2)
+    samples = np.array([[[0.1], [0.2j], [-0.3]], [[0.4], [0.1 + 0.1j], [0.0]]], dtype=complex)
+    grams = np.array([gram_matrix(k, list(pts)) for pts in samples])
+    got = _certify(samples, grams)
+    assert np.array_equal(got, _certify([list(pts) for pts in samples], grams))
+    message = r"duplicate sample points at indices 0 and 1 \(sample 1 of 2\)"
+    samples[1, 1] = samples[1, 0]
+    with pytest.raises(ValueError, match=message):
+        _certify(samples, grams)
+    # unitaries: each (n, n) matrix is one point
+    us = np.array([random_unitary(3, seed=i) for i in range(6)]).reshape(2, 3, 3, 3)
+    us[1, 1] = us[1, 0]
+    with pytest.raises(ValueError, match=message):
+        _certify(us, np.broadcast_to(np.eye(3), (2, 3, 3)))
