@@ -240,9 +240,11 @@ def _cmd_connect_covderiv(args) -> int:
     sigma = _builtin_section(args.section, k)
     values = {name: make_evaluator(k, name)(sigma, s, x)
               for name in ("closed-form", "direct", "sampled")}
-    spread = max(float(np.linalg.norm(values[a] - values[b]))
-                 for a in values for b in values)
-    scale = max(1.0, *(float(np.linalg.norm(v)) for v in values.values()))
+    # norms of the values over a power of two m >= 1 near their largest entry: exact, no overflow
+    m = 2.0 ** max(0, int(np.frexp(max(abs(v).max() for v in values.values()))[1]) - 1)
+    u = {name: v / m for name, v in values.items()}
+    spread = m * max(float(np.linalg.norm(u[a] - u[b])) for a in u for b in u)
+    scale = max(1.0, m * max(float(np.linalg.norm(v)) for v in u.values()))
     _emit_json({
         "closed": _vector_json(values["closed-form"]),
         "direct": _vector_json(values["direct"]),

@@ -116,13 +116,13 @@ def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
 
 
 def _closed_form(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
-    alpha = hermitian_solve(*k._jet(s, x, h))
     values = _fiber(sigma._values(s), k.fiber_dim)[..., None]
-    if sigma.dF is None:
+    if sigma.dF is None:  # before d2 reads x: the stencil rejects an |x| that would overflow
         stencils, weights = k.domain._stencils(s, x, h)
         dsigma = stencil_sum(weights, sigma._values(stencils, 2))
     else:
         dsigma = np.array([sigma.dF(p, v) for p, v in zip(s, x)])
+    alpha = hermitian_solve(*k._jet(s, x, h))
     return _fiber(dsigma.reshape(len(s), -1), k.fiber_dim) + (alpha @ values)[..., 0]
 
 
@@ -155,7 +155,7 @@ def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np
     kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
     values = _fiber(sigma._values(stencils, 2), m)
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
-    return hermitian_solve(kst[:, 0], deriv[..., None])[..., 0]
+    return _fiber(hermitian_solve(kst[:, 0], deriv[..., None])[..., 0], m)  # finite, or it raises
 
 
 def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
@@ -168,7 +168,7 @@ def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> n
     c = np.zeros((n, 5, m), dtype=complex)  # the derivative element: += keeps each zero's sign
     c[:, [0, 1, 3, 4]] += weights[..., None] * v
     projected = _project(grams, m, 2, c.reshape(n, 5 * m, 1))  # onto the fiber at s
-    return _project(grams, m, 2, projected)[:, 2 * m:3 * m, 0]  # kappa(s,s)^(-1) of its value at s
+    return _fiber(_project(grams, m, 2, projected)[:, 2 * m:3 * m, 0], m)  # kappa(s,s)^(-1) f(s)
 
 
 def _five(s: Sequence, stencils: Sequence, i: int) -> Sequence:

@@ -187,30 +187,28 @@ class VectorDomain(Domain):
         """Domain._stencils as arrays at checked (L, d) probes: (L, 4, d) stencil points and
         (L, 4) weights.
 
-        h shrinks in proportion to an edge distance d < EDGE_LAYER.  Where h |x| <= 1e-12 the
-        stencil would collapse (1e-12 rule): it runs along x / |x| (e_1 at x = 0), its weights
-        times |x|.  A step under 1e6 ulps of the probe's largest coordinate would round the stencil
-        points onto each other, so it is an error, which names the probe.  A straight line can leave
-        the domain, so the stencil points are checked once; an error names the point and its probe.
+        Every stencil runs along x / |x|, |x| the largest coordinate modulus (e_1 at x = 0), its
+        weights times |x|: the derivative is real-linear in x, and the error does not grow with |x|.
+        h shrinks in proportion to an edge distance d < EDGE_LAYER.  A step under 1e6 ulps of |s|
+        or an |x| over 1e308 steps (the weights would overflow) is an error naming the probe.  Only
+        h >= EDGE_LAYER / 2 takes a stencil point out of the domain: an error names it, its probe.
         """
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
-        # the distance d to the edge, > 0 at a checked point; inf on an unbounded domain
         d = np.full((len(s), 1), np.inf) if self.edge is None else self.edge(s)[:, None]
         step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)
-        blurred = step[:, 0] < 2.2e-10 * np.abs(s).max(axis=1, initial=0.0)
-        if blurred.any():
-            j = int(np.argmax(blurred))
-            raise self._error(f"stencil step {step[j, 0]:.3e} is too small to resolve the point",
-                              j, len(s), "probe")
-        weights = _WEIGHTS / (12.0 * step)
-        size = np.abs(x).max(axis=1, initial=0.0)[:, None]
-        tiny = step * size <= 1e-12
-        if tiny.any():  # the derivative is real-linear in x
-            unit = (x + (size == 0) * np.eye(1, x.shape[1])) / np.where(size > 0, size, 1.0)
-            x = np.where(tiny, unit, x)
-            weights = np.where(tiny, weights * size, weights)
-        stencils = s[:, None] + (step * _OFFSETS)[..., None] * x[:, None]
+        size = np.hypot(x.real, x.imag).max(axis=1, initial=0.0, keepdims=True)  # as abs(z) rounds
+        long = step * 1e300 < size * 1e-8  # the weights 8 |x| / (12 step) would overflow
+        if (wrong := long | (step < 2.2e-10 * np.abs(s).max(axis=1, keepdims=True))).any():
+            j = int(np.argmax(wrong))
+            reason = (f"|x| = {size[j, 0]:.3e} overflows the stencil weights" if long[j, 0] else
+                      f"stencil step {step[j, 0]:.3e} is too small to resolve the point")
+            raise self._error(reason, j, len(s), "probe")
+        weights = _WEIGHTS / (12.0 * step) * size
+        if np.count_nonzero(size) < len(size):  # along e_1 at x = 0, where the weights are zero
+            x, size = np.where(size == 0, np.eye(1, self.dim), x), size + (size == 0)
+        unit = (x.view(float) / size).view(complex)  # part by part: 1 / |x| may overflow
+        stencils = s[:, None] + (step * _OFFSETS)[..., None] * unit[:, None]
         bad = self._outside(stencils.reshape(-1, self.dim))
         if bad is not None:
             j, i = divmod(bad[0], len(_OFFSETS))

@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
-DEFAULT_STEP = 1e-4  # stencil truncation ~1e-12 up to |s| = 0.9 on the disk; see EDGE_LAYER
+DEFAULT_STEP = 1e-4  # stencil truncation ~1e-12 |x|, along x / |x|, up to |s| = 0.9 on the disk
 
 
 class NumericsError(ValueError):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -179,7 +180,8 @@ def test_connect_covderiv_judges_the_spread_relative_to_the_derivative(capsys):
     assert run_cli(capsys, *argv, "--tol", "1e-11")[0] == 1
 
 
-@pytest.mark.parametrize("direction, value", [("0", 0.0), ("1e-9", 4e-9 / 3), ("1e-300", 0.0)])
+@pytest.mark.parametrize("direction, value", [("0", 0.0), ("1e-9", 4e-9 / 3), ("1e-300", 0.0),
+                                              ("1e-320", 0.0)])
 def test_connect_covderiv_takes_a_zero_or_tiny_direction(capsys, direction, value):
     code, out, _ = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
                            "--point", "0.5", "--direction", direction)
@@ -187,6 +189,23 @@ def test_connect_covderiv_takes_a_zero_or_tiny_direction(capsys, direction, valu
     rep = json.loads(out)
     for backend in ("closed", "direct", "sampled"):
         assert abs(parse_complex(rep[backend][0]) - value) < 1e-11
+
+
+def test_connect_covderiv_takes_a_long_direction_without_overflow(capsys):
+    # the three values are about 1.3e200: their norms must not square them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
+                                 "--point", "0.5", "--direction", "1e200")
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert 0 < rep["max_disagreement"] < 1e-6 * abs(parse_complex(rep["closed"][0]))
+
+
+def test_connect_covderiv_names_a_direction_that_overflows_the_stencil_weights(capsys):
+    code, _, err = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
+                           "--point", "0.5", "--direction", "1e305")
+    assert code == 1 and "overflows the stencil weights" in err
 
 
 @pytest.mark.parametrize("argv, flag, literal", [

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -282,15 +284,17 @@ def _bitwise_cases():
 
 def _per_pair_stencil(k, s, x, h=1e-4):
     """The stencil points and weights, restated: gamma(t) at t = -2h, -h, h, 2h, on the line
-    s + t x or the curve e^{tA} p e^{-tA}, e^{tA} = V diag(e^{itw}) V* where -iA = V w V*."""
-    ts = (-2.0 * h, -h, h, 2.0 * h)
+    s + t x / |x| (|x| the largest coordinate modulus, x nonzero, divided part by part), the
+    weights times |x|, or on the curve e^{tA} p e^{-tA}, e^{tA} = V diag(e^{itw}) V* where
+    -iA = V w V*."""
+    ts, weights = (-2.0 * h, -h, h, 2.0 * h), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     if isinstance(s, HermitianProjector):
         w, v = hermitian_eigh(-1j * x.generator)
         us = [np.eye(s.n) @ (v * np.exp(1j * t * w)) @ v.conj().T for t in ts]
-        points = [HermitianProjector(u @ s.p @ u.conj().T, s.rank) for u in us]
-    else:
-        points = [s + t * x for t in ts]
-    return points, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+        return [HermitianProjector(u @ s.p @ u.conj().T, s.rank) for u in us], weights
+    size = max(abs(complex(c)) for c in np.atleast_1d(x))
+    unit = np.array([complex(c.real / size, c.imag / size) for c in np.atleast_1d(x)])
+    return [s + t * unit for t in ts], weights * size
 
 
 def test_backends_equal_their_per_pair_formulas_bit_for_bit():
@@ -466,7 +470,7 @@ def test_stacked_evaluation_equals_the_one_point_loop_bit_for_bit(backend):
 @pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
 @pytest.mark.parametrize("direction", [[0.0], (0.0,), np.zeros(1), [1e-20], [1e-9j], [1e-300]])
 def test_every_backend_is_real_linear_where_its_stencil_would_collapse(backend, direction):
-    # the 1e-12 rule lives in the stencil: whatever the type of the direction, no backend
+    # every stencil runs along x / |x|: whatever the type of the direction, no backend
     # collapses its stencil or its sample, and a zero direction gives exactly zero
     k = make_bergman_disk(2)
     sigma = Section(F=lambda p: np.array([1.0 + 0.3 * complex(p[0])]))
@@ -479,19 +483,66 @@ def test_every_backend_is_real_linear_where_its_stencil_would_collapse(backend, 
     assert abs(got[0] - want) <= 1e-9 * abs(want)
 
 
+def _linearity_cases():
+    """(kernel, section, point, direction): disk nu=3 at |s| = 0.9, the half-plane and Fock."""
+    rng = np.random.default_rng(41)
+    cases = []
+    for k, s in [(make_bergman_disk(3), np.array([0.9 * np.exp(0.7j)])),
+                 (make_bergman_halfplane(2), np.array([0.2 + 0.6j])),
+                 (make_fock(np.eye(3)),
+                  0.5 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))]:
+        dim = k.domain.dim
+        a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        sigma = Section(F=lambda p, a=a: np.array([np.exp(a @ np.asarray(p, dtype=complex))]))
+        cases.append((k, sigma, s, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)))
+    return cases
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+@pytest.mark.parametrize("c", [1e-300, 1e-9, 10.0, 100.0, 1e4, 1e150])
+def test_every_backend_is_real_linear_at_every_scale(backend, c):
+    # the stencil runs along x / |x| with its weights times |x|: its error does not grow with |x|,
+    # and c x differs from c times x only by the stencil's rounding, eps / h relative, ~1e-12
+    for k, sigma, s, x in _linearity_cases():
+        nabla = make_evaluator(k, backend)
+        want = c * nabla(sigma, s, x)
+        assert np.abs(nabla(sigma, s, c * x) - want).max() <= 1e-11 * np.abs(want).max(), k.name
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+@pytest.mark.parametrize("size", [1e305, 1.7e308])
+def test_every_backend_rejects_a_direction_that_overflows_the_stencil_weights(backend, size):
+    for k, sigma, s, x in _linearity_cases():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match=r"\|x\| = .* overflows the stencil weights"):
+                make_evaluator(k, backend)(sigma, s, size * (x / np.abs(x).max()))
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+def test_a_backend_raises_where_the_derivative_overflows(backend):
+    # at |s| = 0.9999 the weighted kernel values overflow long before the weights do
+    k, sigma = make_bergman_disk(3), Section(F=lambda p: np.array([np.exp(0.3 * complex(p[0]))]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+        with pytest.raises(ValueError, match="not finite"):
+            make_evaluator(k, backend)(sigma, np.array([0.9999]), np.array([1e296]))
+
+
 def test_a_stack_names_the_probe_whose_point_or_stencil_point_leaves_the_domain():
     k = make_bergman_disk(2)
     pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
     for backend in ("closed-form", "direct", "sampled"):
         with pytest.raises(DomainError, match=r"too close to the unit circle \(point 2 of 3\)"):
             make_evaluator(k, backend).evaluate(CONSTANT, pts, xs)
-    # with h = 0.1 the last stencil point of the second probe is 0.5 + 2h * 2.5 = 1; the closed
-    # form reads that stencil for d(sigma) of a section without dF
+    # with h = 0.1 the last stencil point of the second probe is 0.85 + 2h = 1.05, whatever the
+    # length of its direction; the closed form reads that stencil for d(sigma) of a section
+    # without dF
     for backend in ("closed-form", "direct", "sampled"):
-        message = r"\|s\| = 1\.00000000 .* \(stencil point 3 of probe 1\)"
+        message = r"\|s\| = 1\.05000000 .* \(stencil point 3 of probe 1\)"
         with pytest.raises(DomainError, match=message):
             make_evaluator(k, backend, h=0.1).evaluate(Section(F=CONSTANT.F),
-                                                       pts[:1] + [np.array([0.5])],
+                                                       pts[:1] + [np.array([0.85])],
                                                        [np.ones(1), 2.5 * np.ones(1)])
 
 
@@ -549,7 +600,8 @@ def test_dsigma_and_df_each_read_one_stencils_call_for_a_stack(monkeypatch):
 
 
 def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
-    # U(n) has no 1e-12 rule: a zero tangent collapses that probe's sample, and only its own
+    # U(n) stencils run along the tangent itself: a zero tangent collapses that probe's sample,
+    # and only its own
     k, sigma, us, xs = _stack_cases()[-1]
     nabla = make_evaluator(k, "sampled")
     message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 4\)"

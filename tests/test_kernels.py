@@ -393,16 +393,19 @@ def test_stencils_of_a_stack_are_the_stencils_of_its_points_bit_for_bit():
     # vector domains build every curve as one array, with each point's edge-layer step
     disk = make_bergman_disk(2).domain
     pts = [np.array([r * np.exp(1j * r)]) for r in (0.0, 0.5, 0.9, 0.93, 0.99, 0.9999)]
+    pts.append(np.array([0.3j]))
     xs = [np.array([1.0 - 2.0j]), np.array([0.3j]), np.array([-1.0]), np.array([2.0]),
-          np.array([1e-3 + 1e-3j]), np.array([0.7])]
+          np.array([1e-3 + 1e-3j]), np.array([0.7]), np.array([0.0])]
     s, x = disk.jets(pts, xs)
     q, w = disk._stencils(s, x, 1e-4)
     for j, (p, x) in enumerate(zip(pts, xs)):
         d = DISK_BOUNDARY_GUARD - abs(p[0])
         h = 1e-4 * d / 0.08 if d < 0.08 else 1e-4
+        size = abs(complex(x[0]))  # the line runs along x / |x|, part by part; along 1 at x = 0
+        unit = np.array([complex(x[0].real / size, x[0].imag / size) if size else 1.0])
         assert np.array_equal(s[j], p)
-        assert np.array_equal(q[j], np.array([p + t * x for t in (-2.0 * h, -h, h, 2.0 * h)]))
-        assert np.array_equal(w[j], np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h))
+        assert np.array_equal(q[j], np.array([p + t * unit for t in (-2.0 * h, -h, h, 2.0 * h)]))
+        assert np.array_equal(w[j], np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h) * size)
     disk.stack(q.reshape(-1, 1))  # every stencil point stays inside
 
 
@@ -458,8 +461,11 @@ def test_derivatives_of_a_stack_are_the_derivatives_of_its_probes_bit_for_bit():
 def test_stencil_is_the_five_point_rule_along_the_curve():
     s, x, h = np.array([0.3 - 0.1j]), np.array([1.0 + 2.0j]), 1e-3
     (points,), (weights,) = VectorDomain(1)._stencils(*VectorDomain(1).jets((s,), (x,)), h)
-    assert np.array_equal(np.array(points), s + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * h * x)
-    assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h))
+    size = abs(complex(x[0]))  # the line runs along x / |x|, part by part; the weights times |x|
+    unit = np.array([complex(x[0].real / size, x[0].imag / size)])
+    assert np.array_equal(np.array(points),
+                          s + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * h * unit)
+    assert np.array_equal(weights, np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h) * size)
 
 
 @pytest.mark.parametrize("make, point", [  # point(d) lies at distance d from the edge
