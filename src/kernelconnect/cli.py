@@ -14,38 +14,13 @@ import sys
 import numpy as np
 
 from . import verify
-from .connections import (
-    Curve,
-    Section,
-    _transport,
-    covariant_derivative_direct,
-    make_evaluator,
-)
-from .cpmaps import (
-    CPMap,
-    cp_covariant_derivative,
-    cp_kernel,
-    random_unitary,
-    stinespring_dilate,
-    verify_dilation,
-)
-from .kernels import (
-    DomainError,
-    Kernel,
-    gram_matrix,
-    make_bergman_disk,
-    make_bergman_halfplane,
-    make_fock,
-    positivity_certificate,
-)
-from .numerics import (
-    DEFAULT_TOL,
-    NumericsError,
-    format_complex,
-    matrix_to_csv_text,
-    parse_complex,
-    read_matrix_csv,
-)
+from .connections import Curve, Section, _transport, covariant_derivative_direct, make_evaluator
+from .cpmaps import (CPMap, cp_covariant_derivative, cp_kernel, random_unitary, stinespring_dilate,
+                     verify_dilation)
+from .kernels import (DomainError, Kernel, gram_matrix, make_bergman_disk, make_bergman_halfplane,
+                      make_fock, positivity_certificate)
+from .numerics import (DEFAULT_TOL, NumericsError, format_complex, matrix_to_csv_text,
+                       parse_complex, read_matrix_csv)
 from .rkhs import build_rkhs, universality_residual
 
 __all__ = ["main", "parse_kernel_spec", "KERNEL_SPEC_GRAMMAR"]
@@ -170,7 +145,12 @@ def _builtin_section(name: str, k: Kernel) -> Section:
 # ---------------------------------------------------------------------------
 # Subcommand handlers (each returns the process exit code)
 
+# Commands that evaluate a kernel or a derivative: where a value overflows, the library's
+# finiteness check raises `... is not finite` (exit 1) without a RuntimeWarning before it
+_overflow_checked = np.errstate(over="ignore", invalid="ignore")
 
+
+@_overflow_checked
 def _cmd_kernel_eval(args) -> int:
     k = parse_kernel_spec(args.kernel)
     s = _parse_point(k, args.point)
@@ -183,6 +163,7 @@ def _cmd_kernel_eval(args) -> int:
     return 0
 
 
+@_overflow_checked
 def _cmd_kernel_gram(args) -> int:
     k = parse_kernel_spec(args.kernel)
     pts = _parse_points(k, args.points)
@@ -215,6 +196,7 @@ def _build_rkhs(args):
         raise UsageError(str(exc)) from exc
 
 
+@_overflow_checked
 def _cmd_rkhs_gram(args) -> int:
     r = _build_rkhs(args)
     if args.format == "json":
@@ -225,6 +207,7 @@ def _cmd_rkhs_gram(args) -> int:
     return 0
 
 
+@_overflow_checked
 def _cmd_rkhs_universality(args) -> int:
     r = _build_rkhs(args)
     residual = universality_residual(r)
@@ -233,6 +216,7 @@ def _cmd_rkhs_universality(args) -> int:
     return 0 if residual < args.tol else 1
 
 
+@_overflow_checked
 def _cmd_connect_covderiv(args) -> int:
     k = parse_kernel_spec(args.kernel)
     s = _parse_point(k, args.point)
@@ -255,6 +239,7 @@ def _cmd_connect_covderiv(args) -> int:
     return 0 if spread < args.tol * scale else 1
 
 
+@_overflow_checked
 def _cmd_connect_transport(args) -> int:
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
@@ -347,6 +332,7 @@ def _cmd_cp_kernel(args) -> int:
     return 0
 
 
+@_overflow_checked
 def _cmd_cp_covderiv(args) -> int:
     psi = _load_cpmap(args.choi, args.n)
     k = cp_kernel(psi)

@@ -22,7 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .kernels import BundleMorphism, Kernel, _members, stencil_sum
-from .numerics import DEFAULT_STEP, NumericsError, _max_norm, hermitian_solve
+from .numerics import DEFAULT_STEP, NumericsError, _finite, _max_norm, _solve
 from .rkhs import _certify, _project
 
 __all__ = [
@@ -57,15 +57,16 @@ class Section:
     batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def value(self, s) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.F(s), dtype=complex))
+        v = np.asarray(self.F(s), dtype=complex)
+        return v if v.ndim else v.reshape(1)
 
     def _values(self, points, depth: int = 1) -> np.ndarray:
         """The (..., M) values at a stack of points `depth` axes deep (2 for stencils): one `batch`
         call on a vector-domain array, else a loop over `F`.  Every backend reads values here."""
         if self.batch is not None and isinstance(points, np.ndarray):
             return np.asarray(self.batch(points), dtype=complex)
-        return np.array([self._values(p, depth - 1) if depth > 1 else self.value(p)
-                         for p in points])
+        return np.array([self.value(p) for p in points] if depth == 1 else
+                        [[self.value(p) for p in ps] for ps in points])
 
 
 @dataclass(frozen=True)
@@ -106,7 +107,7 @@ def connection_form(k: Kernel, s, h: float = DEFAULT_STEP) -> Callable[[object],
 def connection_forms(k: Kernel, points: Sequence, directions: Sequence,
                      h: float = DEFAULT_STEP) -> np.ndarray:
     """The (L, M, M) stack of forms alpha_{s_j}(x_j), from one diagonal jet and one solve."""
-    return hermitian_solve(*k.diagonal_jet(points, directions, h))
+    return _solve(*k.diagonal_jet(points, directions, h))
 
 
 def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
@@ -122,7 +123,7 @@ def _closed_form(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) 
         dsigma = stencil_sum(weights, sigma._values(stencils, 2))
     else:
         dsigma = np.array([sigma.dF(p, v) for p, v in zip(s, x)])
-    alpha = hermitian_solve(*k._jet(s, x, h))
+    alpha = _solve(*k._jet(s, x, h))
     return _fiber(dsigma.reshape(len(s), -1), k.fiber_dim) + (alpha @ values)[..., 0]
 
 
@@ -131,7 +132,7 @@ def _fiber(values, m: int) -> np.ndarray:
     v = np.asarray(values, dtype=complex)
     if v.shape[-1] != m:
         raise ValueError(f"section value has {v.shape[-1]} entries, fiber dimension is {m}")
-    if not np.isfinite(v).all():
+    if not _finite(v):
         raise NumericsError("section value or derivative is not finite")
     return v
 
@@ -155,7 +156,7 @@ def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np
     kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
     values = _fiber(sigma._values(stencils, 2), m)
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
-    return _fiber(hermitian_solve(kst[:, 0], deriv[..., None])[..., 0], m)  # finite, or it raises
+    return _fiber(_solve(kst[:, 0], deriv[..., None])[..., 0], m)  # finite, or it raises
 
 
 def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
@@ -165,8 +166,9 @@ def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> n
     _certify(samples, grams)
     m, n = k.fiber_dim, len(grams)
     v = _fiber(sigma._values(stencils, 2), m)
-    c = np.zeros((n, 5, m), dtype=complex)  # the derivative element: += keeps each zero's sign
-    c[:, [0, 1, 3, 4]] += weights[..., None] * v
+    c, wv = np.zeros((n, 5, m), dtype=complex), weights[..., None] * v  # the derivative element
+    c[:, :2] += wv[:, :2]  # += keeps each zero's sign
+    c[:, 3:] += wv[:, 2:]
     projected = _project(grams, m, 2, c.reshape(n, 5 * m, 1))  # onto the fiber at s
     return _fiber(_project(grams, m, 2, projected)[:, 2 * m:3 * m, 0], m)  # kappa(s,s)^(-1) f(s)
 
@@ -218,7 +220,7 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
     nodes = np.sort(np.concatenate(grids))  # their union (np.unique would import numpy.ma)
     nodes = nodes[np.diff(nodes, prepend=-1.0) > 0]
     kss, d2 = k.diagonal_jet(list(map(curve.gamma, nodes)), list(map(curve.velocity, nodes)))
-    forms, eye, out = -hermitian_solve(kss, d2), np.eye(k.fiber_dim), []
+    forms, eye, out = -_solve(kss, d2), np.eye(k.fiber_dim), []
     for n, grid in zip(rungs, grids):
         a, dt = forms[np.searchsorted(nodes, grid)], 1.0 / n
         k1 = a[:-1:2]
@@ -228,7 +230,7 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
         v = v0
         for p in eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
             v = p @ v
-        if not np.isfinite(v).all():
+        if not _finite(v):
             raise NumericsError(f"transport at {n} steps is not finite")
         out.append(v)
     return out, kss[[0, -1]]

@@ -316,7 +316,7 @@ def _reductive(f_ambient, gs: Sequence, xs: Sequence, base: HermitianProjector) 
     """The (L, n) reductive derivatives at L probes (g_j, x_j), from one U(n) stencil stack; its
     5L orbit points u p u* (4L stencil points, and the g_j) are checked as projectors at once."""
     domain = UnitaryDomain(base.n)
-    g, x = (np.asarray(a, dtype=complex) for a in domain.jets(gs, xs))  # checks g and x
+    g, x = domain.jets(gs, xs)  # checks g and x
     stencils, weights = domain._stencils(g, x, DEFAULT_STEP)
     u = np.concatenate([stencils, g[:, None]], axis=1)
     orbit = _derived(_projectors(u @ base.p @ u.conj().swapaxes(-1, -2), base.rank), base.rank)
@@ -361,9 +361,7 @@ def _group_jets(f, us: Sequence, xs: Sequence, n: int, m: int) -> tuple[np.ndarr
     from one stencil stack, the (L, m) values f(u_j) and the (L, n, n) directions.  f is called at
     the 5L points, and its values are checked as a section's: m long and finite."""
     domain = UnitaryDomain(n)
-    us, xs = domain.jets(us, xs)
-    x = np.asarray(xs, dtype=complex)
+    us, x = domain.jets(us, xs)
     stencils, weights = domain._stencils(us, x, DEFAULT_STEP)
-    v = _fiber([f(q) for ps in stencils for q in ps] + [f(np.asarray(u, dtype=complex))
-                                                        for u in us], m)
+    v = _fiber([f(q) for ps in stencils for q in ps] + [f(u) for u in us], m)
     return stencil_sum(weights, v[:4 * len(x)].reshape(len(x), 4, m)), v[4 * len(x):], x

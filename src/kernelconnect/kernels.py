@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import DEFAULT_STEP, NumericsError, hermitian_eigh
+from .numerics import DEFAULT_STEP, NumericsError, _as_matrix, _eigh, _finite, hermitian_eigh
 
 __all__ = [
     "DomainError",
@@ -53,9 +53,14 @@ class DomainError(ValueError):
 def _finite_array(x, what: str) -> np.ndarray:
     """x as a complex array, after rejecting a non-finite entry: residual checks let NaN through."""
     a = np.asarray(x, dtype=complex)
-    if not np.isfinite(a).all():
+    if not _finite(a):
         raise DomainError(f"{what} is not finite")
     return a
+
+
+def _frobenius(m: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(m, axis=(-2, -1)), with its bits, without its Python-level checks."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
 
 
 def _as_point(s) -> np.ndarray:
@@ -101,6 +106,10 @@ class Domain:
         """d/dt|0 f(gamma(t)) on the curve gamma with the 1-jet (s, x): one-probe `derivatives`."""
         return self.derivatives((s,), (x,), f, h)[0]
 
+    def _error(self, reason: str, i: int, n: int, what: str = "point") -> DomainError:
+        """The error of entry i of n, which names the entry when there are several."""
+        return DomainError(f"{self.name}: {reason}" + (f" ({what} {i} of {n})" if n > 1 else ""))
+
 
 def _paired(points: Sequence, directions: Sequence) -> Sequence:
     """The directions of a stack of probes, one per point."""
@@ -111,12 +120,12 @@ def _paired(points: Sequence, directions: Sequence) -> Sequence:
 
 def stencil_sum(weights: np.ndarray, values: Sequence) -> np.ndarray:
     """sum_i w_i v_i in stencil order, for weights (..., 4) and values (..., 4, ...)."""
-    v = np.asarray(values, dtype=complex)
-    if not np.isfinite(v).all():
+    v, w = np.asarray(values, dtype=complex), np.asarray(weights)
+    if not _finite(v):
         raise NumericsError("non-finite function value at a stencil point")
-    w = np.reshape(weights, np.shape(weights) + (1,) * (v.ndim - np.ndim(weights)))
-    t = np.moveaxis(w * v, np.ndim(weights) - 1, 0)  # the four terms first
-    return ((t[0] + t[1]) + t[2]) + t[3]
+    t = w.reshape(w.shape + (1,) * (v.ndim - w.ndim)) * v
+    i = (slice(None),) * (w.ndim - 1)  # the four terms, along the weights' last axis
+    return ((t[i + (0,)] + t[i + (1,)]) + t[i + (2,)]) + t[i + (3,)]
 
 
 @dataclass(frozen=True)
@@ -159,7 +168,7 @@ class VectorDomain(Domain):
         """Domain.jets as checked (L, d) stacks of points and directions."""
         s = self.stack(points)
         x = np.array(_paired(s, directions), dtype=complex)
-        if not np.isfinite(x).all():  # then name the first probe whose tangent is not
+        if not _finite(x):  # then name the first probe whose tangent is not
             i = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
             raise self._error("tangent is not finite", i, len(x), "probe")
         x = x[:, None] if x.ndim == 1 else x  # scalar tangents of C^1
@@ -169,17 +178,13 @@ class VectorDomain(Domain):
             raise DomainError(f"{self.name}: tangent dimension {x.shape[1]} != {self.dim}")
         return s, x
 
-    def _error(self, reason: str, i: int, n: int, what: str = "point") -> DomainError:
-        """The error of entry i of n, which names the entry when there are several."""
-        return DomainError(f"{self.name}: {reason}" + (f" ({what} {i} of {n})" if n > 1 else ""))
-
     def _outside(self, flat: np.ndarray) -> Optional[tuple[int, str]]:
         """(i, reason) for the first of the (N, d) points outside the domain, or None."""
-        if not np.isfinite(flat).all():
+        if not _finite(flat):
             return int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
         if self.edge is not None and len(flat):
             d = self.edge(flat)
-            if not d.min() > 0:  # then name the first point at edge <= 0
+            if np.count_nonzero(d > 0) < d.size:  # then name the first point at edge <= 0
                 i = int(np.argmin(d > 0))
                 return i, self.reason(flat[i])
 
@@ -195,14 +200,17 @@ class VectorDomain(Domain):
         """
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
-        d = np.full((len(s), 1), np.inf) if self.edge is None else self.edge(s)[:, None]
-        step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)
-        size = np.hypot(x.real, x.imag).max(axis=1, initial=0.0, keepdims=True)  # as abs(z) rounds
+        d = np.inf if self.edge is None else self.edge(s)[:, None]
+        step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)  # 0-d when there is no edge
+        size = np.hypot(x.real, x.imag)  # as abs(z) rounds
+        size = np.maximum.reduce(size, 1, initial=0.0, keepdims=True)
         long = step * 1e300 < size * 1e-8  # the weights 8 |x| / (12 step) would overflow
-        if (wrong := long | (step < 2.2e-10 * np.abs(s).max(axis=1, keepdims=True))).any():
-            j = int(np.argmax(wrong))
+        wrong = long | (step < 2.2e-10 * np.abs(s))  # or under 1e6 ulps of a coordinate of s
+        if np.count_nonzero(wrong):
+            j = int(np.argmax(wrong)) // self.dim
             reason = (f"|x| = {size[j, 0]:.3e} overflows the stencil weights" if long[j, 0] else
-                      f"stencil step {step[j, 0]:.3e} is too small to resolve the point")
+                      f"stencil step {np.broadcast_to(step, size.shape)[j, 0]:.3e} is too small "
+                      "to resolve the point")
             raise self._error(reason, j, len(s), "probe")
         weights = _WEIGHTS / (12.0 * step) * size
         if np.count_nonzero(size) < len(size):  # along e_1 at x = 0, where the weights are zero
@@ -231,21 +239,43 @@ class UnitaryDomain(Domain):
     n: int
     name: str = "U(n)"
 
-    def check_point(self, u) -> None:
-        m = _finite_array(u, f"{self.name}: point")
-        if m.shape != (self.n, self.n):
-            raise DomainError(f"{self.name}: expected {self.n}x{self.n} matrix, got {m.shape}")
-        res = np.linalg.norm(m.conj().T @ m - np.eye(self.n))
-        if res > 1e-10:
-            raise DomainError(f"{self.name}: not unitary, ||u*u - I|| = {res:.3e}")
+    def stack(self, points: Sequence) -> np.ndarray:
+        """Domain.stack as one checked (N, n, n) array, by one stacked ||u*u - I||."""
+        u = self._matrices(points, "point", "point", "expected {n}x{n} matrix, got {shape}")
+        self._small(u.conj().swapaxes(-1, -2) @ u - np.eye(self.n), "not unitary, ||u*u - I||",
+                    "point")
+        return u
 
-    def check_tangent(self, u, a) -> None:
-        m = _finite_array(a, f"{self.name}: tangent")
-        if m.shape != (self.n, self.n):
-            raise DomainError(f"{self.name}: tangent shape {m.shape} != ({self.n},{self.n})")
-        res = np.linalg.norm(m + m.conj().T)
-        if res > 1e-10:
-            raise DomainError(f"{self.name}: tangent not anti-Hermitian, ||a + a*|| = {res:.3e}")
+    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Domain.jets as checked (L, n, n) stacks, the tangents by one stacked ||a + a*||."""
+        u = self.stack(points)
+        a = self._matrices(_paired(u, directions), "tangent", "probe",
+                           "tangent shape {shape} != ({n},{n})")
+        self._small(a + a.conj().swapaxes(-1, -2), "tangent not anti-Hermitian, ||a + a*||",
+                    "probe")
+        return u, a
+
+    def _matrices(self, ms: Sequence, what: str, entry: str, wrong: str) -> np.ndarray:
+        """The (N, n, n) array of N matrices, or an error naming the first one that is not finite,
+        or else not n x n."""
+        try:
+            a = np.asarray(ms, dtype=complex)
+        except ValueError:  # ragged: the shapes differ
+            a = np.zeros(0)
+        if a.shape[1:] != (self.n, self.n) or not _finite(a):
+            for i, m in enumerate(map(np.asarray, ms)):
+                if not _finite(m):
+                    raise self._error(f"{what} is not finite", i, len(ms), entry)
+                if m.shape != (self.n, self.n):
+                    raise self._error(wrong.format(n=self.n, shape=m.shape), i, len(ms), entry)
+        return a.reshape(-1, self.n, self.n)
+
+    def _small(self, m: np.ndarray, what: str, entry: str) -> None:
+        """An error naming the first matrix of the (N, n, n) stack m with a norm over 1e-10."""
+        res = _frobenius(m)
+        if np.count_nonzero(res > 1e-10):
+            i = int(np.argmax(res > 1e-10))
+            raise self._error(f"{what} = {res[i]:.3e}", i, len(res), entry)
 
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils as an (L, 4, n, n) array of u_j e^{t a_j}.  a = iH with H = -ia
@@ -286,11 +316,6 @@ class Kernel:
     def __call__(self, s, t) -> np.ndarray:
         return self.block(ss := (s,), ss if t is s else (t,))
 
-    def _finite(self, out: np.ndarray, what: str = "value") -> np.ndarray:
-        if not np.isfinite(out).all():
-            raise NumericsError(f"{self.name}: kernel {what} is not finite")
-        return out
-
     def block(self, ss: Sequence, ts: Sequence) -> np.ndarray:
         """The len(ss)*M x len(ts)*M matrix of blocks kappa(ss[l], ts[j]): the one-member `_values`
         of the points after `Domain.stack` checks each once, all of them once when ts is ss."""
@@ -301,7 +326,7 @@ class Kernel:
         """The (L, aM, bM) stack of the blocks kappa(ss[j], ts[j]), j < L, for members of a and b
         checked points.  Every kernel value is evaluated here, by one `batch` expression on
         (L, a, ...) arrays or one loop over `eval`."""
-        m, (a, b) = self.fiber_dim, (len(x[0]) if len(x) else 0 for x in (ss, ts))
+        m, a, b = self.fiber_dim, len(ss[0]) if len(ss) else 0, len(ts[0]) if len(ts) else 0
         if self.batch is not None:
             s = np.asarray(ss, dtype=complex)
             t = s if ts is ss else np.asarray(ts, dtype=complex)
@@ -313,8 +338,10 @@ class Kernel:
         else:
             out = np.array([[[self.eval(p, q) for q in tj] for p in sj] for sj, tj in zip(ss, ts)],
                            dtype=complex)
-        out = out.reshape(len(ss), a, b, m, m).swapaxes(2, 3)
-        return self._finite(out.reshape(len(ss), a * m, b * m))
+        out = out.reshape(len(ss), a, b, m, m).swapaxes(2, 3).reshape(len(ss), a * m, b * m)
+        if not _finite(out):
+            raise NumericsError(f"{self.name}: kernel value is not finite")
+        return out
 
     def diagonal_jet(self, points: Sequence, directions: Sequence,
                      h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
@@ -331,9 +358,11 @@ class Kernel:
             stencils, weights = self.domain._stencils(s, x, h)
             values = self._values(ss, stencils).reshape(len(ss), m, 4, m).swapaxes(1, 2)
             return kss, stencil_sum(weights, values)
-        args = ((s, s, x),) if self.batch is not None else zip(s, s, x)  # (L, d) arrays for batch
-        out = np.array([self.d2(*a) for a in args], dtype=complex)
-        return kss, self._finite(out, "derivative").reshape(len(ss), m, m)
+        out = (np.asarray(self.d2(s, s, x), dtype=complex) if self.batch is not None  # (L, d)
+               else np.array([self.d2(*a) for a in zip(s, s, x)], dtype=complex))
+        if not _finite(out):
+            raise NumericsError(f"{self.name}: kernel derivative is not finite")
+        return kss, out.reshape(len(ss), m, m)
 
 
 def _members(s: Sequence) -> Sequence:
@@ -425,8 +454,8 @@ def make_fock(beta) -> Kernel:
     def form(z, w):
         # real and imaginary parts of beta: v = B conj(w), then sum_j z_j v_j
         wr, wi, zr, zi = w.real[..., None, :], w.imag[..., None, :], z.real, z.imag
-        vr, vi = (b_re * wr + b_im * wi).sum(-1), (b_im * wr - b_re * wi).sum(-1)
-        return (zr * vr - zi * vi).sum(-1), (zr * vi + zi * vr).sum(-1)
+        vr, vi = np.add.reduce(b_re * wr + b_im * wi, -1), np.add.reduce(b_im * wr - b_re * wi, -1)
+        return np.add.reduce(zr * vr - zi * vi, -1), np.add.reduce(zr * vi + zi * vr, -1)
 
     def batch(z, w):
         re, im = form(z, w)
@@ -479,18 +508,19 @@ def positivity_certificate(g, tol: float = 1e-9) -> tuple[bool, float]:
     Returns (is_psd, min_eigenvalue); is_psd holds iff the minimum eigenvalue
     is >= -tol * max(1, lambda_max).  The one-matrix case of `_psd_spectra`.
     """
-    values, is_psd = _psd_spectra(np.asarray(g, dtype=complex)[None], tol)
+    values, is_psd = _psd_spectra(_as_matrix(g, square=True)[None], tol)
     return bool(is_psd[0]), float(values[0, 0])
 
 
 def _psd_spectra(grams, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
-    """The ascending spectra of an (L, N, N) stack of Hermitian (within tol) Gram matrices, and
-    whether each is PSD: its minimum eigenvalue >= -tol * max(1, lambda_max)."""
+    """The ascending spectra of an (L, N, N) stack of finite Hermitian (within tol) Gram matrices,
+    and whether each is PSD: its minimum eigenvalue >= -tol * max(1, lambda_max)."""
     a = np.asarray(grams, dtype=complex)
-    herm_res = np.linalg.norm(a - np.swapaxes(a.conj(), -1, -2), axis=(-2, -1))
-    if np.any(herm_res > tol * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))):
+    adjoint = a.conj().swapaxes(-1, -2)
+    herm_res = _frobenius(a - adjoint)
+    if np.count_nonzero(herm_res > tol * np.maximum(1.0, _frobenius(a))):
         raise NumericsError(f"Gram matrix not Hermitian, ||G - G*|| = {herm_res.max():.3e}")
-    values, _ = hermitian_eigh(a)
+    values = _eigh(a, adjoint)[0]
     return values, values[:, 0] >= -tol * np.maximum(1.0, values[:, -1])
 
 

@@ -31,12 +31,21 @@ class NumericsError(ValueError):
     """Raised on invalid numeric input (non-square, non-PSD, non-finite...)."""
 
 
-def _as_matrix(m, stack: bool = False) -> np.ndarray:
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of an array is finite: the library's one finiteness scan.  A count, as
+    in its other tests of a boolean array: on a small one a reduction (ndarray.all) costs twice."""
+    return np.count_nonzero(np.isfinite(a)) == a.size
+
+
+def _as_matrix(m, square: bool = False) -> np.ndarray:
+    """m as a finite complex matrix; with `square`, a square matrix or an (..., M, M) stack."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2 and not (stack and a.ndim > 2):
+    if a.ndim != 2 and not (square and a.ndim > 2):
         raise NumericsError(f"expected a matrix, got array of ndim {a.ndim}")
-    if not np.isfinite(a).all():
+    if not _finite(a):
         raise NumericsError("matrix has non-finite entries")
+    if square and a.shape[-1] != a.shape[-2]:
+        raise NumericsError(f"matrix is not square: shape {a.shape}")
     return a
 
 
@@ -47,31 +56,38 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     with values ascending and orthonormal eigenvector columns, so that
     M = V diag(values) V*.  A 1 x 1 input skips LAPACK, with LAPACK's bits.
     """
-    a = _as_matrix(m, stack=True)
-    if a.shape[-1] != a.shape[-2]:
-        raise NumericsError(f"matrix is not square: shape {a.shape}")
+    a = _as_matrix(m, square=True)
+    return _eigh(a, a.conj().swapaxes(-1, -2))
+
+
+def _eigh(a: np.ndarray, adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """hermitian_eigh of a finite (..., M, M) stack a, given its adjoint a*."""
     if a.shape[-1] == 1:
         return a[..., 0].real.copy(), np.ones(a.shape, dtype=complex)
-    h = 0.5 * (a + np.swapaxes(a.conj(), -1, -2))
     try:
-        values, vectors = np.linalg.eigh(h)
+        return np.linalg.eigh(0.5 * (a + adjoint))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from exc
-    return values, vectors
 
 
 def hermitian_solve(m, rhs) -> np.ndarray:
-    """Solve M x = rhs for Hermitian M, or M (..., M, M) with rhs (..., M, K); fails if singular."""
-    one = np.shape(m)[-2:] == (1, 1)  # the eigenvalue is Re M and V = 1: no eigh, the same bits
-    values, vectors = (_as_matrix(m, stack=True)[..., 0].real, None) if one else hermitian_eigh(m)
+    """Solve M x = rhs for Hermitian M, or M (..., M, M) with rhs (..., M, K); fails if singular.
+    The checked `_solve`: internal callers whose M came from `Kernel._values` call that."""
+    return _solve(_as_matrix(m, square=True), rhs)
+
+
+def _solve(a: np.ndarray, rhs) -> np.ndarray:
+    """hermitian_solve of a finite (..., M, M) stack a."""
+    one = a.shape[-1] == 1  # the eigenvalue is Re M and V = 1: no eigh, the same bits
+    values, vectors = (a[..., 0].real, None) if one else _eigh(a, a.conj().swapaxes(-1, -2))
     mags = np.abs(values)  # the relative rule; on one finite eigenvalue it is |lambda| <= 1e-10
     lo, floor = (mags, 1e-10) if one else (mags.min(-1), 1e-10 * np.maximum(mags.max(-1), 1.0))
-    if (lo <= floor).any():
+    if np.count_nonzero(lo <= floor):
         raise NumericsError(f"matrix is singular within threshold (|lambda|_min = {lo.min():.3e})")
     y = np.asarray(rhs, dtype=complex)
     if one:
         return y / values if y.ndim == 1 else y / values[..., None]
-    y = np.swapaxes(vectors.conj(), -1, -2) @ y
+    y = vectors.conj().swapaxes(-1, -2) @ y
     return vectors @ (y / values) if y.ndim == 1 else vectors @ (y / values[..., None])
 
 

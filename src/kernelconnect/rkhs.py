@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .kernels import Kernel, _psd_spectra, gram_matrix
-from .numerics import NumericsError, hermitian_solve
+from .numerics import NumericsError, _finite, _solve, hermitian_solve
 
 __all__ = ["SampledRKHS", "RKHSElement", "build_rkhs", "evaluate_element", "project_fiber",
            "universality_residual"]
@@ -53,7 +53,7 @@ class RKHSElement:
         c = np.asarray(self.coefficients, dtype=complex)
         if c.shape != (len(self.space.points) * self.space.fiber_dim,):
             raise ValueError(f"coefficient vector has wrong length {c.shape}")
-        if not np.all(np.isfinite(c)):
+        if not _finite(c):
             raise ValueError("non-finite coefficients")
         object.__setattr__(self, "coefficients", c)
 
@@ -65,7 +65,8 @@ def _coordinates(pts: Sequence) -> np.ndarray:
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """close[..., i, j]: rows a[..., i] and b[..., j] are one point, within 1e-12 entry by entry."""
-    return np.abs(a[..., :, None, :] - b[..., None, :, :]).max(axis=-1, initial=0.0) <= 1e-12
+    return np.maximum.reduce(np.abs(a[..., :, None, :] - b[..., None, :, :]), axis=-1,
+                             initial=0.0) <= 1e-12
 
 
 def _certify(samples: Sequence, grams: np.ndarray) -> np.ndarray:
@@ -73,12 +74,13 @@ def _certify(samples: Sequence, grams: np.ndarray) -> np.ndarray:
     of = lambda j: f" (sample {j} of {len(samples)})" if len(samples) > 1 else ""  # noqa: E731
     x = (samples.reshape(samples.shape[:2] + (-1,)) if isinstance(samples, np.ndarray)
          else np.array([_coordinates(pts) for pts in samples]))
-    close = _close(x, x) > np.eye(x.shape[1], dtype=bool)  # off the diagonal; symmetric
-    if close.any():
+    close = _close(x, x)  # symmetric; then off the diagonal
+    close.reshape(len(x), -1)[:, ::x.shape[1] + 1] = False
+    if np.count_nonzero(close):
         j, a, b = np.argwhere(close)[0]  # the first pair in row order, so a < b
         raise ValueError(f"duplicate sample points at indices {a} and {b}{of(j)}")
     values, is_psd = _psd_spectra(grams)
-    if not is_psd.all():
+    if np.count_nonzero(is_psd) < len(is_psd):
         j = int(np.argmin(is_psd))
         raise NumericsError(
             f"Gram matrix is not PSD (min eigenvalue {values[j, 0]:.3e}); "
@@ -99,12 +101,12 @@ def evaluate_element(f: RKHSElement, s) -> np.ndarray:
 
 
 def _project(grams: np.ndarray, m: int, i: int, c: np.ndarray) -> np.ndarray:
-    """Fiber projections at sample point i in L spaces, (L, NM, NM) Grams and (L, NM, K) c:
+    """Fiber projections at sample point i in L spaces, (L, NM, NM) finite Grams and (L, NM, K) c:
     kappa(s_i,s_i)^(-1) (G c)_i = kappa(s_i,s_i)^(-1) f(s_i) in block i, zeros elsewhere.
     Fails when kappa(s_i,s_i) is singular within threshold."""
     b = slice(i * m, (i + 1) * m)
     projected = np.zeros(c.shape, dtype=complex)
-    projected[:, b] = hermitian_solve(grams[:, b, b], grams[:, b] @ c)
+    projected[:, b] = _solve(grams[:, b, b], grams[:, b] @ c)
     return projected
 
 

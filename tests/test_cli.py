@@ -531,3 +531,18 @@ def test_non_finite_kernel_derivative_exits_1(capsys):
                                  "--point", "26.6", "--direction", "1")
     assert code == 1 and out == ""
     assert "fock:dim=1: kernel derivative is not finite" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("connect", "covderiv", "--kernel", "bergman-disk:nu=3", "--point", "0.9999",
+      "--direction", "1e296"), "bergman-disk:nu=3: kernel derivative is not finite"),
+    (("kernel", "eval", "--kernel", "fock:dim=1", "--point", "30"),
+     "fock:dim=1: kernel value is not finite"),
+], ids=["covderiv", "kernel-eval"])
+def test_an_overflow_exits_1_without_a_runtime_warning(capsys, argv, message):
+    # under -W error::RuntimeWarning numpy's overflow warning escaped as a traceback, before the
+    # library's finiteness check could name the value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == "" and err == f"error: {message}\n"

@@ -389,13 +389,14 @@ def test_each_probe_is_checked_once_and_its_derived_points_are_trusted(monkeypat
     covariant_derivative_direct(make_bergman_disk(2), CONSTANT, np.array([0.3]), np.array([1.0]))
     monkeypatch.undo()
     assert len(stacks) == 1 and [len(c[1]) for c in checks] == [1, 4]
-    # U(n): one unitarity check per probe; the stencil points u e^{tha} are unitary by construction
+    # U(n): one stacked unitarity check of all probes; the stencil points u e^{tha} are unitary
+    # by construction
     k, sigma, us, xs = _stack_cases()[-1]
     for backend in ("direct", "sampled"):
-        calls = _count_calls(monkeypatch, "check_point", UnitaryDomain)
+        calls = _count_calls(monkeypatch, "stack", UnitaryDomain)
         make_evaluator(k, backend).evaluate(sigma, us, xs)
         monkeypatch.undo()
-        assert len(calls) == len(us), backend
+        assert [len(c[1]) for c in calls] == [len(us)], backend
 
 
 def test_block_counter_sees_a_stray_kernel_evaluation(monkeypatch):
@@ -985,3 +986,44 @@ def test_an_unresolved_stencil_names_its_probe():
         covariant_derivative_direct(k, CONSTANT, s, np.array([1.0]))
     with pytest.raises(DomainError, match=r"resolve the point \(probe 1 of 2\)$"):
         make_evaluator(k, "direct").evaluate(CONSTANT, [np.array([0.5]), s], [[1.0], [1.0]])
+
+
+def _non_finite_kernels():
+    """(kernel, message, entries): a value that is not finite everywhere, one not finite off the
+    diagonal only (at stencil and sample points), and an analytic derivative that is not finite,
+    which only the form and the closed form read."""
+    one = lambda s, t: np.ones((1, 1), dtype=complex)  # noqa: E731
+    nan = lambda s, t: np.full((1, 1), np.nan + 0j)  # noqa: E731
+    off = lambda s, t: (one(s, t) if np.array_equal(s, t)  # noqa: E731
+                        else np.full((1, 1), complex(0, np.inf)))
+    inf_d2 = lambda s, t, x: np.full((1, 1), np.inf + 0j)  # noqa: E731
+    every = ("form", "closed-form", "direct", "sampled")
+    return [(Kernel(1, VectorDomain(1), nan, name="nan"), "nan: kernel value", every),
+            (Kernel(1, VectorDomain(1), off, name="off"), "off: kernel value", every),
+            (Kernel(1, VectorDomain(1), one, inf_d2, name="d2"), "d2: kernel derivative",
+             every[:2])]
+
+
+@pytest.mark.parametrize("entry", ["form", "closed-form", "direct", "sampled"])
+def test_every_public_entry_still_rejects_a_non_finite_kernel_value(entry):
+    # the solves trust kappa(s, s) from Kernel._values, which checks every value it computes
+    s, x = np.array([0.3]), np.array([1.0])
+    for k, message, entries in _non_finite_kernels():
+        if entry in entries:
+            with pytest.raises(NumericsError, match=f"^{message} is not finite$"):
+                if entry == "form":
+                    connection_form(k, s)(x)
+                else:
+                    make_evaluator(k, entry)(CONSTANT, s, x)
+
+
+@pytest.mark.parametrize("k", [case[0] for case in _stack_cases()[:3]], ids=lambda k: k.name)
+def test_one_probe_public_entries_equal_their_stacked_rows_bit_for_bit(k):
+    _, sigma, pts, xs = next(c for c in _stack_cases() if c[0].name == k.name)
+    forms = connection_forms(k, pts, xs)
+    closed = make_evaluator(k, "closed-form").evaluate(sigma, pts, xs)
+    direct = make_evaluator(k, "direct").evaluate(sigma, pts, xs)
+    for j, (s, x) in enumerate(zip(pts, xs)):
+        assert connection_form(k, s)(x).tobytes() == forms[j].tobytes()
+        assert covariant_derivative_closed_form(k, sigma, s, x).tobytes() == closed[j].tobytes()
+        assert covariant_derivative_direct(k, sigma, s, x).tobytes() == direct[j].tobytes()

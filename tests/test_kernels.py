@@ -28,7 +28,9 @@ from kernelconnect.kernels import (
     make_rank_one_kernel,
     positivity_certificate,
     pull_back_kernel,
+    stencil_sum,
 )
+from kernelconnect.kernels import _psd_spectra
 from kernelconnect.numerics import NumericsError, hermitian_eigh
 
 
@@ -582,3 +584,98 @@ def test_unitary_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit(
             values, v = hermitian_eigh(-1j * a)
             for t, p in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), points):
                 assert p.tobytes() == (u @ (v * np.exp(1j * t * values)) @ v.conj().T).tobytes()
+
+
+def _moveaxis_stencil_sum(weights, values):
+    """stencil_sum restated as it was written with np.moveaxis: the four terms moved first."""
+    v = np.asarray(values, dtype=complex)
+    w = np.reshape(weights, np.shape(weights) + (1,) * (v.ndim - np.ndim(weights)))
+    t = np.moveaxis(w * v, np.ndim(weights) - 1, 0)
+    return ((t[0] + t[1]) + t[2]) + t[3]
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (2, 2)], ids=["(L,4)", "(L,4,M)", "(L,4,M,M)"])
+def test_stencil_sum_has_the_bits_of_the_moveaxis_formula_with_each_zeros_sign(tail):
+    rng = np.random.default_rng(51)
+    weights = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * rng.uniform(1e-6, 1e-3, (6, 1)))
+    values = rng.standard_normal((6, 4) + tail) + 1j * rng.standard_normal((6, 4) + tail)
+    values[0] = 0.0  # +0.0 sums
+    values[1] = -0.0  # -0.0 terms, each weighted by a sign
+    values[2, :2], values[2, 2:] = -0.0, 0.0
+    values[3, 1] = -values[3, 2]  # terms that cancel
+    got, want = stencil_sum(weights, values), _moveaxis_stencil_sum(weights, values)
+    assert got.shape == (6,) + tail
+    assert got.tobytes() == want.tobytes()  # bit for bit, the sign of each zero included
+
+
+def test_psd_spectra_have_the_bits_of_hermitian_eigh():
+    # the certificate symmetrizes once and shares G* with its Hermitian test: the eigenvalues
+    # stay those of eigh((G + G*) / 2), which positivity_certificate is pinned to
+    rng = np.random.default_rng(52)
+    for n in (1, 2, 5, 12):
+        z = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        grams = z @ z.conj().swapaxes(-1, -2)
+        grams[1] += 1e-12 * z[1]  # Hermitian within the tolerance only
+        values, is_psd = _psd_spectra(grams)
+        assert values.tobytes() == hermitian_eigh(grams)[0].tobytes() and is_psd.all()
+        for g, v in zip(grams, values):
+            assert positivity_certificate(g)[1] == v[0]
+
+
+@pytest.mark.parametrize("g", [np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                               np.array([[np.inf, 0.0], [0.0, 1.0]])])
+def test_positivity_certificate_still_rejects_a_non_finite_matrix(g):
+    with pytest.raises(NumericsError, match="matrix has non-finite entries"):
+        positivity_certificate(g)
+
+
+def _unitaries(n, count, seed):
+    rng = np.random.default_rng(seed)
+    us = [random_unitary(n, seed=seed + i) for i in range(count)]
+    xs = [a - a.conj().T for a in (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                                   for _ in us)]
+    return us, xs
+
+
+def test_a_unitary_domain_checks_a_stack_of_probes_at_once():
+    us, xs = _unitaries(3, 4, 60)
+    s, x = UnitaryDomain(3).jets(us, xs)
+    assert s.shape == x.shape == (4, 3, 3)
+    assert np.array_equal(s, np.array(us)) and np.array_equal(x, np.array(xs))
+    assert UnitaryDomain(3).stack([]).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda us, xs: us.__setitem__(2, 2 * us[2]),
+     r"^U\(n\): not unitary, \|\|u\*u - I\|\| = 5\.196e\+00 \(point 2 of 4\)$"),
+    (lambda us, xs: us.__setitem__(1, np.full((3, 3), np.nan)),
+     r"^U\(n\): point is not finite \(point 1 of 4\)$"),
+    (lambda us, xs: us.__setitem__(3, np.eye(2)),
+     r"^U\(n\): expected 3x3 matrix, got \(2, 2\) \(point 3 of 4\)$"),
+    (lambda us, xs: xs.__setitem__(1, xs[1] + np.eye(3)),
+     r"^U\(n\): tangent not anti-Hermitian, \|\|a \+ a\*\|\| = 3\.464e\+00 \(probe 1 of 4\)$"),
+    (lambda us, xs: xs.__setitem__(0, np.diag([0.0, np.inf, 0.0])),
+     r"^U\(n\): tangent is not finite \(probe 0 of 4\)$"),
+    (lambda us, xs: xs.__setitem__(2, np.zeros((3, 2))),
+     r"^U\(n\): tangent shape \(3, 2\) != \(3,3\) \(probe 2 of 4\)$"),
+], ids=["non-unitary", "nan-point", "point-shape", "not-anti-hermitian", "inf-tangent",
+        "tangent-shape"])
+def test_a_unitary_stack_names_the_probe_that_fails_its_check(edit, message):
+    us, xs = _unitaries(3, 4, 61)
+    edit(us, xs)
+    with pytest.raises(DomainError, match=message):
+        UnitaryDomain(3).jets(us, xs)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda d: d.check_point(2 * np.eye(2)),
+     r"^U\(n\): not unitary, \|\|u\*u - I\|\| = 4\.243e\+00$"),
+    (lambda d: d.check_point(np.eye(3)), r"^U\(n\): expected 2x2 matrix, got \(3, 3\)$"),
+    (lambda d: d.check_tangent(np.eye(2), np.eye(2)),
+     r"^U\(n\): tangent not anti-Hermitian, \|\|a \+ a\*\|\| = 2\.828e\+00$"),
+    (lambda d: d.check_tangent(np.eye(2), np.zeros(2)),
+     r"^U\(n\): tangent shape \(2,\) != \(2,2\)$"),
+])
+def test_a_unitary_domains_one_probe_messages_name_no_probe(call, message):
+    with pytest.raises(DomainError, match=message):
+        call(UnitaryDomain(2))

@@ -151,3 +151,14 @@ def test_max_norm_on_ties_zero_rows_nan_and_no_rows():
         rows[i, 1] = np.nan
         assert np.isnan(_max_norm(rows))
     assert _max_norm(np.array([[np.inf, 0.0], [1.0, 2.0]])) == np.inf
+
+
+@pytest.mark.parametrize("m", [np.array([[1.0, np.nan], [np.nan, 1.0]]),
+                               np.array([[2.0, 0.0], [0.0, np.inf]]),
+                               np.full((3, 2, 2), np.nan)])
+def test_hermitian_solve_and_eigh_still_reject_a_non_finite_matrix(m):
+    # internal callers trust matrices checked where they were computed; the public entries
+    # check their own
+    for call in (lambda: hermitian_solve(m, np.ones(2)), lambda: hermitian_eigh(m)):
+        with pytest.raises(NumericsError, match="matrix has non-finite entries"):
+            call()

@@ -204,3 +204,18 @@ def test_certify_reads_an_array_of_samples_as_its_list_of_points():
     us[1, 1] = us[1, 0]
     with pytest.raises(ValueError, match=message):
         _certify(us, np.broadcast_to(np.eye(3), (2, 3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_hand_built_space_with_a_non_finite_gram_still_fails(bad):
+    # project_fiber trusts the Gram that build_rkhs checked; a space built by hand with a value
+    # that is not finite still raises, at the coefficients, and universality checks its blocks
+    r = _disk_space()
+    gram = r.gram.copy()
+    gram[0, 0] = bad
+    hand = type(r)(r.kernel, r.points, gram, r.eigenvalues)
+    f = RKHSElement(hand, np.ones(len(r.points), dtype=complex))
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite coefficients"):
+        project_fiber(hand, r.points[0], f)
+    with pytest.raises(NumericsError, match="matrix has non-finite entries"):
+        universality_residual(hand)
