@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _finite_array,
-                      make_group_kernel, stencil_sum)
+                      _frobenius, make_group_kernel, stencil_sum)
 from .connections import _fiber
 from .numerics import DEFAULT_STEP, NumericsError, _max_norm
 
@@ -78,10 +78,10 @@ class GrassTangent:
         p = self.base.p
         if a.shape != p.shape:
             raise DomainError(f"generator shape {a.shape} does not match base {p.shape}")
-        if np.linalg.norm(a + a.conj().T) > 1e-10:
+        if _frobenius(a + a.conj().T) > 1e-10:
             raise DomainError("generator is not anti-Hermitian")
         q = self.base.complement()
-        diag = np.linalg.norm(p @ a @ p) + np.linalg.norm(q @ a @ q)
+        diag = _frobenius(p @ a @ p) + _frobenius(q @ a @ q)
         if diag > 1e-10:
             raise DomainError(
                 f"generator has diagonal blocks (residual {diag:.3e}); "
@@ -92,9 +92,9 @@ class GrassTangent:
 def _projectors(m: np.ndarray, rank: int) -> np.ndarray:
     """The (..., n, n) stack m, after one vectorized test of all of it per projector check."""
     m = _finite_array(m, "projector")
-    if (np.linalg.norm(m - m.conj().swapaxes(-1, -2), axis=(-2, -1)) > 1e-10).any():
+    if (_frobenius(m - m.conj().swapaxes(-1, -2)) > 1e-10).any():
         raise DomainError("projector is not Hermitian")
-    if (np.linalg.norm(m @ m - m, axis=(-2, -1)) > 1e-10).any():
+    if (_frobenius(m @ m - m) > 1e-10).any():
         raise DomainError("matrix is not idempotent")
     trace = np.trace(m, axis1=-2, axis2=-1).real
     bad = trace[abs(trace - rank) > 1e-8]
@@ -235,7 +235,7 @@ def maurer_cartan(point: HermitianProjector, g, x) -> np.ndarray:
     on matrices or (..., n, n) stacks."""
     gm = np.asarray(g, dtype=complex)
     xm = np.asarray(x, dtype=complex)
-    if (np.linalg.norm(conditional_expectation(point, xm), axis=(-2, -1)) > 1e-10).any():
+    if (_frobenius(conditional_expectation(point, xm)) > 1e-10).any():
         raise DomainError("direction is not in the reductive complement of E_p")
     return gm @ xm @ gm.conj().swapaxes(-1, -2)
 

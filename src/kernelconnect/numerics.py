@@ -104,31 +104,33 @@ def _max_norm(rows) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Complex CSV serialization: entries formatted `a+bi`, e.g. `1.5-0.25i`.
+# Complex CSV serialization: entries formatted `a+bi`, e.g. `1.5-0.25i`.  The grammar is ASCII: a
+# real part with an optional `+bi`/`-bi`, or a bare `bi`, `i` or `-i`, whitespace allowed around
+# the sign and the `i`.  Its canonical form, the one format_complex writes (`a+bi`, no whitespace),
+# complex() reads with the same correctly rounded bits, so it skips the per-part parse.
 
-_COMPLEX_RE = re.compile(
-    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"(?:\s*([+-]\s*(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)\s*i)?\s*$"
-)
+_REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_COMPLEX_RE = re.compile(rf"\s*([+-]?{_REAL})(?:\s*([+-])\s*({_REAL})\s*i)?\s*", re.ASCII)
+_IMAG_RE = re.compile(rf"\s*([+-]?{_REAL}|[+-]?)\s*i\s*", re.ASCII)  # bare imaginary
+_CELL = rf"[+-]?{_REAL}[+-]{_REAL}i"
+_CANONICAL_CELL = re.compile(_CELL, re.ASCII)
+_CANONICAL_ROW = re.compile(rf"{_CELL}(?:,{_CELL})*", re.ASCII)  # one line, never the whole text
+_FORMAT = "%.17g%+.17gi"  # one cell, from its (real, imaginary) parts
 
 
 def format_complex(z: complex) -> str:
     z = complex(z)
-    return f"{z.real:.17g}{z.imag:+.17g}i"
-
-
-_IMAG_RE = re.compile(
-    r"^\s*([+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?)\s*i\s*$"
-)
+    return _FORMAT % (z.real, z.imag)
 
 
 def parse_complex(text: str) -> complex:
-    m = _COMPLEX_RE.match(text)
+    if _CANONICAL_CELL.fullmatch(text):
+        return complex(text[:-1] + "j")
+    m = _COMPLEX_RE.fullmatch(text)
     if m:
-        re_part = float(m.group(1))
-        im_part = float(m.group(2).replace(" ", "")) if m.group(2) else 0.0
-        return complex(re_part, im_part)
-    m = _IMAG_RE.match(text)  # bare imaginary: `0.5i`, `-i`
+        real, sign, imag = m.groups()
+        return complex(float(real), float(sign + imag) if imag else 0.0)
+    m = _IMAG_RE.fullmatch(text)  # bare imaginary: `0.5i`, `-i`
     if m:
         coeff = m.group(1)
         if coeff in ("", "+"):
@@ -142,16 +144,21 @@ def parse_complex(text: str) -> complex:
 
 
 def matrix_to_csv_text(m) -> str:
+    """One line per row, each one % of a row template over the row's interleaved (re, im)."""
     a = _as_matrix(m)
-    return "\n".join(",".join(format_complex(z) for z in row) for row in a) + "\n"
+    row = ",".join([_FORMAT] * a.shape[1])
+    parts = np.ascontiguousarray(a).view(np.float64).tolist()
+    return "\n".join([row % tuple(p) for p in parts]) + "\n"
 
 
 def matrix_from_csv_text(text: str) -> np.ndarray:
+    """A canonical line is one complex() per cell; any other line is parsed cell by cell."""
     rows = []
     for line in text.splitlines():
-        if not line.strip():
-            continue
-        rows.append([parse_complex(cell) for cell in line.split(",")])
+        if _CANONICAL_ROW.fullmatch(line):
+            rows.append(list(map(complex, line.replace("i", "j").split(","))))
+        elif line.strip():
+            rows.append([parse_complex(cell) for cell in line.split(",")])
     if not rows:
         raise NumericsError("empty CSV matrix")
     width = len(rows[0])

@@ -60,7 +60,10 @@ class RKHSElement:
 
 def _coordinates(pts: Sequence) -> np.ndarray:
     """Points (.p of projectors) as rows; ValueError when their sizes differ."""
-    return np.array([np.ravel(getattr(p, "p", p)) for p in pts], dtype=complex)
+    try:  # one stack when the points share a shape
+        return np.array([getattr(p, "p", p) for p in pts], dtype=complex).reshape(len(pts), -1)
+    except ValueError:  # shapes of one size that differ, as 0.1 and [0.2], or no points
+        return np.array([np.ravel(getattr(p, "p", p)) for p in pts], dtype=complex)
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -101,6 +102,18 @@ def test_kernel_eval_json(capsys):
     rep = json.loads(out)
     assert rep["kernel"] == "bergman-disk:nu=2"
     assert rep["value"][0][0].startswith("1.7777777777777")
+
+
+def test_a_tab_after_the_sign_reads_as_the_literal_without_it(capsys, tmp_path, choi_csv):
+    point = ["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point"]
+    tabbed = run_cli(capsys, *point, "0.1+\t0.2i")
+    assert tabbed[0] == 0 and tabbed == run_cli(capsys, *point, "0.1+0.2i")
+    path = tmp_path / "tabbed.csv"
+    path.write_text(re.sub(r"(?<=\d)([+-])", "\\1\t", open(choi_csv).read()))
+    assert "\t" in path.read_text()
+    dilate = ["cp", "dilate", "--n", "3", "--choi"]
+    tabbed = run_cli(capsys, *dilate, str(path))
+    assert tabbed[0] == 0 and tabbed == run_cli(capsys, *dilate, choi_csv)
 
 
 def test_kernel_gram_csv(capsys):
@@ -343,6 +356,15 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
      "duplicate sample points at indices 0 and 1"),
     (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0.3;0.1;0.1+0.0000000000001i"],
      "duplicate sample points at indices 1 and 2"),
+    # any ASCII whitespace may follow the sign; float() alone would reject the tab
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "1.5+\t0i"], "unit circle"),
+    (["kernel", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0.1+\t0.2i;0;1+\t0i"],
+     "unit circle"),
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "0.1+\u00a00.2i"],
+     "complex literal"),
+    # the digits are ASCII: float() reads Arabic-Indic ones, the literal grammar does not
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "\u0660.\u0665"],
+     "complex literal"),
     # numpy's abs of an array puts |s| below the guard circle, the disk's edge distance does not
     (["connect", "covderiv", "--kernel", "bergman-disk:nu=2",
       "--point=-0.6631062061875492-0.7485239871350519i", "--direction", "1"], "unit circle"),
@@ -369,6 +391,8 @@ def test_bad_cp_input_exits_2(capsys, choi_csv, argv, message):
     ("", None, 2, "empty CSV matrix"),
     ("1,0\n0\n", None, 2, "ragged CSV matrix"),
     ("1,x\n0,1\n", None, 2, "cannot parse complex literal 'x'"),
+    ("1+\t0i,0\n0,1+\t\u0660i\n", None, 2, "cannot parse complex literal '1+\\t\u0660i'"),
+    ("1+\t0i,0,0\n0,1-\t0i,0\n", "1", 2, "Choi matrix is not square: shape (2, 3)"),
     ("1,0,0\n0,1,0\n", "1", 2, "Choi matrix is not square: shape (2, 3)"),
     ("-1,0\n0,1\n", "1", 1, "map is not CP"),  # a verdict on the map, not bad input
 ])

@@ -62,6 +62,25 @@ def test_tangent_validation():
         GrassTangent(p, a)  # anti-Hermitian but block-diagonal
 
 
+@pytest.mark.parametrize("block, scale, raises", [
+    ("hermitian", 0.49e-10, None), ("hermitian", 0.51e-10, "not anti-Hermitian"),  # 2 scale
+    ("diagonal", 0.99e-10, None), ("diagonal", 1.01e-10, "diagonal blocks"),  # |PAP| = scale
+])
+def test_tangent_checks_decide_at_1e_10(block, scale, raises):
+    p = coordinate_projector(4, 2)
+    a = np.zeros((4, 4), dtype=complex)
+    a[0, 2], a[2, 0] = 1.0 + 2.0j, -1.0 + 2.0j  # in the reductive complement
+    if block == "hermitian":
+        a[3, 3] = scale  # |A + A*| = 2 scale, |QAQ| = scale
+    else:
+        a[0, 1], a[1, 0] = scale / np.sqrt(2), -scale / np.sqrt(2)  # anti-Hermitian, in P's block
+    if raises is None:
+        assert np.array_equal(GrassTangent(p, a).generator, a)
+    else:
+        with pytest.raises(DomainError, match=raises):
+            GrassTangent(p, a)
+
+
 def test_fiber_basis_is_orthonormal_and_deterministic():
     point = _random_point(5, 2, seed=11)
     b1 = fiber_basis(point)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,6 +26,18 @@ def test_parse_complex_literals():
         parse_complex("nonsense")
     with pytest.raises(NumericsError):
         parse_complex("1+2j")
+    # any ASCII whitespace around the sign and the i, not only a space
+    assert parse_complex("0.1+\t0.2i") == 0.1 + 0.2j
+    assert parse_complex(" 1.5 -\n0.25 i ") == 1.5 - 0.25j
+    assert str(parse_complex("1-\t0i")) == "(1-0j)"
+
+
+@pytest.mark.parametrize("text", ["\u0660.\u0665", "\u0661+2i", "1+\u0662i", "\u0663i",
+                                  "1\u00a0+2i", "\u20031"])
+def test_parse_complex_grammar_is_ascii(text):
+    # float() reads Arabic-Indic digits and Unicode spaces; the literal grammar does not
+    with pytest.raises(NumericsError, match="cannot parse complex literal"):
+        parse_complex(text)
 
 
 @example(z=0.0)
@@ -47,6 +61,57 @@ def test_csv_matrix_round_trip():
 def test_csv_reader_rejects_ragged_input():
     with pytest.raises(NumericsError):
         matrix_from_csv_text("1+0i,2+0i\n3+0i\n")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=complex).view(np.uint64)
+
+
+_EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+         1.7976931348623157e308, 1.0, -1.0, 0.1]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)), data=st.data())
+def test_csv_round_trip_is_bit_for_bit(shape, data):
+    parts = st.one_of(st.sampled_from(_EDGE), st.floats(allow_nan=False, allow_infinity=False))
+    size = 2 * shape[0] * shape[1]
+    flat = np.array(data.draw(st.lists(parts, min_size=size, max_size=size)))
+    m = flat.view(complex).reshape(shape)  # interleaved (re, im), signed zeros kept
+    assert np.array_equal(_bits(matrix_from_csv_text(matrix_to_csv_text(m))), _bits(m))
+
+
+def test_csv_text_is_the_per_entry_format():
+    rng = np.random.default_rng(1)
+    m = rng.standard_normal((6, 5)) * 10.0 ** rng.integers(-320, 300, (6, 5)) + 1j * np.array(
+        _EDGE[:5] * 6).reshape(6, 5)
+    m[0, :] = [0.0, complex(-0.0, -0.0), complex(5e-324, -0.0), 1e308 - 1e308j, -1.5]
+    for a in (m, m.T, m[:1], m[:, :1]):
+        want = "".join(",".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row) + "\n" for row in a)
+        assert matrix_to_csv_text(a) == want
+        assert [format_complex(z) for z in a[0]] == want.split("\n")[0].split(",")
+
+
+def test_csv_mixes_canonical_and_hand_written_rows():
+    text = "1.5-0.25i,-0-0i\n 1.5 - 0.25 i , i\n\n  \n-2,-i\n0.5i,3e2+1E-1i\n"
+    got = matrix_from_csv_text(text)
+    want = np.array([[1.5 - 0.25j, complex(-0.0, -0.0)], [1.5 - 0.25j, 1j],
+                     [complex(-2.0, 0.0), -1j], [complex(0.0, 0.5), 300 + 0.1j]])  # -1j: -0 real
+    assert np.array_equal(_bits(got), _bits(want))
+    assert np.array_equal(_bits(got), _bits([[parse_complex(c) for c in line.split(",")]
+                                              for line in text.splitlines() if line.strip()]))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty CSV matrix"),
+    (" \n\t\n", "empty CSV matrix"),
+    ("1+0i,2+0i\n 3 , 4, 5\n", "ragged CSV matrix"),
+    ("1+0i,2+0i\n1+0i,2+\u0660i\n", "cannot parse complex literal '2+\u0660i'"),
+    ("1+0i,,2+0i\n", "cannot parse complex literal ''"),
+])
+def test_csv_reader_errors(text, message):
+    with pytest.raises(NumericsError, match=re.escape(message)):
+        matrix_from_csv_text(text)
 
 
 def test_hermitian_eigh_reconstructs():

@@ -178,6 +178,13 @@ def test_lookup_keeps_the_one_point_rule():
             [r.point_index(p) for p in (r.points[0], far)]
 
 
+def test_points_of_one_size_in_mixed_shapes_build_and_are_found():
+    r = build_rkhs(make_bergman_disk(2), [0.1, np.array([0.2]), 0.3 + 0.1j])
+    assert [r.point_index(p) for p in (np.array([0.3 + 0.1j]), 0.2, np.array([0.1]))] == [2, 1, 0]
+    with pytest.raises(KeyError):
+        r.point_index(np.array([0.1, 0.0]))
+
+
 def test_lookup_finds_projectors_by_their_matrix():
     base = coordinate_projector(4, 2)
     pts = [base] + [HermitianProjector(u @ base.p @ u.conj().T, 2)
