@@ -13,15 +13,13 @@ import sys
 
 import numpy as np
 
-from . import verify
-from .connections import Curve, Section, _transport, covariant_derivative_direct, make_evaluator
-from .cpmaps import (CPMap, cp_covariant_derivative, cp_kernel, random_unitary, stinespring_dilate,
-                     verify_dilation)
+import kernelconnect as kc  # a handler's first kc.<name> imports the layer that it runs
+
+# the layers that every command runs
 from .kernels import (DomainError, Kernel, gram_matrix, make_bergman_disk, make_bergman_halfplane,
                       make_fock, positivity_certificate)
-from .numerics import (DEFAULT_TOL, NumericsError, format_complex, matrix_to_csv_text,
-                       parse_complex, read_matrix_csv)
-from .rkhs import build_rkhs, universality_residual
+from .numerics import (DEFAULT_TOL, NumericsError, _csv_rows, matrix_to_csv_text, parse_complex,
+                       read_matrix_csv)
 
 __all__ = ["main", "parse_kernel_spec", "KERNEL_SPEC_GRAMMAR"]
 
@@ -80,7 +78,7 @@ def _load_cpmap(path: str, n: int | None):
         raise UsageError(f"input dimension n must be >= 1, got {n}")
     if size % n != 0:
         raise UsageError(f"Choi size {size} is not divisible by n={n}")
-    return CPMap(input_dim=n, output_dim=size // n, choi=choi)
+    return kc.CPMap(input_dim=n, output_dim=size // n, choi=choi)
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -110,12 +108,13 @@ def _parse_points(k: Kernel, text: str) -> list:
     return points
 
 
-def _vector_json(v) -> list:
-    return [format_complex(z) for z in np.atleast_1d(np.asarray(v, dtype=complex))]
-
-
 def _matrix_json(m) -> list:
-    return [[format_complex(z) for z in row] for row in np.atleast_2d(m)]
+    """format_complex of each entry, one % of a row template per row."""
+    return [line.split(",") for line in _csv_rows(np.atleast_2d(m))]
+
+
+def _vector_json(v) -> list:
+    return _matrix_json(np.atleast_1d(v)[None])[0]
 
 
 def _emit(text: str, path: str | None) -> None:
@@ -133,12 +132,20 @@ def _emit_json(obj, path: str | None) -> None:
     _emit(json.dumps(obj, indent=2, sort_keys=True) + "\n", path)
 
 
-def _builtin_section(name: str, k: Kernel) -> Section:
+def _emit_matrix(args, key: str, m, **fields) -> None:
+    """--format csv: the matrix m alone; json: m under `key`, beside the other fields."""
+    if args.format == "csv":
+        _emit(matrix_to_csv_text(m), args.output)
+    else:
+        _emit_json({key: _matrix_json(m), **fields}, args.output)
+
+
+def _builtin_section(name: str, k: Kernel) -> kc.Section:
     ones = np.ones(k.fiber_dim, dtype=complex)
     if name == "constant":
-        return Section(F=lambda s: ones)
+        return kc.Section(F=lambda s: ones)
     if name == "linear":
-        return Section(F=lambda s: (1.0 + np.sum(np.asarray(s, dtype=complex))) * ones)
+        return kc.Section(F=lambda s: (1.0 + np.sum(np.asarray(s, dtype=complex))) * ones)
     raise UsageError(f"unknown section {name!r}; use constant | linear")
 
 
@@ -155,11 +162,7 @@ def _cmd_kernel_eval(args) -> int:
     k = parse_kernel_spec(args.kernel)
     s = _parse_point(k, args.point)
     t = _parse_point(k, args.point2) if args.point2 else s
-    value = k(s, t)
-    if args.format == "csv":
-        _emit(matrix_to_csv_text(value), args.output)
-    else:
-        _emit_json({"kernel": k.name, "value": _matrix_json(value)}, args.output)
+    _emit_matrix(args, "value", k(s, t), kernel=k.name)
     return 0
 
 
@@ -169,12 +172,8 @@ def _cmd_kernel_gram(args) -> int:
     pts = _parse_points(k, args.points)
     gram = gram_matrix(k, pts)
     is_psd, min_eig = positivity_certificate(gram, tol=args.tol)
-    if args.format == "csv":
-        _emit(matrix_to_csv_text(gram), args.output)
-    else:
-        _emit_json({"kernel": k.name, "gram": _matrix_json(gram),
-                    "is_psd": is_psd, "min_eigenvalue": min_eig,
-                    "tolerance": args.tol}, args.output)
+    _emit_matrix(args, "gram", gram, kernel=k.name, is_psd=is_psd, min_eigenvalue=min_eig,
+                 tolerance=args.tol)
     return 0 if is_psd else 1
 
 
@@ -189,7 +188,7 @@ def _build_rkhs(args):
     k = parse_kernel_spec(args.kernel)
     pts = _parse_points(k, args.points)
     try:
-        return build_rkhs(k, pts)
+        return kc.build_rkhs(k, pts)
     except NumericsError:  # a Gram that is not PSD: a verdict on the kernel, exit 1
         raise
     except ValueError as exc:  # duplicate sample points
@@ -199,18 +198,14 @@ def _build_rkhs(args):
 @_overflow_checked
 def _cmd_rkhs_gram(args) -> int:
     r = _build_rkhs(args)
-    if args.format == "json":
-        _emit_json({"kernel": r.kernel.name, "gram": _matrix_json(r.gram), **_spectrum_json(r)},
-                   args.output)
-    else:
-        _emit(matrix_to_csv_text(r.gram), args.output)
+    _emit_matrix(args, "gram", r.gram, kernel=r.kernel.name, **_spectrum_json(r))
     return 0
 
 
 @_overflow_checked
 def _cmd_rkhs_universality(args) -> int:
     r = _build_rkhs(args)
-    residual = universality_residual(r)
+    residual = kc.universality_residual(r)
     _emit_json({"residual": residual, **_spectrum_json(r),
                 "tolerance": args.tol, "passed": residual < args.tol}, args.output)
     return 0 if residual < args.tol else 1
@@ -222,7 +217,7 @@ def _cmd_connect_covderiv(args) -> int:
     s = _parse_point(k, args.point)
     x = _parse_point(k, args.direction, base=s)
     sigma = _builtin_section(args.section, k)
-    values = {name: make_evaluator(k, name)(sigma, s, x)
+    values = {name: kc.make_evaluator(k, name)(sigma, s, x)
               for name in ("closed-form", "direct", "sampled")}
     # norms of the values over a power of two m >= 1 near their largest entry: exact, no overflow
     m = 2.0 ** max(0, int(np.frexp(max(abs(v).max() for v in values.values()))[1]) - 1)
@@ -249,12 +244,12 @@ def _cmd_connect_transport(args) -> int:
     v0 = _parse_vector(args.vector) if args.vector else np.ones(k.fiber_dim, dtype=complex)
     if v0.shape != (k.fiber_dim,):
         raise UsageError(f"--vector must have {k.fiber_dim} entries, got {v0.size}")
-    curve = Curve(gamma=lambda t: (1.0 - t) * start + t * end,
-                  velocity=lambda t: end - start)
+    curve = kc.Curve(gamma=lambda t: (1.0 - t) * start + t * end,
+                     velocity=lambda t: end - start)
     rungs = sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})
     coarse = rungs[-2] if len(rungs) > 1 else 2  # --steps 1 has no coarser rung: 2 steps stand in
     every = sorted({*rungs, coarse})
-    vectors, ends = _transport(k, curve, v0, every)  # one jet for the whole ladder
+    vectors, ends = kc.connections._transport(k, curve, v0, every)  # one jet for the whole ladder
     ladder = dict(zip(every, vectors))
     final = ladder[args.steps]  # metric_drift: v* kappa(s, s) v, which exact transport keeps
     start_norm, end_norm = (np.vdot(v, kss @ v).real for v, kss in zip((v0, final), ends))
@@ -267,7 +262,7 @@ def _cmd_connect_transport(args) -> int:
     table = [(n, float(np.linalg.norm(ladder[n] - final))) for n in rungs[:-1]]
     table.append((args.steps, own_error))
     if args.format == "csv":
-        lines = [",".join(format_complex(z) for z in final)]
+        lines = _csv_rows(final[None])
         lines += [f"{n},{err:.17g}" for n, err in table]
         _emit("\n".join(lines) + "\n", args.output)
     else:
@@ -288,7 +283,7 @@ def _cmd_grassmann_verify(args) -> int:
         raise UsageError(f"--k must be between 1 and n-1 = {args.n - 1}, got {args.k}")
     if args.probes < 1:
         raise UsageError(f"--probes must be >= 1, got {args.probes}")
-    rep = verify.grassmann_agreement(args.n, args.k, probes=args.probes, seed=args.seed)
+    rep = kc.verify.grassmann_agreement(args.n, args.k, probes=args.probes, seed=args.seed)
     worst = max(rep.values())
     out = dict(rep)
     out.update({"n": args.n, "k": args.k, "probes": args.probes,
@@ -300,43 +295,29 @@ def _cmd_grassmann_verify(args) -> int:
 
 def _cmd_cp_dilate(args) -> int:
     psi = _load_cpmap(args.choi, args.n)
-    triple = stinespring_dilate(psi)
+    triple = kc.stinespring_dilate(psi)
     iso = triple.isometry_residual()
-    dil = verify_dilation(psi, triple)
-    if args.format == "csv":
-        _emit(matrix_to_csv_text(triple.v), args.output)
-    else:
-        _emit_json({
-            "r": triple.r,
-            "input_dim": psi.input_dim,
-            "output_dim": psi.output_dim,
-            "isometry_residual": iso,
-            "dilation_residual": dil,
-            "v": _matrix_json(triple.v),
-            "tolerance": args.tol,
-        }, args.output)
+    dil = kc.verify_dilation(psi, triple)
+    _emit_matrix(args, "v", triple.v, r=triple.r, input_dim=psi.input_dim,
+                 output_dim=psi.output_dim, isometry_residual=iso, dilation_residual=dil,
+                 tolerance=args.tol)
     return 0 if max(iso, dil) < args.tol else 1
 
 
 def _cmd_cp_kernel(args) -> int:
     psi = _load_cpmap(args.choi, args.n)
-    k = cp_kernel(psi)
-    u1 = random_unitary(psi.input_dim, seed=args.seed)
-    u2 = random_unitary(psi.input_dim, seed=args.seed + 1)
-    value = k(u1, u2)
-    if args.format == "csv":
-        _emit(matrix_to_csv_text(value), args.output)
-    else:
-        _emit_json({"kernel": k.name, "seed": args.seed,
-                    "value": _matrix_json(value)}, args.output)
+    k = kc.cp_kernel(psi)
+    u1 = kc.random_unitary(psi.input_dim, seed=args.seed)
+    u2 = kc.random_unitary(psi.input_dim, seed=args.seed + 1)
+    _emit_matrix(args, "value", k(u1, u2), kernel=k.name, seed=args.seed)
     return 0
 
 
 @_overflow_checked
 def _cmd_cp_covderiv(args) -> int:
     psi = _load_cpmap(args.choi, args.n)
-    k = cp_kernel(psi)
-    u = random_unitary(psi.input_dim, seed=args.seed)
+    k = kc.cp_kernel(psi)
+    u = kc.random_unitary(psi.input_dim, seed=args.seed)
     rng = np.random.default_rng(args.seed + 1)
     a = rng.standard_normal((psi.input_dim,) * 2) + 1j * rng.standard_normal(
         (psi.input_dim,) * 2)
@@ -346,8 +327,8 @@ def _cmd_cp_covderiv(args) -> int:
     def sigma_fn(v):
         return w0 + psi.apply(v) @ (0.5 * w0)
 
-    formula = cp_covariant_derivative(psi, sigma_fn, u, a)
-    generic = covariant_derivative_direct(k, Section(F=sigma_fn), u, a)
+    formula = kc.cp_covariant_derivative(psi, sigma_fn, u, a)
+    generic = kc.covariant_derivative_direct(k, kc.Section(F=sigma_fn), u, a)
     spread = float(np.linalg.norm(formula - generic))
     _emit_json({
         "formula": _vector_json(formula),
@@ -361,10 +342,10 @@ def _cmd_cp_covderiv(args) -> int:
 
 def _cmd_verify(args) -> int:
     modules = None if not args.target or "all" in args.target else args.target
-    unknown = set(modules or ()) - set(verify.MODULE_NAMES)
+    unknown = set(modules or ()) - set(kc.MODULE_NAMES)
     if unknown:
-        raise UsageError(f"unknown modules: {sorted(unknown)}; choose from {verify.MODULE_NAMES}")
-    report = verify.run_suite(seed=args.seed, modules=modules)
+        raise UsageError(f"unknown modules: {sorted(unknown)}; choose from {kc.MODULE_NAMES}")
+    report = kc.run_suite(seed=args.seed, modules=modules)
     _emit_json(report, args.output)
     return 0 if report["passed"] else 1
 
@@ -468,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the cross-validation suites")
     ver.add_argument("target", nargs="*", default=[],
-                     help=f"'all' or module names: {', '.join(verify.MODULE_NAMES)}")
+                     help=f"'all' or module names: {', '.join(kc.MODULE_NAMES)}")
     ver.add_argument("--seed", type=int, default=42)
     _add_common(ver, None, formats=False)
     ver.set_defaults(fn=_cmd_verify)

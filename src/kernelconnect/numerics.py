@@ -130,25 +130,26 @@ def parse_complex(text: str) -> complex:
     if m:
         real, sign, imag = m.groups()
         return complex(float(real), float(sign + imag) if imag else 0.0)
-    m = _IMAG_RE.fullmatch(text)  # bare imaginary: `0.5i`, `-i`
+    m = _IMAG_RE.fullmatch(text)  # bare imaginary: `0.5i`, `-i`; the real part is +0.0
     if m:
         coeff = m.group(1)
-        if coeff in ("", "+"):
-            return 1j
-        if coeff == "-":
-            return -1j
-        return complex(0.0, float(coeff))
+        return complex(0.0, float(coeff + "1" if coeff in ("", "+", "-") else coeff))
     raise NumericsError(
         f"cannot parse complex literal {text!r}; expected `a+bi` (e.g. 1.5-0.25i)"
     )
 
 
-def matrix_to_csv_text(m) -> str:
-    """One line per row, each one % of a row template over the row's interleaved (re, im)."""
-    a = _as_matrix(m)
+def _csv_rows(m) -> list:
+    """Each row of a complex matrix as one CSV line: one % of a row template over the row's
+    interleaved (re, im), with the bits of format_complex on each entry."""
+    a = np.ascontiguousarray(m, dtype=complex)
     row = ",".join([_FORMAT] * a.shape[1])
-    parts = np.ascontiguousarray(a).view(np.float64).tolist()
-    return "\n".join([row % tuple(p) for p in parts]) + "\n"
+    return [row % tuple(p) for p in a.view(np.float64).tolist()]
+
+
+def matrix_to_csv_text(m) -> str:
+    """One line per row of m, each entry as format_complex writes it."""
+    return "\n".join(_csv_rows(_as_matrix(m))) + "\n"
 
 
 def matrix_from_csv_text(text: str) -> np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import cpmaps, grassmann
+from . import MODULE_NAMES, cpmaps, grassmann
 from .connections import (
     Curve,
     Section,
@@ -32,8 +32,6 @@ from .numerics import _max_norm
 from .rkhs import build_rkhs, universality_residual
 
 __all__ = ["run_suite", "grassmann_agreement", "MODULE_NAMES", "DISK_SIGN_NOTE"]
-
-MODULE_NAMES = ("kernels", "rkhs", "connections", "grassmann", "cpmaps")
 
 DISK_SIGN_NOTE = (
     "disk and half-plane connection forms ship with the sign confirmed by the "

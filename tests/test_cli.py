@@ -11,6 +11,7 @@ from kernelconnect import cli, connections, verify
 from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, _spectrum_json, main, parse_kernel_spec
 from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk, positivity_certificate
 from kernelconnect.numerics import (
+    format_complex,
     hermitian_eigh,
     matrix_from_csv_text,
     matrix_to_csv_text,
@@ -235,6 +236,15 @@ def test_negative_literal_reads_as_a_value(capsys, argv, flag, literal):
     assert code == 2 and out == "" and "complex literal" in err
 
 
+def test_json_matrices_hold_format_complex_of_each_entry():
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, -1.5]
+    m = np.array([[complex(a, b) for b in edge] for a in edge])
+    for a in (m, m.T, m[:1], m[:, :1], m[1::3, ::2], m.real):
+        assert cli._matrix_json(a) == [[format_complex(z) for z in row] for row in a]
+        assert cli._vector_json(a[-1]) == [format_complex(z) for z in a[-1]]
+    assert cli._vector_json(complex(-0.0, 5e-324)) == ["-0+4.9406564584124654e-324i"]
+
+
 def test_connect_transport_reports_the_drift_of_the_metric(capsys):
     # exact transport keeps v* kappa(s,s) v: 1 at s = 0, and 0.75 * (4/3) at s = 0.5
     code, out, _ = run_cli(capsys, "connect", "transport", "--kernel", "bergman-disk:nu=1",
@@ -253,6 +263,9 @@ def test_connect_transport_csv_table(capsys):
     assert len(lines) == 5  # vector + 4-row convergence table
     errs = [float(line.split(",")[1]) for line in lines[1:]]
     assert errs == sorted(errs, reverse=True)
+    _, out, _ = run_cli(capsys, "connect", "transport", "--kernel", "bergman-disk:nu=1",
+                        "--start", "0", "--end", "0.5", "--steps", "64")
+    assert lines[0].split(",") == json.loads(out)["vector"]
 
 
 @pytest.mark.parametrize("end, steps, verdict", [
@@ -272,9 +285,9 @@ def test_connect_transport_error_estimate_tracks_exact_error(capsys, end, steps,
     assert exact_error / 2 < estimate < 2 * exact_error
 
 
-def _transport_one_jet_per_rung(k, curve, v0, rungs):
+def _transport_one_jet_per_rung(k, curve, v0, rungs, transport=connections._transport):
     """connections._transport as separate runs, each rung integrated from its own jet."""
-    runs = [connections._transport(k, curve, v0, [n]) for n in rungs]
+    runs = [transport(k, curve, v0, [n]) for n in rungs]
     return [v for (v,), _ in runs], runs[0][1]
 
 
@@ -295,7 +308,7 @@ def test_connect_transport_reads_one_jet_for_its_whole_ladder(capsys, monkeypatc
                         lambda self, *a, **kw: jets.append(a) or jet(self, *a, **kw))
     one_jet = run_cli(capsys, *argv)
     assert len(jets) == 1
-    monkeypatch.setattr(cli, "_transport", _transport_one_jet_per_rung)
+    monkeypatch.setattr(connections, "_transport", _transport_one_jet_per_rung)
     assert run_cli(capsys, *argv) == one_jet
 
 

@@ -92,11 +92,21 @@ def test_csv_text_is_the_per_entry_format():
         assert [format_complex(z) for z in a[0]] == want.split("\n")[0].split(",")
 
 
+@pytest.mark.parametrize("bare, canonical", [
+    ("-i", "0-1i"), ("-1i", "0-1i"), (" - i ", "0-1i"), ("i", "0+1i"), ("+i", "0+1i"),
+    ("-0.5i", "0-0.5i"),
+])
+def test_bare_imaginary_has_the_bits_of_its_canonical_form(bare, canonical):
+    # `-i`, `-1i` and `0-1i` are one number, with real part +0.0, and write back as `0-1i`
+    assert np.array_equal(_bits(parse_complex(bare)), _bits(parse_complex(canonical)))
+    assert format_complex(parse_complex(bare)) == canonical
+
+
 def test_csv_mixes_canonical_and_hand_written_rows():
     text = "1.5-0.25i,-0-0i\n 1.5 - 0.25 i , i\n\n  \n-2,-i\n0.5i,3e2+1E-1i\n"
     got = matrix_from_csv_text(text)
     want = np.array([[1.5 - 0.25j, complex(-0.0, -0.0)], [1.5 - 0.25j, 1j],
-                     [complex(-2.0, 0.0), -1j], [complex(0.0, 0.5), 300 + 0.1j]])  # -1j: -0 real
+                     [complex(-2.0, 0.0), complex(0.0, -1.0)], [complex(0.0, 0.5), 300 + 0.1j]])
     assert np.array_equal(_bits(got), _bits(want))
     assert np.array_equal(_bits(got), _bits([[parse_complex(c) for c in line.split(",")]
                                               for line in text.splitlines() if line.strip()]))
