@@ -15,9 +15,7 @@ import numpy as np
 
 import kernelconnect as kc  # a handler's first kc.<name> imports the layer that it runs
 
-# the layers that every command runs
-from .kernels import (DomainError, Kernel, gram_matrix, make_bergman_disk, make_bergman_halfplane,
-                      make_fock, positivity_certificate)
+# the parser reads DEFAULT_TOL, and main catches NumericsError: --help loads no other layer
 from .numerics import (DEFAULT_TOL, NumericsError, _csv_rows, matrix_to_csv_text, parse_complex,
                        read_matrix_csv)
 
@@ -43,16 +41,16 @@ def _parse_fields(body: str) -> dict:
     return fields
 
 
-def parse_kernel_spec(spec: str) -> Kernel:
+def parse_kernel_spec(spec: str) -> kc.Kernel:
     """Build a kernel from its canonical spec string (see KERNEL_SPEC_GRAMMAR)."""
     head, sep, body = spec.partition(":")
     try:
         if head == "bergman-disk" and sep:
-            return make_bergman_disk(float(_parse_fields(body)["nu"]))
+            return kc.make_bergman_disk(float(_parse_fields(body)["nu"]))
         if head == "bergman-halfplane" and sep:
-            return make_bergman_halfplane(float(_parse_fields(body)["nu"]))
+            return kc.make_bergman_halfplane(float(_parse_fields(body)["nu"]))
         if head == "fock" and sep:
-            return make_fock(np.eye(int(_parse_fields(body)["dim"])))
+            return kc.make_fock(np.eye(int(_parse_fields(body)["dim"])))
     except UsageError:
         raise
     except (KeyError, ValueError) as exc:
@@ -88,7 +86,7 @@ def _parse_vector(text: str) -> np.ndarray:
         raise UsageError(str(exc)) from exc
 
 
-def _parse_point(k: Kernel, text: str, base=None) -> np.ndarray:
+def _parse_point(k: kc.Kernel, text: str, base=None) -> np.ndarray:
     """Parse a point of k's domain, or a direction there when a base point is given."""
     v = _parse_vector(text)
     try:
@@ -96,12 +94,12 @@ def _parse_point(k: Kernel, text: str, base=None) -> np.ndarray:
             k.domain.check_point(v)
         else:
             k.domain.check_tangent(base, v)
-    except DomainError as exc:
+    except kc.DomainError as exc:
         raise UsageError(str(exc)) from exc
     return v
 
 
-def _parse_points(k: Kernel, text: str) -> list:
+def _parse_points(k: kc.Kernel, text: str) -> list:
     points = [_parse_point(k, part) for part in text.split(";") if part.strip()]
     if not points:
         raise UsageError(f"--points needs at least one point, got {text!r}")
@@ -140,7 +138,7 @@ def _emit_matrix(args, key: str, m, **fields) -> None:
         _emit_json({key: _matrix_json(m), **fields}, args.output)
 
 
-def _builtin_section(name: str, k: Kernel) -> kc.Section:
+def _builtin_section(name: str, k: kc.Kernel) -> kc.Section:
     ones = np.ones(k.fiber_dim, dtype=complex)
     if name == "constant":
         return kc.Section(F=lambda s: ones)
@@ -170,8 +168,8 @@ def _cmd_kernel_eval(args) -> int:
 def _cmd_kernel_gram(args) -> int:
     k = parse_kernel_spec(args.kernel)
     pts = _parse_points(k, args.points)
-    gram = gram_matrix(k, pts)
-    is_psd, min_eig = positivity_certificate(gram, tol=args.tol)
+    gram = kc.gram_matrix(k, pts)
+    is_psd, min_eig = kc.positivity_certificate(gram, tol=args.tol)
     _emit_matrix(args, "gram", gram, kernel=k.name, is_psd=is_psd, min_eigenvalue=min_eig,
                  tolerance=args.tol)
     return 0 if is_psd else 1

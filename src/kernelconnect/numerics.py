@@ -60,11 +60,14 @@ def hermitian_eigh(m) -> tuple[np.ndarray, np.ndarray]:
     return _eigh(a, a.conj().swapaxes(-1, -2))
 
 
-def _eigh(a: np.ndarray, adjoint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """hermitian_eigh of a finite (..., M, M) stack a, given its adjoint a*."""
+def _eigh(a: np.ndarray, adjoint: np.ndarray, vectors: bool = True) -> tuple:
+    """hermitian_eigh of a finite (..., M, M) stack a, given its adjoint a*; without `vectors`,
+    (values, None) from LAPACK's eigenvalue-only routine, which may differ in the last bits."""
     if a.shape[-1] == 1:
-        return a[..., 0].real.copy(), np.ones(a.shape, dtype=complex)
+        return a[..., 0].real.copy(), np.ones(a.shape, dtype=complex) if vectors else None
     try:
+        if not vectors:
+            return np.linalg.eigvalsh(0.5 * (a + adjoint)), None
         return np.linalg.eigh(0.5 * (a + adjoint))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise NumericsError(f"eigendecomposition failed to converge: {exc}") from exc

@@ -10,11 +10,12 @@ form c = kappa(s,s)^(-1) f(s) that the reproducing property provides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel, _psd_spectra, gram_matrix
+from .kernels import Kernel, _psd_spectra
 from .numerics import NumericsError, _finite, _solve, hermitian_solve
 
 __all__ = ["SampledRKHS", "RKHSElement", "build_rkhs", "evaluate_element", "project_fiber",
@@ -32,14 +33,18 @@ class SampledRKHS:
     def fiber_dim(self) -> int:
         return self.kernel.fiber_dim
 
+    @cached_property
+    def _sample(self) -> tuple:
+        """The points as `Domain.stack` checks them, and their coordinate rows: `build_rkhs` hands
+        them over, and a space built by hand checks its points here, on first use."""
+        stack = self.kernel.domain.stack(self.points)
+        return stack, _coordinates(stack)
+
     def point_index(self, s) -> int:
         """The index of s in the sample: the sample point within 1e-12 of it."""
-        try:
-            x = _coordinates((s, *self.points))
-            close = _close(x[:1], x[1:])[0]
-        except ValueError:  # s has another size than the sample's points: it is not among them
-            close = np.zeros(0, dtype=bool)
-        if not close.any():
+        x, rows = _coordinates((s,)), self._sample[1]
+        close = x.shape == (1, rows.shape[1]) and _close(x, rows)[0]  # False: another size
+        if not np.any(close):
             raise KeyError("point is not among the sample points; augment the sample first")
         return int(close.argmax())
 
@@ -92,15 +97,20 @@ def _certify(samples: Sequence, grams: np.ndarray) -> np.ndarray:
 
 
 def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
-    """Assemble the Gram matrix on distinct sample points and certify positivity."""
-    pts = tuple(points)
-    gram = gram_matrix(k, pts)
-    return SampledRKHS(kernel=k, points=pts, gram=gram, eigenvalues=_certify((pts,), gram[None])[0])
+    """Assemble the Gram matrix on distinct sample points, checked once, and certify positivity."""
+    if len(pts := tuple(points)) < 1:
+        raise ValueError("need at least one point")
+    stack = k.domain.stack(pts)
+    rows, gram = _coordinates(stack), k._values(one := (stack,), one)[0]  # gram_matrix's bits
+    r = SampledRKHS(k, pts, gram, _certify(rows[None], gram[None])[0])
+    vars(r).update(_sample=(stack, rows))  # the value the cached property derives
+    return r
 
 
 def evaluate_element(f: RKHSElement, s) -> np.ndarray:
-    """Pointwise value f(s) = sum_i kappa(s, t_i) c_i; s need not be sampled."""
-    return f.space.kernel.block((s,), f.space.points) @ f.coefficients
+    """f(s) = sum_i kappa(s, t_i) c_i, s sampled or not; s is checked, the held sample is not."""
+    k = f.space.kernel
+    return k._values((k.domain.stack((s,)),), (f.space._sample[0],))[0] @ f.coefficients
 
 
 def _project(grams: np.ndarray, m: int, i: int, c: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from kernelconnect import cli, connections, verify
 from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, _spectrum_json, main, parse_kernel_spec
 from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk, positivity_certificate
+from kernelconnect.kernels import _psd_spectra
 from kernelconnect.numerics import (
     format_complex,
     hermitian_eigh,
@@ -140,9 +141,11 @@ def test_rkhs_reports_the_grams_condition_number_from_its_certificate(capsys, co
     rep = json.loads(out)
     pts = [np.array([0.0]), np.array([0.5]), np.array([-0.5])]
     gram = build_rkhs(make_bergman_disk(2), pts).gram
-    values = hermitian_eigh(gram)[0]
+    values = _psd_spectra(gram[None])[0][0]  # the certificate's spectrum, from eigenvalues alone
     assert code == 0 and rep["min_eig"] == positivity_certificate(gram)[1] == values[0]
     assert rep["condition_number"] == values[-1] / values[0]
+    full = hermitian_eigh(gram)[0]
+    assert np.abs(values - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
     assert _spectrum_json(SimpleNamespace(eigenvalues=np.array([-1e-15, 2.0]))) == {
         "min_eig": -1e-15, "condition_number": None}
 

@@ -32,6 +32,7 @@ from kernelconnect.kernels import (
 )
 from kernelconnect.kernels import _psd_spectra
 from kernelconnect.numerics import NumericsError, hermitian_eigh
+from kernelconnect.rkhs import _certify
 
 
 def _probe_pairs(kernel, count, seed):
@@ -608,18 +609,47 @@ def test_stencil_sum_has_the_bits_of_the_moveaxis_formula_with_each_zeros_sign(t
     assert got.tobytes() == want.tobytes()  # bit for bit, the sign of each zero included
 
 
-def test_psd_spectra_have_the_bits_of_hermitian_eigh():
-    # the certificate symmetrizes once and shares G* with its Hermitian test: the eigenvalues
-    # stay those of eigh((G + G*) / 2), which positivity_certificate is pinned to
+def test_psd_spectra_have_the_bits_of_eigvalsh():
+    # the certificate symmetrizes once, shares G* with its Hermitian test and reads eigenvalues
+    # alone: the bits of eigvalsh((G + G*) / 2), each member of a stack those of its one matrix
+    # (positivity_certificate is that case), within 1e-13 max(1, max |lambda|) of a full eigh
     rng = np.random.default_rng(52)
-    for n in (1, 2, 5, 12):
+    for n in (1, 2, 5, 12, 64):
         z = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
         grams = z @ z.conj().swapaxes(-1, -2)
         grams[1] += 1e-12 * z[1]  # Hermitian within the tolerance only
         values, is_psd = _psd_spectra(grams)
-        assert values.tobytes() == hermitian_eigh(grams)[0].tobytes() and is_psd.all()
+        sym = 0.5 * (grams + grams.conj().swapaxes(-1, -2))
+        want = sym[..., 0].real if n == 1 else np.linalg.eigvalsh(sym)  # 1 x 1: no LAPACK
+        assert values.tobytes() == want.tobytes() and is_psd.all()
+        full = hermitian_eigh(grams)[0]
+        bound = 1e-13 * np.maximum(1.0, np.abs(full).max(axis=1, keepdims=True))
+        assert (np.abs(values - full) <= bound).all()
         for g, v in zip(grams, values):
+            assert _psd_spectra(g[None])[0].tobytes() == v.tobytes()
             assert positivity_certificate(g)[1] == v[0]
+
+
+@pytest.mark.parametrize("top", [0.25, 5.0])
+@pytest.mark.parametrize("side", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_the_psd_verdict_is_eighs_at_the_threshold(top, side):
+    # lambda_min set just inside and just outside -tol max(1, lambda_max): the eigenvalue-only
+    # certificate gives the verdict of a full eigh, and its error names the minimum eigenvalue
+    tol = 1e-9
+    v = random_unitary(12, seed=53)
+    lam = np.linspace(0.0, top, 12)
+    lam[0] = -tol * max(1.0, top) * side
+    g = (v * lam) @ v.conj().T
+    full = hermitian_eigh(g)[0]
+    expected = side < 1.0
+    assert (full[0] >= -tol * max(1.0, full[-1])) == expected
+    assert positivity_certificate(g, tol) == (expected, _psd_spectra(g[None], tol)[0][0, 0])
+    rows = np.arange(12.0)[None, :, None]
+    if expected:
+        assert _certify(rows, g[None])[0, 0] == positivity_certificate(g, tol)[1]
+    else:
+        with pytest.raises(NumericsError, match=rf"not PSD \(min eigenvalue {lam[0]:.3e}\)"):
+            _certify(rows, g[None])
 
 
 @pytest.mark.parametrize("g", [np.array([[1.0, np.nan], [np.nan, 1.0]]),

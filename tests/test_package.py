@@ -96,6 +96,21 @@ def test_each_command_loads_only_the_layers_it_runs(choi_csv, argv, modules):
     assert _loaded(code) == modules
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--help"], 0),
+    (["rkhs", "gram", "--bogus"], 2),  # argparse rejects it
+    (["verify", "bogus"], 2),  # the handler rejects it, before any layer runs
+])
+def test_help_and_usage_errors_load_only_cli_and_numerics(argv, exit_code):
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "kernelconnect", *argv],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert proc.returncode == exit_code, proc.stderr
+    imported = {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {m for m in imported if m.startswith("kernelconnect.")} == {"kernelconnect.cli",
+                                                                       "kernelconnect.numerics"}
+
+
 def test_all_is_the_public_api_and_each_name_resolves():
     assert sorted(kernelconnect.__all__) == sorted(NAMES) and len(NAMES) == 71
     for name, module in NAMES.items():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kernelconnect.cpmaps import random_unitary
+from kernelconnect.cpmaps import cp_kernel, random_unital_cpmap, random_unitary
 from kernelconnect.grassmann import HermitianProjector, coordinate_projector, universal_kernel
 from kernelconnect.kernels import (
     DomainError,
@@ -14,6 +14,7 @@ from kernelconnect.kernels import (
 from kernelconnect.numerics import NumericsError
 from kernelconnect.rkhs import (
     RKHSElement,
+    SampledRKHS,
     _certify,
     build_rkhs,
     evaluate_element,
@@ -176,6 +177,62 @@ def test_lookup_keeps_the_one_point_rule():
             r.point_index(far)
         with pytest.raises(KeyError):
             [r.point_index(p) for p in (r.points[0], far)]
+
+
+@pytest.mark.parametrize("by_hand", [False, True])
+def test_lookup_reads_the_held_sample(by_hand):
+    # a space built by hand derives its held sample on first use; a point outside the sample, or
+    # of another size, is still a KeyError
+    r = _disk_space()
+    r = SampledRKHS(r.kernel, r.points, r.gram, r.eigenvalues) if by_hand else r
+    assert [r.point_index(p) for p in r.points[::-1]] == [3, 2, 1, 0]
+    assert r._sample[0].shape == (4, 1) and r._sample[1].shape == (4, 1)
+    for far in (0.3 + 1e-11, np.array([0.3, 0.0]), np.zeros(0), np.zeros((1, 1, 2))):
+        with pytest.raises(KeyError):
+            r.point_index(far)
+
+
+def _spaces():
+    """(kernel, sample, off-sample points) on the disk, C^2 (Fock), U(3) (cp_kernel), Gr(4, 2)."""
+    base = coordinate_projector(4, 2)
+    grass = [HermitianProjector(u @ base.p @ u.conj().T, 2)
+             for u in (random_unitary(4, seed=110 + i) for i in range(5))]
+    psi = random_unital_cpmap(3, 2, 4, np.random.default_rng(111))
+    us = [random_unitary(3, seed=112 + i) for i in range(5)]
+    return [
+        (make_bergman_disk(2), [np.array([z]) for z in (0.0, 0.3, -0.2 + 0.4j)],
+         [np.array([0.1 - 0.2j]), 0.6j]),
+        (make_fock(np.eye(2)), [[0, 0], [1, 1j], [0.5, -1]], [np.array([0.2, 0.3j])]),
+        (cp_kernel(psi), us[:3], us[3:]),
+        (universal_kernel(4, 2), grass[:3], grass[3:]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("by_hand", [False, True])
+def test_evaluation_has_the_bits_of_the_kernel_block(case, by_hand):
+    # evaluate_element checks s alone and reads the held sample: the bits of block((s,), points)
+    k, pts, off = _spaces()[case]
+    r = build_rkhs(k, pts)
+    if by_hand:
+        r = SampledRKHS(k, tuple(pts), r.gram, r.eigenvalues)
+    c = np.random.default_rng(113).standard_normal(len(pts) * k.fiber_dim) + 0.5j
+    f = RKHSElement(r, c)
+    for s in (*pts, *off):
+        assert evaluate_element(f, s).tobytes() == (k.block((s,), pts) @ f.coefficients).tobytes()
+
+
+def test_a_hand_built_space_checks_its_sample_on_first_use():
+    r = _disk_space()
+    hand = SampledRKHS(r.kernel, (*r.points[:3], np.array([1.5])), r.gram, r.eigenvalues)
+    f = RKHSElement(hand, np.ones(4, dtype=complex))
+    message = r"too close to the unit circle \(point 3 of 4\)"
+    with pytest.raises(DomainError, match=message):
+        evaluate_element(f, np.array([0.1]))
+    with pytest.raises(DomainError, match=message):
+        hand.point_index(r.points[0])
+    with pytest.raises(DomainError, match="too close to the unit circle"):
+        evaluate_element(RKHSElement(r, np.ones(4, dtype=complex)), np.array([1.5]))
 
 
 def test_points_of_one_size_in_mixed_shapes_build_and_are_found():
