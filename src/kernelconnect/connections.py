@@ -47,9 +47,9 @@ class Section:
 
     `dF`, when given, is the analytic differential (s, X) -> fiber vector and
     takes precedence over stencil differentiation.  `batch`, when given, maps an
-    (..., d) array of points of a VectorDomain to their (..., M) values in one
-    call, and `F` is its one-point case: every entry must have the bits of F at
-    its own point, under the rule for `Kernel.batch`.
+    (..., d) array of VectorDomain points, or an (..., n, n) stack of U(n) points,
+    to their (..., M) values in one call, and `F` is its one-point case: every
+    entry must have the bits of F at its own point, as for `Kernel.batch`.
     """
 
     F: Callable[[object], np.ndarray]
@@ -62,7 +62,7 @@ class Section:
 
     def _values(self, points, depth: int = 1) -> np.ndarray:
         """The (..., M) values at a stack of points `depth` axes deep (2 for stencils): one `batch`
-        call on a vector-domain array, else a loop over `F`.  Every backend reads values here."""
+        call on an ndarray of C^d or U(n) points, else a loop over `F`; every backend reads here."""
         if self.batch is not None and isinstance(points, np.ndarray):
             return np.asarray(self.batch(points), dtype=complex)
         return np.array([self.value(p) for p in points] if depth == 1 else

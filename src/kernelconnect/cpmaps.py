@@ -17,6 +17,7 @@ import numpy as np
 
 from .kernels import BundleMorphism, Kernel, make_group_kernel, pull_back_kernel
 from .numerics import NumericsError, _max_norm, hermitian_eigh
+from .connections import Section
 from .grassmann import HermitianProjector, _group_jets, fiber_basis
 
 __all__ = [
@@ -144,8 +145,7 @@ def stinespring_dilate(psi: CPMap) -> StinespringTriple:
     """
     psi.require_unital()
     n, m, r = psi.input_dim, psi.output_dim, psi.choi_rank
-    stacked = np.stack([k.conj().T for k in psi.kraus], axis=1)  # (n, r, m)
-    v = stacked.reshape(n * r, m)
+    v = psi.kraus.conj().transpose(2, 0, 1).reshape(n * r, m)  # from (n, r, m)
     return StinespringTriple(v=v, r=r, input_dim=n, output_dim=m)
 
 
@@ -207,34 +207,45 @@ def pullback_identity_residual(psi: CPMap, triple: StinespringTriple,
 def cp_covariant_derivative(psi: CPMap, sigma: Callable[[np.ndarray], np.ndarray],
                             u, a) -> np.ndarray:
     """d(sigma) along u e^{ta} plus Psi(a) sigma(u), for anti-Hermitian a: the one-probe
-    `_cp_covariant`."""
-    return _cp_covariant(psi, sigma, (u,), (a,))[0]
+    `_cp_covariant` of Section(F=sigma)."""
+    return _cp_covariant(psi, Section(F=sigma), (u,), (a,))[0]
 
 
-def _cp_covariant(psi: CPMap, sigma, us: Sequence, xs: Sequence) -> np.ndarray:
+def _cp_covariant(psi: CPMap, sigma: Section, us: Sequence, xs: Sequence) -> np.ndarray:
     """The (L, m) derivatives at L probes (u_j, a_j), from one U(n) stencil stack."""
     dsigma, value, a = _group_jets(sigma, us, xs, psi.input_dim, psi.output_dim)
     return dsigma + (psi.apply(a) @ value[..., None])[..., 0]
 
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Deterministic unitary from a seeded complex Gaussian, via QR with fixed phases."""
+    """A deterministic unitary from a seeded complex Gaussian: the one-seed `_random_unitaries`."""
+    return _random_unitaries(n, seed)
+
+
+def _random_unitaries(n: int, seeds) -> np.ndarray:
+    """random_unitary of one int seed, or the (L, n, n) stack of L seeds: one generator per seed
+    and one (2, n, n) draw each, then one QR and one phase fix, Q times the phases of diag R."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
+    draw = lambda seed: np.random.default_rng(seed).standard_normal((2, n, n))  # noqa: E731
+    z = draw(seeds) if np.ndim(seeds) == 0 else np.array([draw(seed) for seed in seeds])
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    d = r.diagonal(0, -2, -1)[..., None, :]
     return q * (d / np.abs(d))
 
 
 def random_unital_cpmap(input_dim: int, output_dim: int, n_kraus: int,
                         rng: np.random.Generator) -> CPMap:
-    """A random unital CP map: Gaussian Kraus family renormalized so sum K K* = I."""
-    ks = [rng.standard_normal((output_dim, input_dim))
-          + 1j * rng.standard_normal((output_dim, input_dim)) for _ in range(n_kraus)]
-    k = np.array(ks)
-    total = (k @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0)  # from zero, in order
-    values, vectors = hermitian_eigh(total)
-    inv_sqrt = (vectors * (1.0 / np.sqrt(values))) @ vectors.conj().T
-    return choi_from_kraus([inv_sqrt @ k for k in ks])
+    """A random unital CP map: Gaussian Kraus family renormalized so sum K K* = I; the one-map
+    `_random_unital_cpmaps`."""
+    return _random_unital_cpmaps(input_dim, output_dim, n_kraus, rng, 1)[0]
+
+
+def _random_unital_cpmaps(n: int, m: int, n_kraus: int, rng, count: int) -> list:
+    """`count` maps from one draw, the stream of as many random_unital_cpmap calls, normalized by
+    one stacked hermitian_eigh."""
+    z = rng.standard_normal((count, n_kraus, 2, m, n))
+    k = z[:, :, 0] + 1j * z[:, :, 1]
+    values, vectors = hermitian_eigh((k @ k.conj().swapaxes(-1, -2)).sum(axis=1, initial=0.0))
+    inv_sqrt = (vectors * (1.0 / np.sqrt(values))[:, None]) @ vectors.conj().swapaxes(-1, -2)
+    return [choi_from_kraus(family) for family in inv_sqrt[:, None] @ k]

@@ -22,7 +22,7 @@ import numpy as np
 
 from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _finite_array,
                       _frobenius, make_group_kernel, stencil_sum)
-from .connections import _fiber
+from .connections import Section, _fiber
 from .numerics import DEFAULT_STEP, NumericsError, _max_norm
 
 __all__ = [
@@ -339,15 +339,15 @@ def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:
 def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],
                                      point: HermitianProjector, u, x) -> np.ndarray:
     """d(phi) along u e^{tX} plus the compressed generator action P X phi(u): the one-probe
-    `_homogeneous`.
+    `_homogeneous` of Section(F=phi).
 
     phi maps unitaries into Ran P (ambient coordinates) and must be
     equivariant under block unitaries, phi(u w) = w^-1 phi(u).
     """
-    return _homogeneous(phi, point, (u,), (x,))[0]
+    return _homogeneous(Section(F=phi), point, (u,), (x,))[0]
 
 
-def _homogeneous(phi, point: HermitianProjector, us: Sequence, xs: Sequence) -> np.ndarray:
+def _homogeneous(phi: Section, point: HermitianProjector, us: Sequence, xs: Sequence) -> np.ndarray:
     """The (L, n) homogeneous derivatives at L probes (u_j, x_j), from one U(n) stencil stack;
     that phi(u_j) lies in Ran P is one test of the L values."""
     deriv, value, x = _group_jets(phi, us, xs, point.n, point.n)
@@ -356,12 +356,12 @@ def _homogeneous(phi, point: HermitianProjector, us: Sequence, xs: Sequence) -> 
     return deriv + (point.p @ (x @ value[..., None]))[..., 0]
 
 
-def _group_jets(f, us: Sequence, xs: Sequence, n: int, m: int) -> tuple[np.ndarray, ...]:
-    """At L probes (u_j, x_j) of U(n), checked once: the (L, m) derivatives of f along u_j e^{t x_j}
-    from one stencil stack, the (L, m) values f(u_j) and the (L, n, n) directions.  f is called at
-    the 5L points, and its values are checked as a section's: m long and finite."""
+def _group_jets(sigma: Section, us: Sequence, xs: Sequence, n: int, m: int) -> tuple:
+    """At L probes (u_j, x_j) of U(n), checked once: the (L, m) derivatives of sigma along
+    u_j e^{t x_j} from one stencil stack, the (L, m) values sigma(u_j) and the (L, n, n) directions;
+    sigma is read by `Section._values`; its values are checked as a section's: m long and finite."""
     domain = UnitaryDomain(n)
     us, x = domain.jets(us, xs)
     stencils, weights = domain._stencils(us, x, DEFAULT_STEP)
-    v = _fiber([f(q) for ps in stencils for q in ps] + [f(u) for u in us], m)
-    return stencil_sum(weights, v[:4 * len(x)].reshape(len(x), 4, m)), v[4 * len(x):], x
+    dsigma = stencil_sum(weights, _fiber(sigma._values(stencils, 2), m))
+    return dsigma, _fiber(sigma._values(us), m), x

@@ -444,7 +444,7 @@ def make_fock(beta) -> Kernel:
         raise ValueError(f"beta must be a square matrix, got shape {b.shape}")
     if np.linalg.norm(b - b.conj().T) > 1e-10:
         raise ValueError("beta must be Hermitian")
-    values, _ = hermitian_eigh(b)
+    values = _eigh(_as_matrix(b), b.conj().T, vectors=False)[0]
     if values.size and values[0] < -1e-10 * max(values[-1], 1.0):
         raise ValueError(f"beta must be PSD, min eigenvalue {values[0]:.3e}")
     dim = b.shape[0]

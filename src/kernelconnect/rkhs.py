@@ -22,7 +22,7 @@ __all__ = ["SampledRKHS", "RKHSElement", "build_rkhs", "evaluate_element", "proj
            "universality_residual"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # identity equality: its fields are arrays
 class SampledRKHS:
     kernel: Kernel
     points: tuple
@@ -49,7 +49,7 @@ class SampledRKHS:
         return int(close.argmax())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RKHSElement:
     space: SampledRKHS
     coefficients: np.ndarray

@@ -154,13 +154,11 @@ def _universality_checks(seed):
     fock_pts = [0.6 * _normal(rng, 2) for _ in range(6)]
     cases.append(("fock:dim=2", make_fock(np.eye(2)), fock_pts))
 
-    q = grassmann.universal_kernel(4, 2)
     base = grassmann.coordinate_projector(4, 2)
-    grass_pts = [base]
-    for i in range(4):
-        u = cpmaps.random_unitary(4, seed=seed + 100 + i)
-        grass_pts.append(grassmann.HermitianProjector(u @ base.p @ u.conj().T, 2))
-    cases.append(("universal:n=4,k=2", q, grass_pts))
+    us = cpmaps._random_unitaries(4, range(seed + 100, seed + 104))
+    grass_pts = [base] + [grassmann.HermitianProjector(p, 2)
+                          for p in us @ base.p @ us.conj().swapaxes(-1, -2)]
+    cases.append(("universal:n=4,k=2", grassmann.universal_kernel(4, 2), grass_pts))
 
     checks = []
     for name, k, pts in cases:
@@ -199,8 +197,8 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
     """Three-way covariant-derivative agreement on rank-k projectors in C^n.
 
     Compares the projected-differential formula, the reductive-splitting formula and the generic
-    kernel pipeline on random probes, drawn one by one, then evaluated by each route in one call;
-    checks metric compatibility; returns the two max residuals.
+    kernel pipeline on random probes, evaluated by each route in one call; checks metric
+    compatibility; returns the two max residuals.
     """
     if probes < 1:
         raise ValueError(f"probes must be >= 1, got {probes}")
@@ -214,13 +212,10 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
     def g_ambient(pt):
         return pt.p @ w0
 
-    drawn = []
-    for i in range(probes):
-        g = cpmaps.random_unitary(n, seed=seed + 200 + i)
-        x = grassmann.random_grass_tangent(base, rng).generator
-        point = grassmann.HermitianProjector(g @ base.p @ g.conj().T, k)
-        drawn.append((g, x, point, grassmann.GrassTangent(point, g @ x @ g.conj().T)))
-    gs, xs, points, tangents = zip(*drawn)
+    gs = cpmaps._random_unitaries(n, range(seed + 200, seed + 200 + probes))
+    xs = [grassmann.random_grass_tangent(base, rng).generator for _ in gs]
+    points = [grassmann.HermitianProjector(g @ base.p @ g.conj().T, k) for g in gs]
+    tangents = [grassmann.GrassTangent(p, g @ x @ g.conj().T) for p, g, x in zip(points, gs, xs)]
 
     univ = grassmann._universal(f_ambient, points, tangents)
     red = grassmann._reductive(f_ambient, gs, xs, base)
@@ -258,36 +253,34 @@ def _homogeneous_checks(seed):
     b = grassmann.fiber_basis(p)
     z0 = _normal(rng, n)
 
-    def phi(u):
-        return p.p @ (u.conj().T @ z0)
+    def phi(u):  # P u* z0 at u, or at each member of an (..., n, n) stack with its one-point bits
+        return (p.p @ (u.conj().swapaxes(-1, -2) @ z0)[..., None])[..., 0]
 
-    sigma = Section(F=lambda u: b.conj().T @ phi(u))
-    us = [cpmaps.random_unitary(n, seed=seed + 300 + i) for i in range(20)]
+    def coords(u):  # B* phi(u), the same way
+        return (b.conj().T @ phi(u)[..., None])[..., 0]
+
+    us = cpmaps._random_unitaries(n, range(seed + 300, seed + 320))
     xs = [grassmann.random_grass_tangent(p, rng).generator for _ in us]
-    generic = make_evaluator(hk, "direct").evaluate(sigma, us, xs)
-    formulas = [b.conj().T @ f for f in grassmann._homogeneous(phi, p, us, xs)]
-    return [_check("homogeneous/formula_vs_generic", "grassmann", _max_norm(formulas - generic),
-                   1e-6)]
+    generic = make_evaluator(hk, "direct").evaluate(Section(F=coords, batch=coords), us, xs)
+    formulas = grassmann._homogeneous(Section(F=phi, batch=phi), p, us, xs)
+    res = _max_norm((b.conj().T @ formulas[..., None])[..., 0] - generic)
+    return [_check("homogeneous/formula_vs_generic", "grassmann", res, 1e-6)]
 
 
 def _stinespring_checks(seed):
     rng = np.random.default_rng(seed + 7)
-    iso_res, dil_res, rank_mismatch = 0.0, 0.0, 0
-    for _ in range(20):
-        psi = cpmaps.random_unital_cpmap(3, 2, n_kraus=4, rng=rng)
-        triple = cpmaps.stinespring_dilate(psi)
-        iso_res = max(iso_res, triple.isometry_residual())
-        dil_res = max(dil_res, cpmaps.verify_dilation(psi, triple))
-        values = np.linalg.eigvalsh(psi.choi)
-        independent_rank = int(np.sum(values > 1e-10 * values[-1]))
-        if triple.r != independent_rank:
-            rank_mismatch += 1
+    *maps, psi = cpmaps._random_unital_cpmaps(3, 2, 4, rng, 21)  # 20 dilated, one for the kernel
+    values = np.linalg.eigvalsh(np.array([p.choi for p in maps]))
+    independent_ranks = (values > 1e-10 * values[:, -1:]).sum(-1)
+    rank_mismatch = np.count_nonzero(independent_ranks != [p.choi_rank for p in maps])
+    triples = [cpmaps.stinespring_dilate(p) for p in maps]
+    iso_res = max(t.isometry_residual() for t in triples)
+    dil_res = max(cpmaps.verify_dilation(p, t) for p, t in zip(maps, triples))
 
-    psi = cpmaps.random_unital_cpmap(3, 2, n_kraus=4, rng=rng)
     triple = cpmaps.stinespring_dilate(psi)
-    pairs = [(cpmaps.random_unitary(3, seed=seed + 400 + i),
-              cpmaps.random_unitary(3, seed=seed + 450 + i)) for i in range(8)]
-    pull_res = cpmaps.pullback_identity_residual(psi, triple, pairs)
+    u = cpmaps._random_unitaries(3, [*range(seed + 400, seed + 408), *range(seed + 450, seed + 458),
+                                     *range(seed + 500, seed + 520)])
+    pull_res = cpmaps.pullback_identity_residual(psi, triple, list(zip(u[:8], u[8:16])))
 
     ck = cpmaps.cp_kernel(psi)
     w0 = _normal(rng, 2)
@@ -296,12 +289,12 @@ def _stinespring_checks(seed):
     def sigma_fn(u):
         return w0 + psi.apply(u) @ (0.5 * w0)
 
-    sigma = Section(F=sigma_fn)
-    us = [cpmaps.random_unitary(3, seed=seed + 500 + i) for i in range(20)]
+    sigma = Section(F=sigma_fn, batch=sigma_fn)  # Psi applies to a stack, member by member
+    us = u[16:]
     xs = [0.5 * (a - a.conj().T)
           for a in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in us)]
     generic = make_evaluator(ck, "direct").evaluate(sigma, us, xs)
-    cov_res = _max_norm(cpmaps._cp_covariant(psi, sigma_fn, us, xs) - generic)
+    cov_res = _max_norm(cpmaps._cp_covariant(psi, sigma, us, xs) - generic)
 
     return [
         _check("stinespring/isometry", "cpmaps", iso_res, 1e-12),
@@ -357,12 +350,11 @@ def _reductive_checks(seed):
     # a rotated projector: at a coordinate one with block unitaries every product is exact
     u = cpmaps.random_unitary(4, seed=seed + 700)
     point = grassmann.HermitianProjector(u @ grassmann.coordinate_projector(4, 2).p @ u.conj().T, 2)
-    unitaries, zero = [], np.zeros((2, 2))
-    for i in range(20):
-        u1 = cpmaps.random_unitary(2, seed=seed + 600 + 2 * i)
-        u2 = cpmaps.random_unitary(2, seed=seed + 601 + 2 * i)
-        unitaries.append(u @ np.block([[u1, zero], [zero, u2]]) @ u.conj().T)
-    res = grassmann.reductive_axioms_residual(point, unitaries, n_probes=20, seed=seed)
+    blocks = cpmaps._random_unitaries(2, range(seed + 600, seed + 640))  # u1, u2 of 20 unitaries
+    unitaries = np.zeros((20, 4, 4), dtype=complex)
+    unitaries[:, :2, :2], unitaries[:, 2:, 2:] = blocks[0::2], blocks[1::2]
+    res = grassmann.reductive_axioms_residual(point, u @ unitaries @ u.conj().T, n_probes=20,
+                                              seed=seed)
     return [_check("reductive/axioms_residual", "grassmann", res, 1e-12)]
 
 

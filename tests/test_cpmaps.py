@@ -20,7 +20,7 @@ from kernelconnect.cpmaps import (
 )
 from kernelconnect.grassmann import coordinate_projector, fiber_basis, homogeneous_kernel
 from kernelconnect.kernels import DomainError, Kernel
-from kernelconnect.numerics import NumericsError
+from kernelconnect.numerics import NumericsError, hermitian_eigh
 
 
 def _example_map(seed=0, n=3, m=2, r=4):
@@ -133,14 +133,19 @@ def _cp_probes(count, seed):
 
 
 def test_cp_core_members_have_the_bits_of_the_one_probe_function():
+    # the section read by one batch call per stack, or point by point, or one probe at a time
     psi = _example_map(seed=25)
     w0 = np.array([1.0, -0.5j])
-    sigma_fn = lambda u: w0 + psi.apply(u) @ (0.5 * w0)  # noqa: E731
+    sigma_fn = lambda u: w0 + psi.apply(u) @ (0.5 * w0)  # noqa: E731 - also on (..., n, n) stacks
     us, xs = _cp_probes(9, seed=26)
-    stacked = cpmaps._cp_covariant(psi, sigma_fn, us, xs)
+    batch, loop = Section(F=sigma_fn, batch=sigma_fn), Section(F=sigma_fn)
+    stacked = cpmaps._cp_covariant(psi, batch, us, xs)
     assert stacked.shape == (9, 2)
+    assert stacked.tobytes() == cpmaps._cp_covariant(psi, loop, us, xs).tobytes()
     for u, a, got in zip(us, xs, stacked):
-        assert np.array_equal(got, cp_covariant_derivative(psi, sigma_fn, u, a))
+        assert got.tobytes() == cp_covariant_derivative(psi, sigma_fn, u, a).tobytes()
+    direct = make_evaluator(cp_kernel(psi), "direct")
+    assert direct.evaluate(batch, us, xs).tobytes() == direct.evaluate(loop, us, xs).tobytes()
 
 
 def test_cp_covariant_derivative_raises_on_a_non_finite_value_at_its_point():
@@ -249,6 +254,22 @@ def test_random_unitary_deterministic_and_unitary():
     assert np.linalg.norm(u1.conj().T @ u1 - np.eye(4)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_stacked_unitaries_have_the_bits_of_one_seed_at_a_time(n):
+    seeds = [12, 0, 7, 12, 2**40 + 3]
+    stacked = cpmaps._random_unitaries(n, seeds)
+    assert stacked.shape == (len(seeds), n, n)
+    for seed, u in zip(seeds, stacked):
+        assert u.tobytes() == random_unitary(n, seed).tobytes()
+        # the one-seed formula: its own generator, two (n, n) draws, QR, phases fixed
+        rng = np.random.default_rng(seed)
+        q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        d = np.diagonal(r)
+        assert u.tobytes() == (q * (d / np.abs(d))).tobytes()
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        cpmaps._random_unitaries(0, seeds)
+
+
 def test_random_unital_cpmap_is_unital():
     psi = _example_map(seed=13)
     assert psi.unitality_residual() < 1e-12
@@ -299,3 +320,23 @@ def test_choi_kraus_and_normalization_stacks_have_the_bits_of_their_loops():
         inv_sqrt = (vectors * (1.0 / np.sqrt(values))) @ vectors.conj().T
         drawn = random_unital_cpmap(n, m, r, np.random.default_rng(seed))
         assert drawn.choi.tobytes() == choi_from_kraus([inv_sqrt @ k for k in ks]).choi.tobytes()
+
+
+@pytest.mark.parametrize("n, m, r", [(3, 2, 4), (2, 2, 1), (2, 3, 3), (3, 1, 2)])
+def test_stacked_cpmaps_have_the_bits_of_sequential_draws_and_leave_the_generator_alike(n, m, r):
+    stacked_rng, loop_rng = np.random.default_rng(31), np.random.default_rng(31)
+    stacked = cpmaps._random_unital_cpmaps(n, m, r, stacked_rng, 6)
+    for got in stacked:
+        # the one-map formula, drawn operator by operator from the same generator
+        ks = [loop_rng.standard_normal((m, n)) + 1j * loop_rng.standard_normal((m, n))
+              for _ in range(r)]
+        k = np.array(ks)
+        values, vectors = hermitian_eigh((k @ k.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0))
+        want = choi_from_kraus([(vectors * (1.0 / np.sqrt(values))) @ vectors.conj().T @ k
+                                for k in ks])
+        assert (got.input_dim, got.output_dim) == (n, m)
+        assert got.choi.tobytes() == want.choi.tobytes()
+        assert got.kraus.shape == want.kraus.shape and got.kraus.strides == want.kraus.strides
+        assert got.kraus.tobytes() == want.kraus.tobytes()
+    assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert stacked_rng.standard_normal() == loop_rng.standard_normal()

@@ -147,16 +147,19 @@ def test_reductive_axioms_reject_a_non_finite_unitary_in_either_order(first):
 
 
 def test_homogeneous_core_members_have_the_bits_of_the_one_probe_function():
+    # phi read by one batch call per stack, or point by point, or one probe at a time
     n, rng = 3, np.random.default_rng(23)
     p = coordinate_projector(n, 1)
     z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    phi = lambda u: p.p @ (np.asarray(u).conj().T @ z0)  # noqa: E731
+    phi = lambda u: (p.p @ (np.asarray(u).conj().swapaxes(-1, -2) @ z0)[..., None])[..., 0]  # noqa
     us = [random_unitary(n, seed=60 + i) for i in range(7)]
     xs = [random_grass_tangent(p, rng).generator for _ in us]
-    stacked = grassmann._homogeneous(phi, p, us, xs)
+    stacked = grassmann._homogeneous(Section(F=phi, batch=phi), p, us, xs)
     assert stacked.shape == (7, n)
+    assert stacked.tobytes() == grassmann._homogeneous(Section(F=phi), p, us, xs).tobytes()
     for u, x, got in zip(us, xs, stacked):
-        assert np.array_equal(got, homogeneous_covariant_derivative(phi, p, u, x))
+        assert got.tobytes() == homogeneous_covariant_derivative(phi, p, u, x).tobytes()
+        assert phi(u).tobytes() == (p.p @ (u.conj().T @ z0)).tobytes()  # its one-point formula
 
 
 def test_homogeneous_derivative_raises_on_a_non_finite_value_at_its_point():

@@ -283,3 +283,12 @@ def test_a_hand_built_space_with_a_non_finite_gram_still_fails(bad):
         project_fiber(hand, r.points[0], f)
     with pytest.raises(NumericsError, match="matrix has non-finite entries"):
         universality_residual(hand)
+
+
+def test_spaces_and_elements_compare_by_identity_without_reading_their_arrays():
+    r = _disk_space()
+    copy = SampledRKHS(r.kernel, r.points, r.gram.copy(), r.eigenvalues.copy())
+    assert r == r and r != copy and not (r == copy)
+    f = RKHSElement(r, np.ones(len(r.points)))
+    assert f == f and f != RKHSElement(r, np.ones(len(r.points)))
+    assert len({r, copy, f}) == 3  # hashable, each by its identity

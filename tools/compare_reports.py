@@ -21,14 +21,8 @@ import os
 import subprocess
 import sys
 
-
-def parse_seeds(text: str) -> list[int]:
-    """'0-59' or '1,4,7-9' as a list of seeds."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.strip().partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from seed_sweep import parse_seeds  # noqa: E402 - the seed option of tools/
 
 
 def run_report(tree: str, seed: int) -> tuple[int, str]:

@@ -35,6 +35,14 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def use_tree(parser, tree: str) -> None:
+    """Put the tree's src/ first on sys.path, or exit with a usage error if it has no package."""
+    src = os.path.join(os.path.abspath(tree), "src")
+    if not os.path.isdir(os.path.join(src, "kernelconnect")):
+        parser.error(f"{tree} has no src/kernelconnect")
+    sys.path.insert(0, src)
+
+
 def sweep(run_suite, seeds, modules=None) -> tuple[dict, list]:
     """{check: (worst score, its seed, seeds failed, whether the score is a ratio)} and the
     (seed, error) of every seed where run_suite raised.  A check's score is residual / tolerance,
@@ -71,10 +79,7 @@ def main(argv=None) -> int:
         seeds = parse_seeds(args.seeds)
     except ValueError:
         parser.error(f"cannot read seeds {args.seeds!r}")
-    src = os.path.join(os.path.abspath(args.tree), "src")
-    if not os.path.isdir(os.path.join(src, "kernelconnect")):
-        parser.error(f"{args.tree} has no src/kernelconnect")
-    sys.path.insert(0, src)
+    use_tree(parser, args.tree)
     from kernelconnect.verify import MODULE_NAMES, run_suite
 
     modules = args.modules.split(",") if args.modules else None
