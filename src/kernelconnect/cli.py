@@ -21,42 +21,41 @@ from .numerics import (DEFAULT_TOL, NumericsError, _csv_rows, matrix_to_csv_text
 
 __all__ = ["main", "parse_kernel_spec", "KERNEL_SPEC_GRAMMAR"]
 
-KERNEL_SPEC_GRAMMAR = (
-    "kernel spec grammar: bergman-disk:nu=<real> | bergman-halfplane:nu=<real> "
-    "| fock:dim=<int>"
-)
+# family -> ({field: its grammar type}, the maker called with the parsed fields by name); a
+# maker resolves kc.<name> when called, so that the parser loads no kernel layer
+_KERNEL_SPECS = {
+    "bergman-disk": ({"nu": "real"}, lambda nu: kc.make_bergman_disk(nu)),
+    "bergman-halfplane": ({"nu": "real"}, lambda nu: kc.make_bergman_halfplane(nu)),
+    "fock": ({"dim": "int"}, lambda dim: kc.make_fock(np.eye(dim))),
+}
+_FIELD_TYPES = {"real": float, "int": int}
+
+KERNEL_SPEC_GRAMMAR = "kernel spec grammar: " + " | ".join(
+    f"{family}:" + ",".join(f"{field}=<{kind}>" for field, kind in fields.items())
+    for family, (fields, _) in _KERNEL_SPECS.items())
 
 
 class UsageError(ValueError):
     """Bad command-line input; reported with the accepted grammar, exit code 2."""
 
 
-def _parse_fields(body: str) -> dict:
-    fields = {}
-    for part in body.split(","):
-        if "=" not in part:
-            raise UsageError(f"malformed kernel option {part!r}; {KERNEL_SPEC_GRAMMAR}")
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    return fields
-
-
 def parse_kernel_spec(spec: str) -> kc.Kernel:
-    """Build a kernel from its canonical spec string (see KERNEL_SPEC_GRAMMAR)."""
-    head, sep, body = spec.partition(":")
+    """Build a kernel from its canonical spec string (see KERNEL_SPEC_GRAMMAR): its family's
+    fields, each named once."""
+    family, sep, body = spec.partition(":")
+    if not sep or family not in _KERNEL_SPECS:
+        raise UsageError(f"unknown kernel spec {spec!r}; {KERNEL_SPEC_GRAMMAR}")
+    kinds, make = _KERNEL_SPECS[family]
+    fields = [(key.strip(), eq, value.strip()) for key, eq, value in
+              (part.partition("=") for part in body.split(","))]
+    if not all(eq for _, eq, _ in fields) or sorted(k for k, _, _ in fields) != sorted(kinds):
+        raise UsageError(f"kernel spec {spec!r} must set exactly {', '.join(kinds)}, each once "
+                         f"as field=value; {KERNEL_SPEC_GRAMMAR}")
     try:
-        if head == "bergman-disk" and sep:
-            return kc.make_bergman_disk(float(_parse_fields(body)["nu"]))
-        if head == "bergman-halfplane" and sep:
-            return kc.make_bergman_halfplane(float(_parse_fields(body)["nu"]))
-        if head == "fock" and sep:
-            return kc.make_fock(np.eye(int(_parse_fields(body)["dim"])))
-    except UsageError:
-        raise
-    except (KeyError, ValueError) as exc:
+        return make(**{key: _FIELD_TYPES[kinds[key]](value) for key, _, value in fields})
+    except ValueError as exc:
         raise UsageError(f"cannot parse kernel spec {spec!r}: {exc}; "
                          f"{KERNEL_SPEC_GRAMMAR}") from exc
-    raise UsageError(f"unknown kernel spec {spec!r}; {KERNEL_SPEC_GRAMMAR}")
 
 
 def _load_cpmap(path: str, n: int | None):
@@ -352,14 +351,52 @@ def _cmd_verify(args) -> int:
 # Argument parser
 
 
-def _add_common(p, tol_default, formats: bool = True) -> None:
-    """--output always; --format when the command has a CSV form; --tol when it has a verdict."""
-    if formats:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--output", default=None, help="write to this path instead of stdout")
-    if tol_default is not None:
-        p.add_argument("--tol", type=float, default=tol_default,
-                       help="residual tolerance for the pass/fail verdict")
+_REQUIRED = {"required": True}
+_SEED = {"type": int, "default": 42}
+_OUTPUT = {"help": "write to this path instead of stdout"}
+
+# command -> (help, {subcommand: (help, handler, --tol default or None (no verdict),
+#                                 --format default or None (no CSV form), {option: keywords})})
+_COMMANDS = {
+    "kernel": ("evaluate kernels and Gram matrices", {
+        "eval": ("evaluate kappa(s, t)", _cmd_kernel_eval, None, "json", {
+            "--kernel": _REQUIRED,
+            "--point": {"required": True, "help": "comma-separated a+bi literals"},
+            "--point2": {"help": "second point (defaults to --point)"}}),
+        "gram": ("block Gram matrix with PSD certificate", _cmd_kernel_gram, DEFAULT_TOL, "json", {
+            "--kernel": _REQUIRED,
+            "--points": {"required": True,
+                         "help": "semicolon-separated points, each comma-separated a+bi"}}),
+    }),
+    "rkhs": ("finite-sample Hilbert space diagnostics", {
+        "gram": ("emit the sampled Gram matrix", _cmd_rkhs_gram, None, "csv", {
+            "--kernel": _REQUIRED, "--points": _REQUIRED}),
+        "universality": ("fiber-projection reproduction residual", _cmd_rkhs_universality,
+                         DEFAULT_TOL, None, {"--kernel": _REQUIRED, "--points": _REQUIRED}),
+    }),
+    "connect": ("covariant derivatives and transport", {
+        "covderiv": ("compare the three backends at a probe", _cmd_connect_covderiv, 1e-6, None, {
+            "--kernel": _REQUIRED, "--point": _REQUIRED, "--direction": _REQUIRED,
+            "--section": {"default": "constant", "help": "constant | linear"}}),
+        "transport": ("parallel transport along a segment", _cmd_connect_transport, 1e-6, "json", {
+            "--kernel": _REQUIRED, "--start": _REQUIRED, "--end": _REQUIRED,
+            "--vector": {"help": "initial fiber vector (default: ones)"},
+            "--steps": {"type": int, "default": 256}}),
+    }),
+    "grassmann": ("projector-manifold connection suites", {
+        "verify": ("three-way covariant-derivative agreement", _cmd_grassmann_verify, 1e-6, None, {
+            "--n": {"type": int, "default": 4}, "--k": {"type": int, "default": 2},
+            "--probes": {"type": int, "default": 20}, "--seed": _SEED}),
+    }),
+    "cp": ("completely positive maps and dilations", {
+        "dilate": ("minimal isometric dilation from a Choi CSV", _cmd_cp_dilate, 1e-10, "json", {
+            "--choi": _REQUIRED, "--n": {"type": int, "help": "input dimension (default: sqrt)"}}),
+        "kernel": ("evaluate the group-indexed CP kernel", _cmd_cp_kernel, None, "json", {
+            "--choi": _REQUIRED, "--n": {"type": int}, "--seed": _SEED}),
+        "covderiv": ("CP connection formula vs generic pipeline", _cmd_cp_covderiv, 1e-6, None, {
+            "--choi": _REQUIRED, "--n": {"type": int}, "--seed": _SEED}),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,88 +405,26 @@ def build_parser() -> argparse.ArgumentParser:
         description="Connections and covariant derivatives induced by "
                     "reproducing kernels, with cross-validation suites.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    kernel = sub.add_parser("kernel", help="evaluate kernels and Gram matrices")
-    ksub = kernel.add_subparsers(dest="subcommand", required=True)
-    kev = ksub.add_parser("eval", help="evaluate kappa(s, t)")
-    kev.add_argument("--kernel", required=True)
-    kev.add_argument("--point", required=True, help="comma-separated a+bi literals")
-    kev.add_argument("--point2", default=None, help="second point (defaults to --point)")
-    _add_common(kev, None)
-    kev.set_defaults(fn=_cmd_kernel_eval)
-    kgr = ksub.add_parser("gram", help="block Gram matrix with PSD certificate")
-    kgr.add_argument("--kernel", required=True)
-    kgr.add_argument("--points", required=True,
-                     help="semicolon-separated points, each comma-separated a+bi")
-    _add_common(kgr, DEFAULT_TOL)
-    kgr.set_defaults(fn=_cmd_kernel_gram)
-
-    rkhs = sub.add_parser("rkhs", help="finite-sample Hilbert space diagnostics")
-    rsub = rkhs.add_subparsers(dest="subcommand", required=True)
-    rgr = rsub.add_parser("gram", help="emit the sampled Gram matrix")
-    rgr.add_argument("--kernel", required=True)
-    rgr.add_argument("--points", required=True)
-    _add_common(rgr, None)
-    rgr.set_defaults(fn=_cmd_rkhs_gram, format="csv")
-    run = rsub.add_parser("universality", help="fiber-projection reproduction residual")
-    run.add_argument("--kernel", required=True)
-    run.add_argument("--points", required=True)
-    _add_common(run, DEFAULT_TOL, formats=False)
-    run.set_defaults(fn=_cmd_rkhs_universality)
-
-    connect = sub.add_parser("connect", help="covariant derivatives and transport")
-    csub = connect.add_subparsers(dest="subcommand", required=True)
-    ccd = csub.add_parser("covderiv", help="compare the three backends at a probe")
-    ccd.add_argument("--kernel", required=True)
-    ccd.add_argument("--point", required=True)
-    ccd.add_argument("--direction", required=True)
-    ccd.add_argument("--section", default="constant", help="constant | linear")
-    _add_common(ccd, 1e-6, formats=False)
-    ccd.set_defaults(fn=_cmd_connect_covderiv)
-    ctr = csub.add_parser("transport", help="parallel transport along a segment")
-    ctr.add_argument("--kernel", required=True)
-    ctr.add_argument("--start", required=True)
-    ctr.add_argument("--end", required=True)
-    ctr.add_argument("--vector", default=None, help="initial fiber vector (default: ones)")
-    ctr.add_argument("--steps", type=int, default=256)
-    _add_common(ctr, 1e-6)
-    ctr.set_defaults(fn=_cmd_connect_transport)
-
-    grass = sub.add_parser("grassmann", help="projector-manifold connection suites")
-    gsub = grass.add_subparsers(dest="subcommand", required=True)
-    gve = gsub.add_parser("verify", help="three-way covariant-derivative agreement")
-    gve.add_argument("--n", type=int, default=4)
-    gve.add_argument("--k", type=int, default=2)
-    gve.add_argument("--probes", type=int, default=20)
-    gve.add_argument("--seed", type=int, default=42)
-    _add_common(gve, 1e-6, formats=False)
-    gve.set_defaults(fn=_cmd_grassmann_verify)
-
-    cp = sub.add_parser("cp", help="completely positive maps and dilations")
-    psub = cp.add_subparsers(dest="subcommand", required=True)
-    pdi = psub.add_parser("dilate", help="minimal isometric dilation from a Choi CSV")
-    pdi.add_argument("--choi", required=True)
-    pdi.add_argument("--n", type=int, default=None, help="input dimension (default: sqrt)")
-    _add_common(pdi, 1e-10)
-    pdi.set_defaults(fn=_cmd_cp_dilate)
-    pke = psub.add_parser("kernel", help="evaluate the group-indexed CP kernel")
-    pke.add_argument("--choi", required=True)
-    pke.add_argument("--n", type=int, default=None)
-    pke.add_argument("--seed", type=int, default=42)
-    _add_common(pke, None)
-    pke.set_defaults(fn=_cmd_cp_kernel)
-    pcd = psub.add_parser("covderiv", help="CP connection formula vs generic pipeline")
-    pcd.add_argument("--choi", required=True)
-    pcd.add_argument("--n", type=int, default=None)
-    pcd.add_argument("--seed", type=int, default=42)
-    _add_common(pcd, 1e-6, formats=False)
-    pcd.set_defaults(fn=_cmd_cp_covderiv)
+    for command, (help_, subcommands) in _COMMANDS.items():
+        leaves = sub.add_parser(command, help=help_).add_subparsers(dest="subcommand",
+                                                                    required=True)
+        for name, (help_, fn, tol, fmt, options) in subcommands.items():
+            p = leaves.add_parser(name, help=help_)
+            for option, keywords in options.items():
+                p.add_argument(option, **keywords)
+            if fmt is not None:
+                p.add_argument("--format", choices=("json", "csv"), default=fmt)
+            p.add_argument("--output", **_OUTPUT)
+            if tol is not None:
+                p.add_argument("--tol", type=float, default=tol,
+                               help="residual tolerance for the pass/fail verdict")
+            p.set_defaults(fn=fn)
 
     ver = sub.add_parser("verify", help="run the cross-validation suites")
     ver.add_argument("target", nargs="*", default=[],
                      help=f"'all' or module names: {', '.join(kc.MODULE_NAMES)}")
-    ver.add_argument("--seed", type=int, default=42)
-    _add_common(ver, None, formats=False)
+    ver.add_argument("--seed", **_SEED)
+    ver.add_argument("--output", **_OUTPUT)
     ver.set_defaults(fn=_cmd_verify)
 
     return parser

@@ -520,7 +520,7 @@ def _psd_spectra(grams, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     herm_res = _frobenius(a - adjoint)
     if np.count_nonzero(herm_res > tol * np.maximum(1.0, _frobenius(a))):
         raise NumericsError(f"Gram matrix not Hermitian, ||G - G*|| = {herm_res.max():.3e}")
-    values = _eigh(a, adjoint, vectors=False)[0]  # no caller reads eigenvectors
+    values = _eigh(a, adjoint, vectors=False)[0]
     return values, values[:, 0] >= -tol * np.maximum(1.0, values[:, -1])
 
 

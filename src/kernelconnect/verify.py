@@ -330,7 +330,7 @@ def _leibniz_checks(seed):
     return checks
 
 
-def _transport_checks():
+def _transport_checks(seed):  # exact transport: no random draw, so the seed is unused
     k = make_bergman_disk(1)
     curve = Curve(gamma=lambda t: np.array([0.5 * t]),
                   velocity=lambda t: np.array([0.5 + 0j]))
@@ -358,6 +358,18 @@ def _reductive_checks(seed):
     return [_check("reductive/axioms_residual", "grassmann", res, 1e-12)]
 
 
+# module -> its blocks in run_suite's order, each a function of the seed that returns its checks
+# (_transport_checks: its checks and the observed order)
+BLOCKS = {
+    "kernels": (_admissibility_checks,),
+    "rkhs": (_universality_checks,),
+    "connections": (_backend_agreement_checks, _fock_form_check, _disk_sign_checks,
+                    _leibniz_checks, _transport_checks),
+    "grassmann": (_grassmann_checks, _homogeneous_checks, _reductive_checks),
+    "cpmaps": (_stinespring_checks,),
+}
+
+
 def run_suite(seed: int = 42, modules=None) -> dict:
     """Run the verification checks and return a deterministic report.
 
@@ -368,26 +380,13 @@ def run_suite(seed: int = 42, modules=None) -> dict:
     if unknown:
         raise ValueError(f"unknown modules: {sorted(unknown)}; choose from {MODULE_NAMES}")
 
-    checks = []
-    extras = {}
-    if "kernels" in wanted:
-        checks += _admissibility_checks(seed)
-    if "rkhs" in wanted:
-        checks += _universality_checks(seed)
-    if "connections" in wanted:
-        checks += _backend_agreement_checks(seed)
-        checks += _fock_form_check(seed)
-        checks += _disk_sign_checks(seed)
-        checks += _leibniz_checks(seed)
-        transport, slope = _transport_checks()
-        checks += transport
-        extras["transport_observed_order"] = slope
-    if "grassmann" in wanted:
-        checks += _grassmann_checks(seed)
-        checks += _homogeneous_checks(seed)
-        checks += _reductive_checks(seed)
-    if "cpmaps" in wanted:
-        checks += _stinespring_checks(seed)
+    checks, extras = [], {}
+    for module, blocks in BLOCKS.items():
+        for block in blocks if module in wanted else ():
+            found = block(seed)
+            if block is _transport_checks:  # the one block with a figure beside its checks
+                found, extras["transport_observed_order"] = found
+            checks += found
 
     checks.sort(key=lambda c: c["name"])
     report = {

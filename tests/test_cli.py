@@ -230,6 +230,14 @@ def test_connect_covderiv_names_a_direction_that_overflows_the_stencil_weights(c
      "--end", "-0.4+0.3i"),
     (("connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5"),
      "--direction", "-1-0.5i"),
+    (("kernel", "eval", "--kernel", "bergman-disk:nu=2"), "--point", "-0.4+0.3i"),
+    (("kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "0.1"),
+     "--point2", "-0.4-0.3i"),
+    (("kernel", "gram", "--kernel", "bergman-disk:nu=2"), "--points", "-0.4+0.3i;0.2"),
+    (("connect", "transport", "--kernel", "bergman-disk:nu=1", "--end", "0.5"),
+     "--start", "-0.4+0.3i"),
+    (("connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0", "--end", "0.5"),
+     "--vector", "-1+0.5i"),
 ])
 def test_negative_literal_reads_as_a_value(capsys, argv, flag, literal):
     joined = run_cli(capsys, *argv, f"{flag}={literal}")
@@ -237,6 +245,36 @@ def test_negative_literal_reads_as_a_value(capsys, argv, flag, literal):
     assert joined[0] == 0 and split == joined
     code, out, err = run_cli(capsys, *argv, flag, literal.replace("i", "j"))
     assert code == 2 and out == "" and "complex literal" in err
+
+
+# each leaf command, with its required options, and its parsed defaults: the handler's name and
+# whichever of these options the command has
+_PINNED = ("tol", "format", "seed", "steps", "n", "k", "probes", "section")
+LEAF_DEFAULTS = {
+    "kernel eval --kernel k --point 0": {"fn": "_cmd_kernel_eval", "format": "json"},
+    "kernel gram --kernel k --points 0": {"fn": "_cmd_kernel_gram", "tol": 1e-9,
+                                          "format": "json"},
+    "rkhs gram --kernel k --points 0": {"fn": "_cmd_rkhs_gram", "format": "csv"},
+    "rkhs universality --kernel k --points 0": {"fn": "_cmd_rkhs_universality", "tol": 1e-9},
+    "connect covderiv --kernel k --point 0 --direction 1": {
+        "fn": "_cmd_connect_covderiv", "tol": 1e-6, "section": "constant"},
+    "connect transport --kernel k --start 0 --end 1": {
+        "fn": "_cmd_connect_transport", "tol": 1e-6, "format": "json", "steps": 256},
+    "grassmann verify": {"fn": "_cmd_grassmann_verify", "tol": 1e-6, "seed": 42, "n": 4, "k": 2,
+                         "probes": 20},
+    "cp dilate --choi c": {"fn": "_cmd_cp_dilate", "tol": 1e-10, "format": "json", "n": None},
+    "cp kernel --choi c": {"fn": "_cmd_cp_kernel", "format": "json", "seed": 42, "n": None},
+    "cp covderiv --choi c": {"fn": "_cmd_cp_covderiv", "tol": 1e-6, "seed": 42, "n": None},
+    "verify": {"fn": "_cmd_verify", "seed": 42},
+}
+
+
+def test_each_leaf_command_parses_to_its_pinned_defaults():
+    parsed = {}
+    for argv in LEAF_DEFAULTS:
+        args = vars(cli.build_parser().parse_args(argv.split()))
+        parsed[argv] = {"fn": args["fn"].__name__, **{k: args[k] for k in _PINNED if k in args}}
+    assert parsed == LEAF_DEFAULTS
 
 
 def test_json_matrices_hold_format_complex_of_each_entry():
@@ -381,6 +419,11 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
     # the digits are ASCII: float() reads Arabic-Indic ones, the literal grammar does not
     (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "\u0660.\u0665"],
      "complex literal"),
+    # a spec sets exactly its family's fields, each once
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2,mu=3", "--point", "0.1"],
+     f"must set exactly nu, each once as field=value; {KERNEL_SPEC_GRAMMAR}"),
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2,nu=3", "--point", "0.1"],
+     f"must set exactly nu, each once as field=value; {KERNEL_SPEC_GRAMMAR}"),
     # numpy's abs of an array puts |s| below the guard circle, the disk's edge distance does not
     (["connect", "covderiv", "--kernel", "bergman-disk:nu=2",
       "--point=-0.6631062061875492-0.7485239871350519i", "--direction", "1"], "unit circle"),

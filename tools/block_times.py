@@ -4,12 +4,13 @@
     python tools/block_times.py [--seeds 43-57] [--tree PATH]
 
 The script imports the package under the tree's src/ (default: this repository's), runs
-`run_suite` once to warm it up, then times every block of the report at each seed with
-`time.process_time` (CPU time of this process, so a busy host moves it less than wall
-time), and `run_suite` itself once per seed.  It prints one line per block, the costliest
-first: the median CPU milliseconds over the seeds and the block's share of the median
-`run_suite`; then the `run_suite` line.  `--tree` times another checkout's src/, so that
-two trees can be compared with the same script.
+`run_suite` once to warm it up, then times every block of verify's table `verify.BLOCKS` (the
+blocks that `run_suite` runs) at each seed with `time.process_time` (CPU time of this process,
+so a busy host moves it less than wall time), and `run_suite` itself once per seed.  It prints
+one line per block, named by its function, the costliest first: the median CPU milliseconds
+over the seeds and the block's share of the median `run_suite`; then the `run_suite` line.
+`--tree` times another checkout's src/ that has the table, so that two trees can be compared
+with the same script.
 
 Exit status: 0, or 2 on a usage error.
 """
@@ -26,21 +27,6 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, _HERE)
 from seed_sweep import parse_seeds, use_tree  # noqa: E402 - the seed and tree options of tools/
 
-# block -> (verify's function, whether it takes the seed), in run_suite's order
-BLOCKS = {
-    "admissibility": ("_admissibility_checks", True),
-    "universality": ("_universality_checks", True),
-    "backend_agreement": ("_backend_agreement_checks", True),
-    "fock_form": ("_fock_form_check", True),
-    "disk_sign": ("_disk_sign_checks", True),
-    "leibniz": ("_leibniz_checks", True),
-    "transport": ("_transport_checks", False),
-    "grassmann_agreement": ("_grassmann_checks", True),
-    "homogeneous": ("_homogeneous_checks", True),
-    "reductive": ("_reductive_checks", True),
-    "stinespring": ("_stinespring_checks", True),
-}
-
 
 def cpu_ms(fn, *args) -> float:
     start = time.process_time()
@@ -49,14 +35,15 @@ def cpu_ms(fn, *args) -> float:
 
 
 def block_times(verify, seeds) -> dict:
-    """{block: [CPU ms at each seed]}, and "run_suite": [CPU ms of the whole suite at each
-    seed], after one warm-up `run_suite`."""
+    """{block: [CPU ms at each seed]} for each block of `verify.BLOCKS`, and "run_suite": [CPU ms
+    of the whole suite at each seed], after one warm-up `run_suite`."""
     verify.run_suite(seeds[0])
-    times = {name: [] for name in BLOCKS}
+    blocks = [block for blocks in verify.BLOCKS.values() for block in blocks]
+    times = {block.__name__: [] for block in blocks}
     times["run_suite"] = []
     for seed in seeds:
-        for name, (fn, seeded) in BLOCKS.items():
-            times[name].append(cpu_ms(getattr(verify, fn), *((seed,) if seeded else ())))
+        for block in blocks:
+            times[block.__name__].append(cpu_ms(block, seed))
         times["run_suite"].append(cpu_ms(verify.run_suite, seed))
     return times
 
