@@ -17,8 +17,8 @@ _EXPORTS = {  # submodule -> the names the package exports from it
                 "hermitian_solve matrix_from_csv_text matrix_to_csv_text parse_complex "
                 "read_matrix_csv",
     "kernels": "BundleMorphism DomainError Kernel UnitaryDomain VectorDomain admissibility_report "
-               "gram_matrix make_bergman_disk make_bergman_halfplane make_fock make_group_kernel "
-               "make_rank_one_kernel positivity_certificate pull_back_kernel",
+               "feature_kernel gram_matrix make_bergman_disk make_bergman_halfplane make_fock "
+               "positivity_certificate pull_back_kernel",
     "rkhs": "RKHSElement SampledRKHS build_rkhs evaluate_element project_fiber "
             "universality_residual",
     "connections": "ConnectionEvaluator Curve Section connection_form connection_forms "

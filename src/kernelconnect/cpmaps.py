@@ -11,11 +11,12 @@ r equal to the Choi rank.  Unital maps give group-indexed kernels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, make_group_kernel, pull_back_kernel
+from .kernels import BundleMorphism, Kernel, _dilation_kernel, pull_back_kernel
 from .numerics import NumericsError, _max_norm, hermitian_eigh
 from .connections import Section
 from .grassmann import HermitianProjector, _group_jets, fiber_basis
@@ -100,6 +101,12 @@ class StinespringTriple:
         v = self.v
         return float(np.linalg.norm(v.conj().T @ v - np.eye(self.output_dim)))
 
+    @cached_property
+    def _s0(self) -> tuple[HermitianProjector, np.ndarray]:
+        """The projector onto S0 = Ran(V V*) and its fiber basis, built once per triple."""
+        s0 = HermitianProjector(self.v @ self.v.conj().T, self.output_dim)
+        return s0, fiber_basis(s0)
+
 
 def choi_from_kraus(kraus: Sequence[np.ndarray]) -> CPMap:
     """Assemble the Choi matrix of a_ij -> sum_k K a K* from Kraus operators.
@@ -157,25 +164,20 @@ def verify_dilation(psi: CPMap, triple: StinespringTriple) -> float:
 
 
 def cp_kernel(psi: CPMap) -> Kernel:
-    """The group-indexed kernel (s, t) -> Psi(s^-1 t) on U(n); kappa(u,u) = I."""
-    psi.require_unital()
-    return make_group_kernel(psi.input_dim, psi.output_dim, psi.apply,
-                             name=f"cp:n={psi.input_dim}")
+    """The group-indexed kernel (s, t) -> Psi(s^-1 t) on U(n); kappa(u,u) = I.  Its feature map
+    is the dilation u -> (u (x) I_r) V, so that kappa(s, t) = V* (s* t (x) I_r) V."""
+    return _dilation_kernel(stinespring_dilate(psi).v, psi.input_dim, f"cp:n={psi.input_dim}")
 
 
 def lambda_kernel(psi: CPMap, triple: StinespringTriple) -> tuple[Kernel, HermitianProjector]:
     """The compressed dilation kernel (s, t) -> P_S0 lambda(s^-1 t)|_S0.
 
     S0 = Ran(V V*) inside C^n (x) C^r; fiber coordinates come from the
-    deterministic basis of S0, so the returned kernel does not simply restate
-    Psi.  Also returns the projector onto S0.
+    deterministic basis B of S0, so the returned kernel does not simply restate
+    Psi: its feature map is u -> (u (x) I_r) B.  Also returns the projector onto S0.
     """
-    v = triple.v
-    s0 = HermitianProjector(v @ v.conj().T, triple.output_dim)
-    b = fiber_basis(s0)
-    return make_group_kernel(psi.input_dim, triple.output_dim,
-                             lambda x: b.conj().T @ triple.lam(x) @ b,
-                             name=f"lambda0:n={psi.input_dim},r={triple.r}"), s0
+    s0, b = triple._s0
+    return _dilation_kernel(b, psi.input_dim, f"lambda0:n={psi.input_dim},r={triple.r}"), s0
 
 
 def cp_classifying_morphism(psi: CPMap, triple: StinespringTriple) -> BundleMorphism:
@@ -184,10 +186,7 @@ def cp_classifying_morphism(psi: CPMap, triple: StinespringTriple) -> BundleMorp
     Its fiber map delta = B* V carries Psi-fiber vectors into S0 coordinates;
     pulling lambda_kernel back through it recovers cp_kernel.
     """
-    v = triple.v
-    s0 = HermitianProjector(v @ v.conj().T, triple.output_dim)
-    delta = fiber_basis(s0).conj().T @ v
-
+    delta = triple._s0[1].conj().T @ triple.v
     return BundleMorphism(zeta=lambda s: s,
                           delta=lambda s: delta,
                           tangent=lambda s, a: a)

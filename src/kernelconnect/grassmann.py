@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _finite_array,
-                      _frobenius, make_group_kernel, stencil_sum)
+from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel,
+                      _finite_array, _frobenius, feature_kernel, stencil_sum)
 from .connections import Section, _fiber
 from .numerics import DEFAULT_STEP, NumericsError, _max_norm
 
@@ -258,14 +258,10 @@ def universal_kernel(n: int, k: int) -> Kernel:
     """The kernel of orthogonal projections between rank-k subspaces of C^n.
 
     In the deterministic fiber bases, kappa(S1, S2) = B1* B2 (the matrix of
-    the projection of fiber S2 onto fiber S1); kappa(S, S) is the identity.
+    the projection of fiber S2 onto fiber S1): the feature map is fiber_basis,
+    and kappa(S, S) is the identity.
     """
-    domain = GrassDomain(n, k)
-
-    def ev(s1: HermitianProjector, s2: HermitianProjector):
-        return fiber_basis(s1).conj().T @ fiber_basis(s2)
-
-    return Kernel(k, domain, ev, name=f"universal:n={n},k={k}")
+    return feature_kernel(fiber_basis, k, GrassDomain(n, k), f"universal:n={n},k={k}")
 
 
 def grass_section_coordinates(f_ambient: Callable[[HermitianProjector], np.ndarray]):
@@ -329,11 +325,10 @@ def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:
     """Group-indexed kernel u, v -> compression of u* v to the range of P.
 
     Lives on the trivial bundle over U(n) with fiber coordinates given by the
-    deterministic basis of Ran P; kappa(u, u) is the identity.
+    deterministic basis B of Ran P: the feature map is u -> u B, so that
+    kappa(u, v) = (u B)* (v B) = B* u* v B, and kappa(u, u) is the identity.
     """
-    b = fiber_basis(point)
-    return make_group_kernel(n, point.rank, lambda x: b.conj().T @ x @ b,
-                             name=f"homogeneous:n={n},k={point.rank}")
+    return _dilation_kernel(fiber_basis(point), n, f"homogeneous:n={n},k={point.rank}")
 
 
 def homogeneous_covariant_derivative(phi: Callable[[np.ndarray], np.ndarray],

@@ -28,11 +28,10 @@ __all__ = [
     "UnitaryDomain",
     "stencil_sum",
     "Kernel",
-    "make_group_kernel",
+    "feature_kernel",
     "make_bergman_disk",
     "make_bergman_halfplane",
     "make_fock",
-    "make_rank_one_kernel",
     "gram_matrix",
     "positivity_certificate",
     "BundleMorphism",
@@ -440,8 +439,8 @@ def make_fock(beta) -> Kernel:
     B must be Hermitian PSD; B = I gives the prototypical beta(z,w) = z . conj(w).
     """
     b = np.asarray(beta, dtype=complex)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"beta must be a square matrix, got shape {b.shape}")
+    if b.ndim != 2 or b.shape[0] != b.shape[1] or not b.size:
+        raise ValueError(f"beta must be a non-empty square matrix, got shape {b.shape}")
     if np.linalg.norm(b - b.conj().T) > 1e-10:
         raise ValueError("beta must be Hermitian")
     values = _eigh(_as_matrix(b), b.conj().T, vectors=False)[0]
@@ -467,32 +466,36 @@ def make_fock(beta) -> Kernel:
     return _scalar_kernel(domain, batch, d2, f"fock:dim={dim}")
 
 
-def make_group_kernel(n: int, fiber_dim: int, compress: Callable[[np.ndarray], np.ndarray],
-                      name: str) -> Kernel:
-    """Group-indexed kernel kappa(u, v) = compress(u* v) on the unitary group U(n).
+def feature_kernel(phi: Callable[[object], np.ndarray], fiber_dim: int, domain: Domain, name: str,
+                   dphi: Optional[Callable[[object, object], np.ndarray]] = None) -> Kernel:
+    """The finite-rank kernel kappa(s, t) = Phi(s)* Phi(t) of a feature map Phi(s): C^M -> C^D.
 
-    compress must be linear, so that d2 along v exp(t a) is compress(u* v a), and map an
-    (..., n, n) stack to (..., M, M), each member with its one-matrix bits: `batch` is one compress.
+    dphi(t, x), when given, is the derivative of Phi along the domain's curve with the 1-jet
+    (t, x), and d2 is Phi(s)* dphi(t, x); without it, d2 is the stencil's.  On U(n), Phi and dphi
+    must map an (..., n, n) stack member by member, each with its one-matrix bits: `batch` is
+    `eval`, and a block of a x b points is a + b evaluations of Phi.
     """
 
-    def uv(u, v):
-        return np.asarray(u, dtype=complex).conj().swapaxes(-1, -2) @ np.asarray(v, dtype=complex)
-
-    ev = lambda u, v: compress(uv(u, v))  # noqa: E731
-    return Kernel(fiber_dim, UnitaryDomain(n), ev, lambda u, v, a: compress(
-        uv(u, v) @ np.asarray(a, dtype=complex)), name=name, batch=ev)
-
-
-def make_rank_one_kernel(a: Callable[[object], np.ndarray], fiber_dim: int, domain: Domain,
-                         name: str = "rank-one") -> Kernel:
-    """Degenerate operator kernel kappa(s,t) = a(s) a(t)* with values of rank one."""
-
     def ev(s, t):
-        va = np.asarray(a(s), dtype=complex).reshape(fiber_dim, 1)
-        vb = np.asarray(a(t), dtype=complex).reshape(fiber_dim, 1)
-        return va @ vb.conj().T
+        return phi(s).conj().swapaxes(-1, -2) @ phi(t)
 
-    return Kernel(fiber_dim, domain, ev, name=name)
+    d2 = None if dphi is None else lambda s, t, x: phi(s).conj().swapaxes(-1, -2) @ dphi(t, x)
+    batch = ev if isinstance(domain, UnitaryDomain) else None
+    return Kernel(fiber_dim, domain, ev, d2, name, batch)
+
+
+def _dilation_kernel(w: np.ndarray, n: int, name: str) -> Kernel:
+    """The feature kernel of Phi(u) = (u (x) I_r) W on U(n), for an (n r, M) matrix W, and of its
+    derivative (u a (x) I_r) W along u e^{ta}: one product of u and W read as n x rM, read back
+    as (..., n r, M)."""
+    wide, m = w.reshape(n, -1), w.shape[1]
+
+    def phi(u):
+        u = np.asarray(u, dtype=complex)
+        return (u @ wide).reshape(u.shape[:-2] + (-1, m))
+
+    return feature_kernel(phi, m, UnitaryDomain(n), name, lambda u, a: phi(
+        np.asarray(u, dtype=complex) @ np.asarray(a, dtype=complex)))
 
 
 def gram_matrix(k: Kernel, points: Sequence) -> np.ndarray:

@@ -23,10 +23,10 @@ from .connections import (
 from .kernels import (
     VectorDomain,
     admissibility_report,
+    feature_kernel,
     make_bergman_disk,
     make_bergman_halfplane,
     make_fock,
-    make_rank_one_kernel,
 )
 from .numerics import _max_norm
 from .rkhs import build_rkhs, universality_residual
@@ -172,9 +172,9 @@ def _admissibility_checks(seed):
     rng = np.random.default_rng(seed + 4)
     checks = []
 
-    deg = make_rank_one_kernel(
-        lambda s: np.array([1.0, complex(np.asarray(s).flat[0])]),
-        fiber_dim=2, domain=VectorDomain(1, name="C"), name="rank-one-degenerate")
+    # kappa(s, t) = a(s) a(t)*, a(s) = (1, s): the feature map is the 1 x 2 row a(s)*
+    deg = feature_kernel(lambda s: np.array([[1.0, np.conj(s[0])]]), 2, VectorDomain(1, name="C"),
+                         "rank-one-degenerate")
     pts = [np.array([z]) for z in (0.1, 0.4 - 0.2j, -0.3 + 0.1j, 0.25j)]
     rep = admissibility_report(deg, pts)
     worst = max(abs(rep["min_sigma"]), abs(rep["embedding_lower_bound"]))

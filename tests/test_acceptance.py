@@ -16,10 +16,10 @@ from kernelconnect import verify
 from kernelconnect.kernels import (
     VectorDomain,
     admissibility_report,
+    feature_kernel,
     make_bergman_disk,
     make_bergman_halfplane,
     make_fock,
-    make_rank_one_kernel,
 )
 
 SEED = 42
@@ -79,9 +79,8 @@ def test_universality_residual_on_every_builtin_kernel():
 
 def test_degenerate_and_builtin_admissibility_reports():
     # both report numbers vanish together on the rank-1 degenerate kernel
-    deg = make_rank_one_kernel(
-        lambda s: np.array([1.0, complex(np.asarray(s).flat[0])]),
-        fiber_dim=2, domain=VectorDomain(1, name="C"))
+    deg = feature_kernel(lambda s: np.array([[1.0, np.conj(s[0])]]), 2, VectorDomain(1, name="C"),
+                         "rank-one")
     pts = [np.array([z]) for z in (0.1, 0.4 - 0.2j, -0.3 + 0.1j, 0.25j)]
     rep = admissibility_report(deg, pts)
     assert abs(rep["min_sigma"]) < 1e-8

@@ -424,6 +424,12 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
      f"must set exactly nu, each once as field=value; {KERNEL_SPEC_GRAMMAR}"),
     (["kernel", "eval", "--kernel", "bergman-disk:nu=2,nu=3", "--point", "0.1"],
      f"must set exactly nu, each once as field=value; {KERNEL_SPEC_GRAMMAR}"),
+    # a Fock kernel needs a coordinate: dim=0 is a spec error, as a negative dim is
+    (["kernel", "eval", "--kernel", "fock:dim=0", "--point", "0"],
+     f"'fock:dim=0': beta must be a non-empty square matrix, got shape (0, 0); "
+     f"{KERNEL_SPEC_GRAMMAR}"),
+    (["kernel", "eval", "--kernel", "fock:dim=-1", "--point", "0"],
+     "cannot parse kernel spec 'fock:dim=-1'"),
     # numpy's abs of an array puts |s| below the guard circle, the disk's edge distance does not
     (["connect", "covderiv", "--kernel", "bergman-disk:nu=2",
       "--point=-0.6631062061875492-0.7485239871350519i", "--direction", "1"], "unit circle"),

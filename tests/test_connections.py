@@ -34,10 +34,10 @@ from kernelconnect.kernels import (
     Kernel,
     UnitaryDomain,
     VectorDomain,
+    feature_kernel,
     make_bergman_disk,
     make_bergman_halfplane,
     make_fock,
-    make_rank_one_kernel,
     pull_back_kernel,
     stencil_sum,
 )
@@ -772,8 +772,8 @@ def _no_d2_cases():
                            tangent=lambda s, x: 0.5 * np.asarray(x))
     return [
         (universal_kernel(4, 2), p, random_grass_tangent(p, rng)),
-        (make_rank_one_kernel(lambda s: np.array([1.0, complex(np.asarray(s).flat[0])]), 2,
-                              VectorDomain(1)), np.array([0.3 - 0.1j]), np.array([1.0 + 0.5j])),
+        (feature_kernel(lambda s: np.array([[1.0, np.conj(s[0])]]), 2, VectorDomain(1), "rank-one"),
+         np.array([0.3 - 0.1j]), np.array([1.0 + 0.5j])),
         (pull_back_kernel(theta, disk, 1, disk.domain), np.array([0.4j]), np.array([-1.0 + 2j])),
     ]
 

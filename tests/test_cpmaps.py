@@ -168,7 +168,8 @@ def _group_kernels():
 @pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (4, 1, 5), (3, 2, 3)],
                          ids=lambda s: "L{}-a{}-b{}".format(*s))
 def test_group_kernel_blocks_have_the_bits_of_a_per_pair_eval_loop(k, shape):
-    # one compress of the (L, a, b, n, n) stack u* v against the loop over eval, pair by pair
+    # Phi of the (L, a, 1) and (L, 1, b) stacks and one stacked product, against the loop over
+    # eval, pair by pair
     n_blocks, a, b = shape
     us = np.array([random_unitary(3, seed=300 + i) for i in range(n_blocks * (a + b))])
     ss = list(us[:n_blocks * a].reshape(n_blocks, a, 3, 3))
@@ -190,6 +191,21 @@ def test_a_group_kernels_evaluate_makes_no_eval_call(k):
     for backend in ("closed-form", "direct", "sampled"):
         got = make_evaluator(never, backend).evaluate(sigma, us, xs)
         assert np.array_equal(got, make_evaluator(k, backend).evaluate(sigma, us, xs)), backend
+
+
+@pytest.mark.parametrize("k", _group_kernels(), ids=lambda k: k.name)
+def test_a_group_kernels_analytic_d2_agrees_with_the_stencil(k):
+    # the closed form reads d2 off the diagonal only, Phi(u)* (u a (x) I_r) W; the direct
+    # backend differentiates kappa(u, .) by the stencil.  Off the diagonal d2 is never read,
+    # so this is the one test of its formula: a d2 along (a u) W is off by 6-8 here
+    us, xs = _cp_probes(8, seed=31)
+    z = np.random.default_rng(32).standard_normal(3) * (1.0 + 2.0j)
+    m = k.fiber_dim
+    sigma = Section(F=lambda u: (np.asarray(u) @ z)[:m])
+    closed = make_evaluator(k, "closed-form").evaluate(sigma, us, xs)
+    direct = make_evaluator(k, "direct").evaluate(sigma, us, xs)
+    assert np.max(np.abs(closed)) > 1.0
+    assert np.max(np.abs(closed - direct)) <= 1e-9
 
 
 def test_a_cpmap_derives_its_kraus_operators_from_its_choi_matrix(monkeypatch):
@@ -231,20 +247,30 @@ def test_cp_kernel_identity_on_diagonal():
     assert np.linalg.norm(k(u, u) - np.eye(psi.output_dim)) < 1e-12
 
 
+def _dilation(u, w):
+    """(u (x) I_r) W for an (n r, M) matrix W: u times W read as n x rM, read back as n r x M."""
+    return (u @ w.reshape(len(u), -1)).reshape(-1, w.shape[1])
+
+
 def test_cp_and_lambda_kernels_keep_their_explicit_formula_bits():
+    # the feature formula Phi(u)* Phi(v), and its d2 Phi(u)* (v a (x) I_r) W, bit for bit; the
+    # values against Psi(u* v) and B* (u* v (x) I_r) B, which are computed another way
     psi = _example_map(seed=12)
     triple = stinespring_dilate(psi)
     k_lam, s0 = lambda_kernel(psi, triple)
-    b = fiber_basis(s0)
+    b, v0 = fiber_basis(s0), triple.v
     k = cp_kernel(psi)
     u, v = random_unitary(3, seed=13), random_unitary(3, seed=14)
     a = random_unitary(3, seed=15)
     a = a - a.conj().T
-    assert np.array_equal(k(u, v), psi.apply(u.conj().T @ v))
-    assert np.array_equal(k.d2(u, v, a), psi.apply(u.conj().T @ v @ a))
-    assert np.array_equal(k_lam(u, v), b.conj().T @ triple.lam(u.conj().T @ v) @ b)
-    assert np.array_equal(k_lam.d2(u, v, a),
-                          b.conj().T @ triple.lam(u.conj().T @ v @ a) @ b)
+    for kernel, w in ((k, v0), (k_lam, b)):
+        assert np.array_equal(kernel(u, v), _dilation(u, w).conj().T @ _dilation(v, w))
+        assert np.array_equal(kernel.d2(u, v, a), _dilation(u, w).conj().T @ _dilation(v @ a, w))
+    for got, want in ((k(u, v), psi.apply(u.conj().T @ v)),
+                      (k.d2(u, v, a), psi.apply(u.conj().T @ v @ a)),
+                      (k_lam(u, v), b.conj().T @ triple.lam(u.conj().T @ v) @ b),
+                      (k_lam.d2(u, v, a), b.conj().T @ triple.lam(u.conj().T @ v @ a) @ b)):
+        assert np.linalg.norm(got - want) <= 1e-14 * max(1.0, np.linalg.norm(want))
 
 
 def test_random_unitary_deterministic_and_unitary():

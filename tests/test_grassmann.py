@@ -285,8 +285,13 @@ def test_homogeneous_kernel_keeps_its_explicit_formula_bits():
     b = fiber_basis(p)
     u, v = random_unitary(n, seed=17), random_unitary(n, seed=18)
     a = random_grass_tangent(p, np.random.default_rng(19)).generator
-    assert np.array_equal(hk(u, v), b.conj().T @ (u.conj().T @ v) @ b)
-    assert np.array_equal(hk.d2(u, v, a), b.conj().T @ (u.conj().T @ v @ a) @ b)
+    # the feature formula (u B)* (v B), and its d2 (u B)* (v a B), bit for bit; the values
+    # against B* (u* v) B, which is computed another way
+    assert np.array_equal(hk(u, v), (u @ b).conj().T @ (v @ b))
+    assert np.array_equal(hk.d2(u, v, a), (u @ b).conj().T @ ((v @ a) @ b))
+    for got, want in ((hk(u, v), b.conj().T @ (u.conj().T @ v) @ b),
+                      (hk.d2(u, v, a), b.conj().T @ (u.conj().T @ v @ a) @ b)):
+        assert np.linalg.norm(got - want) <= 1e-14 * max(1.0, np.linalg.norm(want))
 
 
 def _fiber_basis_uncached(point):

@@ -20,12 +20,11 @@ from kernelconnect.kernels import (
     UnitaryDomain,
     VectorDomain,
     admissibility_report,
+    feature_kernel,
     gram_matrix,
     make_bergman_disk,
     make_bergman_halfplane,
     make_fock,
-    make_group_kernel,
-    make_rank_one_kernel,
     positivity_certificate,
     pull_back_kernel,
     stencil_sum,
@@ -147,8 +146,8 @@ def test_kernel_hermitian_symmetry():
 
 
 def test_rank_one_kernel_is_degenerate():
-    k = make_rank_one_kernel(lambda s: np.array([1.0, complex(np.asarray(s).flat[0])]),
-                             fiber_dim=2, domain=VectorDomain(1, name="C"))
+    k = feature_kernel(lambda s: np.array([[1.0, np.conj(s[0])]]), 2, VectorDomain(1, name="C"),
+                       "rank-one")
     pts = [np.array([z]) for z in (0.1, 0.4 - 0.2j, -0.3 + 0.1j, 0.25j)]
     rep = admissibility_report(k, pts)
     assert abs(rep["min_sigma"]) < 1e-12
@@ -371,7 +370,7 @@ def test_non_finite_analytic_derivative_raises():
 
 def test_block_with_no_points_on_one_side_is_empty():
     for k, s in ((make_fock(np.eye(2)), np.zeros(2)), (make_bergman_disk(2), 0.5),
-                 (make_rank_one_kernel(lambda p: np.ones(2), 2, VectorDomain(1)), 0.5)):
+                 (feature_kernel(lambda p: np.ones((1, 2)), 2, VectorDomain(1), "rank-one"), 0.5)):
         assert k.block([s], []).shape == (k.fiber_dim, 0)
         assert k.block([], [s]).shape == (0, k.fiber_dim)
 
@@ -379,8 +378,8 @@ def test_block_with_no_points_on_one_side_is_empty():
 def test_values_stack_the_blocks_of_their_members_bit_for_bit():
     # _values, the stacked core the backends read, at members given as lists of points
     rng = np.random.default_rng(13)
-    rank_one = make_rank_one_kernel(lambda p: np.array([1.0, 2.0 + complex(np.asarray(p).flat[0])]),
-                                    2, VectorDomain(1))
+    rank_one = feature_kernel(lambda p: np.array([[1.0, np.conj(2.0 + p[0])]]), 2, VectorDomain(1),
+                              "rank-one")
     for k, dim in ((make_bergman_disk(2.5), 1), (make_bergman_halfplane(1), 1),
                    (make_fock(np.eye(3)), 3), (rank_one, 1)):
         pts = 0.3 * (rng.standard_normal((3, 5, dim)) + 1j * rng.standard_normal((3, 5, dim)))
@@ -511,7 +510,7 @@ def test_a_vector_domain_rejects_a_non_finite_tangent_and_names_its_probe(call, 
     lambda d: d.check_point(np.diag([1.0, np.inf])),
     lambda d: d.check_tangent(np.eye(2), np.full((2, 2), np.nan)),
     lambda d: d.check_tangent(np.eye(2), np.array([[0, np.inf], [-np.inf, 0]])),
-    lambda d: make_group_kernel(2, 2, lambda m: m, "id").diagonal_jet(
+    lambda d: feature_kernel(lambda u: u, 2, d, "id", lambda u, a: u @ a).diagonal_jet(
         [np.eye(2)], [np.full((2, 2), np.nan)]),
 ])
 def test_a_unitary_domain_rejects_a_non_finite_point_or_tangent_first(call):
@@ -521,8 +520,8 @@ def test_a_unitary_domain_rejects_a_non_finite_point_or_tangent_first(call):
 
 
 def test_admissibility_report_reads_kappa_from_its_gram(monkeypatch):
-    rank_one = make_rank_one_kernel(lambda s: np.array([1.0, 2.0 + complex(np.asarray(s).flat[0])]),
-                                    2, VectorDomain(1))
+    rank_one = feature_kernel(lambda s: np.array([[1.0, np.conj(2.0 + s[0])]]), 2, VectorDomain(1),
+                              "rank-one")
     for k, pts in [(make_bergman_disk(2), [np.array([z]) for z in (0.0, 0.4, -0.3 + 0.2j)]),
                    (make_fock(np.eye(2)), [np.zeros(2), np.array([0.5, 0.5j])]),
                    (rank_one, [np.array([z]) for z in (0.1, 0.4 - 0.2j, 0.25j)])]:

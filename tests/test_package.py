@@ -23,8 +23,8 @@ EXPORTS = {  # the package's public names, by the submodule that defines them
                 "hermitian_solve matrix_from_csv_text matrix_to_csv_text parse_complex "
                 "read_matrix_csv",
     "kernels": "BundleMorphism DomainError Kernel UnitaryDomain VectorDomain admissibility_report "
-               "gram_matrix make_bergman_disk make_bergman_halfplane make_fock make_group_kernel "
-               "make_rank_one_kernel positivity_certificate pull_back_kernel",
+               "feature_kernel gram_matrix make_bergman_disk make_bergman_halfplane make_fock "
+               "positivity_certificate pull_back_kernel",
     "rkhs": "RKHSElement SampledRKHS build_rkhs evaluate_element project_fiber "
             "universality_residual",
     "connections": "ConnectionEvaluator Curve Section connection_form connection_forms "
@@ -112,7 +112,7 @@ def test_help_and_usage_errors_load_only_cli_and_numerics(argv, exit_code):
 
 
 def test_all_is_the_public_api_and_each_name_resolves():
-    assert sorted(kernelconnect.__all__) == sorted(NAMES) and len(NAMES) == 71
+    assert sorted(kernelconnect.__all__) == sorted(NAMES) and len(NAMES) == 70
     for name, module in NAMES.items():
         defined = getattr(import_module(f"kernelconnect.{module}"), name)
         assert getattr(kernelconnect, name) is defined

@@ -6,10 +6,10 @@ from kernelconnect.grassmann import HermitianProjector, coordinate_projector, un
 from kernelconnect.kernels import (
     DomainError,
     VectorDomain,
+    feature_kernel,
     gram_matrix,
     make_bergman_disk,
     make_fock,
-    make_rank_one_kernel,
 )
 from kernelconnect.numerics import NumericsError
 from kernelconnect.rkhs import (
@@ -135,8 +135,8 @@ def test_non_psd_input_rejected():
 
 
 def test_degenerate_kernel_fiber_projection_fails_loudly():
-    k = make_rank_one_kernel(lambda s: np.array([1.0, complex(np.asarray(s).flat[0])]),
-                             fiber_dim=2, domain=VectorDomain(1, name="C"))
+    k = feature_kernel(lambda s: np.array([[1.0, np.conj(s[0])]]), 2, VectorDomain(1, name="C"),
+                       "rank-one")
     pts = [np.array([0.1]), np.array([0.5])]
     r = build_rkhs(k, pts)
     f = RKHSElement(r, np.array([1.0, 0.0, 0.0, 0.0]))  # khat(t_0, e_0)
