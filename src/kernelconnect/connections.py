@@ -259,10 +259,11 @@ def _leibniz(nablas: Sequence[ConnectionEvaluator], f: Callable[[object], comple
     fst = np.array([[complex(f(q)) for q in ps] for ps in stencils])
     df = stencil_sum(weights, fst)[:, None]
 
-    def product(p):  # f sigma at an (..., d) array: f's values above, or f point by point
+    def product(p):  # f sigma at a stack of points: f's values above, or f point by point
+        values = sigma.batch(p)  # (..., m): its leading axes are the stack's
         fp = (fst if np.array_equal(p, stencils) else fs[:, 0] if np.array_equal(p, s) else
-              np.array([complex(f(q)) for q in p.reshape(-1, p.shape[-1])]))
-        return fp.reshape(p.shape[:-1] + (1,)) * sigma.batch(p)
+              np.array([complex(f(q)) for q in p.reshape((-1,) + p.shape[values.ndim - 1:])]))
+        return fp.reshape(values.shape[:-1] + (1,)) * values
 
     fsigma = Section(F=lambda p: complex(f(p)) * sigma.value(p),
                      batch=product if sigma.batch else None)

@@ -103,12 +103,13 @@ def _projectors(m: np.ndarray, rank: int) -> np.ndarray:
     return m
 
 
-def _derived(m: np.ndarray, rank: int) -> list:
-    """The projectors of a stack its maker checked, read-only and one stack for fiber_basis."""
-    m.flags.writeable = False
+def _derived(m: np.ndarray, rank: int, bases: np.ndarray) -> list:
+    """The projectors u p u* of a stack its maker checked, read-only, each holding the basis
+    u B(p) moved from its probe, B(p) that probe's basis: no eigh, and one frame along a curve."""
+    m.flags.writeable = bases.flags.writeable = False
     stack = [object.__new__(HermitianProjector) for _ in range(m[..., 0, 0].size)]
-    for point, p in zip(stack, m.reshape((-1,) + m.shape[-2:])):
-        vars(point).update(p=p, rank=rank, _stack=stack)
+    for q, p, b in zip(stack, m.reshape(-1, *m.shape[-2:]), bases.reshape(-1, *bases.shape[-2:])):
+        vars(q).update(p=p, rank=rank, _fiber_basis=b)  # beside the frozen fields
     return stack
 
 
@@ -119,20 +120,16 @@ def coordinate_projector(n: int, k: int) -> HermitianProjector:
 
 
 def fiber_basis(point: HermitianProjector) -> np.ndarray:
-    """Deterministic orthonormal column basis of the range of a projector.
+    """Deterministic orthonormal column basis of the range of a projector, read-only.
 
-    Eigenvectors of p with eigenvalue 1, ascending order, each column's
-    largest-modulus entry rotated to be real positive.  Reproducible, but not
-    a continuous function of the projector (the eigenspace is degenerate), so
-    only gauge-covariant combinations of bases are meaningful.  Computed once
-    per projector object, with the rest of its stack (GrassDomain._stencils)
-    in one `_eigenbases` call; the array returned is read-only.
+    A point moved from a probe, u p u* (`_derived`), holds u B(p): the gauge belongs to the probe.
+    Any other projector gets, once per object, the eigenvectors of p with eigenvalue 1 in
+    ascending order, each column's largest-modulus entry rotated to be real positive
+    (`_eigenbases`).  That rule is reproducible but not continuous in p (the eigenspace is
+    degenerate), so only gauge-covariant combinations of bases are meaningful.
     """
     if "_fiber_basis" not in vars(point):
-        todo = [q for q in vars(point).get("_stack", (point,)) if "_fiber_basis" not in vars(q)]
-        for q, b in zip(todo, _eigenbases(np.array([q.p for q in todo]), point.rank)[0]):
-            vars(q).update(_fiber_basis=b)  # beside the frozen fields
-            vars(q).pop("_stack", None)
+        vars(point)["_fiber_basis"] = _eigenbases(point.p[None], point.rank)[0][0]
     return vars(point)["_fiber_basis"]
 
 
@@ -174,9 +171,9 @@ class GrassDomain(Domain):
 
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[list, np.ndarray]:
         """Domain._stencils as L lists of conjugates e^{tA} p e^{-tA}, by one U(n) stencil stack at
-        the identity, checked for finiteness only.  A tangent at its own base holds its points,
-        which derivatives along it share; new points, and probes without a fiber basis, form one
-        stack for fiber_basis."""
+        the identity, checked for finiteness only; each holds its probe's basis moved with it,
+        e^{tA} B(p).  A tangent at its own base holds its points, which derivatives along it
+        share."""
         if not h > 0:
             raise NumericsError(f"step must be positive, got {h}")
         held = [vars(t).get("_stencil") if t.base is p else None for p, t in zip(s, x)]
@@ -185,11 +182,9 @@ class GrassDomain(Domain):
             eye = np.broadcast_to(np.eye(self.n, dtype=complex), (len(new), self.n, self.n))
             u, _ = UnitaryDomain(self.n)._stencils(eye, np.array([x[j].generator for j in new]), h)
             p = np.array([s[j].p for j in new])[:, None]
-            stack = _derived(_finite_array(u @ p @ u.conj().swapaxes(-1, -2), "projector"), self.k)
+            stack = _derived(_finite_array(u @ p @ u.conj().swapaxes(-1, -2), "projector"), self.k,
+                             u @ np.array([fiber_basis(s[j]) for j in new])[:, None])
             for i, j in enumerate(new):
-                if "_fiber_basis" not in vars(s[j]):
-                    stack.append(s[j])
-                    vars(s[j]).update(_stack=stack)
                 held[j] = (h, stack[4 * i:4 * i + 4])
                 if x[j].base is s[j]:
                     vars(x[j]).update(_stencil=held[j])  # beside the frozen fields
@@ -315,7 +310,8 @@ def _reductive(f_ambient, gs: Sequence, xs: Sequence, base: HermitianProjector) 
     g, x = domain.jets(gs, xs)  # checks g and x
     stencils, weights = domain._stencils(g, x, DEFAULT_STEP)
     u = np.concatenate([stencils, g[:, None]], axis=1)
-    orbit = _derived(_projectors(u @ base.p @ u.conj().swapaxes(-1, -2), base.rank), base.rank)
+    orbit = _derived(_projectors(u @ base.p @ u.conj().swapaxes(-1, -2), base.rank), base.rank,
+                     u @ fiber_basis(base))
     v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in orbit]).reshape(len(g), 5, -1)
     correction = maurer_cartan(base, g, x) @ v[:, 4, :, None]  # rejects x off the complement
     return stencil_sum(weights, v[:, :4]) - correction[..., 0]

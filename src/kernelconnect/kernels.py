@@ -576,7 +576,8 @@ def admissibility_report(k: Kernel, points: Sequence) -> dict:
         raise ValueError("need at least two points")
     n, m = len(points), k.fiber_dim
     gram = gram_matrix(k, points).reshape(n, m, n, m)
-    lowest = float(np.min(hermitian_eigh(gram[np.arange(n), :, np.arange(n)])[0][:, 0]))
+    diagonal = gram[np.arange(n), :, np.arange(n)]
+    lowest = float(np.min(_eigh(diagonal, diagonal.conj().swapaxes(-1, -2), vectors=False)[0]))
     # block (i, j) of G* - G is kappa(t_j, t_i)* - kappa(t_i, t_j)
     sym = gram.transpose(2, 3, 0, 1).conj() - gram
     return {

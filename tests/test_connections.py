@@ -19,11 +19,12 @@ from kernelconnect.connections import (
     make_evaluator,
     parallel_transport,
 )
-from kernelconnect import verify
+from kernelconnect import grassmann, verify
 from kernelconnect.cpmaps import cp_kernel, random_unital_cpmap, random_unitary
 from kernelconnect.grassmann import (
     HermitianProjector,
     coordinate_projector,
+    fiber_basis,
     random_grass_tangent,
     universal_kernel,
 )
@@ -286,12 +287,13 @@ def _per_pair_stencil(k, s, x, h=1e-4):
     """The stencil points and weights, restated: gamma(t) at t = -2h, -h, h, 2h, on the line
     s + t x / |x| (|x| the largest coordinate modulus, x nonzero, divided part by part), the
     weights times |x|, or on the curve e^{tA} p e^{-tA}, e^{tA} = V diag(e^{itw}) V* where
-    -iA = V w V*."""
+    -iA = V w V*, each point holding its probe's basis moved with it, e^{tA} B(p)."""
     ts, weights = (-2.0 * h, -h, h, 2.0 * h), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     if isinstance(s, HermitianProjector):
         w, v = hermitian_eigh(-1j * x.generator)
         us = [np.eye(s.n) @ (v * np.exp(1j * t * w)) @ v.conj().T for t in ts]
-        return [HermitianProjector(u @ s.p @ u.conj().T, s.rank) for u in us], weights
+        return [grassmann._derived(u @ s.p @ u.conj().T, s.rank, u @ fiber_basis(s))[0]
+                for u in us], weights
     size = max(abs(complex(c)) for c in np.atleast_1d(x))
     unit = np.array([complex(c.real / size, c.imag / size) for c in np.atleast_1d(x)])
     return [s + t * unit for t in ts], weights * size
@@ -898,6 +900,20 @@ def test_leibniz_residual_reads_the_product_section_from_sigmas_batch():
 
 
 _BACKENDS = ("closed-form", "direct", "sampled")
+
+
+def test_leibniz_residual_takes_a_batched_section_on_unitaries():
+    # the product section's stack axes are those of sigma's values, not all but the last axis of
+    # the (..., n, n) points; its residuals are the unbatched section's bit for bit
+    k, _, us, xs = _stack_cases()[-1]
+    w0 = np.array([1.0 + 0.5j, -0.25 + 2j])
+    fn = lambda u: w0 + 0.5 * u[..., 0, :2] - 1j * u[..., 1, 1:]  # noqa: E731 - member by member
+    f = lambda u: complex(np.trace(u)) ** 2  # noqa: E731
+    for backend in _BACKENDS:
+        nabla = make_evaluator(k, backend)
+        got = leibniz_residual(nabla, f, Section(F=fn, batch=fn), list(zip(us, xs)))
+        assert got == leibniz_residual(nabla, f, Section(F=fn), list(zip(us, xs))), backend
+        assert 0.0 < got < 1e-6, backend
 
 
 @pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from kernelconnect import grassmann
-from kernelconnect.connections import Section, covariant_derivative_direct
+from kernelconnect.connections import Section, covariant_derivative_direct, make_evaluator
 from kernelconnect.cpmaps import random_unitary
 from kernelconnect.grassmann import (
     GrassDomain,
@@ -199,6 +199,22 @@ def test_three_way_agreement_small():
     assert rep["metric_compatibility_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (6, 3)])
+def test_universal_kernel_backends_agree_on_grassmannians_of_rank_two_and_more(n, k):
+    # the backends read sigma = B* F and kappa at the stencil points; they agree only when one frame
+    # is used along each stencil, as on Gr(1, n) where a basis has one column
+    rng = np.random.default_rng(20 + n)
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sigma = Section(F=grass_section_coordinates(lambda pt: pt.p @ v0))
+    points = [_random_point(n, k, seed=110 + i) for i in range(6)]
+    tangents = [random_grass_tangent(p, rng) for p in points]
+    q = universal_kernel(n, k)
+    closed, direct, sampled = (make_evaluator(q, b).evaluate(sigma, points, tangents)
+                               for b in ("closed-form", "direct", "sampled"))
+    assert np.max(np.abs(closed - direct)) <= 1e-10
+    assert np.max(np.abs(direct - sampled)) <= 1e-10
+
+
 def test_universal_derivative_is_equivariant():
     # nabla(u F(u* . u))(u p u*, u A u*) = u nabla(F)(p, A)
     n, k = 4, 2
@@ -325,15 +341,21 @@ def test_universal_kernel_values_keep_their_bits_with_the_cache():
 
 
 def test_grassmann_verify_output_keeps_its_bits_with_the_cache(capsys, monkeypatch):
-    from kernelconnect import grassmann
     from kernelconnect.cli import main
 
     argv = ["grassmann", "verify", "--n", "6", "--k", "3", "--probes", "6", "--seed", "3"]
     assert main(argv) == 0
     cached = capsys.readouterr().out
-    monkeypatch.setattr(grassmann, "fiber_basis", _fiber_basis_uncached)
+    # a derived point's basis u B(p) is its definition, not a cache; every other projector's
+    # basis is recomputed at each call
+    derived, make = set(), grassmann._derived
+    monkeypatch.setattr(grassmann, "_derived", lambda m, rank, bases: [
+        derived.add(id(q)) or q for q in make(m, rank, bases)])
+    monkeypatch.setattr(grassmann, "fiber_basis", lambda q: vars(q)["_fiber_basis"]
+                        if id(q) in derived else _fiber_basis_uncached(q))
     assert main(argv) == 0
     assert capsys.readouterr().out == cached
+    assert derived
 
 
 def _exp(a, t, u=None):
@@ -440,23 +462,50 @@ def test_grassmann_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bi
 
 
 def test_stacked_fiber_bases_are_the_one_point_bases_bit_for_bit(monkeypatch):
-    from kernelconnect import grassmann
-
     points = [_random_point(6, 3, seed=60 + i) for i in range(8)] + [coordinate_projector(6, 3)]
     bases, _, _ = grassmann._eigenbases(np.array([p.p for p in points]), 3)
     for point, b in zip(points, bases):
         want = _fiber_basis_uncached(point)
         assert b.tobytes() == want.tobytes() and b.strides == want.strides
-    # a stencil stack and its probes: the first fiber_basis call finds all of their bases at once
+    # a probe without a basis: the stencil call diagonalizes it alone, and its points none
     drawn, a = _probe(6, 3, seed=70)
     point = HermitianProjector(drawn.p, 3)  # without the basis random_grass_tangent held
-    (stencil,), _ = GrassDomain(6, 3)._stencils((point,), (GrassTangent(point, a),), 1e-4)
     calls, stacked = [], grassmann._eigenbases
     monkeypatch.setattr(grassmann, "_eigenbases",
                         lambda m, rank: calls.append(len(m)) or stacked(m, rank))
+    (stencil,), _ = GrassDomain(6, 3)._stencils((point,), (GrassTangent(point, a),), 1e-4)
     for q in [point, *stencil]:
-        assert fiber_basis(q).tobytes() == _fiber_basis_uncached(q).tobytes()
-    assert calls == [5]
+        fiber_basis(q)
+    assert calls == [1]
+    assert fiber_basis(point).tobytes() == _fiber_basis_uncached(point).tobytes()
+
+
+def _assert_moved_basis(q, u, b):
+    """q holds u b bit for bit, read-only: orthonormal columns that span the range of q."""
+    got = fiber_basis(q)
+    assert got.tobytes() == (u @ b).tobytes() and not got.flags.writeable
+    assert np.linalg.norm(got.conj().T @ got - np.eye(b.shape[1])) <= 1e-13
+    assert np.linalg.norm(q.p @ got - got) <= 1e-13
+    assert np.linalg.norm(got @ got.conj().T - q.p) <= 1e-13
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
+def test_stencil_and_orbit_points_hold_their_probes_basis_moved_with_them(n, k, monkeypatch):
+    # B(u p u*) = u B(p): one frame along each curve, from a product, never from an eigh
+    point, a = _probe(n, k, seed=80 + n)
+    b, calls, stacked = fiber_basis(point), [], grassmann._eigenbases
+    monkeypatch.setattr(grassmann, "_eigenbases",
+                        lambda m, rank: calls.append(len(m)) or stacked(m, rank))
+    (stencil,), _ = GrassDomain(n, k)._stencils((point,), (GrassTangent(point, a),), 1e-4)
+    for t, q in zip(_TS, stencil):
+        _assert_moved_basis(q, _exp(a, t), b)
+    base = coordinate_projector(n, k)
+    g, x = random_unitary(n, seed=90 + n), random_grass_tangent(base, np.random.default_rng(9))
+    base_basis, orbit = fiber_basis(base), []
+    grassmann._reductive(lambda q: orbit.append(q) or q.p[:, 0], (g,), (x.generator,), base)
+    for u, q in zip([_exp(x.generator, t, g) for t in _TS] + [g], orbit):
+        _assert_moved_basis(q, u, base_basis)
+    assert calls == [1] and len(orbit) == 5  # coordinate_projector's own basis, and no other
 
 
 def _universal_restated(f, point, a):
@@ -520,8 +569,9 @@ def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stac
     assert sorted(calls) == ["_reductive", "_universal", "_universal", "derivatives", "evaluate"]
     # the Grassmann stencil stack (shared by four routes), then the reductive U(n) stack
     assert exponentials == [(5, 4, 4), (5, 4, 4)]
-    # one eigh for the tangents' base, then the bases of the probes and their 20 stencil points
-    assert bases == [1, 25]
+    # one eigh for the tangents' base, then one for each probe; its stencil and orbit points hold
+    # the basis moved from it
+    assert bases == [1] * (1 + 5)
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2), (6, 3)])
