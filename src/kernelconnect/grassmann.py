@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel,
-                      _finite_array, _frobenius, feature_kernel, stencil_sum)
+                      _finite_array, _frobenius, _paired, feature_kernel, stencil_sum)
 from .connections import Section, _fiber
 from .numerics import DEFAULT_STEP, NumericsError, _max_norm
 
@@ -103,13 +103,15 @@ def _projectors(m: np.ndarray, rank: int) -> np.ndarray:
     return m
 
 
-def _derived(m: np.ndarray, rank: int, bases: np.ndarray) -> list:
-    """The projectors u p u* of a stack its maker checked, read-only, each holding the basis
-    u B(p) moved from its probe, B(p) that probe's basis: no eigh, and one frame along a curve."""
+def _orbit(u: np.ndarray, p: np.ndarray, b: np.ndarray, rank: int) -> list:
+    """The projectors u p u* for a (..., n, n) stack of unitaries u, p a checked projector (or a
+    stack broadcast with u) with basis b: the one constructor of moved points, each checked for
+    finiteness only, read-only and holding the basis u b, B(u p u*) = u B(p), from no eigh."""
+    m, bases = _finite_array(u @ p @ u.conj().swapaxes(-1, -2), "projector"), u @ b
     m.flags.writeable = bases.flags.writeable = False
     stack = [object.__new__(HermitianProjector) for _ in range(m[..., 0, 0].size)]
-    for q, p, b in zip(stack, m.reshape(-1, *m.shape[-2:]), bases.reshape(-1, *bases.shape[-2:])):
-        vars(q).update(p=p, rank=rank, _fiber_basis=b)  # beside the frozen fields
+    for q, mq, bq in zip(stack, m.reshape(-1, *m.shape[-2:]), bases.reshape(-1, *bases.shape[-2:])):
+        vars(q).update(p=mq, rank=rank, _fiber_basis=bq)  # beside the frozen fields
     return stack
 
 
@@ -122,7 +124,7 @@ def coordinate_projector(n: int, k: int) -> HermitianProjector:
 def fiber_basis(point: HermitianProjector) -> np.ndarray:
     """Deterministic orthonormal column basis of the range of a projector, read-only.
 
-    A point moved from a probe, u p u* (`_derived`), holds u B(p): the gauge belongs to the probe.
+    A point moved from a probe, u p u* (`_orbit`), holds u B(p): the gauge belongs to the probe.
     Any other projector gets, once per object, the eigenvectors of p with eigenvalue 1 in
     ascending order, each column's largest-modulus entry rotated to be real positive
     (`_eigenbases`).  That rule is reproducible but not continuous in p (the eigenspace is
@@ -135,12 +137,9 @@ def fiber_basis(point: HermitianProjector) -> np.ndarray:
 
 def _eigenbases(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One eigh of an (L, n, n) stack of rank-k projectors' Hermitian parts: the read-only (L, n, k)
-    range bases under the phase rule, each F-ordered as BLAS sees it, the values and vectors."""
+    range bases under the phase rule, each F-ordered as BLAS sees it, the values and vectors.
+    Each passed `_projectors` or is a unitary conjugate of one: exactly k values exceed 0.5."""
     values, vectors = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-    found = (values > 0.5).sum(axis=-1)
-    if (found != rank).any():
-        raise DomainError(
-            f"projector has {found[found != rank][0]} near-1 eigenvalues, expected rank {rank}")
     cols = np.empty(m.shape[:-2] + (rank, m.shape[-1]), dtype=complex).swapaxes(-1, -2)
     cols[...] = vectors[..., m.shape[-1] - rank:]  # eigenvalues ascend: the near-1 ones are last
     top = np.take_along_axis(cols, np.argmax(np.abs(cols), axis=-2)[..., None, :], axis=-2)
@@ -156,18 +155,30 @@ class GrassDomain(Domain):
     n: int
     k: int
 
-    def check_point(self, s) -> None:
-        if not isinstance(s, HermitianProjector):
-            raise DomainError("Grassmann points must be HermitianProjector values")
-        if s.n != self.n or s.rank != self.k:
-            raise DomainError(f"expected rank-{self.k} projector in C^{self.n}, "
-                              f"got rank {s.rank} in C^{s.n}")
+    @property
+    def name(self) -> str:
+        return f"Gr({self.k},{self.n})"
 
-    def check_tangent(self, s, x) -> None:
-        if not isinstance(x, GrassTangent):
-            raise DomainError("Grassmann tangents must be GrassTangent values")
-        if x.base is not s and not np.allclose(x.base.p, s.p, atol=1e-10):
-            raise DomainError("tangent is anchored at a different base point")
+    def stack(self, points: Sequence) -> Sequence:
+        """Domain.stack: each point must be a rank-k HermitianProjector in C^n."""
+        for i, s in enumerate(points):
+            if not isinstance(s, HermitianProjector):
+                raise self._error("point is not a HermitianProjector", i, len(points))
+            if s.n != self.n or s.rank != self.k:
+                raise self._error(f"expected a rank-{self.k} projector in C^{self.n}, got rank "
+                                  f"{s.rank} in C^{s.n}", i, len(points))
+        return points
+
+    def jets(self, points: Sequence, directions: Sequence) -> tuple[Sequence, Sequence]:
+        """Domain.jets: each tangent must be a GrassTangent anchored at its point, the point itself
+        or a projector within 1e-10 of it in every entry."""
+        for i, (s, x) in enumerate(zip(self.stack(points), _paired(points, directions))):
+            if not isinstance(x, GrassTangent):
+                raise self._error("tangent is not a GrassTangent", i, len(points), "probe")
+            b = x.base.p
+            if x.base is not s and (b.shape != s.p.shape or (abs(b - s.p) > 1e-10).any()):
+                raise self._error("tangent is anchored at another point", i, len(points), "probe")
+        return points, directions
 
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[list, np.ndarray]:
         """Domain._stencils as L lists of conjugates e^{tA} p e^{-tA}, by one U(n) stencil stack at
@@ -181,9 +192,8 @@ class GrassDomain(Domain):
         if new:
             eye = np.broadcast_to(np.eye(self.n, dtype=complex), (len(new), self.n, self.n))
             u, _ = UnitaryDomain(self.n)._stencils(eye, np.array([x[j].generator for j in new]), h)
-            p = np.array([s[j].p for j in new])[:, None]
-            stack = _derived(_finite_array(u @ p @ u.conj().swapaxes(-1, -2), "projector"), self.k,
-                             u @ np.array([fiber_basis(s[j]) for j in new])[:, None])
+            stack = _orbit(u, np.array([s[j].p for j in new])[:, None],
+                           np.array([fiber_basis(s[j]) for j in new])[:, None], self.k)
             for i, j in enumerate(new):
                 held[j] = (h, stack[4 * i:4 * i + 4])
                 if x[j].base is s[j]:
@@ -305,13 +315,13 @@ def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
 
 def _reductive(f_ambient, gs: Sequence, xs: Sequence, base: HermitianProjector) -> np.ndarray:
     """The (L, n) reductive derivatives at L probes (g_j, x_j), from one U(n) stencil stack; its
-    5L orbit points u p u* (4L stencil points, and the g_j) are checked as projectors at once."""
+    5L orbit points u p u* (4L stencil points, and the g_j) are `_orbit`'s: the g_j passed `jets`
+    and the base its own check."""
     domain = UnitaryDomain(base.n)
     g, x = domain.jets(gs, xs)  # checks g and x
     stencils, weights = domain._stencils(g, x, DEFAULT_STEP)
     u = np.concatenate([stencils, g[:, None]], axis=1)
-    orbit = _derived(_projectors(u @ base.p @ u.conj().swapaxes(-1, -2), base.rank), base.rank,
-                     u @ fiber_basis(base))
+    orbit = _orbit(u, base.p, fiber_basis(base), base.rank)
     v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in orbit]).reshape(len(g), 5, -1)
     correction = maurer_cartan(base, g, x) @ v[:, 4, :, None]  # rejects x off the complement
     return stencil_sum(weights, v[:, :4]) - correction[..., 0]

@@ -70,30 +70,19 @@ def _as_point(s) -> np.ndarray:
 
 
 class Domain:
-    """Base-domain protocol: membership checks and the library's one stencil.  A domain defines
-    `check_point` and `check_tangent` (or the `stack` and `jets` whose one-member cases they are)
-    and `_stencils(s, x, h)`: at L checked probes, all at once, the points gamma_j(t h), t = -2,
-    -1, 1, 2, on curves with the 1-jets (s_j, x_j), and the (L, 4) weights of d/dt f(gamma_j)."""
+    """Base-domain protocol: membership checks and the library's one stencil.  A domain with a
+    `name` defines `stack(points)` and `jets(points, directions)`, the one check of a list of
+    points and of a stack of probes (s_j, x_j), each point and tangent checked once (code past
+    them trusts the probes, and the curve points that cannot leave the domain), whose one-member
+    cases are `check_point` and `check_tangent`; and `_stencils(s, x, h)`: at L checked probes, all
+    at once, the points gamma_j(t h), t = -2, -1, 1, 2, on curves with the 1-jets (s_j, x_j), and
+    the (L, 4) weights of d/dt f(gamma_j)."""
 
     def check_point(self, s) -> None:
         self.stack((s,))
 
     def check_tangent(self, s, x) -> None:
         self.jets((s,), (x,))
-
-    def stack(self, points: Sequence) -> Sequence:
-        """The points, each checked once: the one check of a list of points."""
-        for p in points:
-            self.check_point(p)
-        return points
-
-    def jets(self, points: Sequence, directions: Sequence) -> tuple[Sequence, Sequence]:
-        """The probes (s_j, x_j), each point and tangent checked once: the one check of a stack of
-        probes.  Code past it trusts them, and the curve points that cannot leave the domain."""
-        for s, x in zip(points, _paired(points, directions)):
-            self.check_point(s)
-            self.check_tangent(s, x)
-        return points, directions
 
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:

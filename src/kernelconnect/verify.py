@@ -156,8 +156,7 @@ def _universality_checks(seed):
 
     base = grassmann.coordinate_projector(4, 2)
     us = cpmaps._random_unitaries(4, range(seed + 100, seed + 104))
-    grass_pts = [base] + [grassmann.HermitianProjector(p, 2)
-                          for p in us @ base.p @ us.conj().swapaxes(-1, -2)]
+    grass_pts = [base] + grassmann._orbit(us, base.p, grassmann.fiber_basis(base), 2)
     cases.append(("universal:n=4,k=2", grassmann.universal_kernel(4, 2), grass_pts))
 
     checks = []
@@ -214,7 +213,7 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
 
     gs = cpmaps._random_unitaries(n, range(seed + 200, seed + 200 + probes))
     xs = [grassmann.random_grass_tangent(base, rng).generator for _ in gs]
-    points = [grassmann.HermitianProjector(g @ base.p @ g.conj().T, k) for g in gs]
+    points = grassmann._orbit(gs, base.p, grassmann.fiber_basis(base), k)
     tangents = [grassmann.GrassTangent(p, g @ x @ g.conj().T) for p, g, x in zip(points, gs, xs)]
 
     univ = grassmann._universal(f_ambient, points, tangents)
@@ -349,7 +348,8 @@ def _transport_checks(seed):  # exact transport: no random draw, so the seed is 
 def _reductive_checks(seed):
     # a rotated projector: at a coordinate one with block unitaries every product is exact
     u = cpmaps.random_unitary(4, seed=seed + 700)
-    point = grassmann.HermitianProjector(u @ grassmann.coordinate_projector(4, 2).p @ u.conj().T, 2)
+    base = grassmann.coordinate_projector(4, 2)
+    (point,) = grassmann._orbit(u, base.p, grassmann.fiber_basis(base), 2)
     blocks = cpmaps._random_unitaries(2, range(seed + 600, seed + 640))  # u1, u2 of 20 unitaries
     unitaries = np.zeros((20, 4, 4), dtype=complex)
     unitaries[:, :2, :2], unitaries[:, 2:, 2:] = blocks[0::2], blocks[1::2]

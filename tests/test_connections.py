@@ -292,8 +292,7 @@ def _per_pair_stencil(k, s, x, h=1e-4):
     if isinstance(s, HermitianProjector):
         w, v = hermitian_eigh(-1j * x.generator)
         us = [np.eye(s.n) @ (v * np.exp(1j * t * w)) @ v.conj().T for t in ts]
-        return [grassmann._derived(u @ s.p @ u.conj().T, s.rank, u @ fiber_basis(s))[0]
-                for u in us], weights
+        return [grassmann._orbit(u, s.p, fiber_basis(s), s.rank)[0] for u in us], weights
     size = max(abs(complex(c)) for c in np.atleast_1d(x))
     unit = np.array([complex(c.real / size, c.imag / size) for c in np.atleast_1d(x)])
     return [s + t * unit for t in ts], weights * size

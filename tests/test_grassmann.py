@@ -81,6 +81,59 @@ def test_tangent_checks_decide_at_1e_10(block, scale, raises):
             GrassTangent(p, a)
 
 
+def _three_probes():
+    points = [_random_point(4, 2, seed=20 + i) for i in range(3)]
+    rng = np.random.default_rng(3)
+    return points, [random_grass_tangent(p, rng) for p in points]
+
+
+def _swap(entries, i, value):
+    return [value if j == i else e for j, e in enumerate(entries)]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda ps: ps[1].p, r"point is not a HermitianProjector \(point 1 of 3\)"),
+    (lambda ps: coordinate_projector(4, 1),
+     r"expected a rank-2 projector in C\^4, got rank 1 in C\^4 \(point 1 of 3\)"),
+    (lambda ps: coordinate_projector(5, 2),
+     r"expected a rank-2 projector in C\^4, got rank 2 in C\^5 \(point 1 of 3\)"),
+])
+def test_a_grassmann_stack_names_its_first_point_that_is_not_in_the_domain(bad, message):
+    points, tangents = _three_probes()
+    points = _swap(points, 1, bad(points))
+    for call in (lambda d: d.stack(points), lambda d: d.jets(points, tangents)):
+        with pytest.raises(DomainError, match=r"^Gr\(2,4\): " + message + "$"):
+            call(GrassDomain(4, 2))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda ps, xs: xs[1].generator, r"tangent is not a GrassTangent \(probe 1 of 3\)"),
+    (lambda ps, xs: xs[0], r"tangent is anchored at another point \(probe 1 of 3\)"),
+    (lambda ps, xs: random_grass_tangent(coordinate_projector(5, 2), np.random.default_rng(0)),
+     r"tangent is anchored at another point \(probe 1 of 3\)"),
+])
+def test_grassmann_jets_name_their_first_tangent_that_is_not_at_its_point(bad, message):
+    points, tangents = _three_probes()
+    with pytest.raises(DomainError, match=r"^Gr\(2,4\): " + message + "$"):
+        GrassDomain(4, 2).jets(points, _swap(tangents, 1, bad(points, tangents)))
+    with pytest.raises(DomainError, match=r"^Gr\(2,4\): tangent is "):  # one probe: no entry named
+        GrassDomain(4, 2).check_tangent(points[1], bad(points, tangents))
+
+
+def test_a_tangent_anchored_at_a_projector_off_by_more_than_1e_10_is_rejected():
+    point = _random_point(4, 2, seed=7)
+    e = _exp(random_grass_tangent(point, np.random.default_rng(0)).generator, 4e-7)
+    near = HermitianProjector(e @ point.p @ e.conj().T, 2)
+    off = np.abs(near.p - point.p)
+    # a relative test, numpy's default rtol = 1e-5, would accept this base
+    assert 1e-7 < off.max() and (off <= 1e-10 + 1e-5 * np.abs(point.p)).all()
+    with pytest.raises(DomainError, match="anchored at another point"):
+        GrassDomain(4, 2).check_tangent(point, random_grass_tangent(near, np.random.default_rng(1)))
+    # an equal projector object is the same point
+    x = random_grass_tangent(point, np.random.default_rng(1)).generator
+    GrassDomain(4, 2).check_tangent(point, GrassTangent(HermitianProjector(point.p.copy(), 2), x))
+
+
 def test_fiber_basis_is_orthonormal_and_deterministic():
     point = _random_point(5, 2, seed=11)
     b1 = fiber_basis(point)
@@ -348,9 +401,9 @@ def test_grassmann_verify_output_keeps_its_bits_with_the_cache(capsys, monkeypat
     cached = capsys.readouterr().out
     # a derived point's basis u B(p) is its definition, not a cache; every other projector's
     # basis is recomputed at each call
-    derived, make = set(), grassmann._derived
-    monkeypatch.setattr(grassmann, "_derived", lambda m, rank, bases: [
-        derived.add(id(q)) or q for q in make(m, rank, bases)])
+    derived, make = set(), grassmann._orbit
+    monkeypatch.setattr(grassmann, "_orbit", lambda u, p, b, rank: [
+        derived.add(id(q)) or q for q in make(u, p, b, rank)])
     monkeypatch.setattr(grassmann, "fiber_basis", lambda q: vars(q)["_fiber_basis"]
                         if id(q) in derived else _fiber_basis_uncached(q))
     assert main(argv) == 0
@@ -425,10 +478,9 @@ def test_agreement_checks_no_curve_point_as_a_projector(monkeypatch):
     monkeypatch.setattr(grassmann, "_projectors",
                         lambda m, rank: checked.append(m[..., 0, 0].size) or stacked(m, rank))
     grassmann_agreement(4, 2, probes=3, seed=0)
-    # the base and each probe's point one by one, then the reductive oracle's five orbit points
-    # per probe (four stencil points and g) as one stack; the four curve points each probe's
-    # four derivatives share are derived, not checked
-    assert checked == [1] * (1 + 3) + [3 * 5]
+    # the base alone: the probes g p g*, their stencil points and the reductive oracle's orbit
+    # points are unitary conjugates of it, built by `_orbit`
+    assert checked == [1]
 
 
 def test_a_huge_step_still_rejects_a_non_finite_curve_point():
@@ -569,9 +621,48 @@ def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stac
     assert sorted(calls) == ["_reductive", "_universal", "_universal", "derivatives", "evaluate"]
     # the Grassmann stencil stack (shared by four routes), then the reductive U(n) stack
     assert exponentials == [(5, 4, 4), (5, 4, 4)]
-    # one eigh for the tangents' base, then one for each probe; its stencil and orbit points hold
-    # the basis moved from it
-    assert bases == [1] * (1 + 5)
+    # one eigh, of the base: the probes, their stencil points and the orbit points hold its basis
+    # moved with them
+    assert bases == [1]
+
+
+def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypatch):
+    from kernelconnect import cpmaps
+
+    probes, universal = [], grassmann._universal
+    monkeypatch.setattr(grassmann, "_universal",
+                        lambda f, ps, xs: probes.append(ps) or universal(f, ps, xs))
+    diagonalized, stacked = [], grassmann._eigenbases
+    monkeypatch.setattr(grassmann, "_eigenbases",
+                        lambda m, rank: diagonalized.append(m.copy()) or stacked(m, rank))
+    grassmann_agreement(4, 2, probes=5, seed=3)
+    monkeypatch.undo()
+    base = coordinate_projector(4, 2)
+    assert [m.tobytes() for m in diagonalized] == [base.p[None].tobytes()]  # the base alone
+    gs = cpmaps._random_unitaries(4, range(203, 208))
+    assert probes[0] is probes[1] and len(probes[0]) == len(gs)
+    for g, q in zip(gs, probes[0]):
+        assert q.p.tobytes() == (g @ base.p @ g.conj().T).tobytes()
+        _assert_moved_basis(q, g, fiber_basis(base))
+
+
+def test_universality_probes_are_orbit_points_holding_the_base_basis_moved(monkeypatch):
+    from kernelconnect import cpmaps, verify
+
+    samples, build = {}, verify.build_rkhs
+    monkeypatch.setattr(verify, "build_rkhs",
+                        lambda k, pts: samples.update({k.name: pts}) or build(k, pts))
+    diagonalized, stacked = [], grassmann._eigenbases
+    monkeypatch.setattr(grassmann, "_eigenbases",
+                        lambda m, rank: diagonalized.append(m.copy()) or stacked(m, rank))
+    verify._universality_checks(5)
+    monkeypatch.undo()
+    base, *orbit = samples["universal:n=4,k=2"]
+    assert [m.tobytes() for m in diagonalized] == [base.p[None].tobytes()]  # the base alone
+    assert base.p.tobytes() == coordinate_projector(4, 2).p.tobytes()
+    for g, q in zip(cpmaps._random_unitaries(4, range(105, 109)), orbit):
+        assert q.p.tobytes() == (g @ base.p @ g.conj().T).tobytes()
+        _assert_moved_basis(q, g, fiber_basis(base))
 
 
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2), (6, 3)])

@@ -15,6 +15,7 @@ from kernelconnect.grassmann import (
 from kernelconnect.kernels import (
     DISK_BOUNDARY_GUARD,
     BundleMorphism,
+    Domain,
     DomainError,
     Kernel,
     UnitaryDomain,
@@ -708,3 +709,13 @@ def test_a_unitary_stack_names_the_probe_that_fails_its_check(edit, message):
 def test_a_unitary_domains_one_probe_messages_name_no_probe(call, message):
     with pytest.raises(DomainError, match=message):
         call(UnitaryDomain(2))
+
+
+def test_a_domain_that_defines_neither_stack_nor_jets_fails_at_once():
+    # check_point and check_tangent are the one-member stack and jets; the protocol has no default
+    class Bare(Domain):
+        name = "bare"
+
+    for call in (lambda d: d.check_point(0.0), lambda d: d.check_tangent(0.0, 1.0)):
+        with pytest.raises(AttributeError, match="'(stack|jets)'"):
+            call(Bare())
