@@ -20,10 +20,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import (_WEIGHTS, Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel,
-                      _finite_array, _frobenius, _paired, feature_kernel, stencil_sum)
+from .kernels import (Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel, _finite_array,
+                      _frobenius, _paired, feature_kernel, stencil_sum)
 from .connections import Section, _fiber
-from .numerics import DEFAULT_STEP, NumericsError, _max_norm
+from .numerics import DEFAULT_STEP, _max_norm
 
 __all__ = [
     "HermitianProjector",
@@ -74,18 +74,17 @@ class GrassTangent:
     generator: np.ndarray
 
     def __post_init__(self):
-        a = _finite_array(self.generator, "generator")
-        p = self.base.p
+        a = np.array(_finite_array(self.generator, "generator"))  # read-only copy, as p's
+        a.flags.writeable = False
+        p, q = self.base.p, self.base.complement()
         if a.shape != p.shape:
             raise DomainError(f"generator shape {a.shape} does not match base {p.shape}")
         if _frobenius(a + a.conj().T) > 1e-10:
             raise DomainError("generator is not anti-Hermitian")
-        q = self.base.complement()
         diag = _frobenius(p @ a @ p) + _frobenius(q @ a @ q)
         if diag > 1e-10:
-            raise DomainError(
-                f"generator has diagonal blocks (residual {diag:.3e}); "
-                "it must lie in the reductive complement")
+            raise DomainError(f"generator has diagonal blocks (residual {diag:.3e}); "
+                              "it must lie in the reductive complement")
         object.__setattr__(self, "generator", a)
 
 
@@ -181,24 +180,21 @@ class GrassDomain(Domain):
         return points, directions
 
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[list, np.ndarray]:
-        """Domain._stencils as L lists of conjugates e^{tA} p e^{-tA}, by one U(n) stencil stack at
-        the identity, checked for finiteness only; each holds its probe's basis moved with it,
-        e^{tA} B(p).  A tangent at its own base holds its points, which derivatives along it
-        share."""
-        if not h > 0:
-            raise NumericsError(f"step must be positive, got {h}")
+        """Domain._stencils as L lists of conjugates u p u*, with U(n)'s stencils u at the identity
+        and its weights, each point checked for finiteness only and holding u B(p); a tangent at
+        its own base holds both.  At A = 0, u = e^{t iE_11}: a p that commutes with E_11 gets four
+        equal points, which the sampled backend refuses (a direction there would depend on p)."""
         held = [vars(t).get("_stencil") if t.base is p else None for p, t in zip(s, x)]
         new = [j for j, c in enumerate(held) if c is None or c[0] != h]
         if new:
-            eye = np.broadcast_to(np.eye(self.n, dtype=complex), (len(new), self.n, self.n))
-            u, _ = UnitaryDomain(self.n)._stencils(eye, np.array([x[j].generator for j in new]), h)
+            u, w = UnitaryDomain(self.n)._stencils(np.eye(self.n), [x[j].generator for j in new], h)
             stack = _orbit(u, np.array([s[j].p for j in new])[:, None],
                            np.array([fiber_basis(s[j]) for j in new])[:, None], self.k)
             for i, j in enumerate(new):
-                held[j] = (h, stack[4 * i:4 * i + 4])
+                held[j] = (h, stack[4 * i:4 * i + 4], w[i])
                 if x[j].base is s[j]:
                     vars(x[j]).update(_stencil=held[j])  # beside the frozen fields
-        return [c[1] for c in held], np.tile(_WEIGHTS / (12.0 * h), (len(s), 1))
+        return [c[1] for c in held], np.array([c[2] for c in held])
 
 
 def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:
@@ -314,17 +310,15 @@ def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
 
 
 def _reductive(f_ambient, gs: Sequence, xs: Sequence, base: HermitianProjector) -> np.ndarray:
-    """The (L, n) reductive derivatives at L probes (g_j, x_j), from one U(n) stencil stack; its
-    5L orbit points u p u* (4L stencil points, and the g_j) are `_orbit`'s: the g_j passed `jets`
-    and the base its own check."""
-    domain = UnitaryDomain(base.n)
-    g, x = domain.jets(gs, xs)  # checks g and x
-    stencils, weights = domain._stencils(g, x, DEFAULT_STEP)
-    u = np.concatenate([stencils, g[:, None]], axis=1)
-    orbit = _orbit(u, base.p, fiber_basis(base), base.rank)
-    v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in orbit]).reshape(len(g), 5, -1)
-    correction = maurer_cartan(base, g, x) @ v[:, 4, :, None]  # rejects x off the complement
-    return stencil_sum(weights, v[:, :4]) - correction[..., 0]
+    """The (L, n) reductive derivatives at L probes (g_j, x_j): `_group_jets` of u -> F(u p u*), at
+    the orbit points of `_orbit` (the g_j passed `jets`, and the base its own check)."""
+    def orbit(u):  # F at the points u p u* of a stack of unitaries
+        qs = _orbit(u, base.p, fiber_basis(base), base.rank)
+        return np.array([np.asarray(f_ambient(q), dtype=complex) for q in qs]).reshape(
+            u.shape[:-2] + (-1,))
+
+    deriv, value, x = _group_jets(Section(orbit, batch=orbit), gs, xs, base.n, base.n)
+    return deriv - (maurer_cartan(base, gs, x) @ value[..., None])[..., 0]
 
 
 def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:

@@ -75,8 +75,27 @@ class Domain:
     points and of a stack of probes (s_j, x_j), each point and tangent checked once (code past
     them trusts the probes, and the curve points that cannot leave the domain), whose one-member
     cases are `check_point` and `check_tangent`; and `_stencils(s, x, h)`: at L checked probes, all
-    at once, the points gamma_j(t h), t = -2, -1, 1, 2, on curves with the 1-jets (s_j, x_j), and
-    the (L, 4) weights of d/dt f(gamma_j)."""
+    at once, the points gamma_j(t step), t = -2, -1, 1, 2, on curves with the 1-jets
+    (s_j, x_j / |x_j|), and the (L, 4) weights of d/dt f(gamma_j), by the one rule `_rule`."""
+
+    _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
+
+    def _rule(self, s, x: np.ndarray, h: float, zero: complex = 1.0) -> tuple:
+        """The stencil rule of every domain, at L checked probes with (L, D) flat tangents x: the
+        `_step`, the (L, 4) weights times |x|, |x| the largest entry modulus, and the directions
+        x / |x|, divided part by part (`zero` e_1 at x = 0, where the weights are zero).  An |x|
+        over 1e308 steps would overflow the weights: an error names its probe."""
+        if not h > 0:
+            raise NumericsError(f"step must be positive, got {h}")
+        step = self._step(s, h)
+        size = np.hypot(x.real, x.imag)  # as abs(z) rounds
+        size = np.maximum.reduce(size, 1, initial=0.0, keepdims=True)
+        self._refuse(step * 1e300 < size * 1e-8,
+                     lambda j: f"|x| = {size[j, 0]:.3e} overflows the stencil weights")
+        weights = _WEIGHTS / (12.0 * step) * size
+        if np.count_nonzero(size) < len(size):
+            x, size = np.where(size == 0, zero * np.eye(1, x.shape[1]), x), size + (size == 0)
+        return step, weights, (x.view(float) / size).view(complex)
 
     def check_point(self, s) -> None:
         self.stack((s,))
@@ -97,6 +116,12 @@ class Domain:
     def _error(self, reason: str, i: int, n: int, what: str = "point") -> DomainError:
         """The error of entry i of n, which names the entry when there are several."""
         return DomainError(f"{self.name}: {reason}" + (f" ({what} {i} of {n})" if n > 1 else ""))
+
+    def _refuse(self, bad: np.ndarray, reason: Callable[[int], str], what: str = "probe") -> None:
+        """The `_error` of the first of len(bad) entries with a true row in the mask bad, if any."""
+        if np.count_nonzero(bad):
+            j = int(np.argmax(bad)) // (bad.size // len(bad))
+            raise self._error(reason(j), j, len(bad), what)
 
 
 def _paired(points: Sequence, directions: Sequence) -> Sequence:
@@ -176,34 +201,18 @@ class VectorDomain(Domain):
                 i = int(np.argmin(d > 0))
                 return i, self.reason(flat[i])
 
-    def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Domain._stencils as arrays at checked (L, d) probes: (L, 4, d) stencil points and
-        (L, 4) weights.
-
-        Every stencil runs along x / |x|, |x| the largest coordinate modulus (e_1 at x = 0), its
-        weights times |x|: the derivative is real-linear in x, and the error does not grow with |x|.
-        h shrinks in proportion to an edge distance d < EDGE_LAYER.  A step under 1e6 ulps of |s|
-        or an |x| over 1e308 steps (the weights would overflow) is an error naming the probe.  Only
-        h >= EDGE_LAYER / 2 takes a stencil point out of the domain: an error names it, its probe.
-        """
-        if not h > 0:
-            raise NumericsError(f"step must be positive, got {h}")
+    def _step(self, s: np.ndarray, h: float):
+        """h, times d / EDGE_LAYER at an edge distance d < EDGE_LAYER; 1e6 ulps of s at least."""
         d = np.inf if self.edge is None else self.edge(s)[:, None]
         step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)  # 0-d when there is no edge
-        size = np.hypot(x.real, x.imag)  # as abs(z) rounds
-        size = np.maximum.reduce(size, 1, initial=0.0, keepdims=True)
-        long = step * 1e300 < size * 1e-8  # the weights 8 |x| / (12 step) would overflow
-        wrong = long | (step < 2.2e-10 * np.abs(s))  # or under 1e6 ulps of a coordinate of s
-        if np.count_nonzero(wrong):
-            j = int(np.argmax(wrong)) // self.dim
-            reason = (f"|x| = {size[j, 0]:.3e} overflows the stencil weights" if long[j, 0] else
-                      f"stencil step {np.broadcast_to(step, size.shape)[j, 0]:.3e} is too small "
-                      "to resolve the point")
-            raise self._error(reason, j, len(s), "probe")
-        weights = _WEIGHTS / (12.0 * step) * size
-        if np.count_nonzero(size) < len(size):  # along e_1 at x = 0, where the weights are zero
-            x, size = np.where(size == 0, np.eye(1, self.dim), x), size + (size == 0)
-        unit = (x.view(float) / size).view(complex)  # part by part: 1 / |x| may overflow
+        self._refuse(step < 2.2e-10 * np.abs(s), lambda j: "stencil step {:.3e} is too small to "
+                     "resolve the point".format(np.broadcast_to(step, s.shape)[j, 0]))
+        return step
+
+    def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Domain._stencils at checked (L, d) probes: (L, 4, d) points on the lines s + t x / |x| of
+        `_rule`, and its weights.  Only h >= EDGE_LAYER / 2 takes one out: an error names it."""
+        step, weights, unit = self._rule(s, x, h)
         stencils = s[:, None] + (step * _OFFSETS)[..., None] * unit[:, None]
         bad = self._outside(stencils.reshape(-1, self.dim))
         if bad is not None:
@@ -261,21 +270,18 @@ class UnitaryDomain(Domain):
     def _small(self, m: np.ndarray, what: str, entry: str) -> None:
         """An error naming the first matrix of the (N, n, n) stack m with a norm over 1e-10."""
         res = _frobenius(m)
-        if np.count_nonzero(res > 1e-10):
-            i = int(np.argmax(res > 1e-10))
-            raise self._error(f"{what} = {res[i]:.3e}", i, len(res), entry)
+        self._refuse(res > 1e-10, lambda i: f"{what} = {res[i]:.3e}", entry)
 
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Domain._stencils as an (L, 4, n, n) array of u_j e^{t a_j}.  a = iH with H = -ia
-        Hermitian, so e^{ta} = V diag(e^{itw}) V* is exact and unitary: one eigendecomposition of
-        the (L, n, n) stack -ia, and one expression for all 4L exponentials."""
-        if not h > 0:
-            raise NumericsError(f"step must be positive, got {h}")
-        x = np.asarray(x, dtype=complex).reshape(-1, self.n, self.n)
-        w, v = hermitian_eigh(-1j * x)
-        e = np.exp(1j * ((h * _OFFSETS)[:, None] * w[:, None]))  # e^{itw}, (L, 4, n)
-        u = np.asarray(s, dtype=complex).reshape(x.shape)[:, None] @ (v[:, None] * e[..., None, :])
-        return u @ v.conj().swapaxes(-1, -2)[:, None], np.tile(_WEIGHTS / (12.0 * h), (len(s), 1))
+        """Domain._stencils as an (L, 4, n, n) array of u_j e^{t a_j / |a_j|} (`Domain._rule`), s
+        one point or L.  a = iH with H = -ia Hermitian, so e^{ta} = V diag(e^{itw}) V* is exact
+        and unitary: one eigh of the (L, n, n) stack of directions, one expression for all 4L."""
+        x = np.ascontiguousarray(x, complex).reshape(-1, self.n ** 2)
+        step, weights, unit = self._rule(s, x, h, 1j)  # along iE_11 at a = 0
+        w, v = hermitian_eigh(-1j * unit.reshape(-1, self.n, self.n))
+        e = np.exp(1j * ((step * _OFFSETS)[:, None] * w[:, None]))  # e^{itw}, (L, 4, n)
+        u = np.asarray(s, dtype=complex)[..., None, :, :] @ (v[:, None] * e[..., None, :])
+        return u @ v.conj().swapaxes(-1, -2)[:, None], weights
 
 
 @dataclass(frozen=True)

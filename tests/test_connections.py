@@ -22,6 +22,7 @@ from kernelconnect.connections import (
 from kernelconnect import grassmann, verify
 from kernelconnect.cpmaps import cp_kernel, random_unital_cpmap, random_unitary
 from kernelconnect.grassmann import (
+    GrassTangent,
     HermitianProjector,
     coordinate_projector,
     fiber_basis,
@@ -139,6 +140,28 @@ def test_parallel_transport_order_of_accuracy():
     assert min(orders) > 3.7
 
 
+def test_parallel_transport_keeps_its_order_on_a_rank_two_fiber():
+    # the forms along the curve do not commute, so RK4's products must keep their order: with
+    # them reversed the method falls to order 2 (2.6e-3 to 4.1e-5 off)
+    import scipy.integrate
+
+    phi = lambda s: np.array([[1.0, s[0]], [np.conj(s[0]), 1.0],  # noqa: E731
+                              [s[0] ** 2, 1j * np.conj(s[0])]])
+    k = feature_kernel(phi, 2, VectorDomain(1), "rank-two")
+    start, end = np.array([-0.3 + 0.2j]), np.array([0.5 - 0.4j])
+    curve = Curve(gamma=lambda t: start + t * (end - start), velocity=lambda t: end - start)
+    v0 = np.array([1.0 + 0.5j, -0.3 + 1.0j])
+    form = lambda t: connection_form(k, curve.gamma(t))(curve.velocity(t))  # noqa: E731
+    a0, a1 = form(0.0), form(1.0)
+    assert np.linalg.norm(a0 @ a1 - a1 @ a0) > 1.0
+    # scipy's DOP853 is the independent reference here only
+    exact = scipy.integrate.solve_ivp(lambda t, v: -(form(t) @ v), (0.0, 1.0), v0,
+                                      method="DOP853", rtol=1e-13, atol=1e-15).y[:, -1]
+    steps = [8, 16, 32, 64]
+    errs = [np.max(np.abs(parallel_transport(k, curve, v0, n) - exact)) for n in steps]
+    assert -np.polyfit(np.log2(steps), np.log2(errs), 1)[0] >= 3.7 and errs[-1] <= 1e-8
+
+
 def test_gauge_pullback_through_constant_rescale():
     # a constant fiber map has d(delta) = 0, so the form is conjugated only;
     # for scalar fibers that conjugation is the identity
@@ -165,6 +188,35 @@ def test_gauge_pullback_accepts_a_small_scale_and_rejects_a_rank_one_fiber_map()
         pulled = gauge_pullback_connection(theta, lambda s, x: form, VectorDomain(1))
         with pytest.raises(NumericsError, match="fiber map is singular"):
             pulled(np.array([0.3]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("nu", [1, 2, 2.5])
+def test_gauge_pullback_along_a_disk_automorphism_keeps_the_kernels_own_form(nu):
+    # phi_a(z) = (a - z) / (1 - conj(a) z) and delta(z) = conj(c (1 - conj(a) z)^-nu), with
+    # c = (1 - |a|^2)^(nu / 2), pull the disk kernel back to itself, so the gauge pullback of its
+    # form is its form: the delta^-1 d(delta) term makes up what conjugation alone misses.  The
+    # holomorphic delta pulls back another kernel and misses the form; with either delta, the
+    # gauge pullback is the form of the pulled-back kernel.
+    a, k = 0.4 + 0.3j, make_bergman_disk(nu)
+    alpha = lambda s, x: connection_form(k, s)(x)  # noqa: E731
+    zeta = lambda s: (a - s) / (1 - np.conj(a) * s)  # noqa: E731
+    tangent = lambda s, x: -(1 - abs(a) ** 2) / (1 - np.conj(a) * s) ** 2 * x  # noqa: E731
+    gauge = lambda s: (np.sqrt(1 - abs(a) ** 2) / (1 - np.conj(a) * s[0])) ** nu  # noqa: E731
+    rng = np.random.default_rng(5)
+    r, u, v = 0.8 * np.sqrt(rng.uniform(size=20)), rng.uniform(size=20), rng.uniform(size=20)
+    probes = [(np.array([ri * np.exp(2j * np.pi * ui)]), np.array([np.exp(2j * np.pi * vi)]))
+              for ri, ui, vi in zip(r, u, v)]  # |s| <= 0.8, |x| = 1
+    for delta, own in [(lambda s: np.conj(gauge(s)), True), (gauge, False)]:
+        theta = BundleMorphism(zeta, lambda s: np.reshape(delta(s), (1, 1)), tangent)
+        pulled = gauge_pullback_connection(theta, alpha, k.domain)
+        kernel = pull_back_kernel(theta, k, 1, k.domain)
+        for s, x in probes:
+            got = pulled(s, x)
+            assert np.max(np.abs(got - connection_form(kernel, s)(x))) <= 1e-10
+            miss = np.max(np.abs(got - alpha(s, x)))
+            assert miss <= 1e-10 if own else miss > 0.1, (s, x, miss)
+    for s, x in probes:  # conjugation alone: the pullback without delta^-1 d(delta)
+        assert np.max(np.abs(alpha(zeta(s), tangent(s, x)) - alpha(s, x))) > 0.1
 
 
 def _nan_at_second_probe(k):
@@ -284,17 +336,18 @@ def _bitwise_cases():
 
 
 def _per_pair_stencil(k, s, x, h=1e-4):
-    """The stencil points and weights, restated: gamma(t) at t = -2h, -h, h, 2h, on the line
-    s + t x / |x| (|x| the largest coordinate modulus, x nonzero, divided part by part), the
-    weights times |x|, or on the curve e^{tA} p e^{-tA}, e^{tA} = V diag(e^{itw}) V* where
-    -iA = V w V*, each point holding its probe's basis moved with it, e^{tA} B(p)."""
+    """The stencil points and weights, restated: gamma(t) at t = -2h, -h, h, 2h along x / |x|
+    (|x| the largest entry modulus, x nonzero, divided part by part), the weights times |x|: on
+    the line s + t x / |x|, or on the curve u p u*, u = e^{tA / |A|} = V diag(e^{itw}) V* where
+    -iA / |A| = V w V*, each point holding its probe's basis moved with it, u B(p)."""
     ts, weights = (-2.0 * h, -h, h, 2.0 * h), np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
+    a = x.generator if isinstance(s, HermitianProjector) else np.atleast_1d(x)
+    size = max(abs(complex(c)) for c in np.ravel(a))
+    unit = np.array([complex(c.real / size, c.imag / size) for c in np.ravel(a)]).reshape(a.shape)
     if isinstance(s, HermitianProjector):
-        w, v = hermitian_eigh(-1j * x.generator)
+        w, v = hermitian_eigh(-1j * unit)
         us = [np.eye(s.n) @ (v * np.exp(1j * t * w)) @ v.conj().T for t in ts]
-        return [grassmann._orbit(u, s.p, fiber_basis(s), s.rank)[0] for u in us], weights
-    size = max(abs(complex(c)) for c in np.atleast_1d(x))
-    unit = np.array([complex(c.real / size, c.imag / size) for c in np.atleast_1d(x)])
+        return [grassmann._orbit(u, s.p, fiber_basis(s), s.rank)[0] for u in us], weights * size
     return [s + t * unit for t in ts], weights * size
 
 
@@ -602,14 +655,21 @@ def test_dsigma_and_df_each_read_one_stencils_call_for_a_stack(monkeypatch):
 
 
 def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
-    # U(n) stencils run along the tangent itself: a zero tangent collapses that probe's sample,
+    # a zero Grassmann tangent steps along iE_11 with zero weights: at a projector that commutes
+    # with E_11 its four stencil points are the point itself, which collapses that probe's sample,
     # and only its own
-    k, sigma, us, xs = _stack_cases()[-1]
-    nabla = make_evaluator(k, "sampled")
+    q, rng = universal_kernel(4, 2), np.random.default_rng(33)
+    sigma = Section(F=lambda p: fiber_basis(p).conj().T @ p.p[:, 1])
+    points = [HermitianProjector(u @ coordinate_projector(4, 2).p @ u.conj().T, 2)
+              for u in (random_unitary(4, seed=60 + i) for i in range(4))]
+    points[2] = coordinate_projector(4, 2)
+    xs = [random_grass_tangent(p, rng) for p in points]
+    nabla = make_evaluator(q, "sampled")
     message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 4\)"
     with pytest.raises(ValueError, match=message):
-        nabla.evaluate(sigma, us, xs[:2] + [np.zeros((3, 3))] + xs[3:])
-    assert np.array_equal(nabla.evaluate(sigma, us[:2], xs[:2]), nabla.evaluate(sigma, us, xs)[:2])
+        nabla.evaluate(sigma, points, xs[:2] + [GrassTangent(points[2], np.zeros((4, 4)))] + xs[3:])
+    assert np.array_equal(nabla.evaluate(sigma, points[:2], xs[:2]),
+                          nabla.evaluate(sigma, points, xs)[:2])
 
 
 def _leibniz_loop(nabla, f, sigma, probes, h=1e-4):

@@ -124,6 +124,35 @@ def test_cp_covariant_derivative_matches_generic():
         assert np.linalg.norm(formula - generic) < 1e-6
 
 
+@pytest.mark.parametrize("size", [300.0, 1.0, 1e-9])
+def test_cp_backends_step_along_the_unit_direction_at_every_tangent_size(size):
+    # the stencil runs along a / |a| with its weights times |a|: its error does not grow with |a|
+    # (1.0e-6 relative here at |a| = 300 along a itself), and a tiny a is not a collapsed sample
+    psi = _example_map(seed=0)
+    k, rng = cp_kernel(psi), np.random.default_rng(0)
+    w0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    sigma = Section(F=lambda u: w0 + psi.apply(u) @ (0.5 * w0))
+    g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = (g - g.conj().T) * (size / np.max(np.abs(g - g.conj().T)))
+    us = [random_unitary(3, seed=5 + i) for i in range(3)]
+    for u in us:
+        want = cp_covariant_derivative(psi, sigma.F, u, a)
+        for backend in ("direct", "sampled"):
+            got = make_evaluator(k, backend)(sigma, u, a)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), backend
+
+
+def test_cp_backends_give_exactly_zero_along_a_zero_tangent():
+    psi = _example_map(seed=0)
+    sigma = Section(F=lambda u: np.ones(2) + psi.apply(u) @ np.ones(2))
+    us = [random_unitary(3, seed=5 + i) for i in range(3)]
+    zero = [np.zeros((3, 3))] * 3
+    assert np.array_equal(cpmaps._cp_covariant(psi, sigma, us, zero), np.zeros((3, 2)))
+    for backend in ("direct", "sampled"):
+        got = make_evaluator(cp_kernel(psi), backend).evaluate(sigma, us, zero)
+        assert np.array_equal(got, np.zeros((3, 2))), backend
+
+
 def _cp_probes(count, seed):
     rng = np.random.default_rng(seed)
     us = [random_unitary(3, seed=seed + 100 + i) for i in range(count)]

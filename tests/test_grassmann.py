@@ -417,6 +417,14 @@ def _exp(a, t, u=None):
     return (np.eye(len(a)) if u is None else u) @ (v * np.exp(1j * t * w)) @ v.conj().T
 
 
+def _unit(a):
+    """The stencil's direction and scale restated: A / |A| and |A|, the largest entry modulus, each
+    part divided alone."""
+    size = max(abs(complex(c)) for c in np.ravel(a))
+    unit = [complex(c.real / size, c.imag / size) for c in np.ravel(a)]
+    return np.array(unit).reshape(np.shape(a)), size
+
+
 def _probe(n=4, k=2, seed=40):
     point = _random_point(n, k, seed)
     return point, random_grass_tangent(point, np.random.default_rng(seed + 1)).generator
@@ -438,6 +446,34 @@ def test_derivatives_along_a_reused_tangent_keep_their_bits():
         assert np.array_equal(call(reused), call(GrassTangent(point, generator)))
 
 
+def test_a_tangent_holds_a_private_read_only_generator():
+    # the tangent holds its curve: a caller's array changed in place would leave it stale
+    point, generator = _probe()
+    a, f = generator.copy(), lambda pt: pt.p @ np.arange(1, 5)
+    tangent = GrassTangent(point, a)
+    first = universal_covariant_derivative(f, point, tangent)
+    a *= 2
+    assert np.array_equal(tangent.generator, generator) and not tangent.generator.flags.writeable
+    assert np.array_equal(universal_covariant_derivative(f, point, tangent), first)
+    # along A / |A| with the weights times |A|, doubling A doubles every weight, exactly
+    assert np.array_equal(universal_covariant_derivative(f, point, GrassTangent(point, a)),
+                          2 * first)
+    with pytest.raises(ValueError):
+        tangent.generator[0, 0] = 5
+
+
+def test_a_tiny_grassmann_tangent_keeps_a_sample_of_distinct_points():
+    # along A / |A| the points of a 1e-9 generator are those of its unit direction
+    q, (point, generator) = universal_kernel(4, 2), _probe()
+    sigma = Section(F=grass_section_coordinates(lambda pt: pt.p @ np.arange(1, 5)))
+    unit = GrassTangent(point, generator / np.max(np.abs(generator)))
+    tiny = GrassTangent(point, 1e-9 * unit.generator)
+    want = 1e-9 * make_evaluator(q, "direct")(sigma, point, unit)
+    for backend in ("direct", "sampled"):
+        got = make_evaluator(q, backend)(sigma, point, tiny)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), backend
+
+
 def test_stencil_points_are_built_once_per_tangent_with_the_checked_bits():
     point, generator = _probe()
     tangent, domain = GrassTangent(point, generator), GrassDomain(4, 2)
@@ -445,7 +481,7 @@ def test_stencil_points_are_built_once_per_tangent_with_the_checked_bits():
     (second,), _ = domain._stencils((point,), (tangent,), 1e-4)
     assert all(a is b for a, b in zip(first, second))
     for t, derived in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), first):
-        u = _exp(generator, t)  # the same conjugate, built through the full projector check
+        u = _exp(_unit(generator)[0], t)  # the same conjugate, through the full projector check
         assert np.array_equal(derived.p, HermitianProjector(u @ point.p @ u.conj().T, 2).p)
         assert derived.rank == 2 and not derived.p.flags.writeable
     # a tangent anchored at an equal projector object: a fresh curve, the same bits
@@ -505,11 +541,11 @@ def test_grassmann_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bi
     probes = [_probe(6, 3, seed=50 + i) for i in range(4)]
     tangents = [GrassTangent(p, a) for p, a in probes]
     stack, weights = GrassDomain(6, 3)._stencils([p for p, _ in probes], tangents, 1e-4)
-    assert np.array_equal(weights, np.tile(_W, (4, 1)))
+    assert weights.tobytes() == np.array([_W * _unit(a)[1] for _, a in probes]).tobytes()
     for (point, a), points in zip(probes, stack):
         (one,), _ = GrassDomain(6, 3)._stencils((point,), (GrassTangent(point, a),), 1e-4)
         for t, q, r in zip(_TS, points, one):
-            u = _exp(a, t)
+            u = _exp(_unit(a)[0], t)
             assert q.p.tobytes() == r.p.tobytes() == (u @ point.p @ u.conj().T).tobytes()
 
 
@@ -550,27 +586,30 @@ def test_stencil_and_orbit_points_hold_their_probes_basis_moved_with_them(n, k, 
                         lambda m, rank: calls.append(len(m)) or stacked(m, rank))
     (stencil,), _ = GrassDomain(n, k)._stencils((point,), (GrassTangent(point, a),), 1e-4)
     for t, q in zip(_TS, stencil):
-        _assert_moved_basis(q, _exp(a, t), b)
+        _assert_moved_basis(q, _exp(_unit(a)[0], t), b)
     base = coordinate_projector(n, k)
     g, x = random_unitary(n, seed=90 + n), random_grass_tangent(base, np.random.default_rng(9))
     base_basis, orbit = fiber_basis(base), []
     grassmann._reductive(lambda q: orbit.append(q) or q.p[:, 0], (g,), (x.generator,), base)
-    for u, q in zip([_exp(x.generator, t, g) for t in _TS] + [g], orbit):
+    for u, q in zip([_exp(_unit(x.generator)[0], t, g) for t in _TS] + [g], orbit):
         _assert_moved_basis(q, u, base_basis)
     assert calls == [1] and len(orbit) == 5  # coordinate_projector's own basis, and no other
 
 
 def _universal_restated(f, point, a):
-    """p . sum_i w_i F(e^{t_i A} p e^{-t_i A}), one point at a time."""
+    """p . sum_i w_i |A| F(u_i p u_i*), u_i = e^{t_i A / |A|}, one point at a time."""
+    unit, size = _unit(a)
     terms = [w * np.asarray(f(HermitianProjector(u @ point.p @ u.conj().T, point.rank)))
-             for w, u in zip(_W, (_exp(a, t) for t in _TS))]
+             for w, u in zip(_W * size, (_exp(unit, t) for t in _TS))]
     return point.p @ (((terms[0] + terms[1]) + terms[2]) + terms[3])
 
 
 def _reductive_restated(f, g, x, base):
-    """sum_i w_i F(u_i p u_i*) - (g X g*) F(g p g*), u_i = g e^{t_i X}, one point at a time."""
+    """sum_i w_i |X| F(u_i p u_i*) - (g X g*) F(g p g*), u_i = g e^{t_i X / |X|}, one point at a
+    time."""
     orbit = lambda u: HermitianProjector(u @ base.p @ u.conj().T, base.rank)  # noqa: E731
-    terms = [w * np.asarray(f(orbit(_exp(x, t, g)))) for w, t in zip(_W, _TS)]
+    unit, size = _unit(x)
+    terms = [w * np.asarray(f(orbit(_exp(unit, t, g)))) for w, t in zip(_W * size, _TS)]
     return (((terms[0] + terms[1]) + terms[2]) + terms[3]) - (g @ x @ g.conj().T) @ f(orbit(g))
 
 

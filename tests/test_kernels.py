@@ -245,6 +245,14 @@ def test_non_finite_kernel_value_raises(kernel, s):
             kernel(s, s)
 
 
+def _unit(a):
+    """The stencil's direction and scale restated: a / |a| and |a|, the largest entry modulus, each
+    part divided alone."""
+    size = max(abs(complex(c)) for c in np.ravel(a))
+    unit = [complex(c.real / size, c.imag / size) for c in np.ravel(a)]
+    return np.array(unit).reshape(np.shape(a)), size
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), seed=st.integers(0, 2**32 - 1), t=st.floats(-1.0, 1.0))
 def test_unitary_curve_matches_expm_and_stays_unitary(n, seed, t):
@@ -252,11 +260,12 @@ def test_unitary_curve_matches_expm_and_stays_unitary(n, seed, t):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = 0.5 * (g - g.conj().T)
     u = random_unitary(n, seed=seed)
-    h = max(abs(t), 1e-3) / 2.0  # the stencil points u e^{ta} at t = -2h, -h, h, 2h
+    h = max(abs(t), 1e-3) / 2.0  # the stencil points u e^{ta / |a|} at t = -2h, -h, h, 2h
     (points,), _ = UnitaryDomain(n)._stencils(u[None], a[None], h)
+    unit, _ = _unit(a)
     for s, got in zip((-2.0, -1.0, 1.0, 2.0), points):
         # scipy's Pade exponential is the independent reference here only
-        assert np.max(np.abs(got - u @ scipy.linalg.expm(s * h * a))) <= 1e-13
+        assert np.max(np.abs(got - u @ scipy.linalg.expm(s * h * unit))) <= 1e-13
         assert np.max(np.abs(got.conj().T @ got - np.eye(n))) <= 1e-13
 
 
@@ -570,8 +579,9 @@ def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
 
 
 def test_unitary_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit():
-    # one eigh of the (L, n, n) stack -ia and one expression for the 4L exponentials, against the
-    # one-probe call and the one-point exponential u V diag(e^{itw}) V* restated
+    # one eigh of the (L, n, n) stack of -ia / |a| and one expression for the 4L exponentials,
+    # against the one-probe call and the one-point exponential u V diag(e^{itw}) V* restated; the
+    # weights are the five-point rule's times |a|
     rng = np.random.default_rng(23)
     for n in (1, 3, 6):
         us = [random_unitary(n, seed=30 + i) for i in range(5)]
@@ -582,9 +592,27 @@ def test_unitary_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit(
         for u, a, points, w in zip(us, xs, stack, weights):
             (one,), (one_w,) = UnitaryDomain(n)._stencils([u], [a], 1e-4)
             assert points.tobytes() == one.tobytes() and w.tobytes() == one_w.tobytes()
-            values, v = hermitian_eigh(-1j * a)
+            unit, size = _unit(a)
+            want = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4) * size
+            assert w.tobytes() == want.tobytes()
+            values, v = hermitian_eigh(-1j * unit)
             for t, p in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), points):
                 assert p.tobytes() == (u @ (v * np.exp(1j * t * values)) @ v.conj().T).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_zero_unitary_tangent_steps_along_i_e11_with_zero_weights(n):
+    # the rule of C^d at x = 0: a fixed direction, here iE_11, and weights that are exactly zero
+    rng = np.random.default_rng(24)
+    us = [random_unitary(n, seed=40 + i) for i in range(3)]
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    xs = [a - a.conj().T, np.zeros((n, n)), 1e-200 * (a - a.conj().T)]
+    stack, weights = UnitaryDomain(n)._stencils(us, xs, 1e-4)
+    assert np.array_equal(weights[1], np.zeros(4)) and np.count_nonzero(weights[[0, 2]]) == 8
+    for t, p in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), stack[1]):  # u diag(e^{it}, 1, ...)
+        assert np.max(np.abs(p - us[1] @ np.diag(np.exp(1j * t * np.eye(1, n)[0])))) <= 1e-15
+    (along,), _ = UnitaryDomain(n)._stencils(us[2:], xs[:1], 1e-4)  # a tiny tangent: its direction
+    assert np.max(np.abs(stack[2] - along)) <= 1e-15
 
 
 def _moveaxis_stencil_sum(weights, values):
