@@ -49,7 +49,9 @@ class Section:
     takes precedence over stencil differentiation.  `batch`, when given, maps an
     (..., d) array of VectorDomain points, or an (..., n, n) stack of U(n) points,
     to their (..., M) values in one call, and `F` is its one-point case: every
-    entry must have the bits of F at its own point, as for `Kernel.batch`.
+    entry must have the bits of F at its own point, as for `Kernel.batch`.  A
+    section with `batch` takes such (L, ...) stacks of points and tangents in `dF`
+    too, to the (L, M) derivatives, each with the bits of its one-point call.
     """
 
     F: Callable[[object], np.ndarray]
@@ -121,6 +123,8 @@ def _closed_form(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) 
     if sigma.dF is None:  # before d2 reads x: the stencil rejects an |x| that would overflow
         stencils, weights = k.domain._stencils(s, x, h)
         dsigma = stencil_sum(weights, sigma._values(stencils, 2))
+    elif sigma.batch is not None and isinstance(s, np.ndarray):  # one call, as `_values` makes
+        dsigma = np.asarray(sigma.dF(s, x))
     else:
         dsigma = np.array([sigma.dF(p, v) for p, v in zip(s, x)])
     alpha = _solve(*k._jet(s, x, h))

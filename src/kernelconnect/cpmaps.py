@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import BundleMorphism, Kernel, _dilation_kernel, pull_back_kernel
-from .numerics import NumericsError, _max_norm, hermitian_eigh
+from .numerics import NumericsError, _max_norm, _normals, hermitian_eigh
 from .connections import Section
 from .grassmann import HermitianProjector, _group_jets, fiber_basis
 
@@ -243,8 +243,7 @@ def random_unital_cpmap(input_dim: int, output_dim: int, n_kraus: int,
 def _random_unital_cpmaps(n: int, m: int, n_kraus: int, rng, count: int) -> list:
     """`count` maps from one draw, the stream of as many random_unital_cpmap calls, normalized by
     one stacked hermitian_eigh."""
-    z = rng.standard_normal((count, n_kraus, 2, m, n))
-    k = z[:, :, 0] + 1j * z[:, :, 1]
+    k = _normals(rng, count * n_kraus, (m, n)).reshape(count, n_kraus, m, n)
     values, vectors = hermitian_eigh((k @ k.conj().swapaxes(-1, -2)).sum(axis=1, initial=0.0))
     inv_sqrt = (vectors * (1.0 / np.sqrt(values))[:, None]) @ vectors.conj().swapaxes(-1, -2)
     return [choi_from_kraus(family) for family in inv_sqrt[:, None] @ k]

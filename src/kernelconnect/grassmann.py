@@ -23,7 +23,7 @@ import numpy as np
 from .kernels import (Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel, _finite_array,
                       _frobenius, _paired, feature_kernel, stencil_sum)
 from .connections import Section, _fiber
-from .numerics import DEFAULT_STEP, _max_norm
+from .numerics import DEFAULT_STEP, _max_norm, _normals
 
 __all__ = [
     "HermitianProjector",
@@ -111,6 +111,17 @@ def _orbit(u: np.ndarray, p: np.ndarray, b: np.ndarray, rank: int) -> list:
     stack = [object.__new__(HermitianProjector) for _ in range(m[..., 0, 0].size)]
     for q, mq, bq in zip(stack, m.reshape(-1, *m.shape[-2:]), bases.reshape(-1, *bases.shape[-2:])):
         vars(q).update(p=mq, rank=rank, _fiber_basis=bq)  # beside the frozen fields
+    return stack
+
+
+def _moved(points: Sequence, u: np.ndarray, x: np.ndarray) -> list:
+    """The tangents u x u* at the points u p u* of `_orbit`, u and x (L, n, n) stacks, x tangent at
+    p: the one constructor of moved tangents, each checked for finiteness only, read-only."""
+    a = _finite_array(u @ x @ u.conj().swapaxes(-1, -2), "generator")
+    a.flags.writeable = False
+    stack = [object.__new__(GrassTangent) for _ in points]
+    for t, q, aq in zip(stack, points, a):
+        vars(t).update(base=q, generator=aq)  # as _orbit's points
     return stack
 
 
@@ -223,8 +234,7 @@ def reductive_axioms_residual(point: HermitianProjector, unitaries: Sequence[np.
     gh = g.conj().transpose(0, 2, 1)
     if _max_norm(g @ p - p @ g) > 1e-10:
         raise DomainError("unitary does not commute with the projector")
-    z = np.random.default_rng(seed).standard_normal((n_probes, 2, n, n))
-    x = z[:, 0] + 1j * z[:, 1]
+    x = _normals(np.random.default_rng(seed), n_probes, (n, n))
     ex = conditional_expectation(point, x)
     equivariance = conditional_expectation(point, g @ x[:, None] @ gh) - g @ ex[:, None] @ gh
     return _max_norm(np.concatenate([conditional_expectation(point, g) - g, equivariance.reshape(
@@ -242,17 +252,21 @@ def maurer_cartan(point: HermitianProjector, g, x) -> np.ndarray:
 
 
 def random_grass_tangent(point: HermitianProjector, rng: np.random.Generator) -> GrassTangent:
-    """A random off-diagonal anti-Hermitian generator at the given projector.  Its range and
-    complement columns come from one eigh, held by the projector beside its fiber basis."""
+    """A random off-diagonal anti-Hermitian generator at the projector: one `_random_generators`."""
+    return GrassTangent(point, _random_generators(point, rng, 1)[0])
+
+
+def _random_generators(point: HermitianProjector, rng: np.random.Generator, count: int):
+    """count generators a - a*, a = b r c*, from one (count, 2, k, n - k) normal draw of the r: the
+    stream and bits of count one-member draws.  The range and complement columns b, c come from one
+    eigh, held by the projector beside its fiber basis."""
     if "_complement_basis" not in vars(point):
         bases, values, vectors = _eigenbases(point.p[None], point.rank)
         vars(point).setdefault("_fiber_basis", bases[0])
         vars(point)["_complement_basis"] = vectors[0][:, values[0] <= 0.5]
     b, c = fiber_basis(point), vars(point)["_complement_basis"]
-    k, nk = b.shape[1], c.shape[1]
-    r = rng.standard_normal((k, nk)) + 1j * rng.standard_normal((k, nk))
-    a = b @ r @ c.conj().T
-    return GrassTangent(point, a - a.conj().T)
+    a = b @ _normals(rng, count, (b.shape[1], c.shape[1])) @ c.conj().T
+    return a - a.conj().swapaxes(-1, -2)
 
 
 def universal_kernel(n: int, k: int) -> Kernel:

@@ -125,9 +125,11 @@ class Domain:
 
 
 def _paired(points: Sequence, directions: Sequence) -> Sequence:
-    """The directions of a stack of probes, one per point."""
+    """The directions of a stack of probes, one per point, and one probe at least."""
     if len(points) != len(directions):
         raise DomainError(f"{len(points)} points but {len(directions)} directions")
+    if not len(points):
+        raise DomainError("empty stack of probes: no points and no directions")
     return directions
 
 

@@ -121,6 +121,13 @@ _CANONICAL_ROW = re.compile(rf"{_CELL}(?:,{_CELL})*", re.ASCII)  # one line, nev
 _FORMAT = "%.17g%+.17gi"  # one cell, from its (real, imaginary) parts
 
 
+def _normals(rng: np.random.Generator, count: int, dim=1) -> np.ndarray:
+    """count standard complex normal vectors in C^dim (dim an int or a shape) from one draw, the
+    stream and bits of count calls rng.standard_normal(dim) + 1j * rng.standard_normal(dim)."""
+    z = rng.standard_normal((count, 2, *np.ravel(dim)))
+    return z[:, 0] + 1j * z[:, 1]
+
+
 def format_complex(z: complex) -> str:
     z = complex(z)
     return _FORMAT % (z.real, z.imag)

@@ -8,6 +8,8 @@ to JSON.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import MODULE_NAMES, cpmaps, grassmann
@@ -28,7 +30,7 @@ from .kernels import (
     make_bergman_halfplane,
     make_fock,
 )
-from .numerics import _max_norm
+from .numerics import _max_norm, _normals
 from .rkhs import build_rkhs, universality_residual
 
 __all__ = ["run_suite", "grassmann_agreement", "MODULE_NAMES", "DISK_SIGN_NOTE"]
@@ -42,57 +44,53 @@ DISK_SIGN_NOTE = (
 )
 
 
-def _normal(rng, dim=1):  # a standard complex normal vector in C^dim
-    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-
-
 def _probes(rng, count, point, dim=1, scale=1.0):
-    """`count` probes (scale * point(rng), x), with x a standard complex normal vector in C^dim."""
-    return [(scale * point(rng), _normal(rng, dim)) for _ in range(count)]
+    """`count` probes: the (L, d) points scale * point(rng, count) and (L, d) directions, standard
+    complex normal vectors in C^dim, each from one draw."""
+    return scale * point(rng, count), _normals(rng, count, dim)
 
 
-def _disk(rng):  # uniform in the disk of radius 0.9
-    return np.array([0.9 * np.sqrt(rng.uniform()) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))])
+def _disk(rng, count):  # uniform in the disk of radius 0.9, (count, 1) from one draw
+    u = rng.uniform((0.0, 0.0), (1.0, 2.0 * np.pi), (count, 2))
+    return 0.9 * np.sqrt(u[:, :1]) * np.exp(1j * u[:, 1:])
 
 
-def _halfplane(rng):
-    return np.array([rng.uniform(-1.0, 1.0) + 1j * rng.uniform(0.3, 1.5)])
+def _halfplane(rng, count):
+    u = rng.uniform((-1.0, 0.3), (1.0, 1.5), (count, 2))
+    return u[:, :1] + 1j * u[:, 1:]
 
 
 def _scalar_test_section(dim, rng):
-    """sigma(z) = 1 + c.z + d.conj(z) + 0.1 (c.z)(d.conj(z)) with dF, evaluated by a `batch` in real
-    arithmetic whose one-point case is F."""
-    c = _normal(rng, dim)
-    d = _normal(rng, dim)
-    cr, ci, dr, di = c.real, c.imag, d.real, d.imag
+    """sigma(z) = 1 + c.z + d.conj(z) + 0.1 (c.z)(d.conj(z)): `batch` and dF in real arithmetic, on
+    a point or an (..., d) stack, each entry with its one-point bits; F is the one-point batch."""
+    (cr, dr), (ci, di) = (cd := _normals(rng, 2, dim)).real, cd.imag
+
+    def dots(z):  # c.z and d.conj(z), part by part
+        zr, zi = z.real, z.imag
+        return ((cr * zr - ci * zi).sum(-1), (cr * zi + ci * zr).sum(-1),
+                (dr * zr + di * zi).sum(-1), (di * zr - dr * zi).sum(-1))
 
     def batch(z):
-        zr, zi = z.real, z.imag
-        ar, ai = (cr * zr - ci * zi).sum(-1), (cr * zi + ci * zr).sum(-1)  # c.z
-        br, bi = (dr * zr + di * zi).sum(-1), (di * zr - dr * zi).sum(-1)  # d.conj(z)
+        ar, ai, br, bi = dots(z)
         out = np.empty(z.shape[:-1] + (1,), dtype=complex)
         out.real[..., 0] = 1.0 + ar + br + 0.1 * (ar * br - ai * bi)
         out.imag[..., 0] = ai + bi + 0.1 * (ar * bi + ai * br)
         return out
 
-    def df(s, x):
-        z = np.asarray(s, dtype=complex)
-        w = np.asarray(x, dtype=complex)
-        return np.array([c @ w + d @ np.conj(w)
-                         + 0.1 * ((c @ w) * (d @ np.conj(z)) + (c @ z) * (d @ np.conj(w)))])
+    def df(s, x):  # c.x + d.conj(x) + 0.1 ((c.x)(d.conj(s)) + (c.s)(d.conj(x)))
+        (ar, ai, br, bi), (er, ei, fr, fi) = (dots(np.asarray(v, complex)) for v in (s, x))
+        out = np.empty(np.shape(ar) + (1,), dtype=complex)
+        out.real[..., 0] = er + fr + 0.1 * ((er * br - ei * bi) + (ar * fr - ai * fi))
+        out.imag[..., 0] = ei + fi + 0.1 * ((er * bi + ei * br) + (ar * fi + ai * fr))
+        return out
 
     return Section(F=lambda s: batch(np.asarray(s, dtype=complex).reshape(1, dim))[0], dF=df,
                    batch=batch)
 
 
 def _check(name, module, residual, tolerance):
-    return {
-        "name": name,
-        "module": module,
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "passed": bool(residual < tolerance),
-    }
+    return {"name": name, "module": module, "residual": float(residual),
+            "tolerance": float(tolerance), "passed": bool(residual < tolerance)}
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +102,12 @@ def _backend_agreement_checks(seed):
     kernels = [(make_bergman_disk(nu), _probes(rng, 50, _disk)) for nu in (1, 2, 3)]
     for nu in (1, 2):
         kernels.append((make_bergman_halfplane(nu), _probes(rng, 50, _halfplane)))
-    kernels.append((make_fock(np.eye(3)), _probes(rng, 50, lambda r: _normal(r, 3), 3, 0.7)))
+    kernels.append((make_fock(np.eye(3)), _probes(rng, 50, partial(_normals, dim=3), 3, 0.7)))
 
     checks = []
     for k, probes in kernels:
         sigma = _scalar_test_section(k.domain.dim, rng)
-        closed, direct, sampled = (make_evaluator(k, b).evaluate(sigma, *zip(*probes))
+        closed, direct, sampled = (make_evaluator(k, b).evaluate(sigma, *probes)
                                    for b in ("closed-form", "direct", "sampled"))
         checks.append(_check(f"backend_agreement/closed_vs_direct/{k.name}",
                              "connections", _max_norm(closed - direct), 1e-8))
@@ -121,9 +119,8 @@ def _backend_agreement_checks(seed):
 def _fock_form_check(seed):
     rng = np.random.default_rng(seed + 1)
     k = make_fock(np.eye(3))
-    probes = _probes(rng, 100, lambda r: _normal(r, 3), 3, 0.7)
-    alphas = connection_forms(k, *zip(*probes))[:, 0, 0]
-    res = max(abs(a - np.dot(s, np.conj(x))) for a, (s, x) in zip(alphas, probes))
+    s, x = _probes(rng, 100, partial(_normals, dim=3), 3, 0.7)
+    res = np.max(np.abs(connection_forms(k, s, x)[:, 0, 0] - (s * np.conj(x)).sum(-1)))
     return [_check("fock/connection_form_matches_formula", "connections", res, 1e-8)]
 
 
@@ -133,13 +130,11 @@ def _disk_sign_checks(seed):
     sigma = Section(F=lambda s: np.array([1.0 + 0j]), dF=lambda s, x: np.array([0.0 + 0j]))
     oracle = covariant_derivative_direct(k, sigma, np.array([0.5]), np.array([1.0]))
     res_value = abs(oracle[0] - 4.0 / 3.0)
-    probes = list(zip(*_probes(rng, 40, _disk)))
+    probes = _probes(rng, 40, _disk)
     direct = make_evaluator(k, "direct").evaluate(sigma, *probes)[:, 0]
-    res_grid = max(abs(a - d) for a, d in zip(connection_forms(k, *probes)[:, 0, 0], direct))
-    return [
-        _check("disk_sign/direct_oracle_value", "connections", res_value, 1e-6),
-        _check("disk_sign/closed_form_matches_oracle_grid", "connections", res_grid, 1e-8),
-    ]
+    res_grid = np.max(np.abs(connection_forms(k, *probes)[:, 0, 0] - direct))
+    return [_check("disk_sign/direct_oracle_value", "connections", res_value, 1e-6),
+            _check("disk_sign/closed_form_matches_oracle_grid", "connections", res_grid, 1e-8)]
 
 
 def _universality_checks(seed):
@@ -151,7 +146,7 @@ def _universality_checks(seed):
     half_pts = [np.array([z]) for z in
                 (1j, 0.5 + 0.8j, -0.4 + 1.2j, 0.2 + 0.5j, -1.0 + 0.9j, 0.7 + 1.5j)]
     cases.append(("bergman-halfplane:nu=1", make_bergman_halfplane(1), half_pts))
-    fock_pts = [0.6 * _normal(rng, 2) for _ in range(6)]
+    fock_pts = 0.6 * _normals(rng, 6, 2)
     cases.append(("fock:dim=2", make_fock(np.eye(2)), fock_pts))
 
     base = grassmann.coordinate_projector(4, 2)
@@ -182,7 +177,7 @@ def _admissibility_checks(seed):
     builtins = [
         (make_bergman_disk(2), [np.array([z]) for z in (0.0, 0.4, -0.3 + 0.2j, 0.5j)]),
         (make_bergman_halfplane(1), [np.array([z]) for z in (0.4j, 0.3 + 0.4j, -0.2 + 0.35j)]),
-        (make_fock(np.eye(2)), [_normal(rng, 2) for _ in range(4)]),
+        (make_fock(np.eye(2)), _normals(rng, 4, 2)),
     ]
     for k, sample in builtins:
         rep = admissibility_report(k, sample)
@@ -203,7 +198,7 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
         raise ValueError(f"probes must be >= 1, got {probes}")
     rng = np.random.default_rng(seed + 5)
     base, q = grassmann.coordinate_projector(n, k), grassmann.universal_kernel(n, k)
-    v0, w0 = _normal(rng, n), _normal(rng, n)
+    v0, w0 = _normals(rng, 2, n)
 
     def f_ambient(pt):
         return pt.p @ v0
@@ -212,9 +207,9 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
         return pt.p @ w0
 
     gs = cpmaps._random_unitaries(n, range(seed + 200, seed + 200 + probes))
-    xs = [grassmann.random_grass_tangent(base, rng).generator for _ in gs]
+    xs = grassmann._random_generators(base, rng, probes)
     points = grassmann._orbit(gs, base.p, grassmann.fiber_basis(base), k)
-    tangents = [grassmann.GrassTangent(p, g @ x @ g.conj().T) for p, g, x in zip(points, gs, xs)]
+    tangents = grassmann._moved(points, gs, xs)
 
     univ = grassmann._universal(f_ambient, points, tangents)
     red = grassmann._reductive(f_ambient, gs, xs, base)
@@ -228,10 +223,8 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
     nabla_g = grassmann._universal(g_ambient, points, tangents)
     metric = [abs(d - (np.vdot(ng, f_ambient(p)) + np.vdot(g_ambient(p), u)))
               for d, ng, u, p in zip(d_inner, nabla_g, univ, points)]
-    return {
-        "three_way_residual": _max_norm(pairs),
-        "metric_compatibility_residual": float(np.max(metric)),
-    }
+    return {"three_way_residual": _max_norm(pairs),
+            "metric_compatibility_residual": float(np.max(metric))}
 
 
 def _grassmann_checks(seed):
@@ -250,7 +243,7 @@ def _homogeneous_checks(seed):
     p = grassmann.coordinate_projector(n, 1)
     hk = grassmann.homogeneous_kernel(n, p)
     b = grassmann.fiber_basis(p)
-    z0 = _normal(rng, n)
+    (z0,) = _normals(rng, 1, n)
 
     def phi(u):  # P u* z0 at u, or at each member of an (..., n, n) stack with its one-point bits
         return (p.p @ (u.conj().swapaxes(-1, -2) @ z0)[..., None])[..., 0]
@@ -259,7 +252,7 @@ def _homogeneous_checks(seed):
         return (b.conj().T @ phi(u)[..., None])[..., 0]
 
     us = cpmaps._random_unitaries(n, range(seed + 300, seed + 320))
-    xs = [grassmann.random_grass_tangent(p, rng).generator for _ in us]
+    xs = grassmann._random_generators(p, rng, len(us))
     generic = make_evaluator(hk, "direct").evaluate(Section(F=coords, batch=coords), us, xs)
     formulas = grassmann._homogeneous(Section(F=phi, batch=phi), p, us, xs)
     res = _max_norm((b.conj().T @ formulas[..., None])[..., 0] - generic)
@@ -282,7 +275,7 @@ def _stinespring_checks(seed):
     pull_res = cpmaps.pullback_identity_residual(psi, triple, list(zip(u[:8], u[8:16])))
 
     ck = cpmaps.cp_kernel(psi)
-    w0 = _normal(rng, 2)
+    (w0,) = _normals(rng, 1, 2)
 
     # section on the unitary group: constant part plus a Psi-transported part
     def sigma_fn(u):
@@ -290,8 +283,8 @@ def _stinespring_checks(seed):
 
     sigma = Section(F=sigma_fn, batch=sigma_fn)  # Psi applies to a stack, member by member
     us = u[16:]
-    xs = [0.5 * (a - a.conj().T)
-          for a in (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in us)]
+    a = _normals(rng, len(us), (3, 3))
+    xs = 0.5 * (a - a.conj().swapaxes(-1, -2))
     generic = make_evaluator(ck, "direct").evaluate(sigma, us, xs)
     cov_res = _max_norm(cpmaps._cp_covariant(psi, sigma, us, xs) - generic)
 
@@ -309,21 +302,16 @@ def _leibniz_checks(seed):
     cases = [
         (make_bergman_disk(2), _probes(rng, 30, _disk)),
         (make_bergman_halfplane(1), _probes(rng, 30, _halfplane)),
-        (make_fock(np.eye(2)), _probes(rng, 30, lambda r: _normal(r, 2), 2, 0.7)),
+        (make_fock(np.eye(2)), _probes(rng, 30, partial(_normals, dim=2), 2, 0.7)),
     ]
     checks = []
     for k, probes in cases:
         dim = k.domain.dim
         sigma = _scalar_test_section(dim, rng)
-        a = _normal(rng, dim)
-        b = _normal(rng, dim)
-
-        def f(s, a=a, b=b):
-            z = np.asarray(s, dtype=complex)
-            return 0.5 + a @ z + b @ np.conj(z)
-
+        a, b = _normals(rng, 2, dim)
+        f = lambda s, a=a, b=b: 0.5 + a @ s + b @ np.conj(s)  # noqa: E731 - s a complex point
         backends = ("closed-form", "direct", "sampled")
-        residuals = _leibniz([make_evaluator(k, b) for b in backends], f, sigma, probes)
+        residuals = _leibniz([make_evaluator(k, b) for b in backends], f, sigma, list(zip(*probes)))
         checks += [_check(f"leibniz/{k.name}/{b}", "connections", res, 1e-6)
                    for b, res in zip(backends, residuals)]
     return checks

@@ -687,11 +687,11 @@ def _leibniz_loop(nabla, f, sigma, probes, h=1e-4):
 def test_leibniz_residual_is_unchanged_on_the_reports_probes(seed):
     # the probes, sections and functions of verify's Leibniz block
     rng = np.random.default_rng(seed + 8)
-    for k, probes in [(make_bergman_disk(2), verify._probes(rng, 30, verify._disk)),
+    for k, stacks in [(make_bergman_disk(2), verify._probes(rng, 30, verify._disk)),
                       (make_bergman_halfplane(1), verify._probes(rng, 30, verify._halfplane)),
                       (make_fock(np.eye(2)),
-                       verify._probes(rng, 30, lambda r: verify._normal(r, 2), 2, 0.7))]:
-        dim = k.domain.dim
+                       verify._probes(rng, 30, lambda r, n: verify._normals(r, n, 2), 2, 0.7))]:
+        dim, probes = k.domain.dim, list(zip(*stacks))
         sigma = verify._scalar_test_section(dim, rng)
         a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         b = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -907,8 +907,8 @@ def _same_bits(a, b):
 def _verify_section_case(k, count, seed):
     """verify's section for k, its probes, and their (L, 4, d) stencil stack."""
     rng, dim = np.random.default_rng(seed), k.domain.dim
-    point = verify._disk if dim == 1 else (lambda r: verify._normal(r, dim))
-    probes = verify._probes(rng, count, point, dim, 1.0 if dim == 1 else 0.7)
+    point = verify._disk if dim == 1 else (lambda r, n: verify._normals(r, n, dim))
+    probes = list(zip(*verify._probes(rng, count, point, dim, 1.0 if dim == 1 else 0.7)))
     stencils, _ = k.domain._stencils(*k.domain.jets(*zip(*probes)), 1e-4)
     return verify._scalar_test_section(dim, rng), probes, stencils
 
@@ -944,6 +944,21 @@ def test_each_backend_reads_a_sections_values_from_one_batch_call(k):
         make_evaluator(k, backend).evaluate(Section(F=never, dF=d_f, batch=counted),
                                             *zip(*probes))
         assert calls == [w[:-1] + (k.domain.dim,) for w in want], backend
+
+
+@pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
+def test_closed_form_reads_a_batched_sections_derivative_from_one_df_call_on_the_stacks(k):
+    # a section without batch keeps one dF call per probe, on its point and tangent; the same bits
+    sigma, probes, _ = _verify_section_case(k, 6, seed=9)
+    calls, d = [], k.domain.dim
+    counted = lambda s, x: calls.append((np.shape(s), np.shape(x))) or sigma.dF(s, x)  # noqa: E731
+    nabla = make_evaluator(k, "closed-form")
+    got = nabla.evaluate(Section(F=sigma.F, dF=counted, batch=sigma.batch), *zip(*probes))
+    assert calls == [((6, d), (6, d))]
+    calls.clear()
+    want = nabla.evaluate(Section(F=sigma.F, dF=counted), *zip(*probes))
+    assert calls == [((d,), (d,))] * 6
+    assert _same_bits(got, want)
 
 
 def test_leibniz_residual_reads_the_product_section_from_sigmas_batch():

@@ -725,6 +725,82 @@ def test_random_grass_tangent_keeps_its_two_eigh_tangents_at_coordinate_projecto
     assert len(eighs) == 1  # for the first call; the projector holds its columns
 
 
+def _parent_normal(rng, shape):  # one standard complex normal draw, as each call made it
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _parent_generators(point, rng, count):
+    """random_grass_tangent's generators one call at a time, at an exactly Hermitian projector,
+    whose eigh gives the complement columns `_eigenbases` gives."""
+    values, vectors = np.linalg.eigh(point.p)
+    b, c, out = _fiber_basis_uncached(point), vectors[:, values <= 0.5], []
+    for _ in range(count):
+        a = b @ _parent_normal(rng, (b.shape[1], c.shape[1])) @ c.conj().T
+        out.append(a - a.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_verifys_stacked_draws_are_the_loops_of_per_call_draws_bit_for_bit(seed, monkeypatch):
+    from kernelconnect import cpmaps, verify
+
+    # _normals at a vector and a matrix shape, and the state it leaves the generator in
+    loop, stacked = np.random.default_rng(seed), np.random.default_rng(seed)
+    for count, dim in [(5, 3), (4, (3, 3)), (1, 2)]:
+        want = [_parent_normal(loop, dim) for _ in range(count)]
+        assert verify._normals(stacked, count, dim).tobytes() == np.array(want).tobytes()
+    assert loop.standard_normal() == stacked.standard_normal()
+    # the generators that the agreement and homogeneous blocks draw, and the Stinespring block's
+    # U(n) directions, as each block receives them
+    seen = {}
+
+    def record(owner, name, at):  # the directions, argument `at` of each call
+        method = getattr(owner, name)
+
+        def recorded(*args):
+            seen[name] = args[at]
+            return method(*args)
+
+        monkeypatch.setattr(owner, name, recorded)
+
+    record(grassmann, "_reductive", 2), record(grassmann, "_homogeneous", 3)
+    record(cpmaps, "_cp_covariant", 3)
+    verify._grassmann_checks(seed), verify._homogeneous_checks(seed)
+    verify._stinespring_checks(seed)
+    rng = np.random.default_rng(seed + 5)
+    _parent_normal(rng, 4), _parent_normal(rng, 4)  # v0 and w0
+    want = _parent_generators(coordinate_projector(4, 2), rng, 20)
+    assert np.asarray(seen["_reductive"]).tobytes() == np.array(want).tobytes()
+    rng = np.random.default_rng(seed + 6)
+    _parent_normal(rng, 3)  # z0
+    want = _parent_generators(coordinate_projector(3, 1), rng, 20)
+    assert np.asarray(seen["_homogeneous"]).tobytes() == np.array(want).tobytes()
+    rng = np.random.default_rng(seed + 7)
+    cpmaps._random_unital_cpmaps(3, 2, 4, rng, 21), _parent_normal(rng, 2)  # the maps and w0
+    want = [0.5 * (a - a.conj().T) for a in (_parent_normal(rng, (3, 3)) for _ in range(20))]
+    assert np.asarray(seen["_cp_covariant"]).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
+def test_moved_tangents_are_the_checked_tangents_at_their_orbit_points(n, k):
+    from kernelconnect import cpmaps
+
+    base, rng = coordinate_projector(n, k), np.random.default_rng(40 + n)
+    gs = cpmaps._random_unitaries(n, range(50, 55))
+    xs = grassmann._random_generators(base, rng, len(gs))
+    points = grassmann._orbit(gs, base.p, fiber_basis(base), k)
+    moved = grassmann._moved(points, gs, xs)
+    assert len(moved) == len(gs)
+    for p, g, x, t in zip(points, gs, xs, moved):
+        want = GrassTangent(p, g @ x @ g.conj().T)  # passes the full tangent check
+        assert type(t) is GrassTangent and t.base is p
+        assert t.generator.tobytes() == want.generator.tobytes()
+        assert t.generator.shape == (n, n) and not t.generator.flags.writeable
+    xs[3, 0, -1] = np.nan
+    with pytest.raises(DomainError, match="^generator is not finite$"):
+        grassmann._moved(points, gs, xs)
+
+
 def test_reductive_check_fails_on_a_wrong_conditional_expectation(monkeypatch):
     # E(X) = pX(1-p) is idempotent and equivariant too; that E fixes the subgroup tells them apart
     from kernelconnect import grassmann, verify

@@ -3,13 +3,15 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
-from kernelconnect.connections import Section, make_evaluator
+from kernelconnect.connections import Section, connection_forms, make_evaluator
 from kernelconnect.cpmaps import random_unitary
 from kernelconnect.grassmann import (
     GrassDomain,
     HermitianProjector,
     coordinate_projector,
+    homogeneous_kernel,
     random_grass_tangent,
+    universal_kernel,
 )
 
 from kernelconnect.kernels import (
@@ -701,6 +703,25 @@ def test_a_unitary_domain_checks_a_stack_of_probes_at_once():
     assert s.shape == x.shape == (4, 3, 3)
     assert np.array_equal(s, np.array(us)) and np.array_equal(x, np.array(xs))
     assert UnitaryDomain(3).stack([]).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("k", [make_bergman_disk(2), make_fock(np.eye(2)),
+                               homogeneous_kernel(3, coordinate_projector(3, 1)),
+                               universal_kernel(4, 2)], ids=lambda k: k.name)
+def test_an_empty_stack_of_probes_is_one_named_error_at_every_entry_point(k):
+    # each failed in its own way: a broadcast error, an IndexError, "section value has 0 entries",
+    # a reshape error or "zero-size array to reduction operation"
+    sigma = Section(F=lambda s: np.ones(k.fiber_dim))
+    calls = [lambda: k.domain.derivatives([], [], lambda s: np.ones(1)),
+             lambda: k.domain.jets([], []), lambda: k.diagonal_jet([], []),
+             lambda: connection_forms(k, [], [])]
+    calls += [lambda b=b: make_evaluator(k, b).evaluate(sigma, [], [])
+              for b in ("closed-form", "direct", "sampled")]
+    message = "^empty stack of probes: no points and no directions$"
+    for call in calls:
+        with pytest.raises(DomainError, match=message):
+            call()
+    assert len(k.domain.stack([])) == 0  # an empty stack of points is still one
 
 
 @pytest.mark.parametrize("edit, message", [
