@@ -241,8 +241,9 @@ def _cmd_connect_transport(args) -> int:
     v0 = _parse_vector(args.vector) if args.vector else np.ones(k.fiber_dim, dtype=complex)
     if v0.shape != (k.fiber_dim,):
         raise UsageError(f"--vector must have {k.fiber_dim} entries, got {v0.size}")
-    curve = kc.Curve(gamma=lambda t: (1.0 - t) * start + t * end,
-                     velocity=lambda t: end - start)
+    curve = kc.Curve(gamma=lambda t: (1.0 - t) * start + t * end, velocity=lambda t: end - start,
+                     batch=lambda t: ((1.0 - t)[:, None] * start + t[:, None] * end,
+                                      np.broadcast_to(end - start, (len(t), len(start)))))
     rungs = sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})
     coarse = rungs[-2] if len(rungs) > 1 else 2  # --steps 1 has no coarser rung: 2 steps stand in
     every = sorted({*rungs, coarse})

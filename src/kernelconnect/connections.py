@@ -73,10 +73,12 @@ class Section:
 
 @dataclass(frozen=True)
 class Curve:
-    """A path in the base domain with its analytic velocity."""
+    """A path in the base domain with its analytic velocity.  `batch`, when given, maps (N,) times
+    to the (N, ...) points and velocities, each with the bits of gamma(t) and velocity(t)."""
 
     gamma: Callable[[float], object]
     velocity: Callable[[float], object]
+    batch: Optional[Callable[[np.ndarray], tuple]] = None
 
 
 @dataclass(frozen=True)
@@ -212,10 +214,10 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
     """parallel_transport at each number of steps in `rungs`, and the (2, M, M) kappa(s, s) at the
     curve's two ends.
 
-    One diagonal jet gives the forms at the union of the rungs' nodes; a rung of n steps reads
-    its nodes t_j = j / (2n) from it, bit for bit, and builds every step's propagator
-    P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v as one stacked expression.
-    A rung whose vector is not finite raises NumericsError.
+    One diagonal jet gives the forms at the union of the rungs' nodes (read by the curve's `batch`
+    if any); a rung of n steps reads its nodes t_j = j / (2n) from it, bit for bit, and builds every
+    step's propagator P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v as one stacked
+    expression.  A rung whose vector is not finite raises NumericsError.
     """
     if min(rungs) < 1:
         raise ValueError(f"steps must be >= 1, got {min(rungs)}")
@@ -223,7 +225,10 @@ def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list,
     grids = [np.arange(2 * n + 1) / (2 * n) for n in rungs]
     nodes = np.sort(np.concatenate(grids))  # their union (np.unique would import numpy.ma)
     nodes = nodes[np.diff(nodes, prepend=-1.0) > 0]
-    kss, d2 = k.diagonal_jet(list(map(curve.gamma, nodes)), list(map(curve.velocity, nodes)))
+    kss, d2 = k.diagonal_jet(*(curve.batch(nodes) if curve.batch else
+                               (list(map(curve.gamma, nodes)), list(map(curve.velocity, nodes)))))
+    if len(kss) != len(nodes):
+        raise ValueError(f"the curve's batch gave {len(kss)} points for {len(nodes)} parameters")
     forms, eye, out = -_solve(kss, d2), np.eye(k.fiber_dim), []
     for n, grid in zip(rungs, grids):
         a, dt = forms[np.searchsorted(nodes, grid)], 1.0 / n
@@ -244,33 +249,28 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
                      sigma: Section, probes: Sequence[tuple],
                      h: float = DEFAULT_STEP) -> float:
     """max over probes (s, X) of ||nabla(f sigma)(X) - df(X) sigma(s) - f(s) nabla(sigma)(X)||:
-    the one-evaluator case of `_leibniz`."""
-    return _leibniz((nabla,), f, sigma, probes, h)[0]
+    the one-evaluator case of `_leibniz`, with f, a function of one point, as a scalar section."""
+    return _leibniz((nabla,), Section(F=f), sigma, probes, h)[0]
 
 
-def _leibniz(nablas: Sequence[ConnectionEvaluator], f: Callable[[object], complex],
-             sigma: Section, probes: Sequence[tuple], h: float = DEFAULT_STEP) -> list[float]:
-    """leibniz_residual of each evaluator of one kernel, its probes checked once.  f, a function of
-    one point, is called once at each probe and point of one stencil stack: df, f(s), and f sigma
-    where a backend asks for exactly those points.  f sigma takes sigma's `batch`, multiplied as at
-    one point by numpy's complex multiply."""
-    if not probes:
-        return [0.0] * len(nablas)
+def _leibniz(nablas: Sequence[ConnectionEvaluator], f: Section, sigma: Section,
+             probes: Sequence[tuple], h: float = DEFAULT_STEP) -> list[float]:
+    """leibniz_residual of each evaluator of one kernel, its probes checked once: f, a scalar
+    section, read by one `_values` call at the probes and one at their stencils, gives df, f(s)
+    and f sigma there; f sigma takes sigma's `batch`, multiplied as at one point by numpy."""
     domain = nablas[0].kernel.domain
     s, x = domain.jets([p for p, _ in probes], [v for _, v in probes])  # the one check
     stencils, weights = domain._stencils(s, x, h)
-    fs = np.array([[complex(f(p))] for p in s])
-    fst = np.array([[complex(f(q)) for q in ps] for ps in stencils])
-    df = stencil_sum(weights, fst)[:, None]
+    fs, fst = _fiber(f._values(s), 1), f._values(stencils, 2)
+    df = stencil_sum(weights, fst)
 
-    def product(p):  # f sigma at a stack of points: f's values above, or f point by point
+    def product(p):  # f sigma at a stack of points: f's values above, or f's at those points
         values = sigma.batch(p)  # (..., m): its leading axes are the stack's
-        fp = (fst if np.array_equal(p, stencils) else fs[:, 0] if np.array_equal(p, s) else
-              np.array([complex(f(q)) for q in p.reshape((-1,) + p.shape[values.ndim - 1:])]))
+        fp = (fst if np.array_equal(p, stencils) else fs if np.array_equal(p, s) else
+              f._values(p.reshape((-1,) + p.shape[values.ndim - 1:])))
         return fp.reshape(values.shape[:-1] + (1,)) * values
 
-    fsigma = Section(F=lambda p: complex(f(p)) * sigma.value(p),
-                     batch=product if sigma.batch else None)
+    fsigma = Section(F=lambda p: f.value(p) * sigma.value(p), batch=sigma.batch and product)
     rhs = df * sigma._values(s)
     return [_max_norm(nabla.core(fsigma, s, x) - (rhs + fs * nabla.core(sigma, s, x)))
             for nabla in nablas]
@@ -313,8 +313,6 @@ def intertwining_residual(theta: BundleMorphism, nabla: ConnectionEvaluator,
     """
     if theta.tangent is None:
         raise ValueError("bundle morphism must provide a base-tangent map")
-    if not probes:
-        return 0.0
     points, directions = [s for s, _ in probes], [x for _, x in probes]
     deltas, images = [theta.fiber_map(s) for s in points], [theta.zeta(s) for s in points]
     for s, ds, z in zip(points, deltas, images):

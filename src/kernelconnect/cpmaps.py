@@ -65,9 +65,7 @@ class CPMap:
     def apply(self, a) -> np.ndarray:
         """Psi(a) = sum_i K_i a K_i*, extended linearly to M_n, at a or an (..., n, n) stack: one
         stacked product, summed in Kraus order from zero."""
-        k = self.kraus
-        terms = k @ np.asarray(a, dtype=complex)[..., None, :, :] @ k.conj().transpose(0, 2, 1)
-        return terms.sum(axis=-3, initial=0.0)
+        return _apply(self.kraus, a)
 
     @property
     def choi_rank(self) -> int:
@@ -76,13 +74,6 @@ class CPMap:
     def unitality_residual(self) -> float:  # ||sum K_i K_i* - I||, summed from zero in order
         total = (self.kraus @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0)
         return float(np.linalg.norm(total - np.eye(self.output_dim)))
-
-    def require_unital(self) -> None:
-        res = self.unitality_residual()
-        if res > 1e-8:
-            raise NumericsError(
-                f"map is not unital (||sum K K* - I|| = {res:.3e}); "
-                "non-unital inputs are rejected, not normalized")
 
 
 @dataclass(frozen=True)
@@ -98,8 +89,7 @@ class StinespringTriple:
         return np.kron(np.asarray(a, dtype=complex), np.eye(self.r))
 
     def isometry_residual(self) -> float:
-        v = self.v
-        return float(np.linalg.norm(v.conj().T @ v - np.eye(self.output_dim)))
+        return float(np.linalg.norm(self.v.conj().T @ self.v - np.eye(self.output_dim)))
 
     @cached_property
     def _s0(self) -> tuple[HermitianProjector, np.ndarray]:
@@ -120,47 +110,90 @@ def choi_from_kraus(kraus: Sequence[np.ndarray]) -> CPMap:
     m, n = ks[0].shape
     if any(k.shape != (m, n) for k in ks):
         raise ValueError("inconsistent Kraus operator shapes")
-    x = np.array([k.T.reshape(n * m) for k in ks])  # x[(i,j)] = K[j,i]: row-major on C^n (x) C^m
-    choi = (x[:, :, None] * x[:, None, :].conj()).sum(axis=0, initial=0.0)  # from zero, in order
-    return CPMap(input_dim=n, output_dim=m, choi=choi)
+    return CPMap(input_dim=n, output_dim=m, choi=_chois(np.array(ks)))
+
+
+def _chois(kraus: np.ndarray) -> np.ndarray:
+    """The (..., nm, nm) Choi matrices of (..., r, m, n) Kraus stacks, summed from zero in order."""
+    x = kraus.swapaxes(-1, -2).reshape(kraus.shape[:-2] + (-1,))  # x[(i,j)] = K[j,i]
+    return (x[..., :, None] * x[..., None, :].conj()).sum(axis=-3, initial=0.0)
 
 
 def kraus_from_choi(choi, input_dim: int, output_dim: int) -> np.ndarray:
     """Extract the (r, m, n) stack of Kraus operators from the Choi spectrum above a relative cut,
-    dominant first.
+    dominant first: the one-matrix `_kraus`.
 
     Eigenvalues in (-tau*lam_max, tau*lam_max), tau = CHOI_RANK_TAU, are
     treated as zero; anything more negative signals a non-CP input.
     """
-    c = np.asarray(choi, dtype=complex)
-    values, vectors = hermitian_eigh(c)
-    lam_max = max(float(values[-1]), 0.0) if values.size else 0.0
-    cut = CHOI_RANK_TAU * max(lam_max, 1.0)
-    if values.size and values[0] < -cut:
-        raise NumericsError(
-            f"Choi matrix is not PSD (min eigenvalue {values[0]:.3e}); map is not CP")
+    return _kraus(np.asarray(choi, dtype=complex)[None], input_dim, output_dim)[0]
+
+
+def _kraus(chois: np.ndarray, n: int, m: int) -> list:
+    """kraus_from_choi of each matrix of an (L, nm, nm) stack, from one stacked hermitian_eigh."""
+    values, vectors = hermitian_eigh(chois)
+    cut = CHOI_RANK_TAU * np.maximum(values[:, -1:], 1.0)  # max(lam_max, 0, 1)
+    if np.count_nonzero(bad := values[:, 0] < -cut[:, 0]):
+        raise NumericsError(f"Choi matrix is not PSD (min eigenvalue {values[bad, 0][0]:.3e}); "
+                            "map is not CP")
     keep = values > cut  # dominant first; each K_i is the transpose of its (n, m) block
-    x = np.ascontiguousarray((np.sqrt(values[keep]) * vectors[:, keep]).T[::-1])
-    return x.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
+    return [np.ascontiguousarray((np.sqrt(w[k]) * v[:, k]).T[::-1]).reshape(-1, n, m).transpose(
+        0, 2, 1) for w, v, k in zip(values, vectors, keep)]
+
+
+def _apply(kraus: np.ndarray, a) -> np.ndarray:
+    """sum_i K_i a K_i* for (..., r, m, n) Kraus stacks and an (..., n, n) stack a, broadcast."""
+    terms = kraus @ np.asarray(a, dtype=complex)[..., None, :, :] @ kraus.conj().swapaxes(-1, -2)
+    return terms.sum(axis=-3, initial=0.0)
 
 
 def stinespring_dilate(psi: CPMap) -> StinespringTriple:
-    """Minimal dilation of a unital CP map: V h = sum_i (K_i* h) (x) e_i.
+    """Minimal dilation of a unital CP map: V h = sum_i (K_i* h) (x) e_i; the one-map `_dilate`.
 
     V is an isometry exactly because the map is unital; r equals the Choi
     rank, which is minimal over all dilations.
     """
-    psi.require_unital()
-    n, m, r = psi.input_dim, psi.output_dim, psi.choi_rank
-    v = psi.kraus.conj().transpose(2, 0, 1).reshape(n * r, m)  # from (n, r, m)
-    return StinespringTriple(v=v, r=r, input_dim=n, output_dim=m)
+    return _dilate([psi])[0][0]
+
+
+def _by_shape(maps: Sequence[CPMap]) -> list:
+    """The indices of the maps, one list per Kraus shape."""
+    shapes = [p.kraus.shape for p in maps]
+    return [[j for j, s in enumerate(shapes) if s == shape] for shape in dict.fromkeys(shapes)]
+
+
+def _dilate(maps: Sequence[CPMap]) -> tuple[list, float]:
+    """stinespring_dilate of each map, and the max of their isometry_residual: per Kraus shape, one
+    stacked V and one ||V*V - I||, which is ||sum K K* - I||, the unitality check."""
+    triples, iso = [None] * len(maps), []
+    for group in _by_shape(maps):
+        k = np.array([maps[j].kraus for j in group])
+        r, m, n = k.shape[1:]
+        v = k.conj().transpose(0, 3, 1, 2).reshape(len(group), n * r, m)  # from (n, r, m)
+        if not (res := _max_norm(v.conj().swapaxes(-1, -2) @ v - np.eye(m))) <= 1e-8:
+            raise NumericsError(f"map is not unital (||sum K K* - I|| = {res:.3e}); "
+                                "non-unital inputs are rejected, not normalized")
+        iso.append(res)
+        for j, vj in zip(group, v):
+            triples[j] = StinespringTriple(v=vj, r=r, input_dim=n, output_dim=m)
+    return triples, float(np.max(iso))
 
 
 def verify_dilation(psi: CPMap, triple: StinespringTriple) -> float:
-    """max over matrix units a of ||Psi(a) - V* (a (x) I_r) V||, all n^2 units in one stack."""
-    units = np.eye(psi.input_dim ** 2, dtype=complex).reshape(-1, psi.input_dim, psi.input_dim)
-    diff = psi.apply(units) - triple.v.conj().T @ triple.lam(units) @ triple.v
-    return float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
+    """max over matrix units a of ||Psi(a) - V* (a (x) I_r) V||: one-map `_dilation_residual`."""
+    return _dilation_residual([psi], [triple])
+
+
+def _dilation_residual(maps: Sequence[CPMap], triples: Sequence) -> float:
+    """The max of verify_dilation over the maps, with its bits: per Kraus shape (the triples of a
+    shape alike), Psi(a) and V* (a (x) I_r) V at all n^2 matrix units a in one stack."""
+    dil = []
+    for group in _by_shape(maps):
+        k, v = np.array([maps[j].kraus for j in group]), np.array([triples[j].v for j in group])
+        units = np.eye(k.shape[-1] ** 2, dtype=complex).reshape((-1,) + k.shape[-1:] * 2)
+        lam = v.conj().swapaxes(-1, -2)[:, None] @ triples[group[0]].lam(units) @ v[:, None]
+        dil.append(np.max(np.linalg.norm(_apply(k[:, None], units) - lam, axis=(-2, -1))))
+    return float(np.max(dil))
 
 
 def cp_kernel(psi: CPMap) -> Kernel:
@@ -187,20 +220,21 @@ def cp_classifying_morphism(psi: CPMap, triple: StinespringTriple) -> BundleMorp
     pulling lambda_kernel back through it recovers cp_kernel.
     """
     delta = triple._s0[1].conj().T @ triple.v
-    return BundleMorphism(zeta=lambda s: s,
-                          delta=lambda s: delta,
-                          tangent=lambda s, a: a)
+    return BundleMorphism(zeta=lambda s: s, delta=lambda s: delta, tangent=lambda s, a: a)
 
 
 def pullback_identity_residual(psi: CPMap, triple: StinespringTriple,
                                unitary_pairs: Sequence[tuple]) -> float:
-    """max over sampled pairs of ||(Theta_V* K0_lambda)(s,t) - Psi(s^-1 t)||."""
+    """max over sampled pairs of ||(Theta_V* K0_lambda)(s,t) - Psi(s^-1 t)||: the pairs checked once
+    as one stack, and Psi(s^-1 t) from one `_values` call."""
+    if not len(unitary_pairs):
+        raise ValueError("need at least one pair of unitaries")
     k_lam, _ = lambda_kernel(psi, triple)
     theta = cp_classifying_morphism(psi, triple)
     k_psi = cp_kernel(psi)
-    pulled = pull_back_kernel(theta, k_lam, fiber_dim=psi.output_dim,
-                              domain=k_psi.domain)
-    return _max_norm([pulled(s, t) - k_psi(s, t) for s, t in unitary_pairs])
+    pulled = pull_back_kernel(theta, k_lam, fiber_dim=psi.output_dim, domain=k_psi.domain)
+    us = k_psi.domain.stack([u for pair in unitary_pairs for u in pair])[:, None]
+    return _max_norm(pulled._values(us[0::2], us[1::2]) - k_psi._values(us[0::2], us[1::2]))
 
 
 def cp_covariant_derivative(psi: CPMap, sigma: Callable[[np.ndarray], np.ndarray],
@@ -241,9 +275,12 @@ def random_unital_cpmap(input_dim: int, output_dim: int, n_kraus: int,
 
 
 def _random_unital_cpmaps(n: int, m: int, n_kraus: int, rng, count: int) -> list:
-    """`count` maps from one draw, the stream of as many random_unital_cpmap calls, normalized by
-    one stacked hermitian_eigh."""
+    """`count` maps from one draw, the stream of as many random_unital_cpmap calls: normalized, and
+    their Kraus operators extracted and checked, by one stacked hermitian_eigh each."""
     k = _normals(rng, count * n_kraus, (m, n)).reshape(count, n_kraus, m, n)
     values, vectors = hermitian_eigh((k @ k.conj().swapaxes(-1, -2)).sum(axis=1, initial=0.0))
     inv_sqrt = (vectors * (1.0 / np.sqrt(values))[:, None]) @ vectors.conj().swapaxes(-1, -2)
-    return [choi_from_kraus(family) for family in inv_sqrt[:, None] @ k]
+    maps = [CPMap.__new__(CPMap) for _ in range(count)]
+    for psi, c, kraus in zip(maps, chois := _chois(inv_sqrt[:, None] @ k), _kraus(chois, n, m)):
+        vars(psi).update(input_dim=n, output_dim=m, choi=c, kraus=kraus)
+    return maps

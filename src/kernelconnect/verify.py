@@ -60,9 +60,9 @@ def _halfplane(rng, count):
     return u[:, :1] + 1j * u[:, 1:]
 
 
-def _scalar_test_section(dim, rng):
-    """sigma(z) = 1 + c.z + d.conj(z) + 0.1 (c.z)(d.conj(z)): `batch` and dF in real arithmetic, on
-    a point or an (..., d) stack, each entry with its one-point bits; F is the one-point batch."""
+def _scalar_test_section(dim, rng, const=1.0, q=0.1):
+    """sigma(z) = const + c.z + d.conj(z) + q (c.z)(d.conj(z)): `batch` and dF in real arithmetic,
+    on a point or an (..., d) stack, each entry with its one-point bits; F its one-point case."""
     (cr, dr), (ci, di) = (cd := _normals(rng, 2, dim)).real, cd.imag
 
     def dots(z):  # c.z and d.conj(z), part by part
@@ -73,15 +73,15 @@ def _scalar_test_section(dim, rng):
     def batch(z):
         ar, ai, br, bi = dots(z)
         out = np.empty(z.shape[:-1] + (1,), dtype=complex)
-        out.real[..., 0] = 1.0 + ar + br + 0.1 * (ar * br - ai * bi)
-        out.imag[..., 0] = ai + bi + 0.1 * (ar * bi + ai * br)
+        out.real[..., 0] = const + ar + br + q * (ar * br - ai * bi)
+        out.imag[..., 0] = ai + bi + q * (ar * bi + ai * br)
         return out
 
-    def df(s, x):  # c.x + d.conj(x) + 0.1 ((c.x)(d.conj(s)) + (c.s)(d.conj(x)))
+    def df(s, x):  # c.x + d.conj(x) + q ((c.x)(d.conj(s)) + (c.s)(d.conj(x)))
         (ar, ai, br, bi), (er, ei, fr, fi) = (dots(np.asarray(v, complex)) for v in (s, x))
         out = np.empty(np.shape(ar) + (1,), dtype=complex)
-        out.real[..., 0] = er + fr + 0.1 * ((er * br - ei * bi) + (ar * fr - ai * fi))
-        out.imag[..., 0] = ei + fi + 0.1 * ((er * bi + ei * br) + (ar * fi + ai * fr))
+        out.real[..., 0] = er + fr + q * ((er * br - ei * bi) + (ar * fr - ai * fi))
+        out.imag[..., 0] = ei + fi + q * ((er * bi + ei * br) + (ar * fi + ai * fr))
         return out
 
     return Section(F=lambda s: batch(np.asarray(s, dtype=complex).reshape(1, dim))[0], dF=df,
@@ -157,8 +157,7 @@ def _universality_checks(seed):
     checks = []
     for name, k, pts in cases:
         r = build_rkhs(k, pts)
-        checks.append(_check(f"universality/{name}", "rkhs",
-                             universality_residual(r), 1e-8))
+        checks.append(_check(f"universality/{name}", "rkhs", universality_residual(r), 1e-8))
     return checks
 
 
@@ -182,8 +181,7 @@ def _admissibility_checks(seed):
     for k, sample in builtins:
         rep = admissibility_report(k, sample)
         margin = min(rep["min_sigma"], rep["embedding_lower_bound"]) - 0.5
-        checks.append(_check(f"admissibility/positive_margin/{k.name}", "kernels",
-                             -margin, 0.0))
+        checks.append(_check(f"admissibility/positive_margin/{k.name}", "kernels", -margin, 0.0))
     return checks
 
 
@@ -200,12 +198,8 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
     base, q = grassmann.coordinate_projector(n, k), grassmann.universal_kernel(n, k)
     v0, w0 = _normals(rng, 2, n)
 
-    def f_ambient(pt):
-        return pt.p @ v0
-
-    def g_ambient(pt):
-        return pt.p @ w0
-
+    f_ambient = lambda pt: pt.p @ v0  # noqa: E731
+    g_ambient = lambda pt: pt.p @ w0  # noqa: E731
     gs = cpmaps._random_unitaries(n, range(seed + 200, seed + 200 + probes))
     xs = grassmann._random_generators(base, rng, probes)
     points = grassmann._orbit(gs, base.p, grassmann.fiber_basis(base), k)
@@ -229,12 +223,9 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
 
 def _grassmann_checks(seed):
     rep = grassmann_agreement(4, 2, probes=20, seed=seed)
-    return [
-        _check("grassmann/three_way_agreement", "grassmann",
-               rep["three_way_residual"], 1e-6),
-        _check("grassmann/metric_compatibility", "grassmann",
-               rep["metric_compatibility_residual"], 1e-6),
-    ]
+    return [_check("grassmann/three_way_agreement", "grassmann", rep["three_way_residual"], 1e-6),
+            _check("grassmann/metric_compatibility", "grassmann",
+                   rep["metric_compatibility_residual"], 1e-6)]
 
 
 def _homogeneous_checks(seed):
@@ -265,16 +256,12 @@ def _stinespring_checks(seed):
     values = np.linalg.eigvalsh(np.array([p.choi for p in maps]))
     independent_ranks = (values > 1e-10 * values[:, -1:]).sum(-1)
     rank_mismatch = np.count_nonzero(independent_ranks != [p.choi_rank for p in maps])
-    triples = [cpmaps.stinespring_dilate(p) for p in maps]
-    iso_res = max(t.isometry_residual() for t in triples)
-    dil_res = max(cpmaps.verify_dilation(p, t) for p, t in zip(maps, triples))
-
-    triple = cpmaps.stinespring_dilate(psi)
+    (triples, iso_res), triple = cpmaps._dilate(maps), cpmaps.stinespring_dilate(psi)
+    dil_res = cpmaps._dilation_residual(maps, triples)
     u = cpmaps._random_unitaries(3, [*range(seed + 400, seed + 408), *range(seed + 450, seed + 458),
                                      *range(seed + 500, seed + 520)])
     pull_res = cpmaps.pullback_identity_residual(psi, triple, list(zip(u[:8], u[8:16])))
 
-    ck = cpmaps.cp_kernel(psi)
     (w0,) = _normals(rng, 1, 2)
 
     # section on the unitary group: constant part plus a Psi-transported part
@@ -285,16 +272,14 @@ def _stinespring_checks(seed):
     us = u[16:]
     a = _normals(rng, len(us), (3, 3))
     xs = 0.5 * (a - a.conj().swapaxes(-1, -2))
-    generic = make_evaluator(ck, "direct").evaluate(sigma, us, xs)
+    generic = make_evaluator(cpmaps.cp_kernel(psi), "direct").evaluate(sigma, us, xs)
     cov_res = _max_norm(cpmaps._cp_covariant(psi, sigma, us, xs) - generic)
 
-    return [
-        _check("stinespring/isometry", "cpmaps", iso_res, 1e-12),
-        _check("stinespring/dilation_identity", "cpmaps", dil_res, 1e-10),
-        _check("stinespring/rank_equals_choi_rank", "cpmaps", float(rank_mismatch), 1.0),
-        _check("stinespring/pullback_identity", "cpmaps", pull_res, 1e-10),
-        _check("stinespring/covariant_derivative_vs_generic", "cpmaps", cov_res, 1e-6),
-    ]
+    return [_check("stinespring/isometry", "cpmaps", iso_res, 1e-12),
+            _check("stinespring/dilation_identity", "cpmaps", dil_res, 1e-10),
+            _check("stinespring/rank_equals_choi_rank", "cpmaps", float(rank_mismatch), 1.0),
+            _check("stinespring/pullback_identity", "cpmaps", pull_res, 1e-10),
+            _check("stinespring/covariant_derivative_vs_generic", "cpmaps", cov_res, 1e-6)]
 
 
 def _leibniz_checks(seed):
@@ -306,10 +291,8 @@ def _leibniz_checks(seed):
     ]
     checks = []
     for k, probes in cases:
-        dim = k.domain.dim
-        sigma = _scalar_test_section(dim, rng)
-        a, b = _normals(rng, 2, dim)
-        f = lambda s, a=a, b=b: 0.5 + a @ s + b @ np.conj(s)  # noqa: E731 - s a complex point
+        sigma = _scalar_test_section(k.domain.dim, rng)
+        f = _scalar_test_section(k.domain.dim, rng, 0.5, 0.0)  # 0.5 + a.z + b.conj(z)
         backends = ("closed-form", "direct", "sampled")
         residuals = _leibniz([make_evaluator(k, b) for b in backends], f, sigma, list(zip(*probes)))
         checks += [_check(f"leibniz/{k.name}/{b}", "connections", res, 1e-6)
@@ -319,18 +302,15 @@ def _leibniz_checks(seed):
 
 def _transport_checks(seed):  # exact transport: no random draw, so the seed is unused
     k = make_bergman_disk(1)
-    curve = Curve(gamma=lambda t: np.array([0.5 * t]),
-                  velocity=lambda t: np.array([0.5 + 0j]))
+    curve = Curve(gamma=lambda t: np.array([0.5 * t]), velocity=lambda t: np.array([0.5 + 0j]),
+                  batch=lambda t: ((0.5 * t)[:, None], np.full((len(t), 1), 0.5 + 0j)))
     # alpha = s conj(x)/(1 - |s|^2) along s = t/2 integrates to -log(0.75)/2,
     # so transport carries 1 to exactly sqrt(0.75)
-    exact = np.sqrt(0.75)
-    steps = [64, 128, 256, 512]
+    exact, steps = np.sqrt(0.75), [64, 128, 256, 512]
     errors = [abs(v[0] - exact) for v in _transport(k, curve, np.array([1.0 + 0j]), steps)[0]]
     slope = -np.polyfit(np.log2(steps), np.log2(errors), 1)[0]
-    return [
-        _check("transport/error_vs_exact", "connections", errors[-1], 1e-8),
-        _check("transport/observed_order", "connections", 3.7 - slope, 0.0),
-    ], float(slope)
+    return [_check("transport/error_vs_exact", "connections", errors[-1], 1e-8),
+            _check("transport/observed_order", "connections", 3.7 - slope, 0.0)], float(slope)
 
 
 def _reductive_checks(seed):

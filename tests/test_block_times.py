@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,61 @@ def test_the_blocks_are_the_checks_of_the_report():
 
 def test_a_bad_seed_range_or_tree_is_a_usage_error():
     for argv in (["--seeds", "a-b"], ["--seeds", "5-4"], ["--tree", str(_PATH)]):
+        with pytest.raises(SystemExit) as exc:
+            block_times.main(argv)
+        assert exc.value.code == 2
+
+
+_ROOT = str(_PATH.parents[1])
+
+
+def _table(ms):
+    """The table that one run prints, for {block: CPU ms} with "run_suite" among them."""
+    rows = [f"{name}  {t:6.2f}  0.0%" for name, t in ms.items() if name != "run_suite"]
+    return "\n".join(["block  cpu_ms  share", *rows, f"run_suite  {ms['run_suite']:6.2f}  x"])
+
+
+def test_against_alternates_the_trees_and_prints_both_medians_and_the_wins(capsys, monkeypatch,
+                                                                            tmp_path):
+    # three pairs of runs, one process each, the tree that goes first alternating; the second
+    # tree's costliest block first, run_suite last; a block of one tree alone still has its row
+    other = str(tmp_path)
+    (tmp_path / "src" / "kernelconnect").mkdir(parents=True)
+    times = {_ROOT: iter([{"a": 1.0, "b": 5.0, "run_suite": 9.0},
+                          {"a": 3.0, "b": 4.0, "run_suite": 8.0},
+                          {"a": 2.0, "b": 6.0, "run_suite": 7.0}]),
+             other: iter([{"a": 2.0, "c": 1.0, "run_suite": 10.0}] * 3)}
+    calls = []
+
+    def run(argv, **kwargs):
+        tree = argv[argv.index("--tree") + 1]
+        calls.append((tree, argv[argv.index("--seeds") + 1]))
+        return subprocess.CompletedProcess(argv, 0, _table(next(times[tree])), "")
+
+    monkeypatch.setattr(block_times.subprocess, "run", run)
+    assert block_times.main(["--seeds", "4-5", "--against", other, "--runs", "3"]) == 0
+    assert calls == [(_ROOT, "4-5"), (other, "4-5"), (other, "4-5"), (_ROOT, "4-5"),
+                     (_ROOT, "4-5"), (other, "4-5")]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[:4] == ["block", "cpu_ms", "against", "wins"]
+    assert [line.split() for line in lines[1:]] == [
+        ["a", "2.00", "2.00", "1/3"], ["c", "nan", "1.00", "0/3"], ["b", "5.00", "nan", "0/3"],
+        ["run_suite", "8.00", "10.00", "3/3"]]
+
+
+def test_against_times_two_checkouts_in_their_own_processes(capsys):
+    assert block_times.main(["--seeds", "3", "--against", _ROOT, "--runs", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    from kernelconnect import verify
+
+    blocks = [fn.__name__ for fns in verify.BLOCKS.values() for fn in fns]
+    assert sorted(line.split()[0] for line in lines[1:-1]) == sorted(blocks)
+    assert lines[-1].split()[0] == "run_suite"
+    assert all(line.split()[3] in ("0/1", "1/1") for line in lines[1:])
+
+
+def test_a_bad_against_tree_or_run_count_is_a_usage_error():
+    for argv in (["--against", str(_PATH)], ["--against", _ROOT, "--runs", "0"]):
         with pytest.raises(SystemExit) as exc:
             block_times.main(argv)
         assert exc.value.code == 2

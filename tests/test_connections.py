@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from kernelconnect.connections import (
     ConnectionEvaluator,
     _leibniz,
+    _transport,
     Curve,
     Section,
     connection_form,
@@ -19,7 +20,7 @@ from kernelconnect.connections import (
     make_evaluator,
     parallel_transport,
 )
-from kernelconnect import grassmann, verify
+from kernelconnect import cli, connections, grassmann, verify
 from kernelconnect.cpmaps import cp_kernel, random_unital_cpmap, random_unitary
 from kernelconnect.grassmann import (
     GrassTangent,
@@ -995,7 +996,7 @@ def test_leibniz_core_members_have_the_bits_of_leibniz_residual(k):
     sigma, probes, _ = _verify_section_case(k, 8, seed=6)
     f = lambda s: 0.5 + s[0] - 2j * np.conj(s[-1])  # noqa: E731
     nablas = [make_evaluator(k, b) for b in _BACKENDS]
-    got = _leibniz(nablas, f, sigma, probes)
+    got = _leibniz(nablas, Section(F=f), sigma, probes)
     assert got == [leibniz_residual(nabla, f, sigma, probes) for nabla in nablas]
     assert 0.0 < max(got) < 1e-6
 
@@ -1009,7 +1010,7 @@ def test_one_leibniz_core_call_evaluates_f_at_most_five_times_per_probe(batch):
     sigma = sigma if batch else Section(F=sigma.F, dF=sigma.dF)
     calls = []
     f = lambda s: calls.append(1) or 0.5 + s[0] - 2j * np.conj(s[1])  # noqa: E731
-    got = _leibniz([make_evaluator(k, b) for b in _BACKENDS], f, sigma, probes)
+    got = _leibniz([make_evaluator(k, b) for b in _BACKENDS], Section(F=f), sigma, probes)
     if batch:
         assert len(calls) == 5 * 7
     assert got == [leibniz_residual(make_evaluator(k, b), f, sigma, probes) for b in _BACKENDS]
@@ -1117,3 +1118,91 @@ def test_one_probe_public_entries_equal_their_stacked_rows_bit_for_bit(k):
         assert connection_form(k, s)(x).tobytes() == forms[j].tobytes()
         assert covariant_derivative_closed_form(k, sigma, s, x).tobytes() == closed[j].tobytes()
         assert covariant_derivative_direct(k, sigma, s, x).tobytes() == direct[j].tobytes()
+
+
+def test_leibniz_and_intertwining_residuals_name_an_empty_stack_of_probes():
+    # a residual of 0 over no probes would read as a pass
+    k = make_bergman_disk(2)
+    nabla = make_evaluator(k, "direct")
+    theta = BundleMorphism(zeta=lambda s: s, delta=lambda s: np.array([[1.0]]),
+                           tangent=lambda s, x: x)
+    for residual in (lambda: leibniz_residual(nabla, lambda p: 1.0, CONSTANT, []),
+                     lambda: _leibniz([nabla, make_evaluator(k, "sampled")],
+                                      Section(F=lambda p: 1.0), CONSTANT, []),
+                     lambda: intertwining_residual(theta, nabla, nabla, CONSTANT, CONSTANT, [])):
+        with pytest.raises(DomainError, match="empty stack of probes"):
+            residual()
+
+
+def test_leibniz_takes_f_as_a_scalar_section():
+    k = make_bergman_disk(2)
+    probes = [(np.array([0.1]), np.array([1.0])), (np.array([0.2j]), np.array([1j]))]
+    with pytest.raises(ValueError, match="section value has 2 entries, fiber dimension is 1"):
+        leibniz_residual(make_evaluator(k, "direct"), lambda p: np.ones(2), CONSTANT, probes)
+
+
+@pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
+def test_leibniz_reads_a_batched_f_by_one_call_at_the_probes_and_one_at_their_stencils(k):
+    # verify's f, 0.5 + a.z + b.conj(z) in real arithmetic: its two batch calls serve df, f(s)
+    # and f sigma of all three backends, with the bits of f point by point
+    sigma, probes, _ = _verify_section_case(k, 9, seed=9)
+    f = verify._scalar_test_section(k.domain.dim, np.random.default_rng(10), 0.5, 0.0)
+    calls = []
+    counted = Section(F=f.F, batch=lambda z: calls.append(z.shape) or f.batch(z))
+    nablas = [make_evaluator(k, b) for b in _BACKENDS]
+    got = _leibniz(nablas, counted, sigma, probes)
+    assert calls == [(9, k.domain.dim), (9, 4, k.domain.dim)]
+    assert got == _leibniz(nablas, Section(F=f.F), sigma, probes)
+    assert got == [leibniz_residual(nabla, f.F, sigma, probes) for nabla in nablas]
+    assert 0.0 < max(got) < 1e-6
+
+
+def _verify_curve(monkeypatch):
+    """The kernel and curve of verify's transport block."""
+    seen = []
+    monkeypatch.setattr(verify, "_transport", lambda k, curve, *args: seen.append((k, curve))
+                        or _transport(k, curve, *args))
+    verify._transport_checks(0)
+    return seen[0]
+
+
+def _cli_curve(monkeypatch, capsys, spec, start, end):
+    """The kernel and segment of `connect transport`."""
+    seen, transport = [], connections._transport
+    monkeypatch.setattr(connections, "_transport", lambda k, curve, *args: seen.append((k, curve))
+                        or transport(k, curve, *args))
+    assert cli.main(["connect", "transport", "--kernel", spec, "--start", start, "--end", end,
+                     "--steps", "100"]) == 0
+    capsys.readouterr()
+    return seen[0]
+
+
+@pytest.mark.parametrize("source", ["verify", "cli:disk", "cli:fock"])
+def test_a_curves_batch_has_the_bits_of_its_nodes_and_transport_reads_it(monkeypatch, capsys,
+                                                                          source):
+    k, curve = (_verify_curve(monkeypatch) if source == "verify" else
+                _cli_curve(monkeypatch, capsys, "bergman-disk:nu=1", "0", "0.5")
+                if source == "cli:disk" else
+                _cli_curve(monkeypatch, capsys, "fock:dim=2", "0.1,0.2i", "-0.5+0.3i,0.4"))
+    monkeypatch.undo()
+    assert curve.batch is not None
+    nodes = np.concatenate([np.arange(2 * n + 1) / (2 * n) for n in (1, 3, 100, 512)])
+    points, velocities = curve.batch(nodes)
+    assert len(points) == len(velocities) == len(nodes)
+    for t, p, v in zip(nodes, points, velocities):
+        assert np.asarray(p, complex).tobytes() == np.asarray(curve.gamma(t), complex).tobytes()
+        assert np.asarray(v, complex).tobytes() == np.asarray(curve.velocity(t), complex).tobytes()
+    # transport reads its nodes through the batch, with the bits of the per-node lists
+    plain, v0 = Curve(gamma=curve.gamma, velocity=curve.velocity), np.ones(k.fiber_dim)
+    for rungs in ([64, 128, 256, 512], [1, 2], [12, 25, 50, 100]):
+        (got, ends), (want, want_ends) = (_transport(k, c, v0, rungs) for c in (curve, plain))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert ends.tobytes() == want_ends.tobytes()
+
+
+def test_transport_rejects_a_batch_with_the_wrong_number_of_points():
+    k = make_bergman_disk(1)
+    curve = Curve(gamma=lambda t: np.array([0.5 * t]), velocity=lambda t: np.array([0.5 + 0j]),
+                  batch=lambda t: ((0.5 * t[1:])[:, None], np.full((len(t) - 1, 1), 0.5 + 0j)))
+    with pytest.raises(ValueError, match="the curve's batch gave 128 points for 129 parameters"):
+        parallel_transport(k, curve, np.ones(1), steps=64)

@@ -19,7 +19,7 @@ from kernelconnect.cpmaps import (
     verify_dilation,
 )
 from kernelconnect.grassmann import coordinate_projector, fiber_basis, homogeneous_kernel
-from kernelconnect.kernels import DomainError, Kernel
+from kernelconnect.kernels import DomainError, Kernel, UnitaryDomain, pull_back_kernel
 from kernelconnect.numerics import NumericsError, hermitian_eigh
 
 
@@ -395,3 +395,76 @@ def test_stacked_cpmaps_have_the_bits_of_sequential_draws_and_leave_the_generato
         assert got.kraus.tobytes() == want.kraus.tobytes()
     assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
     assert stacked_rng.standard_normal() == loop_rng.standard_normal()
+
+
+def test_stacked_maps_are_the_one_map_draws_of_one_stream():
+    # verify's 21 maps from one draw, one Choi assembly and one eigh, against 21 random_unital_cpmap
+    # calls on the same stream, and against the Kraus operators of a CPMap built from each Choi
+    stacked_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
+    stacked = cpmaps._random_unital_cpmaps(3, 2, 4, stacked_rng, 21)
+    for got, want in zip(stacked, [random_unital_cpmap(3, 2, 4, loop_rng) for _ in range(21)]):
+        assert type(got) is CPMap and (got.input_dim, got.output_dim) == (3, 2)
+        assert got.choi.tobytes() == want.choi.tobytes()
+        for kraus in (want.kraus, CPMap(3, 2, got.choi.copy()).kraus):
+            assert got.kraus.shape == kraus.shape and got.kraus.strides == kraus.strides
+            assert got.kraus.tobytes() == kraus.tobytes()
+    assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+def test_a_stack_of_choi_matrices_checks_each_for_positivity():
+    good = choi_from_kraus([np.eye(2)]).choi
+    with pytest.raises(NumericsError, match=r"not PSD \(min eigenvalue -1.000e\+00\)"):
+        cpmaps._kraus(np.array([good, np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)]), 2, 2)
+
+
+def _mixed_maps():
+    """Unital maps of unequal Choi rank and of two shapes, interleaved in one list."""
+    rng = np.random.default_rng(43)
+    maps = [random_unital_cpmap(n, m, r, rng)
+            for n, m, r in [(3, 2, 4), (3, 2, 1), (2, 3, 3), (3, 2, 2), (3, 2, 4), (2, 3, 3)]]
+    return maps + [choi_from_kraus([np.eye(2) / np.sqrt(2)] * 2)]  # a redundant family: rank 1
+
+
+def test_stacked_dilations_have_the_bits_of_their_one_map_calls():
+    maps = _mixed_maps()
+    assert [p.choi_rank for p in maps] == [4, 1, 3, 2, 4, 3, 1]
+    triples, iso = cpmaps._dilate(maps)
+    assert iso == max(t.isometry_residual() for t in triples)
+    for psi, triple in zip(maps, triples):
+        n, m, r = psi.input_dim, psi.output_dim, psi.choi_rank
+        assert (triple.r, triple.input_dim, triple.output_dim) == (r, n, m)
+        assert triple.v.tobytes() == stinespring_dilate(psi).v.tobytes()
+        # the one-map formula: V read from the (n, r, m) Kraus layout
+        assert triple.v.tobytes() == psi.kraus.conj().transpose(2, 0, 1).reshape(n * r, m).tobytes()
+        units = np.eye(n * n, dtype=complex).reshape(-1, n, n)
+        diff = psi.apply(units) - triple.v.conj().T @ triple.lam(units) @ triple.v
+        assert verify_dilation(psi, triple) == float(np.max(np.linalg.norm(diff, axis=(-2, -1))))
+    for stack in (triples, [cpmaps.StinespringTriple(t.v * 1.01, t.r, t.input_dim, t.output_dim)
+                            for t in triples]):
+        dil = cpmaps._dilation_residual(maps, stack)
+        assert dil == max(verify_dilation(p, t) for p, t in zip(maps, stack))
+    assert dil > 1e-3
+    with pytest.raises(NumericsError, match="map is not unital"):
+        cpmaps._dilate(maps + [choi_from_kraus([0.5 * np.eye(2)])])
+
+
+def test_pullback_identity_checks_its_pairs_once_and_keeps_the_bits_of_its_loop(monkeypatch):
+    psi = _example_map(seed=6)
+    triple = stinespring_dilate(psi)
+    pairs = [(random_unitary(3, seed=30 + i), random_unitary(3, seed=40 + i)) for i in range(5)]
+    k_lam, _ = lambda_kernel(psi, triple)
+    theta = cpmaps.cp_classifying_morphism(psi, triple)
+    pulled = pull_back_kernel(theta, k_lam, 2, UnitaryDomain(3))
+    want = max(float(np.linalg.norm(pulled(s, t) - cp_kernel(psi)(s, t))) for s, t in pairs)
+    stacks, stack = [], UnitaryDomain.stack
+    monkeypatch.setattr(UnitaryDomain, "stack",
+                        lambda self, points: stacks.append(len(points)) or stack(self, points))
+    got = pullback_identity_residual(psi, triple, pairs)
+    monkeypatch.undo()
+    assert got == want
+    # the source side checks the 10 unitaries once; the lambda kernel checks its own arguments
+    assert stacks == [10] + [1] * 10
+    with pytest.raises(DomainError, match=r"U\(n\): not unitary.*\(point 3 of 4\)"):
+        pullback_identity_residual(psi, triple, pairs[:1] + [(pairs[1][0], 2 * pairs[1][1])])
+    with pytest.raises(ValueError, match="need at least one pair of unitaries"):
+        pullback_identity_residual(psi, triple, [])
