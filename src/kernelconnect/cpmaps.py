@@ -121,24 +121,21 @@ def _chois(kraus: np.ndarray) -> np.ndarray:
 
 def kraus_from_choi(choi, input_dim: int, output_dim: int) -> np.ndarray:
     """Extract the (r, m, n) stack of Kraus operators from the Choi spectrum above a relative cut,
-    dominant first: the one-matrix `_kraus`.
+    dominant first.
 
     Eigenvalues in (-tau*lam_max, tau*lam_max), tau = CHOI_RANK_TAU, are
     treated as zero; anything more negative signals a non-CP input.
     """
-    return _kraus(np.asarray(choi, dtype=complex)[None], input_dim, output_dim)[0]
-
-
-def _kraus(chois: np.ndarray, n: int, m: int) -> list:
-    """kraus_from_choi of each matrix of an (L, nm, nm) stack, from one stacked hermitian_eigh."""
-    values, vectors = hermitian_eigh(chois)
-    cut = CHOI_RANK_TAU * np.maximum(values[:, -1:], 1.0)  # max(lam_max, 0, 1)
-    if np.count_nonzero(bad := values[:, 0] < -cut[:, 0]):
-        raise NumericsError(f"Choi matrix is not PSD (min eigenvalue {values[bad, 0][0]:.3e}); "
-                            "map is not CP")
+    c = np.asarray(choi, dtype=complex)
+    values, vectors = hermitian_eigh(c)
+    lam_max = max(float(values[-1]), 0.0) if values.size else 0.0
+    cut = CHOI_RANK_TAU * max(lam_max, 1.0)
+    if values.size and values[0] < -cut:
+        raise NumericsError(
+            f"Choi matrix is not PSD (min eigenvalue {values[0]:.3e}); map is not CP")
     keep = values > cut  # dominant first; each K_i is the transpose of its (n, m) block
-    return [np.ascontiguousarray((np.sqrt(w[k]) * v[:, k]).T[::-1]).reshape(-1, n, m).transpose(
-        0, 2, 1) for w, v, k in zip(values, vectors, keep)]
+    x = np.ascontiguousarray((np.sqrt(values[keep]) * vectors[:, keep]).T[::-1])
+    return x.reshape(-1, input_dim, output_dim).transpose(0, 2, 1)
 
 
 def _apply(kraus: np.ndarray, a) -> np.ndarray:
@@ -275,12 +272,9 @@ def random_unital_cpmap(input_dim: int, output_dim: int, n_kraus: int,
 
 
 def _random_unital_cpmaps(n: int, m: int, n_kraus: int, rng, count: int) -> list:
-    """`count` maps from one draw, the stream of as many random_unital_cpmap calls: normalized, and
-    their Kraus operators extracted and checked, by one stacked hermitian_eigh each."""
+    """`count` maps from one draw, the stream of as many random_unital_cpmap calls: normalized by
+    one stacked hermitian_eigh and their Choi matrices assembled in one expression."""
     k = _normals(rng, count * n_kraus, (m, n)).reshape(count, n_kraus, m, n)
     values, vectors = hermitian_eigh((k @ k.conj().swapaxes(-1, -2)).sum(axis=1, initial=0.0))
     inv_sqrt = (vectors * (1.0 / np.sqrt(values))[:, None]) @ vectors.conj().swapaxes(-1, -2)
-    maps = [CPMap.__new__(CPMap) for _ in range(count)]
-    for psi, c, kraus in zip(maps, chois := _chois(inv_sqrt[:, None] @ k), _kraus(chois, n, m)):
-        vars(psi).update(input_dim=n, output_dim=m, choi=c, kraus=kraus)
-    return maps
+    return [CPMap(n, m, c) for c in _chois(inv_sqrt[:, None] @ k)]

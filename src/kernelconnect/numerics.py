@@ -99,8 +99,6 @@ def _max_norm(rows) -> float:
     NaN propagates.  Stacked norms, which round differently, screen the rows: only those within
     1e-9 (relative) of the top are normed one at a time."""
     rows = np.asarray(rows)
-    if len(rows) == 1:  # nothing to screen
-        return float(np.linalg.norm(rows[0]))
     screen = np.linalg.norm(rows.reshape(len(rows), -1), axis=1) if len(rows) else np.zeros(0)
     top = screen.max(initial=0.0)
     if not 0.0 < top < np.inf:  # NaN, or exact: no rows, all zero, or an overflow

@@ -398,8 +398,8 @@ def test_stacked_cpmaps_have_the_bits_of_sequential_draws_and_leave_the_generato
 
 
 def test_stacked_maps_are_the_one_map_draws_of_one_stream():
-    # verify's 21 maps from one draw, one Choi assembly and one eigh, against 21 random_unital_cpmap
-    # calls on the same stream, and against the Kraus operators of a CPMap built from each Choi
+    # verify's 21 maps from one draw and one Choi assembly, against 21 random_unital_cpmap calls on
+    # the same stream, and against the Kraus operators of a CPMap built from each Choi
     stacked_rng, loop_rng = np.random.default_rng(41), np.random.default_rng(41)
     stacked = cpmaps._random_unital_cpmaps(3, 2, 4, stacked_rng, 21)
     for got, want in zip(stacked, [random_unital_cpmap(3, 2, 4, loop_rng) for _ in range(21)]):
@@ -411,10 +411,9 @@ def test_stacked_maps_are_the_one_map_draws_of_one_stream():
     assert stacked_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
-def test_a_stack_of_choi_matrices_checks_each_for_positivity():
-    good = choi_from_kraus([np.eye(2)]).choi
+def test_a_choi_matrix_with_a_negative_eigenvalue_is_rejected_at_construction():
     with pytest.raises(NumericsError, match=r"not PSD \(min eigenvalue -1.000e\+00\)"):
-        cpmaps._kraus(np.array([good, np.diag([1.0, -1.0, 1.0, 1.0]).astype(complex)]), 2, 2)
+        CPMap(2, 2, np.diag([1.0, -1.0, 1.0, 1.0]))
 
 
 def _mixed_maps():
