@@ -16,8 +16,8 @@ import numpy as np
 import kernelconnect as kc  # a handler's first kc.<name> imports the layer that it runs
 
 # the parser reads DEFAULT_TOL, and main catches NumericsError: --help loads no other layer
-from .numerics import (DEFAULT_TOL, NumericsError, _csv_rows, matrix_to_csv_text, parse_complex,
-                       read_matrix_csv)
+from .numerics import (DEFAULT_TOL, NumericsError, _csv_rows, _normals, matrix_to_csv_text,
+                       parse_complex, read_matrix_csv)
 
 __all__ = ["main", "parse_kernel_spec", "KERNEL_SPEC_GRAMMAR"]
 
@@ -90,9 +90,9 @@ def _parse_point(k: kc.Kernel, text: str, base=None) -> np.ndarray:
     v = _parse_vector(text)
     try:
         if base is None:
-            k.domain.check_point(v)
+            k.domain.stack((v,))
         else:
-            k.domain.check_tangent(base, v)
+            k.domain.jets((base,), (v,))
     except kc.DomainError as exc:
         raise UsageError(str(exc)) from exc
     return v
@@ -316,9 +316,7 @@ def _cmd_cp_covderiv(args) -> int:
     psi = _load_cpmap(args.choi, args.n)
     k = kc.cp_kernel(psi)
     u = kc.random_unitary(psi.input_dim, seed=args.seed)
-    rng = np.random.default_rng(args.seed + 1)
-    a = rng.standard_normal((psi.input_dim,) * 2) + 1j * rng.standard_normal(
-        (psi.input_dim,) * 2)
+    (a,) = _normals(np.random.default_rng(args.seed + 1), 1, (psi.input_dim,) * 2)
     a = 0.5 * (a - a.conj().T)
     w0 = np.ones(psi.output_dim, dtype=complex)
 

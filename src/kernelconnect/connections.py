@@ -295,7 +295,7 @@ def gauge_pullback_connection(theta: BundleMorphism,
         sv = np.linalg.svd(ds, compute_uv=False)
         if sv[-1] <= 1e-10 * sv[0]:  # relative, as in hermitian_solve: a scale is not singular
             raise NumericsError("fiber map is singular; cannot pull back the connection")
-        ddelta = source_domain.derivative(s, x, theta.fiber_map)
+        ddelta = source_domain.derivatives((s,), (x,), theta.fiber_map)[0]
         core = np.atleast_2d(np.asarray(
             alpha_target(theta.zeta(s), theta.tangent(s, x)), dtype=complex))
         return np.linalg.solve(ds, core @ ds + ddelta)

@@ -45,8 +45,8 @@ class CPMap:
     """A completely positive map M_n -> M_m with PSD Choi matrix.
 
     `kraus`, the (r, m, n) stack of Kraus operators, is derived from the Choi
-    spectrum at construction; `unital` is checked (sum K_i K_i* = I_m) and
-    required by the dilation and kernel operations.
+    spectrum at construction.  The dilation and kernel operations require the
+    map unital, sum K_i K_i* = I_m, and check it (`_dilate`).
     """
 
     input_dim: int
@@ -70,10 +70,6 @@ class CPMap:
     @property
     def choi_rank(self) -> int:
         return len(self.kraus)
-
-    def unitality_residual(self) -> float:  # ||sum K_i K_i* - I||, summed from zero in order
-        total = (self.kraus @ self.kraus.conj().transpose(0, 2, 1)).sum(axis=0, initial=0.0)
-        return float(np.linalg.norm(total - np.eye(self.output_dim)))
 
 
 @dataclass(frozen=True)

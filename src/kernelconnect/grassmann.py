@@ -55,8 +55,14 @@ class HermitianProjector:
         m = np.array(_finite_array(self.p, "projector"))  # read-only copy: fiber_basis caches it
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError(f"projector must be square, got shape {m.shape}")
+        if _frobenius(m - m.conj().T) > 1e-10:
+            raise DomainError("projector is not Hermitian")
+        if _frobenius(m @ m - m) > 1e-10:
+            raise DomainError("matrix is not idempotent")
+        if abs((trace := np.trace(m).real) - self.rank) > 1e-8:
+            raise DomainError(f"trace {trace:.6f} does not match declared rank {self.rank}")
         m.flags.writeable = False
-        object.__setattr__(self, "p", _projectors(m[None], self.rank)[0])
+        object.__setattr__(self, "p", m)
 
     @property
     def n(self) -> int:
@@ -86,20 +92,6 @@ class GrassTangent:
             raise DomainError(f"generator has diagonal blocks (residual {diag:.3e}); "
                               "it must lie in the reductive complement")
         object.__setattr__(self, "generator", a)
-
-
-def _projectors(m: np.ndarray, rank: int) -> np.ndarray:
-    """The (..., n, n) stack m, after one vectorized test of all of it per projector check."""
-    m = _finite_array(m, "projector")
-    if (_frobenius(m - m.conj().swapaxes(-1, -2)) > 1e-10).any():
-        raise DomainError("projector is not Hermitian")
-    if (_frobenius(m @ m - m) > 1e-10).any():
-        raise DomainError("matrix is not idempotent")
-    trace = np.trace(m, axis1=-2, axis2=-1).real
-    bad = trace[abs(trace - rank) > 1e-8]
-    if bad.size:
-        raise DomainError(f"trace {bad[0]:.6f} does not match declared rank {rank}")
-    return m
 
 
 def _orbit(u: np.ndarray, p: np.ndarray, b: np.ndarray, rank: int) -> list:
@@ -148,7 +140,7 @@ def fiber_basis(point: HermitianProjector) -> np.ndarray:
 def _eigenbases(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One eigh of an (L, n, n) stack of rank-k projectors' Hermitian parts: the read-only (L, n, k)
     range bases under the phase rule, each F-ordered as BLAS sees it, the values and vectors.
-    Each passed `_projectors` or is a unitary conjugate of one: exactly k values exceed 0.5."""
+    Each is a checked HermitianProjector or a unitary conjugate of one: exactly k exceed 0.5."""
     values, vectors = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
     cols = np.empty(m.shape[:-2] + (rank, m.shape[-1]), dtype=complex).swapaxes(-1, -2)
     cols[...] = vectors[..., m.shape[-1] - rank:]  # eigenvalues ascend: the near-1 ones are last
@@ -193,12 +185,19 @@ class GrassDomain(Domain):
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[list, np.ndarray]:
         """Domain._stencils as L lists of conjugates u p u*, with U(n)'s stencils u at the identity
         and its weights, each point checked for finiteness only and holding u B(p); a tangent at
-        its own base holds both.  At A = 0, u = e^{t iE_11}: a p that commutes with E_11 gets four
-        equal points, which the sampled backend refuses (a direction there would depend on p)."""
+        its own base holds both.  A = 0 steps along b c* - c b* with zero weights, b the first
+        column of B(p) and c the column of 1 - p with the largest norm: four points apart from p."""
         held = [vars(t).get("_stencil") if t.base is p else None for p, t in zip(s, x)]
         new = [j for j, c in enumerate(held) if c is None or c[0] != h]
         if new:
-            u, w = UnitaryDomain(self.n)._stencils(np.eye(self.n), [x[j].generator for j in new], h)
+            a = np.array([x[j].generator for j in new])
+            zero = ~a.reshape(len(new), -1).any(axis=1)
+            for i in np.flatnonzero(zero):
+                b, q = fiber_basis(s[new[i]])[:, :1], s[new[i]].complement()
+                c = q[:, [np.argmax(q.diagonal().real)]]  # |q e_j|^2 = q_jj
+                a[i] = b @ c.conj().T - c @ b.conj().T
+            u, w = UnitaryDomain(self.n)._stencils(np.eye(self.n), a, h)
+            w[zero] *= 0.0  # the weights, and their signs, of A = 0
             stack = _orbit(u, np.array([s[j].p for j in new])[:, None],
                            np.array([fiber_basis(s[j]) for j in new])[:, None], self.k)
             for i, j in enumerate(new):

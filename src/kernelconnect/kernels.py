@@ -73,10 +73,10 @@ class Domain:
     """Base-domain protocol: membership checks and the library's one stencil.  A domain with a
     `name` defines `stack(points)` and `jets(points, directions)`, the one check of a list of
     points and of a stack of probes (s_j, x_j), each point and tangent checked once (code past
-    them trusts the probes, and the curve points that cannot leave the domain), whose one-member
-    cases are `check_point` and `check_tangent`; and `_stencils(s, x, h)`: at L checked probes, all
-    at once, the points gamma_j(t step), t = -2, -1, 1, 2, on curves with the 1-jets
-    (s_j, x_j / |x_j|), and the (L, 4) weights of d/dt f(gamma_j), by the one rule `_rule`."""
+    them trusts the probes, and the curve points that cannot leave the domain); and
+    `_stencils(s, x, h)`: at L checked probes, all at once, the points gamma_j(t step),
+    t = -2, -1, 1, 2, on curves with the 1-jets (s_j, x_j / |x_j|), and the (L, 4) weights of
+    d/dt f(gamma_j), by the one rule `_rule`."""
 
     _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
 
@@ -97,21 +97,11 @@ class Domain:
             x, size = np.where(size == 0, zero * np.eye(1, x.shape[1]), x), size + (size == 0)
         return step, weights, (x.view(float) / size).view(complex)
 
-    def check_point(self, s) -> None:
-        self.stack((s,))
-
-    def check_tangent(self, s, x) -> None:
-        self.jets((s,), (x,))
-
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:
         """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at L probes (s_j, x_j), checked by `jets`."""
         stencils, weights = self._stencils(*self.jets(points, directions), h)
         return stencil_sum(weights, [[f(p) for p in ps] for ps in stencils])
-
-    def derivative(self, s, x, f: Callable, h: float = DEFAULT_STEP) -> np.ndarray:
-        """d/dt|0 f(gamma(t)) on the curve gamma with the 1-jet (s, x): one-probe `derivatives`."""
-        return self.derivatives((s,), (x,), f, h)[0]
 
     def _error(self, reason: str, i: int, n: int, what: str = "point") -> DomainError:
         """The error of entry i of n, which names the entry when there are several."""

@@ -110,13 +110,12 @@ def _max_norm(rows) -> float:
 # Complex CSV serialization: entries formatted `a+bi`, e.g. `1.5-0.25i`.  The grammar is ASCII: a
 # real part with an optional `+bi`/`-bi`, or a bare `bi`, `i` or `-i`, whitespace allowed around
 # the sign and the `i`.  Its canonical form, the one format_complex writes (`a+bi`, no whitespace),
-# complex() reads with the same correctly rounded bits, so it skips the per-part parse.
+# complex() reads with the same correctly rounded bits, so a canonical CSV row skips the cell parse.
 
 _REAL = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _COMPLEX_RE = re.compile(rf"\s*([+-]?{_REAL})(?:\s*([+-])\s*({_REAL})\s*i)?\s*", re.ASCII)
 _IMAG_RE = re.compile(rf"\s*([+-]?{_REAL}|[+-]?)\s*i\s*", re.ASCII)  # bare imaginary
 _CELL = rf"[+-]?{_REAL}[+-]{_REAL}i"
-_CANONICAL_CELL = re.compile(_CELL, re.ASCII)
 _CANONICAL_ROW = re.compile(rf"{_CELL}(?:,{_CELL})*", re.ASCII)  # one line, never the whole text
 _FORMAT = "%.17g%+.17gi"  # one cell, from its (real, imaginary) parts
 
@@ -134,8 +133,6 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
-    if _CANONICAL_CELL.fullmatch(text):
-        return complex(text[:-1] + "j")
     m = _COMPLEX_RE.fullmatch(text)
     if m:
         real, sign, imag = m.groups()

@@ -23,7 +23,6 @@ from kernelconnect.connections import (
 from kernelconnect import cli, connections, grassmann, verify
 from kernelconnect.cpmaps import cp_kernel, random_unital_cpmap, random_unitary
 from kernelconnect.grassmann import (
-    GrassTangent,
     HermitianProjector,
     coordinate_projector,
     fiber_basis,
@@ -47,6 +46,7 @@ from kernelconnect.kernels import (
 from kernelconnect.numerics import NumericsError, hermitian_eigh, hermitian_solve
 from kernelconnect.rkhs import (
     RKHSElement,
+    _certify,
     build_rkhs,
     evaluate_element,
     project_fiber,
@@ -656,19 +656,21 @@ def test_dsigma_and_df_each_read_one_stencils_call_for_a_stack(monkeypatch):
 
 
 def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
-    # a zero Grassmann tangent steps along iE_11 with zero weights: at a projector that commutes
-    # with E_11 its four stencil points are the point itself, which collapses that probe's sample,
-    # and only its own
+    # the sampled backend's five-point samples of four Grassmann probes, where only sample 2
+    # repeats a point: its first stencil point stands in for its second
     q, rng = universal_kernel(4, 2), np.random.default_rng(33)
     sigma = Section(F=lambda p: fiber_basis(p).conj().T @ p.p[:, 1])
     points = [HermitianProjector(u @ coordinate_projector(4, 2).p @ u.conj().T, 2)
               for u in (random_unitary(4, seed=60 + i) for i in range(4))]
-    points[2] = coordinate_projector(4, 2)
     xs = [random_grass_tangent(p, rng) for p in points]
-    nabla = make_evaluator(q, "sampled")
+    samples = connections._five(points, q.domain._stencils(points, xs, 1e-4)[0], 2)
+    samples[2] = samples[2][:1] * 2 + samples[2][2:]
     message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 4\)"
     with pytest.raises(ValueError, match=message):
-        nabla.evaluate(sigma, points, xs[:2] + [GrassTangent(points[2], np.zeros((4, 4)))] + xs[3:])
+        _certify(samples, q._values(samples, samples))
+    rest = samples[:2] + samples[3:]
+    _certify(rest, q._values(rest, rest))  # the other three pass
+    nabla = make_evaluator(q, "sampled")
     assert np.array_equal(nabla.evaluate(sigma, points[:2], xs[:2]),
                           nabla.evaluate(sigma, points, xs)[:2])
 
@@ -678,7 +680,7 @@ def _leibniz_loop(nabla, f, sigma, probes, h=1e-4):
     scaled = Section(F=lambda s: complex(f(s)) * sigma.value(s))
     res = 0.0
     for s, x in probes:
-        df = complex(nabla.kernel.domain.derivative(s, x, f, h))
+        df = complex(nabla.kernel.domain.derivatives((s,), (x,), f, h)[0])
         rhs = df * sigma.value(s) + complex(f(s)) * nabla(sigma, s, x)
         res = max(res, float(np.linalg.norm(nabla(scaled, s, x) - rhs)))
     return res

@@ -35,10 +35,21 @@ def _random_point(n, k, seed):
 
 
 def test_projector_validation():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^projector is not Hermitian$"):
+        HermitianProjector(np.array([[0.5, 0.5j], [0.5j, 0.5]]), 1)
+    with pytest.raises(DomainError, match="^matrix is not idempotent$"):
         HermitianProjector(np.array([[0.5, 0.0], [0.0, 0.0]], dtype=complex), 1)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^trace 2.000000 does not match declared rank 1$"):
         HermitianProjector(np.eye(2, dtype=complex), 1)  # trace 2, declared rank 1
+
+
+def test_a_projector_scans_its_matrix_for_finiteness_once(monkeypatch):
+    from kernelconnect import kernels
+
+    p, scans, finite = coordinate_projector(4, 2).p, [], kernels._finite
+    monkeypatch.setattr(kernels, "_finite", lambda a: scans.append(np.shape(a)) or finite(a))
+    HermitianProjector(p, 2)
+    assert scans == [(4, 4)]
 
 
 @pytest.mark.parametrize("make", [
@@ -117,7 +128,7 @@ def test_grassmann_jets_name_their_first_tangent_that_is_not_at_its_point(bad, m
     with pytest.raises(DomainError, match=r"^Gr\(2,4\): " + message + "$"):
         GrassDomain(4, 2).jets(points, _swap(tangents, 1, bad(points, tangents)))
     with pytest.raises(DomainError, match=r"^Gr\(2,4\): tangent is "):  # one probe: no entry named
-        GrassDomain(4, 2).check_tangent(points[1], bad(points, tangents))
+        GrassDomain(4, 2).jets((points[1],), (bad(points, tangents),))
 
 
 def test_a_tangent_anchored_at_a_projector_off_by_more_than_1e_10_is_rejected():
@@ -128,10 +139,10 @@ def test_a_tangent_anchored_at_a_projector_off_by_more_than_1e_10_is_rejected():
     # a relative test, numpy's default rtol = 1e-5, would accept this base
     assert 1e-7 < off.max() and (off <= 1e-10 + 1e-5 * np.abs(point.p)).all()
     with pytest.raises(DomainError, match="anchored at another point"):
-        GrassDomain(4, 2).check_tangent(point, random_grass_tangent(near, np.random.default_rng(1)))
+        GrassDomain(4, 2).jets((point,), (random_grass_tangent(near, np.random.default_rng(1)),))
     # an equal projector object is the same point
     x = random_grass_tangent(point, np.random.default_rng(1)).generator
-    GrassDomain(4, 2).check_tangent(point, GrassTangent(HermitianProjector(point.p.copy(), 2), x))
+    GrassDomain(4, 2).jets((point,), (GrassTangent(HermitianProjector(point.p.copy(), 2), x),))
 
 
 def test_fiber_basis_is_orthonormal_and_deterministic():
@@ -437,7 +448,7 @@ def test_derivatives_along_a_reused_tangent_keep_their_bits():
     q = universal_kernel(4, 2)
     sigma = Section(F=grass_section_coordinates(f))
     calls = [
-        lambda x: GrassDomain(4, 2).derivative(point, x, lambda pt: np.vdot(v0, f(pt))),
+        lambda x: GrassDomain(4, 2).derivatives((point,), (x,), lambda pt: np.vdot(v0, f(pt)))[0],
         lambda x: covariant_derivative_direct(q, sigma, point, x),
         lambda x: universal_covariant_derivative(f, point, x),
     ]
@@ -510,13 +521,13 @@ def test_a_curve_point_is_never_built_from_a_non_unitary_exponential():
 def test_agreement_checks_no_curve_point_as_a_projector(monkeypatch):
     from kernelconnect import grassmann
 
-    checked, stacked = [], grassmann._projectors
-    monkeypatch.setattr(grassmann, "_projectors",
-                        lambda m, rank: checked.append(m[..., 0, 0].size) or stacked(m, rank))
+    checked, check = [], grassmann.HermitianProjector.__post_init__
+    monkeypatch.setattr(grassmann.HermitianProjector, "__post_init__",
+                        lambda self: checked.append(self.rank) or check(self))
     grassmann_agreement(4, 2, probes=3, seed=0)
     # the base alone: the probes g p g*, their stencil points and the reductive oracle's orbit
     # points are unitary conjugates of it, built by `_orbit`
-    assert checked == [1]
+    assert checked == [2]
 
 
 def test_a_huge_step_still_rejects_a_non_finite_curve_point():
@@ -527,7 +538,7 @@ def test_a_huge_step_still_rejects_a_non_finite_curve_point():
         with pytest.raises(DomainError, match="projector is not finite"):
             covariant_derivative_direct(universal_kernel(4, 2), sigma, point, tangent, h=1e308)
         with pytest.raises(DomainError, match="projector is not finite"):
-            GrassDomain(4, 2).derivative(point, tangent, lambda pt: pt.p, h=1e308)
+            GrassDomain(4, 2).derivatives((point,), (tangent,), lambda pt: pt.p, h=1e308)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +658,7 @@ def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stac
                         (grassmann, "universal_covariant_derivative"),
                         (grassmann, "reductive_covariant_derivative"),
                         (connections.ConnectionEvaluator, "evaluate"),
-                        (GrassDomain, "derivatives"), (GrassDomain, "derivative")]:
+                        (GrassDomain, "derivatives")]:
         count(owner, name)
     exponentials, eigh = [], kernels.hermitian_eigh
     monkeypatch.setattr(kernels, "hermitian_eigh",
@@ -811,3 +822,27 @@ def test_reductive_check_fails_on_a_wrong_conditional_expectation(monkeypatch):
     monkeypatch.setattr(grassmann, "conditional_expectation", wrong)
     (check,) = verify._reductive_checks(0)
     assert not check["passed"] and check["residual"] > 1.0
+
+
+def test_every_backend_returns_zero_at_a_zero_tangent_where_the_point_commutes_with_e11():
+    # a zero generator steps along b c* - c b*, in its point's own complement, with zero weights:
+    # iE_11 would not move coordinate_projector(4, 2), and the sampled backend's five sample
+    # points would be one point
+    q, point = universal_kernel(4, 2), coordinate_projector(4, 2)
+    zero = GrassTangent(point, np.zeros((4, 4)))
+    sigma = Section(F=lambda p: fiber_basis(p).conj().T @ p.p[:, 1])
+    others = [_random_point(4, 2, seed=70 + i) for i in range(2)]
+    xs = [random_grass_tangent(p, np.random.default_rng(i)).generator for i, p in enumerate(others)]
+    tangents = lambda: [GrassTangent(p, x) for p, x in zip(others, xs)]  # noqa: E731
+    for backend in ("closed-form", "direct", "sampled"):
+        nabla = make_evaluator(q, backend)
+        assert np.array_equal(nabla(sigma, point, zero), np.zeros(2)), backend
+        a, b = tangents()
+        got = nabla.evaluate(sigma, [others[0], point, others[1]],
+                             [a, GrassTangent(point, np.zeros((4, 4))), b])
+        assert not got[1].any(), backend
+        # the other probes keep their bits
+        assert np.array_equal(got[[0, 2]], nabla.evaluate(sigma, others, tangents())), backend
+    (stencil,), weights = GrassDomain(4, 2)._stencils([point], [zero], 1e-4)
+    assert min(np.abs(p.p - point.p).max() for p in stencil) > 1e-5  # four points apart from p
+    assert not weights.any() and np.signbit(weights).tolist() == [[False, True, False, True]]

@@ -426,20 +426,20 @@ def test_stencils_of_a_stack_are_the_stencils_of_its_points_bit_for_bit():
 def test_stencil_derivative_matches_analytic():
     # d/dt exp((0.3+0.2i) t) at 0 = 0.3+0.2i; 5-point stencil is O(h^4)
     c = 0.3 + 0.2j
-    d = VectorDomain(1).derivative(np.array([0.0]), np.array([1.0]), lambda p: np.exp(c * p))
+    (d,) = VectorDomain(1).derivatives([np.zeros(1)], [np.ones(1)], lambda p: np.exp(c * p))
     assert abs(d[0] - c) < 1e-12
 
 
 def test_stencil_derivative_rejects_bad_step():
     for h in (0.0, -1e-4, float("nan")):
         with pytest.raises(NumericsError, match="step must be positive"):
-            VectorDomain(1).derivative(np.array([0.0]), np.array([1.0]), np.exp, h=h)
+            VectorDomain(1).derivatives([np.array([0.0])], [np.array([1.0])], np.exp, h=h)
 
 
 def test_stencil_derivative_rejects_a_non_finite_value():
     with pytest.raises(NumericsError, match="non-finite function value"):
-        VectorDomain(1).derivative(np.array([0.0]), np.array([1.0]),
-                                   lambda p: np.array([np.inf if p[0] > 0 else 1.0]))
+        VectorDomain(1).derivatives([np.array([0.0])], [np.array([1.0])],
+                                    lambda p: np.array([np.inf if p[0] > 0 else 1.0]))
 
 
 def _derivative_cases():
@@ -466,7 +466,7 @@ def _derivative_cases():
 def test_derivatives_of_a_stack_are_the_derivatives_of_its_probes_bit_for_bit():
     for domain, f, pts, xs in _derivative_cases():
         got = domain.derivatives(pts, xs, f)
-        want = np.array([domain.derivative(s, x, f) for s, x in zip(pts, xs)])
+        want = np.array([domain.derivatives((s,), (x,), f)[0] for s, x in zip(pts, xs)])
         assert got.shape == want.shape and np.array_equal(got, want), domain
         with pytest.raises(DomainError, match=f"{len(pts)} points but {len(pts) - 1} directions"):
             domain.derivatives(pts, xs[:-1], f)
@@ -498,7 +498,7 @@ def test_stencil_step_shrinks_only_near_the_edge(make, point):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: VectorDomain(1).check_tangent(np.zeros(1), [np.nan]), r"C\^d: tangent is not finite$"),
+    (lambda: VectorDomain(1).jets((np.zeros(1),), ([np.nan],)), r"C\^d: tangent is not finite$"),
     (lambda: VectorDomain(2, name="C^2").jets([np.zeros(2)] * 3, [[1, 0], [1, np.inf], [0, 1]]),
      r"C\^2: tangent is not finite \(probe 1 of 3\)"),
     (lambda: make_bergman_disk(2).domain.derivatives([0.1, 0.2], [1.0, np.nan], np.exp),
@@ -518,10 +518,10 @@ def test_a_vector_domain_rejects_a_non_finite_tangent_and_names_its_probe(call, 
 
 
 @pytest.mark.parametrize("call", [
-    lambda d: d.check_point(np.full((2, 2), np.nan)),
-    lambda d: d.check_point(np.diag([1.0, np.inf])),
-    lambda d: d.check_tangent(np.eye(2), np.full((2, 2), np.nan)),
-    lambda d: d.check_tangent(np.eye(2), np.array([[0, np.inf], [-np.inf, 0]])),
+    lambda d: d.stack((np.full((2, 2), np.nan),)),
+    lambda d: d.stack((np.diag([1.0, np.inf]),)),
+    lambda d: d.jets((np.eye(2),), (np.full((2, 2), np.nan),)),
+    lambda d: d.jets((np.eye(2),), (np.array([[0, np.inf], [-np.inf, 0]]),)),
     lambda d: feature_kernel(lambda u: u, 2, d, "id", lambda u, a: u @ a).diagonal_jet(
         [np.eye(2)], [np.full((2, 2), np.nan)]),
 ])
@@ -550,9 +550,9 @@ def test_admissibility_report_reads_kappa_from_its_gram(monkeypatch):
 
 
 def test_a_vector_domain_rejects_a_tangent_that_is_not_a_vector():
-    # check_tangent is the one-probe jets, and a stack no longer flattens a 2-d tangent
+    # one probe or a stack of them: neither flattens a 2-d tangent
     domain = VectorDomain(2)
-    for call in (lambda: domain.check_tangent(np.zeros(2), [[1.0, 0.0]]),
+    for call in (lambda: domain.jets((np.zeros(2),), ([[1.0, 0.0]],)),
                  lambda: domain.jets([np.zeros(2)], [[[1.0, 0.0]]])):
         with pytest.raises(DomainError, match=r"must be 1-d, got shape \(1, 2\)"):
             call()
@@ -560,7 +560,7 @@ def test_a_vector_domain_rejects_a_tangent_that_is_not_a_vector():
 
 def test_a_tangent_that_is_not_a_vector_is_called_a_tangent_of_its_domain():
     with pytest.raises(DomainError, match=r"^C\^2: tangent must be 1-d, got shape \(1, 2\)$"):
-        make_fock(np.eye(2)).domain.check_tangent(np.zeros(2), [[1.0, 0.0]])
+        make_fock(np.eye(2)).domain.jets((np.zeros(2),), ([[1.0, 0.0]],))
 
 
 def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
@@ -747,12 +747,12 @@ def test_a_unitary_stack_names_the_probe_that_fails_its_check(edit, message):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda d: d.check_point(2 * np.eye(2)),
+    (lambda d: d.stack((2 * np.eye(2),)),
      r"^U\(n\): not unitary, \|\|u\*u - I\|\| = 4\.243e\+00$"),
-    (lambda d: d.check_point(np.eye(3)), r"^U\(n\): expected 2x2 matrix, got \(3, 3\)$"),
-    (lambda d: d.check_tangent(np.eye(2), np.eye(2)),
+    (lambda d: d.stack((np.eye(3),)), r"^U\(n\): expected 2x2 matrix, got \(3, 3\)$"),
+    (lambda d: d.jets((np.eye(2),), (np.eye(2),)),
      r"^U\(n\): tangent not anti-Hermitian, \|\|a \+ a\*\|\| = 2\.828e\+00$"),
-    (lambda d: d.check_tangent(np.eye(2), np.zeros(2)),
+    (lambda d: d.jets((np.eye(2),), (np.zeros(2),)),
      r"^U\(n\): tangent shape \(2,\) != \(2,2\)$"),
 ])
 def test_a_unitary_domains_one_probe_messages_name_no_probe(call, message):
@@ -761,10 +761,10 @@ def test_a_unitary_domains_one_probe_messages_name_no_probe(call, message):
 
 
 def test_a_domain_that_defines_neither_stack_nor_jets_fails_at_once():
-    # check_point and check_tangent are the one-member stack and jets; the protocol has no default
+    # the protocol has no default stack or jets
     class Bare(Domain):
         name = "bare"
 
-    for call in (lambda d: d.check_point(0.0), lambda d: d.check_tangent(0.0, 1.0)):
+    for call in (lambda d: d.stack((0.0,)), lambda d: d.jets((0.0,), (1.0,))):
         with pytest.raises(AttributeError, match="'(stack|jets)'"):
             call(Bare())
