@@ -149,27 +149,23 @@ def stinespring_dilate(psi: CPMap) -> StinespringTriple:
     return _dilate([psi])[0][0]
 
 
-def _by_shape(maps: Sequence[CPMap]) -> list:
-    """The indices of the maps, one list per Kraus shape."""
-    shapes = [p.kraus.shape for p in maps]
-    return [[j for j, s in enumerate(shapes) if s == shape] for shape in dict.fromkeys(shapes)]
+def _kraus(maps: Sequence[CPMap]) -> np.ndarray:
+    """The (L, r, m, n) Kraus stack of L maps of one Kraus shape; unequal shapes are an error."""
+    if len(shapes := dict.fromkeys(p.kraus.shape for p in maps)) > 1:
+        raise ValueError(f"unequal Kraus shapes {', '.join(map(str, shapes))}: one stack per shape")
+    return np.array([p.kraus for p in maps])
 
 
 def _dilate(maps: Sequence[CPMap]) -> tuple[list, float]:
-    """stinespring_dilate of each map, and the max of their isometry_residual: per Kraus shape, one
-    stacked V and one ||V*V - I||, which is ||sum K K* - I||, the unitality check."""
-    triples, iso = [None] * len(maps), []
-    for group in _by_shape(maps):
-        k = np.array([maps[j].kraus for j in group])
-        r, m, n = k.shape[1:]
-        v = k.conj().transpose(0, 3, 1, 2).reshape(len(group), n * r, m)  # from (n, r, m)
-        if not (res := _max_norm(v.conj().swapaxes(-1, -2) @ v - np.eye(m))) <= 1e-8:
-            raise NumericsError(f"map is not unital (||sum K K* - I|| = {res:.3e}); "
-                                "non-unital inputs are rejected, not normalized")
-        iso.append(res)
-        for j, vj in zip(group, v):
-            triples[j] = StinespringTriple(v=vj, r=r, input_dim=n, output_dim=m)
-    return triples, float(np.max(iso))
+    """stinespring_dilate of each of L maps of one Kraus shape, and the max of their
+    isometry_residual: one stacked V and one ||V*V - I||, which is ||sum K K* - I||, the unitality
+    check."""
+    r, m, n = (k := _kraus(maps)).shape[1:]
+    v = k.conj().transpose(0, 3, 1, 2).reshape(len(k), n * r, m)  # from (n, r, m)
+    if not (res := _max_norm(v.conj().swapaxes(-1, -2) @ v - np.eye(m))) <= 1e-8:
+        raise NumericsError(f"map is not unital (||sum K K* - I|| = {res:.3e}); "
+                            "non-unital inputs are rejected, not normalized")
+    return [StinespringTriple(v=vj, r=r, input_dim=n, output_dim=m) for vj in v], res
 
 
 def verify_dilation(psi: CPMap, triple: StinespringTriple) -> float:
@@ -178,15 +174,12 @@ def verify_dilation(psi: CPMap, triple: StinespringTriple) -> float:
 
 
 def _dilation_residual(maps: Sequence[CPMap], triples: Sequence) -> float:
-    """The max of verify_dilation over the maps, with its bits: per Kraus shape (the triples of a
-    shape alike), Psi(a) and V* (a (x) I_r) V at all n^2 matrix units a in one stack."""
-    dil = []
-    for group in _by_shape(maps):
-        k, v = np.array([maps[j].kraus for j in group]), np.array([triples[j].v for j in group])
-        units = np.eye(k.shape[-1] ** 2, dtype=complex).reshape((-1,) + k.shape[-1:] * 2)
-        lam = v.conj().swapaxes(-1, -2)[:, None] @ triples[group[0]].lam(units) @ v[:, None]
-        dil.append(np.max(np.linalg.norm(_apply(k[:, None], units) - lam, axis=(-2, -1))))
-    return float(np.max(dil))
+    """The max of verify_dilation over L maps of one Kraus shape (their triples alike), with its
+    bits: Psi(a) and V* (a (x) I_r) V at all n^2 matrix units a in one stack."""
+    k, v = _kraus(maps), np.array([t.v for t in triples])
+    units = np.eye(k.shape[-1] ** 2, dtype=complex).reshape((-1,) + k.shape[-1:] * 2)
+    lam = v.conj().swapaxes(-1, -2)[:, None] @ triples[0].lam(units) @ v[:, None]
+    return float(np.max(np.linalg.norm(_apply(k[:, None], units) - lam, axis=(-2, -1))))
 
 
 def cp_kernel(psi: CPMap) -> Kernel:
@@ -245,17 +238,16 @@ def _cp_covariant(psi: CPMap, sigma: Section, us: Sequence, xs: Sequence) -> np.
 
 def random_unitary(n: int, seed: int) -> np.ndarray:
     """A deterministic unitary from a seeded complex Gaussian: the one-seed `_random_unitaries`."""
-    return _random_unitaries(n, seed)
+    return _random_unitaries(n, [seed])[0]
 
 
 def _random_unitaries(n: int, seeds) -> np.ndarray:
-    """random_unitary of one int seed, or the (L, n, n) stack of L seeds: one generator per seed
-    and one (2, n, n) draw each, then one QR and one phase fix, Q times the phases of diag R."""
+    """The (L, n, n) stack of random_unitary at L seeds: one generator per seed and one (2, n, n)
+    draw each, then one QR and one phase fix, Q times the phases of diag R."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    draw = lambda seed: np.random.default_rng(seed).standard_normal((2, n, n))  # noqa: E731
-    z = draw(seeds) if np.ndim(seeds) == 0 else np.array([draw(seed) for seed in seeds])
-    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    z = np.array([np.random.default_rng(seed).standard_normal((2, n, n)) for seed in seeds])
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = r.diagonal(0, -2, -1)[..., None, :]
     return q * (d / np.abs(d))
 

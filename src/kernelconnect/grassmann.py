@@ -129,22 +129,20 @@ def fiber_basis(point: HermitianProjector) -> np.ndarray:
     A point moved from a probe, u p u* (`_orbit`), holds u B(p): the gauge belongs to the probe.
     Any other projector gets, once per object, the eigenvectors of p with eigenvalue 1 in
     ascending order, each column's largest-modulus entry rotated to be real positive
-    (`_eigenbases`).  That rule is reproducible but not continuous in p (the eigenspace is
+    (`_eigenbasis`).  That rule is reproducible but not continuous in p (the eigenspace is
     degenerate), so only gauge-covariant combinations of bases are meaningful.
     """
     if "_fiber_basis" not in vars(point):
-        vars(point)["_fiber_basis"] = _eigenbases(point.p[None], point.rank)[0][0]
+        vars(point)["_fiber_basis"] = _eigenbasis(point)[0]
     return vars(point)["_fiber_basis"]
 
 
-def _eigenbases(m: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One eigh of an (L, n, n) stack of rank-k projectors' Hermitian parts: the read-only (L, n, k)
-    range bases under the phase rule, each F-ordered as BLAS sees it, the values and vectors.
-    Each is a checked HermitianProjector or a unitary conjugate of one: exactly k exceed 0.5."""
-    values, vectors = np.linalg.eigh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-    cols = np.empty(m.shape[:-2] + (rank, m.shape[-1]), dtype=complex).swapaxes(-1, -2)
-    cols[...] = vectors[..., m.shape[-1] - rank:]  # eigenvalues ascend: the near-1 ones are last
-    top = np.take_along_axis(cols, np.argmax(np.abs(cols), axis=-2)[..., None, :], axis=-2)
+def _eigenbasis(point: HermitianProjector) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One eigh of a checked projector's Hermitian part: the read-only (n, k) range basis under the
+    phase rule, F-ordered as BLAS sees it, the values and vectors.  Exactly k values exceed 0.5."""
+    values, vectors = np.linalg.eigh(0.5 * (point.p + point.p.conj().T))
+    cols = vectors[:, point.n - point.rank:].copy("F")  # eigenvalues ascend: the near-1 ones last
+    top = np.take_along_axis(cols, np.argmax(np.abs(cols), axis=0)[None], axis=0)
     np.divide(cols, top / np.hypot(top.real, top.imag), out=cols)  # hypot rounds as scalar abs
     cols.flags.writeable = False
     return cols, values, vectors
@@ -156,6 +154,10 @@ class GrassDomain(Domain):
 
     n: int
     k: int
+
+    def __post_init__(self):  # Gr(0, n) and Gr(n, n) are single points: no curve moves there
+        if not 0 < self.k < self.n:
+            raise DomainError(f"{self.name}: the rank must satisfy 0 < k < n")
 
     @property
     def name(self) -> str:
@@ -260,9 +262,9 @@ def _random_generators(point: HermitianProjector, rng: np.random.Generator, coun
     stream and bits of count one-member draws.  The range and complement columns b, c come from one
     eigh, held by the projector beside its fiber basis."""
     if "_complement_basis" not in vars(point):
-        bases, values, vectors = _eigenbases(point.p[None], point.rank)
-        vars(point).setdefault("_fiber_basis", bases[0])
-        vars(point)["_complement_basis"] = vectors[0][:, values[0] <= 0.5]
+        basis, values, vectors = _eigenbasis(point)
+        vars(point).setdefault("_fiber_basis", basis)
+        vars(point)["_complement_basis"] = vectors[:, values <= 0.5]
     b, c = fiber_basis(point), vars(point)["_complement_basis"]
     a = b @ _normals(rng, count, (b.shape[1], c.shape[1])) @ c.conj().T
     return a - a.conj().swapaxes(-1, -2)

@@ -153,10 +153,9 @@ class VectorDomain(Domain):
             a = np.array(points, dtype=complex)
         except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
             a = [_as_point(p) for p in points]
-            bad = [i for i, p in enumerate(a) if p.shape != (self.dim,)]
-            if bad:
-                raise self._error(f"expected dimension {self.dim}, got {a[bad[0]].shape[0]}",
-                                  bad[0], len(a))
+            dims = np.array([len(p) for p in a])
+            self._refuse(dims != self.dim, lambda i: f"expected dimension {self.dim}, got {dims[i]}",
+                         "point")
             a = np.array(a)
         if a.ndim == 1:  # scalar points, or no points at all
             a = a.reshape((-1, 1) if a.size else (0, self.dim))
@@ -174,8 +173,7 @@ class VectorDomain(Domain):
         s = self.stack(points)
         x = np.array(_paired(s, directions), dtype=complex)
         if not _finite(x):  # then name the first probe whose tangent is not
-            i = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
-            raise self._error("tangent is not finite", i, len(x), "probe")
+            self._refuse(~np.isfinite(x), lambda i: "tangent is not finite")
         x = x[:, None] if x.ndim == 1 else x  # scalar tangents of C^1
         if x.ndim != 2:
             raise DomainError(f"{self.name}: tangent must be 1-d, got shape {x.shape[1:]}")
@@ -226,7 +224,7 @@ class UnitaryDomain(Domain):
     """Points are n x n unitary matrices; tangents anti-Hermitian matrices; curves u exp(t a)."""
 
     n: int
-    name: str = "U(n)"
+    name = "U(n)"
 
     def stack(self, points: Sequence) -> np.ndarray:
         """Domain.stack as one checked (N, n, n) array, by one stacked ||u*u - I||."""

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -422,8 +423,8 @@ def _mixed_maps():
 
 
 def test_stacked_dilations_have_the_bits_of_their_one_map_calls():
-    maps = _mixed_maps()
-    assert [p.choi_rank for p in maps] == [4, 1, 3, 2, 4, 3, 1]
+    maps = cpmaps._random_unital_cpmaps(3, 2, 4, np.random.default_rng(43), 6)
+    assert [p.kraus.shape for p in maps] == [(4, 2, 3)] * 6
     triples, iso = cpmaps._dilate(maps)
     assert iso == max(t.isometry_residual() for t in triples)
     for psi, triple in zip(maps, triples):
@@ -441,7 +442,28 @@ def test_stacked_dilations_have_the_bits_of_their_one_map_calls():
         assert dil == max(verify_dilation(p, t) for p, t in zip(maps, stack))
     assert dil > 1e-3
     with pytest.raises(NumericsError, match="map is not unital"):
-        cpmaps._dilate(maps + [choi_from_kraus([0.5 * np.eye(2)])])
+        cpmaps._dilate(maps + [CPMap(3, 2, 0.5 * maps[0].choi)])  # one shape, not unital
+
+
+def test_maps_of_unequal_kraus_shape_are_refused_by_name():
+    maps = _mixed_maps()
+    triples = [stinespring_dilate(p) for p in maps]
+    shapes = "(4, 2, 3), (1, 2, 3), (3, 3, 2), (2, 2, 3), (1, 2, 2)"
+    for stacked in (lambda: cpmaps._dilate(maps), lambda: cpmaps._dilation_residual(maps, triples)):
+        with pytest.raises(ValueError, match=re.escape(f"unequal Kraus shapes {shapes}: ")):
+            stacked()
+    assert cpmaps._dilation_residual(maps[:1], triples[:1]) == verify_dilation(maps[0], triples[0])
+
+
+def test_a_unitary_conjugation_dilates_onto_all_of_its_space():
+    # Choi rank 1 and m = n: V is unitary, and S0 = Ran(V V*) is all of C^n, a projector of rank n
+    psi = choi_from_kraus([random_unitary(3, seed=5)])
+    triple = stinespring_dilate(psi)
+    assert triple.r == 1 and np.linalg.norm(triple.v @ triple.v.conj().T - np.eye(3)) < 1e-14
+    _, s0 = lambda_kernel(psi, triple)
+    assert s0.rank == 3 and fiber_basis(s0).shape == (3, 3)
+    pairs = [(random_unitary(3, seed=60 + i), random_unitary(3, seed=70 + i)) for i in range(3)]
+    assert pullback_identity_residual(psi, triple, pairs) < 1e-13
 
 
 def test_pullback_identity_checks_its_pairs_once_and_keeps_the_bits_of_its_loop(monkeypatch):

@@ -117,6 +117,17 @@ def test_a_grassmann_stack_names_its_first_point_that_is_not_in_the_domain(bad, 
             call(GrassDomain(4, 2))
 
 
+@pytest.mark.parametrize("n, k", [(3, 0), (3, 3), (1, 1), (2, 0)])
+def test_a_grassmannian_of_one_point_is_refused_at_construction(n, k):
+    # Gr(0, n) and Gr(n, n) have no tangent to step along: every backend failed late there
+    for build in (GrassDomain, universal_kernel):
+        with pytest.raises(DomainError, match=rf"^Gr\({k},{n}\): the rank must satisfy 0 < k < n$"):
+            build(n, k)
+    # a projector of rank 0 or n is still a projector, with a basis of k columns
+    point = HermitianProjector(np.eye(n) if k else np.zeros((n, n)), k)
+    assert fiber_basis(point).shape == (n, k)
+
+
 @pytest.mark.parametrize("bad, message", [
     (lambda ps, xs: xs[1].generator, r"tangent is not a GrassTangent \(probe 1 of 3\)"),
     (lambda ps, xs: xs[0], r"tangent is anchored at another point \(probe 1 of 3\)"),
@@ -390,7 +401,8 @@ def test_fiber_basis_is_computed_once_per_projector_and_read_only():
     b = fiber_basis(point)
     assert fiber_basis(point) is b
     assert not b.flags.writeable and not point.p.flags.writeable
-    assert np.array_equal(b, _fiber_basis_uncached(point))
+    want = _fiber_basis_uncached(point)
+    assert b.tobytes() == want.tobytes() and b.strides == want.strides
     with pytest.raises(ValueError):
         b[0, 0] = 0.0
 
@@ -560,25 +572,6 @@ def test_grassmann_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bi
             assert q.p.tobytes() == r.p.tobytes() == (u @ point.p @ u.conj().T).tobytes()
 
 
-def test_stacked_fiber_bases_are_the_one_point_bases_bit_for_bit(monkeypatch):
-    points = [_random_point(6, 3, seed=60 + i) for i in range(8)] + [coordinate_projector(6, 3)]
-    bases, _, _ = grassmann._eigenbases(np.array([p.p for p in points]), 3)
-    for point, b in zip(points, bases):
-        want = _fiber_basis_uncached(point)
-        assert b.tobytes() == want.tobytes() and b.strides == want.strides
-    # a probe without a basis: the stencil call diagonalizes it alone, and its points none
-    drawn, a = _probe(6, 3, seed=70)
-    point = HermitianProjector(drawn.p, 3)  # without the basis random_grass_tangent held
-    calls, stacked = [], grassmann._eigenbases
-    monkeypatch.setattr(grassmann, "_eigenbases",
-                        lambda m, rank: calls.append(len(m)) or stacked(m, rank))
-    (stencil,), _ = GrassDomain(6, 3)._stencils((point,), (GrassTangent(point, a),), 1e-4)
-    for q in [point, *stencil]:
-        fiber_basis(q)
-    assert calls == [1]
-    assert fiber_basis(point).tobytes() == _fiber_basis_uncached(point).tobytes()
-
-
 def _assert_moved_basis(q, u, b):
     """q holds u b bit for bit, read-only: orthonormal columns that span the range of q."""
     got = fiber_basis(q)
@@ -591,11 +584,13 @@ def _assert_moved_basis(q, u, b):
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
 def test_stencil_and_orbit_points_hold_their_probes_basis_moved_with_them(n, k, monkeypatch):
     # B(u p u*) = u B(p): one frame along each curve, from a product, never from an eigh
-    point, a = _probe(n, k, seed=80 + n)
-    b, calls, stacked = fiber_basis(point), [], grassmann._eigenbases
-    monkeypatch.setattr(grassmann, "_eigenbases",
-                        lambda m, rank: calls.append(len(m)) or stacked(m, rank))
+    drawn, a = _probe(n, k, seed=80 + n)
+    point = HermitianProjector(drawn.p, k)  # without the basis random_grass_tangent held
+    calls, eigenbasis = [], grassmann._eigenbasis
+    monkeypatch.setattr(grassmann, "_eigenbasis", lambda q: calls.append(q) or eigenbasis(q))
     (stencil,), _ = GrassDomain(n, k)._stencils((point,), (GrassTangent(point, a),), 1e-4)
+    b = fiber_basis(point)  # the stencil call diagonalized the probe, and held its basis
+    assert b.tobytes() == _fiber_basis_uncached(point).tobytes()
     for t, q in zip(_TS, stencil):
         _assert_moved_basis(q, _exp(_unit(a)[0], t), b)
     base = coordinate_projector(n, k)
@@ -604,7 +599,8 @@ def test_stencil_and_orbit_points_hold_their_probes_basis_moved_with_them(n, k, 
     grassmann._reductive(lambda q: orbit.append(q) or q.p[:, 0], (g,), (x.generator,), base)
     for u, q in zip([_exp(_unit(x.generator)[0], t, g) for t in _TS] + [g], orbit):
         _assert_moved_basis(q, u, base_basis)
-    assert calls == [1] and len(orbit) == 5  # coordinate_projector's own basis, and no other
+    # the probe's basis and coordinate_projector's, and no other
+    assert [id(q) for q in calls] == [id(point), id(base)] and len(orbit) == 5
 
 
 def _universal_restated(f, point, a):
@@ -663,9 +659,8 @@ def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stac
     exponentials, eigh = [], kernels.hermitian_eigh
     monkeypatch.setattr(kernels, "hermitian_eigh",
                         lambda m: exponentials.append(np.shape(m)) or eigh(m))
-    bases, stacked = [], grassmann._eigenbases
-    monkeypatch.setattr(grassmann, "_eigenbases",
-                        lambda m, rank: bases.append(len(m)) or stacked(m, rank))
+    bases, eigenbasis = [], grassmann._eigenbasis
+    monkeypatch.setattr(grassmann, "_eigenbasis", lambda q: bases.append(q.p) or eigenbasis(q))
     grassmann_agreement(4, 2, probes=5, seed=0)
     # universal for f and for g, reductive, direct, and metric compatibility's derivative
     assert sorted(calls) == ["_reductive", "_universal", "_universal", "derivatives", "evaluate"]
@@ -673,7 +668,7 @@ def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stac
     assert exponentials == [(5, 4, 4), (5, 4, 4)]
     # one eigh, of the base: the probes, their stencil points and the orbit points hold its basis
     # moved with them
-    assert bases == [1]
+    assert [p.tobytes() for p in bases] == [coordinate_projector(4, 2).p.tobytes()]
 
 
 def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypatch):
@@ -682,13 +677,13 @@ def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypa
     probes, universal = [], grassmann._universal
     monkeypatch.setattr(grassmann, "_universal",
                         lambda f, ps, xs: probes.append(ps) or universal(f, ps, xs))
-    diagonalized, stacked = [], grassmann._eigenbases
-    monkeypatch.setattr(grassmann, "_eigenbases",
-                        lambda m, rank: diagonalized.append(m.copy()) or stacked(m, rank))
+    diagonalized, eigenbasis = [], grassmann._eigenbasis
+    monkeypatch.setattr(grassmann, "_eigenbasis",
+                        lambda q: diagonalized.append(q.p.copy()) or eigenbasis(q))
     grassmann_agreement(4, 2, probes=5, seed=3)
     monkeypatch.undo()
     base = coordinate_projector(4, 2)
-    assert [m.tobytes() for m in diagonalized] == [base.p[None].tobytes()]  # the base alone
+    assert [m.tobytes() for m in diagonalized] == [base.p.tobytes()]  # the base alone
     gs = cpmaps._random_unitaries(4, range(203, 208))
     assert probes[0] is probes[1] and len(probes[0]) == len(gs)
     for g, q in zip(gs, probes[0]):
@@ -702,13 +697,13 @@ def test_universality_probes_are_orbit_points_holding_the_base_basis_moved(monke
     samples, build = {}, verify.build_rkhs
     monkeypatch.setattr(verify, "build_rkhs",
                         lambda k, pts: samples.update({k.name: pts}) or build(k, pts))
-    diagonalized, stacked = [], grassmann._eigenbases
-    monkeypatch.setattr(grassmann, "_eigenbases",
-                        lambda m, rank: diagonalized.append(m.copy()) or stacked(m, rank))
+    diagonalized, eigenbasis = [], grassmann._eigenbasis
+    monkeypatch.setattr(grassmann, "_eigenbasis",
+                        lambda q: diagonalized.append(q.p.copy()) or eigenbasis(q))
     verify._universality_checks(5)
     monkeypatch.undo()
     base, *orbit = samples["universal:n=4,k=2"]
-    assert [m.tobytes() for m in diagonalized] == [base.p[None].tobytes()]  # the base alone
+    assert [m.tobytes() for m in diagonalized] == [base.p.tobytes()]  # the base alone
     assert base.p.tobytes() == coordinate_projector(4, 2).p.tobytes()
     for g, q in zip(cpmaps._random_unitaries(4, range(105, 109)), orbit):
         assert q.p.tobytes() == (g @ base.p @ g.conj().T).tobytes()
@@ -742,7 +737,7 @@ def _parent_normal(rng, shape):  # one standard complex normal draw, as each cal
 
 def _parent_generators(point, rng, count):
     """random_grass_tangent's generators one call at a time, at an exactly Hermitian projector,
-    whose eigh gives the complement columns `_eigenbases` gives."""
+    whose eigh gives the complement columns `_eigenbasis` gives."""
     values, vectors = np.linalg.eigh(point.p)
     b, c, out = _fiber_basis_uncached(point), vectors[:, values <= 0.5], []
     for _ in range(count):
