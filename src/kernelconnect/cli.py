@@ -246,18 +246,16 @@ def _cmd_connect_transport(args) -> int:
                                       np.broadcast_to(end - start, (len(t), len(start)))))
     rungs = sorted({max(1, args.steps // d) for d in (8, 4, 2, 1)})
     coarse = rungs[-2] if len(rungs) > 1 else 2  # --steps 1 has no coarser rung: 2 steps stand in
-    every = sorted({*rungs, coarse})
-    vectors, ends = kc.connections._transport(k, curve, v0, every)  # one jet for the whole ladder
-    ladder = dict(zip(every, vectors))
-    final = ladder[args.steps]  # metric_drift: v* kappa(s, s) v, which exact transport keeps
+    ladder = {n: kc.connections._transport(k, curve, v0, n) for n in sorted({*rungs, coarse})}
+    final, ends = ladder[args.steps]  # metric_drift: v* kappa(s, s) v, which exact transport keeps
     start_norm, end_norm = (np.vdot(v, kss @ v).real for v, kss in zip((v0, final), ends))
     drift = abs(end_norm - start_norm) / start_norm if start_norm else 0.0
     # step doubling at the rate the ladder shows, at most RK4's (steps / coarse)^4
-    own_error = float(np.linalg.norm(final - ladder[coarse]))
+    own_error = float(np.linalg.norm(final - ladder[coarse][0]))
     if len(rungs) > 2 and own_error > 0:  # two rungs show no rate: keep the difference
-        seen = float(np.linalg.norm(ladder[coarse] - ladder[rungs[-3]])) / own_error
+        seen = float(np.linalg.norm(ladder[coarse][0] - ladder[rungs[-3]][0])) / own_error
         own_error /= max(min(seen, (args.steps / coarse) ** 4) - 1.0, 1.0)
-    table = [(n, float(np.linalg.norm(ladder[n] - final))) for n in rungs[:-1]]
+    table = [(n, float(np.linalg.norm(ladder[n][0] - final))) for n in rungs[:-1]]
     table.append((args.steps, own_error))
     if args.format == "csv":
         lines = _csv_rows(final[None])

@@ -204,45 +204,36 @@ def make_evaluator(k: Kernel, backend: str = "direct",
 def parallel_transport(k: Kernel, curve: Curve, v0, steps: int) -> np.ndarray:
     """Transport v0 along the curve by integrating v' = -alpha_gamma(t)(gamma'(t)) v.
 
-    Classical 4th-order one-step integration with fixed step 1/steps.  The one-rung case of
-    `_transport`.
+    Classical 4th-order one-step integration with fixed step 1/steps: `_transport`'s vector.
     """
-    return _transport(k, curve, v0, (steps,))[0][0]
+    return _transport(k, curve, v0, steps)[0]
 
 
-def _transport(k: Kernel, curve: Curve, v0, rungs: Sequence[int]) -> tuple[list, np.ndarray]:
-    """parallel_transport at each number of steps in `rungs`, and the (2, M, M) kappa(s, s) at the
-    curve's two ends.
+def _transport(k: Kernel, curve: Curve, v0, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """parallel_transport in `steps` steps, and the (2, M, M) kappa(s, s) at the curve's two ends.
 
-    One diagonal jet gives the forms at the union of the rungs' nodes (read by the curve's `batch`
-    if any); a rung of n steps reads its nodes t_j = j / (2n) from it, bit for bit, and builds every
-    step's propagator P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v as one stacked
-    expression.  A rung whose vector is not finite raises NumericsError.
+    One diagonal jet gives the forms at the nodes t_j = j / (2 steps), read by the curve's `batch`
+    if any, and every step's propagator P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v
+    is one stacked expression.  A vector that is not finite raises NumericsError.
     """
-    if min(rungs) < 1:
-        raise ValueError(f"steps must be >= 1, got {min(rungs)}")
-    v0 = np.atleast_1d(np.asarray(v0, dtype=complex))
-    grids = [np.arange(2 * n + 1) / (2 * n) for n in rungs]
-    nodes = np.sort(np.concatenate(grids))  # their union (np.unique would import numpy.ma)
-    nodes = nodes[np.diff(nodes, prepend=-1.0) > 0]
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    v = np.atleast_1d(np.asarray(v0, dtype=complex))
+    nodes, eye, dt = np.arange(2 * steps + 1) / (2 * steps), np.eye(k.fiber_dim), 1.0 / steps
     kss, d2 = k.diagonal_jet(*(curve.batch(nodes) if curve.batch else
                                (list(map(curve.gamma, nodes)), list(map(curve.velocity, nodes)))))
     if len(kss) != len(nodes):
         raise ValueError(f"the curve's batch gave {len(kss)} points for {len(nodes)} parameters")
-    forms, eye, out = -_solve(kss, d2), np.eye(k.fiber_dim), []
-    for n, grid in zip(rungs, grids):
-        a, dt = forms[np.searchsorted(nodes, grid)], 1.0 / n
-        k1 = a[:-1:2]
-        k2 = a[1::2] @ (eye + 0.5 * dt * k1)
-        k3 = a[1::2] @ (eye + 0.5 * dt * k2)
-        k4 = a[2::2] @ (eye + dt * k3)
-        v = v0
-        for p in eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
-            v = p @ v
-        if not _finite(v):
-            raise NumericsError(f"transport at {n} steps is not finite")
-        out.append(v)
-    return out, kss[[0, -1]]
+    a = -_solve(kss, d2)
+    k1 = a[:-1:2]
+    k2 = a[1::2] @ (eye + 0.5 * dt * k1)
+    k3 = a[1::2] @ (eye + 0.5 * dt * k2)
+    k4 = a[2::2] @ (eye + dt * k3)
+    for p in eye + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4):
+        v = p @ v
+    if not _finite(v):
+        raise NumericsError(f"transport at {steps} steps is not finite")
+    return v, kss[[0, -1]]
 
 
 def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
@@ -256,19 +247,16 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
 def _leibniz(nablas: Sequence[ConnectionEvaluator], f: Section, sigma: Section,
              probes: Sequence[tuple], h: float = DEFAULT_STEP) -> list[float]:
     """leibniz_residual of each evaluator of one kernel, its probes checked once: f, a scalar
-    section, read by one `_values` call at the probes and one at their stencils, gives df, f(s)
-    and f sigma there; f sigma takes sigma's `batch`, multiplied as at one point by numpy."""
+    section, read by one `_values` call at the probes and one at their stencils, gives df and f(s);
+    f sigma takes sigma's `batch`, f read at the same points and multiplied as at one point."""
     domain = nablas[0].kernel.domain
     s, x = domain.jets([p for p, _ in probes], [v for _, v in probes])  # the one check
     stencils, weights = domain._stencils(s, x, h)
-    fs, fst = _fiber(f._values(s), 1), f._values(stencils, 2)
-    df = stencil_sum(weights, fst)
+    fs, df = _fiber(f._values(s), 1), stencil_sum(weights, f._values(stencils, 2))
 
-    def product(p):  # f sigma at a stack of points: f's values above, or f's at those points
-        values = sigma.batch(p)  # (..., m): its leading axes are the stack's
-        fp = (fst if np.array_equal(p, stencils) else fs if np.array_equal(p, s) else
-              f._values(p.reshape((-1,) + p.shape[values.ndim - 1:])))
-        return fp.reshape(values.shape[:-1] + (1,)) * values
+    def product(p):  # f sigma at a stack of points, its leading axes the stack's
+        values = sigma.batch(p)
+        return f._values(p, values.ndim - 1).reshape(values.shape[:-1] + (1,)) * values
 
     fsigma = Section(F=lambda p: f.value(p) * sigma.value(p), batch=sigma.batch and product)
     rhs = df * sigma._values(s)

@@ -150,9 +150,10 @@ def stinespring_dilate(psi: CPMap) -> StinespringTriple:
 
 
 def _kraus(maps: Sequence[CPMap]) -> np.ndarray:
-    """The (L, r, m, n) Kraus stack of L maps of one Kraus shape; unequal shapes are an error."""
-    if len(shapes := dict.fromkeys(p.kraus.shape for p in maps)) > 1:
-        raise ValueError(f"unequal Kraus shapes {', '.join(map(str, shapes))}: one stack per shape")
+    """The (L, r, m, n) Kraus stack of L >= 1 maps of one Kraus shape; two shapes are an error."""
+    if len(shapes := dict.fromkeys(p.kraus.shape for p in maps)) != 1:
+        raise ValueError("empty stack of CP maps: nothing to dilate" if not shapes else
+                         f"unequal Kraus shapes {', '.join(map(str, shapes))}: one stack per shape")
     return np.array([p.kraus for p in maps])
 
 
@@ -246,6 +247,8 @@ def _random_unitaries(n: int, seeds) -> np.ndarray:
     draw each, then one QR and one phase fix, Q times the phases of diag R."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not len(seeds):
+        raise ValueError("empty stack of seeds: no unitaries to draw")
     z = np.array([np.random.default_rng(seed).standard_normal((2, n, n)) for seed in seeds])
     q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
     d = r.diagonal(0, -2, -1)[..., None, :]

@@ -259,13 +259,10 @@ def random_grass_tangent(point: HermitianProjector, rng: np.random.Generator) ->
 
 def _random_generators(point: HermitianProjector, rng: np.random.Generator, count: int):
     """count generators a - a*, a = b r c*, from one (count, 2, k, n - k) normal draw of the r: the
-    stream and bits of count one-member draws.  The range and complement columns b, c come from one
-    eigh, held by the projector beside its fiber basis."""
-    if "_complement_basis" not in vars(point):
-        basis, values, vectors = _eigenbasis(point)
-        vars(point).setdefault("_fiber_basis", basis)
-        vars(point)["_complement_basis"] = vectors[:, values <= 0.5]
-    b, c = fiber_basis(point), vars(point)["_complement_basis"]
+    stream and bits of count one-member draws.  b is the fiber basis, and the complement columns c
+    come from one eigh."""
+    (_, values, vectors), b = _eigenbasis(point), fiber_basis(point)
+    c = vectors[:, values <= 0.5]
     a = b @ _normals(rng, count, (b.shape[1], c.shape[1])) @ c.conj().T
     return a - a.conj().swapaxes(-1, -2)
 

@@ -170,8 +170,14 @@ class VectorDomain(Domain):
 
     def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
         """Domain.jets as checked (L, d) stacks of points and directions."""
-        s = self.stack(points)
-        x = np.array(_paired(s, directions), dtype=complex)
+        s, x = self.stack(points), _paired(points, directions)
+        try:
+            x = np.array(x, dtype=complex)
+        except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
+            x = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in x]
+            dims = np.array([len(v) for v in x])
+            self._refuse(dims != self.dim, lambda i: f"tangent dimension {dims[i]} != {self.dim}")
+            x = np.array(x)
         if not _finite(x):  # then name the first probe whose tangent is not
             self._refuse(~np.isfinite(x), lambda i: "tangent is not finite")
         x = x[:, None] if x.ndim == 1 else x  # scalar tangents of C^1

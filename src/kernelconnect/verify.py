@@ -87,9 +87,9 @@ def _scalar_test_section(dim, rng, const=1.0, q=0.1):
                    batch=batch)
 
 
-def _check(name, module, residual, tolerance):
-    return {"name": name, "module": module, "residual": float(residual),
-            "tolerance": float(tolerance), "passed": bool(residual < tolerance)}
+def _check(name, residual, tolerance):  # run_suite stamps its module
+    return {"name": name, "residual": float(residual), "tolerance": float(tolerance),
+            "passed": bool(residual < tolerance)}
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +109,9 @@ def _backend_agreement_checks(seed):
         closed, direct, sampled = (make_evaluator(k, b).evaluate(sigma, *probes)
                                    for b in ("closed-form", "direct", "sampled"))
         checks.append(_check(f"backend_agreement/closed_vs_direct/{k.name}",
-                             "connections", _max_norm(closed - direct), 1e-8))
+                             _max_norm(closed - direct), 1e-8))
         checks.append(_check(f"backend_agreement/direct_vs_sampled/{k.name}",
-                             "connections", _max_norm(sampled - direct), 1e-6))
+                             _max_norm(sampled - direct), 1e-6))
     return checks
 
 
@@ -120,7 +120,7 @@ def _fock_form_check(seed):
     k = make_fock(np.eye(3))
     s, x = _probes(rng, 100, partial(_normals, dim=3), 3, 0.7)
     res = np.max(np.abs(connection_forms(k, s, x)[:, 0, 0] - (s * np.conj(x)).sum(-1)))
-    return [_check("fock/connection_form_matches_formula", "connections", res, 1e-8)]
+    return [_check("fock/connection_form_matches_formula", res, 1e-8)]
 
 
 def _disk_sign_checks(seed):
@@ -132,8 +132,8 @@ def _disk_sign_checks(seed):
     probes = _probes(rng, 40, _disk)
     direct = oracle.evaluate(sigma, *probes)[:, 0]
     res_grid = np.max(np.abs(connection_forms(k, *probes)[:, 0, 0] - direct))
-    return [_check("disk_sign/direct_oracle_value", "connections", res_value, 1e-6),
-            _check("disk_sign/closed_form_matches_oracle_grid", "connections", res_grid, 1e-8)]
+    return [_check("disk_sign/direct_oracle_value", res_value, 1e-6),
+            _check("disk_sign/closed_form_matches_oracle_grid", res_grid, 1e-8)]
 
 
 def _universality_checks(seed):
@@ -156,7 +156,7 @@ def _universality_checks(seed):
     checks = []
     for name, k, pts in cases:
         r = build_rkhs(k, pts)
-        checks.append(_check(f"universality/{name}", "rkhs", universality_residual(r), 1e-8))
+        checks.append(_check(f"universality/{name}", universality_residual(r), 1e-8))
     return checks
 
 
@@ -169,7 +169,7 @@ def _admissibility_checks(seed):
                          "rank-one-degenerate")
     pts = [np.array([z]) for z in (0.1, 0.4 - 0.2j, -0.3 + 0.1j, 0.25j)]
     worst = abs(admissibility_report(deg, pts)["min_sigma"])
-    checks.append(_check("admissibility/rank_one_both_vanish", "kernels", worst, 1e-8))
+    checks.append(_check("admissibility/rank_one_both_vanish", worst, 1e-8))
 
     builtins = [
         (make_bergman_disk(2), [np.array([z]) for z in (0.0, 0.4, -0.3 + 0.2j, 0.5j)]),
@@ -178,7 +178,7 @@ def _admissibility_checks(seed):
     ]
     for k, sample in builtins:
         margin = admissibility_report(k, sample)["min_sigma"] - 0.5
-        checks.append(_check(f"admissibility/positive_margin/{k.name}", "kernels", -margin, 0.0))
+        checks.append(_check(f"admissibility/positive_margin/{k.name}", -margin, 0.0))
     return checks
 
 
@@ -220,9 +220,8 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
 
 def _grassmann_checks(seed):
     rep = grassmann_agreement(4, 2, probes=20, seed=seed)
-    return [_check("grassmann/three_way_agreement", "grassmann", rep["three_way_residual"], 1e-6),
-            _check("grassmann/metric_compatibility", "grassmann",
-                   rep["metric_compatibility_residual"], 1e-6)]
+    return [_check("grassmann/three_way_agreement", rep["three_way_residual"], 1e-6),
+            _check("grassmann/metric_compatibility", rep["metric_compatibility_residual"], 1e-6)]
 
 
 def _homogeneous_checks(seed):
@@ -244,7 +243,7 @@ def _homogeneous_checks(seed):
     generic = make_evaluator(hk, "direct").evaluate(Section(F=coords, batch=coords), us, xs)
     formulas = grassmann._homogeneous(Section(F=phi, batch=phi), p, us, xs)
     res = _max_norm((b.conj().T @ formulas[..., None])[..., 0] - generic)
-    return [_check("homogeneous/formula_vs_generic", "grassmann", res, 1e-6)]
+    return [_check("homogeneous/formula_vs_generic", res, 1e-6)]
 
 
 def _stinespring_checks(seed):
@@ -272,11 +271,11 @@ def _stinespring_checks(seed):
     generic = make_evaluator(cpmaps.cp_kernel(psi), "direct").evaluate(sigma, us, xs)
     cov_res = _max_norm(cpmaps._cp_covariant(psi, sigma, us, xs) - generic)
 
-    return [_check("stinespring/isometry", "cpmaps", iso_res, 1e-12),
-            _check("stinespring/dilation_identity", "cpmaps", dil_res, 1e-10),
-            _check("stinespring/rank_equals_choi_rank", "cpmaps", float(rank_mismatch), 1.0),
-            _check("stinespring/pullback_identity", "cpmaps", pull_res, 1e-10),
-            _check("stinespring/covariant_derivative_vs_generic", "cpmaps", cov_res, 1e-6)]
+    return [_check("stinespring/isometry", iso_res, 1e-12),
+            _check("stinespring/dilation_identity", dil_res, 1e-10),
+            _check("stinespring/rank_equals_choi_rank", float(rank_mismatch), 1.0),
+            _check("stinespring/pullback_identity", pull_res, 1e-10),
+            _check("stinespring/covariant_derivative_vs_generic", cov_res, 1e-6)]
 
 
 def _leibniz_checks(seed):
@@ -292,8 +291,7 @@ def _leibniz_checks(seed):
         f = _scalar_test_section(k.domain.dim, rng, 0.5, 0.0)  # 0.5 + a.z + b.conj(z)
         backends = ("closed-form", "direct", "sampled")
         residuals = _leibniz([make_evaluator(k, b) for b in backends], f, sigma, list(zip(*probes)))
-        checks += [_check(f"leibniz/{k.name}/{b}", "connections", res, 1e-6)
-                   for b, res in zip(backends, residuals)]
+        checks += [_check(f"leibniz/{k.name}/{b}", r, 1e-6) for b, r in zip(backends, residuals)]
     return checks
 
 
@@ -304,10 +302,10 @@ def _transport_checks(seed):  # exact transport: no random draw, so the seed is 
     # alpha = s conj(x)/(1 - |s|^2) along s = t/2 integrates to -log(0.75)/2,
     # so transport carries 1 to exactly sqrt(0.75)
     exact, steps = np.sqrt(0.75), [64, 128, 256, 512]
-    errors = [abs(v[0] - exact) for v in _transport(k, curve, np.array([1.0 + 0j]), steps)[0]]
+    errors = [abs(_transport(k, curve, np.array([1.0 + 0j]), n)[0][0] - exact) for n in steps]
     slope = -np.polyfit(np.log2(steps), np.log2(errors), 1)[0]
-    return [_check("transport/error_vs_exact", "connections", errors[-1], 1e-8),
-            _check("transport/observed_order", "connections", 3.7 - slope, 0.0)], float(slope)
+    return [_check("transport/error_vs_exact", errors[-1], 1e-8),
+            _check("transport/observed_order", 3.7 - slope, 0.0)], float(slope)
 
 
 def _reductive_checks(seed):
@@ -320,7 +318,7 @@ def _reductive_checks(seed):
     unitaries[:, :2, :2], unitaries[:, 2:, 2:] = blocks[0::2], blocks[1::2]
     res = grassmann.reductive_axioms_residual(point, u @ unitaries @ u.conj().T, n_probes=20,
                                               seed=seed)
-    return [_check("reductive/axioms_residual", "grassmann", res, 1e-12)]
+    return [_check("reductive/axioms_residual", res, 1e-12)]
 
 
 # module -> its blocks in run_suite's order, each a function of the seed that returns its checks
@@ -351,7 +349,7 @@ def run_suite(seed: int = 42, modules=None) -> dict:
             found = block(seed)
             if block is _transport_checks:  # the one block with a figure beside its checks
                 found, extras["transport_observed_order"] = found
-            checks += found
+            checks += [dict(c, module=module) for c in found]
 
     checks.sort(key=lambda c: c["name"])
     report = {

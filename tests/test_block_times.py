@@ -26,7 +26,8 @@ def test_one_seed_times_every_verify_block_and_the_whole_suite(capsys):
 
 def test_the_blocks_are_the_checks_of_the_report():
     # every check of run_suite comes from exactly one block of verify's table, and no block is
-    # left out; the table has one row per module, in MODULE_NAMES's order
+    # left out; the table has one row per module, in MODULE_NAMES's order, and its key is the one
+    # source of its checks' module
     from kernelconnect import MODULE_NAMES, verify
 
     assert tuple(verify.BLOCKS) == MODULE_NAMES
@@ -41,11 +42,13 @@ def test_the_blocks_are_the_checks_of_the_report():
     }
     report = verify.run_suite(0)
     assert report["transport_observed_order"] == verify._transport_checks(0)[1]
-    names = sorted(c["name"] for c in report["checks"])
+    names = sorted((c["name"], c["module"]) for c in report["checks"])
     from_blocks = []
-    for fn in (fn for fns in verify.BLOCKS.values() for fn in fns):
+    for module, fn in ((module, fn) for module, fns in verify.BLOCKS.items() for fn in fns):
         out = fn(0)
-        from_blocks += [c["name"] for c in (out[0] if isinstance(out, tuple) else out)]
+        checks = out[0] if isinstance(out, tuple) else out
+        assert not any("module" in c for c in checks)
+        from_blocks += [(c["name"], module) for c in checks]
     assert sorted(from_blocks) == names
 
 

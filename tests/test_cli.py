@@ -326,31 +326,37 @@ def test_connect_transport_error_estimate_tracks_exact_error(capsys, end, steps,
     assert exact_error / 2 < estimate < 2 * exact_error
 
 
-def _transport_one_jet_per_rung(k, curve, v0, rungs, transport=connections._transport):
-    """connections._transport as separate runs, each rung integrated from its own jet."""
-    runs = [transport(k, curve, v0, [n]) for n in rungs]
-    return [v for (v,), _ in runs], runs[0][1]
+def _transport_without_batch(k, curve, v0, steps, transport=connections._transport):
+    """connections._transport restated: parallel_transport's vector on the curve without its batch,
+    node by node, and kappa(s, s) at the two ends from a jet of those two nodes alone."""
+    ends = [0.0, 1.0]
+    plain = connections.Curve(gamma=curve.gamma, velocity=curve.velocity)
+    return (transport(k, plain, v0, steps)[0],
+            k.diagonal_jet(list(map(curve.gamma, ends)), list(map(curve.velocity, ends)))[0])
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("steps", ["1", "3", "100", "257", "512"])
+@pytest.mark.parametrize("steps, rungs", [
+    ("1", (1, 2)), ("3", (1, 3)), ("100", (12, 25, 50, 100)), ("257", (32, 64, 128, 257)),
+    ("512", (64, 128, 256, 512)),
+])
 @pytest.mark.parametrize("spec, start, end", [
     ("bergman-disk:nu=1", "0", "0.5"),
     ("fock:dim=2", "0.1,0.2i", "-0.5+0.3i,0.4"),
 ])
-def test_connect_transport_reads_one_jet_for_its_whole_ladder(capsys, monkeypatch, spec, start,
-                                                              end, steps, fmt):
-    # the rungs' nodes j / (2n) are members of their union bit for bit, so one jet at the union
-    # gives the bytes of one jet per rung; at --steps 1 and 100 the rungs do not nest
+def test_connect_transport_reads_one_jet_per_rung(capsys, monkeypatch, spec, start, end, steps,
+                                                  rungs, fmt):
+    # each rung of n steps reads one jet of its own 2n + 1 nodes j / (2n), in ascending order;
+    # --steps 1 borrows a 2-step rung; the bytes are those of transport without the curve's batch
     argv = ["connect", "transport", "--kernel", spec, "--start", start, "--end", end,
             "--steps", steps, "--format", fmt]
     jets, jet = [], Kernel.diagonal_jet
     monkeypatch.setattr(Kernel, "diagonal_jet",
                         lambda self, *a, **kw: jets.append(a) or jet(self, *a, **kw))
-    one_jet = run_cli(capsys, *argv)
-    assert len(jets) == 1
-    monkeypatch.setattr(connections, "_transport", _transport_one_jet_per_rung)
-    assert run_cli(capsys, *argv) == one_jet
+    batched = run_cli(capsys, *argv)
+    assert [len(points) for points, _ in jets] == [2 * n + 1 for n in rungs]
+    monkeypatch.setattr(connections, "_transport", _transport_without_batch)
+    assert run_cli(capsys, *argv) == batched
 
 
 def test_connect_transport_zero_steps_exits_2(capsys):

@@ -1004,9 +1004,10 @@ def test_leibniz_core_members_have_the_bits_of_leibniz_residual(k):
 
 
 @pytest.mark.parametrize("batch", [True, False], ids=["batch", "pointwise"])
-def test_one_leibniz_core_call_evaluates_f_at_most_five_times_per_probe(batch):
-    # f at the L probes and their 4L stencil points serves df, f(s) and f sigma of all three
-    # backends; without sigma's batch the product section is evaluated point by point
+def test_one_leibniz_core_call_evaluates_f_at_each_point_a_reader_asks_for(batch):
+    # f at the L probes and their 4L stencil points gives df and f(s); f sigma reads f again where
+    # each backend reads it: the closed form at the probes and stencils, the others at the stencils.
+    # Without sigma's batch the product section is evaluated point by point
     k = make_fock(np.eye(2))
     sigma, probes, _ = _verify_section_case(k, 7, seed=7)
     sigma = sigma if batch else Section(F=sigma.F, dF=sigma.dF)
@@ -1014,7 +1015,7 @@ def test_one_leibniz_core_call_evaluates_f_at_most_five_times_per_probe(batch):
     f = lambda s: calls.append(1) or 0.5 + s[0] - 2j * np.conj(s[1])  # noqa: E731
     got = _leibniz([make_evaluator(k, b) for b in _BACKENDS], Section(F=f), sigma, probes)
     if batch:
-        assert len(calls) == 5 * 7
+        assert len(calls) == (5 + 5 + 4 + 4) * 7
     assert got == [leibniz_residual(make_evaluator(k, b), f, sigma, probes) for b in _BACKENDS]
 
 
@@ -1144,16 +1145,18 @@ def test_leibniz_takes_f_as_a_scalar_section():
 
 
 @pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
-def test_leibniz_reads_a_batched_f_by_one_call_at_the_probes_and_one_at_their_stencils(k):
-    # verify's f, 0.5 + a.z + b.conj(z) in real arithmetic: its two batch calls serve df, f(s)
-    # and f sigma of all three backends, with the bits of f point by point
+def test_leibniz_reads_a_batched_f_by_one_call_per_stack_of_points(k):
+    # verify's f, 0.5 + a.z + b.conj(z) in real arithmetic: one batch call at the probes and one at
+    # their stencils give df and f(s); f sigma makes one per stack a backend reads (the closed form
+    # two, direct and sampled one each), all with the bits of f point by point
     sigma, probes, _ = _verify_section_case(k, 9, seed=9)
     f = verify._scalar_test_section(k.domain.dim, np.random.default_rng(10), 0.5, 0.0)
     calls = []
     counted = Section(F=f.F, batch=lambda z: calls.append(z.shape) or f.batch(z))
     nablas = [make_evaluator(k, b) for b in _BACKENDS]
     got = _leibniz(nablas, counted, sigma, probes)
-    assert calls == [(9, k.domain.dim), (9, 4, k.domain.dim)]
+    at_s, at_stencils = (9, k.domain.dim), (9, 4, k.domain.dim)
+    assert calls == [at_s, at_stencils, at_s, at_stencils, at_stencils, at_stencils]
     assert got == _leibniz(nablas, Section(F=f.F), sigma, probes)
     assert got == [leibniz_residual(nabla, f.F, sigma, probes) for nabla in nablas]
     assert 0.0 < max(got) < 1e-6
@@ -1196,9 +1199,9 @@ def test_a_curves_batch_has_the_bits_of_its_nodes_and_transport_reads_it(monkeyp
         assert np.asarray(v, complex).tobytes() == np.asarray(curve.velocity(t), complex).tobytes()
     # transport reads its nodes through the batch, with the bits of the per-node lists
     plain, v0 = Curve(gamma=curve.gamma, velocity=curve.velocity), np.ones(k.fiber_dim)
-    for rungs in ([64, 128, 256, 512], [1, 2], [12, 25, 50, 100]):
-        (got, ends), (want, want_ends) = (_transport(k, c, v0, rungs) for c in (curve, plain))
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    for steps in (1, 2, 12, 25, 50, 64, 100, 128, 256, 512):
+        (got, ends), (want, want_ends) = (_transport(k, c, v0, steps) for c in (curve, plain))
+        assert got.tobytes() == want.tobytes()
         assert ends.tobytes() == want_ends.tobytes()
 
 

@@ -455,6 +455,17 @@ def test_maps_of_unequal_kraus_shape_are_refused_by_name():
     assert cpmaps._dilation_residual(maps[:1], triples[:1]) == verify_dilation(maps[0], triples[0])
 
 
+@pytest.mark.parametrize("stacked, message", [
+    (lambda: cpmaps._dilate([]), "empty stack of CP maps"),
+    (lambda: cpmaps._dilation_residual([], []), "empty stack of CP maps"),
+    (lambda: cpmaps._random_unitaries(3, []), "empty stack of seeds"),
+], ids=["dilate", "dilation_residual", "random_unitaries"])
+def test_an_empty_stack_is_refused_by_name(stacked, message):
+    # numpy's unpacking, reshape and indexing errors surfaced here
+    with pytest.raises(ValueError, match=f"^{message}: "):
+        stacked()
+
+
 def test_a_unitary_conjugation_dilates_onto_all_of_its_space():
     # Choi rank 1 and m = n: V is unitary, and S0 = Ran(V V*) is all of C^n, a projector of rank n
     psi = choi_from_kraus([random_unitary(3, seed=5)])

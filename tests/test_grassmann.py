@@ -599,8 +599,9 @@ def test_stencil_and_orbit_points_hold_their_probes_basis_moved_with_them(n, k, 
     grassmann._reductive(lambda q: orbit.append(q) or q.p[:, 0], (g,), (x.generator,), base)
     for u, q in zip([_exp(_unit(x.generator)[0], t, g) for t in _TS] + [g], orbit):
         _assert_moved_basis(q, u, base_basis)
-    # the probe's basis and coordinate_projector's, and no other
-    assert [id(q) for q in calls] == [id(point), id(base)] and len(orbit) == 5
+    # the probe's basis, then coordinate_projector's complement and basis (random_grass_tangent),
+    # and no other
+    assert [id(q) for q in calls] == [id(point), id(base), id(base)] and len(orbit) == 5
 
 
 def _universal_restated(f, point, a):
@@ -666,9 +667,9 @@ def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stac
     assert sorted(calls) == ["_reductive", "_universal", "_universal", "derivatives", "evaluate"]
     # the Grassmann stencil stack (shared by four routes), then the reductive U(n) stack
     assert exponentials == [(5, 4, 4), (5, 4, 4)]
-    # one eigh, of the base: the probes, their stencil points and the orbit points hold its basis
-    # moved with them
-    assert [p.tobytes() for p in bases] == [coordinate_projector(4, 2).p.tobytes()]
+    # two eighs, of the base (its complement for the generators, then its basis): the probes, their
+    # stencil points and the orbit points hold its basis moved with them
+    assert [p.tobytes() for p in bases] == [coordinate_projector(4, 2).p.tobytes()] * 2
 
 
 def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypatch):
@@ -683,7 +684,7 @@ def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypa
     grassmann_agreement(4, 2, probes=5, seed=3)
     monkeypatch.undo()
     base = coordinate_projector(4, 2)
-    assert [m.tobytes() for m in diagonalized] == [base.p.tobytes()]  # the base alone
+    assert [m.tobytes() for m in diagonalized] == [base.p.tobytes()] * 2  # the base alone, twice
     gs = cpmaps._random_unitaries(4, range(203, 208))
     assert probes[0] is probes[1] and len(probes[0]) == len(gs)
     for g, q in zip(gs, probes[0]):
@@ -713,8 +714,8 @@ def test_universality_probes_are_orbit_points_holding_the_base_basis_moved(monke
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2), (6, 3)])
 def test_random_grass_tangent_keeps_its_two_eigh_tangents_at_coordinate_projectors(n, k,
                                                                                     monkeypatch):
-    # one eigh of (p + p*)/2, held by the projector, gives the complement columns a second eigh of
-    # p gave: at an exactly Hermitian p the two inputs are the same bits.  Degenerate eigenvectors
+    # one eigh of (p + p*)/2 per call gives the complement columns a second eigh of p gave: at an
+    # exactly Hermitian p the two inputs are the same bits.  Degenerate eigenvectors
     # would rotate under any perturbation, so the tangents are compared, not assumed equal.
     point = coordinate_projector(n, k)
     assert (0.5 * (point.p + point.p.conj().T)).tobytes() == point.p.tobytes()
@@ -728,7 +729,7 @@ def test_random_grass_tangent_keeps_its_two_eigh_tangents_at_coordinate_projecto
         got = random_grass_tangent(point, new).generator
         monkeypatch.undo()
         assert got.tobytes() == (a - a.conj().T).tobytes()
-    assert len(eighs) == 1  # for the first call; the projector holds its columns
+    assert len(eighs) == 4 + 1  # one per call, and the basis the projector holds after the first
 
 
 def _parent_normal(rng, shape):  # one standard complex normal draw, as each call made it

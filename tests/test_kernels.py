@@ -563,6 +563,23 @@ def test_a_tangent_that_is_not_a_vector_is_called_a_tangent_of_its_domain():
         make_fock(np.eye(2)).domain.jets((np.zeros(2),), ([[1.0, 0.0]],))
 
 
+@pytest.mark.parametrize("directions, message", [
+    ([[1, 0], [1]], r"^C\^d: tangent dimension 1 != 2 \(probe 1 of 2\)$"),
+    ([[1], [1, 0]], r"^C\^d: tangent dimension 1 != 2 \(probe 0 of 2\)$"),
+    ([[1, 0], [1, 0, 0]], r"^C\^d: tangent dimension 3 != 2 \(probe 1 of 2\)$"),
+])
+def test_ragged_tangents_name_the_first_of_another_dimension(directions, message):
+    # numpy raised its bare "setting an array element with a sequence" here
+    with pytest.raises(DomainError, match=message):
+        VectorDomain(2).jets([[0, 0], [1, 1]], directions)
+
+
+def test_scalar_and_one_entry_tangents_mix_on_c1_as_points_do():
+    s, x = VectorDomain(1).jets([0.1, [0.2]], [1, [1j]])
+    assert s.tobytes() == np.array([[0.1], [0.2]], dtype=complex).tobytes()
+    assert x.tobytes() == np.array([[1], [1j]], dtype=complex).tobytes()
+
+
 def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
     k = make_bergman_disk(2)
     pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
