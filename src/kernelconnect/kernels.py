@@ -15,6 +15,7 @@ are treated as real-linear directions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +56,27 @@ def _finite_array(x, what: str) -> np.ndarray:
     if not _finite(a):
         raise DomainError(f"{what} is not finite")
     return a
+
+
+def _kept(method: Callable) -> Callable:
+    """method(owner, s, x, h), a pure value derived from checked probe arrays s and x, kept in one
+    slot beside the owner's frozen fields, as a Grassmann tangent keeps its stencil: the last
+    result, its arrays read-only, keyed by the owner's id (a copied slot never serves), h and the
+    exact dtypes, shapes and bytes of s and x, and replaced by one tuple store, so a reader never
+    sees one key with another's value.  A call that raises keeps nothing.  Probes that are not
+    arrays (Grassmann points) pass through."""
+    def kept(owner, s, x, h):
+        if not isinstance(s, np.ndarray):
+            return method(owner, s, x, h)
+        key = (id(owner), type(h), h, s.dtype, s.shape, s.tobytes(), x.dtype, x.shape, x.tobytes())
+        held = vars(owner).get("_kept")
+        if held is None or held[0] != key:
+            out = method(owner, s, x, h)
+            for a in out:
+                a.flags.writeable = False
+            held = vars(owner)["_kept"] = (key, out)
+        return held[1]
+    return wraps(method)(kept)
 
 
 def _frobenius(m: np.ndarray) -> np.ndarray:
@@ -173,10 +195,11 @@ class VectorDomain(Domain):
         s, x = self.stack(points), _paired(points, directions)
         try:
             x = np.array(x, dtype=complex)
-        except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
+        except ValueError:  # ragged: scalars mixed with vectors, mixed dimensions or shapes
             x = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in x]
-            dims = np.array([len(v) for v in x])
-            self._refuse(dims != self.dim, lambda i: f"tangent dimension {dims[i]} != {self.dim}")
+            self._refuse(np.array([v.shape != (self.dim,) for v in x]), lambda i: (
+                f"tangent dimension {len(x[i])} != {self.dim}" if x[i].ndim == 1
+                else f"tangent must be 1-d, got shape {x[i].shape}"))
             x = np.array(x)
         if not _finite(x):  # then name the first probe whose tangent is not
             self._refuse(~np.isfinite(x), lambda i: "tangent is not finite")
@@ -205,9 +228,11 @@ class VectorDomain(Domain):
                      "resolve the point".format(np.broadcast_to(step, s.shape)[j, 0]))
         return step
 
+    @_kept
     def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils at checked (L, d) probes: (L, 4, d) points on the lines s + t x / |x| of
-        `_rule`, and its weights.  Only h >= EDGE_LAYER / 2 takes one out: an error names it."""
+        `_rule`, and its weights.  Only h >= EDGE_LAYER / 2 takes one out: an error names it.  Both
+        arrays are read-only and `_kept`: a call at the last call's probes and h returns them."""
         step, weights, unit = self._rule(s, x, h)
         stencils = s[:, None] + (step * _OFFSETS)[..., None] * unit[:, None]
         bad = self._outside(stencils.reshape(-1, self.dim))
@@ -336,9 +361,12 @@ class Kernel:
     def diagonal_jet(self, points: Sequence, directions: Sequence,
                      h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
         """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j): the `_jet` of the
-        probes, checked once by `jets`."""
+        probes, checked once by `jets`.  On C^d and U(n), where the checked probes are arrays, the
+        jet is `_kept`: both arrays are read-only, and a call at the last call's probes and h (the
+        closed form after the form, say) returns the same two."""
         return self._jet(*self.domain.jets(points, directions), h)
 
+    @_kept
     def _jet(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
         """diagonal_jet at checked probes: kappa(s_j, s_j) from one `_values` call, and `d2` at
         all L probes at once or, without it, the stencil, read from a second one."""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kernelconnect
-from kernelconnect import verify
+from kernelconnect import cli, verify
 from kernelconnect.kernels import (
     VectorDomain,
     admissibility_report,
@@ -161,6 +161,17 @@ def test_cli_verify_all_is_deterministic_and_green():
         assert elapsed < 30.0
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+
+
+def test_a_warm_process_reports_like_a_cold_one(capsys):
+    # stencils and jets kept from other seeds' probes change no byte of a later report
+    cold = subprocess.run([sys.executable, "-m", "kernelconnect", "verify", "all", "--seed", "0"],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert cold.returncode == 0, cold.stderr
+    for seed in (2, 0, 1, 0):
+        cli._emit_json(verify.run_suite(seed), None)  # as `verify` writes it
+        out = capsys.readouterr().out
+        assert seed != 0 or out == cold.stdout
 
 
 def test_import_and_suite_load_no_scipy():

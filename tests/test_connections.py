@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from kernelconnect.grassmann import (
 from kernelconnect.kernels import (
     DISK_BOUNDARY_GUARD,
     BundleMorphism,
+    Domain,
     DomainError,
     Kernel,
     UnitaryDomain,
@@ -899,6 +901,72 @@ def test_a_one_probe_jet_without_d2_reads_its_stencil_from_one_block(monkeypatch
         assert np.array_equal(got, want), k.name
 
 
+def _fresh(k):
+    """A kernel with k's fields on a domain with k.domain's fields: equal, and other objects."""
+    return replace(k, domain=replace(k.domain))
+
+
+def _pointwise_order(kernel, sigma, pts, xs):
+    """The form, closed-form, direct and sampled derivatives at one probe or a stack, in the
+    order the pointwise benchmark calls them, each on kernel() and as raw bytes."""
+    if len(pts) == 1:
+        (s,), (x,) = pts, xs
+        calls = [lambda k: connection_form(k, s)(x),
+                 lambda k: covariant_derivative_closed_form(k, sigma, s, x),
+                 lambda k: covariant_derivative_direct(k, sigma, s, x),
+                 lambda k: make_evaluator(k, "sampled")(sigma, s, x)]
+    else:
+        calls = [lambda k: connection_forms(k, pts, xs)] + [
+            lambda k, b=b: make_evaluator(k, b).evaluate(sigma, pts, xs)
+            for b in ("closed-form", "direct", "sampled")]
+    return [f(kernel()).tobytes() for f in calls]
+
+
+@pytest.mark.parametrize("n", [1, 4])
+def test_the_pointwise_order_on_one_kernel_has_the_bits_of_each_call_on_a_fresh_one(n):
+    # the closed form reads the form's kept jet, the direct and sampled backends one kept stencil
+    for k, sigma, pts, xs in _stack_cases()[:3]:
+        pts, xs = pts[:n], xs[:n]
+        shared = _pointwise_order(lambda: k, sigma, pts, xs)
+        assert shared == _pointwise_order(lambda: _fresh(k), sigma, pts, xs), k.name
+
+
+def test_a_kept_stencil_or_jet_serves_only_its_probes_step_and_object(monkeypatch):
+    # counted where each is computed: Domain._rule for a stencil, Kernel._values for a jet
+    k = make_bergman_disk(2)
+    s, x = k.domain.jets([0.3 + 0.1j], [1.0 - 0.5j])
+    ulp = lambda a: np.nextafter(a.real, np.inf) + 1j * a.imag  # noqa: E731
+    other = _fresh(k)
+    rules = _count_calls(monkeypatch, "_rule", Domain)
+    values = _count_calls(monkeypatch, "_values")
+    for kernel, p, v, h, computed in [(k, s, x, 1e-4, 1), (k, s, x, 1e-4, 0),
+                                      (k, ulp(s), x, 1e-4, 1), (k, s, x, 1e-4, 1),
+                                      (k, s, ulp(x), 1e-4, 1), (k, s, x, 1e-4, 1),
+                                      (k, s, x, 2e-4, 1), (k, s, x, 1e-4, 1),
+                                      (other, s, x, 1e-4, 1), (k, s, x, 1e-4, 0)]:
+        before = len(rules), len(values)
+        kernel.domain._stencils(p, v, h)
+        kernel._jet(p, v, h)
+        assert (len(rules) - before[0], len(values) - before[1]) == (computed, computed)
+
+
+def test_backends_at_one_probe_build_its_stencil_and_jet_once(monkeypatch):
+    d2s, disk = [], make_bergman_disk(2)
+    k = replace(disk, d2=lambda *args: d2s.append(args) or disk.d2(*args))
+    s, x = np.array([0.4 - 0.2j]), np.array([1.0 - 0.5j])
+    connection_form(k, s)(x)
+    covariant_derivative_closed_form(k, CONSTANT, s, x)  # CONSTANT has dF: no stencil
+    assert len(d2s) == 1
+    rules = _count_calls(monkeypatch, "_rule", Domain)
+    covariant_derivative_direct(k, CONSTANT, s, x)
+    make_evaluator(k, "sampled")(CONSTANT, s, x)
+    assert len(rules) == 1
+    probes = [(np.array([0.1j]), np.array([1.0])), (s, x)]
+    _leibniz([make_evaluator(k, "direct"), make_evaluator(k, "sampled")], Section(F=np.conj),
+             CONSTANT, probes)
+    assert len(rules) == 2
+
+
 # ---------------------------------------------------------------------------
 # A section's values at a stack of points, from one batch call
 
@@ -1075,9 +1143,10 @@ def test_each_backend_agrees_with_the_closed_form_or_raises_in_the_ulp_band_belo
 def test_an_unresolved_stencil_names_its_probe():
     k = make_bergman_disk(2)
     s = np.array([np.nextafter(DISK_BOUNDARY_GUARD, 0.0)])
-    with pytest.raises(DomainError, match=r"unit disk: stencil step .* is too small to resolve the "
-                                          r"point$"):
-        covariant_derivative_direct(k, CONSTANT, s, np.array([1.0]))
+    for _ in range(2):  # an error keeps no stencil: the same probe raises again
+        with pytest.raises(DomainError, match=r"unit disk: stencil step .* is too small to "
+                                              r"resolve the point$"):
+            covariant_derivative_direct(k, CONSTANT, s, np.array([1.0]))
     with pytest.raises(DomainError, match=r"resolve the point \(probe 1 of 2\)$"):
         make_evaluator(k, "direct").evaluate(CONSTANT, [np.array([0.5]), s], [[1.0], [1.0]])
 

@@ -376,8 +376,9 @@ def test_non_finite_analytic_derivative_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         k = make_fock(np.eye(1))
         assert np.isfinite(k([26.6], [26.6])).all()
-        with pytest.raises(NumericsError, match="fock:dim=1: kernel derivative is not finite"):
-            k.diagonal_jet([[26.6]], [[1]])[1]
+        for _ in range(2):  # an error keeps no jet: the same probe raises again
+            with pytest.raises(NumericsError, match="fock:dim=1: kernel derivative is not finite"):
+                k.diagonal_jet([[26.6]], [[1]])[1]
 
 
 def test_block_with_no_points_on_one_side_is_empty():
@@ -474,7 +475,9 @@ def test_derivatives_of_a_stack_are_the_derivatives_of_its_probes_bit_for_bit():
 
 def test_stencil_is_the_five_point_rule_along_the_curve():
     s, x, h = np.array([0.3 - 0.1j]), np.array([1.0 + 2.0j]), 1e-3
-    (points,), (weights,) = VectorDomain(1)._stencils(*VectorDomain(1).jets((s,), (x,)), h)
+    stencils = VectorDomain(1)._stencils(*VectorDomain(1).jets((s,), (x,)), h)
+    assert not any(a.flags.writeable for a in stencils)  # kept, so read-only
+    (points,), (weights,) = stencils
     size = abs(complex(x[0]))  # the line runs along x / |x|, part by part; the weights times |x|
     unit = np.array([complex(x[0].real / size, x[0].imag / size)])
     assert np.array_equal(np.array(points),
@@ -567,6 +570,8 @@ def test_a_tangent_that_is_not_a_vector_is_called_a_tangent_of_its_domain():
     ([[1, 0], [1]], r"^C\^d: tangent dimension 1 != 2 \(probe 1 of 2\)$"),
     ([[1], [1, 0]], r"^C\^d: tangent dimension 1 != 2 \(probe 0 of 2\)$"),
     ([[1, 0], [1, 0, 0]], r"^C\^d: tangent dimension 3 != 2 \(probe 1 of 2\)$"),
+    ([[1, 0], [[1], [0]]], r"^C\^d: tangent must be 1-d, got shape \(2, 1\) \(probe 1 of 2\)$"),
+    ([[[1], [0]], [1, 0]], r"^C\^d: tangent must be 1-d, got shape \(2, 1\) \(probe 0 of 2\)$"),
 ])
 def test_ragged_tangents_name_the_first_of_another_dimension(directions, message):
     # numpy raised its bare "setting an array element with a sequence" here
@@ -589,6 +594,7 @@ def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
         k.diagonal_jet(pts[:2], [np.ones(2), np.ones(2)])
     kss, d2 = k.diagonal_jet(pts[:2], xs[:2])
     assert kss.shape == d2.shape == (2, 1, 1)
+    assert not kss.flags.writeable and not d2.flags.writeable  # kept, so read-only
     for s, x, a, b in zip(pts, xs, kss, d2):
         assert np.array_equal(a, k(s, s)) and np.array_equal(b, k.diagonal_jet((s,), (x,))[1][0])
     with np.errstate(over="ignore", invalid="ignore"):
