@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import (Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel, _finite_array,
-                      _frobenius, _paired, feature_kernel, stencil_sum)
+                      _frobenius, _kept, _paired, feature_kernel, stencil_sum)
 from .connections import Section, _fiber
 from .numerics import DEFAULT_STEP, _max_norm, _normals
 
@@ -184,29 +184,23 @@ class GrassDomain(Domain):
                 raise self._error("tangent is anchored at another point", i, len(points), "probe")
         return points, directions
 
+    @_kept
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[list, np.ndarray]:
         """Domain._stencils as L lists of conjugates u p u*, with U(n)'s stencils u at the identity
-        and its weights, each point checked for finiteness only and holding u B(p); a tangent at
-        its own base holds both.  A = 0 steps along b c* - c b* with zero weights, b the first
-        column of B(p) and c the column of 1 - p with the largest norm: four points apart from p."""
-        held = [vars(t).get("_stencil") if t.base is p else None for p, t in zip(s, x)]
-        new = [j for j, c in enumerate(held) if c is None or c[0] != h]
-        if new:
-            a = np.array([x[j].generator for j in new])
-            zero = ~a.reshape(len(new), -1).any(axis=1)
-            for i in np.flatnonzero(zero):
-                b, q = fiber_basis(s[new[i]])[:, :1], s[new[i]].complement()
-                c = q[:, [np.argmax(q.diagonal().real)]]  # |q e_j|^2 = q_jj
-                a[i] = b @ c.conj().T - c @ b.conj().T
-            u, w = UnitaryDomain(self.n)._stencils(np.eye(self.n), a, h)
-            w[zero] *= 0.0  # the weights, and their signs, of A = 0
-            stack = _orbit(u, np.array([s[j].p for j in new])[:, None],
-                           np.array([fiber_basis(s[j]) for j in new])[:, None], self.k)
-            for i, j in enumerate(new):
-                held[j] = (h, stack[4 * i:4 * i + 4], w[i])
-                if x[j].base is s[j]:
-                    vars(x[j]).update(_stencil=held[j])  # beside the frozen fields
-        return [c[1] for c in held], np.array([c[2] for c in held])
+        and its weights, each point checked for finiteness only and holding u B(p); `_kept`, keyed
+        by the point and tangent objects.  A = 0 steps along b c* - c b* with zero weights, b the
+        first column of B(p) and c the column of 1 - p with the largest norm: four points apart."""
+        a = np.array([t.generator for t in x])
+        zero = ~a.reshape(len(a), -1).any(axis=1)
+        for i in np.flatnonzero(zero):
+            b, q = fiber_basis(s[i])[:, :1], s[i].complement()
+            c = q[:, [np.argmax(q.diagonal().real)]]  # |q e_j|^2 = q_jj
+            a[i] = b @ c.conj().T - c @ b.conj().T
+        u, w = UnitaryDomain(self.n)._stencils(np.eye(self.n), a, h)
+        stack = _orbit(u, np.array([p.p for p in s])[:, None],
+                       np.array([fiber_basis(p) for p in s])[:, None], self.k)
+        # the weights of A = 0 times 0.0, with their signs, in a new array: U(n)'s are read-only
+        return [stack[4 * j:4 * j + 4] for j in range(len(s))], w * ~zero[:, None]
 
 
 def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:

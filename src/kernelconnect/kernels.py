@@ -59,22 +59,24 @@ def _finite_array(x, what: str) -> np.ndarray:
 
 
 def _kept(method: Callable) -> Callable:
-    """method(owner, s, x, h), a pure value derived from checked probe arrays s and x, kept in one
-    slot beside the owner's frozen fields, as a Grassmann tangent keeps its stencil: the last
-    result, its arrays read-only, keyed by the owner's id (a copied slot never serves), h and the
-    exact dtypes, shapes and bytes of s and x, and replaced by one tuple store, so a reader never
-    sees one key with another's value.  A call that raises keeps nothing.  Probes that are not
-    arrays (Grassmann points) pass through."""
+    """method(owner, s, x, h), a pure value derived from checked probes s and x, kept in the one
+    slot of the method: the last result, its arrays read-only, keyed by the owner's value (equal
+    domains and kernels share it), type(h) and h, and the probes: arrays s and x by their exact
+    dtypes, shapes and bytes, sequences (Grassmann points and tangents) by the ids of their
+    members.  The key pairs each id with its member, so no other object takes the id while it
+    keys the slot, and no member's == runs.  One tuple store replaces the slot, so a reader never
+    sees one key with another's value; a call that raises keeps nothing."""
+    slot = [None]
     def kept(owner, s, x, h):
-        if not isinstance(s, np.ndarray):
-            return method(owner, s, x, h)
-        key = (id(owner), type(h), h, s.dtype, s.shape, s.tobytes(), x.dtype, x.shape, x.tobytes())
-        held = vars(owner).get("_kept")
+        key = ((owner, type(h), h, s.dtype, s.shape, s.tobytes(), x.dtype, x.shape, x.tobytes())
+               if isinstance(s, np.ndarray)  # else Grassmann points and tangents, by id
+               else (owner, type(h), h, tuple(zip(map(id, s), s)), tuple(zip(map(id, x), x))))
+        held = slot[0]
         if held is None or held[0] != key:
             out = method(owner, s, x, h)
-            for a in out:
+            for a in filter(lambda a: isinstance(a, np.ndarray), out):
                 a.flags.writeable = False
-            held = vars(owner)["_kept"] = (key, out)
+            held = slot[0] = (key, out)
         return held[1]
     return wraps(method)(kept)
 
@@ -106,10 +108,13 @@ class Domain:
         """The stencil rule of every domain, at L checked probes with (L, D) flat tangents x: the
         `_step`, the (L, 4) weights times |x|, |x| the largest entry modulus, and the directions
         x / |x|, divided part by part (`zero` e_1 at x = 0, where the weights are zero).  An |x|
-        over 1e308 steps would overflow the weights: an error names its probe."""
-        if not h > 0:
-            raise NumericsError(f"step must be positive, got {h}")
+        over 1e308 steps would overflow the weights, and a step under 1e6 ulps of a probe's largest
+        entry modulus cannot resolve its point: an error names the probe."""
+        if not 0 < h < np.inf:
+            raise NumericsError(f"step must be positive and finite, got {h}")
         step = self._step(s, h)
+        self._refuse(step < 2.2e-10 * np.abs(s).reshape(-1, x.shape[1]), lambda j: "stencil step "
+                     f"{np.resize(step, len(x))[j]:.3e} is too small to resolve the point")
         size = np.hypot(x.real, x.imag)  # as abs(z) rounds
         size = np.maximum.reduce(size, 1, initial=0.0, keepdims=True)
         self._refuse(step * 1e300 < size * 1e-8,
@@ -127,7 +132,7 @@ class Domain:
 
     def _error(self, reason: str, i: int, n: int, what: str = "point") -> DomainError:
         """The error of entry i of n, which names the entry when there are several."""
-        return DomainError(f"{self.name}: {reason}" + (f" ({what} {i} of {n})" if n > 1 else ""))
+        return DomainError(f"{self.name}: {reason}" + (n > 1) * f" ({what} {i + 1} of {n})")
 
     def _refuse(self, bad: np.ndarray, reason: Callable[[int], str], what: str = "probe") -> None:
         """The `_error` of the first of len(bad) entries with a true row in the mask bad, if any."""
@@ -221,24 +226,21 @@ class VectorDomain(Domain):
                 return i, self.reason(flat[i])
 
     def _step(self, s: np.ndarray, h: float):
-        """h, times d / EDGE_LAYER at an edge distance d < EDGE_LAYER; 1e6 ulps of s at least."""
+        """The edge layer: h, times d / EDGE_LAYER at an edge distance d < EDGE_LAYER."""
         d = np.inf if self.edge is None else self.edge(s)[:, None]
-        step = np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)  # 0-d when there is no edge
-        self._refuse(step < 2.2e-10 * np.abs(s), lambda j: "stencil step {:.3e} is too small to "
-                     "resolve the point".format(np.broadcast_to(step, s.shape)[j, 0]))
-        return step
+        return np.where(d < EDGE_LAYER, h * d / EDGE_LAYER, h)  # 0-d when there is no edge
 
     @_kept
     def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils at checked (L, d) probes: (L, 4, d) points on the lines s + t x / |x| of
         `_rule`, and its weights.  Only h >= EDGE_LAYER / 2 takes one out: an error names it.  Both
-        arrays are read-only and `_kept`: a call at the last call's probes and h returns them."""
+        arrays are read-only and `_kept`: equal domains at the last call's probes and h get them."""
         step, weights, unit = self._rule(s, x, h)
         stencils = s[:, None] + (step * _OFFSETS)[..., None] * unit[:, None]
         bad = self._outside(stencils.reshape(-1, self.dim))
         if bad is not None:
             j, i = divmod(bad[0], len(_OFFSETS))
-            raise DomainError(f"{self.name}: {bad[1]} (stencil point {i} of probe {j})")
+            raise DomainError(f"{self.name}: {bad[1]} (stencil point {i + 1} of probe {j + 1})")
         return stencils, weights
 
 
@@ -293,10 +295,11 @@ class UnitaryDomain(Domain):
         res = _frobenius(m)
         self._refuse(res > 1e-10, lambda i: f"{what} = {res[i]:.3e}", entry)
 
+    @_kept
     def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils as an (L, 4, n, n) array of u_j e^{t a_j / |a_j|} (`Domain._rule`), s
-        one point or L.  a = iH with H = -ia Hermitian, so e^{ta} = V diag(e^{itw}) V* is exact
-        and unitary: one eigh of the (L, n, n) stack of directions, one expression for all 4L."""
+        one point or L; `_kept`.  a = iH with H = -ia Hermitian, so e^{ta} = V diag(e^{itw}) V* is
+        exact and unitary: one eigh of the (L, n, n) stack of directions, one expression for 4L."""
         x = np.ascontiguousarray(x, complex).reshape(-1, self.n ** 2)
         step, weights, unit = self._rule(s, x, h, 1j)  # along iE_11 at a = 0
         w, v = hermitian_eigh(-1j * unit.reshape(-1, self.n, self.n))
@@ -361,9 +364,8 @@ class Kernel:
     def diagonal_jet(self, points: Sequence, directions: Sequence,
                      h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
         """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j): the `_jet` of the
-        probes, checked once by `jets`.  On C^d and U(n), where the checked probes are arrays, the
-        jet is `_kept`: both arrays are read-only, and a call at the last call's probes and h (the
-        closed form after the form, say) returns the same two."""
+        probes, checked once by `jets`, `_kept` on every domain: both arrays are read-only, and a
+        call on an equal kernel at the last call's probes and h returns the same two."""
         return self._jet(*self.domain.jets(points, directions), h)
 
     @_kept

@@ -79,7 +79,7 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _certify(samples: Sequence, grams: np.ndarray) -> np.ndarray:
     """The ascending spectra of the Gram matrices of L samples; each sample distinct, each PSD."""
-    of = lambda j: f" (sample {j} of {len(samples)})" if len(samples) > 1 else ""  # noqa: E731
+    of = lambda j: f" (sample {j + 1} of {len(samples)})" if len(samples) > 1 else ""  # noqa: E731
     x = (samples.reshape(samples.shape[:2] + (-1,)) if isinstance(samples, np.ndarray)
          else np.array([_coordinates(pts) for pts in samples]))
     close = _close(x, x)  # symmetric; then off the diagonal

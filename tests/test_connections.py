@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -591,13 +592,13 @@ def test_a_stack_names_the_probe_whose_point_or_stencil_point_leaves_the_domain(
     k = make_bergman_disk(2)
     pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
     for backend in ("closed-form", "direct", "sampled"):
-        with pytest.raises(DomainError, match=r"too close to the unit circle \(point 2 of 3\)"):
+        with pytest.raises(DomainError, match=r"too close to the unit circle \(point 3 of 3\)"):
             make_evaluator(k, backend).evaluate(CONSTANT, pts, xs)
     # with h = 0.1 the last stencil point of the second probe is 0.85 + 2h = 1.05, whatever the
     # length of its direction; the closed form reads that stencil for d(sigma) of a section
     # without dF
     for backend in ("closed-form", "direct", "sampled"):
-        message = r"\|s\| = 1\.05000000 .* \(stencil point 3 of probe 1\)"
+        message = r"\|s\| = 1\.05000000 .* \(stencil point 4 of probe 2\)"
         with pytest.raises(DomainError, match=message):
             make_evaluator(k, backend, h=0.1).evaluate(Section(F=CONSTANT.F),
                                                        pts[:1] + [np.array([0.85])],
@@ -667,7 +668,7 @@ def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
     xs = [random_grass_tangent(p, rng) for p in points]
     samples = connections._five(points, q.domain._stencils(points, xs, 1e-4)[0], 2)
     samples[2] = samples[2][:1] * 2 + samples[2][2:]
-    message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 4\)"
+    message = r"duplicate sample points at indices 0 and 1 \(sample 3 of 4\)"
     with pytest.raises(ValueError, match=message):
         _certify(samples, q._values(samples, samples))
     rest = samples[:2] + samples[3:]
@@ -901,9 +902,14 @@ def test_a_one_probe_jet_without_d2_reads_its_stencil_from_one_block(monkeypatch
         assert np.array_equal(got, want), k.name
 
 
+_renamed = itertools.count()
+
+
 def _fresh(k):
-    """A kernel with k's fields on a domain with k.domain's fields: equal, and other objects."""
-    return replace(k, domain=replace(k.domain))
+    """A kernel with k's fields on a domain with k.domain's fields but for a name no other owner
+    has: so no kept slot serves it, and it computes each stencil and jet itself."""
+    name = f"{k.name}#{next(_renamed)}"
+    return replace(k, name=name, domain=replace(k.domain, name=name))
 
 
 def _pointwise_order(kernel, sigma, pts, xs):
@@ -931,23 +937,31 @@ def test_the_pointwise_order_on_one_kernel_has_the_bits_of_each_call_on_a_fresh_
         assert shared == _pointwise_order(lambda: _fresh(k), sigma, pts, xs), k.name
 
 
-def test_a_kept_stencil_or_jet_serves_only_its_probes_step_and_object(monkeypatch):
-    # counted where each is computed: Domain._rule for a stencil, Kernel._values for a jet
+def test_a_kept_stencil_or_jet_serves_only_its_probes_step_and_owners_value(monkeypatch):
+    # counted where each is computed: Domain._rule for a stencil, Kernel._values for a jet.  The
+    # slot of a method is shared by equal owners: a kernel with k's fields on a domain with
+    # k.domain's fields is served; another name, on the domain and so the kernel, or another d2
+    # on the kernel alone, is not
     k = make_bergman_disk(2)
     s, x = k.domain.jets([0.3 + 0.1j], [1.0 - 0.5j])
     ulp = lambda a: np.nextafter(a.real, np.inf) + 1j * a.imag  # noqa: E731
-    other = _fresh(k)
+    equal, renamed = replace(k, domain=replace(k.domain)), _fresh(k)
+    other_d2 = replace(k, d2=lambda *args: k.d2(*args))
+    k.domain._stencils(s, x, 3e-4)  # whatever an earlier test left in the slots, not these probes
+    k._jet(s, x, 3e-4)
     rules = _count_calls(monkeypatch, "_rule", Domain)
     values = _count_calls(monkeypatch, "_values")
-    for kernel, p, v, h, computed in [(k, s, x, 1e-4, 1), (k, s, x, 1e-4, 0),
-                                      (k, ulp(s), x, 1e-4, 1), (k, s, x, 1e-4, 1),
-                                      (k, s, ulp(x), 1e-4, 1), (k, s, x, 1e-4, 1),
-                                      (k, s, x, 2e-4, 1), (k, s, x, 1e-4, 1),
-                                      (other, s, x, 1e-4, 1), (k, s, x, 1e-4, 0)]:
+    for kernel, p, v, h, computed in [(k, s, x, 1e-4, (1, 1)), (k, s, x, 1e-4, (0, 0)),
+                                      (k, ulp(s), x, 1e-4, (1, 1)), (k, s, x, 1e-4, (1, 1)),
+                                      (k, s, ulp(x), 1e-4, (1, 1)), (k, s, x, 1e-4, (1, 1)),
+                                      (k, s, x, 2e-4, (1, 1)), (k, s, x, 1e-4, (1, 1)),
+                                      (equal, s, x, 1e-4, (0, 0)), (k, s, x, 1e-4, (0, 0)),
+                                      (renamed, s, x, 1e-4, (1, 1)), (k, s, x, 1e-4, (1, 1)),
+                                      (other_d2, s, x, 1e-4, (0, 1)), (k, s, x, 1e-4, (0, 1))]:
         before = len(rules), len(values)
         kernel.domain._stencils(p, v, h)
         kernel._jet(p, v, h)
-        assert (len(rules) - before[0], len(values) - before[1]) == (computed, computed)
+        assert (len(rules) - before[0], len(values) - before[1]) == computed
 
 
 def test_backends_at_one_probe_build_its_stencil_and_jet_once(monkeypatch):
@@ -1147,7 +1161,7 @@ def test_an_unresolved_stencil_names_its_probe():
         with pytest.raises(DomainError, match=r"unit disk: stencil step .* is too small to "
                                               r"resolve the point$"):
             covariant_derivative_direct(k, CONSTANT, s, np.array([1.0]))
-    with pytest.raises(DomainError, match=r"resolve the point \(probe 1 of 2\)$"):
+    with pytest.raises(DomainError, match=r"resolve the point \(probe 2 of 2\)$"):
         make_evaluator(k, "direct").evaluate(CONSTANT, [np.array([0.5]), s], [[1.0], [1.0]])
 
 

@@ -20,7 +20,7 @@ from kernelconnect.cpmaps import (
     verify_dilation,
 )
 from kernelconnect.grassmann import coordinate_projector, fiber_basis, homogeneous_kernel
-from kernelconnect.kernels import DomainError, Kernel, UnitaryDomain, pull_back_kernel
+from kernelconnect.kernels import Domain, DomainError, Kernel, UnitaryDomain, pull_back_kernel
 from kernelconnect.numerics import NumericsError, hermitian_eigh
 
 
@@ -160,6 +160,20 @@ def _cp_probes(count, seed):
     xs = [0.5 * (a - a.conj().T) for a in (rng.standard_normal((3, 3))
                                            + 1j * rng.standard_normal((3, 3)) for _ in us)]
     return us, xs
+
+
+def test_the_cp_oracle_and_the_direct_backend_build_one_stencil(monkeypatch):
+    # the oracle's fresh UnitaryDomain(3) equals the kernel's: one slot serves both, counted where
+    # a stencil is computed
+    psi = _example_map(seed=27)
+    w0 = np.array([1.0, -0.5j])
+    sigma = Section(F=lambda u: w0 + psi.apply(u) @ (0.5 * w0))
+    us, xs = _cp_probes(3, seed=28)
+    rules, rule = [], Domain._rule
+    monkeypatch.setattr(Domain, "_rule", lambda self, *args: rules.append(self) or rule(self, *args))
+    cpmaps._cp_covariant(psi, sigma, us, xs)
+    make_evaluator(cp_kernel(psi), "direct").evaluate(sigma, us, xs)
+    assert len(rules) == 1
 
 
 def test_cp_core_members_have_the_bits_of_the_one_probe_function():
@@ -493,7 +507,7 @@ def test_pullback_identity_checks_its_pairs_once_and_keeps_the_bits_of_its_loop(
     assert got == want
     # the source side checks the 10 unitaries once; the lambda kernel checks its own arguments
     assert stacks == [10] + [1] * 10
-    with pytest.raises(DomainError, match=r"U\(n\): not unitary.*\(point 3 of 4\)"):
+    with pytest.raises(DomainError, match=r"U\(n\): not unitary.*\(point 4 of 4\)"):
         pullback_identity_residual(psi, triple, pairs[:1] + [(pairs[1][0], 2 * pairs[1][1])])
     with pytest.raises(ValueError, match="need at least one pair of unitaries"):
         pullback_identity_residual(psi, triple, [])

@@ -24,7 +24,7 @@ from kernelconnect.grassmann import (
     universal_covariant_derivative,
     universal_kernel,
 )
-from kernelconnect.kernels import DomainError
+from kernelconnect.kernels import Domain, DomainError
 from kernelconnect.numerics import NumericsError, hermitian_eigh
 from kernelconnect.verify import grassmann_agreement
 
@@ -103,11 +103,11 @@ def _swap(entries, i, value):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (lambda ps: ps[1].p, r"point is not a HermitianProjector \(point 1 of 3\)"),
+    (lambda ps: ps[1].p, r"point is not a HermitianProjector \(point 2 of 3\)"),
     (lambda ps: coordinate_projector(4, 1),
-     r"expected a rank-2 projector in C\^4, got rank 1 in C\^4 \(point 1 of 3\)"),
+     r"expected a rank-2 projector in C\^4, got rank 1 in C\^4 \(point 2 of 3\)"),
     (lambda ps: coordinate_projector(5, 2),
-     r"expected a rank-2 projector in C\^4, got rank 2 in C\^5 \(point 1 of 3\)"),
+     r"expected a rank-2 projector in C\^4, got rank 2 in C\^5 \(point 2 of 3\)"),
 ])
 def test_a_grassmann_stack_names_its_first_point_that_is_not_in_the_domain(bad, message):
     points, tangents = _three_probes()
@@ -129,10 +129,10 @@ def test_a_grassmannian_of_one_point_is_refused_at_construction(n, k):
 
 
 @pytest.mark.parametrize("bad, message", [
-    (lambda ps, xs: xs[1].generator, r"tangent is not a GrassTangent \(probe 1 of 3\)"),
-    (lambda ps, xs: xs[0], r"tangent is anchored at another point \(probe 1 of 3\)"),
+    (lambda ps, xs: xs[1].generator, r"tangent is not a GrassTangent \(probe 2 of 3\)"),
+    (lambda ps, xs: xs[0], r"tangent is anchored at another point \(probe 2 of 3\)"),
     (lambda ps, xs: random_grass_tangent(coordinate_projector(5, 2), np.random.default_rng(0)),
-     r"tangent is anchored at another point \(probe 1 of 3\)"),
+     r"tangent is anchored at another point \(probe 2 of 3\)"),
 ])
 def test_grassmann_jets_name_their_first_tangent_that_is_not_at_its_point(bad, message):
     points, tangents = _three_probes()
@@ -235,6 +235,23 @@ def test_homogeneous_core_members_have_the_bits_of_the_one_probe_function():
     for u, x, got in zip(us, xs, stacked):
         assert got.tobytes() == homogeneous_covariant_derivative(phi, p, u, x).tobytes()
         assert phi(u).tobytes() == (p.p @ (u.conj().T @ z0)).tobytes()  # its one-point formula
+
+
+def test_the_homogeneous_oracle_and_the_direct_backend_build_one_stencil(monkeypatch):
+    # the oracle's fresh UnitaryDomain(3) equals the kernel's: one slot serves both, counted where
+    # a stencil is computed
+    n, rng = 3, np.random.default_rng(29)
+    p = coordinate_projector(n, 1)
+    z0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    phi, b = lambda u: p.p @ (np.asarray(u).conj().T @ z0), fiber_basis(p)
+    us = [random_unitary(n, seed=70 + i) for i in range(3)]
+    xs = [random_grass_tangent(p, rng).generator for _ in us]
+    rules, rule = [], Domain._rule
+    monkeypatch.setattr(Domain, "_rule", lambda self, *args: rules.append(self) or rule(self, *args))
+    grassmann._homogeneous(Section(F=phi), p, us, xs)
+    sigma = Section(F=lambda u: b.conj().T @ phi(u))  # in the fiber coordinates of B
+    make_evaluator(homogeneous_kernel(n, p), "direct").evaluate(sigma, us, xs)
+    assert len(rules) == 1
 
 
 def test_homogeneous_derivative_raises_on_a_non_finite_value_at_its_point():
@@ -507,7 +524,10 @@ def test_stencil_points_are_built_once_per_tangent_with_the_checked_bits():
         u = _exp(_unit(generator)[0], t)  # the same conjugate, through the full projector check
         assert np.array_equal(derived.p, HermitianProjector(u @ point.p @ u.conj().T, 2).p)
         assert derived.rank == 2 and not derived.p.flags.writeable
-    # a tangent anchored at an equal projector object: a fresh curve, the same bits
+    # another tangent object with an equal generator at the same point, or a tangent anchored at
+    # an equal projector object: the probes are keyed by identity, so a fresh curve, the same bits
+    (again,), _ = domain._stencils((point,), (GrassTangent(point, generator.copy()),), 1e-4)
+    assert all(a is not b and np.array_equal(a.p, b.p) for a, b in zip(first, again))
     copy = HermitianProjector(point.p.copy(), 2)
     (other,), _ = domain._stencils((copy,), (tangent,), 1e-4)
     assert all(a is not b and np.array_equal(a.p, b.p) for a, b in zip(first, other))
@@ -519,8 +539,7 @@ def test_a_tangent_that_holds_its_curve_still_pickles():
     f = lambda pt: pt.p @ np.ones(4)
     want = universal_covariant_derivative(f, point, tangent)
     copy = pickle.loads(pickle.dumps(tangent))
-    # the held stencil is plain projectors: it pickles with the tangent, and still serves it
-    assert [q.p.tobytes() for q in copy._stencil[1]] == [q.p.tobytes() for q in tangent._stencil[1]]
+    # the copy is other objects, so the kept stencil does not serve it: its own has the same bits
     assert np.array_equal(universal_covariant_derivative(f, copy.base, copy), want)
 
 

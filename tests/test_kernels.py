@@ -357,13 +357,13 @@ def test_fock_gram_at_200_points_matches_the_per_pair_formula(dim):
 
 @pytest.mark.parametrize("kernel, pts, message", [
     (make_bergman_disk(2), [0.1, 0.5j, -0.3, 1.2, 0.99999999],
-     r"unit disk: \|s\| = 1.20000000 is too close to the unit circle \(point 3 of 5\)"),
+     r"unit disk: \|s\| = 1.20000000 is too close to the unit circle \(point 4 of 5\)"),
     (make_bergman_halfplane(1), [1j, 2j, 0.5 - 0.1j],
-     r"upper half-plane: Im z = -1.000e-01 must be positive \(point 2 of 3\)"),
+     r"upper half-plane: Im z = -1.000e-01 must be positive \(point 3 of 3\)"),
     (make_fock(np.eye(2)), [[0, 0], [1, 1j], [np.nan, 0], [np.inf, 0]],
-     r"C\^2: non-finite point \(point 2 of 4\)"),
+     r"C\^2: non-finite point \(point 3 of 4\)"),
     (make_fock(np.eye(2)), [[0, 0], [1, 1j, 2], [0, 1]],
-     r"C\^2: expected dimension 2, got 3 \(point 1 of 3\)"),
+     r"C\^2: expected dimension 2, got 3 \(point 2 of 3\)"),
 ])
 def test_a_stack_names_its_first_point_outside_the_domain(kernel, pts, message):
     with pytest.raises(DomainError, match=message):
@@ -432,9 +432,39 @@ def test_stencil_derivative_matches_analytic():
 
 
 def test_stencil_derivative_rejects_bad_step():
-    for h in (0.0, -1e-4, float("nan")):
-        with pytest.raises(NumericsError, match="step must be positive"):
-            VectorDomain(1).derivatives([np.array([0.0])], [np.array([1.0])], np.exp, h=h)
+    # on C^1, and on C^2, U(3) and Gr(2, 4): an infinite step ended in a non-finite stencil point
+    # or value, which named no step
+    cases = [(VectorDomain(1), np.exp, [np.array([0.0])], [np.array([1.0])])]
+    cases += [(domain, f, pts[:1], xs[:1]) for domain, f, pts, xs in _derivative_cases()]
+    for domain, f, pts, xs in cases:
+        for h in (0.0, -1e-4, float("nan"), float("inf")):
+            with pytest.raises(NumericsError, match=r"^step must be positive and finite, got"):
+                domain.derivatives(pts, xs, f, h=h)
+
+
+@pytest.mark.parametrize("h", [1e-12, 1e-20])
+def test_a_step_under_1e6_ulps_of_the_point_is_refused_on_u_n_and_gr_k_n(h):
+    # as on C^d: these returned a wrong finite value, -5.7e-14 for d/dt p_02 on Gr(2, 4) at
+    # h = 1e-20 where h = 1e-4 reads -0.126+0.536i, and [4096, -2048] or [2048, -4096] from the
+    # closed-form or direct backend for the constant section, where the derivative is ~1e-12
+    p = coordinate_projector(4, 2)
+    t = random_grass_tangent(p, np.random.default_rng(0))
+    ones = Section(F=lambda q: np.ones(2))
+    calls = [lambda: GrassDomain(4, 2).derivatives([p], [t], lambda q: q.p[0, 2], h=h)]
+    calls += [lambda b=b: make_evaluator(universal_kernel(4, 2), b, h=h)(ones, p, t)
+              for b in ("closed-form", "direct", "sampled")]
+    calls += [lambda: domain.derivatives(pts, xs, f, h=h)
+              for domain, f, pts, xs in _derivative_cases()[1:]]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"stencil step .* is too small to resolve the point"):
+            call()
+    # d/dt u_01 along E_12 - E_21 at the identity is 1; at h = 1e-300 it read 1 - 2.6e266i
+    e = np.zeros((3, 3))
+    e[0, 1], e[1, 0] = 1.0, -1.0
+    f = lambda u: u[0, 1]  # noqa: E731
+    assert abs(UnitaryDomain(3).derivatives([np.eye(3)], [e], f)[0] - 1.0) < 1e-12
+    with pytest.raises(DomainError, match=r"^U\(n\): stencil step 1\.000e-300 is too small"):
+        UnitaryDomain(3).derivatives([np.eye(3)], [e], f, h=1e-300)
 
 
 def test_stencil_derivative_rejects_a_non_finite_value():
@@ -503,16 +533,16 @@ def test_stencil_step_shrinks_only_near_the_edge(make, point):
 @pytest.mark.parametrize("call, message", [
     (lambda: VectorDomain(1).jets((np.zeros(1),), ([np.nan],)), r"C\^d: tangent is not finite$"),
     (lambda: VectorDomain(2, name="C^2").jets([np.zeros(2)] * 3, [[1, 0], [1, np.inf], [0, 1]]),
-     r"C\^2: tangent is not finite \(probe 1 of 3\)"),
+     r"C\^2: tangent is not finite \(probe 2 of 3\)"),
     (lambda: make_bergman_disk(2).domain.derivatives([0.1, 0.2], [1.0, np.nan], np.exp),
-     r"unit disk: tangent is not finite \(probe 1 of 2\)"),
+     r"unit disk: tangent is not finite \(probe 2 of 2\)"),
     (lambda: make_bergman_disk(2).diagonal_jet([0.1], [np.nan]),
      "unit disk: tangent is not finite"),
     (lambda: make_fock(np.eye(2)).diagonal_jet([np.zeros(2)] * 2, [[1, 0], [np.nan, 0]]),
-     r"C\^2: tangent is not finite \(probe 1 of 2\)"),
+     r"C\^2: tangent is not finite \(probe 2 of 2\)"),
 ] + [(lambda b=b: make_evaluator(make_bergman_disk(2), b).evaluate(
           Section(F=lambda s: np.ones(1)), [[0.1], [0.2j], [0.3]], [[1], [np.nan], [1]]),
-      r"unit disk: tangent is not finite \(probe 1 of 3\)")
+      r"unit disk: tangent is not finite \(probe 2 of 3\)")
      for b in ("closed-form", "direct", "sampled")])
 def test_a_vector_domain_rejects_a_non_finite_tangent_and_names_its_probe(call, message):
     # on the disk a NaN direction read as a non-finite stencil point or kernel derivative
@@ -567,11 +597,11 @@ def test_a_tangent_that_is_not_a_vector_is_called_a_tangent_of_its_domain():
 
 
 @pytest.mark.parametrize("directions, message", [
-    ([[1, 0], [1]], r"^C\^d: tangent dimension 1 != 2 \(probe 1 of 2\)$"),
-    ([[1], [1, 0]], r"^C\^d: tangent dimension 1 != 2 \(probe 0 of 2\)$"),
-    ([[1, 0], [1, 0, 0]], r"^C\^d: tangent dimension 3 != 2 \(probe 1 of 2\)$"),
-    ([[1, 0], [[1], [0]]], r"^C\^d: tangent must be 1-d, got shape \(2, 1\) \(probe 1 of 2\)$"),
-    ([[[1], [0]], [1, 0]], r"^C\^d: tangent must be 1-d, got shape \(2, 1\) \(probe 0 of 2\)$"),
+    ([[1, 0], [1]], r"^C\^d: tangent dimension 1 != 2 \(probe 2 of 2\)$"),
+    ([[1], [1, 0]], r"^C\^d: tangent dimension 1 != 2 \(probe 1 of 2\)$"),
+    ([[1, 0], [1, 0, 0]], r"^C\^d: tangent dimension 3 != 2 \(probe 2 of 2\)$"),
+    ([[1, 0], [[1], [0]]], r"^C\^d: tangent must be 1-d, got shape \(2, 1\) \(probe 2 of 2\)$"),
+    ([[[1], [0]], [1, 0]], r"^C\^d: tangent must be 1-d, got shape \(2, 1\) \(probe 1 of 2\)$"),
 ])
 def test_ragged_tangents_name_the_first_of_another_dimension(directions, message):
     # numpy raised its bare "setting an array element with a sequence" here
@@ -588,7 +618,7 @@ def test_scalar_and_one_entry_tangents_mix_on_c1_as_points_do():
 def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
     k = make_bergman_disk(2)
     pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
-    with pytest.raises(DomainError, match="point 2 of 3"):
+    with pytest.raises(DomainError, match="point 3 of 3"):
         k.diagonal_jet(pts, xs)
     with pytest.raises(DomainError, match="tangent dimension 2 != 1"):
         k.diagonal_jet(pts[:2], [np.ones(2), np.ones(2)])
@@ -749,17 +779,17 @@ def test_an_empty_stack_of_probes_is_one_named_error_at_every_entry_point(k):
 
 @pytest.mark.parametrize("edit, message", [
     (lambda us, xs: us.__setitem__(2, 2 * us[2]),
-     r"^U\(n\): not unitary, \|\|u\*u - I\|\| = 5\.196e\+00 \(point 2 of 4\)$"),
+     r"^U\(n\): not unitary, \|\|u\*u - I\|\| = 5\.196e\+00 \(point 3 of 4\)$"),
     (lambda us, xs: us.__setitem__(1, np.full((3, 3), np.nan)),
-     r"^U\(n\): point is not finite \(point 1 of 4\)$"),
+     r"^U\(n\): point is not finite \(point 2 of 4\)$"),
     (lambda us, xs: us.__setitem__(3, np.eye(2)),
-     r"^U\(n\): expected 3x3 matrix, got \(2, 2\) \(point 3 of 4\)$"),
+     r"^U\(n\): expected 3x3 matrix, got \(2, 2\) \(point 4 of 4\)$"),
     (lambda us, xs: xs.__setitem__(1, xs[1] + np.eye(3)),
-     r"^U\(n\): tangent not anti-Hermitian, \|\|a \+ a\*\|\| = 3\.464e\+00 \(probe 1 of 4\)$"),
+     r"^U\(n\): tangent not anti-Hermitian, \|\|a \+ a\*\|\| = 3\.464e\+00 \(probe 2 of 4\)$"),
     (lambda us, xs: xs.__setitem__(0, np.diag([0.0, np.inf, 0.0])),
-     r"^U\(n\): tangent is not finite \(probe 0 of 4\)$"),
+     r"^U\(n\): tangent is not finite \(probe 1 of 4\)$"),
     (lambda us, xs: xs.__setitem__(2, np.zeros((3, 2))),
-     r"^U\(n\): tangent shape \(3, 2\) != \(3,3\) \(probe 2 of 4\)$"),
+     r"^U\(n\): tangent shape \(3, 2\) != \(3,3\) \(probe 3 of 4\)$"),
 ], ids=["non-unitary", "nan-point", "point-shape", "not-anti-hermitian", "inf-tangent",
         "tangent-shape"])
 def test_a_unitary_stack_names_the_probe_that_fails_its_check(edit, message):

@@ -119,7 +119,7 @@ def test_duplicate_points_rejected():
 
 
 def test_points_of_the_wrong_size_are_named_as_in_a_gram():
-    with pytest.raises(DomainError, match=r"C\^2: expected dimension 2, got 3 \(point 1 of 3\)"):
+    with pytest.raises(DomainError, match=r"C\^2: expected dimension 2, got 3 \(point 2 of 3\)"):
         build_rkhs(make_fock(np.eye(2)), [[0, 0], [1, 1j, 2], [0, 1]])
 
 
@@ -226,7 +226,7 @@ def test_a_hand_built_space_checks_its_sample_on_first_use():
     r = _disk_space()
     hand = SampledRKHS(r.kernel, (*r.points[:3], np.array([1.5])), r.gram, r.eigenvalues)
     f = RKHSElement(hand, np.ones(4, dtype=complex))
-    message = r"too close to the unit circle \(point 3 of 4\)"
+    message = r"too close to the unit circle \(point 4 of 4\)"
     with pytest.raises(DomainError, match=message):
         evaluate_element(f, np.array([0.1]))
     with pytest.raises(DomainError, match=message):
@@ -259,7 +259,7 @@ def test_certify_reads_an_array_of_samples_as_its_list_of_points():
     grams = np.array([gram_matrix(k, list(pts)) for pts in samples])
     got = _certify(samples, grams)
     assert np.array_equal(got, _certify([list(pts) for pts in samples], grams))
-    message = r"duplicate sample points at indices 0 and 1 \(sample 1 of 2\)"
+    message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 2\)"
     samples[1, 1] = samples[1, 0]
     with pytest.raises(ValueError, match=message):
         _certify(samples, grams)
