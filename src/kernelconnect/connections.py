@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, _members, stencil_sum
+from .kernels import BundleMorphism, Kernel, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, _finite, _max_norm, _solve
 from .rkhs import _certify, _project
 
@@ -45,13 +45,13 @@ __all__ = [
 class Section:
     """A section of the trivial fiber bundle: a map from base points to C^M.
 
-    `dF`, when given, is the analytic differential (s, X) -> fiber vector and
-    takes precedence over stencil differentiation.  `batch`, when given, maps an
-    (..., d) array of VectorDomain points, or an (..., n, n) stack of U(n) points,
-    to their (..., M) values in one call, and `F` is its one-point case: every
-    entry must have the bits of F at its own point, as for `Kernel.batch`.  A
-    section with `batch` takes such (L, ...) stacks of points and tangents in `dF`
-    too, to the (L, M) derivatives, each with the bits of its one-point call.
+    `dF`, when given, is the analytic differential (s, X) -> fiber vector and takes precedence
+    over stencil differentiation.  `batch`, when given, maps an (..., d) array of VectorDomain
+    points, an (..., n, n) stack of U(n) points or an (...) object array of Gr(k, n) points to
+    their (..., M) values in one call, and `F` is its one-point case: every entry must have the
+    bits of F at its own point, as for `Kernel.batch`.  A section with `batch` takes such (L, ...)
+    stacks of points and tangents in `dF` too, to the (L, M) derivatives, each with the bits of
+    its one-point call.
     """
 
     F: Callable[[object], np.ndarray]
@@ -62,13 +62,13 @@ class Section:
         v = np.asarray(self.F(s), dtype=complex)
         return v if v.ndim else v.reshape(1)
 
-    def _values(self, points, depth: int = 1) -> np.ndarray:
+    def _values(self, points: np.ndarray, depth: int = 1) -> np.ndarray:
         """The (..., M) values at a stack of points `depth` axes deep (2 for stencils): one `batch`
-        call on an ndarray of C^d or U(n) points, else a loop over `F`; every backend reads here."""
-        if self.batch is not None and isinstance(points, np.ndarray):
+        call, else `F` at each point of the flattened stack in turn; every backend reads here."""
+        if self.batch is not None:
             return np.asarray(self.batch(points), dtype=complex)
-        return np.array([self.value(p) for p in points] if depth == 1 else
-                        [[self.value(p) for p in ps] for ps in points])
+        flat = points.reshape((-1,) + points.shape[depth:])
+        return np.array([self.value(p) for p in flat]).reshape(points.shape[:depth] + (-1,))
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def _closed_form(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) 
     if sigma.dF is None:  # before d2 reads x: the stencil rejects an |x| that would overflow
         stencils, weights = k.domain._stencils(s, x, h)
         dsigma = stencil_sum(weights, sigma._values(stencils, 2))
-    elif sigma.batch is not None and isinstance(s, np.ndarray):  # one call, as `_values` makes
+    elif sigma.batch is not None:  # one call, as `_values` makes
         dsigma = np.asarray(sigma.dF(s, x))
     else:
         dsigma = np.array([sigma.dF(p, v) for p, v in zip(s, x)])
@@ -158,7 +158,7 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
 def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     stencils, weights = k.domain._stencils(s, x, h)
     m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
-    rows = k._values(_members(s), _five(s, stencils, 0))
+    rows = k._values(s[:, None], _five(s, stencils, 0))
     kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
     values = _fiber(sigma._values(stencils, 2), m)
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
@@ -179,12 +179,9 @@ def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> n
     return _fiber(_project(grams, m, 2, projected)[:, 2 * m:3 * m, 0], m)  # kappa(s,s)^(-1) f(s)
 
 
-def _five(s: Sequence, stencils: Sequence, i: int) -> Sequence:
-    """Each probe's five points: its stencil with s_j inserted at slot i, one (L, 5, ...) array
-    where the stencils are one array (vector and unitary domains), else L tuples."""
-    if isinstance(stencils, np.ndarray):
-        return np.concatenate([stencils[:, :i], np.asarray(s)[:, None], stencils[:, i:]], axis=1)
-    return [(*ps[:i], p, *ps[i:]) for p, ps in zip(s, stencils)]
+def _five(s: np.ndarray, stencils: np.ndarray, i: int) -> np.ndarray:
+    """Each probe's five points, one (L, 5, ...) array: its stencil with s_j inserted at slot i."""
+    return np.concatenate([stencils[:, :i], s[:, None], stencils[:, i:]], axis=1)
 
 
 def make_evaluator(k: Kernel, backend: str = "direct",

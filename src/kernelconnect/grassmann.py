@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import (Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel, _finite_array,
-                      _frobenius, _kept, _paired, feature_kernel, stencil_sum)
+from .kernels import (Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel, _exponentials,
+                      _finite_array, _frobenius, _kept, _paired, feature_kernel, stencil_sum)
 from .connections import Section, _fiber
 from .numerics import DEFAULT_STEP, _max_norm, _normals
 
@@ -163,44 +163,45 @@ class GrassDomain(Domain):
     def name(self) -> str:
         return f"Gr({self.k},{self.n})"
 
-    def stack(self, points: Sequence) -> Sequence:
-        """Domain.stack: each point must be a rank-k HermitianProjector in C^n."""
+    def stack(self, points: Sequence) -> np.ndarray:
+        """Domain.stack as an (N,) object array of the caller's rank-k HermitianProjectors."""
         for i, s in enumerate(points):
             if not isinstance(s, HermitianProjector):
                 raise self._error("point is not a HermitianProjector", i, len(points))
             if s.n != self.n or s.rank != self.k:
                 raise self._error(f"expected a rank-{self.k} projector in C^{self.n}, got rank "
                                   f"{s.rank} in C^{s.n}", i, len(points))
-        return points
+        return np.fromiter(points, object, len(points))
 
-    def jets(self, points: Sequence, directions: Sequence) -> tuple[Sequence, Sequence]:
-        """Domain.jets: each tangent must be a GrassTangent anchored at its point, the point itself
-        or a projector within 1e-10 of it in every entry."""
-        for i, (s, x) in enumerate(zip(self.stack(points), _paired(points, directions))):
+    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """Domain.jets as `stack` and an (L,) object array of the caller's GrassTangents, each
+        anchored at its point: the point itself or a projector within 1e-10 of it in every entry."""
+        s = self.stack(points)
+        for i, (p, x) in enumerate(zip(s, _paired(points, directions))):
             if not isinstance(x, GrassTangent):
-                raise self._error("tangent is not a GrassTangent", i, len(points), "probe")
+                raise self._error("tangent is not a GrassTangent", i, len(s), "probe")
             b = x.base.p
-            if x.base is not s and (b.shape != s.p.shape or (abs(b - s.p) > 1e-10).any()):
-                raise self._error("tangent is anchored at another point", i, len(points), "probe")
-        return points, directions
+            if x.base is not p and (b.shape != p.p.shape or (abs(b - p.p) > 1e-10).any()):
+                raise self._error("tangent is anchored at another point", i, len(s), "probe")
+        return s, np.fromiter(directions, object, len(directions))
 
     @_kept
-    def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[list, np.ndarray]:
-        """Domain._stencils as L lists of conjugates u p u*, with U(n)'s stencils u at the identity
-        and its weights, each point checked for finiteness only and holding u B(p); `_kept`, keyed
-        by the point and tangent objects.  A = 0 steps along b c* - c b* with zero weights, b the
-        first column of B(p) and c the column of 1 - p with the largest norm: four points apart."""
+    def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Domain._stencils as an (L, 4) object array of `_orbit`'s u p u* holding u B(p), u the
+        `_exponentials` at the identity by `Domain._rule` on the projectors and generators; `_kept`.
+        A = 0 steps along b c* - c b*, b the first column of B(p) and c the column of 1 - p with the
+        largest norm: four points apart, its weights times 0.0, zeros with their signs."""
         a = np.array([t.generator for t in x])
         zero = ~a.reshape(len(a), -1).any(axis=1)
         for i in np.flatnonzero(zero):
             b, q = fiber_basis(s[i])[:, :1], s[i].complement()
             c = q[:, [np.argmax(q.diagonal().real)]]  # |q e_j|^2 = q_jj
             a[i] = b @ c.conj().T - c @ b.conj().T
-        u, w = UnitaryDomain(self.n)._stencils(np.eye(self.n), a, h)
-        stack = _orbit(u, np.array([p.p for p in s])[:, None],
-                       np.array([fiber_basis(p) for p in s])[:, None], self.k)
-        # the weights of A = 0 times 0.0, with their signs, in a new array: U(n)'s are read-only
-        return [stack[4 * j:4 * j + 4] for j in range(len(s))], w * ~zero[:, None]
+        p = np.array([q.p for q in s])
+        step, weights, unit = self._rule(p, a.reshape(len(a), -1), h)
+        stack = _orbit(_exponentials(np.eye(self.n), step, unit), p[:, None],
+                       np.array([fiber_basis(q) for q in s])[:, None], self.k)
+        return np.fromiter(stack, object, len(stack)).reshape(len(s), 4), weights * ~zero[:, None]
 
 
 def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:
@@ -293,9 +294,8 @@ def _universal(f_ambient, points: Sequence, tangents: Sequence) -> np.ndarray:
     fiber-valued, ||(1-p) F(p)|| <= 1e-8, is one test of all 4L stencil values."""
     domain = GrassDomain(points[0].n, points[0].rank)
     stencils, weights = domain._stencils(*domain.jets(points, tangents), DEFAULT_STEP)
-    at = [q for ps in stencils for q in ps]
-    v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in at])
-    res = np.linalg.norm(v - (np.array([q.p for q in at]) @ v[..., None])[..., 0], axis=-1)
+    v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in stencils.flat])
+    res = np.linalg.norm(v - (np.array([q.p for q in stencils.flat]) @ v[..., None])[..., 0], -1)
     if (res > 1e-8).any():
         raise DomainError(f"section is not fiber-valued: ||(1-p) F(p)|| = {res[res > 1e-8][0]:.3e}")
     deriv = stencil_sum(weights, v.reshape(len(points), 4, -1))

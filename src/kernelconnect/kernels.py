@@ -59,24 +59,21 @@ def _finite_array(x, what: str) -> np.ndarray:
 
 
 def _kept(method: Callable) -> Callable:
-    """method(owner, s, x, h), a pure value derived from checked probes s and x, kept in the one
-    slot of the method: the last result, its arrays read-only, keyed by the owner's value (equal
-    domains and kernels share it), type(h) and h, and the probes: arrays s and x by their exact
-    dtypes, shapes and bytes, sequences (Grassmann points and tangents) by the ids of their
-    members.  The key pairs each id with its member, so no other object takes the id while it
-    keys the slot, and no member's == runs.  One tuple store replaces the slot, so a reader never
-    sees one key with another's value; a call that raises keeps nothing."""
+    """method(owner, s, x, h), a pure value derived from checked probe arrays s and x, kept in the
+    one slot of the method: the last result, its arrays read-only, keyed by the owner's value
+    (equal domains and kernels share it), type(h), h and the dtypes, shapes and bytes of s and x.
+    An object array's bytes are its members' addresses (Gr(k, n) keys by identity, and no
+    member's == runs), so the slot holds s and x: no keyed object is freed, its address reused,
+    while it keys the slot.  One tuple store replaces the slot; a call that raises keeps nothing."""
     slot = [None]
     def kept(owner, s, x, h):
-        key = ((owner, type(h), h, s.dtype, s.shape, s.tobytes(), x.dtype, x.shape, x.tobytes())
-               if isinstance(s, np.ndarray)  # else Grassmann points and tangents, by id
-               else (owner, type(h), h, tuple(zip(map(id, s), s)), tuple(zip(map(id, x), x))))
+        key = (owner, type(h), h, s.dtype, s.shape, s.tobytes(), x.dtype, x.shape, x.tobytes())
         held = slot[0]
         if held is None or held[0] != key:
             out = method(owner, s, x, h)
-            for a in filter(lambda a: isinstance(a, np.ndarray), out):
+            for a in out:
                 a.flags.writeable = False
-            held = slot[0] = (key, out)
+            held = slot[0] = (key, out, s, x)
         return held[1]
     return wraps(method)(kept)
 
@@ -96,11 +93,11 @@ def _as_point(s) -> np.ndarray:
 class Domain:
     """Base-domain protocol: membership checks and the library's one stencil.  A domain with a
     `name` defines `stack(points)` and `jets(points, directions)`, the one check of a list of
-    points and of a stack of probes (s_j, x_j), each point and tangent checked once (code past
-    them trusts the probes, and the curve points that cannot leave the domain); and
-    `_stencils(s, x, h)`: at L checked probes, all at once, the points gamma_j(t step),
-    t = -2, -1, 1, 2, on curves with the 1-jets (s_j, x_j / |x_j|), and the (L, 4) weights of
-    d/dt f(gamma_j), by the one rule `_rule`."""
+    points and of a stack of probes (s_j, x_j), into (N, ...) arrays, each point and tangent
+    checked once (code past them trusts the probes, and the curve points that cannot leave the
+    domain); and `_stencils(s, x, h)`: at L checked probes, all at once, the (L, 4, ...) points
+    gamma_j(t step), t = -2, -1, 1, 2, on curves with the 1-jets (s_j, x_j / |x_j|), and the
+    (L, 4) weights of d/dt f(gamma_j), by the one rule `_rule`."""
 
     _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
 
@@ -296,16 +293,23 @@ class UnitaryDomain(Domain):
         self._refuse(res > 1e-10, lambda i: f"{what} = {res[i]:.3e}", entry)
 
     @_kept
-    def _stencils(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
-        """Domain._stencils as an (L, 4, n, n) array of u_j e^{t a_j / |a_j|} (`Domain._rule`), s
-        one point or L; `_kept`.  a = iH with H = -ia Hermitian, so e^{ta} = V diag(e^{itw}) V* is
-        exact and unitary: one eigh of the (L, n, n) stack of directions, one expression for 4L."""
+    def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """Domain._stencils as the (L, 4, n, n) `_exponentials` u_j e^{t a_j / |a_j|} at checked
+        (L, n, n) probes, by `Domain._rule`, and its weights; `_kept`."""
         x = np.ascontiguousarray(x, complex).reshape(-1, self.n ** 2)
         step, weights, unit = self._rule(s, x, h, 1j)  # along iE_11 at a = 0
-        w, v = hermitian_eigh(-1j * unit.reshape(-1, self.n, self.n))
-        e = np.exp(1j * ((step * _OFFSETS)[:, None] * w[:, None]))  # e^{itw}, (L, 4, n)
-        u = np.asarray(s, dtype=complex)[..., None, :, :] @ (v[:, None] * e[..., None, :])
-        return u @ v.conj().swapaxes(-1, -2)[:, None], weights
+        return _exponentials(s, step, unit), weights
+
+
+def _exponentials(u: np.ndarray, step, unit: np.ndarray) -> np.ndarray:
+    """The (L, 4, n, n) u e^{t a_j} of `Domain._rule`'s step and (L, n^2) unit directions a_j, u
+    L points or one.  a = iH with H = -ia Hermitian, so e^{ta} = V diag(e^{itw}) V* is exact and
+    unitary: one eigh of the (L, n, n) stack of directions, one expression for 4L."""
+    n = u.shape[-1]
+    w, v = hermitian_eigh(-1j * unit.reshape(-1, n, n))
+    e = np.exp(1j * ((step * _OFFSETS)[:, None] * w[:, None]))  # e^{itw}, (L, 4, n)
+    u = np.asarray(u, dtype=complex)[..., None, :, :] @ (v[:, None] * e[..., None, :])
+    return u @ v.conj().swapaxes(-1, -2)[:, None]
 
 
 @dataclass(frozen=True)
@@ -369,10 +373,10 @@ class Kernel:
         return self._jet(*self.domain.jets(points, directions), h)
 
     @_kept
-    def _jet(self, s: Sequence, x: Sequence, h: float) -> tuple[np.ndarray, np.ndarray]:
+    def _jet(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """diagonal_jet at checked probes: kappa(s_j, s_j) from one `_values` call, and `d2` at
         all L probes at once or, without it, the stencil, read from a second one."""
-        m, ss = self.fiber_dim, _members(s)
+        m, ss = self.fiber_dim, s[:, None]  # the one-member stacks (s_j,)
         kss = self._values(ss, ss)
         if self.d2 is None:
             stencils, weights = self.domain._stencils(s, x, h)
@@ -383,11 +387,6 @@ class Kernel:
         if not _finite(out):
             raise NumericsError(f"{self.name}: kernel derivative is not finite")
         return kss, out.reshape(len(ss), m, m)
-
-
-def _members(s: Sequence) -> Sequence:
-    """The one-member stacks (s_j,) of a stack of points; an (L, 1, d) view of an (L, d) array."""
-    return s[:, None] if isinstance(s, np.ndarray) else [(p,) for p in s]
 
 
 def _polar(mag: np.ndarray, phase: np.ndarray) -> np.ndarray:  # mag e^{i phase}, part by part

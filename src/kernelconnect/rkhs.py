@@ -64,11 +64,9 @@ class RKHSElement:
 
 
 def _coordinates(pts: Sequence) -> np.ndarray:
-    """Points (.p of projectors) as rows; ValueError when their sizes differ."""
-    try:  # one stack when the points share a shape
-        return np.array([getattr(p, "p", p) for p in pts], dtype=complex).reshape(len(pts), -1)
-    except ValueError:  # shapes of one size that differ, as 0.1 and [0.2], or no points
-        return np.array([np.ravel(getattr(p, "p", p)) for p in pts], dtype=complex)
+    """One point, or a checked stack of points (.p of projectors), as rows."""
+    a = np.array([getattr(p, "p", p) for p in pts], dtype=complex)
+    return a.reshape(len(pts), a.size // max(len(pts), 1))
 
 
 def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -77,10 +75,10 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                              initial=0.0) <= 1e-12
 
 
-def _certify(samples: Sequence, grams: np.ndarray) -> np.ndarray:
+def _certify(samples: np.ndarray, grams: np.ndarray) -> np.ndarray:
     """The ascending spectra of the Gram matrices of L samples; each sample distinct, each PSD."""
     of = lambda j: f" (sample {j + 1} of {len(samples)})" if len(samples) > 1 else ""  # noqa: E731
-    x = (samples.reshape(samples.shape[:2] + (-1,)) if isinstance(samples, np.ndarray)
+    x = (samples.reshape(samples.shape[:2] + (-1,)) if samples.dtype != object
          else np.array([_coordinates(pts) for pts in samples]))
     close = _close(x, x)  # symmetric; then off the diagonal
     close.reshape(len(x), -1)[:, ::x.shape[1] + 1] = False

@@ -1,4 +1,6 @@
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from kernelconnect.grassmann import (
     universal_covariant_derivative,
     universal_kernel,
 )
-from kernelconnect.kernels import Domain, DomainError
+from kernelconnect.kernels import Domain, DomainError, UnitaryDomain
 from kernelconnect.numerics import NumericsError, hermitian_eigh
 from kernelconnect.verify import grassmann_agreement
 
@@ -514,11 +516,16 @@ def test_a_tiny_grassmann_tangent_keeps_a_sample_of_distinct_points():
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), backend
 
 
+def _stencils(domain, points, tangents, h=1e-4):
+    """The domain's stencils at the probes, after `jets` checks them."""
+    return domain._stencils(*domain.jets(points, tangents), h)
+
+
 def test_stencil_points_are_built_once_per_tangent_with_the_checked_bits():
     point, generator = _probe()
     tangent, domain = GrassTangent(point, generator), GrassDomain(4, 2)
-    (first,), _ = domain._stencils((point,), (tangent,), 1e-4)
-    (second,), _ = domain._stencils((point,), (tangent,), 1e-4)
+    (first,), _ = _stencils(domain, (point,), (tangent,))
+    (second,), _ = _stencils(domain, (point,), (tangent,))
     assert all(a is b for a, b in zip(first, second))
     for t, derived in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), first):
         u = _exp(_unit(generator)[0], t)  # the same conjugate, through the full projector check
@@ -526,10 +533,10 @@ def test_stencil_points_are_built_once_per_tangent_with_the_checked_bits():
         assert derived.rank == 2 and not derived.p.flags.writeable
     # another tangent object with an equal generator at the same point, or a tangent anchored at
     # an equal projector object: the probes are keyed by identity, so a fresh curve, the same bits
-    (again,), _ = domain._stencils((point,), (GrassTangent(point, generator.copy()),), 1e-4)
+    (again,), _ = _stencils(domain, (point,), (GrassTangent(point, generator.copy()),))
     assert all(a is not b and np.array_equal(a.p, b.p) for a, b in zip(first, again))
     copy = HermitianProjector(point.p.copy(), 2)
-    (other,), _ = domain._stencils((copy,), (tangent,), 1e-4)
+    (other,), _ = _stencils(domain, (copy,), (tangent,))
     assert all(a is not b and np.array_equal(a.p, b.p) for a, b in zip(first, other))
 
 
@@ -546,7 +553,61 @@ def test_a_tangent_that_holds_its_curve_still_pickles():
 def test_a_curve_point_is_never_built_from_a_non_unitary_exponential():
     point, generator = _probe()
     with pytest.raises((TypeError, DomainError)):  # e^{tA} is not unitary at a complex t
-        GrassDomain(4, 2)._stencils((point,), (GrassTangent(point, generator),), 0.5j)
+        _stencils(GrassDomain(4, 2), (point,), (GrassTangent(point, generator),), 0.5j)
+
+
+def test_stacks_are_object_arrays_of_the_callers_points_and_tangents():
+    points = [_random_point(4, 2, seed=140 + i) for i in range(3)]
+    tangents = [random_grass_tangent(p, np.random.default_rng(i)) for i, p in enumerate(points)]
+    domain = GrassDomain(4, 2)
+    stack = domain.stack(points)
+    s, x = domain.jets(points, tangents)
+    for got, want in ((stack, points), (s, points), (x, tangents)):
+        assert isinstance(got, np.ndarray) and got.dtype == object and got.shape == (3,)
+        assert all(a is b for a, b in zip(got, want))
+    stencils, weights = domain._stencils(s, x, 1e-4)
+    assert stencils.dtype == object and stencils.shape == weights.shape == (3, 4)
+    assert all(isinstance(q, HermitianProjector) for q in stencils.flat)
+    assert not stencils.flags.writeable and not weights.flags.writeable
+
+
+def test_a_step_too_small_for_a_projector_is_refused_by_its_own_domain_naming_the_probe():
+    point = coordinate_projector(4, 2)
+    tangent = random_grass_tangent(point, np.random.default_rng(150))
+    sigma = Section(F=grass_section_coordinates(lambda pt: pt.p @ np.ones(4)))
+    nabla = make_evaluator(universal_kernel(4, 2), "direct", h=1e-20)
+    message = "Gr(2,4): stencil step 1.000e-20 is too small to resolve the point"
+    with pytest.raises(DomainError) as one:
+        nabla(sigma, point, tangent)
+    assert str(one.value) == message
+    with pytest.raises(DomainError) as two:
+        nabla.evaluate(sigma, [point, point], [tangent, tangent])
+    assert str(two.value) == message + " (probe 1 of 2)"
+
+
+def test_a_grassmann_stencil_build_makes_no_unitary_stencil_call(monkeypatch):
+    calls, stencils = [], UnitaryDomain._stencils
+    monkeypatch.setattr(UnitaryDomain, "_stencils",
+                        lambda self, *a: calls.append(self) or stencils(self, *a))
+    point, generator = _probe(5, 2, seed=151)  # fresh objects: the kept slot cannot serve them
+    (stencil,), _ = _stencils(GrassDomain(5, 2), (point,), (GrassTangent(point, generator),))
+    assert len(stencil) == 4 and calls == []
+
+
+def test_the_kept_slot_keeps_its_grassmann_probes_alive_until_another_call_replaces_it():
+    # the slot is keyed by the probes' addresses, so it must hold them: no other object can take
+    # a keyed address while the slot is keyed by it
+    domain = GrassDomain(4, 2)
+    point, generator = _probe(seed=152)
+    alive = weakref.ref(point)
+    _stencils(domain, (point,), (GrassTangent(point, generator),))
+    del point
+    gc.collect()
+    assert alive() is not None
+    other, generator = _probe(seed=153)
+    _stencils(domain, (other,), (GrassTangent(other, generator),))
+    gc.collect()
+    assert alive() is None
 
 
 def test_agreement_checks_no_curve_point_as_a_projector(monkeypatch):
@@ -582,10 +643,10 @@ _W = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4)
 def test_grassmann_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit():
     probes = [_probe(6, 3, seed=50 + i) for i in range(4)]
     tangents = [GrassTangent(p, a) for p, a in probes]
-    stack, weights = GrassDomain(6, 3)._stencils([p for p, _ in probes], tangents, 1e-4)
+    stack, weights = _stencils(GrassDomain(6, 3), [p for p, _ in probes], tangents)
     assert weights.tobytes() == np.array([_W * _unit(a)[1] for _, a in probes]).tobytes()
     for (point, a), points in zip(probes, stack):
-        (one,), _ = GrassDomain(6, 3)._stencils((point,), (GrassTangent(point, a),), 1e-4)
+        (one,), _ = _stencils(GrassDomain(6, 3), (point,), (GrassTangent(point, a),))
         for t, q, r in zip(_TS, points, one):
             u = _exp(_unit(a)[0], t)
             assert q.p.tobytes() == r.p.tobytes() == (u @ point.p @ u.conj().T).tobytes()
@@ -607,7 +668,7 @@ def test_stencil_and_orbit_points_hold_their_probes_basis_moved_with_them(n, k, 
     point = HermitianProjector(drawn.p, k)  # without the basis random_grass_tangent held
     calls, eigenbasis = [], grassmann._eigenbasis
     monkeypatch.setattr(grassmann, "_eigenbasis", lambda q: calls.append(q) or eigenbasis(q))
-    (stencil,), _ = GrassDomain(n, k)._stencils((point,), (GrassTangent(point, a),), 1e-4)
+    (stencil,), _ = _stencils(GrassDomain(n, k), (point,), (GrassTangent(point, a),))
     b = fiber_basis(point)  # the stencil call diagonalized the probe, and held its basis
     assert b.tobytes() == _fiber_basis_uncached(point).tobytes()
     for t, q in zip(_TS, stencil):
@@ -858,6 +919,6 @@ def test_every_backend_returns_zero_at_a_zero_tangent_where_the_point_commutes_w
         assert not got[1].any(), backend
         # the other probes keep their bits
         assert np.array_equal(got[[0, 2]], nabla.evaluate(sigma, others, tangents())), backend
-    (stencil,), weights = GrassDomain(4, 2)._stencils([point], [zero], 1e-4)
+    (stencil,), weights = _stencils(GrassDomain(4, 2), [point], [zero])
     assert min(np.abs(p.p - point.p).max() for p in stencil) > 1e-5  # four points apart from p
     assert not weights.any() and np.signbit(weights).tolist() == [[False, True, False, True]]

@@ -639,13 +639,13 @@ def test_unitary_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit(
     # weights are the five-point rule's times |a|
     rng = np.random.default_rng(23)
     for n in (1, 3, 6):
-        us = [random_unitary(n, seed=30 + i) for i in range(5)]
-        xs = [a - a.conj().T for a in (rng.standard_normal((n, n))
-                                       + 1j * rng.standard_normal((n, n)) for _ in us)]
+        us = np.array([random_unitary(n, seed=30 + i) for i in range(5)])
+        xs = np.array([a - a.conj().T for a in (rng.standard_normal((n, n))
+                                                + 1j * rng.standard_normal((n, n)) for _ in us)])
         stack, weights = UnitaryDomain(n)._stencils(us, xs, 1e-4)
         assert stack.shape == (5, 4, n, n) and weights.shape == (5, 4)
         for u, a, points, w in zip(us, xs, stack, weights):
-            (one,), (one_w,) = UnitaryDomain(n)._stencils([u], [a], 1e-4)
+            (one,), (one_w,) = UnitaryDomain(n)._stencils(u[None], a[None], 1e-4)
             assert points.tobytes() == one.tobytes() and w.tobytes() == one_w.tobytes()
             unit, size = _unit(a)
             want = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * 1e-4) * size
@@ -659,9 +659,9 @@ def test_unitary_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit(
 def test_a_zero_unitary_tangent_steps_along_i_e11_with_zero_weights(n):
     # the rule of C^d at x = 0: a fixed direction, here iE_11, and weights that are exactly zero
     rng = np.random.default_rng(24)
-    us = [random_unitary(n, seed=40 + i) for i in range(3)]
+    us = np.array([random_unitary(n, seed=40 + i) for i in range(3)])
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    xs = [a - a.conj().T, np.zeros((n, n)), 1e-200 * (a - a.conj().T)]
+    xs = np.array([a - a.conj().T, np.zeros((n, n)), 1e-200 * (a - a.conj().T)])
     stack, weights = UnitaryDomain(n)._stencils(us, xs, 1e-4)
     assert np.array_equal(weights[1], np.zeros(4)) and np.count_nonzero(weights[[0, 2]]) == 8
     for t, p in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), stack[1]):  # u diag(e^{it}, 1, ...)

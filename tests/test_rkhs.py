@@ -252,13 +252,23 @@ def test_lookup_finds_projectors_by_their_matrix():
         r.point_index(coordinate_projector(4, 1))
 
 
+def test_a_hand_built_space_with_no_points_finds_no_point_and_evaluates_to_zero():
+    r = SampledRKHS(make_bergman_disk(2), (), np.zeros((0, 0), dtype=complex), np.zeros(0))
+    with pytest.raises(KeyError, match="point is not among the sample points"):
+        r.point_index(0.1)
+    assert np.array_equal(evaluate_element(RKHSElement(r, np.zeros(0)), 0.1), [0])
+
+
 def test_certify_reads_an_array_of_samples_as_its_list_of_points():
-    # the sampled backend's (L, N, ...) arrays are reshaped, not raveled point by point
+    # the sampled backend's (L, N, ...) arrays are reshaped, not raveled point by point as an
+    # object array of the same points (Grassmann samples hold projectors) is
     k = make_bergman_disk(2)
     samples = np.array([[[0.1], [0.2j], [-0.3]], [[0.4], [0.1 + 0.1j], [0.0]]], dtype=complex)
     grams = np.array([gram_matrix(k, list(pts)) for pts in samples])
     got = _certify(samples, grams)
-    assert np.array_equal(got, _certify([list(pts) for pts in samples], grams))
+    points = np.fromiter(samples.reshape(6, 1), object, 6).reshape(2, 3)
+    assert points.shape == (2, 3) and points[1, 1].shape == (1,)  # each member one point
+    assert np.array_equal(got, _certify(points, grams))
     message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 2\)"
     samples[1, 1] = samples[1, 0]
     with pytest.raises(ValueError, match=message):

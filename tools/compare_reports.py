@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
-"""Compare the `verify all` report of two source trees, seed by seed.
+"""Compare the `verify all` and `grassmann verify` reports of two source trees, seed by seed.
 
     python tools/compare_reports.py PARENT_TREE CHANGE_TREE [--seeds 0-59]
 
 Each tree is a checkout of this repository (the package under its src/).  For every
-seed the script runs `python -m kernelconnect verify all --seed S` from both trees and
-lists every check whose residual, verdict or presence differs, every other report key
-that differs, and every seed whose exit code differs.  A change that must keep the
-report byte-identical passes when the script prints only its summary line.
+seed the script runs each of `python -m kernelconnect verify all --seed S` and
+`python -m kernelconnect grassmann verify --n 6 --k 3 --seed S` (`verify all` reaches
+Gr(2, 4) only) from both trees, and lists every check whose residual, verdict or
+presence differs, every other report key that differs, and every command whose exit
+code differs.  A change that must keep the reports byte-identical passes when the
+script prints only its summary line; given one tree twice, it checks that each
+command's output is deterministic.
 
 Exit status: 0 when stdout and exit code agree at every seed, 1 otherwise, 2 on a
 usage error.
@@ -24,12 +27,13 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from seed_sweep import parse_seeds  # noqa: E402 - the seed option of tools/
 
+COMMANDS = (("verify", "all"), ("grassmann", "verify", "--n", "6", "--k", "3"))
 
-def run_report(tree: str, seed: int) -> tuple[int, str]:
+
+def run_report(tree: str, command: tuple, seed: int) -> tuple[int, str]:
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
-    proc = subprocess.run([sys.executable, "-m", "kernelconnect", "verify", "all",
-                           "--seed", str(seed)], capture_output=True, text=True, env=env,
-                          cwd=tree)
+    proc = subprocess.run([sys.executable, "-m", "kernelconnect", *command, "--seed", str(seed)],
+                          capture_output=True, text=True, env=env, cwd=tree)
     return proc.returncode, proc.stdout or proc.stderr
 
 
@@ -72,11 +76,14 @@ def main(argv=None) -> int:
             parser.error(f"{tree} has no src/kernelconnect")
     differing = 0
     for seed in seeds:
-        (code_a, out_a), (code_b, out_b) = run_report(args.parent, seed), run_report(args.change,
-                                                                                      seed)
-        lines = [] if code_a == code_b else [f"exit code {code_a} -> {code_b}"]
-        if out_a != out_b:
-            lines += differences(out_a, out_b)
+        lines = []
+        for command in COMMANDS:
+            name = " ".join(command[:2])
+            (code_a, out_a), (code_b, out_b) = (run_report(tree, command, seed)
+                                                for tree in (args.parent, args.change))
+            lines += [] if code_a == code_b else [f"{name}: exit code {code_a} -> {code_b}"]
+            if out_a != out_b:
+                lines += [f"{name}: {line}" for line in differences(out_a, out_b)]
         differing += bool(lines)
         for line in lines:
             print(f"seed {seed}: {line}")
