@@ -44,6 +44,7 @@ DISK_BOUNDARY_GUARD = 1.0 - 1e-6
 EDGE_LAYER = 0.08  # nearer the edge the stencil step shrinks; h holds up to |s| = 0.9 on the disk
 _OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])  # the stencil's curve parameters, in units of h
 _WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])  # its weights, in units of 1 / (12 h)
+_MAX_STEP = np.nextafter(np.finfo(float).max / 12, 0)  # the largest h whose 12 h is finite
 
 
 class DomainError(ValueError):
@@ -94,27 +95,29 @@ class Domain:
     """Base-domain protocol: membership checks and the library's one stencil.  A domain with a
     `name` defines `stack(points)` and `jets(points, directions)`, the one check of a list of
     points and of a stack of probes (s_j, x_j), into (N, ...) arrays, each point and tangent
-    checked once (code past them trusts the probes, and the curve points that cannot leave the
-    domain); and `_stencils(s, x, h)`: at L checked probes, all at once, the (L, 4, ...) points
-    gamma_j(t step), t = -2, -1, 1, 2, on curves with the 1-jets (s_j, x_j / |x_j|), and the
-    (L, 4) weights of d/dt f(gamma_j), by the one rule `_rule`."""
+    checked once (C^d and U(n) read them by `_entries`; code past them trusts the probes, and the
+    curve points that cannot leave the domain); and `_stencils(s, x, h)`: at L checked probes, all
+    at once, the (L, 4, ...) points gamma_j(t step), t = -2, -1, 1, 2, on curves with the 1-jets
+    (s_j, x_j / |x_j|), and the (L, 4) weights of d/dt f(gamma_j), by the one rule `_rule`."""
 
     _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
 
     def _rule(self, s, x: np.ndarray, h: float, zero: complex = 1.0) -> tuple:
         """The stencil rule of every domain, at L checked probes with (L, D) flat tangents x: the
-        `_step`, the (L, 4) weights times |x|, |x| the largest entry modulus, and the directions
-        x / |x|, divided part by part (`zero` e_1 at x = 0, where the weights are zero).  An |x|
-        over 1e308 steps would overflow the weights, and a step under 1e6 ulps of a probe's largest
-        entry modulus cannot resolve its point: an error names the probe."""
-        if not 0 < h < np.inf:
-            raise NumericsError(f"step must be positive and finite, got {h}")
+        `_step` (at most h), the (L, 4) weights times |x|, |x| the largest entry modulus, and the
+        directions x / |x|, divided part by part (`zero` e_1 at x = 0, where weights are zero).
+        An error names an h whose 12 h overflows, or the probe whose |x| is over 1e308 steps (its
+        weights overflow) or whose step is under 1e6 ulps of its largest entry modulus."""
+        if not 0 < h <= _MAX_STEP:
+            raise NumericsError(f"step {h:.3e} exceeds max float / 12" if _MAX_STEP < h < np.inf
+                                else f"step must be positive and finite, got {h}")
         step = self._step(s, h)
         self._refuse(step < 2.2e-10 * np.abs(s).reshape(-1, x.shape[1]), lambda j: "stencil step "
                      f"{np.resize(step, len(x))[j]:.3e} is too small to resolve the point")
         size = np.hypot(x.real, x.imag)  # as abs(z) rounds
         size = np.maximum.reduce(size, 1, initial=0.0, keepdims=True)
-        self._refuse(step * 1e300 < size * 1e-8,
+        # step <= h; capped at 1e8, past which every finite |x| passes, the product stays finite
+        self._refuse(np.minimum(step, 1e8) * 1e300 < size * 1e-8,
                      lambda j: f"|x| = {size[j, 0]:.3e} overflows the stencil weights")
         weights = _WEIGHTS / (12.0 * step) * size
         if np.count_nonzero(size) < len(size):
@@ -136,6 +139,33 @@ class Domain:
         if np.count_nonzero(bad):
             j = int(np.argmax(bad)) // (bad.size // len(bad))
             raise self._error(reason(j), j, len(bad), what)
+
+    def _entries(self, items: Sequence, shape: tuple, what: str, entry: str,
+                 wrong: Callable[[tuple], str]) -> np.ndarray:
+        """The (N, *shape) complex array of N entries: one `_complex` call, returned when it has
+        that shape and is finite.  Else an `_error` names the first entry that is ragged or not
+        numeric, not finite ("{what} is not finite") or of another shape (wrong(shape)); a vector
+        domain's scalar entry has shape (1,), so C^1 scalars mix with 1-vectors."""
+        a = _complex(items)
+        if a is not None and a.shape[1:] == shape and _finite(a):
+            return a
+        ms = []
+        for i, m in enumerate(items):
+            m = _complex(m, len(shape) == 1)
+            reason = (f"{what} is ragged or not numeric" if m is None else f"{what} is not finite"
+                      if not _finite(m) else wrong(m.shape) if m.shape != shape else None)
+            if reason is not None:
+                raise self._error(reason, i, len(items), entry)
+            ms.append(m)
+        return np.array(ms, dtype=complex).reshape((len(ms),) + shape)
+
+
+def _complex(m, ndmin: int = 0) -> Optional[np.ndarray]:
+    """np.array(m, dtype=complex, ndmin=ndmin), or None where m is ragged or not numeric."""
+    try:
+        return np.array(m, dtype=complex, ndmin=ndmin)
+    except ValueError:  # ragged: the shapes differ; or a string that is not a number
+        return None
 
 
 def _paired(points: Sequence, directions: Sequence) -> Sequence:
@@ -172,55 +202,20 @@ class VectorDomain(Domain):
     reason: Optional[Callable[[np.ndarray], str]] = None
 
     def stack(self, points: Sequence) -> np.ndarray:
-        """Domain.stack as one checked (N, d) complex array; a scalar is a point of C^1."""
-        try:
-            a = np.array(points, dtype=complex)
-        except ValueError:  # ragged: scalars mixed with vectors, or mixed dimensions
-            a = [_as_point(p) for p in points]
-            dims = np.array([len(p) for p in a])
-            self._refuse(dims != self.dim, lambda i: f"expected dimension {self.dim}, got {dims[i]}",
-                         "point")
-            a = np.array(a)
-        if a.ndim == 1:  # scalar points, or no points at all
-            a = a.reshape((-1, 1) if a.size else (0, self.dim))
-        if a.ndim != 2:
-            raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape[1:]}")
-        if a.shape[1] != self.dim:
-            raise self._error(f"expected dimension {self.dim}, got {a.shape[1]}", 0, len(a))
-        bad = self._outside(a)
-        if bad is not None:
-            raise self._error(bad[1], bad[0], len(a))
+        """Domain.stack as the (N, d) `_entries`, a scalar a point of C^1, inside the edge."""
+        a = self._entries(points, (self.dim,), "point", "point", lambda shape: (
+            f"expected dimension {self.dim}, got {shape[0]}" if len(shape) == 1
+            else f"point must be 1-d, got shape {shape}"))
+        if self.edge is not None:
+            self._refuse(self.edge(a) <= 0, lambda i: self.reason(a[i]), "point")
         return a
 
     def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Domain.jets as checked (L, d) stacks of points and directions."""
-        s, x = self.stack(points), _paired(points, directions)
-        try:
-            x = np.array(x, dtype=complex)
-        except ValueError:  # ragged: scalars mixed with vectors, mixed dimensions or shapes
-            x = [np.atleast_1d(np.asarray(v, dtype=complex)) for v in x]
-            self._refuse(np.array([v.shape != (self.dim,) for v in x]), lambda i: (
-                f"tangent dimension {len(x[i])} != {self.dim}" if x[i].ndim == 1
-                else f"tangent must be 1-d, got shape {x[i].shape}"))
-            x = np.array(x)
-        if not _finite(x):  # then name the first probe whose tangent is not
-            self._refuse(~np.isfinite(x), lambda i: "tangent is not finite")
-        x = x[:, None] if x.ndim == 1 else x  # scalar tangents of C^1
-        if x.ndim != 2:
-            raise DomainError(f"{self.name}: tangent must be 1-d, got shape {x.shape[1:]}")
-        if x.shape[1] != self.dim:
-            raise DomainError(f"{self.name}: tangent dimension {x.shape[1]} != {self.dim}")
-        return s, x
-
-    def _outside(self, flat: np.ndarray) -> Optional[tuple[int, str]]:
-        """(i, reason) for the first of the (N, d) points outside the domain, or None."""
-        if not _finite(flat):
-            return int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
-        if self.edge is not None and len(flat):
-            d = self.edge(flat)
-            if np.count_nonzero(d > 0) < d.size:  # then name the first point at edge <= 0
-                i = int(np.argmin(d > 0))
-                return i, self.reason(flat[i])
+        """Domain.jets as `stack` and the (L, d) `_entries` of the directions."""
+        return self.stack(points), self._entries(
+            _paired(points, directions), (self.dim,), "tangent", "probe", lambda shape: (
+                f"tangent dimension {shape[0]} != {self.dim}" if len(shape) == 1
+                else f"tangent must be 1-d, got shape {shape}"))
 
     def _step(self, s: np.ndarray, h: float):
         """The edge layer: h, times d / EDGE_LAYER at an edge distance d < EDGE_LAYER."""
@@ -230,15 +225,19 @@ class VectorDomain(Domain):
     @_kept
     def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils at checked (L, d) probes: (L, 4, d) points on the lines s + t x / |x| of
-        `_rule`, and its weights.  Only h >= EDGE_LAYER / 2 takes one out: an error names it.  Both
-        arrays are read-only and `_kept`: equal domains at the last call's probes and h get them."""
+        `_rule`, and its weights.  Only h >= EDGE_LAYER / 2, or an |s| + 2 h that overflows, takes
+        one out: an error names it.  Both arrays are read-only and `_kept` for equal domains."""
         step, weights, unit = self._rule(s, x, h)
         stencils = s[:, None] + (step * _OFFSETS)[..., None] * unit[:, None]
-        bad = self._outside(stencils.reshape(-1, self.dim))
-        if bad is not None:
-            j, i = divmod(bad[0], len(_OFFSETS))
-            raise DomainError(f"{self.name}: {bad[1]} (stencil point {i + 1} of probe {j + 1})")
-        return stencils, weights
+        flat = stencils.reshape(-1, self.dim)
+        if not _finite(flat):
+            i, reason = int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
+        elif self.edge is not None and np.count_nonzero(out := self.edge(flat) <= 0):
+            reason = self.reason(flat[i := int(np.argmax(out))])
+        else:
+            return stencils, weights
+        j, i = divmod(i, len(_OFFSETS))
+        raise DomainError(f"{self.name}: {reason} (stencil point {i + 1} of probe {j + 1})")
 
 
 # the disk's edge distance: |s| by hypot, which rounds as abs does on one point (numpy's abs of an
@@ -257,35 +256,21 @@ class UnitaryDomain(Domain):
     name = "U(n)"
 
     def stack(self, points: Sequence) -> np.ndarray:
-        """Domain.stack as one checked (N, n, n) array, by one stacked ||u*u - I||."""
-        u = self._matrices(points, "point", "point", "expected {n}x{n} matrix, got {shape}")
+        """Domain.stack as the (N, n, n) `_entries`, each unitary by one stacked ||u*u - I||."""
+        u = self._entries(points, (self.n,) * 2, "point", "point",
+                          lambda shape: f"expected {self.n}x{self.n} matrix, got {shape}")
         self._small(u.conj().swapaxes(-1, -2) @ u - np.eye(self.n), "not unitary, ||u*u - I||",
                     "point")
         return u
 
     def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Domain.jets as checked (L, n, n) stacks, the tangents by one stacked ||a + a*||."""
+        """Domain.jets as `stack` and the (L, n, n) `_entries`, anti-Hermitian by one ||a + a*||."""
         u = self.stack(points)
-        a = self._matrices(_paired(u, directions), "tangent", "probe",
-                           "tangent shape {shape} != ({n},{n})")
+        a = self._entries(_paired(u, directions), (self.n,) * 2, "tangent", "probe",
+                          lambda shape: f"tangent shape {shape} != ({self.n},{self.n})")
         self._small(a + a.conj().swapaxes(-1, -2), "tangent not anti-Hermitian, ||a + a*||",
                     "probe")
         return u, a
-
-    def _matrices(self, ms: Sequence, what: str, entry: str, wrong: str) -> np.ndarray:
-        """The (N, n, n) array of N matrices, or an error naming the first one that is not finite,
-        or else not n x n."""
-        try:
-            a = np.asarray(ms, dtype=complex)
-        except ValueError:  # ragged: the shapes differ
-            a = np.zeros(0)
-        if a.shape[1:] != (self.n, self.n) or not _finite(a):
-            for i, m in enumerate(map(np.asarray, ms)):
-                if not _finite(m):
-                    raise self._error(f"{what} is not finite", i, len(ms), entry)
-                if m.shape != (self.n, self.n):
-                    raise self._error(wrong.format(n=self.n, shape=m.shape), i, len(ms), entry)
-        return a.reshape(-1, self.n, self.n)
 
     def _small(self, m: np.ndarray, what: str, entry: str) -> None:
         """An error naming the first matrix of the (N, n, n) stack m with a norm over 1e-10."""

@@ -22,7 +22,7 @@ from kernelconnect.connections import (
     make_evaluator,
     parallel_transport,
 )
-from kernelconnect import cli, connections, grassmann, verify
+from kernelconnect import cli, connections, grassmann, kernels, verify
 from kernelconnect.cpmaps import cp_kernel, random_unital_cpmap, random_unitary
 from kernelconnect.grassmann import (
     HermitianProjector,
@@ -441,12 +441,18 @@ def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
 
 
 def test_each_probe_is_checked_once_and_its_derived_points_are_trusted(monkeypatch):
-    # the disk: a one-point direct call stacks its probe once and checks its stencil once
+    # the disk: a one-point direct call stacks its probe once, reads its point and its tangent
+    # once each, and tests the edge at its point, at its stencil points, and once more where the
+    # edge layer sets the step
     stacks = _count_calls(monkeypatch, "stack", VectorDomain)
-    checks = _count_calls(monkeypatch, "_outside", VectorDomain)
+    entries = _count_calls(monkeypatch, "_entries", VectorDomain)
+    edges, edge = [], kernels._disk_edge
+    monkeypatch.setattr(kernels, "_disk_edge", lambda s: edges.append(len(s)) or edge(s))
     covariant_derivative_direct(make_bergman_disk(2), CONSTANT, np.array([0.3]), np.array([1.0]))
     monkeypatch.undo()
-    assert len(stacks) == 1 and [len(c[1]) for c in checks] == [1, 4]
+    assert len(stacks) == 1 and [(len(c[1]), c[3]) for c in entries] == [(1, "point"),
+                                                                         (1, "tangent")]
+    assert edges == [1, 1, 4]  # the point, its step, its stencil
     # U(n): one stacked unitarity check of all probes; the stencil points u e^{tha} are unitary
     # by construction
     k, sigma, us, xs = _stack_cases()[-1]
@@ -576,6 +582,58 @@ def test_every_backend_rejects_a_direction_that_overflows_the_stencil_weights(ba
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(DomainError, match=r"\|x\| = .* overflows the stencil weights"):
                 make_evaluator(k, backend)(sigma, s, size * (x / np.abs(x).max()))
+
+
+@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
+def test_a_step_whose_12_h_overflows_is_refused_by_the_rule(backend):
+    # from h ~ 1.5e307 on, 12 h was inf and every weight 0: closed-form and direct returned 0 on
+    # Fock C^2 for sigma(s) = 1 + s_1 + s_2 at s = 0 along e_1, where d sigma(x) = 1
+    k, sigma = make_fock(np.eye(2)), Section(F=lambda s: np.array([1 + s[0] + s[1]]))
+    s, x = np.zeros(2), np.array([1.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for h in (5e307, np.nextafter(np.finfo(float).max / 12, np.inf)):
+            message = rf"^step {h:.3e} exceeds max float / 12$".replace("+", r"\+")
+            with pytest.raises(NumericsError, match=message):
+                make_evaluator(k, backend, h=h)(sigma, s, x)
+            with pytest.raises(NumericsError, match=message):
+                k.domain.derivatives([s], [x], sigma.F, h=h)
+        # the largest step the rule takes: the stencil is exact on a linear sigma, up to the
+        # rounding of its subnormal weights
+        h = np.nextafter(np.finfo(float).max / 12, 0)
+        assert abs(k.domain.derivatives([s], [x], sigma.F, h=h)[0, 0] - 1) < 1e-15
+        if backend != "sampled":  # whose Fock Gram at points 3e307 apart overflows
+            assert abs(make_evaluator(k, backend, h=h)(sigma, s, x)[0] - 1) < 1e-15
+
+
+def test_a_step_over_1e8_names_its_stencil_point_off_the_disk():
+    # the |x| guard step * 1e300 overflowed by itself from h ~ 1.8e8 on: numpy's overflow
+    # warning came before the named error
+    k, s, x = make_bergman_disk(2), np.array([0.3]), np.array([1.0])
+    ones = Section(F=lambda p: np.ones(1, dtype=complex))  # d sigma by the stencil on every backend
+    message = (r"^unit disk: \|s\| = 1999999999\.7\d* is too close to the unit circle "
+               r"\(stencil point 1 of probe 1\)$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for backend in ("closed-form", "direct", "sampled"):
+            with pytest.raises(DomainError, match=message):
+                make_evaluator(k, backend, h=1e9)(ones, s, x)
+        with pytest.raises(DomainError, match=message):
+            k.domain.derivatives([s], [x], lambda p: p, h=1e9)
+
+
+def test_a_stencil_point_that_overflows_is_named():
+    # s + h at s = 1.7e308, h = 1e307 is inf: the stencil's finiteness scan names it before any
+    # kernel or section value is read there
+    k, s, x = make_fock(np.eye(1)), np.array([1.7e308]), np.array([1.0])
+    ones = Section(F=lambda p: np.ones(1, dtype=complex))  # d sigma by the stencil on every backend
+    message = r"^C\^1: non-finite point \(stencil point 3 of probe 1\)$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for backend in ("closed-form", "direct", "sampled"):
+            with pytest.raises(DomainError, match=message):
+                make_evaluator(k, backend, h=1e307)(ones, s, x)
+        with pytest.raises(DomainError, match=message):
+            k.domain.derivatives([s], [x], lambda p: p, h=1e307)
 
 
 @pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])

@@ -622,14 +622,17 @@ def test_agreement_checks_no_curve_point_as_a_projector(monkeypatch):
     assert checked == [2]
 
 
-def test_a_huge_step_still_rejects_a_non_finite_curve_point():
+def test_a_huge_step_is_refused_before_any_curve_point():
+    # at h = 1e308, 2 h overflowed, then t w, and a non-finite projector was named; the rule now
+    # refuses an h whose 12 h overflows, on Gr(k, n) as on every domain
     point, generator = _probe()
     tangent = GrassTangent(point, generator)
     sigma = Section(F=grass_section_coordinates(lambda pt: pt.p @ np.ones(4)))
-    with np.errstate(over="ignore", invalid="ignore"):  # 2 h overflows, then t w
-        with pytest.raises(DomainError, match="projector is not finite"):
+    message = r"^step 1.000e\+308 exceeds max float / 12$"
+    with np.errstate(over="raise", invalid="raise"):  # refused before any arithmetic on h
+        with pytest.raises(NumericsError, match=message):
             covariant_derivative_direct(universal_kernel(4, 2), sigma, point, tangent, h=1e308)
-        with pytest.raises(DomainError, match="projector is not finite"):
+        with pytest.raises(NumericsError, match=message):
             GrassDomain(4, 2).derivatives((point,), (tangent,), lambda pt: pt.p, h=1e308)[0]
 
 

@@ -361,7 +361,7 @@ def test_fock_gram_at_200_points_matches_the_per_pair_formula(dim):
     (make_bergman_halfplane(1), [1j, 2j, 0.5 - 0.1j],
      r"upper half-plane: Im z = -1.000e-01 must be positive \(point 3 of 3\)"),
     (make_fock(np.eye(2)), [[0, 0], [1, 1j], [np.nan, 0], [np.inf, 0]],
-     r"C\^2: non-finite point \(point 3 of 4\)"),
+     r"C\^2: point is not finite \(point 3 of 4\)"),
     (make_fock(np.eye(2)), [[0, 0], [1, 1j, 2], [0, 1]],
      r"C\^2: expected dimension 2, got 3 \(point 2 of 3\)"),
 ])
@@ -613,6 +613,75 @@ def test_scalar_and_one_entry_tangents_mix_on_c1_as_points_do():
     s, x = VectorDomain(1).jets([0.1, [0.2]], [1, [1j]])
     assert s.tobytes() == np.array([[0.1], [0.2]], dtype=complex).tobytes()
     assert x.tobytes() == np.array([[1], [1j]], dtype=complex).tobytes()
+
+
+_C2, _U2, _I2, _I3 = VectorDomain(2, "C^2"), UnitaryDomain(2), np.eye(2), np.eye(3)
+_A2 = np.array([[1j, 0], [0, 0]])  # anti-Hermitian
+_P2 = [[0, 0]] * 2
+
+
+@pytest.mark.parametrize("read, want", [
+    # C^d points: ragged, wrong length, a 2-d entry, NaN and inf
+    (lambda: _C2.stack([[0, 0], [1, 1j, 2]]),
+     r"C\^2: expected dimension 2, got 3 \(point 2 of 2\)"),
+    (lambda: _C2.stack([[0, 0, 0], [1, 1j, 2]]),
+     r"C\^2: expected dimension 2, got 3 \(point 1 of 2\)"),
+    (lambda: _C2.stack([[0, 0], [[1, 0]]]),
+     r"C\^2: point must be 1-d, got shape \(1, 2\) \(point 2 of 2\)"),
+    (lambda: _C2.stack([[[1, 0]], [[0, 1]]]),
+     r"C\^2: point must be 1-d, got shape \(1, 2\) \(point 1 of 2\)"),
+    (lambda: _C2.stack([[0, 0], [0, np.nan]]), r"C\^2: point is not finite \(point 2 of 2\)"),
+    (lambda: _C2.stack([[np.inf, 0], [0, 0]]), r"C\^2: point is not finite \(point 1 of 2\)"),
+    # an entry that is itself ragged, or a string that is no number
+    (lambda: _C2.stack([[0, 0], [[1], [1, 0]]]),
+     r"C\^2: point is ragged or not numeric \(point 2 of 2\)"),
+    (lambda: VectorDomain(1).stack(["one", 1]),
+     r"C\^d: point is ragged or not numeric \(point 1 of 2\)"),
+    (lambda: _C2.jets(_P2, [[1, 0], [[1], [1, 0]]]),
+     r"C\^2: tangent is ragged or not numeric \(probe 2 of 2\)"),
+    # C^d tangents: the same, and a regular stack of wrong tangents
+    (lambda: _C2.jets(_P2, [[1, 0], [1]]), r"C\^2: tangent dimension 1 != 2 \(probe 2 of 2\)"),
+    (lambda: _C2.jets(_P2, [[1], [1]]), r"C\^2: tangent dimension 1 != 2 \(probe 1 of 2\)"),
+    (lambda: _C2.jets(_P2, [[[1, 0]], [[0, 1]]]),
+     r"C\^2: tangent must be 1-d, got shape \(1, 2\) \(probe 1 of 2\)"),
+    (lambda: _C2.jets(_P2, [[1, 0], [np.nan, 0]]), r"C\^2: tangent is not finite \(probe 2 of 2\)"),
+    (lambda: _C2.jets(_P2, [[1, -np.inf], [1, 0]]),
+     r"C\^2: tangent is not finite \(probe 1 of 2\)"),
+    # C^1 reads a scalar as a point or a tangent, alone or beside 1-vectors
+    (lambda: VectorDomain(1).stack([0.1, 0.2j]), [[0.1], [0.2j]]),
+    (lambda: VectorDomain(1).stack([[0.1], 0.2j]), [[0.1], [0.2j]]),
+    (lambda: VectorDomain(1).jets([0.1, 0.2j], [1, [1j]])[1], [[1], [1j]]),
+    # no entries: an empty stack of the domain's shape
+    (lambda: _C2.stack([]), np.zeros((0, 2))),
+    (lambda: _U2.stack([]), np.zeros((0, 2, 2))),
+    # U(n) points: ragged, wrong size, a scalar, NaN and inf
+    (lambda: _U2.stack([_I2, _I3]), r"U\(n\): expected 2x2 matrix, got \(3, 3\) \(point 2 of 2\)"),
+    (lambda: _U2.stack([_I3, _I3]), r"U\(n\): expected 2x2 matrix, got \(3, 3\) \(point 1 of 2\)"),
+    (lambda: _U2.stack([_I2, 1.0]), r"U\(n\): expected 2x2 matrix, got \(\) \(point 2 of 2\)"),
+    (lambda: _U2.stack([_I2, np.nan * _I2]), r"U\(n\): point is not finite \(point 2 of 2\)"),
+    (lambda: _U2.stack([np.diag([np.inf, 1]), _I2]),
+     r"U\(n\): point is not finite \(point 1 of 2\)"),
+    (lambda: _U2.stack([_I2, [[1, 0], [0]]]),
+     r"U\(n\): point is ragged or not numeric \(point 2 of 2\)"),
+    (lambda: _U2.jets([_I2] * 2, [[[1, 0], [0]], _A2]),
+     r"U\(n\): tangent is ragged or not numeric \(probe 1 of 2\)"),
+    # U(n) tangents: ragged, a regular stack of wrong ones, NaN
+    (lambda: _U2.jets([_I2] * 2, [_A2, 0 * _I3]),
+     r"U\(n\): tangent shape \(3, 3\) != \(2,2\) \(probe 2 of 2\)"),
+    (lambda: _U2.jets([_I2] * 2, [0 * _I3] * 2),
+     r"U\(n\): tangent shape \(3, 3\) != \(2,2\) \(probe 1 of 2\)"),
+    (lambda: _U2.jets([_I2] * 2, [_A2, np.nan * _A2]),
+     r"U\(n\): tangent is not finite \(probe 2 of 2\)"),
+])
+def test_c_d_and_u_n_read_points_and_tangents_by_one_reader(read, want):
+    # an error names its domain and its entry; what passes is one complex stack
+    if isinstance(want, str):
+        with pytest.raises(DomainError, match=f"^{want}$"):
+            read()
+    else:
+        got = read()
+        assert got.dtype == complex and got.tobytes() == np.array(want, dtype=complex).tobytes()
+        assert got.shape == np.shape(want)
 
 
 def test_diagonal_jet_checks_its_stack_once_and_names_what_is_wrong():
