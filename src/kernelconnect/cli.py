@@ -26,7 +26,7 @@ __all__ = ["main", "parse_kernel_spec", "KERNEL_SPEC_GRAMMAR"]
 _KERNEL_SPECS = {
     "bergman-disk": ({"nu": "real"}, lambda nu: kc.make_bergman_disk(nu)),
     "bergman-halfplane": ({"nu": "real"}, lambda nu: kc.make_bergman_halfplane(nu)),
-    "fock": ({"dim": "int"}, lambda dim: kc.make_fock(np.eye(dim))),
+    "fock": ({"dim": "int"}, lambda dim: kc.make_fock(np.eye(_at_most("fock:dim", dim, 16)))),
 }
 _FIELD_TYPES = {"real": float, "int": int}
 
@@ -37,6 +37,14 @@ KERNEL_SPEC_GRAMMAR = "kernel spec grammar: " + " | ".join(
 
 class UsageError(ValueError):
     """Bad command-line input; reported with the accepted grammar, exit code 2."""
+
+
+def _at_most(name: str, value, limit: int):
+    """value, or a UsageError naming the option or field and its limit; --points counts points."""
+    size = len([p for p in value.split(";") if p.strip()]) if isinstance(value, str) else value
+    if size > limit:
+        raise UsageError(f"{name} must be at most {limit}, got {size}")
+    return value
 
 
 def parse_kernel_spec(spec: str) -> kc.Kernel:
@@ -349,11 +357,12 @@ def _cmd_verify(args) -> int:
 
 
 _REQUIRED = {"required": True}
+_POINTS = {"required": True, "max": 1024}
 _SEED = {"type": int, "default": 42}
 _OUTPUT = {"help": "write to this path instead of stdout"}
 
-# command -> (help, {subcommand: (help, handler, --tol default or None (no verdict),
-#                                 --format default or None (no CSV form), {option: keywords})})
+# command -> (help, {subcommand: (help, handler, --tol default or None (no verdict), --format
+#   default or None (no CSV form), {option: keywords, a "max" its bound, of points for --points})})
 _COMMANDS = {
     "kernel": ("evaluate kernels and Gram matrices", {
         "eval": ("evaluate kappa(s, t)", _cmd_kernel_eval, None, "json", {
@@ -362,14 +371,14 @@ _COMMANDS = {
             "--point2": {"help": "second point (defaults to --point)"}}),
         "gram": ("block Gram matrix with PSD certificate", _cmd_kernel_gram, DEFAULT_TOL, "json", {
             "--kernel": _REQUIRED,
-            "--points": {"required": True,
+            "--points": {**_POINTS,
                          "help": "semicolon-separated points, each comma-separated a+bi"}}),
     }),
     "rkhs": ("finite-sample Hilbert space diagnostics", {
         "gram": ("emit the sampled Gram matrix", _cmd_rkhs_gram, None, "csv", {
-            "--kernel": _REQUIRED, "--points": _REQUIRED}),
+            "--kernel": _REQUIRED, "--points": _POINTS}),
         "universality": ("fiber-projection reproduction residual", _cmd_rkhs_universality,
-                         DEFAULT_TOL, None, {"--kernel": _REQUIRED, "--points": _REQUIRED}),
+                         DEFAULT_TOL, None, {"--kernel": _REQUIRED, "--points": _POINTS}),
     }),
     "connect": ("covariant derivatives and transport", {
         "covderiv": ("compare the three backends at a probe", _cmd_connect_covderiv, 1e-6, None, {
@@ -378,12 +387,12 @@ _COMMANDS = {
         "transport": ("parallel transport along a segment", _cmd_connect_transport, 1e-6, "json", {
             "--kernel": _REQUIRED, "--start": _REQUIRED, "--end": _REQUIRED,
             "--vector": {"help": "initial fiber vector (default: ones)"},
-            "--steps": {"type": int, "default": 256}}),
+            "--steps": {"type": int, "default": 256, "max": 32768}}),
     }),
     "grassmann": ("projector-manifold connection suites", {
         "verify": ("three-way covariant-derivative agreement", _cmd_grassmann_verify, 1e-6, None, {
-            "--n": {"type": int, "default": 4}, "--k": {"type": int, "default": 2},
-            "--probes": {"type": int, "default": 20}, "--seed": _SEED}),
+            "--n": {"type": int, "default": 4, "max": 64}, "--k": {"type": int, "default": 2},
+            "--probes": {"type": int, "default": 20, "max": 256}, "--seed": _SEED}),
     }),
     "cp": ("completely positive maps and dilations", {
         "dilate": ("minimal isometric dilation from a Choi CSV", _cmd_cp_dilate, 1e-10, "json", {
@@ -408,14 +417,14 @@ def build_parser() -> argparse.ArgumentParser:
         for name, (help_, fn, tol, fmt, options) in subcommands.items():
             p = leaves.add_parser(name, help=help_)
             for option, keywords in options.items():
-                p.add_argument(option, **keywords)
+                p.add_argument(option, **{k: v for k, v in keywords.items() if k != "max"})
             if fmt is not None:
                 p.add_argument("--format", choices=("json", "csv"), default=fmt)
             p.add_argument("--output", **_OUTPUT)
             if tol is not None:
                 p.add_argument("--tol", type=float, default=tol,
                                help="residual tolerance for the pass/fail verdict")
-            p.set_defaults(fn=fn)
+            p.set_defaults(fn=fn, limits={o: w["max"] for o, w in options.items() if "max" in w})
 
     ver = sub.add_parser("verify", help="run the cross-validation suites")
     ver.add_argument("target", nargs="*", default=[],
@@ -452,6 +461,8 @@ def main(argv=None) -> int:
             raise UsageError(f"tolerance must be finite and > 0, got {tol}")
         if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed must be >= 0, got {args.seed}")
+        for option, limit in getattr(args, "limits", {}).items():
+            _at_most(option, getattr(args, option[2:]), limit)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

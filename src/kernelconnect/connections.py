@@ -103,20 +103,20 @@ def connection_form(k: Kernel, s, h: float = DEFAULT_STEP) -> Callable[[object],
     """The local connection 1-form at s: alpha(X) = kappa(s,s)^(-1) d2_kappa(s,s)(X).
 
     Real-linear in X; for scalar kernels this is d2_kappa(s,s)(X)/kappa(s,s).
-    Fails when kappa(s,s) is singular.  The one-point case of `connection_forms`.
+    Fails when kappa(s,s) is singular.  The one-point case of `connection_forms`, 0 < h <= 0.01.
     """
     return lambda x: connection_forms(k, (s,), (x,), h)[0]
 
 
 def connection_forms(k: Kernel, points: Sequence, directions: Sequence,
                      h: float = DEFAULT_STEP) -> np.ndarray:
-    """The (L, M, M) stack of forms alpha_{s_j}(x_j), from one diagonal jet and one solve."""
+    """The (L, M, M) forms alpha_{s_j}(x_j) from one diagonal jet, 0 < h <= 0.01, and one solve."""
     return _solve(*k.diagonal_jet(points, directions, h))
 
 
 def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
                                      h: float = DEFAULT_STEP) -> np.ndarray:
-    """d(sigma)(X) + alpha(X) sigma(s) on the trivialized bundle."""
+    """d(sigma)(X) + alpha(X) sigma(s) on the trivialized bundle; 0 < h <= 0.01 (the stencil's)."""
     return _closed_form(k, sigma, *k.domain.jets((s,), (x,)), h)[0]
 
 
@@ -145,7 +145,7 @@ def _fiber(values, m: int) -> np.ndarray:
 
 def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
                                 h: float = DEFAULT_STEP) -> np.ndarray:
-    """kappa(s,s)^(-1) d/dt|0 [kappa(s, gamma(t)) sigma(gamma(t))].
+    """kappa(s,s)^(-1) d/dt|0 [kappa(s, gamma(t)) sigma(gamma(t))], by the stencil, 0 < h <= 0.01.
 
     gamma is the cheapest curve with the right 1-jet (straight line on vector
     domains, u exp(t a) on unitary groups, a conjugation curve on projector
@@ -186,7 +186,7 @@ def _five(s: np.ndarray, stencils: np.ndarray, i: int) -> np.ndarray:
 
 def make_evaluator(k: Kernel, backend: str = "direct",
                    h: float = DEFAULT_STEP) -> ConnectionEvaluator:
-    """Build a covariant-derivative evaluator with the chosen backend.
+    """Build a covariant-derivative evaluator with the chosen backend and step 0 < h <= 0.01.
 
     Every backend evaluates a stack of probes at once.  The sampled backend
     assembles and certifies a 5-point sample along each probe's curve, all in
@@ -237,7 +237,7 @@ def leibniz_residual(nabla: ConnectionEvaluator, f: Callable[[object], complex],
                      sigma: Section, probes: Sequence[tuple],
                      h: float = DEFAULT_STEP) -> float:
     """max over probes (s, X) of ||nabla(f sigma)(X) - df(X) sigma(s) - f(s) nabla(sigma)(X)||:
-    the one-evaluator case of `_leibniz`, with f, a function of one point, as a scalar section."""
+    the one-evaluator `_leibniz`, f a function of one point as a scalar section; 0 < h <= 0.01."""
     return _leibniz((nabla,), Section(F=f), sigma, probes, h)[0]
 
 

@@ -44,7 +44,7 @@ DISK_BOUNDARY_GUARD = 1.0 - 1e-6
 EDGE_LAYER = 0.08  # nearer the edge the stencil step shrinks; h holds up to |s| = 0.9 on the disk
 _OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])  # the stencil's curve parameters, in units of h
 _WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])  # its weights, in units of 1 / (12 h)
-_MAX_STEP = np.nextafter(np.finfo(float).max / 12, 0)  # the largest h whose 12 h is finite
+_MAX_STEP = EDGE_LAYER / 8  # 0.01, the largest h: 2 h <= EDGE_LAYER / 4 keeps stencils inside
 
 
 class DomainError(ValueError):
@@ -60,14 +60,17 @@ def _finite_array(x, what: str) -> np.ndarray:
 
 
 def _kept(method: Callable) -> Callable:
-    """method(owner, s, x, h), a pure value derived from checked probe arrays s and x, kept in the
-    one slot of the method: the last result, its arrays read-only, keyed by the owner's value
-    (equal domains and kernels share it), type(h), h and the dtypes, shapes and bytes of s and x.
-    An object array's bytes are its members' addresses (Gr(k, n) keys by identity, and no
-    member's == runs), so the slot holds s and x: no keyed object is freed, its address reused,
-    while it keys the slot.  One tuple store replaces the slot; a call that raises keeps nothing."""
+    """method(owner, s, x, h), a stencil or jet at checked probe arrays s and x, after the one
+    check of its step, 0 < h <= _MAX_STEP, kept in the one slot of the method: the last result,
+    its arrays read-only, keyed by the owner's value (equal domains and kernels share it), type(h),
+    h and the dtypes, shapes and bytes of s and x.  An object array's bytes are its members'
+    addresses (Gr(k, n) keys by identity, and no member's == runs), so the slot holds s and x: no
+    keyed object is freed, its address reused, while it keys the slot.  One tuple store replaces
+    the slot; a call that raises keeps nothing."""
     slot = [None]
     def kept(owner, s, x, h):
+        if not 0 < h <= _MAX_STEP:
+            raise NumericsError(f"step must be positive and at most {_MAX_STEP}, got {h}")
         key = (owner, type(h), h, s.dtype, s.shape, s.tobytes(), x.dtype, x.shape, x.tobytes())
         held = slot[0]
         if held is None or held[0] != key:
@@ -95,10 +98,10 @@ class Domain:
     """Base-domain protocol: membership checks and the library's one stencil.  A domain with a
     `name` defines `stack(points)` and `jets(points, directions)`, the one check of a list of
     points and of a stack of probes (s_j, x_j), into (N, ...) arrays, each point and tangent
-    checked once (C^d and U(n) read them by `_entries`; code past them trusts the probes, and the
-    curve points that cannot leave the domain); and `_stencils(s, x, h)`: at L checked probes, all
-    at once, the (L, 4, ...) points gamma_j(t step), t = -2, -1, 1, 2, on curves with the 1-jets
-    (s_j, x_j / |x_j|), and the (L, 4) weights of d/dt f(gamma_j), by the one rule `_rule`."""
+    checked once (C^d and U(n) read them by `_entries`; code past them trusts the probes and their
+    stencils); and `_stencils(s, x, h)`: at L checked probes and 0 < h <= 0.01, all at once, the
+    (L, 4, ...) points gamma_j(t step), t = -2, -1, 1, 2, inside the domain, on curves with the
+    1-jets (s_j, x_j / |x_j|), and the (L, 4) weights of d/dt f(gamma_j), by the one `_rule`."""
 
     _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
 
@@ -106,18 +109,15 @@ class Domain:
         """The stencil rule of every domain, at L checked probes with (L, D) flat tangents x: the
         `_step` (at most h), the (L, 4) weights times |x|, |x| the largest entry modulus, and the
         directions x / |x|, divided part by part (`zero` e_1 at x = 0, where weights are zero).
-        An error names an h whose 12 h overflows, or the probe whose |x| is over 1e308 steps (its
-        weights overflow) or whose step is under 1e6 ulps of its largest entry modulus."""
-        if not 0 < h <= _MAX_STEP:
-            raise NumericsError(f"step {h:.3e} exceeds max float / 12" if _MAX_STEP < h < np.inf
-                                else f"step must be positive and finite, got {h}")
+        h comes in (0, 0.01], checked by `_kept`; an error names the probe whose step is under 1e6
+        ulps of max(1, its largest entry modulus) or whose |x| is over 1e308 steps."""
         step = self._step(s, h)
-        self._refuse(step < 2.2e-10 * np.abs(s).reshape(-1, x.shape[1]), lambda j: "stencil step "
-                     f"{np.resize(step, len(x))[j]:.3e} is too small to resolve the point")
+        self._refuse(step < 2.2e-10 * np.maximum(np.abs(s).reshape(-1, x.shape[1]), 1.0),
+                     lambda j: f"stencil step {np.resize(step, len(x))[j]:.3e} is too small to "
+                     "resolve the point")
         size = np.hypot(x.real, x.imag)  # as abs(z) rounds
         size = np.maximum.reduce(size, 1, initial=0.0, keepdims=True)
-        # step <= h; capped at 1e8, past which every finite |x| passes, the product stays finite
-        self._refuse(np.minimum(step, 1e8) * 1e300 < size * 1e-8,
+        self._refuse(step * 1e300 < size * 1e-8,
                      lambda j: f"|x| = {size[j, 0]:.3e} overflows the stencil weights")
         weights = _WEIGHTS / (12.0 * step) * size
         if np.count_nonzero(size) < len(size):
@@ -126,7 +126,7 @@ class Domain:
 
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:
-        """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at L probes (s_j, x_j), checked by `jets`."""
+        """The (L, ...) stack of d/dt|0 f(gamma_j(t)) at probes checked by `jets`; 0 < h <= 0.01."""
         stencils, weights = self._stencils(*self.jets(points, directions), h)
         return stencil_sum(weights, [[f(p) for p in ps] for ps in stencils])
 
@@ -225,19 +225,9 @@ class VectorDomain(Domain):
     @_kept
     def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils at checked (L, d) probes: (L, 4, d) points on the lines s + t x / |x| of
-        `_rule`, and its weights.  Only h >= EDGE_LAYER / 2, or an |s| + 2 h that overflows, takes
-        one out: an error names it.  Both arrays are read-only and `_kept` for equal domains."""
+        `_rule`, inside the edge as h <= 0.01, and its weights; read-only, `_kept`."""
         step, weights, unit = self._rule(s, x, h)
-        stencils = s[:, None] + (step * _OFFSETS)[..., None] * unit[:, None]
-        flat = stencils.reshape(-1, self.dim)
-        if not _finite(flat):
-            i, reason = int(np.argmin(np.isfinite(flat).all(axis=1))), "non-finite point"
-        elif self.edge is not None and np.count_nonzero(out := self.edge(flat) <= 0):
-            reason = self.reason(flat[i := int(np.argmax(out))])
-        else:
-            return stencils, weights
-        j, i = divmod(i, len(_OFFSETS))
-        raise DomainError(f"{self.name}: {reason} (stencil point {i + 1} of probe {j + 1})")
+        return s[:, None] + (step * _OFFSETS)[..., None] * unit[:, None], weights
 
 
 # the disk's edge distance: |s| by hypot, which rounds as abs does on one point (numpy's abs of an
@@ -354,7 +344,7 @@ class Kernel:
                      h: float = DEFAULT_STEP) -> tuple[np.ndarray, np.ndarray]:
         """The (L, M, M) stacks kappa(s_j, s_j) and d2_kappa(s_j, s_j)(x_j): the `_jet` of the
         probes, checked once by `jets`, `_kept` on every domain: both arrays are read-only, and a
-        call on an equal kernel at the last call's probes and h returns the same two."""
+        call on an equal kernel at the last call's probes and h, in (0, 0.01], returns the same."""
         return self._jet(*self.domain.jets(points, directions), h)
 
     @_kept

@@ -446,6 +446,42 @@ def test_bad_input_exits_2(capsys, argv, message):
     assert message in err
 
 
+_TRANSPORT = ["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0",
+              "--end", "0.5"]
+
+
+# one past each size limit: before the limits each of these ran, bounded by the host memory alone
+@pytest.mark.parametrize("argv, message", [
+    (["kernel", "eval", "--kernel", "fock:dim=17", "--point", ",".join(["0"] * 17)],
+     "cannot parse kernel spec 'fock:dim=17': fock:dim must be at most 16, got 17"),
+    (_TRANSPORT + ["--steps", "32769"], "--steps must be at most 32768, got 32769"),
+    (["grassmann", "verify", "--n", "65", "--k", "1", "--probes", "1"],
+     "--n must be at most 64, got 65"),
+    (["grassmann", "verify", "--probes", "257"], "--probes must be at most 256, got 257"),
+    (["kernel", "gram", "--kernel", "bergman-disk:nu=2", "--points", ";".join(["0.1"] * 1025)],
+     "--points must be at most 1024, got 1025"),
+    (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", ";".join(["0.1"] * 1025)],
+     "--points must be at most 1024, got 1025"),
+    (["rkhs", "universality", "--kernel", "bergman-disk:nu=2",
+      "--points", ";".join(["0.1"] * 1025) + ";;"], "--points must be at most 1024, got 1025"),
+])
+def test_a_size_one_past_its_limit_exits_2_naming_the_option_and_its_limit(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "eval", "--kernel", "fock:dim=16", "--point", ",".join(["0"] * 16)],
+    _TRANSPORT + ["--steps", "32768"],
+    ["grassmann", "verify", "--n", "64", "--k", "1", "--probes", "1"],
+    ["grassmann", "verify", "--probes", "256"],
+])
+def test_a_size_at_its_limit_is_taken(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cp", "kernel", "--choi", "{choi}", "--seed", "-1"], "--seed must be >= 0"),
     (["cp", "covderiv", "--choi", "{choi}", "--seed", "-1"], "--seed must be >= 0"),

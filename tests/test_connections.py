@@ -1,4 +1,5 @@
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -442,8 +443,8 @@ def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
 
 def test_each_probe_is_checked_once_and_its_derived_points_are_trusted(monkeypatch):
     # the disk: a one-point direct call stacks its probe once, reads its point and its tangent
-    # once each, and tests the edge at its point, at its stencil points, and once more where the
-    # edge layer sets the step
+    # once each, and tests the edge at its point and once more where the edge layer sets the
+    # step; its stencil points are inside by the bound on h, and no edge is evaluated there
     stacks = _count_calls(monkeypatch, "stack", VectorDomain)
     entries = _count_calls(monkeypatch, "_entries", VectorDomain)
     edges, edge = [], kernels._disk_edge
@@ -452,7 +453,7 @@ def test_each_probe_is_checked_once_and_its_derived_points_are_trusted(monkeypat
     monkeypatch.undo()
     assert len(stacks) == 1 and [(len(c[1]), c[3]) for c in entries] == [(1, "point"),
                                                                          (1, "tangent")]
-    assert edges == [1, 1, 4]  # the point, its step, its stencil
+    assert edges == [1, 1]  # the point, its step
     # U(n): one stacked unitarity check of all probes; the stencil points u e^{tha} are unitary
     # by construction
     k, sigma, us, xs = _stack_cases()[-1]
@@ -584,56 +585,62 @@ def test_every_backend_rejects_a_direction_that_overflows_the_stencil_weights(ba
                 make_evaluator(k, backend)(sigma, s, size * (x / np.abs(x).max()))
 
 
-@pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
-def test_a_step_whose_12_h_overflows_is_refused_by_the_rule(backend):
-    # from h ~ 1.5e307 on, 12 h was inf and every weight 0: closed-form and direct returned 0 on
-    # Fock C^2 for sigma(s) = 1 + s_1 + s_2 at s = 0 along e_1, where d sigma(x) = 1
+@pytest.mark.parametrize("h", [0.0, -1e-4, np.nan, np.inf, np.nextafter(0.01, 1), 0.1, 1e9, 1e308])
+def test_a_step_outside_0_to_0_01_is_refused_before_any_arithmetic_on_it(h):
+    # every entry point on C^d, U(n) and Gr(k, n), with or without a stencil to build: h >= 0.04
+    # took a stencil point off the disk, h ~ 1e307 made it overflow, 12 h overflowed from 1.5e307
+    # on, and a kernel with d2 never read h, so connection_forms returned a value at h = nan
+    cases = [_stack_cases()[i] for i in (0, 2, 3)] + [_bitwise_cases()[-1]]
+    message = rf"^step must be positive and at most 0\.01, got {re.escape(str(h))}$"
+    with np.errstate(over="raise", invalid="raise"):
+        for k, sigma, pts, xs in cases:
+            calls = [lambda b=b: make_evaluator(k, b, h=h).evaluate(sigma, pts, xs)
+                     for b in ("closed-form", "direct", "sampled")]
+            calls += [lambda: connection_forms(k, pts, xs, h), lambda: k.diagonal_jet(pts, xs, h),
+                      lambda: k.domain.derivatives(pts, xs, sigma.F, h=h)]
+            for call in calls:
+                with pytest.raises(NumericsError, match=message):
+                    call()
+
+
+def test_the_largest_step_is_taken_and_exact_on_a_linear_section():
+    # h = 0.01 on Fock C^2 for sigma(s) = 1 + s_1 + s_2 at s = 0 along e_1, where d sigma(x) = 1:
+    # the stencil is exact on a linear sigma up to its rounding, ~eps / (12 h)
     k, sigma = make_fock(np.eye(2)), Section(F=lambda s: np.array([1 + s[0] + s[1]]))
     s, x = np.zeros(2), np.array([1.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        for h in (5e307, np.nextafter(np.finfo(float).max / 12, np.inf)):
-            message = rf"^step {h:.3e} exceeds max float / 12$".replace("+", r"\+")
-            with pytest.raises(NumericsError, match=message):
-                make_evaluator(k, backend, h=h)(sigma, s, x)
-            with pytest.raises(NumericsError, match=message):
-                k.domain.derivatives([s], [x], sigma.F, h=h)
-        # the largest step the rule takes: the stencil is exact on a linear sigma, up to the
-        # rounding of its subnormal weights
-        h = np.nextafter(np.finfo(float).max / 12, 0)
-        assert abs(k.domain.derivatives([s], [x], sigma.F, h=h)[0, 0] - 1) < 1e-15
-        if backend != "sampled":  # whose Fock Gram at points 3e307 apart overflows
-            assert abs(make_evaluator(k, backend, h=h)(sigma, s, x)[0] - 1) < 1e-15
+        assert abs(k.domain.derivatives([s], [x], sigma.F, h=0.01)[0, 0] - 1) < 1e-13
+        for backend in ("closed-form", "direct", "sampled"):
+            assert abs(make_evaluator(k, backend, h=0.01)(sigma, s, x)[0] - 1) < 1e-13, backend
 
 
-def test_a_step_over_1e8_names_its_stencil_point_off_the_disk():
-    # the |x| guard step * 1e300 overflowed by itself from h ~ 1.8e8 on: numpy's overflow
-    # warning came before the named error
-    k, s, x = make_bergman_disk(2), np.array([0.3]), np.array([1.0])
-    ones = Section(F=lambda p: np.ones(1, dtype=complex))  # d sigma by the stencil on every backend
-    message = (r"^unit disk: \|s\| = 1999999999\.7\d* is too close to the unit circle "
-               r"\(stencil point 1 of probe 1\)$")
+def _refused_at_s_0(k, sigma, s, x, h):
+    """Each backend and Domain.derivatives at the probe (s, x) raise the floor's error naming h."""
+    message = (rf"^{re.escape(k.domain.name)}: stencil step {h:.3e} is too small to resolve "
+               r"the point$")
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         for backend in ("closed-form", "direct", "sampled"):
             with pytest.raises(DomainError, match=message):
-                make_evaluator(k, backend, h=1e9)(ones, s, x)
+                make_evaluator(k, backend, h=h)(sigma, s, x)
         with pytest.raises(DomainError, match=message):
-            k.domain.derivatives([s], [x], lambda p: p, h=1e9)
+            k.domain.derivatives([s], [x], sigma.F, h=h)
 
 
-def test_a_stencil_point_that_overflows_is_named():
-    # s + h at s = 1.7e308, h = 1e307 is inf: the stencil's finiteness scan names it before any
-    # kernel or section value is read there
-    k, s, x = make_fock(np.eye(1)), np.array([1.7e308]), np.array([1.0])
-    ones = Section(F=lambda p: np.ones(1, dtype=complex))  # d sigma by the stencil on every backend
-    message = r"^C\^1: non-finite point \(stencil point 3 of probe 1\)$"
-    with np.errstate(over="ignore", invalid="ignore"):
-        for backend in ("closed-form", "direct", "sampled"):
-            with pytest.raises(DomainError, match=message):
-                make_evaluator(k, backend, h=1e307)(ones, s, x)
-        with pytest.raises(DomainError, match=message):
-            k.domain.derivatives([s], [x], lambda p: p, h=1e307)
+def test_a_step_of_1e_20_at_s_0_is_refused_by_the_absolute_floor():
+    # the floor scaled with |s| alone and refused nothing at s = 0: on the nu=2 disk with
+    # sigma = 1 + s at s = 0, x = 1, h = 1e-20 the closed-form and direct backends returned 2048
+    # where d sigma = 1, and the sampled backend raised "duplicate sample points at indices 0 and 1"
+    _refused_at_s_0(make_bergman_disk(2), Section(F=lambda s: np.array([1.0 + s[0]])),
+                    np.zeros(1), np.ones(1), 1e-20)
+
+
+def test_a_step_of_1e_320_is_refused_before_its_weights_overflow():
+    # 12 h under 1 / max float: the weights 1 / (12 h) overflowed to NaN at a zero tangent on
+    # Fock C^1 at s = 0, with numpy's "overflow encountered in divide" before any named error
+    _refused_at_s_0(make_fock(np.eye(1)), Section(F=lambda s: np.array([1.0 + s[0]])),
+                    np.zeros(1), np.zeros(1), 1e-320)
 
 
 @pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
@@ -646,21 +653,20 @@ def test_a_backend_raises_where_the_derivative_overflows(backend):
             make_evaluator(k, backend)(sigma, np.array([0.9999]), np.array([1e296]))
 
 
-def test_a_stack_names_the_probe_whose_point_or_stencil_point_leaves_the_domain():
+def test_a_stack_names_the_probe_whose_point_leaves_the_domain():
     k = make_bergman_disk(2)
     pts, xs = [np.array([0.1]), np.array([0.2j]), np.array([1.5])], [np.ones(1)] * 3
     for backend in ("closed-form", "direct", "sampled"):
         with pytest.raises(DomainError, match=r"too close to the unit circle \(point 3 of 3\)"):
             make_evaluator(k, backend).evaluate(CONSTANT, pts, xs)
-    # with h = 0.1 the last stencil point of the second probe is 0.85 + 2h = 1.05, whatever the
-    # length of its direction; the closed form reads that stencil for d(sigma) of a section
-    # without dF
+    # h = 0.1 took the last stencil point of the second probe to 0.85 + 2h = 1.05; every step
+    # over 0.01 is refused, and at 0.01 that point is 0.85 + 0.02, inside, for every backend
     for backend in ("closed-form", "direct", "sampled"):
-        message = r"\|s\| = 1\.05000000 .* \(stencil point 4 of probe 2\)"
-        with pytest.raises(DomainError, match=message):
-            make_evaluator(k, backend, h=0.1).evaluate(Section(F=CONSTANT.F),
-                                                       pts[:1] + [np.array([0.85])],
-                                                       [np.ones(1), 2.5 * np.ones(1)])
+        nabla = lambda h: make_evaluator(k, backend, h=h).evaluate(  # noqa: E731
+            Section(F=CONSTANT.F), pts[:1] + [np.array([0.85])], [np.ones(1), 2.5 * np.ones(1)])
+        with pytest.raises(NumericsError, match=r"^step must be positive and at most 0\.01"):
+            nabla(0.1)
+        assert np.all(np.isfinite(nabla(0.01))), backend
 
 
 def test_a_stack_needs_one_direction_per_point():

@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from kernelconnect import kernels
 from kernelconnect.connections import Section, connection_forms, make_evaluator
 from kernelconnect.cpmaps import random_unitary
 from kernelconnect.grassmann import (
@@ -262,9 +263,9 @@ def test_unitary_curve_matches_expm_and_stays_unitary(n, seed, t):
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = 0.5 * (g - g.conj().T)
     u = random_unitary(n, seed=seed)
-    h = max(abs(t), 1e-3) / 2.0  # the stencil points u e^{ta / |a|} at t = -2h, -h, h, 2h
-    (points,), _ = UnitaryDomain(n)._stencils(u[None], a[None], h)
+    h = max(abs(t), 1e-3) / 2.0  # the curve points u e^{ta / |a|} at t = -2h, -h, h, 2h, |t| <= 1
     unit, _ = _unit(a)
+    (points,) = kernels._exponentials(u, h, unit.reshape(1, -1))
     for s, got in zip((-2.0, -1.0, 1.0, 2.0), points):
         # scipy's Pade exponential is the independent reference here only
         assert np.max(np.abs(got - u @ scipy.linalg.expm(s * h * unit))) <= 1e-13
@@ -438,8 +439,48 @@ def test_stencil_derivative_rejects_bad_step():
     cases += [(domain, f, pts[:1], xs[:1]) for domain, f, pts, xs in _derivative_cases()]
     for domain, f, pts, xs in cases:
         for h in (0.0, -1e-4, float("nan"), float("inf")):
-            with pytest.raises(NumericsError, match=r"^step must be positive and finite, got"):
+            with pytest.raises(NumericsError, match=r"^step must be positive and at most 0\.01"):
                 domain.derivatives(pts, xs, f, h=h)
+
+
+def _scan_probes():
+    """(domain, points) of probes up to their domain's edge: disk points from one ulp inside the
+    guard circle inward, half-plane points with Im z from 1e-12 to 1e2, Fock C^1 points with |s|
+    up to 1.7e308; each (N, 1), at three angles."""
+    angles = np.exp(1j * np.array([0.0, 0.7, 2.0]))
+    gaps = np.concatenate([[DISK_BOUNDARY_GUARD - np.nextafter(DISK_BOUNDARY_GUARD, 0)],
+                           np.logspace(-16, np.log10(DISK_BOUNDARY_GUARD), 60)])
+    disk = (DISK_BOUNDARY_GUARD - gaps)[:, None] * angles
+    heights = np.logspace(-12, 2, 57)
+    halfplane = np.concatenate([heights * 1j + real for real in (0.0, 0.3, -0.99, 5.0, -1e2)])
+    moduli = np.concatenate([np.logspace(-300, 308, 120), [1.7e308]])
+    return [(make_bergman_disk(2).domain, disk.reshape(-1, 1)),
+            (make_bergman_halfplane(1).domain, halfplane.reshape(-1, 1)),
+            (make_fock(np.eye(1)).domain, (moduli[:, None] * angles).reshape(-1, 1))]
+
+
+@pytest.mark.parametrize("h", [0.01, 1e-4])
+def test_every_stencil_the_rule_takes_is_finite_and_inside_its_domain(h):
+    # the property the deleted scan of the 4L stencil points checked: with 0 < h <= 0.01 two
+    # steps are at most a quarter of the edge distance, so no point leaves, and none overflows
+    taken = 0
+    for domain, points in _scan_probes():
+        if domain.edge is not None:  # a point that rounds onto the edge is no probe
+            points = domain.stack(points[domain.edge(points) > 0])
+        for size in np.logspace(-300, 300, 7):
+            for turn in (1.0, -0.6 + 0.8j):
+                x = np.full_like(points, size * turn)
+                for s, v in zip(points, x):
+                    try:
+                        q, w = domain._stencils(s[None], v[None], h)
+                    except DomainError as exc:
+                        assert "too small to resolve" in str(exc) or "overflows" in str(exc)
+                        continue
+                    taken += 1
+                    assert np.all(np.isfinite(q)) and np.all(np.isfinite(w)), (s, v)
+                    if domain.edge is not None:
+                        assert np.all(domain.edge(q.reshape(-1, 1)) > 0), (s, v)
+    assert taken > 3000
 
 
 @pytest.mark.parametrize("h", [1e-12, 1e-20])

@@ -8,6 +8,8 @@ pools of values, each a list of valid values and a list of invalid ones, about a
 - kernel specs of every family, with bad fields, NaN, 0 and huge values;
 - points inside and outside the domain, of the wrong dimension, or not literals;
 - --steps from -1 to 1024, --n up to 8, --probes up to 20, and --tol with 0, -1, nan and inf;
+- one past each size limit of `cli`: fock:dim=17, --steps 32769, --n 65, --probes 257 and a
+  --points of 1025 points, all invalid (a valid size at a limit costs seconds per draw);
 - a valid, a ragged and a missing Choi CSV.
 A value is drawn from the valid list four times in five, so that about a third of the draws
 get past the parsers.  A required option is sometimes left out and an unknown one sometimes
@@ -57,7 +59,7 @@ _VALUES = {
                  ["bergman-disk:nu=0", "bergman-disk:nu=nan", "bergman-disk:nu=1e308",
                   "bergman-disk:nu=inf", "bergman-disk:mu=2", "bergman-disk:nu=2,nu=3",
                   "bergman-disk", "bergman-halfplane:nu=1024", "bergman-halfplane:nu=-1",
-                  "fock:dim=0", "fock:dim=-1", "fock:dim=2.5", "nope:nu=1", ""]),
+                  "fock:dim=0", "fock:dim=-1", "fock:dim=2.5", "fock:dim=17", "nope:nu=1", ""]),
     "--point": (["0.5+0.2i", "-0.4+0.3i", "0.3i", "0.2+0.9i"],
                 ["0", "1+2i", "0.9999999", "1.5", "-1i", "1e-320", "0,0,0", "nan", "inf", "1e308",
                  "abc", "", "0,,1", "1e308,0"]),
@@ -65,10 +67,10 @@ _VALUES = {
                     ["1e305", "1,0.5i,-1", "nan", "x", ""]),
     "--vector": (["1", "0.5i", "-2+1e-3i"], ["1,0", "nan", "x"]),
     "--section": (["constant", "linear"], ["quadratic"]),
-    "--steps": (["1", "2", "3", "7", "16", "100", "1024"], ["-1", "0", "x"]),
-    "--n": (["2", "3", "4", "6", "8"], ["-1", "0", "1"]),
+    "--steps": (["1", "2", "3", "7", "16", "100", "1024"], ["-1", "0", "x", "32769"]),
+    "--n": (["2", "3", "4", "6", "8"], ["-1", "0", "1", "65"]),
     "--k": (["1", "2", "3"], ["-1", "0", "8"]),
-    "--probes": (["1", "5", "20"], ["-1", "0"]),
+    "--probes": (["1", "5", "20"], ["-1", "0", "257"]),
     "--seed": (["0", "1", "42"], ["-1", "x"]),
     "--tol": (["1e-6", "1", "1e-300"], ["0", "-1", "nan", "inf"]),
     "--format": (["json", "csv"], ["xml"]),
@@ -78,8 +80,10 @@ _VALUES.update(dict.fromkeys(_POINTS[1:], _VALUES["--point"]))
 
 def _pick(rng: random.Random, option: str, files: dict, argv: list) -> str:
     """A value of the option, valid four times in five, after the arguments argv."""
-    if option == "--points":  # one to four points, the first sometimes repeated
+    if option == "--points":  # one to four points, the first sometimes repeated; or 1025
         pts = [_pick(rng, "--point", files, argv) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.05:
+            return ";".join(pts[:1] * 1025)
         return ";".join(pts + pts[:1] * (rng.random() < 0.2))
     if option == "--choi":
         valid, invalid = [files[name] for name in _CSVS[:2]], [files[name] for name in _CSVS[2:]]
