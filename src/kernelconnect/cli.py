@@ -26,7 +26,7 @@ __all__ = ["main", "parse_kernel_spec", "KERNEL_SPEC_GRAMMAR"]
 _KERNEL_SPECS = {
     "bergman-disk": ({"nu": "real"}, lambda nu: kc.make_bergman_disk(nu)),
     "bergman-halfplane": ({"nu": "real"}, lambda nu: kc.make_bergman_halfplane(nu)),
-    "fock": ({"dim": "int"}, lambda dim: kc.make_fock(np.eye(_at_most("fock:dim", dim, 16)))),
+    "fock": ({"dim": "int"}, lambda dim: kc.make_fock(np.eye(_within("fock:dim", dim, high=16)))),
 }
 _FIELD_TYPES = {"real": float, "int": int}
 
@@ -39,11 +39,13 @@ class UsageError(ValueError):
     """Bad command-line input; reported with the accepted grammar, exit code 2."""
 
 
-def _at_most(name: str, value, limit: int):
-    """value, or a UsageError naming the option or field and its limit; --points counts points."""
+def _within(name: str, value, low=None, high=None):
+    """value, or a UsageError naming the option or field and its bound; --points counts points."""
     size = len([p for p in value.split(";") if p.strip()]) if isinstance(value, str) else value
-    if size > limit:
-        raise UsageError(f"{name} must be at most {limit}, got {size}")
+    if low is not None and size < low:
+        raise UsageError(f"{name} must be >= {low}, got {size}")
+    if high is not None and size > high:
+        raise UsageError(f"{name} must be at most {high}, got {size}")
     return value
 
 
@@ -73,14 +75,12 @@ def _load_cpmap(path: str, n: int | None):
         raise UsageError(f"cannot read Choi CSV {path!r}: {exc}") from exc
     if choi.shape[0] != choi.shape[1]:
         raise UsageError(f"Choi matrix is not square: shape {choi.shape}")
-    size = choi.shape[0]
+    size = _within("--choi size", choi.shape[0], high=48)
     if n is None:
         n = int(round(np.sqrt(size)))
         if n * n != size:
             raise UsageError(
                 f"Choi matrix of size {size} is not a perfect square; pass n= explicitly")
-    if n < 1:
-        raise UsageError(f"input dimension n must be >= 1, got {n}")
     if size % n != 0:
         raise UsageError(f"Choi size {size} is not divisible by n={n}")
     return kc.CPMap(input_dim=n, output_dim=size // n, choi=choi)
@@ -241,8 +241,6 @@ def _cmd_connect_covderiv(args) -> int:
 
 @_overflow_checked
 def _cmd_connect_transport(args) -> int:
-    if args.steps < 1:
-        raise UsageError(f"--steps must be >= 1, got {args.steps}")
     k = parse_kernel_spec(args.kernel)
     start = _parse_point(k, args.start)
     end = _parse_point(k, args.end)
@@ -281,19 +279,12 @@ def _cmd_connect_transport(args) -> int:
 
 
 def _cmd_grassmann_verify(args) -> int:
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
     if not 1 <= args.k <= args.n - 1:
         raise UsageError(f"--k must be between 1 and n-1 = {args.n - 1}, got {args.k}")
-    if args.probes < 1:
-        raise UsageError(f"--probes must be >= 1, got {args.probes}")
     rep = kc.verify.grassmann_agreement(args.n, args.k, probes=args.probes, seed=args.seed)
     worst = max(rep.values())
-    out = dict(rep)
-    out.update({"n": args.n, "k": args.k, "probes": args.probes,
-                "seed": args.seed, "tolerance": args.tol,
-                "passed": worst < args.tol})
-    _emit_json(out, args.output)
+    _emit_json({**rep, "n": args.n, "k": args.k, "probes": args.probes, "seed": args.seed,
+                "tolerance": args.tol, "passed": worst < args.tol}, args.output)
     return 0 if worst < args.tol else 1
 
 
@@ -358,11 +349,12 @@ def _cmd_verify(args) -> int:
 
 _REQUIRED = {"required": True}
 _POINTS = {"required": True, "max": 1024}
-_SEED = {"type": int, "default": 42}
+_SEED = {"type": int, "default": 42, "min": 0}
+_CP_N = {"type": int, "min": 1}
 _OUTPUT = {"help": "write to this path instead of stdout"}
 
 # command -> (help, {subcommand: (help, handler, --tol default or None (no verdict), --format
-#   default or None (no CSV form), {option: keywords, a "max" its bound, of points for --points})})
+#   default or None (no CSV form), {option: keywords, a "min" and a "max" its bounds for main})})
 _COMMANDS = {
     "kernel": ("evaluate kernels and Gram matrices", {
         "eval": ("evaluate kappa(s, t)", _cmd_kernel_eval, None, "json", {
@@ -387,22 +379,32 @@ _COMMANDS = {
         "transport": ("parallel transport along a segment", _cmd_connect_transport, 1e-6, "json", {
             "--kernel": _REQUIRED, "--start": _REQUIRED, "--end": _REQUIRED,
             "--vector": {"help": "initial fiber vector (default: ones)"},
-            "--steps": {"type": int, "default": 256, "max": 32768}}),
+            "--steps": {"type": int, "default": 256, "min": 1, "max": 32768}}),
     }),
     "grassmann": ("projector-manifold connection suites", {
         "verify": ("three-way covariant-derivative agreement", _cmd_grassmann_verify, 1e-6, None, {
-            "--n": {"type": int, "default": 4, "max": 64}, "--k": {"type": int, "default": 2},
-            "--probes": {"type": int, "default": 20, "max": 256}, "--seed": _SEED}),
+            "--n": {"type": int, "default": 4, "min": 2, "max": 64},
+            "--k": {"type": int, "default": 2},
+            "--probes": {"type": int, "default": 20, "min": 1, "max": 256}, "--seed": _SEED}),
     }),
     "cp": ("completely positive maps and dilations", {
         "dilate": ("minimal isometric dilation from a Choi CSV", _cmd_cp_dilate, 1e-10, "json", {
-            "--choi": _REQUIRED, "--n": {"type": int, "help": "input dimension (default: sqrt)"}}),
+            "--choi": _REQUIRED, "--n": {**_CP_N, "help": "input dimension (default: sqrt)"}}),
         "kernel": ("evaluate the group-indexed CP kernel", _cmd_cp_kernel, None, "json", {
-            "--choi": _REQUIRED, "--n": {"type": int}, "--seed": _SEED}),
+            "--choi": _REQUIRED, "--n": _CP_N, "--seed": _SEED}),
         "covderiv": ("CP connection formula vs generic pipeline", _cmd_cp_covderiv, 1e-6, None, {
-            "--choi": _REQUIRED, "--n": {"type": int}, "--seed": _SEED}),
+            "--choi": _REQUIRED, "--n": _CP_N, "--seed": _SEED}),
     }),
 }
+
+
+def _add_options(p: argparse.ArgumentParser, options: dict, fn) -> None:
+    """Add each option to p without its "min" and "max", which p records as its limits for main,
+    beside its handler fn."""
+    for option, keywords in options.items():
+        p.add_argument(option, **{k: v for k, v in keywords.items() if k not in ("min", "max")})
+    p.set_defaults(fn=fn, limits={o: (w.get("min"), w.get("max")) for o, w in options.items()
+                           if "min" in w or "max" in w})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,22 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
                                                                     required=True)
         for name, (help_, fn, tol, fmt, options) in subcommands.items():
             p = leaves.add_parser(name, help=help_)
-            for option, keywords in options.items():
-                p.add_argument(option, **{k: v for k, v in keywords.items() if k != "max"})
+            _add_options(p, options, fn)
             if fmt is not None:
                 p.add_argument("--format", choices=("json", "csv"), default=fmt)
             p.add_argument("--output", **_OUTPUT)
             if tol is not None:
                 p.add_argument("--tol", type=float, default=tol,
                                help="residual tolerance for the pass/fail verdict")
-            p.set_defaults(fn=fn, limits={o: w["max"] for o, w in options.items() if "max" in w})
 
     ver = sub.add_parser("verify", help="run the cross-validation suites")
     ver.add_argument("target", nargs="*", default=[],
                      help=f"'all' or module names: {', '.join(kc.MODULE_NAMES)}")
-    ver.add_argument("--seed", **_SEED)
-    ver.add_argument("--output", **_OUTPUT)
-    ver.set_defaults(fn=_cmd_verify)
+    _add_options(ver, {"--seed": _SEED, "--output": _OUTPUT}, _cmd_verify)
 
     return parser
 
@@ -459,10 +457,9 @@ def main(argv=None) -> int:
         tol = getattr(args, "tol", None)
         if tol is not None and not (np.isfinite(tol) and tol > 0):
             raise UsageError(f"tolerance must be finite and > 0, got {tol}")
-        if getattr(args, "seed", 0) < 0:
-            raise UsageError(f"--seed must be >= 0, got {args.seed}")
-        for option, limit in getattr(args, "limits", {}).items():
-            _at_most(option, getattr(args, option[2:]), limit)
+        for option, (low, high) in args.limits.items():
+            if (value := getattr(args, option[2:])) is not None:  # an unset cp --n: from the size
+                _within(option, value, low, high)
         return args.fn(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, _dilation_kernel, pull_back_kernel
+from .kernels import BundleMorphism, Kernel, _dilation_kernel, _frobenius, pull_back_kernel
 from .numerics import NumericsError, _max_norm, _normals, hermitian_eigh
 from .connections import Section
 from .grassmann import HermitianProjector, _group_jets, fiber_basis
@@ -120,10 +120,15 @@ def kraus_from_choi(choi, input_dim: int, output_dim: int) -> np.ndarray:
     dominant first.
 
     Eigenvalues in (-tau*lam_max, tau*lam_max), tau = CHOI_RANK_TAU, are
-    treated as zero; anything more negative signals a non-CP input.
+    treated as zero; anything more negative signals a non-CP input, and so does a C
+    that is not Hermitian: ||C - C*|| > 1e-10 max(1, ||C||).
     """
     c = np.asarray(choi, dtype=complex)
-    values, vectors = hermitian_eigh(c)
+    values, vectors = hermitian_eigh(c)  # c is a finite square matrix
+    u = c / (scale := max(float(np.abs(c).max(initial=0.0)), 1.0))  # entries at most 1: no overflow
+    if (res := _frobenius(u - u.conj().T) / max(_frobenius(u), 1.0 / scale)) > 1e-10:
+        raise NumericsError(
+            f"Choi matrix is not Hermitian (||C - C*|| / max(1, ||C||) = {res:.3e}); map is not CP")
     lam_max = max(float(values[-1]), 0.0) if values.size else 0.0
     cut = CHOI_RANK_TAU * max(lam_max, 1.0)
     if values.size and values[0] < -cut:
@@ -178,8 +183,10 @@ def _dilation_residual(maps: Sequence[CPMap], triples: Sequence) -> float:
     """The max of verify_dilation over L maps of one Kraus shape (their triples alike), with its
     bits: Psi(a) and V* (a (x) I_r) V at all n^2 matrix units a in one stack."""
     k, v = _kraus(maps), np.array([t.v for t in triples])
-    units = np.eye(k.shape[-1] ** 2, dtype=complex).reshape((-1,) + k.shape[-1:] * 2)
-    lam = v.conj().swapaxes(-1, -2)[:, None] @ triples[0].lam(units) @ v[:, None]
+    units = np.eye((n := k.shape[-1]) ** 2, dtype=complex).reshape(-1, n, n)
+    # (a (x) I_r) V is a times V read as n x rm, as in kernels._dilation_kernel: no (nr, nr) lam(a)
+    lam_v = (units @ v.reshape(len(v), 1, n, -1)).reshape(len(v), n * n, *v.shape[1:])
+    lam = v.conj().swapaxes(-1, -2)[:, None] @ lam_v
     return float(np.max(np.linalg.norm(_apply(k[:, None], units) - lam, axis=(-2, -1))))
 
 
@@ -265,6 +272,9 @@ def random_unital_cpmap(input_dim: int, output_dim: int, n_kraus: int,
 def _random_unital_cpmaps(n: int, m: int, n_kraus: int, rng, count: int) -> list:
     """`count` maps from one draw, the stream of as many random_unital_cpmap calls: normalized by
     one stacked hermitian_eigh and their Choi matrices assembled in one expression."""
+    if n_kraus * n < m:  # sum K K* has rank at most n_kraus n < m: singular, no unital rescaling
+        raise ValueError(f"a unital map needs n_kraus * input_dim >= output_dim, got "
+                         f"{n_kraus} * {n} < {m}")
     k = _normals(rng, count * n_kraus, (m, n)).reshape(count, n_kraus, m, n)
     values, vectors = hermitian_eigh((k @ k.conj().swapaxes(-1, -2)).sum(axis=1, initial=0.0))
     inv_sqrt = (vectors * (1.0 / np.sqrt(values))[:, None]) @ vectors.conj().swapaxes(-1, -2)

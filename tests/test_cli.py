@@ -482,6 +482,59 @@ def test_a_size_at_its_limit_is_taken(capsys, argv):
     assert code == 0 and out
 
 
+# each leaf command with the options that it requires, and verify
+_LEAVES = {
+    ("kernel", "eval"): ["--kernel", "bergman-disk:nu=2", "--point", "0.1"],
+    ("kernel", "gram"): ["--kernel", "bergman-disk:nu=2", "--points", "0.1"],
+    ("rkhs", "gram"): ["--kernel", "bergman-disk:nu=2", "--points", "0.1"],
+    ("rkhs", "universality"): ["--kernel", "bergman-disk:nu=2", "--points", "0.1"],
+    ("connect", "covderiv"): ["--kernel", "bergman-disk:nu=2", "--point", "0.1",
+                              "--direction", "1"],
+    ("connect", "transport"): _TRANSPORT[2:],
+    ("grassmann", "verify"): [],
+    ("cp", "dilate"): ["--choi", "{choi}"],
+    ("cp", "kernel"): ["--choi", "{choi}"],
+    ("cp", "covderiv"): ["--choi", "{choi}"],
+    ("verify",): [],
+}
+
+
+def _one_past_each_declared_bound() -> list:
+    """(argv, message) one past each "min" and "max" of an option in cli._COMMANDS, and of the
+    verify parser: a count of points for --points, an integer otherwise."""
+    tables = {(command, name): options for command, (_, leaves) in cli._COMMANDS.items()
+              for name, (*_, options) in leaves.items()}
+    assert set(tables) | {("verify",)} == set(_LEAVES)
+    parsed = cli.build_parser().parse_args(["verify"])
+    tables[("verify",)] = {o: {"min": lo, "max": hi} for o, (lo, hi) in parsed.limits.items()}
+    assert tables[("verify",)]
+    cases = []
+    for leaf, options in tables.items():
+        for option, keywords in options.items():
+            for bound, past, words in (("min", -1, "must be >="), ("max", 1, "must be at most")):
+                if keywords.get(bound) is None:
+                    continue
+                value = keywords[bound] + past
+                text = ";".join(["0.1"] * value) if option == "--points" else str(value)
+                base = _LEAVES[leaf]  # a required option's value is replaced, not repeated
+                i = base.index(option) if option in base else len(base)
+                argv = [*leaf, *base[:i], option, text, *base[i + 2:]]
+                cases.append((argv, f"{option} {words} {keywords[bound]}, got {value}"))
+    return cases
+
+
+_BOUND_CASES = _one_past_each_declared_bound()
+
+
+@pytest.mark.parametrize("argv, message", _BOUND_CASES,
+                         ids=[f"{argv[0]} {argv[1]}: {message}" for argv, message in _BOUND_CASES])
+def test_one_past_each_declared_bound_exits_2_naming_the_option_and_the_bound(
+        capsys, choi_csv, argv, message):
+    code, out, err = run_cli(capsys, *[a.format(choi=choi_csv) for a in argv])
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["cp", "kernel", "--choi", "{choi}", "--seed", "-1"], "--seed must be >= 0"),
     (["cp", "covderiv", "--choi", "{choi}", "--seed", "-1"], "--seed must be >= 0"),
@@ -509,6 +562,35 @@ def test_a_choi_csv_that_is_no_square_matrix_exits_2(capsys, tmp_path, text, n, 
     argv = ["cp", "dilate", "--choi", str(path)] + (["--n", n] if n else [])
     exit_code, out, err = run_cli(capsys, *argv)
     assert exit_code == code and out == "" and message in err
+
+
+@pytest.mark.parametrize("command", ["dilate", "kernel", "covderiv"])
+def test_a_choi_csv_that_is_not_hermitian_exits_1(capsys, tmp_path, command):
+    # C + 0.3 (E_01 - E_10) has C's Hermitian part, which alone was decomposed: a map, exit 0
+    c = random_unital_cpmap(2, 2, 2, np.random.default_rng(0)).choi.copy()
+    c[0, 1] += 0.3
+    c[1, 0] -= 0.3
+    path = tmp_path / "choi.csv"
+    path.write_text(matrix_to_csv_text(c))
+    code, out, err = run_cli(capsys, "cp", command, "--choi", str(path))
+    assert code == 1 and out == ""
+    assert "Choi matrix is not Hermitian (||C - C*|| / max(1, ||C||) = " in err
+
+
+@pytest.mark.parametrize("command", ["dilate", "kernel", "covderiv"])
+def test_a_choi_csv_one_past_its_size_limit_exits_2_and_one_at_it_is_taken(
+        capsys, tmp_path, command):
+    # the 49 x 49 Choi matrix of a unital map M_7 -> M_7: before the limit each command ran it
+    for size, (n, m) in ((49, (7, 7)), (48, (1, 48))):
+        path = tmp_path / f"choi-{size}.csv"
+        path.write_text(matrix_to_csv_text(
+            random_unital_cpmap(n, m, n * m, np.random.default_rng(size)).choi))
+        code, out, err = run_cli(capsys, "cp", command, "--choi", str(path), "--n", str(n))
+        if size == 49:
+            assert code == 2 and out == ""
+            assert "error: --choi size must be at most 48, got 49" in err
+        else:
+            assert code == 0 and out
 
 
 def test_rkhs_commands_exit_1_on_a_gram_that_is_not_psd_and_kernel_gram_takes_repeats(

@@ -428,6 +428,47 @@ def test_a_choi_matrix_with_a_negative_eigenvalue_is_rejected_at_construction():
         CPMap(2, 2, np.diag([1.0, -1.0, 1.0, 1.0]))
 
 
+def test_a_choi_matrix_that_is_not_hermitian_is_rejected():
+    # C + 0.3 (E_01 - E_10) has C's Hermitian part, which alone was decomposed: psi again
+    c = _example_map(0, 2, 2, 2).choi.copy()
+    c[0, 1] += 0.3
+    c[1, 0] -= 0.3
+    assert abs(np.linalg.norm(c - c.conj().T) - 0.6 * np.sqrt(2)) < 1e-15
+    for scale in (1.0, 1e300):  # no overflow at the largest scale: C over its largest entry
+        with pytest.raises(NumericsError, match=r"Choi matrix is not Hermitian \(\|\|C - C\*\|\| / "
+                                                r"max\(1, \|\|C\|\|\) = [0-9.]+e-01\); map is not CP"):
+            CPMap(2, 2, scale * c)
+        with pytest.raises(NumericsError, match="Choi matrix is not Hermitian"):
+            kraus_from_choi(scale * c, 2, 2)
+    # within 1e-10 (relative) of Hermitian, and exactly Hermitian at the largest scale, is taken
+    c = _example_map(0, 2, 2, 2).choi.copy()
+    c[0, 1] += 1e-11
+    assert CPMap(2, 2, c).choi_rank == 2
+    assert CPMap(2, 2, 1e300 * np.eye(4)).choi_rank == 4
+
+
+@pytest.mark.parametrize("n, m, r", [(1, 2, 1), (2, 5, 2), (1, 3, 1)])
+def test_a_kraus_count_that_cannot_give_a_unital_map_is_refused_before_the_draw(n, m, r):
+    # sum K K* has rank at most r n < m: no rescaling makes it I_m
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"a unital map needs n_kraus * input_dim >= output_dim, got {r} * {n} < {m}")):
+        random_unital_cpmap(n, m, r, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+    stinespring_dilate(random_unital_cpmap(n, m, -(-m // n), rng))  # the fewest that can: unital
+
+
+def test_the_dilation_residual_builds_no_kronecker_product(monkeypatch):
+    # lam(a) = a (x) I_r is an (n r, n r) matrix per unit a; a times V read as n x r m is not
+    maps = cpmaps._random_unital_cpmaps(3, 2, 4, np.random.default_rng(43), 6)
+    triples, _ = cpmaps._dilate(maps)
+    units = np.eye(9, dtype=complex).reshape(-1, 3, 3)
+    want = max(float(np.max(np.linalg.norm(p.apply(units) - t.v.conj().T @ t.lam(units) @ t.v,
+                                           axis=(-2, -1)))) for p, t in zip(maps, triples))
+    monkeypatch.setattr(cpmaps.StinespringTriple, "lam", None)
+    assert cpmaps._dilation_residual(maps, triples) == want
+
+
 def _mixed_maps():
     """Unital maps of unequal Choi rank and of two shapes, interleaved in one list."""
     rng = np.random.default_rng(43)

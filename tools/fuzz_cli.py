@@ -8,9 +8,10 @@ pools of values, each a list of valid values and a list of invalid ones, about a
 - kernel specs of every family, with bad fields, NaN, 0 and huge values;
 - points inside and outside the domain, of the wrong dimension, or not literals;
 - --steps from -1 to 1024, --n up to 8, --probes up to 20, and --tol with 0, -1, nan and inf;
-- one past each size limit of `cli`: fock:dim=17, --steps 32769, --n 65, --probes 257 and a
-  --points of 1025 points, all invalid (a valid size at a limit costs seconds per draw);
-- a valid, a ragged and a missing Choi CSV.
+- one past each size limit of `cli`: fock:dim=17, --steps 32769, --n 65, --probes 257, a
+  --points of 1025 points and a 49 x 49 Choi CSV, all invalid (a valid size at a limit costs
+  seconds per draw), and one below each lower bound: --steps 0, --n 1, --probes 0, --seed -1;
+- two valid Choi CSVs, and a ragged, a non-Hermitian, a 49 x 49 and a missing one.
 A value is drawn from the valid list four times in five, so that about a third of the draws
 get past the parsers.  A required option is sometimes left out and an unknown one sometimes
 added.  `main` runs with
@@ -50,7 +51,8 @@ _NON_FINITE = re.compile(r"(?<![A-Za-z_])(NaN|-?Infinity|nan|inf)(?![A-Za-hj-z_]
 
 _POINTS = ("--point", "--point2", "--start", "--end")
 _C2 = ["0,0", "0.1+0.2i,-0.3i", "1,0.5i", "-3,2e-3i"]  # fock:dim=2's valid points and directions
-_CSVS = ("choi-2x2.csv", "choi-3x2.csv", "ragged.csv", "missing.csv")  # the last is never written
+_CSVS = ("choi-2x2.csv", "choi-3x2.csv", "ragged.csv", "non-hermitian.csv", "choi-49x49.csv",
+         "missing.csv")  # the last is never written
 # option -> (valid values, invalid ones); a valid point is inside the disk and the half-plane,
 # and so a point of every kernel but fock:dim=2
 _VALUES = {
@@ -149,8 +151,12 @@ def fuzz(seed: int, draws: int) -> list:
     rng, failures = random.Random(seed), []
     with tempfile.TemporaryDirectory() as tmp:
         files = {name: os.path.join(tmp, name) for name in _CSVS + ("out.json", "nope")}
-        for name, (n, m) in (("choi-2x2.csv", (2, 2)), ("choi-3x2.csv", (3, 2))):
-            choi = kc.random_unital_cpmap(n, m, 3, np.random.default_rng(n)).choi
+        for name, (n, m, r) in (("choi-2x2.csv", (2, 2, 3)), ("choi-3x2.csv", (3, 2, 3)),
+                                ("non-hermitian.csv", (2, 2, 2)), ("choi-49x49.csv", (7, 7, 49))):
+            choi = kc.random_unital_cpmap(n, m, r, np.random.default_rng(n)).choi
+            if name == "non-hermitian.csv":  # C + 0.3 (E_01 - E_10), whose Hermitian part is C
+                choi[0, 1] += 0.3
+                choi[1, 0] -= 0.3
             with open(files[name], "w") as fh:
                 fh.write(kc.matrix_to_csv_text(choi))
         with open(files["ragged.csv"], "w") as fh:
