@@ -288,6 +288,7 @@ def _cmd_grassmann_verify(args) -> int:
     return 0 if worst < args.tol else 1
 
 
+@_overflow_checked
 def _cmd_cp_dilate(args) -> int:
     psi = _load_cpmap(args.choi, args.n)
     triple = kc.stinespring_dilate(psi)
@@ -299,6 +300,7 @@ def _cmd_cp_dilate(args) -> int:
     return 0 if max(iso, dil) < args.tol else 1
 
 
+@_overflow_checked
 def _cmd_cp_kernel(args) -> int:
     psi = _load_cpmap(args.choi, args.n)
     k = kc.cp_kernel(psi)

@@ -169,7 +169,7 @@ def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> n
     stencils, weights = k.domain._stencils(s, x, h)
     samples = _five(s, stencils, 2)
     grams = k._values(samples, samples)
-    _certify(samples, grams)
+    _certify(grams)
     m, n = k.fiber_dim, len(grams)
     v = _fiber(sigma._values(stencils, 2), m)
     c, wv = np.zeros((n, 5, m), dtype=complex), weights[..., None] * v  # the derivative element

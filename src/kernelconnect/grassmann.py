@@ -188,20 +188,13 @@ class GrassDomain(Domain):
     @_kept
     def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils as an (L, 4) object array of `_orbit`'s u p u* holding u B(p), u the
-        `_exponentials` at the identity by `Domain._rule` on the projectors and generators; `_kept`.
-        A = 0 steps along b c* - c b*, b the first column of B(p) and c the column of 1 - p with the
-        largest norm: four points apart, its weights times 0.0, zeros with their signs."""
+        `_exponentials` at 1 by `Domain._rule` on the projectors and generators (1 at A = 0)."""
         a = np.array([t.generator for t in x])
-        zero = ~a.reshape(len(a), -1).any(axis=1)
-        for i in np.flatnonzero(zero):
-            b, q = fiber_basis(s[i])[:, :1], s[i].complement()
-            c = q[:, [np.argmax(q.diagonal().real)]]  # |q e_j|^2 = q_jj
-            a[i] = b @ c.conj().T - c @ b.conj().T
         p = np.array([q.p for q in s])
         step, weights, unit = self._rule(p, a.reshape(len(a), -1), h)
         stack = _orbit(_exponentials(np.eye(self.n), step, unit), p[:, None],
                        np.array([fiber_basis(q) for q in s])[:, None], self.k)
-        return np.fromiter(stack, object, len(stack)).reshape(len(s), 4), weights * ~zero[:, None]
+        return np.fromiter(stack, object, len(stack)).reshape(len(s), 4), weights
 
 
 def conditional_expectation(point: HermitianProjector, x) -> np.ndarray:

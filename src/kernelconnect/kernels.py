@@ -99,16 +99,17 @@ class Domain:
     `name` defines `stack(points)` and `jets(points, directions)`, the one check of a list of
     points and of a stack of probes (s_j, x_j), into (N, ...) arrays, each point and tangent
     checked once (C^d and U(n) read them by `_entries`; code past them trusts the probes and their
-    stencils); and `_stencils(s, x, h)`: at L checked probes and 0 < h <= 0.01, all at once, the
-    (L, 4, ...) points gamma_j(t step), t = -2, -1, 1, 2, inside the domain, on curves with the
-    1-jets (s_j, x_j / |x_j|), and the (L, 4) weights of d/dt f(gamma_j), by the one `_rule`."""
+    stencils); and `_stencils(s, x, h)`: at L checked probes and 0 < h <= 0.01, at once, the (L, 4,
+    ...) points gamma_j(t step), t = -2, -1, 1, 2, inside the domain, on curves with the 1-jets
+    (s_j, x_j / |x_j|), s_j at x_j = 0, and the (L, 4) weights of d/dt f(gamma_j), by `_rule`."""
 
     _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
 
-    def _rule(self, s, x: np.ndarray, h: float, zero: complex = 1.0) -> tuple:
+    def _rule(self, s, x: np.ndarray, h: float) -> tuple:
         """The stencil rule of every domain, at L checked probes with (L, D) flat tangents x: the
         `_step` (at most h), the (L, 4) weights times |x|, |x| the largest entry modulus, and the
-        directions x / |x|, divided part by part (`zero` e_1 at x = 0, where weights are zero).
+        directions x / |x|, divided part by part: 0 at x = 0, whose four points are the probe and
+        whose weights are (+0, -0, +0, -0).
         h comes in (0, 0.01], checked by `_kept`; an error names the probe whose step is under 1e6
         ulps of max(1, its largest entry modulus) or whose |x| is over 1e308 steps."""
         step = self._step(s, h)
@@ -120,9 +121,7 @@ class Domain:
         self._refuse(step * 1e300 < size * 1e-8,
                      lambda j: f"|x| = {size[j, 0]:.3e} overflows the stencil weights")
         weights = _WEIGHTS / (12.0 * step) * size
-        if np.count_nonzero(size) < len(size):
-            x, size = np.where(size == 0, zero * np.eye(1, x.shape[1]), x), size + (size == 0)
-        return step, weights, (x.view(float) / size).view(complex)
+        return step, weights, (x.view(float) / (size + (size == 0))).view(complex)
 
     def derivatives(self, points: Sequence, directions: Sequence, f: Callable,
                     h: float = DEFAULT_STEP) -> np.ndarray:
@@ -270,9 +269,9 @@ class UnitaryDomain(Domain):
     @_kept
     def _stencils(self, s: np.ndarray, x: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Domain._stencils as the (L, 4, n, n) `_exponentials` u_j e^{t a_j / |a_j|} at checked
-        (L, n, n) probes, by `Domain._rule`, and its weights; `_kept`."""
+        (L, n, n) probes, by `Domain._rule` (u_j itself at a_j = 0), and its weights; `_kept`."""
         x = np.ascontiguousarray(x, complex).reshape(-1, self.n ** 2)
-        step, weights, unit = self._rule(s, x, h, 1j)  # along iE_11 at a = 0
+        step, weights, unit = self._rule(s, x, h)
         return _exponentials(s, step, unit), weights
 
 

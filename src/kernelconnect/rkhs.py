@@ -75,22 +75,14 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                              initial=0.0) <= 1e-12
 
 
-def _certify(samples: np.ndarray, grams: np.ndarray) -> np.ndarray:
-    """The ascending spectra of the Gram matrices of L samples; each sample distinct, each PSD."""
-    of = lambda j: f" (sample {j + 1} of {len(samples)})" if len(samples) > 1 else ""  # noqa: E731
-    x = (samples.reshape(samples.shape[:2] + (-1,)) if samples.dtype != object
-         else np.array([_coordinates(pts) for pts in samples]))
-    close = _close(x, x)  # symmetric; then off the diagonal
-    close.reshape(len(x), -1)[:, ::x.shape[1] + 1] = False
-    if np.count_nonzero(close):
-        j, a, b = np.argwhere(close)[0]  # the first pair in row order, so a < b
-        raise ValueError(f"duplicate sample points at indices {a} and {b}{of(j)}")
+def _certify(grams: np.ndarray) -> np.ndarray:
+    """The ascending spectra of L Gram matrices, each certified PSD; an error names the sample."""
     values, is_psd = _psd_spectra(grams)
     if np.count_nonzero(is_psd) < len(is_psd):
         j = int(np.argmin(is_psd))
-        raise NumericsError(
-            f"Gram matrix is not PSD (min eigenvalue {values[j, 0]:.3e}); "
-            f"the input does not behave like a kernel on this sample{of(j)}")
+        of = (len(grams) > 1) * f" (sample {j + 1} of {len(grams)})"
+        raise NumericsError(f"Gram matrix is not PSD (min eigenvalue {values[j, 0]:.3e}); the "
+                            f"input does not behave like a kernel on this sample{of}")
     return values
 
 
@@ -100,7 +92,12 @@ def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
         raise ValueError("need at least one point")
     stack = k.domain.stack(pts)
     rows, gram = _coordinates(stack), k._values(one := (stack,), one)[0]  # gram_matrix's bits
-    r = SampledRKHS(k, pts, gram, _certify(rows[None], gram[None])[0])
+    close = _close(rows, rows)
+    close.flat[::len(rows) + 1] = False  # symmetric; then off the diagonal
+    if np.count_nonzero(close):
+        a, b = np.argwhere(close)[0]  # the first pair in row order, so a < b
+        raise ValueError(f"duplicate sample points at indices {a} and {b}")
+    r = SampledRKHS(k, pts, gram, _certify(gram[None])[0])
     vars(r).update(_sample=(stack, rows))  # the value the cached property derives
     return r
 

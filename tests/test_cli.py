@@ -578,6 +578,20 @@ def test_a_choi_csv_that_is_not_hermitian_exits_1(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("command", ["dilate", "kernel", "covderiv"])
+def test_a_choi_csv_whose_unitality_residual_overflows_exits_1_without_a_runtime_warning(
+        capsys, tmp_path, command):
+    # 1e154 I: under -W error::RuntimeWarning dilate and kernel escaped with numpy's overflow
+    # warning from the residual's norm, before the unitality check could name it
+    path = tmp_path / "choi.csv"
+    path.write_text(matrix_to_csv_text(1e154 * np.eye(4)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, "cp", command, "--choi", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: map is not unital (||sum K K* - I|| = inf); ")
+
+
+@pytest.mark.parametrize("command", ["dilate", "kernel", "covderiv"])
 def test_a_choi_csv_one_past_its_size_limit_exits_2_and_one_at_it_is_taken(
         capsys, tmp_path, command):
     # the 49 x 49 Choi matrix of a unital map M_7 -> M_7: before the limit each command ran it

@@ -536,8 +536,8 @@ def test_stacked_evaluation_equals_the_one_point_loop_bit_for_bit(backend):
 @pytest.mark.parametrize("backend", ["closed-form", "direct", "sampled"])
 @pytest.mark.parametrize("direction", [[0.0], (0.0,), np.zeros(1), [1e-20], [1e-9j], [1e-300]])
 def test_every_backend_is_real_linear_where_its_stencil_would_collapse(backend, direction):
-    # every stencil runs along x / |x|: whatever the type of the direction, no backend
-    # collapses its stencil or its sample, and a zero direction gives exactly zero
+    # every stencil runs along x / |x|, whatever the type of the direction; a zero direction's
+    # stencil is its point four times, with zero weights, and every backend gives exactly zero
     k = make_bergman_disk(2)
     sigma = Section(F=lambda p: np.array([1.0 + 0.3 * complex(p[0])]))
     s = np.array([0.5])
@@ -547,6 +547,46 @@ def test_every_backend_is_real_linear_where_its_stencil_would_collapse(backend, 
     if x == 0:
         assert np.array_equal(got, np.zeros(1))
     assert abs(got[0] - want) <= 1e-9 * abs(want)
+
+
+def _zero_tangent_cases():
+    """(kernel, section, points, tangents, a zero tangent at points[1]) on C^3, U(3), Gr(2, 4)."""
+    rng = np.random.default_rng(34)
+    a, w = rng.standard_normal(3) + 1j * rng.standard_normal(3), rng.standard_normal((2, 4))
+    psi, w0 = random_unital_cpmap(3, 2, n_kraus=4, rng=rng), np.array([1.0, -0.5j])
+    zs = [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(3)]
+    us = [random_unitary(3, seed=75 + i) for i in range(3)]
+    ps = [HermitianProjector(u @ coordinate_projector(4, 2).p @ u.conj().T, 2)
+          for u in (random_unitary(4, seed=85 + i) for i in range(3))]
+    return [
+        (make_fock(np.eye(3)), Section(F=lambda s: np.array([1.0 + a @ np.asarray(s)])), zs,
+         [rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in zs], np.zeros(3)),
+        (cp_kernel(psi), Section(F=lambda u: w0 + psi.apply(u) @ (0.5 * w0)), us,
+         [b - b.conj().T for b in rng.standard_normal((3, 3, 3)) + 0.5j], np.zeros((3, 3))),
+        (universal_kernel(4, 2), Section(F=lambda p: w @ p.p[:, 0]), ps,
+         [random_grass_tangent(p, rng) for p in ps],
+         grassmann.GrassTangent(ps[1], np.zeros((4, 4)))),
+    ]
+
+
+@pytest.mark.parametrize("case", [0, 1, 2], ids=["C^3", "U(3)", "Gr(2,4)"])
+def test_a_zero_tangent_steps_nowhere_and_every_derivative_there_is_zero(case):
+    # the stencil of x = 0 is its probe four times, bit for bit, with weights (+0, -0, +0, -0):
+    # every backend and Domain.derivatives give exact zeros, and the other probes keep their bits
+    k, sigma, pts, xs, zero = _zero_tangent_cases()[case]
+    tangents = [xs[0], zero, xs[2]]
+    stencils, weights = k.domain._stencils(*k.domain.jets(pts, tangents), 1e-4)
+    bits = lambda p: getattr(p, "p", p).tobytes()  # noqa: E731
+    assert [bits(q) for q in stencils[1]] == [bits(pts[1])] * 4
+    assert not weights[1].any() and np.signbit(weights[1]).tolist() == [False, True, False, True]
+    got = k.domain.derivatives(pts, tangents, sigma.F)
+    assert not got[1].any()
+    assert got[::2].tobytes() == k.domain.derivatives(pts[::2], xs[::2], sigma.F).tobytes()
+    for backend in ("closed-form", "direct", "sampled"):
+        nabla = make_evaluator(k, backend)
+        got = nabla.evaluate(sigma, pts, tangents)
+        assert not got[1].any(), backend
+        assert got[::2].tobytes() == nabla.evaluate(sigma, pts[::2], xs[::2]).tobytes(), backend
 
 
 def _linearity_cases():
@@ -723,8 +763,8 @@ def test_dsigma_and_df_each_read_one_stencils_call_for_a_stack(monkeypatch):
 
 
 def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
-    # the sampled backend's five-point samples of four Grassmann probes, where only sample 2
-    # repeats a point: its first stencil point stands in for its second
+    # the Grams of the sampled backend's five-point samples of four Grassmann probes, where only
+    # sample 3 has a negative eigenvalue: its first diagonal entry is made -1
     q, rng = universal_kernel(4, 2), np.random.default_rng(33)
     sigma = Section(F=lambda p: fiber_basis(p).conj().T @ p.p[:, 1])
     points = [HermitianProjector(u @ coordinate_projector(4, 2).p @ u.conj().T, 2)
@@ -732,12 +772,12 @@ def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
     xs = [random_grass_tangent(p, rng) for p in points]
     s, x = q.domain.jets(points, xs)
     samples = connections._five(s, q.domain._stencils(s, x, 1e-4)[0], 2)
-    samples[2, 1] = samples[2, 0]
-    message = r"duplicate sample points at indices 0 and 1 \(sample 3 of 4\)"
-    with pytest.raises(ValueError, match=message):
-        _certify(samples, q._values(samples, samples))
-    rest = samples[[0, 1, 3]]
-    _certify(rest, q._values(rest, rest))  # the other three pass
+    grams = q._values(samples, samples)
+    grams[2, 0, 0] = -1.0
+    message = r"not PSD \(min eigenvalue -.*\); .* on this sample \(sample 3 of 4\)$"
+    with pytest.raises(NumericsError, match=message):
+        _certify(grams)
+    _certify(grams[[0, 1, 3]])  # the other three pass
     nabla = make_evaluator(q, "sampled")
     assert np.array_equal(nabla.evaluate(sigma, points[:2], xs[:2]),
                           nabla.evaluate(sigma, points, xs)[:2])

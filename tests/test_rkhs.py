@@ -7,7 +7,6 @@ from kernelconnect.kernels import (
     DomainError,
     VectorDomain,
     feature_kernel,
-    gram_matrix,
     make_bergman_disk,
     make_fock,
 )
@@ -15,7 +14,6 @@ from kernelconnect.numerics import NumericsError
 from kernelconnect.rkhs import (
     RKHSElement,
     SampledRKHS,
-    _certify,
     build_rkhs,
     evaluate_element,
     project_fiber,
@@ -257,27 +255,6 @@ def test_a_hand_built_space_with_no_points_finds_no_point_and_evaluates_to_zero(
     with pytest.raises(KeyError, match="point is not among the sample points"):
         r.point_index(0.1)
     assert np.array_equal(evaluate_element(RKHSElement(r, np.zeros(0)), 0.1), [0])
-
-
-def test_certify_reads_an_array_of_samples_as_its_list_of_points():
-    # the sampled backend's (L, N, ...) arrays are reshaped, not raveled point by point as an
-    # object array of the same points (Grassmann samples hold projectors) is
-    k = make_bergman_disk(2)
-    samples = np.array([[[0.1], [0.2j], [-0.3]], [[0.4], [0.1 + 0.1j], [0.0]]], dtype=complex)
-    grams = np.array([gram_matrix(k, list(pts)) for pts in samples])
-    got = _certify(samples, grams)
-    points = np.fromiter(samples.reshape(6, 1), object, 6).reshape(2, 3)
-    assert points.shape == (2, 3) and points[1, 1].shape == (1,)  # each member one point
-    assert np.array_equal(got, _certify(points, grams))
-    message = r"duplicate sample points at indices 0 and 1 \(sample 2 of 2\)"
-    samples[1, 1] = samples[1, 0]
-    with pytest.raises(ValueError, match=message):
-        _certify(samples, grams)
-    # unitaries: each (n, n) matrix is one point
-    us = np.array([random_unitary(3, seed=i) for i in range(6)]).reshape(2, 3, 3, 3)
-    us[1, 1] = us[1, 0]
-    with pytest.raises(ValueError, match=message):
-        _certify(us, np.broadcast_to(np.eye(3), (2, 3, 3)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

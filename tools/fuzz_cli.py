@@ -11,7 +11,8 @@ pools of values, each a list of valid values and a list of invalid ones, about a
 - one past each size limit of `cli`: fock:dim=17, --steps 32769, --n 65, --probes 257, a
   --points of 1025 points and a 49 x 49 Choi CSV, all invalid (a valid size at a limit costs
   seconds per draw), and one below each lower bound: --steps 0, --n 1, --probes 0, --seed -1;
-- two valid Choi CSVs, and a ragged, a non-Hermitian, a 49 x 49 and a missing one.
+- two valid Choi CSVs, and a ragged, a non-Hermitian, a 49 x 49, a missing one and 1e154 I,
+  whose unitality residual overflows.
 A value is drawn from the valid list four times in five, so that about a third of the draws
 get past the parsers.  A required option is sometimes left out and an unknown one sometimes
 added.  `main` runs with
@@ -52,7 +53,7 @@ _NON_FINITE = re.compile(r"(?<![A-Za-z_])(NaN|-?Infinity|nan|inf)(?![A-Za-hj-z_]
 _POINTS = ("--point", "--point2", "--start", "--end")
 _C2 = ["0,0", "0.1+0.2i,-0.3i", "1,0.5i", "-3,2e-3i"]  # fock:dim=2's valid points and directions
 _CSVS = ("choi-2x2.csv", "choi-3x2.csv", "ragged.csv", "non-hermitian.csv", "choi-49x49.csv",
-         "missing.csv")  # the last is never written
+         "overflow.csv", "missing.csv")  # the last is never written
 # option -> (valid values, invalid ones); a valid point is inside the disk and the half-plane,
 # and so a point of every kernel but fock:dim=2
 _VALUES = {
@@ -161,6 +162,8 @@ def fuzz(seed: int, draws: int) -> list:
                 fh.write(kc.matrix_to_csv_text(choi))
         with open(files["ragged.csv"], "w") as fh:
             fh.write("1,0\n0\n")
+        with open(files["overflow.csv"], "w") as fh:
+            fh.write(kc.matrix_to_csv_text(1e154 * np.eye(4)))
         for _ in range(draws):
             try:
                 argv = draw(rng, files)
