@@ -466,8 +466,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, ValueError, KeyError) as exc:
-        # residual machinery failed outright: report as a failed check
+    except (NumericsError, ValueError, KeyError, MemoryError) as exc:
+        # residual machinery failed outright, or numpy could not allocate: a failed check
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

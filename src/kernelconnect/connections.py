@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, stencil_sum
+from .kernels import BundleMorphism, Kernel, _kept, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, _finite, _max_norm, _solve
 from .rkhs import _certify, _project
 
@@ -51,7 +51,9 @@ class Section:
     their (..., M) values in one call, and `F` is its one-point case: every entry must have the
     bits of F at its own point, as for `Kernel.batch`.  A section with `batch` takes such (L, ...)
     stacks of points and tangents in `dF` too, to the (L, M) derivatives, each with the bits of
-    its one-point call.
+    its one-point call.  `F`, `dF` and `batch` must be functions of their arguments, as a kernel's
+    `eval`, `d2` and `batch` must be for its kept jet: an equal section at the same probes is served
+    the kept `_sample`.
     """
 
     F: Callable[[object], np.ndarray]
@@ -123,8 +125,7 @@ def covariant_derivative_closed_form(k: Kernel, sigma: Section, s, x,
 def _closed_form(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     values = _fiber(sigma._values(s), k.fiber_dim)[..., None]
     if sigma.dF is None:  # before d2 reads x: the stencil rejects an |x| that would overflow
-        stencils, weights = k.domain._stencils(s, x, h)
-        dsigma = stencil_sum(weights, sigma._values(stencils, 2))
+        dsigma = stencil_sum(*_sample((k, sigma), s, x, h)[1:])
     elif sigma.batch is not None:  # one call, as `_values` makes
         dsigma = np.asarray(sigma.dF(s, x))
     else:
@@ -155,23 +156,31 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
     return _direct(k, sigma, *k.domain.jets((s,), (x,)), h)[0]
 
 
-def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
+@_kept
+def _sample(owner: tuple, s: np.ndarray, x: np.ndarray, h: float) -> tuple:
+    """For owner (k, sigma): the probes' stencil, its weights and sigma's (L, 4, M) values at its
+    points, checked by `_fiber`; `_kept`, so the backends at one probe read the section once."""
+    k, sigma = owner
     stencils, weights = k.domain._stencils(s, x, h)
+    values = _fiber(sigma._values(stencils, 2), k.fiber_dim)
+    return stencils, weights, values[...]  # a view: the slot freezes no array of sigma's own
+
+
+def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
+    stencils, weights, values = _sample((k, sigma), s, x, h)
     m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
     rows = k._values(s[:, None], _five(s, stencils, 0))
     kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
-    values = _fiber(sigma._values(stencils, 2), m)
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
     return _fiber(_solve(kst[:, 0], deriv[..., None])[..., 0], m)  # finite, or it raises
 
 
 def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
-    stencils, weights = k.domain._stencils(s, x, h)
+    stencils, weights, v = _sample((k, sigma), s, x, h)
     samples = _five(s, stencils, 2)
     grams = k._values(samples, samples)
     _certify(grams)
     m, n = k.fiber_dim, len(grams)
-    v = _fiber(sigma._values(stencils, 2), m)
     c, wv = np.zeros((n, 5, m), dtype=complex), weights[..., None] * v  # the derivative element
     c[:, :2] += wv[:, :2]  # += keeps each zero's sign
     c[:, 3:] += wv[:, 2:]
@@ -245,7 +254,8 @@ def _leibniz(nablas: Sequence[ConnectionEvaluator], f: Section, sigma: Section,
              probes: Sequence[tuple], h: float = DEFAULT_STEP) -> list[float]:
     """leibniz_residual of each evaluator of one kernel, its probes checked once: f, a scalar
     section, read by one `_values` call at the probes and one at their stencils, gives df and f(s);
-    f sigma takes sigma's `batch`, f read at the same points and multiplied as at one point."""
+    f sigma takes sigma's `batch`, f read at the same points and multiplied as at one point.  Every
+    evaluator reads f sigma, then every one sigma, so the kept `_sample` serves each in turn."""
     domain = nablas[0].kernel.domain
     s, x = domain.jets([p for p, _ in probes], [v for _, v in probes])  # the one check
     stencils, weights = domain._stencils(s, x, h)
@@ -257,8 +267,9 @@ def _leibniz(nablas: Sequence[ConnectionEvaluator], f: Section, sigma: Section,
 
     fsigma = Section(F=lambda p: f.value(p) * sigma.value(p), batch=sigma.batch and product)
     rhs = df * sigma._values(s)
-    return [_max_norm(nabla.core(fsigma, s, x) - (rhs + fs * nabla.core(sigma, s, x)))
-            for nabla in nablas]
+    products = [nabla.core(fsigma, s, x) for nabla in nablas]
+    return [_max_norm(p - (rhs + fs * nabla.core(sigma, s, x)))
+            for p, nabla in zip(products, nablas)]
 
 
 def gauge_pullback_connection(theta: BundleMorphism,

@@ -60,9 +60,9 @@ def _finite_array(x, what: str) -> np.ndarray:
 
 
 def _kept(method: Callable) -> Callable:
-    """method(owner, s, x, h), a stencil or jet at checked probe arrays s and x, after the one
-    check of its step, 0 < h <= _MAX_STEP, kept in the one slot of the method: the last result,
-    its arrays read-only, keyed by the owner's value (equal domains and kernels share it), type(h),
+    """method(owner, s, x, h), a stencil, jet or section sample at checked probe arrays s and x,
+    after the one check of its step, 0 < h <= _MAX_STEP, kept in the one slot of the method: the
+    last result, its arrays read-only, keyed by the owner's value (equal owners share it), type(h),
     h and the dtypes, shapes and bytes of s and x.  An object array's bytes are its members'
     addresses (Gr(k, n) keys by identity, and no member's == runs), so the slot holds s and x: no
     keyed object is freed, its address reused, while it keys the slot.  One tuple store replaces

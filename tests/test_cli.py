@@ -622,6 +622,19 @@ def test_rkhs_commands_exit_1_on_a_gram_that_is_not_psd_and_kernel_gram_takes_re
     assert code == 0 and json.loads(out)["is_psd"]
 
 
+def test_a_memory_error_in_a_handler_exits_1_with_one_error_line(capsys, monkeypatch):
+    # numpy's "Unable to allocate" is a MemoryError; raised here, no allocation is made
+    message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+    def unable(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.kc, "make_evaluator", unable)
+    code, out, err = run_cli(capsys, "connect", "covderiv", "--kernel", "bergman-disk:nu=2",
+                             "--point", "0.3", "--direction", "1")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_an_unwritable_output_exits_2(capsys, tmp_path):
     path = tmp_path / "missing" / "x.json"
     code, out, err = run_cli(capsys, "verify", "kernels", "--output", str(path))

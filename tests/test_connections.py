@@ -1122,18 +1122,84 @@ def test_verify_sections_batch_has_the_bits_of_their_one_point_loop(k):
 
 @pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
 def test_each_backend_reads_a_sections_values_from_one_batch_call(k):
-    # F is never called; the closed form without dF reads its stencil from a second call
+    # F is never called; the closed form without dF reads its stencil from a second call, and the
+    # direct and sampled backends after it, at the same probes and an equal section, read none: the
+    # kept `_sample` serves them
     sigma, probes, _ = _verify_section_case(k, 6, seed=4)
     calls = []
     counted = lambda z: calls.append(z.shape) or sigma.batch(z)  # noqa: E731
     never = lambda s: pytest.fail("F called point by point")  # noqa: E731
     for backend, d_f, want in [("closed-form", sigma.dF, [(6, 1)]),
                                ("closed-form", None, [(6, 1), (6, 4, 1)]),
-                               ("direct", None, [(6, 4, 1)]), ("sampled", None, [(6, 4, 1)])]:
+                               ("direct", None, []), ("sampled", None, [])]:
         calls.clear()
         make_evaluator(k, backend).evaluate(Section(F=never, dF=d_f, batch=counted),
                                             *zip(*probes))
         assert calls == [w[:-1] + (k.domain.dim,) for w in want], backend
+
+
+@pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
+def test_the_next_backend_at_the_same_probes_and_section_reads_no_section_value(k):
+    # direct after a closed form without dF, and sampled after direct, are served the kept sample;
+    # an unequal section with the same functions reads its own, and every output has its bits
+    sigma, probes, _ = _verify_section_case(k, 5, seed=11)
+    reads = []
+    counted = Section(F=sigma.F, batch=lambda z: reads.append(z.shape) or sigma.batch(z))
+    pts, xs = zip(*probes)
+    for first, second in [("closed-form", "direct"), ("direct", "sampled")]:
+        make_evaluator(k, first).evaluate(counted, pts, xs)
+        reads.clear()
+        got = make_evaluator(k, second).evaluate(counted, pts, xs)
+        assert reads == [], (first, second)
+        want = make_evaluator(k, second).evaluate(Section(F=sigma.F, batch=sigma.batch), pts, xs)
+        assert _same_bits(got, want), (first, second)
+
+
+def test_a_kept_sample_serves_only_an_equal_section_its_step_probes_and_kernel():
+    # each miss reads sigma at the 4 stencil points of each of the 2 probes; an equal section (the
+    # same functions, by dataclass equality) is served
+    k, reads = make_bergman_disk(2), []
+    f = lambda p: reads.append(1) or 1.0 + p * p  # noqa: E731
+    sigma = Section(F=f)
+    s, x = k.domain.jets([0.3 + 0.1j, -0.2j], [1.0 - 0.5j, 0.5])
+    ulp = lambda a: np.nextafter(a.real, np.inf) + 1j * a.imag  # noqa: E731
+    for owner, p, v, h, read in [((k, sigma), s, x, 1e-4, 8), ((k, sigma), s, x, 1e-4, 0),
+                                 ((k, Section(F=f)), s, x, 1e-4, 0),
+                                 ((k, Section(F=lambda p: f(p))), s, x, 1e-4, 8),
+                                 ((k, sigma), s, x, 1e-4, 8), ((k, sigma), s, x, 2e-4, 8),
+                                 ((k, sigma), s, x, 1e-4, 8), ((k, sigma), ulp(s), x, 1e-4, 8),
+                                 ((k, sigma), s, ulp(x), 1e-4, 8), ((k, sigma), s, x, 1e-4, 8),
+                                 ((make_bergman_disk(3), sigma), s, x, 1e-4, 8),
+                                 ((_fresh(k), sigma), s, x, 1e-4, 8), ((k, sigma), s, x, 1e-4, 8)]:
+        reads.clear()
+        connections._sample(owner, p, v, h)
+        assert len(reads) == read
+
+
+@pytest.mark.parametrize("value, error, message", [
+    (NAN, NumericsError, "section value or derivative is not finite"),
+    (np.ones(2), ValueError, "section value has 2 entries, fiber dimension is 1")])
+def test_a_section_read_that_raises_keeps_no_sample(value, error, message):
+    # each backend reads sigma again at the same probes, and raises again
+    k, reads = make_bergman_disk(2), []
+    sigma = Section(F=lambda p: reads.append(1) or value)
+    s, x = np.array([0.3 + 0.1j]), np.array([1.0 - 0.5j])
+    for backend in ("closed-form", "direct", "direct", "sampled"):
+        with pytest.raises(error, match=message):
+            make_evaluator(k, backend)(sigma, s, x)
+    assert len(reads) == 1 + 4 + 4 + 4  # the closed form's first read is sigma(s)
+
+
+def test_a_kept_sample_is_read_only_and_leaves_the_sections_own_array_writable():
+    k, own = make_fock(np.eye(2)), []
+    ones = lambda z: own.append(np.ones((*z.shape[:-1], 1), dtype=complex)) or own[-1]  # noqa: E731
+    s, x = k.domain.jets([[0.1, 0.2j]], [[1.0, -0.5j]])
+    stencils, weights, values = connections._sample((k, Section(F=ones, batch=ones)), s, x, 1e-4)
+    assert values.shape == (1, 4, 1)
+    assert not any(a.flags.writeable for a in (stencils, weights, values))
+    with pytest.raises(ValueError, match="read-only"):
+        values[0, 0, 0] = 2.0
+    assert own[0].flags.writeable and np.shares_memory(own[0], values)
 
 
 @pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
@@ -1193,8 +1259,9 @@ def test_leibniz_core_members_have_the_bits_of_leibniz_residual(k):
 @pytest.mark.parametrize("batch", [True, False], ids=["batch", "pointwise"])
 def test_one_leibniz_core_call_evaluates_f_at_each_point_a_reader_asks_for(batch):
     # f at the L probes and their 4L stencil points gives df and f(s); f sigma reads f again where
-    # each backend reads it: the closed form at the probes and stencils, the others at the stencils.
-    # Without sigma's batch the product section is evaluated point by point
+    # the first backend reads it: the closed form at the probes and stencils; the direct and sampled
+    # backends after it read the kept sample of f sigma.  Without sigma's batch the product section
+    # is evaluated point by point
     k = make_fock(np.eye(2))
     sigma, probes, _ = _verify_section_case(k, 7, seed=7)
     sigma = sigma if batch else Section(F=sigma.F, dF=sigma.dF)
@@ -1202,7 +1269,7 @@ def test_one_leibniz_core_call_evaluates_f_at_each_point_a_reader_asks_for(batch
     f = lambda s: calls.append(1) or 0.5 + s[0] - 2j * np.conj(s[1])  # noqa: E731
     got = _leibniz([make_evaluator(k, b) for b in _BACKENDS], Section(F=f), sigma, probes)
     if batch:
-        assert len(calls) == (5 + 5 + 4 + 4) * 7
+        assert len(calls) == (5 + 5) * 7
     assert got == [leibniz_residual(make_evaluator(k, b), f, sigma, probes) for b in _BACKENDS]
 
 
@@ -1335,8 +1402,8 @@ def test_leibniz_takes_f_as_a_scalar_section():
 @pytest.mark.parametrize("k", _SECTION_KERNELS, ids=lambda k: k.name)
 def test_leibniz_reads_a_batched_f_by_one_call_per_stack_of_points(k):
     # verify's f, 0.5 + a.z + b.conj(z) in real arithmetic: one batch call at the probes and one at
-    # their stencils give df and f(s); f sigma makes one per stack a backend reads (the closed form
-    # two, direct and sampled one each), all with the bits of f point by point
+    # their stencils give df and f(s); f sigma makes one per stack the closed form reads, two, and
+    # direct and sampled after it read its kept sample; all with the bits of f point by point
     sigma, probes, _ = _verify_section_case(k, 9, seed=9)
     f = verify._scalar_test_section(k.domain.dim, np.random.default_rng(10), 0.5, 0.0)
     calls = []
@@ -1344,7 +1411,7 @@ def test_leibniz_reads_a_batched_f_by_one_call_per_stack_of_points(k):
     nablas = [make_evaluator(k, b) for b in _BACKENDS]
     got = _leibniz(nablas, counted, sigma, probes)
     at_s, at_stencils = (9, k.domain.dim), (9, 4, k.domain.dim)
-    assert calls == [at_s, at_stencils, at_s, at_stencils, at_stencils, at_stencils]
+    assert calls == [at_s, at_stencils, at_s, at_stencils]
     assert got == _leibniz(nablas, Section(F=f.F), sigma, probes)
     assert got == [leibniz_residual(nabla, f.F, sigma, probes) for nabla in nablas]
     assert 0.0 < max(got) < 1e-6
