@@ -15,7 +15,7 @@ MODULE_NAMES = ("kernels", "rkhs", "connections", "grassmann", "cpmaps")  # the 
 _EXPORTS = {  # submodule -> the names the package exports from it
     "numerics": "DEFAULT_STEP DEFAULT_TOL NumericsError format_complex hermitian_eigh "
                 "hermitian_solve matrix_from_csv_text matrix_to_csv_text parse_complex "
-                "read_matrix_csv",
+                "random_unitary read_matrix_csv",
     "kernels": "BundleMorphism DomainError Kernel UnitaryDomain VectorDomain admissibility_report "
                "feature_kernel gram_matrix make_bergman_disk make_bergman_halfplane make_fock "
                "positivity_certificate pull_back_kernel",
@@ -31,8 +31,7 @@ _EXPORTS = {  # submodule -> the names the package exports from it
                  "reductive_covariant_derivative universal_covariant_derivative universal_kernel",
     "cpmaps": "CPMap StinespringTriple choi_from_kraus cp_classifying_morphism "
               "cp_covariant_derivative cp_kernel kraus_from_choi lambda_kernel "
-              "pullback_identity_residual random_unital_cpmap random_unitary stinespring_dilate "
-              "verify_dilation",
+              "pullback_identity_residual random_unital_cpmap stinespring_dilate verify_dilation",
     "verify": "run_suite",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -281,7 +281,7 @@ def _cmd_connect_transport(args) -> int:
 def _cmd_grassmann_verify(args) -> int:
     if not 1 <= args.k <= args.n - 1:
         raise UsageError(f"--k must be between 1 and n-1 = {args.n - 1}, got {args.k}")
-    rep = kc.verify.grassmann_agreement(args.n, args.k, probes=args.probes, seed=args.seed)
+    rep = kc.grassmann.grassmann_agreement(args.n, args.k, probes=args.probes, seed=args.seed)
     worst = max(rep.values())
     _emit_json({**rep, "n": args.n, "k": args.k, "probes": args.probes, "seed": args.seed,
                 "tolerance": args.tol, "passed": worst < args.tol}, args.output)

@@ -21,9 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, _kept, stencil_sum
+from .kernels import BundleMorphism, Kernel, _certify, _kept, _project, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, _finite, _max_norm, _solve
-from .rkhs import _certify, _project
 
 __all__ = [
     "Section",

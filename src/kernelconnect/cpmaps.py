@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .kernels import BundleMorphism, Kernel, _dilation_kernel, _frobenius, pull_back_kernel
-from .numerics import NumericsError, _max_norm, _normals, hermitian_eigh
+from .numerics import NumericsError, _max_norm, _normals, hermitian_eigh, random_unitary
 from .connections import Section
 from .grassmann import HermitianProjector, _group_jets, fiber_basis
 
@@ -242,24 +242,6 @@ def _cp_covariant(psi: CPMap, sigma: Section, us: Sequence, xs: Sequence) -> np.
     """The (L, m) derivatives at L probes (u_j, a_j), from one U(n) stencil stack."""
     dsigma, value, a = _group_jets(sigma, us, xs, psi.input_dim, psi.output_dim)
     return dsigma + (psi.apply(a) @ value[..., None])[..., 0]
-
-
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """A deterministic unitary from a seeded complex Gaussian: the one-seed `_random_unitaries`."""
-    return _random_unitaries(n, [seed])[0]
-
-
-def _random_unitaries(n: int, seeds) -> np.ndarray:
-    """The (L, n, n) stack of random_unitary at L seeds: one generator per seed and one (2, n, n)
-    draw each, then one QR and one phase fix, Q times the phases of diag R."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not len(seeds):
-        raise ValueError("empty stack of seeds: no unitaries to draw")
-    z = np.array([np.random.default_rng(seed).standard_normal((2, n, n)) for seed in seeds])
-    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
-    d = r.diagonal(0, -2, -1)[..., None, :]
-    return q * (d / np.abs(d))
 
 
 def random_unital_cpmap(input_dim: int, output_dim: int, n_kraus: int,

@@ -5,12 +5,12 @@ vectors are anti-Hermitian generators A with vanishing diagonal blocks
 (p A p = (1-p) A (1-p) = 0), moving the point along e^{tA} p e^{-tA}.  Fibers
 get concrete coordinates through deterministic orthonormal column bases.
 
-The module provides the conditional expectation onto block-diagonal matrices,
-the reductive-structure axioms as residuals, the Maurer-Cartan form, the
-kernel of orthogonal projections between subspaces, and three independent
-routes to the covariant derivative on the tautological bundle (projected
-differential, reductive formula, generic kernel machinery), plus the
-homogeneous-bundle kernel and its derivative on unitary groups.
+The module provides the conditional expectation onto block-diagonal matrices, the
+reductive-structure axioms as residuals, the Maurer-Cartan form, the kernel of orthogonal
+projections between subspaces, and three independent routes to the covariant derivative on the
+tautological bundle (projected differential, reductive formula, generic kernel machinery) with
+`grassmann_agreement`, which compares them, plus the homogeneous-bundle kernel and its
+derivative on unitary groups.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .kernels import (Domain, DomainError, Kernel, UnitaryDomain, _dilation_kernel, _exponentials,
                       _finite_array, _frobenius, _kept, _paired, feature_kernel, stencil_sum)
-from .connections import Section, _fiber
-from .numerics import DEFAULT_STEP, _max_norm, _normals
+from .connections import Section, _fiber, make_evaluator
+from .numerics import DEFAULT_STEP, _max_norm, _normals, _random_unitaries
 
 __all__ = [
     "HermitianProjector",
@@ -41,6 +41,7 @@ __all__ = [
     "reductive_covariant_derivative",
     "homogeneous_kernel",
     "homogeneous_covariant_derivative",
+    "grassmann_agreement",
 ]
 
 
@@ -318,6 +319,42 @@ def _reductive(f_ambient, gs: Sequence, xs: Sequence, base: HermitianProjector) 
 
     deriv, value, x = _group_jets(Section(orbit, batch=orbit), gs, xs, base.n, base.n)
     return deriv - (maurer_cartan(base, gs, x) @ value[..., None])[..., 0]
+
+
+def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
+    """Three-way covariant-derivative agreement on rank-k projectors in C^n.
+
+    Compares the projected-differential formula, the reductive-splitting formula and the generic
+    kernel pipeline on random probes, evaluated by each route in one call; checks metric
+    compatibility; returns the two max residuals.
+    """
+    if probes < 1:
+        raise ValueError(f"probes must be >= 1, got {probes}")
+    rng = np.random.default_rng(seed + 5)
+    base, q = coordinate_projector(n, k), universal_kernel(n, k)
+    v0, w0 = _normals(rng, 2, n)
+
+    f_ambient = lambda pt: pt.p @ v0  # noqa: E731
+    g_ambient = lambda pt: pt.p @ w0  # noqa: E731
+    gs = _random_unitaries(n, range(seed + 200, seed + 200 + probes))
+    xs = _random_generators(base, rng, probes)
+    points = _orbit(gs, base.p, fiber_basis(base), k)
+    tangents = _moved(points, gs, xs)
+
+    univ = _universal(f_ambient, points, tangents)
+    red = _reductive(f_ambient, gs, xs, base)
+    sigma = Section(F=grass_section_coordinates(f_ambient))
+    direct = make_evaluator(q, "direct").evaluate(sigma, points, tangents)
+    generic = [fiber_basis(p) @ d for p, d in zip(points, direct)]
+    pairs = np.concatenate([univ - red, univ - generic, red - generic])
+
+    d_inner = q.domain.derivatives(points, tangents,
+                                   lambda p: np.vdot(g_ambient(p), f_ambient(p)))
+    nabla_g = _universal(g_ambient, points, tangents)
+    metric = [abs(d - (np.vdot(ng, f_ambient(p)) + np.vdot(g_ambient(p), u)))
+              for d, ng, u, p in zip(d_inner, nabla_g, univ, points)]
+    return {"three_way_residual": _max_norm(pairs),
+            "metric_compatibility_residual": float(np.max(metric))}
 
 
 def homogeneous_kernel(n: int, point: HermitianProjector) -> Kernel:

@@ -9,7 +9,8 @@ kernel exp(beta(z,w)) for a PSD Hermitian form beta.
 Base points are plain values: complex vectors for C^d domains, unitary
 matrices for group-indexed kernels, Hermitian projectors for the Grassmann
 kernel (see grassmann.py).  Tangent directions mirror the point flavor and
-are treated as real-linear directions.
+are treated as real-linear directions.  Also here: the PSD certificate of a Gram
+stack and its fiber projection, which rkhs.py and the sampled backend share.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .numerics import DEFAULT_STEP, NumericsError, _as_matrix, _eigh, _finite, hermitian_eigh
+from .numerics import (DEFAULT_STEP, NumericsError, _as_matrix, _eigh, _finite, _solve,
+                       hermitian_eigh)
 
 __all__ = [
     "DomainError",
@@ -326,8 +328,8 @@ class Kernel:
         if self.batch is not None:
             s = np.asarray(ss, dtype=complex)
             t = s if ts is ss else np.asarray(ts, dtype=complex)
-            if a == b == 1:  # members of one point need fewer axes to broadcast
-                s, t = s[:, 0], t[:, 0]
+            if a == b == 1:  # one-point members need fewer axes; one stack stays one array
+                s, t = (s[:, 0],) * 2 if ts is ss else (s[:, 0], t[:, 0])
             elif a > 1 and b > 1:
                 s, t = s[:, :, None], t[:, None]
             out = self.batch(s, t)
@@ -467,11 +469,11 @@ def feature_kernel(phi: Callable[[object], np.ndarray], fiber_dim: int, domain: 
     dphi(t, x), when given, is the derivative of Phi along the domain's curve with the 1-jet
     (t, x), and d2 is Phi(s)* dphi(t, x); without it, d2 is the stencil's.  On U(n), Phi and dphi
     must map an (..., n, n) stack member by member, each with its one-matrix bits: `batch` is
-    `eval`, and a block of a x b points is a + b evaluations of Phi.
+    `eval`, and a block of a x b points is a + b evaluations of Phi, one for a point and itself.
     """
 
-    def ev(s, t):
-        return phi(s).conj().swapaxes(-1, -2) @ phi(t)
+    def ev(s, t):  # Phi read once when both slots are one stack
+        return (ps := phi(s)).conj().swapaxes(-1, -2) @ (ps if t is s else phi(t))
 
     d2 = None if dphi is None else lambda s, t, x: phi(s).conj().swapaxes(-1, -2) @ dphi(t, x)
     batch = ev if isinstance(domain, UnitaryDomain) else None
@@ -519,6 +521,27 @@ def _psd_spectra(grams, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
         raise NumericsError(f"Gram matrix not Hermitian, ||G - G*|| = {herm_res.max():.3e}")
     values = _eigh(a, adjoint, vectors=False)[0]
     return values, values[:, 0] >= -tol * np.maximum(1.0, values[:, -1])
+
+
+def _certify(grams: np.ndarray) -> np.ndarray:
+    """The ascending spectra of L Gram matrices, each certified PSD; an error names the sample."""
+    values, is_psd = _psd_spectra(grams)
+    if np.count_nonzero(is_psd) < len(is_psd):
+        j = int(np.argmin(is_psd))
+        of = (len(grams) > 1) * f" (sample {j + 1} of {len(grams)})"
+        raise NumericsError(f"Gram matrix is not PSD (min eigenvalue {values[j, 0]:.3e}); the "
+                            f"input does not behave like a kernel on this sample{of}")
+    return values
+
+
+def _project(grams: np.ndarray, m: int, i: int, c: np.ndarray) -> np.ndarray:
+    """Fiber projections at sample point i in L spaces, (L, NM, NM) finite Grams and (L, NM, K) c:
+    kappa(s_i,s_i)^(-1) (G c)_i = kappa(s_i,s_i)^(-1) f(s_i) in block i, zeros elsewhere.
+    Fails when kappa(s_i,s_i) is singular within threshold."""
+    b = slice(i * m, (i + 1) * m)
+    projected = np.zeros(c.shape, dtype=complex)
+    projected[:, b] = _solve(grams[:, b, b], grams[:, b] @ c)
+    return projected
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
-"""Dense complex linear algebra and complex CSV helpers.
+"""Dense complex linear algebra, complex CSV helpers and seeded complex draws.
 
-All routines work on plain numpy arrays (complex128) and are pure: no
-global state, inputs are never mutated.
+All routines work on plain numpy arrays (complex128) and are pure: no global state, inputs are
+never mutated.  `grassmann verify` draws its unitaries here, without loading cpmaps.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "read_matrix_csv",
     "matrix_to_csv_text",
     "matrix_from_csv_text",
+    "random_unitary",
 ]
 
 DEFAULT_TOL = 1e-9
@@ -125,6 +126,24 @@ def _normals(rng: np.random.Generator, count: int, dim=1) -> np.ndarray:
     stream and bits of count calls rng.standard_normal(dim) + 1j * rng.standard_normal(dim)."""
     z = rng.standard_normal((count, 2, *np.ravel(dim)))
     return z[:, 0] + 1j * z[:, 1]
+
+
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    """A deterministic unitary from a seeded complex Gaussian: the one-seed `_random_unitaries`."""
+    return _random_unitaries(n, [seed])[0]
+
+
+def _random_unitaries(n: int, seeds) -> np.ndarray:
+    """The (L, n, n) stack of random_unitary at L seeds: one generator per seed and one (2, n, n)
+    draw each, then one QR and one phase fix, Q times the phases of diag R."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not len(seeds):
+        raise ValueError("empty stack of seeds: no unitaries to draw")
+    z = np.array([np.random.default_rng(seed).standard_normal((2, n, n)) for seed in seeds])
+    q, r = np.linalg.qr(z[:, 0] + 1j * z[:, 1])
+    d = r.diagonal(0, -2, -1)[..., None, :]
+    return q * (d / np.abs(d))
 
 
 def format_complex(z: complex) -> str:

@@ -1,10 +1,11 @@
 """Finite-sample realization of the Hilbert space generated by a kernel.
 
-Elements are coefficient vectors c of length N*M representing
-f = sum_i kappa(., t_i) c_i (block-indexed by sample point).  The inner
-product is the block Gram pairing g* G f, the fiber at a sample point s is the
-span of the generators kappa(., s) v, and the fiber projection uses the closed
-form c = kappa(s,s)^(-1) f(s) that the reproducing property provides.
+Elements are coefficient vectors c of length N*M representing f = sum_i kappa(., t_i) c_i
+(block-indexed by sample point).  The inner product is the block Gram pairing g* G f, the fiber
+at a sample point s is the span of the generators kappa(., s) v, and the fiber projection uses
+the closed form c = kappa(s,s)^(-1) f(s) that the reproducing property provides.  Its stacked
+form `_project` and the Gram certificate `_certify` live in kernels.py, as the sampled backend
+uses them too: `connect` loads no rkhs.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernels import Kernel, _psd_spectra
-from .numerics import NumericsError, _finite, _solve, hermitian_solve
+from .kernels import Kernel, _certify, _project
+from .numerics import _finite, hermitian_solve
 
 __all__ = ["SampledRKHS", "RKHSElement", "build_rkhs", "evaluate_element", "project_fiber",
            "universality_residual"]
@@ -75,17 +76,6 @@ def _close(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                              initial=0.0) <= 1e-12
 
 
-def _certify(grams: np.ndarray) -> np.ndarray:
-    """The ascending spectra of L Gram matrices, each certified PSD; an error names the sample."""
-    values, is_psd = _psd_spectra(grams)
-    if np.count_nonzero(is_psd) < len(is_psd):
-        j = int(np.argmin(is_psd))
-        of = (len(grams) > 1) * f" (sample {j + 1} of {len(grams)})"
-        raise NumericsError(f"Gram matrix is not PSD (min eigenvalue {values[j, 0]:.3e}); the "
-                            f"input does not behave like a kernel on this sample{of}")
-    return values
-
-
 def build_rkhs(k: Kernel, points: Sequence) -> SampledRKHS:
     """Assemble the Gram matrix on distinct sample points, checked once, and certify positivity."""
     if len(pts := tuple(points)) < 1:
@@ -106,16 +96,6 @@ def evaluate_element(f: RKHSElement, s) -> np.ndarray:
     """f(s) = sum_i kappa(s, t_i) c_i, s sampled or not; s is checked, the held sample is not."""
     k = f.space.kernel
     return k._values((k.domain.stack((s,)),), (f.space._sample[0],))[0] @ f.coefficients
-
-
-def _project(grams: np.ndarray, m: int, i: int, c: np.ndarray) -> np.ndarray:
-    """Fiber projections at sample point i in L spaces, (L, NM, NM) finite Grams and (L, NM, K) c:
-    kappa(s_i,s_i)^(-1) (G c)_i = kappa(s_i,s_i)^(-1) f(s_i) in block i, zeros elsewhere.
-    Fails when kappa(s_i,s_i) is singular within threshold."""
-    b = slice(i * m, (i + 1) * m)
-    projected = np.zeros(c.shape, dtype=complex)
-    projected[:, b] = _solve(grams[:, b, b], grams[:, b] @ c)
-    return projected
 
 
 def project_fiber(r: SampledRKHS, s, f: RKHSElement) -> RKHSElement:

@@ -3,7 +3,8 @@ library checked against independent numeric oracles at desk scale.
 
 Each check is a named residual with a pinned tolerance; `run_suite` returns a
 deterministic report (fixed seed => identical output) that the CLI serializes
-to JSON.
+to JSON.  `grassmann_agreement`, re-exported here, lives in grassmann.py, so that
+`grassmann verify` loads none of verify, cpmaps and rkhs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from .kernels import (
     make_bergman_halfplane,
     make_fock,
 )
-from .numerics import _max_norm, _normals
+from .grassmann import grassmann_agreement
+from .numerics import _max_norm, _normals, _random_unitaries, random_unitary
 from .rkhs import build_rkhs, universality_residual
 
 __all__ = ["run_suite", "grassmann_agreement", "MODULE_NAMES", "DISK_SIGN_NOTE"]
@@ -149,7 +151,7 @@ def _universality_checks(seed):
     cases.append(("fock:dim=2", make_fock(np.eye(2)), fock_pts))
 
     base = grassmann.coordinate_projector(4, 2)
-    us = cpmaps._random_unitaries(4, range(seed + 100, seed + 104))
+    us = _random_unitaries(4, range(seed + 100, seed + 104))
     grass_pts = [base] + grassmann._orbit(us, base.p, grassmann.fiber_basis(base), 2)
     cases.append(("universal:n=4,k=2", grassmann.universal_kernel(4, 2), grass_pts))
 
@@ -182,42 +184,6 @@ def _admissibility_checks(seed):
     return checks
 
 
-def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
-    """Three-way covariant-derivative agreement on rank-k projectors in C^n.
-
-    Compares the projected-differential formula, the reductive-splitting formula and the generic
-    kernel pipeline on random probes, evaluated by each route in one call; checks metric
-    compatibility; returns the two max residuals.
-    """
-    if probes < 1:
-        raise ValueError(f"probes must be >= 1, got {probes}")
-    rng = np.random.default_rng(seed + 5)
-    base, q = grassmann.coordinate_projector(n, k), grassmann.universal_kernel(n, k)
-    v0, w0 = _normals(rng, 2, n)
-
-    f_ambient = lambda pt: pt.p @ v0  # noqa: E731
-    g_ambient = lambda pt: pt.p @ w0  # noqa: E731
-    gs = cpmaps._random_unitaries(n, range(seed + 200, seed + 200 + probes))
-    xs = grassmann._random_generators(base, rng, probes)
-    points = grassmann._orbit(gs, base.p, grassmann.fiber_basis(base), k)
-    tangents = grassmann._moved(points, gs, xs)
-
-    univ = grassmann._universal(f_ambient, points, tangents)
-    red = grassmann._reductive(f_ambient, gs, xs, base)
-    sigma = Section(F=grassmann.grass_section_coordinates(f_ambient))
-    direct = make_evaluator(q, "direct").evaluate(sigma, points, tangents)
-    generic = [grassmann.fiber_basis(p) @ d for p, d in zip(points, direct)]
-    pairs = np.concatenate([univ - red, univ - generic, red - generic])
-
-    d_inner = q.domain.derivatives(points, tangents,
-                                   lambda p: np.vdot(g_ambient(p), f_ambient(p)))
-    nabla_g = grassmann._universal(g_ambient, points, tangents)
-    metric = [abs(d - (np.vdot(ng, f_ambient(p)) + np.vdot(g_ambient(p), u)))
-              for d, ng, u, p in zip(d_inner, nabla_g, univ, points)]
-    return {"three_way_residual": _max_norm(pairs),
-            "metric_compatibility_residual": float(np.max(metric))}
-
-
 def _grassmann_checks(seed):
     rep = grassmann_agreement(4, 2, probes=20, seed=seed)
     return [_check("grassmann/three_way_agreement", rep["three_way_residual"], 1e-6),
@@ -238,7 +204,7 @@ def _homogeneous_checks(seed):
     def coords(u):  # B* phi(u), the same way
         return (b.conj().T @ phi(u)[..., None])[..., 0]
 
-    us = cpmaps._random_unitaries(n, range(seed + 300, seed + 320))
+    us = _random_unitaries(n, range(seed + 300, seed + 320))
     xs = grassmann._random_generators(p, rng, len(us))
     generic = make_evaluator(hk, "direct").evaluate(Section(F=coords, batch=coords), us, xs)
     formulas = grassmann._homogeneous(Section(F=phi, batch=phi), p, us, xs)
@@ -254,8 +220,8 @@ def _stinespring_checks(seed):
     rank_mismatch = np.count_nonzero(independent_ranks != [p.choi_rank for p in maps])
     (triples, iso_res), triple = cpmaps._dilate(maps), cpmaps.stinespring_dilate(psi)
     dil_res = cpmaps._dilation_residual(maps, triples)
-    u = cpmaps._random_unitaries(3, [*range(seed + 400, seed + 408), *range(seed + 450, seed + 458),
-                                     *range(seed + 500, seed + 520)])
+    u = _random_unitaries(3, [*range(seed + 400, seed + 408), *range(seed + 450, seed + 458),
+                              *range(seed + 500, seed + 520)])
     pull_res = cpmaps.pullback_identity_residual(psi, triple, list(zip(u[:8], u[8:16])))
 
     (w0,) = _normals(rng, 1, 2)
@@ -310,10 +276,10 @@ def _transport_checks(seed):  # exact transport: no random draw, so the seed is 
 
 def _reductive_checks(seed):
     # a rotated projector: at a coordinate one with block unitaries every product is exact
-    u = cpmaps.random_unitary(4, seed=seed + 700)
+    u = random_unitary(4, seed=seed + 700)
     base = grassmann.coordinate_projector(4, 2)
     (point,) = grassmann._orbit(u, base.p, grassmann.fiber_basis(base), 2)
-    blocks = cpmaps._random_unitaries(2, range(seed + 600, seed + 640))  # u1, u2 of 20 unitaries
+    blocks = _random_unitaries(2, range(seed + 600, seed + 640))  # u1, u2 of 20 unitaries
     unitaries = np.zeros((20, 4, 4), dtype=complex)
     unitaries[:, :2, :2], unitaries[:, 2:, 2:] = blocks[0::2], blocks[1::2]
     res = grassmann.reductive_axioms_residual(point, u @ unitaries @ u.conj().T, n_probes=20,

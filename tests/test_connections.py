@@ -40,6 +40,7 @@ from kernelconnect.kernels import (
     Kernel,
     UnitaryDomain,
     VectorDomain,
+    _certify,
     feature_kernel,
     make_bergman_disk,
     make_bergman_halfplane,
@@ -50,7 +51,6 @@ from kernelconnect.kernels import (
 from kernelconnect.numerics import NumericsError, hermitian_eigh, hermitian_solve
 from kernelconnect.rkhs import (
     RKHSElement,
-    _certify,
     build_rkhs,
     evaluate_element,
     project_fiber,

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kernelconnect import cpmaps
+from kernelconnect import cpmaps, numerics
 from kernelconnect.connections import Section, covariant_derivative_direct, make_evaluator
 from kernelconnect.cpmaps import (
     CPMap,
@@ -327,7 +327,7 @@ def test_random_unitary_deterministic_and_unitary():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
 def test_stacked_unitaries_have_the_bits_of_one_seed_at_a_time(n):
     seeds = [12, 0, 7, 12, 2**40 + 3]
-    stacked = cpmaps._random_unitaries(n, seeds)
+    stacked = numerics._random_unitaries(n, seeds)
     assert stacked.shape == (len(seeds), n, n)
     for seed, u in zip(seeds, stacked):
         assert u.tobytes() == random_unitary(n, seed).tobytes()
@@ -337,7 +337,7 @@ def test_stacked_unitaries_have_the_bits_of_one_seed_at_a_time(n):
         d = np.diagonal(r)
         assert u.tobytes() == (q * (d / np.abs(d))).tobytes()
     with pytest.raises(ValueError, match="n must be >= 1"):
-        cpmaps._random_unitaries(0, seeds)
+        numerics._random_unitaries(0, seeds)
 
 
 def test_random_unital_cpmap_is_unital():
@@ -513,7 +513,7 @@ def test_maps_of_unequal_kraus_shape_are_refused_by_name():
 @pytest.mark.parametrize("stacked, message", [
     (lambda: cpmaps._dilate([]), "empty stack of CP maps"),
     (lambda: cpmaps._dilation_residual([], []), "empty stack of CP maps"),
-    (lambda: cpmaps._random_unitaries(3, []), "empty stack of seeds"),
+    (lambda: numerics._random_unitaries(3, []), "empty stack of seeds"),
 ], ids=["dilate", "dilation_residual", "random_unitaries"])
 def test_an_empty_stack_is_refused_by_name(stacked, message):
     # numpy's unpacking, reshape and indexing errors surfaced here

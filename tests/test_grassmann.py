@@ -17,6 +17,7 @@ from kernelconnect.grassmann import (
     coordinate_projector,
     fiber_basis,
     grass_section_coordinates,
+    grassmann_agreement,
     homogeneous_covariant_derivative,
     homogeneous_kernel,
     maurer_cartan,
@@ -28,7 +29,6 @@ from kernelconnect.grassmann import (
 )
 from kernelconnect.kernels import Domain, DomainError, UnitaryDomain
 from kernelconnect.numerics import NumericsError, hermitian_eigh
-from kernelconnect.verify import grassmann_agreement
 
 
 def _random_point(n, k, seed):
@@ -756,7 +756,7 @@ def test_agreement_makes_one_call_per_route_and_one_exponential_per_stencil_stac
 
 
 def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypatch):
-    from kernelconnect import cpmaps
+    from kernelconnect import numerics
 
     probes, universal = [], grassmann._universal
     monkeypatch.setattr(grassmann, "_universal",
@@ -768,7 +768,7 @@ def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypa
     monkeypatch.undo()
     base = coordinate_projector(4, 2)
     assert [m.tobytes() for m in diagonalized] == [base.p.tobytes()] * 2  # the base alone, twice
-    gs = cpmaps._random_unitaries(4, range(203, 208))
+    gs = numerics._random_unitaries(4, range(203, 208))
     assert probes[0] is probes[1] and len(probes[0]) == len(gs)
     for g, q in zip(gs, probes[0]):
         assert q.p.tobytes() == (g @ base.p @ g.conj().T).tobytes()
@@ -776,7 +776,7 @@ def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypa
 
 
 def test_universality_probes_are_orbit_points_holding_the_base_basis_moved(monkeypatch):
-    from kernelconnect import cpmaps, verify
+    from kernelconnect import numerics, verify
 
     samples, build = {}, verify.build_rkhs
     monkeypatch.setattr(verify, "build_rkhs",
@@ -789,7 +789,7 @@ def test_universality_probes_are_orbit_points_holding_the_base_basis_moved(monke
     base, *orbit = samples["universal:n=4,k=2"]
     assert [m.tobytes() for m in diagonalized] == [base.p.tobytes()]  # the base alone
     assert base.p.tobytes() == coordinate_projector(4, 2).p.tobytes()
-    for g, q in zip(cpmaps._random_unitaries(4, range(105, 109)), orbit):
+    for g, q in zip(numerics._random_unitaries(4, range(105, 109)), orbit):
         assert q.p.tobytes() == (g @ base.p @ g.conj().T).tobytes()
         _assert_moved_basis(q, g, fiber_basis(base))
 
@@ -873,10 +873,10 @@ def test_verifys_stacked_draws_are_the_loops_of_per_call_draws_bit_for_bit(seed,
 
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (6, 3)])
 def test_moved_tangents_are_the_checked_tangents_at_their_orbit_points(n, k):
-    from kernelconnect import cpmaps
+    from kernelconnect import numerics
 
     base, rng = coordinate_projector(n, k), np.random.default_rng(40 + n)
-    gs = cpmaps._random_unitaries(n, range(50, 55))
+    gs = numerics._random_unitaries(n, range(50, 55))
     xs = grassmann._random_generators(base, rng, len(gs))
     points = grassmann._orbit(gs, base.p, fiber_basis(base), k)
     moved = grassmann._moved(points, gs, xs)

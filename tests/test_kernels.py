@@ -33,9 +33,8 @@ from kernelconnect.kernels import (
     pull_back_kernel,
     stencil_sum,
 )
-from kernelconnect.kernels import _psd_spectra
+from kernelconnect.kernels import _certify, _psd_spectra
 from kernelconnect.numerics import NumericsError, hermitian_eigh
-from kernelconnect.rkhs import _certify
 
 
 def _probe_pairs(kernel, count, seed):
@@ -763,6 +762,30 @@ def test_unitary_stencils_of_a_stack_are_the_stencils_of_its_probes_bit_for_bit(
             values, v = hermitian_eigh(-1j * unit)
             for t, p in zip(1e-4 * np.array([-2.0, -1.0, 1.0, 2.0]), points):
                 assert p.tobytes() == (u @ (v * np.exp(1j * t * values)) @ v.conj().T).tobytes()
+
+
+def test_a_unitary_feature_kernels_jet_reads_phi_once_for_kappa_and_once_for_d2():
+    # kappa(s_j, s_j) passes one stack as both slots, so Phi is read once for it, not twice; d2
+    # reads Phi(s) once more; both arrays keep the bits of Phi(s)* Phi(s) and Phi(s)* dPhi(s, x)
+    n, rng = 3, np.random.default_rng(52)
+    w = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    calls = []
+
+    def phi(u):
+        calls.append(np.shape(u))
+        return np.asarray(u, dtype=complex) @ w
+
+    k = feature_kernel(phi, 2, UnitaryDomain(n), "counted", lambda u, a: (u @ a) @ w)
+    us = np.array([random_unitary(n, seed=60 + i) for i in range(4)])
+    a = rng.standard_normal((4, n, n)) + 1j * rng.standard_normal((4, n, n))
+    xs = a - a.conj().swapaxes(-1, -2)
+    kss, d2 = k.diagonal_jet(us, xs)
+    assert calls == [(4, n, n)] * 2
+    f = us @ w
+    assert kss.tobytes() == (f.conj().swapaxes(-1, -2) @ f).tobytes()
+    assert d2.tobytes() == (f.conj().swapaxes(-1, -2) @ ((us @ xs) @ w)).tobytes()
+    u = us[0]
+    assert k(u, u).tobytes() == kss[0].tobytes() and len(calls) == 3  # a point and itself
 
 
 @pytest.mark.parametrize("n", [1, 3])

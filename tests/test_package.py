@@ -21,7 +21,7 @@ SRC_ENV = {**os.environ,
 EXPORTS = {  # the package's public names, by the submodule that defines them
     "numerics": "DEFAULT_STEP DEFAULT_TOL NumericsError format_complex hermitian_eigh "
                 "hermitian_solve matrix_from_csv_text matrix_to_csv_text parse_complex "
-                "read_matrix_csv",
+                "random_unitary read_matrix_csv",
     "kernels": "BundleMorphism DomainError Kernel UnitaryDomain VectorDomain admissibility_report "
                "feature_kernel gram_matrix make_bergman_disk make_bergman_halfplane make_fock "
                "positivity_certificate pull_back_kernel",
@@ -37,8 +37,7 @@ EXPORTS = {  # the package's public names, by the submodule that defines them
                  "reductive_covariant_derivative universal_covariant_derivative universal_kernel",
     "cpmaps": "CPMap StinespringTriple choi_from_kraus cp_classifying_morphism "
               "cp_covariant_derivative cp_kernel kraus_from_choi lambda_kernel "
-              "pullback_identity_residual random_unital_cpmap random_unitary stinespring_dilate "
-              "verify_dilation",
+              "pullback_identity_residual random_unital_cpmap stinespring_dilate verify_dilation",
     "verify": "MODULE_NAMES run_suite",
 }
 NAMES = {name: module for module, names in EXPORTS.items() for name in names.split()}
@@ -64,7 +63,7 @@ def test_import_loads_no_submodule():
 def test_a_name_loads_the_module_that_defines_it_and_the_layers_below():
     assert _loaded("import kernelconnect as kc; kc.format_complex") == {"numerics"}
     assert _loaded("from kernelconnect import make_fock") == {"kernels", "numerics"}
-    assert _loaded("import kernelconnect as kc; kc.Curve") == {"kernels", "numerics", "rkhs",
+    assert _loaded("import kernelconnect as kc; kc.Curve") == {"kernels", "numerics",
                                                                  "connections"}
 
 
@@ -83,11 +82,12 @@ def choi_csv(tmp_path_factory):
     (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", "0;0.3"],
      BASE | {"rkhs"}),
     (["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5", "--direction",
-      "1"], BASE | {"rkhs", "connections"}),
+      "1"], BASE | {"connections"}),
     (["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0", "--end", "0.5",
-      "--steps", "8", "--tol", "0.1"], BASE | {"rkhs", "connections"}),
-    (["cp", "kernel", "--choi", "CHOI", "--n", "3"], ALL - {"verify"}),
-    (["grassmann", "verify", "--n", "3", "--k", "1", "--probes", "1"], ALL),
+      "--steps", "8", "--tol", "0.1"], BASE | {"connections"}),
+    (["cp", "kernel", "--choi", "CHOI", "--n", "3"], ALL - {"verify", "rkhs"}),
+    (["grassmann", "verify", "--n", "3", "--k", "1", "--probes", "1"],
+     BASE | {"connections", "grassmann"}),
     (["verify", "kernels"], ALL),
 ])
 def test_each_command_loads_only_the_layers_it_runs(choi_csv, argv, modules):
@@ -117,6 +117,17 @@ def test_all_is_the_public_api_and_each_name_resolves():
         defined = getattr(import_module(f"kernelconnect.{module}"), name)
         assert getattr(kernelconnect, name) is defined
     assert set(NAMES) <= set(dir(kernelconnect))
+
+
+def test_moved_names_keep_their_old_paths_and_identity():
+    # grassmann_agreement lives beside the routes it compares, random_unitary beside the draws
+    # of numerics; verify and cpmaps re-export them, and the package keeps its 70 names
+    from kernelconnect import cpmaps, grassmann, numerics, verify
+
+    assert verify.grassmann_agreement is grassmann.grassmann_agreement
+    assert cpmaps.random_unitary is numerics.random_unitary is kernelconnect.random_unitary
+    assert "grassmann_agreement" in verify.__all__ and "random_unitary" in cpmaps.__all__
+    assert len(kernelconnect.__all__) == 70 and "grassmann_agreement" not in kernelconnect.__all__
 
 
 def test_star_import_binds_the_public_names():
