@@ -263,7 +263,11 @@ def universal_kernel(n: int, k: int) -> Kernel:
     the projection of fiber S2 onto fiber S1): the feature map is fiber_basis,
     and kappa(S, S) is the identity.
     """
-    return feature_kernel(fiber_basis, k, GrassDomain(n, k), f"universal:n={n},k={k}")
+    def bases(s):  # B(s), or the (..., n, k) stack of an object array of points, each basis once
+        return fiber_basis(s) if isinstance(s, HermitianProjector) else np.array(
+            [fiber_basis(q) for q in s.flat]).reshape(s.shape + (n, k))
+
+    return feature_kernel(bases, k, GrassDomain(n, k), f"universal:n={n},k={k}")
 
 
 def grass_section_coordinates(f_ambient: Callable[[HermitianProjector], np.ndarray]):
@@ -279,16 +283,16 @@ def universal_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
                                    point: HermitianProjector,
                                    tangent: GrassTangent) -> np.ndarray:
     """Projected differential p . d/dt F(e^{tA} p e^{-tA}) of a fiber-valued section F (a vector
-    of C^n at each projector): the one-probe `_universal`."""
-    return _universal(f_ambient, (point,), (tangent,))[0]
+    of C^n at each projector): the one-probe `_universal` of Section(F=f_ambient)."""
+    return _universal(Section(F=f_ambient), (point,), (tangent,))[0]
 
 
-def _universal(f_ambient, points: Sequence, tangents: Sequence) -> np.ndarray:
-    """The (L, n) projected differentials at L probes, from one stencil stack; that F is
-    fiber-valued, ||(1-p) F(p)|| <= 1e-8, is one test of all 4L stencil values."""
+def _universal(f: Section, points: Sequence, tangents: Sequence) -> np.ndarray:
+    """The (L, n) projected differentials at L probes, from one stencil stack read by one `_values`
+    call; that F is fiber-valued, ||(1-p) F(p)|| <= 1e-8, is one test of all 4L stencil values."""
     domain = GrassDomain(points[0].n, points[0].rank)
     stencils, weights = domain._stencils(*domain.jets(points, tangents), DEFAULT_STEP)
-    v = np.array([np.asarray(f_ambient(q), dtype=complex) for q in stencils.flat])
+    v = f._values(stencils, 2).reshape(stencils.size, -1)
     res = np.linalg.norm(v - (np.array([q.p for q in stencils.flat]) @ v[..., None])[..., 0], -1)
     if (res > 1e-8).any():
         raise DomainError(f"section is not fiber-valued: ||(1-p) F(p)|| = {res[res > 1e-8][0]:.3e}")
@@ -306,16 +310,15 @@ def reductive_covariant_derivative(f_ambient: Callable[[HermitianProjector], np.
 
         dF(curve) - (g X g^-1) F(g p g^-1),  X in the complement at p  (one-probe `_reductive`).
     """
-    return _reductive(f_ambient, (g,), (x,), base)[0]
+    return _reductive(Section(F=f_ambient), (g,), (x,), base)[0]
 
 
-def _reductive(f_ambient, gs: Sequence, xs: Sequence, base: HermitianProjector) -> np.ndarray:
+def _reductive(f: Section, gs: Sequence, xs: Sequence, base: HermitianProjector) -> np.ndarray:
     """The (L, n) reductive derivatives at L probes (g_j, x_j): `_group_jets` of u -> F(u p u*), at
     the orbit points of `_orbit` (the g_j passed `jets`, and the base its own check)."""
-    def orbit(u):  # F at the points u p u* of a stack of unitaries
+    def orbit(u):  # F at the points u p u* of a stack of unitaries, by one `Section._values` call
         qs = _orbit(u, base.p, fiber_basis(base), base.rank)
-        return np.array([np.asarray(f_ambient(q), dtype=complex) for q in qs]).reshape(
-            u.shape[:-2] + (-1,))
+        return f._values(np.fromiter(qs, object, len(qs)).reshape(u.shape[:-2]), u.ndim - 2)
 
     deriv, value, x = _group_jets(Section(orbit, batch=orbit), gs, xs, base.n, base.n)
     return deriv - (maurer_cartan(base, gs, x) @ value[..., None])[..., 0]
@@ -334,24 +337,24 @@ def grassmann_agreement(n: int, k: int, probes: int, seed: int) -> dict:
     base, q = coordinate_projector(n, k), universal_kernel(n, k)
     v0, w0 = _normals(rng, 2, n)
 
-    f_ambient = lambda pt: pt.p @ v0  # noqa: E731
-    g_ambient = lambda pt: pt.p @ w0  # noqa: E731
+    f, g = (Section(lambda pt, v=v: pt.p @ v,  # P v0 and P w0, each with its batch
+                    batch=lambda pts, v=v: np.array([pt.p for pt in pts.flat]).reshape(
+                        pts.shape + (n, n)) @ v) for v in (v0, w0))
     gs = _random_unitaries(n, range(seed + 200, seed + 200 + probes))
     xs = _random_generators(base, rng, probes)
     points = _orbit(gs, base.p, fiber_basis(base), k)
     tangents = _moved(points, gs, xs)
 
-    univ = _universal(f_ambient, points, tangents)
-    red = _reductive(f_ambient, gs, xs, base)
-    sigma = Section(F=grass_section_coordinates(f_ambient))
+    univ = _universal(f, points, tangents)
+    red = _reductive(f, gs, xs, base)
+    sigma = Section(F=grass_section_coordinates(f.F))
     direct = make_evaluator(q, "direct").evaluate(sigma, points, tangents)
     generic = [fiber_basis(p) @ d for p, d in zip(points, direct)]
     pairs = np.concatenate([univ - red, univ - generic, red - generic])
 
-    d_inner = q.domain.derivatives(points, tangents,
-                                   lambda p: np.vdot(g_ambient(p), f_ambient(p)))
-    nabla_g = _universal(g_ambient, points, tangents)
-    metric = [abs(d - (np.vdot(ng, f_ambient(p)) + np.vdot(g_ambient(p), u)))
+    d_inner = q.domain.derivatives(points, tangents, lambda p: np.vdot(g.F(p), f.F(p)))
+    nabla_g = _universal(g, points, tangents)
+    metric = [abs(d - (np.vdot(ng, f.F(p)) + np.vdot(g.F(p), u)))
               for d, ng, u, p in zip(d_inner, nabla_g, univ, points)]
     return {"three_way_residual": _max_norm(pairs),
             "metric_compatibility_residual": float(np.max(metric))}

@@ -106,6 +106,7 @@ class Domain:
     (s_j, x_j / |x_j|), s_j at x_j = 0, and the (L, 4) weights of d/dt f(gamma_j), by `_rule`."""
 
     _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
+    _axes = 0  # a point's trailing axes in `stack`'s array: 0 for object arrays, else set
 
     def _rule(self, s, x: np.ndarray, h: float) -> tuple:
         """The stencil rule of every domain, at L checked probes with (L, D) flat tangents x: the
@@ -201,6 +202,7 @@ class VectorDomain(Domain):
     name: str = "C^d"
     edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
     reason: Optional[Callable[[np.ndarray], str]] = None
+    _axes = 1
 
     def stack(self, points: Sequence) -> np.ndarray:
         """Domain.stack as the (N, d) `_entries`, a scalar a point of C^1, inside the edge."""
@@ -244,7 +246,7 @@ class UnitaryDomain(Domain):
     """Points are n x n unitary matrices; tangents anti-Hermitian matrices; curves u exp(t a)."""
 
     n: int
-    name = "U(n)"
+    name, _axes = "U(n)", 2
 
     def stack(self, points: Sequence) -> np.ndarray:
         """Domain.stack as the (N, n, n) `_entries`, each unitary by one stacked ||u*u - I||."""
@@ -296,8 +298,9 @@ class Kernel:
     the real-linear directional derivative of t -> kappa(s, t) in direction x
     (a conjugate-linear expression for the anti-holomorphic built-ins).
     Kernels lacking `d2` fall back to the stencil, read from one `_values` call.
-    `batch`, when present, maps point arrays, a point on the trailing axes (one
-    for a VectorDomain, two for U(n)) and leading axes broadcast, to the values:
+    `batch`, when present, maps point arrays, a point on the domain's `_axes`
+    trailing axes (one on C^d, two on U(n), none on Gr(k, n): object arrays of
+    projectors, member by member) and leading axes broadcast, to the values:
     (...) for a scalar kernel, (..., M, M) otherwise; its `d2` then maps
     (s, t, x) arrays the same way.  Every entry must depend on its own points
     alone, bit for bit, whatever the shapes are, given one leading axis at least
@@ -322,12 +325,12 @@ class Kernel:
 
     def _values(self, ss: Sequence, ts: Sequence) -> np.ndarray:
         """The (L, aM, bM) stack of the blocks kappa(ss[j], ts[j]), j < L, for members of a and b
-        checked points.  Every kernel value is evaluated here, by one `batch` expression on
-        (L, a, ...) arrays or one loop over `eval`."""
+        checked points.  Every kernel value is evaluated here, by one `batch` expression on the
+        (L, a, ...) stacks as they are or one loop over `eval`; a block not M x M: DomainError."""
         m, a, b = self.fiber_dim, len(ss[0]) if len(ss) else 0, len(ts[0]) if len(ts) else 0
         if self.batch is not None:
-            s = np.asarray(ss, dtype=complex)
-            t = s if ts is ss else np.asarray(ts, dtype=complex)
+            s = np.asarray(ss)
+            t = s if ts is ss else np.asarray(ts)
             if a == b == 1:  # one-point members need fewer axes; one stack stays one array
                 s, t = (s[:, 0],) * 2 if ts is ss else (s[:, 0], t[:, 0])
             elif a > 1 and b > 1:
@@ -336,6 +339,9 @@ class Kernel:
         else:
             out = np.array([[[self.eval(p, q) for q in tj] for p in sj] for sj, tj in zip(ss, ts)],
                            dtype=complex)
+        if out.size != len(ss) * a * b * m * m:
+            raise DomainError(f"{self.name}: kernel block of shape {out.shape[-2:]}, not M x M, "
+                              f"M = {m}")
         out = out.reshape(len(ss), a, b, m, m).swapaxes(2, 3).reshape(len(ss), a * m, b * m)
         if not _finite(out):
             raise NumericsError(f"{self.name}: kernel value is not finite")
@@ -468,15 +474,16 @@ def feature_kernel(phi: Callable[[object], np.ndarray], fiber_dim: int, domain: 
 
     dphi(t, x), when given, is the derivative of Phi along the domain's curve with the 1-jet
     (t, x), and d2 is Phi(s)* dphi(t, x); without it, d2 is the stencil's.  On U(n), Phi and dphi
-    must map an (..., n, n) stack member by member, each with its one-matrix bits: `batch` is
-    `eval`, and a block of a x b points is a + b evaluations of Phi, one for a point and itself.
+    must map an (..., n, n) stack member by member, each with its one-matrix bits, and on Gr(k, n)
+    Phi an object array of projectors, to (..., D, M): `batch` is `eval`, and a block of a x b
+    points is a + b evaluations of Phi, one for a point and itself.
     """
 
     def ev(s, t):  # Phi read once when both slots are one stack
         return (ps := phi(s)).conj().swapaxes(-1, -2) @ (ps if t is s else phi(t))
 
     d2 = None if dphi is None else lambda s, t, x: phi(s).conj().swapaxes(-1, -2) @ dphi(t, x)
-    batch = ev if isinstance(domain, UnitaryDomain) else None
+    batch = None if isinstance(domain, VectorDomain) else ev
     return Kernel(fiber_dim, domain, ev, d2, name, batch)
 
 
@@ -565,19 +572,36 @@ def pull_back_kernel(theta: BundleMorphism, k_target: Kernel, fiber_dim: int,
     """Pull a kernel back along a bundle morphism:
 
         (theta* k)(s, t) = delta_s* . k(zeta(s), zeta(t)) . delta_t
+
+    With a target `batch`, its `batch` takes stacks of `domain` (on Gr(k, n), object arrays of
+    projectors, member by member): zeta and delta once per point of each slot, the images checked
+    by one target `stack`, and delta* k delta one stacked product, with the bits of `eval`.
     """
+    m = k_target.fiber_dim
+
+    def delta(s):  # the fiber map at a point, its rows the target's fiber
+        if (d := theta.fiber_map(s)).shape[0] != m:
+            raise DomainError(f"fiber map shape {d.shape} incompatible with target fiber "
+                              f"dimension {m}")
+        return d
+
+    def images(p):  # zeta and delta at each point of a stack, on its leading axes
+        lead = p.shape[:p.ndim - domain._axes]
+        flat = p.reshape((-1,) + p.shape[len(lead):])
+        z = k_target.domain.stack([theta.zeta(q) for q in flat])
+        d = np.array([delta(q) for q in flat]).reshape(lead + (m, -1 if len(flat) else fiber_dim))
+        return z.reshape(lead + z.shape[1:]), d
+
+    def batch(s, t):
+        (zs, ds), (zt, dt) = (images(s),) * 2 if t is s else (images(s), images(t))
+        lead = np.broadcast_shapes(ds.shape[:-2], dt.shape[:-2])
+        return ds.conj().swapaxes(-1, -2) @ np.reshape(k_target.batch(zs, zt), lead + (m, m)) @ dt
 
     def ev(s, t):
-        ds = theta.fiber_map(s)
-        dt = theta.fiber_map(t)
-        core = k_target(theta.zeta(s), theta.zeta(t))
-        if ds.shape[0] != core.shape[0] or dt.shape[0] != core.shape[1]:
-            raise DomainError(
-                f"fiber map shape {ds.shape} incompatible with target fiber "
-                f"dimension {k_target.fiber_dim}")
-        return ds.conj().T @ core @ dt
+        return delta(s).conj().T @ k_target(theta.zeta(s), theta.zeta(t)) @ delta(t)
 
-    return Kernel(fiber_dim, domain, ev, name=name or f"pullback({k_target.name})")
+    return Kernel(fiber_dim, domain, ev, name=name or f"pullback({k_target.name})",
+                  batch=k_target.batch and batch)
 
 
 def admissibility_report(k: Kernel, points: Sequence) -> dict:

@@ -205,7 +205,10 @@ def _group_kernels():
     psi = _example_map(seed=28)
     triple = stinespring_dilate(psi)
     p = coordinate_projector(3, 1)
-    return [cp_kernel(psi), lambda_kernel(psi, triple)[0], homogeneous_kernel(3, p)]
+    k_lam = lambda_kernel(psi, triple)[0]
+    theta = cpmaps.cp_classifying_morphism(psi, triple)
+    pulled = pull_back_kernel(theta, k_lam, 2, UnitaryDomain(3))  # the pullback identity's
+    return [cp_kernel(psi), k_lam, homogeneous_kernel(3, p), pulled]
 
 
 @pytest.mark.parametrize("k", _group_kernels(), ids=lambda k: k.name)
@@ -539,16 +542,31 @@ def test_pullback_identity_checks_its_pairs_once_and_keeps_the_bits_of_its_loop(
     k_lam, _ = lambda_kernel(psi, triple)
     theta = cpmaps.cp_classifying_morphism(psi, triple)
     pulled = pull_back_kernel(theta, k_lam, 2, UnitaryDomain(3))
-    want = max(float(np.linalg.norm(pulled(s, t) - cp_kernel(psi)(s, t))) for s, t in pairs)
+    want = max(float(np.linalg.norm(pulled.eval(s, t) - cp_kernel(psi)(s, t))) for s, t in pairs)
     stacks, stack = [], UnitaryDomain.stack
     monkeypatch.setattr(UnitaryDomain, "stack",
                         lambda self, points: stacks.append(len(points)) or stack(self, points))
     got = pullback_identity_residual(psi, triple, pairs)
     monkeypatch.undo()
     assert got == want
-    # the source side checks the 10 unitaries once; the lambda kernel checks its own arguments
-    assert stacks == [10] + [1] * 10
+    # the source side checks the 10 unitaries once; the pulled kernel's batch checks the images
+    # of each slot's five once, for the lambda kernel's batch
+    assert stacks == [10, 5, 5]
     with pytest.raises(DomainError, match=r"U\(n\): not unitary.*\(point 4 of 4\)"):
         pullback_identity_residual(psi, triple, pairs[:1] + [(pairs[1][0], 2 * pairs[1][1])])
     with pytest.raises(ValueError, match="need at least one pair of unitaries"):
         pullback_identity_residual(psi, triple, [])
+
+
+def test_the_pullback_identity_makes_no_eval_call_on_its_pulled_kernel(monkeypatch):
+    # zeta, delta and the lambda kernel's batch once per slot: a call of the pulled kernel's eval
+    # is a fall back to the per-pair loop
+    psi = _example_map(seed=8)
+    triple = stinespring_dilate(psi)
+    pairs = [(random_unitary(3, seed=80 + i), random_unitary(3, seed=90 + i)) for i in range(8)]
+    want = pullback_identity_residual(psi, triple, pairs)
+    pulled, made = cpmaps.pull_back_kernel, []
+    monkeypatch.setattr(cpmaps, "pull_back_kernel", lambda *a, **kw: made.append(1) or replace(
+        pulled(*a, **kw), eval=lambda s, t: pytest.fail("eval called pair by pair")))
+    assert pullback_identity_residual(psi, triple, pairs) == want < 1e-10
+    assert made == [1]

@@ -1,6 +1,7 @@
 import gc
 import pickle
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +28,9 @@ from kernelconnect.grassmann import (
     universal_covariant_derivative,
     universal_kernel,
 )
-from kernelconnect.kernels import Domain, DomainError, UnitaryDomain
+from kernelconnect.kernels import Domain, DomainError, Kernel, UnitaryDomain
 from kernelconnect.numerics import NumericsError, hermitian_eigh
+from kernelconnect.rkhs import build_rkhs
 
 
 def _random_point(n, k, seed):
@@ -679,7 +681,8 @@ def test_stencil_and_orbit_points_hold_their_probes_basis_moved_with_them(n, k, 
     base = coordinate_projector(n, k)
     g, x = random_unitary(n, seed=90 + n), random_grass_tangent(base, np.random.default_rng(9))
     base_basis, orbit = fiber_basis(base), []
-    grassmann._reductive(lambda q: orbit.append(q) or q.p[:, 0], (g,), (x.generator,), base)
+    grassmann._reductive(Section(F=lambda q: orbit.append(q) or q.p[:, 0]), (g,), (x.generator,),
+                         base)
     for u, q in zip([_exp(_unit(x.generator)[0], t, g) for t in _TS] + [g], orbit):
         _assert_moved_basis(q, u, base_basis)
     # the probe's basis, then coordinate_projector's complement and basis (random_grass_tangent),
@@ -714,8 +717,8 @@ def test_stacked_routes_are_their_one_probe_calls_bit_for_bit():
     xs = [random_grass_tangent(base, rng).generator for _ in gs]
     points = [HermitianProjector(g @ base.p @ g.conj().T, k) for g in gs]
     tangents = [GrassTangent(p, g @ x @ g.conj().T) for p, g, x in zip(points, gs, xs)]
-    univ = grassmann._universal(f, points, tangents)
-    red = grassmann._reductive(f, gs, xs, base)
+    univ = grassmann._universal(Section(F=f), points, tangents)
+    red = grassmann._reductive(Section(F=f), gs, xs, base)
     for j, (point, tangent) in enumerate(zip(points, tangents)):
         one = universal_covariant_derivative(f, point, GrassTangent(point, tangent.generator))
         assert univ[j].tobytes() == one.tobytes()
@@ -923,3 +926,68 @@ def test_every_backend_returns_zero_at_a_zero_tangent_where_the_point_commutes_w
         assert np.array_equal(got[[0, 2]], nabla.evaluate(sigma, others, tangents())), backend
     (stencil,), weights = _stencils(GrassDomain(4, 2), [point], [zero])
     assert not weights.any() and np.signbit(weights).tolist() == [[False, True, False, True]]
+
+
+def _mixed_points(n, k):
+    """Gr(k, n) points of both basis layouts: `_orbit`'s u B(p), C-ordered, between fresh
+    projectors, whose `_eigenbasis` is F-ordered, and the coordinate projector."""
+    base = coordinate_projector(n, k)
+    us = np.array([random_unitary(n, seed=110 + i) for i in range(3)])
+    moved = grassmann._orbit(us, base.p, fiber_basis(base), k)
+    fresh = [_random_point(n, k, seed=120 + i) for i in range(3)]
+    assert all(fiber_basis(q).flags.c_contiguous for q in moved)
+    assert all(fiber_basis(q).flags.f_contiguous for q in fresh)
+    return [moved[0], fresh[0], moved[1], fresh[1], base, moved[2], fresh[2]]
+
+
+@pytest.mark.parametrize("n, k", [(4, 1), (4, 2), (5, 2), (6, 3)])
+def test_a_universal_block_is_its_per_pair_basis_products_bit_for_bit(n, k):
+    # the batch stacks each point's basis once and takes B(s)* B(t) as one stacked product
+    points, q = _mixed_points(n, k), universal_kernel(n, k)
+    want = np.block([[fiber_basis(a).conj().T @ fiber_basis(b) for b in points] for a in points])
+    stack = q.domain.stack(points)
+    gram = q._values((stack,), (stack,))[0]  # (1, a, 1) x (1, 1, b)
+    assert gram.tobytes() == want.tobytes()
+    rows = q._values(stack[:, None], np.tile(stack, (len(stack), 1)))  # (L, 1) x (L, b), as direct
+    assert rows.reshape(want.shape).tobytes() == want.tobytes()
+    pairs = q._values(stack[:, None], stack[::-1, None])  # (L, 1) x (L, 1)
+    for j, (a, b) in enumerate(zip(points, points[::-1])):
+        assert pairs[j].tobytes() == (fiber_basis(a).conj().T @ fiber_basis(b)).tobytes()
+
+
+def test_universal_and_reductive_read_a_batched_section_bit_for_bit():
+    # P v0 with a batch, as grassmann_agreement's sections, against the same section without it
+    n, k, rng = 6, 3, np.random.default_rng(75)
+    base, v0 = coordinate_projector(n, k), rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    plain, shapes = Section(F=lambda pt: pt.p @ v0), []
+    batched = Section(F=plain.F, batch=lambda pts: shapes.append(pts.shape) or np.array(
+        [pt.p for pt in pts.flat]).reshape(pts.shape + (n, n)) @ v0)
+    gs = np.array([random_unitary(n, seed=76 + i) for i in range(5)])
+    xs = grassmann._random_generators(base, rng, 5)
+    points = grassmann._orbit(gs, base.p, fiber_basis(base), k)
+    tangents = grassmann._moved(points, gs, xs)
+    for route, args in ((grassmann._universal, (points, tangents)),
+                        (grassmann._reductive, (gs, xs, base))):
+        assert route(batched, *args).tobytes() == route(plain, *args).tobytes(), route.__name__
+    # one call at the Grassmann stencils; then the U(n) stencils' orbit points and the probes'
+    assert shapes == [(5, 4), (5, 4), (5,)]
+
+
+def _never(k):
+    """k with an eval that fails the test: a call of it is a fall back to the per-pair loop."""
+    return replace(k, eval=lambda s, t: pytest.fail(f"{k.name}: eval called pair by pair"))
+
+
+def test_a_universal_rkhs_and_direct_backend_make_no_eval_call():
+    points = [coordinate_projector(6, 3)] + [_random_point(6, 3, seed=130 + i) for i in range(7)]
+    q = universal_kernel(6, 3)
+    loop = Kernel(q.fiber_dim, q.domain, q.eval, q.d2, name=q.name)  # no batch: eval per pair
+    assert build_rkhs(_never(q), points).gram.tobytes() == build_rkhs(loop, points).gram.tobytes()
+    q, rng = universal_kernel(4, 2), np.random.default_rng(131)
+    probes = [_random_point(4, 2, seed=132 + i) for i in range(5)]
+    tangents = [random_grass_tangent(p, rng) for p in probes]
+    sigma = Section(F=lambda p: fiber_basis(p).conj().T @ p.p[:, 1])
+    loop = Kernel(q.fiber_dim, q.domain, q.eval, q.d2, name=q.name)
+    got = make_evaluator(_never(q), "direct").evaluate(sigma, probes, tangents)
+    want = make_evaluator(loop, "direct").evaluate(sigma, probes, tangents)
+    assert got.tobytes() == want.tobytes()

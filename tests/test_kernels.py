@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from kernelconnect import kernels
-from kernelconnect.connections import Section, connection_forms, make_evaluator
+from kernelconnect.connections import Section, connection_form, connection_forms, make_evaluator
 from kernelconnect.cpmaps import random_unitary
 from kernelconnect.grassmann import (
     GrassDomain,
@@ -951,3 +953,54 @@ def test_a_domain_that_defines_neither_stack_nor_jets_fails_at_once():
     for call in (lambda d: d.stack((0.0,)), lambda d: d.jets((0.0,), (1.0,))):
         with pytest.raises(AttributeError, match="'(stack|jets)'"):
             call(Bare())
+
+
+def _disk_pullback(delta, fiber_dim):
+    """The pull-back of the nu = 2 disk kernel along s -> s / 2 + 0.1i with the fiber map delta."""
+    disk = make_bergman_disk(2)
+    theta = BundleMorphism(zeta=lambda s: 0.5 * np.asarray(s) + 0.1j, delta=delta,
+                           tangent=lambda s, x: 0.5 * np.asarray(x))
+    return pull_back_kernel(theta, disk, fiber_dim, disk.domain)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 3, 4), (4, 1, 5), (3, 2, 3)],
+                         ids=lambda s: "L{}-a{}-b{}".format(*s))
+def test_a_pulled_back_disk_kernels_blocks_are_its_eval_bit_for_bit(shape):
+    # a delta that depends on the point, zeta and delta once per point of each slot, the disk's
+    # batch at the images and delta* k delta as one stacked product, against eval pair by pair
+    k = _disk_pullback(lambda s: np.array([[1.0 + s[0], 0.5j * np.conj(s[0]) - 0.2]]), 2)
+    n_blocks, a, b = shape
+    rng = np.random.default_rng(140)
+    pts = 0.6 * (rng.uniform(size=(n_blocks * (a + b), 1)) * np.exp(
+        2j * np.pi * rng.uniform(size=(n_blocks * (a + b), 1))))
+    ss = list(pts[:n_blocks * a].reshape(n_blocks, a, 1))
+    ts = list(pts[n_blocks * a:].reshape(n_blocks, b, 1))
+    loop = Kernel(k.fiber_dim, k.domain, k.eval, name=k.name)  # no batch: eval per pair
+    got = k._values(ss, ts)
+    assert got.shape == (n_blocks, 2 * a, 2 * b)
+    assert got.tobytes() == loop._values(ss, ts).tobytes()
+    one = list(pts[:a + b])
+    assert gram_matrix(k, one).tobytes() == gram_matrix(loop, one).tobytes()
+
+
+@pytest.mark.parametrize("k", [
+    feature_kernel(lambda s: np.array([[1.0, np.conj(s[0])]]), 1, VectorDomain(1), "rank-one"),
+    _disk_pullback(lambda s: np.array([[1.0, np.conj(s[0])]]), 1),
+], ids=["feature", "pullback"])
+def test_a_kernel_block_of_the_wrong_shape_is_a_domain_error(k):
+    # Phi or delta with two columns for M = 1: each block is 2 x 2, refused before the reshape
+    s, t = np.array([0.1 + 0.2j]), np.array([-0.3j])
+    message = rf"^{re.escape(k.name)}: kernel block of shape \(2, 2\), not M x M, M = 1$"
+    for call in (lambda: k(s, t), lambda: gram_matrix(k, [s, t]),
+                 lambda: connection_form(k, s)(np.array([1.0]))):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+def test_a_fiber_map_with_other_rows_than_the_target_fiber_keeps_its_message():
+    k = _disk_pullback(lambda s: np.ones((2, 1)), 1)
+    s, t = np.array([0.1 + 0.2j]), np.array([-0.3j])
+    message = r"^fiber map shape \(2, 1\) incompatible with target fiber dimension 1$"
+    for call in (lambda: k(s, t), lambda: k.eval(s, t), lambda: gram_matrix(k, [s, t])):
+        with pytest.raises(DomainError, match=message):
+            call()
