@@ -182,38 +182,20 @@ def _cmd_kernel_gram(args) -> int:
     return 0 if is_psd else 1
 
 
-def _spectrum_json(r) -> dict:
-    """min_eig and the condition number lambda_max / lambda_min (None unless lambda_min > 0)."""
-    lo, hi = float(r.eigenvalues[0]), float(r.eigenvalues[-1])
-    return {"min_eig": lo, "condition_number": hi / lo if lo > 0 else None}
-
-
-def _build_rkhs(args):
-    """The sampled space of --kernel on --points: coinciding points are bad input (exit 2)."""
+@_overflow_checked
+def _cmd_rkhs_gram(args) -> int:
     k = parse_kernel_spec(args.kernel)
     pts = _parse_points(k, args.points)
     try:
-        return kc.build_rkhs(k, pts)
+        r = kc.build_rkhs(k, pts)
     except NumericsError:  # a Gram that is not PSD: a verdict on the kernel, exit 1
         raise
-    except ValueError as exc:  # duplicate sample points
+    except ValueError as exc:  # coinciding sample points: bad input, exit 2
         raise UsageError(str(exc)) from exc
-
-
-@_overflow_checked
-def _cmd_rkhs_gram(args) -> int:
-    r = _build_rkhs(args)
-    _emit_matrix(args, "gram", r.gram, kernel=r.kernel.name, **_spectrum_json(r))
+    lo, hi = float(r.eigenvalues[0]), float(r.eigenvalues[-1])  # condition number: lo > 0 only
+    _emit_matrix(args, "gram", r.gram, kernel=r.kernel.name, min_eig=lo,
+                 condition_number=hi / lo if lo > 0 else None)
     return 0
-
-
-@_overflow_checked
-def _cmd_rkhs_universality(args) -> int:
-    r = _build_rkhs(args)
-    residual = kc.universality_residual(r)
-    _emit_json({"residual": residual, **_spectrum_json(r),
-                "tolerance": args.tol, "passed": residual < args.tol}, args.output)
-    return 0 if residual < args.tol else 1
 
 
 @_overflow_checked
@@ -371,8 +353,6 @@ _COMMANDS = {
     "rkhs": ("finite-sample Hilbert space diagnostics", {
         "gram": ("emit the sampled Gram matrix", _cmd_rkhs_gram, None, "csv", {
             "--kernel": _REQUIRED, "--points": _POINTS}),
-        "universality": ("fiber-projection reproduction residual", _cmd_rkhs_universality,
-                         DEFAULT_TOL, None, {"--kernel": _REQUIRED, "--points": _POINTS}),
     }),
     "connect": ("covariant derivatives and transport", {
         "covderiv": ("compare the three backends at a probe", _cmd_connect_covderiv, 1e-6, None, {

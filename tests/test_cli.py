@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kernelconnect import cli, connections, verify
-from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, _spectrum_json, main, parse_kernel_spec
+from kernelconnect.cli import KERNEL_SPEC_GRAMMAR, main, parse_kernel_spec
 from kernelconnect.kernels import Kernel, VectorDomain, make_bergman_disk, positivity_certificate
 from kernelconnect.kernels import _psd_spectra
 from kernelconnect.numerics import (
@@ -125,19 +125,19 @@ def test_kernel_gram_csv(capsys):
     assert matrix_from_csv_text(out).shape == (3, 3)
 
 
-def test_rkhs_universality_passes(capsys):
-    code, out, _ = run_cli(capsys, "rkhs", "universality",
-                           "--kernel", "fock:dim=2", "--points", "0,0;0.5,0.1i")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["residual"] < rep["tolerance"]
-    assert "min_eig" in rep
+def test_rkhs_universality_is_no_command(capsys):
+    # its fiber-projection identity held for any invertible diagonal blocks, so it tested no kernel
+    with pytest.raises(SystemExit) as exc:
+        main(["rkhs", "universality", "--kernel", "fock:dim=2", "--points", "0,0;0.5,0.1i"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "universality" in err
 
 
-@pytest.mark.parametrize("command", ["gram", "universality"])
-def test_rkhs_reports_the_grams_condition_number_from_its_certificate(capsys, command):
-    argv = ["rkhs", command, "--kernel", "bergman-disk:nu=2", "--points", "0;0.5;-0.5"]
-    code, out, _ = run_cli(capsys, *argv, *(["--format", "json"] if command == "gram" else []))
+def test_rkhs_gram_reports_the_grams_condition_number_from_its_certificate(capsys, monkeypatch):
+    argv = ["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0;0.5;-0.5",
+            "--format", "json"]
+    code, out, _ = run_cli(capsys, *argv)
     rep = json.loads(out)
     pts = [np.array([0.0]), np.array([0.5]), np.array([-0.5])]
     gram = build_rkhs(make_bergman_disk(2), pts).gram
@@ -146,8 +146,12 @@ def test_rkhs_reports_the_grams_condition_number_from_its_certificate(capsys, co
     assert rep["condition_number"] == values[-1] / values[0]
     full = hermitian_eigh(gram)[0]
     assert np.abs(values - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
-    assert _spectrum_json(SimpleNamespace(eigenvalues=np.array([-1e-15, 2.0]))) == {
-        "min_eig": -1e-15, "condition_number": None}
+    # a smallest eigenvalue <= 0 has no condition number
+    monkeypatch.setattr(cli.kc, "build_rkhs", lambda k, pts: SimpleNamespace(
+        kernel=k, gram=np.eye(2), eigenvalues=np.array([-1e-15, 2.0])))
+    code, out, _ = run_cli(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 0 and (rep["min_eig"], rep["condition_number"]) == (-1e-15, None)
 
 
 def test_connect_covderiv_reports_three_backends(capsys):
@@ -255,7 +259,6 @@ LEAF_DEFAULTS = {
     "kernel gram --kernel k --points 0": {"fn": "_cmd_kernel_gram", "tol": 1e-9,
                                           "format": "json"},
     "rkhs gram --kernel k --points 0": {"fn": "_cmd_rkhs_gram", "format": "csv"},
-    "rkhs universality --kernel k --points 0": {"fn": "_cmd_rkhs_universality", "tol": 1e-9},
     "connect covderiv --kernel k --point 0 --direction 1": {
         "fn": "_cmd_connect_covderiv", "tol": 1e-6, "section": "constant"},
     "connect transport --kernel k --start 0 --end 1": {
@@ -386,8 +389,7 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
       "--point2", "2"], "unit circle"),
     (["kernel", "gram", "--kernel", "bergman-halfplane:nu=1", "--points", "1i;-1i"],
      "must be positive"),
-    (["rkhs", "universality", "--kernel", "fock:dim=2", "--points", "0,0;1"],
-     "expected dimension 2"),
+    (["rkhs", "gram", "--kernel", "fock:dim=2", "--points", "0,0;1"], "expected dimension 2"),
     (["connect", "covderiv", "--kernel", "fock:dim=2", "--point", "0,0",
       "--direction", "1"], "tangent dimension"),
     (["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0",
@@ -409,10 +411,10 @@ def test_grassmann_verify_k_out_of_range_exits_2(capsys, k):
      "--points needs at least one point"),
     (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", ";"],
      "--points needs at least one point"),
-    (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", " ; "],
+    (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", " ; "],
      "--points needs at least one point"),
-    # coinciding sample points (within 1e-12) are bad input to the rkhs commands
-    (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", "0.1;0.1"],
+    # coinciding sample points (within 1e-12) are bad input to rkhs gram
+    (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0.1;0.1"],
      "duplicate sample points at indices 0 and 1"),
     (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0.3;0.1;0.1+0.0000000000001i"],
      "duplicate sample points at indices 1 and 2"),
@@ -462,7 +464,7 @@ _TRANSPORT = ["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start"
      "--points must be at most 1024, got 1025"),
     (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", ";".join(["0.1"] * 1025)],
      "--points must be at most 1024, got 1025"),
-    (["rkhs", "universality", "--kernel", "bergman-disk:nu=2",
+    (["rkhs", "gram", "--kernel", "bergman-disk:nu=2",
       "--points", ";".join(["0.1"] * 1025) + ";;"], "--points must be at most 1024, got 1025"),
 ])
 def test_a_size_one_past_its_limit_exits_2_naming_the_option_and_its_limit(capsys, argv, message):
@@ -487,7 +489,6 @@ _LEAVES = {
     ("kernel", "eval"): ["--kernel", "bergman-disk:nu=2", "--point", "0.1"],
     ("kernel", "gram"): ["--kernel", "bergman-disk:nu=2", "--points", "0.1"],
     ("rkhs", "gram"): ["--kernel", "bergman-disk:nu=2", "--points", "0.1"],
-    ("rkhs", "universality"): ["--kernel", "bergman-disk:nu=2", "--points", "0.1"],
     ("connect", "covderiv"): ["--kernel", "bergman-disk:nu=2", "--point", "0.1",
                               "--direction", "1"],
     ("connect", "transport"): _TRANSPORT[2:],
@@ -607,15 +608,14 @@ def test_a_choi_csv_one_past_its_size_limit_exits_2_and_one_at_it_is_taken(
             assert code == 0 and out
 
 
-def test_rkhs_commands_exit_1_on_a_gram_that_is_not_psd_and_kernel_gram_takes_repeats(
+def test_rkhs_gram_exits_1_on_a_gram_that_is_not_psd_and_kernel_gram_takes_repeats(
         capsys, monkeypatch):
     # kappa(s,t) = s + conj(t) is Hermitian-symmetric but indefinite: a verdict, not bad input
     bad = Kernel(1, VectorDomain(1, name="C"),
                  lambda s, t: np.array([[complex(s[0]) + np.conj(complex(t[0]))]]))
     monkeypatch.setattr(cli, "parse_kernel_spec", lambda spec: bad)
-    for command in ("gram", "universality"):
-        code, out, err = run_cli(capsys, "rkhs", command, "--kernel", "x", "--points", "1;-1;2")
-        assert code == 1 and out == "" and "Gram matrix is not PSD" in err
+    code, out, err = run_cli(capsys, "rkhs", "gram", "--kernel", "x", "--points", "1;-1;2")
+    assert code == 1 and out == "" and "Gram matrix is not PSD" in err
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "kernel", "gram", "--kernel", "bergman-disk:nu=2",
                            "--points", "0.1;0.1")

@@ -31,7 +31,7 @@ def test_one_run_lists_the_modules_each_command_imports_and_its_wall_time(capsys
     layers = {command: {m for m in modules if m != "wall"} for command, modules in table.items()}
     assert layers == {
         "--help": PACKAGE,
-        "verify all": PACKAGE | {f"kernelconnect.{m}" for m in ("kernels", "rkhs", "connections",
+        "verify all": PACKAGE | {f"kernelconnect.{m}" for m in ("kernels", "connections",
                                                                 "grassmann", "cpmaps", "verify")},
         "kernel gram": PACKAGE | {"kernelconnect.kernels"},
         "connect transport": PACKAGE | {"kernelconnect.kernels", "kernelconnect.connections"},

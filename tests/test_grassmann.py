@@ -778,25 +778,6 @@ def test_agreement_probes_are_orbit_points_holding_the_base_basis_moved(monkeypa
         _assert_moved_basis(q, g, fiber_basis(base))
 
 
-def test_universality_probes_are_orbit_points_holding_the_base_basis_moved(monkeypatch):
-    from kernelconnect import numerics, verify
-
-    samples, build = {}, verify.build_rkhs
-    monkeypatch.setattr(verify, "build_rkhs",
-                        lambda k, pts: samples.update({k.name: pts}) or build(k, pts))
-    diagonalized, eigenbasis = [], grassmann._eigenbasis
-    monkeypatch.setattr(grassmann, "_eigenbasis",
-                        lambda q: diagonalized.append(q.p.copy()) or eigenbasis(q))
-    verify._universality_checks(5)
-    monkeypatch.undo()
-    base, *orbit = samples["universal:n=4,k=2"]
-    assert [m.tobytes() for m in diagonalized] == [base.p.tobytes()]  # the base alone
-    assert base.p.tobytes() == coordinate_projector(4, 2).p.tobytes()
-    for g, q in zip(numerics._random_unitaries(4, range(105, 109)), orbit):
-        assert q.p.tobytes() == (g @ base.p @ g.conj().T).tobytes()
-        _assert_moved_basis(q, g, fiber_basis(base))
-
-
 @pytest.mark.parametrize("n, k", [(3, 1), (4, 2), (5, 2), (6, 3)])
 def test_random_grass_tangent_keeps_its_two_eigh_tangents_at_coordinate_projectors(n, k,
                                                                                     monkeypatch):

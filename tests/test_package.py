@@ -79,8 +79,6 @@ def choi_csv(tmp_path_factory):
     (["kernel", "gram", "--kernel", "fock:dim=2", "--points", "0,0;0.1,0.2i", "--format", "csv"],
      BASE),
     (["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0;0.3"], BASE | {"rkhs"}),
-    (["rkhs", "universality", "--kernel", "bergman-disk:nu=2", "--points", "0;0.3"],
-     BASE | {"rkhs"}),
     (["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5", "--direction",
       "1"], BASE | {"connections"}),
     (["connect", "transport", "--kernel", "bergman-disk:nu=1", "--start", "0", "--end", "0.5",
@@ -88,7 +86,7 @@ def choi_csv(tmp_path_factory):
     (["cp", "kernel", "--choi", "CHOI", "--n", "3"], ALL - {"verify", "rkhs"}),
     (["grassmann", "verify", "--n", "3", "--k", "1", "--probes", "1"],
      BASE | {"connections", "grassmann"}),
-    (["verify", "kernels"], ALL),
+    (["verify", "kernels"], ALL - {"rkhs"}),
 ])
 def test_each_command_loads_only_the_layers_it_runs(choi_csv, argv, modules):
     argv = [choi_csv if a == "CHOI" else a for a in argv]
@@ -99,6 +97,7 @@ def test_each_command_loads_only_the_layers_it_runs(choi_csv, argv, modules):
 @pytest.mark.parametrize("argv, exit_code", [
     (["--help"], 0),
     (["rkhs", "gram", "--bogus"], 2),  # argparse rejects it
+    (["rkhs", "universality"], 2),  # no such command
     (["verify", "bogus"], 2),  # the handler rejects it, before any layer runs
 ])
 def test_help_and_usage_errors_load_only_cli_and_numerics(argv, exit_code):
@@ -144,7 +143,7 @@ def test_submodules_resolve_lazily():
             "assert callable(kc.verify.grassmann_agreement)\n"
             "from kernelconnect.verify import MODULE_NAMES\n"
             "assert MODULE_NAMES is kc.MODULE_NAMES\n")
-    assert _loaded(code) == ALL - {"cli"}
+    assert _loaded(code) == ALL - {"cli", "rkhs"}
 
 
 def test_unknown_name_raises_attribute_error():

@@ -76,6 +76,21 @@ def test_universality_residual_small_for_builtins():
     assert universality_residual(build_rkhs(k, pts)) < 1e-10
 
 
+def test_universality_residual_is_rounding_on_any_matrix_with_invertible_diagonal_blocks():
+    # a random non-Hermitian 8 x 8 "Gram" with PD 2 x 2 diagonal blocks, held with a kernel of
+    # fiber dimension 2 whose own Gram it is not: the residual tests the blocks, not the kernel
+    rng = np.random.default_rng(7)
+    gram = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for i in range(0, 8, 2):
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        gram[i:i + 2, i:i + 2] = a @ a.conj().T + np.eye(2)
+    assert np.abs(gram - gram.conj().T).max() > 1.0
+    k = feature_kernel(lambda s: np.array([[1.0, np.conj(s[0])]]), 2, VectorDomain(1, name="C"),
+                       "rank-one")
+    hand = SampledRKHS(k, tuple(np.array([z]) for z in (0.1, 0.2, 0.3, 0.4)), gram, np.zeros(8))
+    assert universality_residual(hand) <= 1e-13
+
+
 def _universality_by_definition(r):
     """max over (s, t, v, w) of |(kappa(s,t) v | w) - <P_s khat(t,v), khat(s,w)>|, term by term.
 

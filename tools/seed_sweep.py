@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sweep `verify` over a range of seeds: each check's worst residual/tolerance and its seed.
 
-    python tools/seed_sweep.py [--seeds 0-599] [--modules connections,rkhs] [--tree PATH]
+    python tools/seed_sweep.py [--seeds 0-599] [--modules connections,grassmann] [--tree PATH]
 
 For every seed the script calls `run_suite(seed, modules)` in this process, with
 RuntimeWarning raised as an error, so a seed where numpy meets an overflow or a NaN fails
