@@ -68,6 +68,35 @@ def test_disk_sign_fixed_by_direct_oracle_and_flagged_in_report():
     assert any("opposite sign" in note for note in report["notes"])
 
 
+def test_universality_residual_on_every_builtin_kernel():
+    # the residual that the benchmark still gates, at the samples of the removed verify block:
+    # rounding on each builtin kernel's Gram, Gr(4, 2)'s orbit of projectors among them
+    from kernelconnect import grassmann
+    from kernelconnect.numerics import _normals, _random_unitaries
+    from kernelconnect.rkhs import build_rkhs, universality_residual
+
+    start = time.monotonic()
+    disk_pts = [np.array([z]) for z in
+                (0.0, 0.3, -0.3, 0.2 + 0.4j, -0.1 - 0.5j, 0.6, 0.45j, -0.25 + 0.25j)]
+    half_pts = [np.array([z]) for z in
+                (1j, 0.5 + 0.8j, -0.4 + 1.2j, 0.2 + 0.5j, -1.0 + 0.9j, 0.7 + 1.5j)]
+    fock_pts = 0.6 * _normals(np.random.default_rng(SEED + 3), 6, 2)
+    base = grassmann.coordinate_projector(4, 2)
+    us = _random_unitaries(4, range(SEED + 100, SEED + 104))
+    grass_pts = [base] + grassmann._orbit(us, base.p, grassmann.fiber_basis(base), 2)
+    cases = [(make_bergman_disk(2), disk_pts), (make_bergman_halfplane(1), half_pts),
+             (make_fock(np.eye(2)), fock_pts), (grassmann.universal_kernel(4, 2), grass_pts)]
+    for k, pts in cases:
+        assert universality_residual(build_rkhs(k, pts)) < 1e-8, k.name
+    assert time.monotonic() - start < 2.0
+
+
+def test_verify_all_runs_39_checks_and_none_of_them_universality():
+    names = [c["name"] for c in verify.run_suite(SEED)["checks"]]
+    assert len(names) == len(set(names)) == 39
+    assert not [n for n in names if n.startswith("universality/")]
+
+
 def test_the_rkhs_module_is_a_target_with_no_checks():
     report = verify.run_suite(SEED, modules=["rkhs"])
     assert report["checks"] == [] and report["passed"] is True and report["modules"] == ["rkhs"]

@@ -134,7 +134,7 @@ def test_rkhs_universality_is_no_command(capsys):
     assert "invalid choice" in err and "universality" in err
 
 
-def test_rkhs_gram_reports_the_grams_condition_number_from_its_certificate(capsys, monkeypatch):
+def test_rkhs_gram_reports_the_grams_condition_number_from_its_certificate(capsys):
     argv = ["rkhs", "gram", "--kernel", "bergman-disk:nu=2", "--points", "0;0.5;-0.5",
             "--format", "json"]
     code, out, _ = run_cli(capsys, *argv)
@@ -146,10 +146,14 @@ def test_rkhs_gram_reports_the_grams_condition_number_from_its_certificate(capsy
     assert rep["condition_number"] == values[-1] / values[0]
     full = hermitian_eigh(gram)[0]
     assert np.abs(values - full).max() <= 1e-13 * max(1.0, np.abs(full).max())
-    # a smallest eigenvalue <= 0 has no condition number
+
+
+def test_rkhs_gram_reports_no_condition_number_when_its_smallest_eigenvalue_is_not_positive(
+        capsys, monkeypatch):
     monkeypatch.setattr(cli.kc, "build_rkhs", lambda k, pts: SimpleNamespace(
         kernel=k, gram=np.eye(2), eigenvalues=np.array([-1e-15, 2.0])))
-    code, out, _ = run_cli(capsys, *argv)
+    code, out, _ = run_cli(capsys, "rkhs", "gram", "--kernel", "bergman-disk:nu=2",
+                           "--points", "0;0.5", "--format", "json")
     rep = json.loads(out)
     assert code == 0 and (rep["min_eig"], rep["condition_number"]) == (-1e-15, None)
 
