@@ -158,26 +158,37 @@ def covariant_derivative_direct(k: Kernel, sigma: Section, s, x,
 @_kept
 def _sample(owner: tuple, s: np.ndarray, x: np.ndarray, h: float) -> tuple:
     """For owner (k, sigma): the probes' stencil, its weights and sigma's (L, 4, M) values at its
-    points, checked by `_fiber`; `_kept`, so the backends at one probe read the section once."""
+    points, checked by `_fiber`; `_kept`, so the backends at one probe read the section once.  It
+    holds no kernel value: a closed form that reads it evaluates no `_gram`."""
     k, sigma = owner
     stencils, weights = k.domain._stencils(s, x, h)
     values = _fiber(sigma._values(stencils, 2), k.fiber_dim)
     return stencils, weights, values[...]  # a view: the slot freezes no array of sigma's own
 
 
+@_kept
+def _gram(k: Kernel, s: np.ndarray, x: np.ndarray, h: float) -> tuple:
+    """The probes' (L, 5M, 5M) Grams of their stencils with s_j at slot 2, one `_values` call;
+    `_kept` by the kernel alone, so the backends at one probe, on every section, read it once."""
+    stencils = k.domain._stencils(s, x, h)[0]
+    five = np.concatenate([stencils[:, :2], s[:, None], stencils[:, 2:]], axis=1)
+    return (k._values(five, five),)
+
+
 def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     stencils, weights, values = _sample((k, sigma), s, x, h)
-    m = k.fiber_dim  # one stacked block: kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), contiguous
-    rows = k._values(s[:, None], _five(s, stencils, 0))
-    kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
+    m = k.fiber_dim  # kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), one contiguous stack
+    if m == 1 and k.batch is not None:  # row 2 of the kept Gram: 25 numbers of one expression
+        rows = _gram(k, s, x, h)[0][:, 2:3, [2, 0, 1, 3, 4]]
+    else:  # M x M products or a loop over eval: the Gram is five times the row's work
+        rows = k._values(s[:, None], np.concatenate([s[:, None], stencils], axis=1))
+    kst = np.ascontiguousarray(rows.reshape(len(s), m, 5, m).transpose(0, 2, 1, 3))
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
     return _fiber(_solve(kst[:, 0], deriv[..., None])[..., 0], m)  # finite, or it raises
 
 
 def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
-    stencils, weights, v = _sample((k, sigma), s, x, h)
-    samples = _five(s, stencils, 2)
-    grams = k._values(samples, samples)
+    (_, weights, v), (grams,) = _sample((k, sigma), s, x, h), _gram(k, s, x, h)
     _certify(grams)
     m, n = k.fiber_dim, len(grams)
     c, wv = np.zeros((n, 5, m), dtype=complex), weights[..., None] * v  # the derivative element
@@ -185,11 +196,6 @@ def _sampled(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> n
     c[:, 3:] += wv[:, 2:]
     projected = _project(grams, m, 2, c.reshape(n, 5 * m, 1))  # onto the fiber at s
     return _fiber(_project(grams, m, 2, projected)[:, 2 * m:3 * m, 0], m)  # kappa(s,s)^(-1) f(s)
-
-
-def _five(s: np.ndarray, stencils: np.ndarray, i: int) -> np.ndarray:
-    """Each probe's five points, one (L, 5, ...) array: its stencil with s_j inserted at slot i."""
-    return np.concatenate([stencils[:, :i], s[:, None], stencils[:, i:]], axis=1)
 
 
 def make_evaluator(k: Kernel, backend: str = "direct",

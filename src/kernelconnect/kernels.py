@@ -161,6 +161,13 @@ class Domain:
             ms.append(m)
         return np.array(ms, dtype=complex).reshape((len(ms),) + shape)
 
+    def _probes(self, points: Sequence, directions: Sequence, shape: tuple) -> Optional[np.ndarray]:
+        """The (2, L, *shape) points and tangents of L >= 1 probes: one `_complex`, one `_finite`;
+        None where an entry or the count is wrong: `jets` checks each apart to name the error."""
+        a = _complex((points, directions))
+        if a is not None and a.shape == (2, len(points)) + shape and a.size and _finite(a):
+            return a
+
 
 def _complex(m, ndmin: int = 0) -> Optional[np.ndarray]:
     """np.array(m, dtype=complex, ndmin=ndmin), or None where m is ragged or not numeric."""
@@ -206,15 +213,21 @@ class VectorDomain(Domain):
 
     def stack(self, points: Sequence) -> np.ndarray:
         """Domain.stack as the (N, d) `_entries`, a scalar a point of C^1, inside the edge."""
-        a = self._entries(points, (self.dim,), "point", "point", lambda shape: (
+        return self._inside(self._entries(points, (self.dim,), "point", "point", lambda shape: (
             f"expected dimension {self.dim}, got {shape[0]}" if len(shape) == 1
-            else f"point must be 1-d, got shape {shape}"))
+            else f"point must be 1-d, got shape {shape}")))
+
+    def _inside(self, a: np.ndarray) -> np.ndarray:
+        """The (N, d) points a, after an error naming the first at edge <= 0, if any."""
         if self.edge is not None:
             self._refuse(self.edge(a) <= 0, lambda i: self.reason(a[i]), "point")
         return a
 
     def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Domain.jets as `stack` and the (L, d) `_entries` of the directions."""
+        """Domain.jets as the `_probes`, the points `_inside`; else `stack` and the (L, d)
+        `_entries` of the directions."""
+        if (a := self._probes(points, directions, (self.dim,))) is not None:
+            return self._inside(a[0]), a[1]
         return self.stack(points), self._entries(
             _paired(points, directions), (self.dim,), "tangent", "probe", lambda shape: (
                 f"tangent dimension {shape[0]} != {self.dim}" if len(shape) == 1
@@ -249,18 +262,25 @@ class UnitaryDomain(Domain):
     name, _axes = "U(n)", 2
 
     def stack(self, points: Sequence) -> np.ndarray:
-        """Domain.stack as the (N, n, n) `_entries`, each unitary by one stacked ||u*u - I||."""
-        u = self._entries(points, (self.n,) * 2, "point", "point",
-                          lambda shape: f"expected {self.n}x{self.n} matrix, got {shape}")
+        """Domain.stack as the (N, n, n) `_entries`, `_unitary`."""
+        return self._unitary(self._entries(points, (self.n,) * 2, "point", "point", lambda shape:
+                                           f"expected {self.n}x{self.n} matrix, got {shape}"))
+
+    def _unitary(self, u: np.ndarray) -> np.ndarray:
+        """The (N, n, n) points u, each unitary by one stacked ||u*u - I||."""
         self._small(u.conj().swapaxes(-1, -2) @ u - np.eye(self.n), "not unitary, ||u*u - I||",
                     "point")
         return u
 
     def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Domain.jets as `stack` and the (L, n, n) `_entries`, anti-Hermitian by one ||a + a*||."""
-        u = self.stack(points)
-        a = self._entries(_paired(u, directions), (self.n,) * 2, "tangent", "probe",
-                          lambda shape: f"tangent shape {shape} != ({self.n},{self.n})")
+        """Domain.jets as the `_probes`, the points `_unitary`, else `stack` and the (L, n, n)
+        `_entries`; the tangents anti-Hermitian by one ||a + a*||."""
+        if (p := self._probes(points, directions, (self.n,) * 2)) is not None:
+            u, a = self._unitary(p[0]), p[1]
+        else:
+            u = self.stack(points)
+            a = self._entries(_paired(u, directions), (self.n,) * 2, "tangent", "probe",
+                              lambda shape: f"tangent shape {shape} != ({self.n},{self.n})")
         self._small(a + a.conj().swapaxes(-1, -2), "tangent not anti-Hermitian, ||a + a*||",
                     "probe")
         return u, a
@@ -304,7 +324,8 @@ class Kernel:
     (...) for a scalar kernel, (..., M, M) otherwise; its `d2` then maps
     (s, t, x) arrays the same way.  Every entry must depend on its own points
     alone, bit for bit, whatever the shapes are, given one leading axis at least
-    (numpy's 0-d scalar arithmetic may round otherwise).
+    (numpy's 0-d scalar arithmetic may round otherwise).  The Gram of one stack
+    comes as two views of one array, so a feature kernel reads each point once.
     """
 
     fiber_dim: int
@@ -319,7 +340,15 @@ class Kernel:
 
     def block(self, ss: Sequence, ts: Sequence) -> np.ndarray:
         """The len(ss)*M x len(ts)*M matrix of blocks kappa(ss[l], ts[j]): the one-member `_values`
-        of the points after `Domain.stack` checks each once, all of them once when ts is ss."""
+        of the points after `Domain.stack` checks each once, all of them once when ts is ss, and
+        a pair of one point each as one stack; an error there is named by each point's own."""
+        if ts is not ss and len(ss) == len(ts) == 1:
+            try:
+                pair = self.domain.stack((*ss, *ts))[:, None]
+            except ValueError:  # not "(point 2 of 2)": each stack below raises its own error
+                pass
+            else:
+                return self._values(pair[:1], pair[1:])[0]
         one = (self.domain.stack(ss),)
         return self._values(one, one if ts is ss else (self.domain.stack(ts),))[0]
 
@@ -333,7 +362,7 @@ class Kernel:
             t = s if ts is ss else np.asarray(ts)
             if a == b == 1:  # one-point members need fewer axes; one stack stays one array
                 s, t = (s[:, 0],) * 2 if ts is ss else (s[:, 0], t[:, 0])
-            elif a > 1 and b > 1:
+            elif a > 1 and b > 1:  # one stack's two slots view one memory: see `_swapped`
                 s, t = s[:, :, None], t[:, None]
             out = self.batch(s, t)
         else:
@@ -476,15 +505,27 @@ def feature_kernel(phi: Callable[[object], np.ndarray], fiber_dim: int, domain: 
     (t, x), and d2 is Phi(s)* dphi(t, x); without it, d2 is the stencil's.  On U(n), Phi and dphi
     must map an (..., n, n) stack member by member, each with its one-matrix bits, and on Gr(k, n)
     Phi an object array of projectors, to (..., D, M): `batch` is `eval`, and a block of a x b
-    points is a + b evaluations of Phi, one for a point and itself.
+    points is a + b evaluations of Phi, but the Gram of one stack of a points is a: one for each
+    point, as for a point and itself.
     """
 
-    def ev(s, t):  # Phi read once when both slots are one stack
-        return (ps := phi(s)).conj().swapaxes(-1, -2) @ (ps if t is s else phi(t))
+    def ev(s, t):  # Phi read once when both slots are one stack: t is s, or `_swapped`
+        ps = phi(s)
+        pt = ps if t is s else ps.swapaxes(1, 2) if _swapped(s, t) else phi(t)
+        return ps.conj().swapaxes(-1, -2) @ pt
 
     d2 = None if dphi is None else lambda s, t, x: phi(s).conj().swapaxes(-1, -2) @ dphi(t, x)
     batch = None if isinstance(domain, VectorDomain) else ev
     return Kernel(fiber_dim, domain, ev, d2, name, batch)
+
+
+def _swapped(s, t) -> bool:
+    """Whether the array t is the array s with axes 1 and 2 swapped, in s's memory: the (L, a, 1,
+    ...) and (L, 1, a, ...) slots of the Gram of one stack, as `Kernel._values` passes them."""
+    return (isinstance(s, np.ndarray) and isinstance(t, np.ndarray) and s.ndim == t.ndim > 2
+            and t.base is s.base is not None  # two views of one array, then the same layout
+            and ((u := s.swapaxes(1, 2)).shape, u.strides, u.dtype) == (t.shape, t.strides, t.dtype)
+            and u.__array_interface__["data"][0] == t.__array_interface__["data"][0])
 
 
 def _dilation_kernel(w: np.ndarray, n: int, name: str) -> Kernel:
@@ -523,9 +564,10 @@ def _psd_spectra(grams, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarray]:
     and whether each is PSD: its minimum eigenvalue >= -tol * max(1, lambda_max)."""
     a = np.asarray(grams, dtype=complex)
     adjoint = a.conj().swapaxes(-1, -2)
-    herm_res = _frobenius(a - adjoint)
-    if np.count_nonzero(herm_res > tol * np.maximum(1.0, _frobenius(a))):
-        raise NumericsError(f"Gram matrix not Hermitian, ||G - G*|| = {herm_res.max():.3e}")
+    if np.count_nonzero(gap := a - adjoint):  # the built-ins' Grams are Hermitian to the bit
+        herm_res = _frobenius(gap)
+        if np.count_nonzero(herm_res > tol * np.maximum(1.0, _frobenius(a))):
+            raise NumericsError(f"Gram matrix not Hermitian, ||G - G*|| = {herm_res.max():.3e}")
     values = _eigh(a, adjoint, vectors=False)[0]
     return values, values[:, 0] >= -tol * np.maximum(1.0, values[:, -1])
 

@@ -281,12 +281,13 @@ def test_leibniz_and_intertwining_residuals_check_their_probes_once_per_evaluato
     probes = [(np.array([0.6 * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())]),
                rng.standard_normal(1) + 1j * rng.standard_normal(1)) for _ in range(5)]
     nabla = make_evaluator(k, backend)
-    stacks = _count_calls(monkeypatch, "stack", VectorDomain)
+    jets = _count_calls(monkeypatch, "jets", VectorDomain)
+    apart = _count_calls(monkeypatch, "_entries", VectorDomain)  # the path that names an error
     leibniz = leibniz_residual(nabla, lambda p: complex(p[0]) ** 2, sigma, probes)
-    assert len(stacks) == 1 and leibniz < 1e-6
+    assert len(jets) == 1 and leibniz < 1e-6
     residual = intertwining_residual(theta, nabla, nabla, sigma, target, probes)
     monkeypatch.undo()
-    assert len(stacks) == 3 and residual < 1e-8
+    assert len(jets) == 3 and not apart and residual < 1e-8
     assert residual == _intertwining_loop(theta, nabla, nabla, sigma, target, probes)
 
 
@@ -415,10 +416,19 @@ def _one_stacked_block(k, calls):
     return calls[0][1:]
 
 
+def _other_gram(k, pts, xs):
+    """Fill the kept Gram slot with k's Grams at pts and xs at another step, whatever an earlier
+    call left there: the next call at the default step computes its own."""
+    connections._gram(k, *k.domain.jets(pts, xs), 3e-4)
+
+
 def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
-    # one point or a stack: one stacked block of the rows kappa(s_j, (s_j, *stencil_j))
+    # one point or a stack: a scalar batch kernel reads one stacked block of the probes' 5 x 5
+    # sample Grams, whose block row 2 holds the rows kappa(s_j, (s_j, *stencil_j)); a kernel of
+    # M x M blocks (universal:n=4,k=2) reads those rows alone, one stacked 1 x 5 block
     for k, sigma, pts, xs in _bitwise_cases():
         for n in (1, len(pts)):
+            _other_gram(k, pts[:n], xs[:n])
             calls = _count_values(monkeypatch)
             if n == 1:
                 covariant_derivative_direct(k, sigma, pts[0], xs[0])
@@ -426,13 +436,73 @@ def test_direct_backend_makes_one_kernel_block_call(monkeypatch):
                 make_evaluator(k, "direct").evaluate(sigma, pts, xs)
             monkeypatch.undo()
             ss, ts = _one_stacked_block(k, calls)
-            assert [len(a) for a in ss] == [1] * n and [len(b) for b in ts] == [5] * n, k.name
+            if k.fiber_dim == 1:
+                assert ss is ts and [len(a) for a in ss] == [5] * n, k.name
+            else:
+                assert [len(a) for a in ss] == [1] * n and [len(b) for b in ts] == [5] * n, k.name
+
+
+def test_a_direct_and_a_sampled_call_at_one_probe_evaluate_a_scalar_kernel_once(monkeypatch):
+    # the sampled backend reads the Gram the direct backend kept, on any section; a kernel of
+    # M x M blocks evaluates the direct backend's row and then the sampled backend's Gram
+    for k, sigma, pts, xs in _bitwise_cases():
+        _other_gram(k, pts[:1], xs[:1])
+        calls = _count_values(monkeypatch)
+        monkeypatch.setattr(Kernel, "_jet", None)
+        covariant_derivative_direct(k, sigma, pts[0], xs[0])
+        make_evaluator(k, "sampled")(sigma, pts[0], xs[0])
+        make_evaluator(k, "sampled")(Section(F=lambda p: 2 * sigma.value(p)), pts[0], xs[0])
+        monkeypatch.undo()
+        shapes = [([len(a) for a in ss], [len(b) for b in ts]) for _, ss, ts in calls]
+        assert shapes == ([([5], [5])] if k.fiber_dim == 1 else [([1], [5]), ([5], [5])]), k.name
+
+
+def _direct_by_row(k, sigma, pts, xs, h=1e-4):
+    """The direct backend as it read kappa before it shared the sample's Gram: one (L, 1, 5)
+    block of the rows kappa(s_j, (s_j, *stencil_j)); the reference bits."""
+    s, x = k.domain.jets(pts, xs)
+    stencils, weights = k.domain._stencils(s, x, h)
+    values = connections._fiber(sigma._values(stencils, 2), k.fiber_dim)
+    m, five = k.fiber_dim, np.concatenate([s[:, None], stencils], axis=1)
+    rows = k._values(s[:, None], five)
+    kst = np.ascontiguousarray(rows.reshape(len(rows), m, 5, m).transpose(0, 2, 1, 3))
+    deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
+    return connections._solve(kst[:, 0], deriv[..., None])[..., 0]
+
+
+def test_the_direct_row_read_from_the_gram_has_the_bits_of_its_own_block():
+    # the scalar kernels read it from the kept Gram, universal:n=4,k=2 and cp:n=3 their own row
+    cases = list(_bitwise_cases())
+    psi = random_unital_cpmap(3, 2, 4, np.random.default_rng(3))
+    rng = np.random.default_rng(5)
+    us = [random_unitary(3, seed=70 + i) for i in range(4)]
+    a = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    cases.append((cp_kernel(psi), Section(F=lambda u: psi.apply(u)[:, 0]), us,
+                  list(0.5 * (a - a.conj().swapaxes(-1, -2)))))
+    assert [k.name for k, *_ in cases][-2:] == ["universal:n=4,k=2", "cp:n=3"]
+    for k, sigma, pts, xs in cases:
+        for n in (1, len(pts)):
+            got = make_evaluator(k, "direct").evaluate(sigma, pts[:n], xs[:n])
+            assert _same_bits(got, _direct_by_row(k, sigma, pts[:n], xs[:n])), (k.name, n)
+
+
+def test_a_closed_form_without_df_reads_the_sample_but_builds_no_gram(monkeypatch):
+    # its kernel values are the jet's, one-point members; no 5-point Gram
+    for k, sigma, pts, xs in _bitwise_cases():
+        plain = Section(F=sigma.F)  # no dF: the closed form reads the kept sample's stencil values
+        calls = _count_values(monkeypatch)
+        grams = []
+        monkeypatch.setattr(connections, "_gram", lambda *args: grams.append(args))
+        make_evaluator(k, "closed-form", h=2e-4).evaluate(plain, pts, xs)
+        monkeypatch.undo()
+        assert not grams and all([len(a) for a in ss] == [1] * len(pts) for _, ss, _ in calls)
 
 
 def test_sampled_backend_evaluates_the_kernel_only_in_its_gram(monkeypatch):
     # one stacked block of the L per-probe 5 x 5 sample Grams, and nothing else
     for k, sigma, pts, xs in _bitwise_cases():
         for n in (1, len(pts)):
+            _other_gram(k, pts[:n], xs[:n])
             calls = _count_values(monkeypatch)
             monkeypatch.setattr(Kernel, "_jet", None)
             make_evaluator(k, "sampled").evaluate(sigma, pts[:n], xs[:n])
@@ -447,21 +517,27 @@ def test_each_probe_is_checked_once_and_its_derived_points_are_trusted(monkeypat
     # step; its stencil points are inside by the bound on h, and no edge is evaluated there
     stacks = _count_calls(monkeypatch, "stack", VectorDomain)
     entries = _count_calls(monkeypatch, "_entries", VectorDomain)
+    converted, complex_ = [], kernels._complex
+    monkeypatch.setattr(kernels, "_complex", lambda *a: converted.append(a) or complex_(*a))
     edges, edge = [], kernels._disk_edge
     monkeypatch.setattr(kernels, "_disk_edge", lambda s: edges.append(len(s)) or edge(s))
     covariant_derivative_direct(make_bergman_disk(2), CONSTANT, np.array([0.3]), np.array([1.0]))
     monkeypatch.undo()
-    assert len(stacks) == 1 and [(len(c[1]), c[3]) for c in entries] == [(1, "point"),
-                                                                         (1, "tangent")]
+    # one conversion of the probe, point and tangent as one array; the per-entry path never runs
+    assert len(converted) == 1 and np.shape(converted[0][0]) == (2, 1, 1)
+    assert not stacks and not entries
     assert edges == [1, 1]  # the point, its step
-    # U(n): one stacked unitarity check of all probes; the stencil points u e^{tha} are unitary
-    # by construction
+    # U(n): one conversion of all probes, one stacked unitarity check of the points and one
+    # anti-Hermitian check of the tangents; the stencil points u e^{tha} are unitary by construction
     k, sigma, us, xs = _stack_cases()[-1]
     for backend in ("direct", "sampled"):
-        calls = _count_calls(monkeypatch, "stack", UnitaryDomain)
+        calls = _count_calls(monkeypatch, "_small", UnitaryDomain)
+        converted = []
+        monkeypatch.setattr(kernels, "_complex", lambda *a: converted.append(a) or complex_(*a))
         make_evaluator(k, backend).evaluate(sigma, us, xs)
         monkeypatch.undo()
-        assert [len(c[1]) for c in calls] == [len(us)], backend
+        assert [(len(c[1]), c[3]) for c in calls] == [(len(us), "point"), (len(us), "probe")]
+        assert len(converted) == 1 and np.shape(converted[0][0]) == (2, len(us), 3, 3), backend
 
 
 def test_block_counter_sees_a_stray_kernel_evaluation(monkeypatch):
@@ -771,8 +847,7 @@ def test_a_stack_certifies_each_sample_and_names_the_one_that_fails():
               for u in (random_unitary(4, seed=60 + i) for i in range(4))]
     xs = [random_grass_tangent(p, rng) for p in points]
     s, x = q.domain.jets(points, xs)
-    samples = connections._five(s, q.domain._stencils(s, x, 1e-4)[0], 2)
-    grams = q._values(samples, samples)
+    grams = np.array(connections._gram(q, s, x, 1e-4)[0])  # a writable copy of the kept Grams
     grams[2, 0, 0] = -1.0
     message = r"not PSD \(min eigenvalue -.*\); .* on this sample \(sample 3 of 4\)$"
     with pytest.raises(NumericsError, match=message):
@@ -1174,6 +1249,84 @@ def test_a_kept_sample_serves_only_an_equal_section_its_step_probes_and_kernel()
         reads.clear()
         connections._sample(owner, p, v, h)
         assert len(reads) == read
+
+
+# ---------------------------------------------------------------------------
+# One conversion of a stack of probes; a bad one is named as each entry apart names it
+
+_DISK, _HALF, _FOCK = make_bergman_disk(2), make_bergman_halfplane(1), make_fock(np.eye(3))
+_ONE, _F3 = np.ones(1), 0.1 * np.ones(3)
+_CP = cp_kernel(random_unital_cpmap(3, 2, 4, np.random.default_rng(0)))
+_U, _A = random_unitary(3, seed=1), np.array([[0, 1, 0], [-1, 0, 0], [0, 0, 1j]])
+
+_BAD_PROBES = [  # (kernel, points, tangents, the message of every backend and of jets)
+    (_DISK, [np.array([0.1]), NAN], [_ONE] * 2, "unit disk: point is not finite (point 2 of 2)"),
+    (_DISK, [np.array([0.1]), np.array([0.2]), np.array([0.3])], [_ONE, np.array([np.inf]), _ONE],
+     "unit disk: tangent is not finite (probe 2 of 3)"),
+    (_FOCK, [_F3, _F3[:2]], [np.ones(3)] * 2, "C^3: expected dimension 3, got 2 (point 2 of 2)"),
+    (_FOCK, [_F3] * 2, [np.ones(3), np.ones(2)], "C^3: tangent dimension 2 != 3 (probe 2 of 2)"),
+    (_FOCK, [_F3[:, None]], [np.ones(3)], "C^3: point must be 1-d, got shape (3, 1)"),
+    (_FOCK, [[0.1, 0.2, 0.3], [0.1, [0.2, 0.3], 0.3]], [np.ones(3)] * 2,
+     "C^3: point is ragged or not numeric (point 2 of 2)"),
+    (_FOCK, [_F3] * 2, [np.ones(3), [1, [1, 2], 1]],
+     "C^3: tangent is ragged or not numeric (probe 2 of 2)"),
+    (_DISK, [np.array([0.1]), np.array([1.5])], [_ONE] * 2,
+     "unit disk: |s| = 1.50000000 is too close to the unit circle (point 2 of 2)"),
+    (_HALF, [np.array([0.5j]), np.array([-1j])], [_ONE] * 2,
+     "upper half-plane: Im z = -1.000e+00 must be positive (point 2 of 2)"),
+    (_DISK, [np.array([0.1]), np.array([0.2])], [_ONE], "2 points but 1 directions"),
+    (_DISK, [np.array([0.1]), np.array([1.5])], [_ONE],  # the point's error comes first
+     "unit disk: |s| = 1.50000000 is too close to the unit circle (point 2 of 2)"),
+    (_DISK, [], [], "empty stack of probes: no points and no directions"),
+    (_CP, [_U, 2 * _U], [_A] * 2, "U(n): not unitary, ||u*u - I|| = 5.196e+00 (point 2 of 2)"),
+    (_CP, [_U, 2 * _U], [_A], "U(n): not unitary, ||u*u - I|| = 5.196e+00 (point 2 of 2)"),
+    (_CP, [_U] * 2, [_A, _A + np.eye(3)],
+     "U(n): tangent not anti-Hermitian, ||a + a*|| = 3.464e+00 (probe 2 of 2)"),
+    (_CP, [_U, _U[:2]], [_A] * 2, "U(n): expected 3x3 matrix, got (2, 3) (point 2 of 2)"),
+    (_CP, [_U] * 2, [_A, _A + np.inf], "U(n): tangent is not finite (probe 2 of 2)"),
+]
+
+
+@pytest.mark.parametrize("k, points, tangents, message", _BAD_PROBES)
+def test_a_bad_probe_has_the_message_of_its_entry_checked_apart(k, points, tangents, message):
+    # the messages of the per-entry check, which names the first bad entry of each class
+    for check in [k.domain.jets] + [make_evaluator(k, b).evaluate for b in
+                                    ("closed-form", "direct", "sampled")]:
+        args = (points, tangents) if check == k.domain.jets else (CONSTANT, points, tangents)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            check(*args)
+
+
+@pytest.mark.parametrize("t, message", [
+    (np.array([1.5]), "unit disk: |s| = 1.50000000 is too close to the unit circle"),
+    (NAN, "unit disk: point is not finite"),
+    (np.array([0.1, 0.2]), "unit disk: expected dimension 1, got 2")])
+def test_k_of_s_and_a_bad_t_names_t_alone(t, message):
+    # k(s, t) stacks the pair once; a bad t is named as one point, not "(point 2 of 2)"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        _DISK(np.array([0.1]), t)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "1e400",
+      "--direction", "1"], "unit disk: point is not finite"),
+    (["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "0.5",
+      "--direction", "1e400"], "unit disk: tangent is not finite"),
+    (["connect", "covderiv", "--kernel", "fock:dim=3", "--point", "0.1,0.2", "--direction",
+      "1,1,1"], "C^3: expected dimension 3, got 2"),
+    (["connect", "covderiv", "--kernel", "fock:dim=3", "--point", "0.1,0.2,0", "--direction",
+      "1,1"], "C^3: tangent dimension 2 != 3"),
+    (["connect", "covderiv", "--kernel", "bergman-disk:nu=2", "--point", "1.5", "--direction",
+      "1"], "unit disk: |s| = 1.50000000 is too close to the unit circle"),
+    (["connect", "covderiv", "--kernel", "bergman-halfplane:nu=1", "--point", "-1i",
+      "--direction", "1"], "upper half-plane: Im z = -1.000e+00 must be positive"),
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "0.1", "--point2", "1.5"],
+     "unit disk: |s| = 1.50000000 is too close to the unit circle"),
+    (["kernel", "eval", "--kernel", "bergman-disk:nu=2", "--point", "0.1", "--point2", "1e400"],
+     "unit disk: point is not finite")])
+def test_a_bad_probe_on_the_command_line_exits_2_with_its_message(argv, message, capsys):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("value, error, message", [

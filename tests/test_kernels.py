@@ -790,6 +790,32 @@ def test_a_unitary_feature_kernels_jet_reads_phi_once_for_kappa_and_once_for_d2(
     assert k(u, u).tobytes() == kss[0].tobytes() and len(calls) == 3  # a point and itself
 
 
+def test_a_unitary_feature_kernels_gram_of_one_stack_reads_phi_once_per_point():
+    # the Gram of 8 points: one Phi call on the 8, not one per slot; the bits of Phi(s)* Phi(t)
+    # with each slot's Phi read apart, and of the pair-by-pair loop; two stacks read Phi twice
+    n, rng = 3, np.random.default_rng(53)
+    w = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    calls = []
+
+    def phi(u):
+        calls.append(np.shape(u)[:-2])
+        return np.asarray(u, dtype=complex) @ w
+
+    k = feature_kernel(phi, 2, UnitaryDomain(n), "counted")
+    us = [random_unitary(n, seed=70 + i) for i in range(8)]
+    gram = gram_matrix(k, us)
+    assert calls == [(1, 8, 1)]
+    s = np.array(us)[None, :, None]
+    apart = k.batch(s, np.array(s.swapaxes(1, 2)))  # a copy: its own memory, so Phi once more
+    assert calls[1:] == [(1, 8, 1), (1, 1, 8)]
+    assert gram.tobytes() == apart[0].swapaxes(1, 2).reshape(16, 16).tobytes()
+    loop = Kernel(2, k.domain, k.eval, name="loop")
+    assert gram.tobytes() == gram_matrix(loop, us).tobytes()
+    calls.clear()
+    k.block(us[:4], us[4:])
+    assert calls == [(1, 4, 1), (1, 1, 4)]
+
+
 @pytest.mark.parametrize("n", [1, 3])
 def test_a_zero_unitary_tangent_has_zero_weights_and_a_tiny_one_steps_along_its_direction(n):
     # the rule of C^d: weights that are exactly zero at a = 0, and a / |a| at any a != 0

@@ -48,3 +48,11 @@ def test_a_bad_seed_range_or_module_is_a_usage_error():
         with pytest.raises(SystemExit) as exc:
             seed_sweep.main(argv)
         assert exc.value.code == 2
+
+
+def test_a_sweep_that_runs_no_check_fails_and_says_so(capsys):
+    # the rkhs module has no check: a sweep of it verifies nothing, which is not a pass
+    assert seed_sweep.main(["--seeds", "0-1", "--modules", "rkhs"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines()[-1].startswith("2 seeds, 0 checks: 0 failed at some seed, ")
+    assert err == "no check ran: the sweep verified nothing\n"

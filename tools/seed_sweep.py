@@ -12,8 +12,8 @@ is negative; its worst residual is printed instead of a ratio.  Every seed where
 raises is listed with its error.  `--tree` sweeps the package under another checkout's src/
 (default: this repository's), so that two trees can be swept with the same script.
 
-Exit status: 0 when every check passed at every seed and no seed raised, 1 otherwise, 2 on a
-usage error.
+Exit status: 0 when every check passed at every seed and no seed raised, 1 otherwise (a sweep
+that ran no check, as of a module with none, passes nothing), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -98,7 +98,9 @@ def main(argv=None) -> int:
     top, name = max(ratios, key=lambda r: (r[0] != r[0], r[0]), default=(float("nan"), "none"))
     print(f"{len(seeds)} seeds, {len(worst)} checks: {failing} failed at some seed, "
           f"{len(raised)} seeds raised; worst residual/tolerance {top:.3g} ({name})")
-    return 1 if failing or raised else 0
+    if not worst:
+        print("no check ran: the sweep verified nothing", file=sys.stderr)
+    return 1 if failing or raised or not worst else 0
 
 
 if __name__ == "__main__":
