@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .kernels import BundleMorphism, Kernel, _certify, _kept, _project, stencil_sum
+from .kernels import BundleMorphism, Kernel, VectorDomain, _certify, _kept, _project, stencil_sum
 from .numerics import DEFAULT_STEP, NumericsError, _finite, _max_norm, _solve
 
 __all__ = [
@@ -178,9 +178,10 @@ def _gram(k: Kernel, s: np.ndarray, x: np.ndarray, h: float) -> tuple:
 def _direct(k: Kernel, sigma: Section, s: Sequence, x: Sequence, h: float) -> np.ndarray:
     stencils, weights, values = _sample((k, sigma), s, x, h)
     m = k.fiber_dim  # kst[j, i] = kappa(s_j, (s_j, *stencil_j)[i]), one contiguous stack
-    if m == 1 and k.batch is not None:  # row 2 of the kept Gram: 25 numbers of one expression
+    # on a scalar C^d kernel with a batch, row 2 of the kept Gram: 25 numbers of one expression
+    if m == 1 and k.batch is not None and isinstance(k.domain, VectorDomain):
         rows = _gram(k, s, x, h)[0][:, 2:3, [2, 0, 1, 3, 4]]
-    else:  # M x M products or a loop over eval: the Gram is five times the row's work
+    else:  # BLAS products on U(n), or a loop over eval: the Gram is five times the row's work
         rows = k._values(s[:, None], np.concatenate([s[:, None], stencils], axis=1))
     kst = np.ascontiguousarray(rows.reshape(len(s), m, 5, m).transpose(0, 2, 1, 3))
     deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
@@ -215,7 +216,7 @@ def make_evaluator(k: Kernel, backend: str = "direct",
 def parallel_transport(k: Kernel, curve: Curve, v0, steps: int) -> np.ndarray:
     """Transport v0 along the curve by integrating v' = -alpha_gamma(t)(gamma'(t)) v.
 
-    Classical 4th-order one-step integration with fixed step 1/steps: `_transport`'s vector.
+    Classical 4th-order one-step integration with fixed step 1/steps, for an integer steps >= 1.
     """
     return _transport(k, curve, v0, steps)[0]
 
@@ -227,8 +228,8 @@ def _transport(k: Kernel, curve: Curve, v0, steps: int) -> tuple[np.ndarray, np.
     if any, and every step's propagator P = I + dt (K1 + 2 K2 + 2 K3 + K4) / 6 of v' = -alpha v
     is one stacked expression.  A vector that is not finite raises NumericsError.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not (np.isfinite(steps) and steps >= 1 and steps == int(steps)):
+        raise ValueError(f"steps must be an integer >= 1, got {steps}")
     v = np.atleast_1d(np.asarray(v0, dtype=complex))
     nodes, eye, dt = np.arange(2 * steps + 1) / (2 * steps), np.eye(k.fiber_dim), 1.0 / steps
     kss, d2 = k.diagonal_jet(*(curve.batch(nodes) if curve.batch else

@@ -89,24 +89,19 @@ def _frobenius(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
 
 
-def _as_point(s) -> np.ndarray:
-    a = np.atleast_1d(np.asarray(s, dtype=complex))
-    if a.ndim != 1:
-        raise DomainError(f"vector-domain point must be 1-d, got shape {a.shape}")
-    return a
-
-
 class Domain:
-    """Base-domain protocol: membership checks and the library's one stencil.  A domain with a
-    `name` defines `stack(points)` and `jets(points, directions)`, the one check of a list of
-    points and of a stack of probes (s_j, x_j), into (N, ...) arrays, each point and tangent
-    checked once (C^d and U(n) read them by `_entries`; code past them trusts the probes and their
-    stencils); and `_stencils(s, x, h)`: at L checked probes and 0 < h <= 0.01, at once, the (L, 4,
-    ...) points gamma_j(t step), t = -2, -1, 1, 2, inside the domain, on curves with the 1-jets
-    (s_j, x_j / |x_j|), s_j at x_j = 0, and the (L, 4) weights of d/dt f(gamma_j), by `_rule`."""
+    """Base-domain protocol: membership checks and the library's one stencil.  `stack(points)` and
+    `jets(points, directions)` check a list of points and a stack of probes (s_j, x_j) into (N, ...)
+    arrays, each point and tangent once; code past them trusts the probes and their stencils.  On
+    C^d and U(n) they read complex entries of `_shape`, refused by `_wrong`, and check the points
+    by `_inside`, the tangents by `_tangents`; Gr(k, n) defines its own.  `_stencils(s, x, h)`: at
+    L checked probes and 0 < h <= 0.01, at once, the (L, 4, ...) points gamma_j(t step), t = -2,
+    -1, 1, 2, inside the domain, on curves with the 1-jets (s_j, x_j / |x_j|), s_j at x_j = 0, and
+    the (L, 4) weights of d/dt f(gamma_j), by `_rule`."""
 
     _step = staticmethod(lambda s, h: h)  # the step at L checked points, where no edge shrinks h
     _axes = 0  # a point's trailing axes in `stack`'s array: 0 for object arrays, else set
+    _tangents = staticmethod(lambda x: x)  # the check of (L, *_shape) tangents: any entry is one
 
     def _rule(self, s, x: np.ndarray, h: float) -> tuple:
         """The stencil rule of every domain, at L checked probes with (L, D) flat tangents x: the
@@ -142,31 +137,38 @@ class Domain:
             j = int(np.argmax(bad)) // (bad.size // len(bad))
             raise self._error(reason(j), j, len(bad), what)
 
-    def _entries(self, items: Sequence, shape: tuple, what: str, entry: str,
-                 wrong: Callable[[tuple], str]) -> np.ndarray:
-        """The (N, *shape) complex array of N entries: one `_complex` call, returned when it has
+    def stack(self, points: Sequence) -> np.ndarray:
+        """The (N, *_shape) `_entries` of the points, `_inside`."""
+        a = self._entries(points, "point", "point")
+        return self._inside(a)
+
+    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
+        """The (L, *_shape) points and `_tangents` of L >= 1 probes, read as one (2, L, *_shape)
+        array, one `_complex` and one `_finite`, the points `_inside`; where an entry or the count
+        is wrong, `stack` and the `_entries` of the tangents name the error."""
+        a = _complex((points, directions))
+        if a is not None and a.shape == (2, len(points)) + self._shape and a.size and _finite(a):
+            return self._inside(a[0]), self._tangents(a[1])
+        s = self.stack(points)
+        return s, self._tangents(self._entries(_paired(points, directions), "tangent", "probe"))
+
+    def _entries(self, items: Sequence, what: str, entry: str) -> np.ndarray:
+        """The (N, *_shape) complex array of N entries: one `_complex` call, returned when it has
         that shape and is finite.  Else an `_error` names the first entry that is ragged or not
-        numeric, not finite ("{what} is not finite") or of another shape (wrong(shape)); a vector
+        numeric, not finite ("{what} is not finite") or of another shape (`_wrong`); a vector
         domain's scalar entry has shape (1,), so C^1 scalars mix with 1-vectors."""
-        a = _complex(items)
+        a, shape = _complex(items), self._shape
         if a is not None and a.shape[1:] == shape and _finite(a):
             return a
         ms = []
         for i, m in enumerate(items):
             m = _complex(m, len(shape) == 1)
             reason = (f"{what} is ragged or not numeric" if m is None else f"{what} is not finite"
-                      if not _finite(m) else wrong(m.shape) if m.shape != shape else None)
-            if reason is not None:
+                      if not _finite(m) else m.shape != shape and self._wrong(m.shape, what))
+            if reason:
                 raise self._error(reason, i, len(items), entry)
             ms.append(m)
         return np.array(ms, dtype=complex).reshape((len(ms),) + shape)
-
-    def _probes(self, points: Sequence, directions: Sequence, shape: tuple) -> Optional[np.ndarray]:
-        """The (2, L, *shape) points and tangents of L >= 1 probes: one `_complex`, one `_finite`;
-        None where an entry or the count is wrong: `jets` checks each apart to name the error."""
-        a = _complex((points, directions))
-        if a is not None and a.shape == (2, len(points)) + shape and a.size and _finite(a):
-            return a
 
 
 def _complex(m, ndmin: int = 0) -> Optional[np.ndarray]:
@@ -210,28 +212,18 @@ class VectorDomain(Domain):
     edge: Optional[Callable[[np.ndarray], np.ndarray]] = None
     reason: Optional[Callable[[np.ndarray], str]] = None
     _axes = 1
+    _shape = property(lambda self: (self.dim,))
 
-    def stack(self, points: Sequence) -> np.ndarray:
-        """Domain.stack as the (N, d) `_entries`, a scalar a point of C^1, inside the edge."""
-        return self._inside(self._entries(points, (self.dim,), "point", "point", lambda shape: (
-            f"expected dimension {self.dim}, got {shape[0]}" if len(shape) == 1
-            else f"point must be 1-d, got shape {shape}")))
+    def _wrong(self, shape: tuple, what: str) -> str:
+        return (f"{what} must be 1-d, got shape {shape}" if len(shape) != 1
+                else f"expected dimension {self.dim}, got {shape[0]}" if what == "point"
+                else f"tangent dimension {shape[0]} != {self.dim}")
 
     def _inside(self, a: np.ndarray) -> np.ndarray:
         """The (N, d) points a, after an error naming the first at edge <= 0, if any."""
         if self.edge is not None:
             self._refuse(self.edge(a) <= 0, lambda i: self.reason(a[i]), "point")
         return a
-
-    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Domain.jets as the `_probes`, the points `_inside`; else `stack` and the (L, d)
-        `_entries` of the directions."""
-        if (a := self._probes(points, directions, (self.dim,))) is not None:
-            return self._inside(a[0]), a[1]
-        return self.stack(points), self._entries(
-            _paired(points, directions), (self.dim,), "tangent", "probe", lambda shape: (
-                f"tangent dimension {shape[0]} != {self.dim}" if len(shape) == 1
-                else f"tangent must be 1-d, got shape {shape}"))
 
     def _step(self, s: np.ndarray, h: float):
         """The edge layer: h, times d / EDGE_LAYER at an edge distance d < EDGE_LAYER."""
@@ -260,30 +252,23 @@ class UnitaryDomain(Domain):
 
     n: int
     name, _axes = "U(n)", 2
+    _shape = property(lambda self: (self.n,) * 2)
 
-    def stack(self, points: Sequence) -> np.ndarray:
-        """Domain.stack as the (N, n, n) `_entries`, `_unitary`."""
-        return self._unitary(self._entries(points, (self.n,) * 2, "point", "point", lambda shape:
-                                           f"expected {self.n}x{self.n} matrix, got {shape}"))
+    def _wrong(self, shape: tuple, what: str) -> str:
+        return (f"expected {self.n}x{self.n} matrix, got {shape}" if what == "point"
+                else f"tangent shape {shape} != ({self.n},{self.n})")
 
-    def _unitary(self, u: np.ndarray) -> np.ndarray:
+    def _inside(self, u: np.ndarray) -> np.ndarray:
         """The (N, n, n) points u, each unitary by one stacked ||u*u - I||."""
         self._small(u.conj().swapaxes(-1, -2) @ u - np.eye(self.n), "not unitary, ||u*u - I||",
                     "point")
         return u
 
-    def jets(self, points: Sequence, directions: Sequence) -> tuple[np.ndarray, np.ndarray]:
-        """Domain.jets as the `_probes`, the points `_unitary`, else `stack` and the (L, n, n)
-        `_entries`; the tangents anti-Hermitian by one ||a + a*||."""
-        if (p := self._probes(points, directions, (self.n,) * 2)) is not None:
-            u, a = self._unitary(p[0]), p[1]
-        else:
-            u = self.stack(points)
-            a = self._entries(_paired(u, directions), (self.n,) * 2, "tangent", "probe",
-                              lambda shape: f"tangent shape {shape} != ({self.n},{self.n})")
+    def _tangents(self, a: np.ndarray) -> np.ndarray:
+        """The (L, n, n) tangents a, each anti-Hermitian by one stacked ||a + a*||."""
         self._small(a + a.conj().swapaxes(-1, -2), "tangent not anti-Hermitian, ||a + a*||",
                     "probe")
-        return u, a
+        return a
 
     def _small(self, m: np.ndarray, what: str, entry: str) -> None:
         """An error naming the first matrix of the (N, n, n) stack m with a norm over 1e-10."""
@@ -324,8 +309,7 @@ class Kernel:
     (...) for a scalar kernel, (..., M, M) otherwise; its `d2` then maps
     (s, t, x) arrays the same way.  Every entry must depend on its own points
     alone, bit for bit, whatever the shapes are, given one leading axis at least
-    (numpy's 0-d scalar arithmetic may round otherwise).  The Gram of one stack
-    comes as two views of one array, so a feature kernel reads each point once.
+    (numpy's 0-d scalar arithmetic may round otherwise).
     """
 
     fiber_dim: int
@@ -362,7 +346,7 @@ class Kernel:
             t = s if ts is ss else np.asarray(ts)
             if a == b == 1:  # one-point members need fewer axes; one stack stays one array
                 s, t = (s[:, 0],) * 2 if ts is ss else (s[:, 0], t[:, 0])
-            elif a > 1 and b > 1:  # one stack's two slots view one memory: see `_swapped`
+            elif a > 1 and b > 1:
                 s, t = s[:, :, None], t[:, None]
             out = self.batch(s, t)
         else:
@@ -419,7 +403,10 @@ def _times(a: np.ndarray, fr, fi) -> np.ndarray:  # a (fr + i fi), part by part
 # with the shape; these do not, so every entry of a stack has the bits of its 1 x 1.
 
 def _scalar_kernel(domain: VectorDomain, batch, d2, name: str) -> Kernel:
-    ev = lambda s, t: batch(_as_point(s)[None], _as_point(t)[None]).reshape(1, 1)  # noqa: E731
+    def ev(s, t):  # the pair as one stack of the domain's `_entries`: finite points of C^d
+        st = domain._entries((s, t), "point", "point")
+        return batch(st[:1], st[1:]).reshape(1, 1)
+
     return Kernel(1, domain, ev, d2, name=name, batch=batch)
 
 
@@ -505,27 +492,16 @@ def feature_kernel(phi: Callable[[object], np.ndarray], fiber_dim: int, domain: 
     (t, x), and d2 is Phi(s)* dphi(t, x); without it, d2 is the stencil's.  On U(n), Phi and dphi
     must map an (..., n, n) stack member by member, each with its one-matrix bits, and on Gr(k, n)
     Phi an object array of projectors, to (..., D, M): `batch` is `eval`, and a block of a x b
-    points is a + b evaluations of Phi, but the Gram of one stack of a points is a: one for each
-    point, as for a point and itself.
+    points is a + b evaluations of Phi, a point and itself one.
     """
 
-    def ev(s, t):  # Phi read once when both slots are one stack: t is s, or `_swapped`
+    def ev(s, t):  # Phi read once when both slots are one array: t is s
         ps = phi(s)
-        pt = ps if t is s else ps.swapaxes(1, 2) if _swapped(s, t) else phi(t)
-        return ps.conj().swapaxes(-1, -2) @ pt
+        return ps.conj().swapaxes(-1, -2) @ (ps if t is s else phi(t))
 
     d2 = None if dphi is None else lambda s, t, x: phi(s).conj().swapaxes(-1, -2) @ dphi(t, x)
     batch = None if isinstance(domain, VectorDomain) else ev
     return Kernel(fiber_dim, domain, ev, d2, name, batch)
-
-
-def _swapped(s, t) -> bool:
-    """Whether the array t is the array s with axes 1 and 2 swapped, in s's memory: the (L, a, 1,
-    ...) and (L, 1, a, ...) slots of the Gram of one stack, as `Kernel._values` passes them."""
-    return (isinstance(s, np.ndarray) and isinstance(t, np.ndarray) and s.ndim == t.ndim > 2
-            and t.base is s.base is not None  # two views of one array, then the same layout
-            and ((u := s.swapaxes(1, 2)).shape, u.strides, u.dtype) == (t.shape, t.strides, t.dtype)
-            and u.__array_interface__["data"][0] == t.__array_interface__["data"][0])
 
 
 def _dilation_kernel(w: np.ndarray, n: int, name: str) -> Kernel:
@@ -553,8 +529,11 @@ def positivity_certificate(g, tol: float = 1e-9) -> tuple[bool, float]:
     """Check a Gram matrix for positive semidefiniteness by its spectrum.
 
     Returns (is_psd, min_eigenvalue); is_psd holds iff the minimum eigenvalue
-    is >= -tol * max(1, lambda_max).  The one-matrix case of `_psd_spectra`.
+    is >= -tol * max(1, lambda_max), for a finite tol >= 0.  The one-matrix
+    case of `_psd_spectra`.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     values, is_psd = _psd_spectra(_as_matrix(g, square=True)[None], tol)
     return bool(is_psd[0]), float(values[0, 0])
 

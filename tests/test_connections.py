@@ -486,6 +486,37 @@ def test_the_direct_row_read_from_the_gram_has_the_bits_of_its_own_block():
             assert _same_bits(got, _direct_by_row(k, sigma, pts[:n], xs[:n])), (k.name, n)
 
 
+def _direct_by_gram(k, sigma, pts, xs, h=1e-4):
+    """The direct backend of a 1 x 1 kernel as it read its rows from block row 2 of the probes'
+    5 x 5 stencil Grams, s_j at slot 2, reordered to (s_j, *stencil_j); the reference bits."""
+    s, x = k.domain.jets(pts, xs)
+    stencils, weights = k.domain._stencils(s, x, h)
+    values = connections._fiber(sigma._values(stencils, 2), 1)
+    five = np.concatenate([stencils[:, :2], s[:, None], stencils[:, 2:]], axis=1)
+    kst = np.ascontiguousarray(k._values(five, five)[:, 2, [2, 0, 1, 3, 4]])[..., None, None]
+    deriv = stencil_sum(weights, (kst[:, 1:] @ values[..., None])[..., 0])
+    return connections._solve(kst[:, 0], deriv[..., None])[..., 0]
+
+
+def test_a_homogeneous_direct_call_reads_its_own_row_with_the_bits_of_the_grams(monkeypatch):
+    # 1 x 1 blocks on U(3), each a BLAS product: one stacked 1 x 5 block and no five-point Gram,
+    # with the bits it had when it read block row 2 of the kept Gram
+    n, rng = 3, np.random.default_rng(47)
+    p = coordinate_projector(n, 1)
+    k, z0 = grassmann.homogeneous_kernel(n, p), rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    sigma = Section(F=lambda u: fiber_basis(p).conj().T @ (p.p @ (np.asarray(u).conj().T @ z0)))
+    us = [random_unitary(n, seed=120 + i) for i in range(4)]
+    xs = [random_grass_tangent(p, rng).generator for _ in us]
+    for m in (1, len(us)):
+        calls, grams, gram = _count_values(monkeypatch), [], connections._gram
+        monkeypatch.setattr(connections, "_gram", lambda *args: grams.append(args) or gram(*args))
+        got = make_evaluator(k, "direct").evaluate(sigma, us[:m], xs[:m])
+        monkeypatch.undo()
+        ss, ts = _one_stacked_block(k, calls)
+        assert not grams and [len(a) for a in ss] == [1] * m and [len(b) for b in ts] == [5] * m
+        assert _same_bits(got, _direct_by_gram(k, sigma, us[:m], xs[:m])), m
+
+
 def test_a_closed_form_without_df_reads_the_sample_but_builds_no_gram(monkeypatch):
     # its kernel values are the jet's, one-point members; no 5-point Gram
     for k, sigma, pts, xs in _bitwise_cases():
@@ -1619,3 +1650,21 @@ def test_transport_rejects_a_batch_with_the_wrong_number_of_points():
                   batch=lambda t: ((0.5 * t[1:])[:, None], np.full((len(t) - 1, 1), 0.5 + 0j)))
     with pytest.raises(ValueError, match="the curve's batch gave 128 points for 129 parameters"):
         parallel_transport(k, curve, np.ones(1), steps=64)
+
+
+_HALF_RADIUS = Curve(gamma=lambda t: np.array([0.5 * t]), velocity=lambda t: np.array([0.5 + 0j]))
+
+
+@pytest.mark.parametrize("steps", [1.5, 2.5, 0.5, 0, -1, np.nan, np.inf, -np.inf])
+def test_transport_rejects_a_step_count_that_is_not_an_integer_of_at_least_one(steps):
+    # 1.5 returned 0.7794 against the exact sqrt(0.75) = 0.8660; 2.5 raised a broadcast error
+    with pytest.raises(ValueError, match=r"^steps must be an integer >= 1, got "):
+        parallel_transport(make_bergman_disk(1), _HALF_RADIUS, np.ones(1), steps)
+
+
+def test_transport_at_an_integral_step_count_of_any_type_has_its_bits():
+    k = make_bergman_disk(1)
+    want = parallel_transport(k, _HALF_RADIUS, np.ones(1), 4)
+    assert abs(want[0] - np.sqrt(0.75)) < 1e-4
+    for steps in (np.int64(4), 4.0, np.float64(4.0)):
+        assert _same_bits(parallel_transport(k, _HALF_RADIUS, np.ones(1), steps), want), steps

@@ -790,9 +790,9 @@ def test_a_unitary_feature_kernels_jet_reads_phi_once_for_kappa_and_once_for_d2(
     assert k(u, u).tobytes() == kss[0].tobytes() and len(calls) == 3  # a point and itself
 
 
-def test_a_unitary_feature_kernels_gram_of_one_stack_reads_phi_once_per_point():
-    # the Gram of 8 points: one Phi call on the 8, not one per slot; the bits of Phi(s)* Phi(t)
-    # with each slot's Phi read apart, and of the pair-by-pair loop; two stacks read Phi twice
+def test_a_unitary_feature_kernels_gram_reads_phi_once_per_slot():
+    # the Gram of 8 points reads Phi once per slot, 8 + 8 points, as a block of two stacks does;
+    # the bits of Phi(s)* Phi(t) with each slot's Phi read apart, and of the pair-by-pair loop
     n, rng = 3, np.random.default_rng(53)
     w = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
     calls = []
@@ -804,10 +804,10 @@ def test_a_unitary_feature_kernels_gram_of_one_stack_reads_phi_once_per_point():
     k = feature_kernel(phi, 2, UnitaryDomain(n), "counted")
     us = [random_unitary(n, seed=70 + i) for i in range(8)]
     gram = gram_matrix(k, us)
-    assert calls == [(1, 8, 1)]
+    assert calls == [(1, 8, 1), (1, 1, 8)]
     s = np.array(us)[None, :, None]
-    apart = k.batch(s, np.array(s.swapaxes(1, 2)))  # a copy: its own memory, so Phi once more
-    assert calls[1:] == [(1, 8, 1), (1, 1, 8)]
+    apart = k.batch(s, np.array(s.swapaxes(1, 2)))
+    assert calls[2:] == [(1, 8, 1), (1, 1, 8)]
     assert gram.tobytes() == apart[0].swapaxes(1, 2).reshape(16, 16).tobytes()
     loop = Kernel(2, k.domain, k.eval, name="loop")
     assert gram.tobytes() == gram_matrix(loop, us).tobytes()
@@ -976,9 +976,40 @@ def test_a_domain_that_defines_neither_stack_nor_jets_fails_at_once():
     class Bare(Domain):
         name = "bare"
 
+    # the protocol reads complex entries of the shape a domain declares: a bare one has none
     for call in (lambda d: d.stack((0.0,)), lambda d: d.jets((0.0,), (1.0,))):
-        with pytest.raises(AttributeError, match="'(stack|jets)'"):
+        with pytest.raises(AttributeError, match="'_shape'"):
             call(Bare())
+
+
+@pytest.mark.parametrize("s, t", [(np.array([np.nan]), np.array([0.1])),
+                                  (np.array([0.1]), np.array([np.inf + 0j]))])
+def test_a_scalar_kernels_eval_rejects_a_non_finite_point(s, t):
+    # eval read its pair apart from the domain's reader and returned NaN here
+    with pytest.raises(DomainError, match=r"^unit disk: point is not finite \(point [12] of 2\)$"):
+        make_bergman_disk(2).eval(s, t)
+
+
+def test_a_scalar_kernels_eval_reads_a_pair_of_scalars_or_vectors_with_the_blocks_bits():
+    k, s, t = make_fock(np.eye(1)), 0.3 - 0.1j, 0.2j
+    want = k(np.array([s]), np.array([t]))
+    for got in (k.eval(s, t), k.eval([s], np.array([t]))):
+        assert got.shape == (1, 1) and got.tobytes() == want.tobytes()
+    with pytest.raises(DomainError, match=r"^C\^2: expected dimension 2, got 3 \(point 2 of 2\)$"):
+        make_fock(np.eye(2)).eval(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+def test_positivity_certificate_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # nan called the identity not PSD, inf called diag(1, -0.5) PSD, -1 called diag(1, 0.5) not PSD
+    for g in (np.eye(2), np.diag([1.0, -0.5]), np.diag([1.0, 0.5])):
+        with pytest.raises(ValueError, match="^tol must be finite and >= 0, got"):
+            positivity_certificate(g, tol)
+
+
+def test_positivity_certificate_takes_a_zero_tolerance():
+    assert positivity_certificate(np.diag([1.0, 0.0]), 0.0) == (True, 0.0)
+    assert positivity_certificate(np.diag([1.0, -1e-300]), 0) == (False, -1e-300)
 
 
 def _disk_pullback(delta, fiber_dim):
